@@ -3,8 +3,10 @@
 Even arity goes through the level-r Kikuchi matrix: rows and columns are
 r-subsets of the variables, an edge contributes its signed weight to every
 pair (S, T) with S xor T equal to the edge, and the instance value is bounded
-by twice the spectral norm of the degree-reweighted matrix. Two certificate
-engines are provided:
+by twice the spectral norm of the degree-reweighted matrix. The matrix is
+built from the distinct edges: parallel copies are coalesced first into a
+multiplicity, which enters the degrees, and a summed signed weight, which is
+the entry. Two certificate engines are provided:
 
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power;
@@ -13,13 +15,15 @@ engines are provided:
 Odd arity is reduced to even instances by grouping edges on their minimum
 vertex and applying Cauchy-Schwarz to the group sums; arity 0 and 1 are
 certified by direct exact computation. All floating-point steps round their
-result upward before it enters a certificate.
+result upward before it enters a certificate, and no certified bound exceeds
+the trivial bound 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +38,7 @@ from .core import (
     ValidationError,
     XorInstance,
     XorScheme,
+    colex_rank,
     subset_rank,
     validate_instance,
 )
@@ -59,11 +64,35 @@ class RefuteParams:
 
     @staticmethod
     def from_obj(obj: dict) -> "RefuteParams":
-        known = {f.name for f in RefuteParams.__dataclass_fields__.values()}
-        bad = sorted(set(obj) - known)
+        if not isinstance(obj, dict):
+            raise ValidationError(["certification knobs must be a JSON object"])
+        bad = sorted(set(obj) - set(_KNOBS))
         if bad:
             raise ValidationError([f"unknown certification knobs: {bad}"])
+        wrong = [
+            f"knob {name!r} must be {_KNOBS[name][0]}, got {value!r}"
+            for name, value in obj.items()
+            if not _KNOBS[name][1](value)
+        ]
+        if wrong:
+            raise ValidationError(wrong)
         return RefuteParams(**obj)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# knob -> (what it must be, check), for knobs read from JSON
+_KNOBS = {
+    "r": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "ell": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "mode": ("one of trace, spectral, auto", lambda v: v in ("trace", "spectral", "auto")),
+    "dim_cap": ("an integer", _is_int),
+    "dense_cap": ("an integer", _is_int),
+    "work_flops": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "split_weights": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 def default_ell(r: int, n: int) -> int:
@@ -203,11 +232,30 @@ class KikuchiOperator:
         return a
 
 
+def _kikuchi_dim(n: int, k: int, r: int, dim_cap: int) -> int:
+    """Side length C(n, r) of the level-r matrix for arity k; ResourceCap if
+    the level does not exist or the side exceeds ``dim_cap``."""
+    if r < k // 2:
+        raise ResourceCap(f"level r={r} below k/2={k // 2}")
+    if r - k // 2 > n - k:
+        raise ResourceCap(f"level r={r} too large for n={n}, k={k}")
+    dim = comb(n, r)
+    if dim > dim_cap:
+        raise ResourceCap(f"dimension C({n},{r})={dim} exceeds cap {dim_cap}")
+    return dim
+
+
 def build_kikuchi(
     inst: XorInstance, r: int, dim_cap: int = RefuteParams.dim_cap
 ) -> KikuchiOperator:
-    """Populate the level-r matrix by enumerating, per edge, every ordered
-    pair (S, T) with S xor T equal to the edge."""
+    """Populate the level-r matrix from the instance's distinct edges.
+
+    Parallel copies of an edge are first coalesced into a multiplicity and
+    an exact signed sum of b * w. Each distinct edge then enumerates its
+    ordered pairs (S, T) with S xor T equal to the edge once: the row degree
+    of S grows by the multiplicity, and the entry is the signed sum. Since
+    S xor T determines the edge, no entry collects more than one edge.
+    """
     validate_instance(inst)
     if inst.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
@@ -219,41 +267,36 @@ def build_kikuchi(
     if k % 2 != 0 or k < 2:
         raise ValidationError([f"kikuchi build needs an even arity >= 2, got {k}"])
     n = inst.n
-    if r < k // 2:
-        raise ResourceCap(f"level r={r} below k/2={k // 2}")
-    if r - k // 2 > n - k:
-        raise ResourceCap(f"level r={r} too large for n={n}, k={k}")
-    dim = comb(n, r)
-    if dim > dim_cap:
-        raise ResourceCap(f"dimension C({n},{r})={dim} exceeds cap {dim_cap}")
+    dim = _kikuchi_dim(n, k, r, dim_cap)
+
+    # distinct edge -> multiplicity, and -> sum of b * w as an integer at
+    # the common scale 2^-log_den
+    counts = Counter(inst.scheme.hypergraph.edges)
+    sums = dict.fromkeys(counts, 0)
+    log_den = max(w.log_den for w in inst.scheme.weights)
+    for edge, w, b in zip(
+        inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs
+    ):
+        sums[edge] += (b * w.num) << (log_den - w.log_den)
 
     half = k // 2
     multiplier = comb(k, half) * comb(n - k, r - half)
     entries: dict[tuple[int, int], Dyadic] = {}
     degrees = [0] * dim
-
-    def rank(subset: tuple[int, ...]) -> int:
-        return sum(comb(v, i + 1) for i, v in enumerate(subset))
-
-    for edge, w, b in zip(
-        inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs
-    ):
-        value = Dyadic(b * w.num, w.log_den)
+    for edge, count in counts.items():
+        total = sums[edge]
+        value = Dyadic(total, log_den) if total else None  # zero sums stay out
         edge_set = set(edge)
         outside = [v for v in range(n) if v not in edge_set]
         for inner in combinations(edge, half):
-            comp = tuple(v for v in edge if v not in set(inner))
+            comp = tuple(v for v in edge if v not in inner)
             for out in combinations(outside, r - half):
-                s = tuple(sorted(inner + out))
-                t = tuple(sorted(comp + out))
-                si = rank(s)
-                ti = rank(t)
-                degrees[si] += 1
-                if si < ti:
-                    key = (si, ti)
-                    prev = entries.get(key)
-                    entries[key] = value if prev is None else prev + value
-    entries = {key: v for key, v in entries.items() if not v.is_zero()}
+                si = colex_rank(sorted(inner + out))
+                degrees[si] += count
+                if value is not None:
+                    ti = colex_rank(sorted(comp + out))
+                    if si < ti:
+                        entries[(si, ti)] = value
     op = KikuchiOperator(
         n=n,
         k=k,
@@ -321,6 +364,11 @@ def truncate_ell(ell: int, dim: int, work_flops: float) -> int:
     return ell
 
 
+def _check_ell(ell: int) -> None:
+    if ell < 2 or ell % 2 != 0:
+        raise ValidationError([f"trace certificate needs even ell >= 2, got {ell}"])
+
+
 def trace_certificate(
     op: KikuchiOperator,
     ell: int,
@@ -329,8 +377,7 @@ def trace_certificate(
 ) -> tuple[float, int]:
     """Upper bound trace((Gamma^-1 A)^ell)^(1/ell) on the reweighted spectral
     norm, with all rounding error pushed upward. Returns (bound, ell used)."""
-    if ell < 2 or ell % 2 != 0:
-        raise ValidationError([f"trace certificate needs even ell >= 2, got {ell}"])
+    _check_ell(ell)
     dim = op.dim
     if dim > dense_cap:
         raise ResourceCap(f"dimension {dim} exceeds dense cap {dense_cap}")
@@ -508,10 +555,17 @@ def _refute_even(inst: XorInstance, k: int, params: RefuteParams) -> Certificate
     r = params.r if params.r is not None else k // 2
     r = max(r, k // 2)  # the construction does not exist below k/2
     ell = params.ell if params.ell is not None else default_ell(r, inst.n)
+    uncertain_mode = params.mode if params.mode != "auto" else "trace"
     try:
-        op = build_kikuchi(inst, r, params.dim_cap)
+        dim = _kikuchi_dim(inst.n, k, r, params.dim_cap)
     except ResourceCap:
-        return _uncertain(params.mode if params.mode != "auto" else "trace", r=r)
+        return _uncertain(uncertain_mode, r=r)
+    if params.mode in ("trace", "auto"):
+        _check_ell(ell)
+    if dim > params.dense_cap or params.mode not in ("trace", "spectral", "auto"):
+        # no engine can run, so the matrix is not worth building
+        return _uncertain(uncertain_mode, r=r, ell=ell)
+    op = build_kikuchi(inst, r, params.dim_cap)
     candidates: list[tuple[float, str, int | None]] = []
     if params.mode in ("trace", "auto"):
         try:
@@ -525,7 +579,7 @@ def _refute_even(inst: XorInstance, k: int, params: RefuteParams) -> Certificate
         except ResourceCap:
             pass
     if not candidates:
-        return _uncertain(params.mode if params.mode != "auto" else "trace", r=r, ell=ell)
+        return _uncertain(uncertain_mode, r=r, ell=ell)
     norm_bound, mode, used_ell = min(candidates, key=lambda c: c[0])
     return Certificate(
         mode=mode,
@@ -573,11 +627,15 @@ def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate
     """Certified upper bound on the instance value; dispatches on arity.
 
     Mixed-arity instances are bucketed by edge size and the per-bucket bounds
-    are averaged with weights m_k / m. The returned bound is always sound;
-    resource-cap failures surface as status "uncertain" with the trivial
-    bound 1.
+    are averaged with weights m_k / m. The returned bound is always sound and
+    at most the trivial bound 1, which every instance value obeys;
+    resource-cap failures surface as status "uncertain" with that bound.
     """
-    params = params or RefuteParams()
+    cert = _refute(inst, params or RefuteParams())
+    return replace(cert, bound=1.0) if cert.bound > 1.0 else cert
+
+
+def _refute(inst: XorInstance, params: RefuteParams) -> Certificate:
     validate_instance(inst)
     if inst.m == 0:
         return Certificate(mode="direct", bound=0.0, status="certified")

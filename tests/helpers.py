@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import comb
 
 from xorcert.circuits import Circuit, JuntaGate
-from xorcert.core import Dyadic, XorInstance, make_instance
+from xorcert.core import Dyadic, XorInstance, make_instance, subset_rank
 from xorcert.fourier import ParityClass, classify_parity, expand_junta
 
 
@@ -40,3 +42,29 @@ def random_other_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
 
 def signs(rng: random.Random, m: int) -> tuple[int, ...]:
     return tuple(rng.choice((1, -1)) for _ in range(m))
+
+
+def reference_kikuchi(
+    inst: XorInstance, r: int
+) -> tuple[dict[tuple[int, int], Dyadic], tuple[int, ...]]:
+    """(entries, degrees) of the level-r Kikuchi matrix, enumerated per edge
+    copy: every ordered pair (S, T) with S xor T equal to the copy adds 1 to
+    the degree of S and, above the diagonal, b * w to the entry. Zero sums
+    are dropped. The uniform even arity and the level are taken as given."""
+    n = inst.n
+    half = inst.arity // 2
+    entries: dict[tuple[int, int], Dyadic] = {}
+    degrees = [0] * comb(n, r)
+    for edge, w, b in zip(inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs):
+        value = Dyadic(b * w.num, w.log_den)
+        outside = [v for v in range(n) if v not in edge]
+        for inner in combinations(edge, half):
+            comp = tuple(v for v in edge if v not in inner)
+            for out in combinations(outside, r - half):
+                si = subset_rank(tuple(sorted(inner + out)), n, r)
+                ti = subset_rank(tuple(sorted(comp + out)), n, r)
+                degrees[si] += 1
+                if si < ti:
+                    entries[(si, ti)] = entries.get((si, ti), Dyadic(0)) + value
+    entries = {key: v for key, v in entries.items() if not v.is_zero()}
+    return entries, tuple(degrees)

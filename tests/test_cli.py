@@ -53,6 +53,21 @@ class TestExitCodes:
     def test_missing_file_exits_one(self):
         assert run("refute", "--instance", "/nonexistent/x.json") == 1
 
+    @pytest.mark.parametrize("knobs", [
+        '{"r": "2"}',
+        '{"ell": 4.0}',
+        '{"mode": "fast"}',
+        '{"dense_cap": null}',
+        '{"work_flops": "1e9"}',
+        '{"split_weights": 1}',
+        '[2]',
+    ])
+    def test_params_of_wrong_type_exit_one(self, tmp_path, instance_file, knobs):
+        params = tmp_path / "params.json"
+        params.write_text(knobs)
+        assert run("refute", "--instance", str(instance_file),
+                   "--params", str(params)) == 1
+
     def test_usage_error_exits_one(self):
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen

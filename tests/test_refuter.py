@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from xorcert.core import Dyadic, ValidationError, make_instance
 from xorcert.oracle import brute_val
+from xorcert import refuter
 from xorcert.refuter import (
+    Certificate,
     RefuteParams,
     ResourceCap,
     build_kikuchi,
@@ -20,7 +22,14 @@ from xorcert.refuter import (
     trace_certificate,
 )
 
-from helpers import random_instance
+from helpers import random_instance, reference_kikuchi
+
+
+def _weights(max_log_den: int = 3):
+    """Dyadic weights in [-1, 1] at mixed scales, zero among them."""
+    return st.integers(0, max_log_den).flatmap(
+        lambda L: st.builds(Dyadic, st.integers(-(1 << L), 1 << L), st.just(L))
+    )
 
 
 class TestBuild:
@@ -97,6 +106,61 @@ class TestBuild:
             st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), label="x"
         )
         assert op.quadratic_form(x) == inst.term_sum(x) * Dyadic(op.edge_multiplier)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_copy_reference(self, data):
+        k = data.draw(st.sampled_from((2, 4, 6)), label="k")
+        n = data.draw(st.integers(min_value=k, max_value=8), label="n")
+        r = data.draw(st.integers(min_value=k // 2, max_value=n - k // 2), label="r")
+        edge_strategy = st.lists(
+            st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k, unique=True
+        ).map(lambda e: tuple(sorted(e)))
+        # few distinct edges and many copies, so most edges are parallel
+        pool = data.draw(
+            st.lists(edge_strategy, min_size=1, max_size=3, unique=True), label="pool"
+        )
+        copies = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool),
+                    st.one_of(st.just(Dyadic(0)), _weights()),
+                    st.sampled_from((1, -1)),
+                ),
+                min_size=1,
+                max_size=24,
+            ),
+            label="copies",
+        )
+        # a twin has the same edge and weight and the opposite sign
+        twins = data.draw(
+            st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)),
+            label="twins",
+        )
+        copies += [(e, w, -b) for (e, w, b), twin in zip(copies, twins) if twin]
+        inst = make_instance(
+            n,
+            [e for e, _, _ in copies],
+            [b for _, _, b in copies],
+            weights=[w for _, w, _ in copies],
+            arity=k,
+        )
+        op = build_kikuchi(inst, r)
+        entries, degrees = reference_kikuchi(inst, r)
+        assert op.entries == entries
+        assert op.degrees == degrees
+
+    def test_parallel_copies_that_cancel_leave_no_entry(self):
+        inst = make_instance(
+            4,
+            [(0, 1), (0, 1), (0, 1), (2, 3)],
+            [1, -1, -1, 1],
+            weights=[Dyadic(1, 1), Dyadic(1, 2), Dyadic(1, 2), Dyadic(3, 2)],
+        )
+        op = build_kikuchi(inst, 1)
+        assert op.degrees == (3, 3, 1, 1)
+        assert op.entries == {(2, 3): Dyadic(3, 2)}
+        assert op.entries == reference_kikuchi(inst, 1)[0]
 
     def test_rejects_odd_and_bad_levels(self):
         odd = make_instance(4, [(0, 1, 2)], [1])
@@ -192,8 +256,36 @@ class TestRefute:
         inst = make_instance(2, [(0, 1)], [1])
         cert = refute(inst, RefuteParams(mode="trace", ell=2))
         assert cert.certified
-        assert math.isclose(cert.bound, math.sqrt(2), rel_tol=1e-9)
+        assert (cert.mode, cert.ell) == ("trace", 2)
+        # the engine's bound, 2 * sqrt(1/2), is clamped at the trivial bound
+        assert math.isclose(2 * trace_certificate(build_kikuchi(inst, 1), 2)[0], math.sqrt(2))
+        assert cert.bound == 1.0
         assert Fraction(cert.bound) >= brute_val(inst)
+
+    def test_single_edge_clamped_at_one(self):
+        inst = make_instance(4, [(0, 1)], [1])
+        assert 2 * spectral_certificate(build_kikuchi(inst, 1)) > 1.0
+        cert = refute(inst)
+        assert cert.certified
+        assert cert.bound == 1.0
+        assert Fraction(cert.bound) >= brute_val(inst)
+
+    def test_dense_cap_checked_before_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_kikuchi called")
+
+        monkeypatch.setattr(refuter, "build_kikuchi", no_build)
+        # dimension C(24, 4) = 10626 is below dim_cap but above dense_cap
+        inst = random_instance(random.Random(11), 24, 4, 2000)
+        cert = refute(inst, RefuteParams(r=4))
+        assert cert == Certificate(
+            mode="trace", bound=1.0, status="uncertain", r=4, ell=default_ell(4, 24)
+        )
+        cert = refute(inst, RefuteParams(r=4, ell=3, mode="spectral"))
+        assert cert == Certificate(mode="spectral", bound=1.0, status="uncertain", r=4, ell=3)
+        for ell in (0, 3):
+            with pytest.raises(ValidationError):
+                refute(inst, RefuteParams(r=4, ell=ell))
 
     def test_cancelling_pairs(self):
         assert refute(make_instance(2, [(0, 1), (0, 1)], [1, -1])).bound == 0.0
