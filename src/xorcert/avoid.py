@@ -1,13 +1,14 @@
 """Range avoidance and remote-point certification for low-depth circuits.
 
-Fast path: enough parity outputs force a GF(2) dependency whose violation is
-a range gap. Otherwise parity outputs are pruned and candidate targets drawn
-from an explicit generator are certified one seed at a time:
+Fast path: one pass expands and classifies every junta gate, and enough parity
+outputs force a GF(2) dependency whose violation is a range gap. Otherwise
+parity outputs are pruned and candidate targets drawn from an explicit
+generator are certified one seed at a time, as ``certify_not_in_range`` does:
 
-* junta circuits split into per-pattern XOR instances; the certificate sums
-  their refutation bounds with the non-parity ceiling on the top level;
+* junta circuits split into per-pattern XOR instances; their refutation
+  bounds plus the non-parity ceiling must sum below 1;
 * decision-tree circuits go through the layered character grouping and refute
-  every ensemble key.
+  every ensemble key; the sum must be at most 2 eps.
 
 Both certificates are sound upper bounds on the best output/target agreement,
 so a certified target is guaranteed to sit outside the range.
@@ -17,22 +18,24 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .circuits import Circuit, JuntaGate, to_layered
-from .core import ValidationError
-from .fourier import ParityClass, classify_parity, expand_junta
+from .circuits import Circuit, to_layered
+from .core import ValidationError, XorInstance
+from .fourier import ParityClass
 from .gf2 import find_xor_dependency
 from .prg import GeneratorSpec, sample_int, seed_count, seed_to_str
 from .reduction import (
+    GateAnalysis,
     JuntaSplit,
     SchemeEnsemble,
+    _analyze_gates,
+    _split_analyzed,
     attach_rhs,
     group_characters,
-    nonadaptive_split,
 )
 from .refuter import Certificate, RefuteParams, _combine_mode, _float_up, refute
 
@@ -78,16 +81,6 @@ def _uncertain_remote(path: str, kept: int) -> RemoteCertificate:
     )
 
 
-def classify_outputs(c: Circuit) -> list[ParityClass]:
-    """Parity class of every junta output; requires a junta circuit."""
-    out = []
-    for i, gate in enumerate(c.gates):
-        if not isinstance(gate, JuntaGate):
-            raise ValidationError([f"gate {i} is not a junta gate"])
-        out.append(classify_parity(expand_junta(gate, c.n)))
-    return out
-
-
 def find_parity_dependency(
     c: Circuit,
 ) -> tuple[list[int], int] | None:
@@ -97,14 +90,14 @@ def find_parity_dependency(
     multiplies to a fixed sign. With at least n + 1 parity outputs a
     dependency always exists.
     """
+    return _parity_dependency(_analyze_gates(c)) if c.is_junta_circuit() else None
+
+
+def _parity_dependency(analysis: GateAnalysis) -> tuple[list[int], int] | None:
     vectors = []
     signs = []
     positions = []
-    for i, gate in enumerate(c.gates):
-        if not isinstance(gate, JuntaGate):
-            return None
-        exp = expand_junta(gate, c.n)
-        cls = classify_parity(exp)
+    for i, (cls, exp) in enumerate(analysis):
         if cls is ParityClass.OTHER:
             continue
         mask = 0
@@ -123,25 +116,22 @@ def find_parity_dependency(
     return outputs, forced
 
 
-def _certify_junta_split(
-    split: JuntaSplit, b: Sequence[int], params: CertifyParams
-) -> tuple[Fraction, Certificate, bool]:
-    """Sum of per-pattern refutation bounds plus the non-parity ceiling.
+def _prune_parities(c: Circuit, analysis: GateAnalysis) -> tuple[list[int], JuntaSplit | None]:
+    """Positions of the non-parity outputs, and the split of those outputs."""
+    kept = [i for i, (cls, _) in enumerate(analysis) if cls is ParityClass.OTHER]
+    if not kept:
+        return kept, None
+    pruned = Circuit(c.n, c.w, c.t, tuple(c.gates[i] for i in kept))
+    return kept, _split_analyzed(pruned, [analysis[i] for i in kept])
 
-    Returns (pruned-circuit correlation bound, composite certificate, ok).
-    """
-    t = split.t
-    parts = []
-    total = Fraction(0)
-    ok = True
-    for alpha in sorted(split.buckets):
-        inst = split.instance(alpha, b)
-        cert = refute(inst, params.refute)
-        parts.append(cert)
-        ok = ok and cert.certified
-        total += Fraction(cert.bound)
-    ceiling = Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else Fraction(0)
-    total += ceiling
+
+def _sum_bounds(
+    instances: Iterable[XorInstance], ceiling: Fraction, params: RefuteParams
+) -> tuple[Fraction, Certificate, bool]:
+    """(Sum of refutation bounds plus ceiling, composite certificate, all certified)."""
+    parts = [refute(inst, params) for inst in instances]
+    total = ceiling + sum(Fraction(cert.bound) for cert in parts)
+    ok = all(cert.certified for cert in parts)
     composite = Certificate(
         mode=_combine_mode(parts) if parts else "direct",
         bound=_float_up(total),
@@ -151,25 +141,38 @@ def _certify_junta_split(
     return total, composite, ok
 
 
-def _certify_tree_ensemble(
-    ens: SchemeEnsemble, b: Sequence[int], params: CertifyParams
-) -> tuple[Fraction, Certificate, bool]:
-    """Sum of refutation bounds over every ensemble key."""
-    parts = []
-    total = Fraction(0)
-    ok = True
-    for key, inst in sorted(attach_rhs(ens, b).items()):
-        cert = refute(inst, params.refute)
-        parts.append(cert)
-        ok = ok and cert.certified
-        total += Fraction(cert.bound)
-    composite = Certificate(
-        mode=_combine_mode(parts) if parts else "direct",
-        bound=_float_up(total),
-        status="certified" if ok else "uncertain",
-        breakdown=tuple(parts),
+def _certify_prepared(
+    prepared: JuntaSplit | SchemeEnsemble,
+    b_kept: Sequence[int],
+    m_full: int,
+    params: CertifyParams,
+) -> RemoteCertificate:
+    """The one certification decision: a junta split needs its summed bound,
+    non-parity ceiling included, below 1; an ensemble its sum at most 2 eps.
+    Bound and distance are scaled to all ``m_full`` outputs, every pruned
+    output counted as agreeing."""
+    m_kept = len(b_kept)
+    if isinstance(prepared, JuntaSplit):
+        t = prepared.t
+        ceiling = Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else Fraction(0)
+        instances = (prepared.instance(a, b_kept) for a in sorted(prepared.buckets))
+        total, composite, ok = _sum_bounds(instances, ceiling, params.refute)
+        path, ok = "junta", ok and total < 1
+    else:
+        instances = (inst for _, inst in sorted(attach_rhs(prepared, b_kept).items()))
+        total, composite, ok = _sum_bounds(instances, Fraction(0), params.refute)
+        path, ok = "tree", ok and total <= 2 * params.eps_for(prepared.t)
+    if not ok:
+        return _uncertain_remote(path, m_kept)
+    share = Fraction(m_kept, m_full)
+    return RemoteCertificate(
+        status="certified",
+        path=path,
+        correlation_bound=_float_up(share * total + (1 - share)),
+        min_distance=share * (1 - total) / 2,
+        kept_outputs=m_kept,
+        certificate=composite,
     )
-    return total, composite, ok
 
 
 def certify_not_in_range(
@@ -177,7 +180,7 @@ def certify_not_in_range(
     b: Sequence[int],
     params: CertifyParams | None = None,
     *,
-    prepared: JuntaSplit | SchemeEnsemble | None = None,
+    prepared: SchemeEnsemble | None = None,
 ) -> RemoteCertificate:
     """Certify that b is far from (in particular outside) the range of c.
 
@@ -185,7 +188,9 @@ def certify_not_in_range(
     a coordinate subset implies non-membership overall) and the certificate
     checks that the summed refutation bounds stay below 1. Decision-tree
     circuits: every ensemble key is refuted and the certificate claims
-    fractional distance at least 1/2 - eps. Never certifies falsely.
+    fractional distance at least 1/2 - eps; ``prepared`` may pass the
+    circuit's ensemble from ``group_characters`` so that repeated targets
+    share it (junta circuits ignore it). Never certifies falsely.
     """
     params = params or CertifyParams()
     c.ensure_valid()
@@ -193,42 +198,13 @@ def certify_not_in_range(
         raise ValidationError([f"target length {len(b)} != m = {c.m}"])
 
     if c.is_junta_circuit():
-        if isinstance(prepared, JuntaSplit):
-            split = prepared
-            kept = list(range(c.m))
-            b_kept = list(b)
-        else:
-            classes = classify_outputs(c)
-            kept = [i for i, cl in enumerate(classes) if cl is ParityClass.OTHER]
-            if not kept:
-                return _uncertain_remote("junta", 0)
-            pruned = Circuit(c.n, c.w, c.t, tuple(c.gates[i] for i in kept))
-            split = nonadaptive_split(pruned)
-            b_kept = [b[i] for i in kept]
-        total, composite, ok = _certify_junta_split(split, b_kept, params)
-        m_kept = len(kept)
-        if not ok or total >= 1:
-            return _uncertain_remote("junta", m_kept)
-        return _junta_remote(total, composite, m_kept, c.m)
-
-    # decision-tree path
-    eps = params.eps_for(c.t)
-    if isinstance(prepared, SchemeEnsemble):
-        ens = prepared
-    else:
-        ens = group_characters(to_layered(c.with_tree_gates()))
-    total, composite, ok = _certify_tree_ensemble(ens, b, params)
-    if not ok or total > 2 * eps:
-        return _uncertain_remote("tree", c.m)
-    distance = (1 - total) / 2
-    return RemoteCertificate(
-        status="certified",
-        path="tree",
-        correlation_bound=_float_up(total),
-        min_distance=distance,
-        kept_outputs=c.m,
-        certificate=composite,
-    )
+        kept, split = _prune_parities(c, _analyze_gates(c))
+        if split is None:
+            return _uncertain_remote("junta", 0)
+        return _certify_prepared(split, [b[i] for i in kept], c.m, params)
+    if prepared is None:
+        prepared = group_characters(to_layered(c.with_tree_gates()))
+    return _certify_prepared(prepared, b, c.m, params)
 
 
 @dataclass(frozen=True)
@@ -296,47 +272,17 @@ def _parity_avoid_result(c: Circuit, outputs: list[int], forced: int) -> AvoidRe
     )
 
 
-def _junta_remote(
-    total: Fraction, composite: Certificate, m_kept: int, m_full: int
-) -> RemoteCertificate:
-    distance = Fraction(m_kept, m_full) * (1 - total) / 2
-    corr_full = Fraction(m_kept, m_full) * total + Fraction(m_full - m_kept, m_full)
-    return RemoteCertificate(
-        status="certified",
-        path="junta",
-        correlation_bound=_float_up(corr_full),
-        min_distance=distance,
-        kept_outputs=m_kept,
-        certificate=composite,
-    )
-
-
 def _try_seed_range(
     work: tuple,
     seeds: Sequence[int],
 ) -> tuple[int, RemoteCertificate] | None:
     """First certified seed in the given ascending seed list, if any."""
-    kind, prepared, b_positions, gen, params = work
+    prepared, b_positions, gen, params = work
     for seed in seeds:
         b_full = sample_int(gen, seed)
-        b_kept = [b_full[i] for i in b_positions]
-        if kind == "junta":
-            total, composite, ok = _certify_junta_split(prepared, b_kept, params)
-            if ok and total < 1:
-                return seed, _junta_remote(total, composite, len(b_positions), gen.m)
-        else:
-            eps = params.eps_for(prepared.t)
-            total, composite, ok = _certify_tree_ensemble(prepared, b_kept, params)
-            if ok and total <= 2 * eps:
-                rc = RemoteCertificate(
-                    status="certified",
-                    path="tree",
-                    correlation_bound=_float_up(total),
-                    min_distance=(1 - total) / 2,
-                    kept_outputs=len(b_positions),
-                    certificate=composite,
-                )
-                return seed, rc
+        rc = _certify_prepared(prepared, [b_full[i] for i in b_positions], gen.m, params)
+        if rc.certified:
+            return seed, rc
     return None
 
 
@@ -358,32 +304,21 @@ def avoid(
 
     stats: dict = {"budget": params.budget}
     if c.is_junta_circuit():
-        dep = find_parity_dependency(c)
+        analysis = _analyze_gates(c)
+        dep = _parity_dependency(analysis)
         if dep is not None:
             return _parity_avoid_result(c, dep[0], dep[1])
-        classes = classify_outputs(c)
-        kept = [i for i, cl in enumerate(classes) if cl is ParityClass.OTHER]
-        stats["kept_outputs"] = len(kept)
-        stats["parity_outputs"] = c.m - len(kept)
-        if not kept:
-            return AvoidResult(
-                y=None,
-                justification={"kind": "failed", "budget": stats},
-                certificates=(),
-                seeds_tried=0,
-                stats=stats,
-            )
-        pruned = Circuit(c.n, c.w, c.t, tuple(c.gates[i] for i in kept))
-        work = ("junta", nonadaptive_split(pruned), kept, gen, params.certify)
+        kept, prepared = _prune_parities(c, analysis)
     else:
         kept = list(range(c.m))
-        stats["kept_outputs"] = c.m
-        stats["parity_outputs"] = 0
-        ens = group_characters(to_layered(c.with_tree_gates()))
-        work = ("tree", ens, kept, gen, params.certify)
+        prepared = group_characters(to_layered(c.with_tree_gates()))
+    stats["kept_outputs"] = len(kept)
+    stats["parity_outputs"] = c.m - len(kept)
+    work = (prepared, kept, gen, params.certify)
 
-    n_seeds = min(seed_count(gen), params.budget)
+    n_seeds = min(seed_count(gen), params.budget) if prepared is not None else 0
     start = time.monotonic()
+    deadline = None if params.wall_clock_s is None else start + params.wall_clock_s
     hit: tuple[int, RemoteCertificate] | None = None
     seeds_tried = 0
     if params.workers > 1 and n_seeds > 1:
@@ -392,23 +327,29 @@ def avoid(
             list(range(lo, min(lo + chunk, n_seeds)))
             for lo in range(0, n_seeds, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=params.workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=params.workers)
+        try:
             futures = [pool.submit(_try_seed_range, work, r) for r in ranges]
             for rng_seeds, fut in zip(ranges, futures):
-                res = fut.result()
+                try:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise FutureTimeout
+                    res = fut.result(None if deadline is None else deadline - time.monotonic())
+                except FutureTimeout:
+                    stats["aborted"] = "wall clock"
+                    break
                 if res is not None:
                     hit = res
                     seeds_tried += res[0] - rng_seeds[0] + 1
-                    for later in futures:
-                        later.cancel()
                     break
                 seeds_tried += len(rng_seeds)
+        finally:
+            # Chunks not yet started are dropped. After a hit the running ones
+            # are waited for; after the wall clock ran out they are not.
+            pool.shutdown(wait="aborted" not in stats, cancel_futures=True)
     else:
         for seed in range(n_seeds):
-            if (
-                params.wall_clock_s is not None
-                and time.monotonic() - start > params.wall_clock_s
-            ):
+            if deadline is not None and time.monotonic() > deadline:
                 stats["aborted"] = "wall clock"
                 break
             seeds_tried += 1

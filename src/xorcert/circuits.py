@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import ValidationError, bit_of_sign, sign_of_bit
+from .core import ValidationError, bit_of_sign, check_fields, is_int, is_int_list, sign_of_bit
 
 
 @dataclass(frozen=True)
@@ -320,12 +320,12 @@ def _tree_node_to_obj(node: TreeNode):
 
 
 def _tree_node_from_obj(obj) -> TreeNode:
-    if "leaf" in obj:
-        return Leaf(sign_of_bit(obj["leaf"]))
-    return Node(
-        obj["query"],
-        tuple(_tree_node_from_obj(c) for c in obj["children"]),
-    )
+    if type(obj) is dict and "leaf" in obj:
+        if is_int(obj["leaf"]) and obj["leaf"] in (0, 1):
+            return Leaf(sign_of_bit(obj["leaf"]))
+    elif type(obj) is dict and is_int(obj.get("query")) and type(obj.get("children")) is list:
+        return Node(obj["query"], tuple(_tree_node_from_obj(c) for c in obj["children"]))
+    raise ValidationError(["tree node is neither a 0/1 leaf nor a query with a list of children"])
 
 
 def circuit_to_json(c: Circuit) -> str:
@@ -345,18 +345,32 @@ def circuit_to_json(c: Circuit) -> str:
     return json.dumps(payload)
 
 
+_CIRCUIT_FIELDS = dict.fromkeys("nwtm", is_int) | {"gates": lambda v: type(v) is list}
+
+
+def _is_junta_obj(g) -> bool:
+    return (
+        type(g) is dict
+        and g.get("kind") == "junta"
+        and is_int_list(g.get("inputs"))
+        and type(g.get("table")) is str
+        and not g["table"].strip("01")
+    )
+
+
 def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
+    check_fields(data, "circuit", _CIRCUIT_FIELDS)
     gates: list[Gate] = []
-    for g in data["gates"]:
-        if g["kind"] == "junta":
-            gates.append(
-                JuntaGate(tuple(g["inputs"]), tuple(int(b) for b in g["table"]))
-            )
-        elif g["kind"] == "tree":
-            gates.append(WordDecisionTree(_tree_node_from_obj(g["root"])))
+    for i, g in enumerate(data["gates"]):
+        if type(g) is dict and g.get("kind") == "tree":
+            gates.append(WordDecisionTree(_tree_node_from_obj(g.get("root"))))
+        elif _is_junta_obj(g):
+            gates.append(JuntaGate(tuple(g["inputs"]), tuple(map(int, g["table"]))))
         else:
-            raise ValidationError([f"unknown gate kind {g['kind']!r}"])
+            raise ValidationError(
+                [f"gate {i} is neither a tree nor a junta with integer inputs and a 0/1 table"]
+            )
     c = Circuit(data["n"], data["w"], data["t"], tuple(gates))
     if c.m != data["m"]:
         raise ValidationError([f"declared m = {data['m']} but {c.m} gates"])

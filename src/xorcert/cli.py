@@ -94,6 +94,13 @@ def _add_refute_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen_circuit(args) -> int:
+    # checked before sampling: junta gates read t of the n inputs, parity gates 1 to t
+    low_t = 1 if args.kind == "parity" else 0
+    bad_t = args.t < low_t or (args.kind != "tree" and args.t > args.n)
+    if min(args.n, args.w) < 1 or args.m < 0 or bad_t:
+        raise ValidationError(
+            [f"no {args.kind} circuit with n={args.n}, w={args.w}, t={args.t}, m={args.m}"]
+        )
     rng = random.Random(args.seed)
     if args.kind == "junta":
         c = circuits.random_junta_circuit(rng, args.n, args.t, args.m)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def sign_of_bit(a: int) -> int:
@@ -128,11 +129,6 @@ class Dyadic:
         if self.log_den == 0:
             return f"Dyadic({self.num})"
         return f"Dyadic({self.num}/2^{self.log_den})"
-
-
-DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)
-DYADIC_MINUS_ONE = Dyadic(-1)
 
 
 def subset_rank(subset: Sequence[int], n: int, r: int) -> int:
@@ -343,9 +339,46 @@ def instance_to_json(inst: XorInstance) -> str:
     return json.dumps(payload)
 
 
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return type(value) is int
+
+
+def is_int_list(value) -> bool:
+    # type() over the whole list in C: the loaders run this on every edge
+    return type(value) is list and set(map(type, value)) <= {int}
+
+
+def check_fields(data, what: str, fields: Mapping[str, Callable], optional=()) -> None:
+    """Raise ValidationError unless ``data`` is a JSON object whose fields
+    pass their checks; fields named in ``optional`` may be absent or null."""
+    if not isinstance(data, dict):
+        raise ValidationError([f"{what} is not a JSON object"])
+    bad = [
+        f"{what}: field {name!r} is missing or mistyped"
+        for name, ok in fields.items()
+        if not (ok(data[name]) if data.get(name) is not None else name in optional)
+    ]
+    if bad:
+        raise ValidationError(bad)
+
+
+_INSTANCE_FIELDS = {
+    "n": is_int,
+    "edges": lambda v: type(v) is list
+    and set(map(type, v)) <= {list}
+    and is_int_list(list(chain.from_iterable(v))),
+    "k": is_int,
+    "weights": lambda v: isinstance(v, list)
+    and all(isinstance(w, dict) and is_int_list([w.get("num"), w.get("log_den")]) for w in v),
+    "rhs": is_int_list,
+}
+
+
 def instance_from_json(text: str) -> XorInstance:
     data = json.loads(text)
-    edges = [tuple(e) for e in data["edges"]]
+    check_fields(data, "instance", _INSTANCE_FIELDS, optional=("k", "weights", "rhs"))
+    edges = data["edges"]
     n = data["n"]
     weights = None
     if data.get("weights") is not None:

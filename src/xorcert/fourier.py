@@ -58,18 +58,6 @@ class FourierExpansion:
             total = total + abs(c)
         return total
 
-    def items_sorted(self) -> list[tuple[tuple[int, ...], Dyadic]]:
-        """Entries ordered by (degree, colex)."""
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (len(kv[0]), tuple(reversed(kv[0])))
-        )
-
-    def to_json_entries(self) -> list[dict]:
-        return [
-            {"alpha": list(a), "num": c.num, "log_den": c.log_den}
-            for a, c in self.items_sorted()
-        ]
-
 
 def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion:
     """Exact transform of a junta truth table by direct character summation."""

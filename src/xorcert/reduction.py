@@ -208,30 +208,45 @@ class JuntaSplit:
         return XorInstance(scheme, tuple(b))
 
 
+GateAnalysis = Sequence[tuple[ParityClass, FourierExpansion]]
+
+
+def _analyze_gates(c: Circuit) -> GateAnalysis:
+    """(Parity class, Fourier expansion) of every gate of a junta circuit: the
+    one expansion that dependency search, pruning and splitting all share."""
+    out = []
+    for i, gate in enumerate(c.gates):
+        if not isinstance(gate, JuntaGate):
+            raise ValidationError([f"gate {i} is not a junta gate"])
+        exp = expand_junta(gate, c.n)
+        out.append((classify_parity(exp), exp))
+    return out
+
+
 def nonadaptive_split(c: Circuit) -> JuntaSplit:
     """Bucket junta-gate characters by their local position pattern.
 
     Every gate must classify as non-parity; XOR/NXOR outputs are rejected and
     have to be pruned by the caller first.
     """
+    return _split_analyzed(c, _analyze_gates(c))
+
+
+def _split_analyzed(c: Circuit, analysis: GateAnalysis) -> JuntaSplit:
+    """:func:`nonadaptive_split` given ``_analyze_gates(c)``."""
     t = c.t
-    expansions: list[FourierExpansion] = []
-    for i, gate in enumerate(c.gates):
-        if not isinstance(gate, JuntaGate):
-            raise ValidationError([f"gate {i} is not a junta gate"])
-        exp = expand_junta(gate, c.n)
-        if classify_parity(exp) is not ParityClass.OTHER:
+    for i, (cls, _) in enumerate(analysis):
+        if cls is not ParityClass.OTHER:
             raise ValidationError(
                 [f"gate {i} is a parity or negated parity; prune it first"]
             )
-        expansions.append(exp)
 
     buckets: dict[tuple[int, ...], tuple[Hypergraph, tuple[Dyadic, ...]]] = {}
     for size in range(t):
         for alpha in itertools.combinations(range(t), size):
             edges = []
             weights = []
-            for gate, exp in zip(c.gates, expansions):
+            for gate, (_, exp) in zip(c.gates, analysis):
                 if alpha and alpha[-1] >= len(gate.inputs):
                     edges.append(tuple(range(size)))  # zero-weight filler
                     weights.append(Dyadic(0))

@@ -39,6 +39,7 @@ from .core import (
     XorInstance,
     XorScheme,
     colex_rank,
+    is_int,
     subset_rank,
     validate_instance,
 )
@@ -79,18 +80,14 @@ class RefuteParams:
         return RefuteParams(**obj)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # knob -> (what it must be, check), for knobs read from JSON
 _KNOBS = {
-    "r": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "ell": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "r": ("an integer or null", lambda v: v is None or is_int(v)),
+    "ell": ("an integer or null", lambda v: v is None or is_int(v)),
     "mode": ("one of trace, spectral, auto", lambda v: v in ("trace", "spectral", "auto")),
-    "dim_cap": ("an integer", _is_int),
-    "dense_cap": ("an integer", _is_int),
-    "work_flops": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "dim_cap": ("an integer", is_int),
+    "dense_cap": ("an integer", is_int),
+    "work_flops": ("a number", lambda v: is_int(v) or isinstance(v, float)),
     "split_weights": ("true or false", lambda v: isinstance(v, bool)),
 }
 

@@ -40,6 +40,16 @@ def random_other_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
     return Circuit(n, 1, t, tuple(gates))
 
 
+def random_pruned_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
+    """Non-parity junta circuit with 3 outputs overwritten by single-input
+    gates on distinct inputs: avoid prunes them, and they hold no GF(2)
+    dependency, so only the refutation path can succeed."""
+    gates = list(random_other_circuit(rng, n, t, m).gates)
+    for pos, v in zip(rng.sample(range(m), 3), rng.sample(range(n), 3)):
+        gates[pos] = JuntaGate((v,), rng.choice(((0, 1), (1, 0))))
+    return Circuit(n, 1, t, tuple(gates))
+
+
 def signs(rng: random.Random, m: int) -> tuple[int, ...]:
     return tuple(rng.choice((1, -1)) for _ in range(m))
 

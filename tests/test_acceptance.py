@@ -31,7 +31,7 @@ from xorcert.prg import GeneratorSpec, sample_int, seed_count
 from xorcert.refuter import RefuteParams, build_kikuchi, refute
 from xorcert.reduction import group_characters
 
-from helpers import random_instance, signs
+from helpers import random_instance, random_pruned_circuit, signs
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -278,12 +278,24 @@ def test_criterion_8_avoid_end_to_end():
                 unsound += 1
             else:
                 parity_success += 1
+    # The random suite above almost always ends on a parity dependency; this
+    # one can only succeed through the refutation path.
+    rng = random.Random(48)
+    refutation_success = 0
+    for _ in range(20):
+        c = random_pruned_circuit(rng, 8, 2, 300)
+        res = avoid(c, GeneratorSpec.eps_biased(300, 10), AvoidParams(budget=24))
+        if res.succeeded:
+            if brute_range_member(c, res.y):
+                unsound += 1
+            elif res.justification["kind"] == "refutation":
+                refutation_success += 1
     _report(
         8,
         "avoid end-to-end soundness",
-        unsound == 0 and parity_success == 200,
+        unsound == 0 and parity_success == 200 and refutation_success >= 1,
         f"parity path 200/200, random-suite success {random_success}/200 (reported), "
-        f"unsound results {unsound}",
+        f"refutation path {refutation_success}/20, unsound results {unsound}",
     )
 
 

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from xorcert import fourier
 from xorcert.avoid import (
     AvoidParams,
     CertifyParams,
@@ -18,15 +20,32 @@ from xorcert.circuits import (
 )
 from xorcert.core import ValidationError
 from xorcert.oracle import brute_min_distance, brute_range_member
-from xorcert.prg import GeneratorSpec
+from xorcert.prg import GeneratorSpec, sample
 
-from helpers import random_other_circuit, signs
+from helpers import random_other_circuit, random_pruned_circuit, signs
 
 X0 = JuntaGate((0,), (0, 1))
 X1 = JuntaGate((1,), (0, 1))
 NOT_X0 = JuntaGate((0,), (1, 0))
 XOR01 = JuntaGate((0, 1), (0, 1, 1, 0))
 OR01 = JuntaGate((0, 1), (0, 1, 1, 1))
+
+
+@pytest.fixture()
+def expand_calls(monkeypatch):
+    """Counts calls of ``expand_junta`` through every xorcert module that
+    binds it."""
+    calls = []
+    original = fourier.expand_junta
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "xorcert" and getattr(module, "expand_junta", None) is original:
+            monkeypatch.setattr(module, "expand_junta", counted)
+    return calls
 
 
 class TestParityDependency:
@@ -182,3 +201,44 @@ class TestAvoid:
         par = avoid(c, gen, AvoidParams(budget=8, workers=2))
         assert seq.y == par.y
         assert seq.justification == par.justification
+
+    def test_workers_honour_wall_clock(self):
+        c = random_other_circuit(random.Random(10), 6, 2, 200)
+        gen = GeneratorSpec.eps_biased(200, 9)
+        res = avoid(c, gen, AvoidParams(budget=8, workers=2, wall_clock_s=0.0))
+        assert not res.succeeded
+        assert res.justification["kind"] == "failed"
+        assert res.stats["aborted"] == "wall clock"
+        assert res.seeds_tried == 0
+
+
+class TestOneAnalysis:
+    def test_each_gate_expanded_once(self, expand_calls):
+        c = random_pruned_circuit(random.Random(11), 8, 2, 120)
+        res = avoid(c, GeneratorSpec.eps_biased(120, 10), AvoidParams(budget=16))
+        assert res.stats["parity_outputs"] == 3
+        assert sorted(map(id, expand_calls)) == sorted(map(id, c.gates))
+        expand_calls.clear()
+        certify_not_in_range(c, (1,) * c.m)
+        assert sorted(map(id, expand_calls)) == sorted(map(id, c.gates))
+
+    @pytest.mark.parametrize("kind", ["junta", "tree"])
+    def test_certify_agrees_with_avoid(self, kind):
+        rng = random.Random(12)
+        if kind == "junta":
+            c = random_pruned_circuit(rng, 8, 2, 120)
+            params = AvoidParams(budget=16)
+        else:
+            c = random_tree_circuit(rng, 6, 1, 2, 300, leaf_prob=0.15)
+            params = AvoidParams(budget=16, certify=CertifyParams(eps=Fraction(1, 4)))
+        gen = GeneratorSpec.eps_biased(c.m, 10)
+        res = avoid(c, gen, params)
+        assert res.justification["kind"] == "refutation"
+        assert res.justification["path"] == kind
+        rc = certify_not_in_range(c, sample(gen, res.justification["seed"]), params.certify)
+        assert rc.certified
+        assert rc.path == kind
+        assert (rc.certificate,) == res.certificates
+        assert [rc.min_distance.numerator, rc.min_distance.denominator] == (
+            res.justification["min_distance"]
+        )

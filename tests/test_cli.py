@@ -68,6 +68,36 @@ class TestExitCodes:
         assert run("refute", "--instance", str(instance_file),
                    "--params", str(params)) == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"k": 2, "edges": [[0, 1]]}',
+        '{"k": 2, "n": "3", "edges": [[0, 1]]}',
+        '{"k": 2, "n": 3, "edges": [[0, "1"]]}',
+        '{"k": 2, "n": 3, "edges": [[0, 1]], "weights": [{"num": 1}]}',
+        '[]',
+    ])
+    def test_malformed_instance_exits_one(self, tmp_path, text):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        assert run("refute", "--instance", str(inst)) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "w": 1, "t": 1, "m": 1}',
+        '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "junta", "inputs": [0]}]}',
+        '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "tree", "root": {"leaf": "x"}}]}',
+        '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "tree", "root": {"query": 0}}]}',
+    ])
+    def test_malformed_circuit_exits_one(self, tmp_path, text):
+        circ = tmp_path / "circuit.json"
+        circ.write_text(text)
+        assert run("avoid", "--circuit", str(circ), "--gen", "biased:m=1,s=4") == 1
+
+    @pytest.mark.parametrize("kind, n, t", [("junta", 3, 5), ("parity", 3, 0), ("tree", 0, 2)])
+    def test_impossible_circuit_shape_exits_one(self, tmp_path, kind, n, t):
+        out = tmp_path / "circuit.json"
+        assert run("gen", "circuit", "--kind", kind, "--n", str(n), "--t", str(t),
+                   "--m", "4", "--seed", "1", "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_usage_error_exits_one(self):
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen
