@@ -115,6 +115,9 @@ def _cmd_gen_circuit(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
+    # checked before sampling: each edge takes k distinct vertices of the n
+    if min(args.n, args.k, args.m) < 0 or args.k > args.n:
+        raise ValidationError([f"no {args.k}-XOR instance with n={args.n}, m={args.m}"])
     rng = random.Random(args.seed)
     edges = [tuple(sorted(rng.sample(range(args.n), args.k))) for _ in range(args.m)]
     rhs = [rng.choice((1, -1)) for _ in range(args.m)]

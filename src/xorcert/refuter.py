@@ -4,19 +4,21 @@ Even arity goes through the level-r Kikuchi matrix: rows and columns are
 r-subsets of the variables, an edge contributes its signed weight to every
 pair (S, T) with S xor T equal to the edge, and the instance value is bounded
 by twice the spectral norm of the degree-reweighted matrix. The matrix is
-built from the distinct edges: parallel copies are coalesced first into a
-multiplicity, which enters the degrees, and a summed signed weight, which is
-the entry. Two certificate engines are provided:
+built from the distinct edges (``CoalescedEdges``): parallel copies are
+coalesced first into a multiplicity, which enters the degrees, and a summed
+signed weight, which is the entry. Two certificate engines are provided:
 
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power;
 * spectral -- dense symmetric eigensolve plus a residual margin, tighter.
 
 Odd arity is reduced to even instances by grouping edges on their minimum
-vertex and applying Cauchy-Schwarz to the group sums; arity 0 and 1 are
-certified by direct exact computation. All floating-point steps round their
-result upward before it enters a certificate, and no certified bound exceeds
-the trivial bound 1.
+vertex and applying Cauchy-Schwarz to the group sums. The split coalesces as
+it pairs: each pair of group-mates adds to the multiplicity and signed sum of
+its symmetric difference, so every even bucket arrives in the distinct-edge
+form the build reads. Arity 0 and 1 are certified by direct exact
+computation. All floating-point steps round their result upward before it
+enters a certificate, and no certified bound exceeds the trivial bound 1.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .core import (
     ValidationError,
     XorInstance,
     XorScheme,
-    colex_rank,
     is_int,
     subset_rank,
     validate_instance,
@@ -242,56 +243,89 @@ def _kikuchi_dim(n: int, k: int, r: int, dim_cap: int) -> int:
     return dim
 
 
+@dataclass(frozen=True)
+class CoalescedEdges:
+    """A uniform even-arity instance as its distinct edges.
+
+    ``edges`` maps each distinct edge, a sorted vertex tuple, to (number of
+    copies, signed sum of b * w over the copies as an integer at the scale
+    2^-log_den). ``m`` counts copies, so the degrees, d and the trace degree
+    of the Kikuchi matrix are those of the per-copy instance.
+    """
+
+    n: int
+    k: int
+    m: int
+    log_den: int
+    edges: dict[tuple[int, ...], tuple[int, int]]
+
+
+def _coalesce(inst: XorInstance, k: int) -> CoalescedEdges:
+    """Unchecked: the caller has validated ``inst`` and all its edges have k
+    vertices."""
+    hyper_edges = inst.scheme.hypergraph.edges
+    counts = Counter(hyper_edges)
+    sums = dict.fromkeys(counts, 0)
+    log_den = max((w.log_den for w in inst.scheme.weights), default=0)
+    for edge, w, b in zip(hyper_edges, inst.scheme.weights, inst.rhs):
+        sums[edge] += (b * w.num) << (log_den - w.log_den)
+    return CoalescedEdges(
+        inst.n, k, inst.m, log_den, {e: (c, sums[e]) for e, c in counts.items()}
+    )
+
+
 def build_kikuchi(
-    inst: XorInstance, r: int, dim_cap: int = RefuteParams.dim_cap
+    inst: XorInstance | CoalescedEdges, r: int, dim_cap: int = RefuteParams.dim_cap
 ) -> KikuchiOperator:
     """Populate the level-r matrix from the instance's distinct edges.
 
-    Parallel copies of an edge are first coalesced into a multiplicity and
-    an exact signed sum of b * w. Each distinct edge then enumerates its
-    ordered pairs (S, T) with S xor T equal to the edge once: the row degree
-    of S grows by the multiplicity, and the entry is the signed sum. Since
-    S xor T determines the edge, no entry collects more than one edge.
+    An ``XorInstance`` is validated and its parallel copies are coalesced
+    into a multiplicity and an exact signed sum of b * w; a
+    ``CoalescedEdges`` is taken as it is. Each distinct edge then enumerates
+    its ordered pairs (S, T) with S xor T equal to the edge once: the row
+    degree of S grows by the multiplicity, and the entry is the signed sum.
+    Since S xor T determines the edge, no entry collects more than one edge.
+    Rows are ranked through one table from each r-subset's vertex bitmask to
+    its colex rank, built once per call.
     """
-    validate_instance(inst)
+    if isinstance(inst, XorInstance):
+        validate_instance(inst)
+        sizes = inst.scheme.hypergraph.arities()
+        if len(sizes) > 1:
+            raise ValidationError([f"kikuchi build needs a uniform arity, got {sorted(sizes)}"])
+        inst = _coalesce(inst, sizes.pop() if sizes else 0)
     if inst.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
         raise ValidationError(["kikuchi build needs at least one edge"])
-    sizes = inst.scheme.hypergraph.arities()
-    if len(sizes) != 1:
-        raise ValidationError([f"kikuchi build needs a uniform arity, got {sorted(sizes)}"])
-    k = sizes.pop()
+    n, k = inst.n, inst.k
     if k % 2 != 0 or k < 2:
         raise ValidationError([f"kikuchi build needs an even arity >= 2, got {k}"])
-    n = inst.n
     dim = _kikuchi_dim(n, k, r, dim_cap)
 
-    # distinct edge -> multiplicity, and -> sum of b * w as an integer at
-    # the common scale 2^-log_den
-    counts = Counter(inst.scheme.hypergraph.edges)
-    sums = dict.fromkeys(counts, 0)
-    log_den = max(w.log_den for w in inst.scheme.weights)
-    for edge, w, b in zip(
-        inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs
-    ):
-        sums[edge] += (b * w.num) << (log_den - w.log_den)
-
     half = k // 2
+    bit = [1 << v for v in range(n)]
+    # colex order of r-subsets is the numeric order of their bitmasks
+    rank = {mask: i for i, mask in enumerate(sorted(map(sum, combinations(bit, r))))}
     multiplier = comb(k, half) * comb(n - k, r - half)
     entries: dict[tuple[int, int], Dyadic] = {}
     degrees = [0] * dim
-    for edge, count in counts.items():
-        total = sums[edge]
-        value = Dyadic(total, log_den) if total else None  # zero sums stay out
-        edge_set = set(edge)
-        outside = [v for v in range(n) if v not in edge_set]
-        for inner in combinations(edge, half):
-            comp = tuple(v for v in edge if v not in inner)
-            for out in combinations(outside, r - half):
-                si = colex_rank(sorted(inner + out))
+    for edge, (count, total) in inst.edges.items():
+        value = Dyadic(total, inst.log_den) if total else None  # zero sums stay out
+        edge_bits = [bit[v] for v in edge]
+        edge_mask = sum(edge_bits)
+        # the r - k/2 vertices a pair adds outside its edge, as bitmasks
+        outs = [0]
+        if r > half:
+            outside = [b for b in bit if not b & edge_mask]
+            outs = list(map(sum, combinations(outside, r - half)))
+        for inner in combinations(edge_bits, half):
+            inner_mask = sum(inner)
+            comp_mask = edge_mask ^ inner_mask
+            for out in outs:
+                si = rank[inner_mask | out]
                 degrees[si] += count
                 if value is not None:
-                    ti = colex_rank(sorted(comp + out))
+                    ti = rank[comp_mask | out]
                     if si < ti:
                         entries[(si, ti)] = value
     op = KikuchiOperator(
@@ -426,11 +460,12 @@ def spectral_certificate(
 @dataclass(frozen=True)
 class OddSplit:
     """Cauchy-Schwarz pairing data for an odd-arity instance: group sums over
-    minimum vertices yield a constant part plus even-arity cross instances."""
+    minimum vertices yield a constant part plus even-arity cross instances,
+    one ``CoalescedEdges`` bucket per symmetric-difference size."""
 
     n_groups: int
     diag_term: Fraction
-    buckets: dict[int, XorInstance] = field(default_factory=dict)
+    buckets: dict[int, CoalescedEdges] = field(default_factory=dict)
 
 
 def odd_to_even(inst: XorInstance) -> OddSplit:
@@ -438,7 +473,11 @@ def odd_to_even(inst: XorInstance) -> OddSplit:
 
     The constant part collects per-edge squared weights and parallel-edge
     pairs; every ordered pair of distinct group-mates with nonempty symmetric
-    difference becomes an edge of the even bucket of that difference size.
+    difference is a copy of that difference in the even bucket of its size.
+    Both orderings of a pair count, so each unordered pair adds 2 to the
+    difference's multiplicity and twice its product to the signed sum. All
+    products are integers at the one scale 2^-2L, where 2^-L is the finest
+    weight scale of the instance, and edges are paired as vertex bitmasks.
     """
     validate_instance(inst)
     sizes = inst.scheme.hypergraph.arities()
@@ -447,42 +486,45 @@ def odd_to_even(inst: XorInstance) -> OddSplit:
     k = sizes.pop()
     if k % 2 == 0 or k < 3:
         raise ValidationError([f"odd-arity split needs odd arity >= 3, got {k}"])
-    groups: dict[int, list[int]] = {}
-    for idx, edge in enumerate(inst.scheme.hypergraph.edges):
-        if inst.scheme.weights[idx].is_zero():
-            continue
-        groups.setdefault(edge[0], []).append(idx)
+    log_den = max(w.log_den for w in inst.scheme.weights)
+    # minimum vertex -> (edge bitmask, b * w at 2^-L) of its nonzero edges
+    groups: dict[int, list[tuple[int, int]]] = {}
+    diag = 0
+    for edge, w, b in zip(inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs):
+        if w.num:
+            value = (b * w.num) << (log_den - w.log_den)
+            diag += value * value
+            groups.setdefault(edge[0], []).append((sum(1 << v for v in edge), value))
 
-    diag = Fraction(0)
-    bucket_edges: dict[int, list[tuple[tuple[int, ...], Dyadic, int]]] = {}
-    edges = inst.scheme.hypergraph.edges
-    weights = inst.scheme.weights
-    rhs = inst.rhs
+    # symmetric difference -> number of pairs, and -> sum of their products
+    pairs: Counter = Counter()
+    sums: dict[int, int] = {}
     for members in groups.values():
-        for idx in members:
-            diag += weights[idx].as_fraction() ** 2
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                ia, ib = members[a_pos], members[b_pos]
-                sym = tuple(sorted(set(edges[ia]) ^ set(edges[ib])))
-                w = weights[ia] * weights[ib]
-                sign = rhs[ia] * rhs[ib]
-                if not sym:
-                    diag += 2 * sign * w.as_fraction()
-                else:
-                    # both orderings of the pair contribute
-                    bucket_edges.setdefault(len(sym), []).append((sym, w, sign))
-                    bucket_edges.setdefault(len(sym), []).append((sym, w, sign))
+        masks = [mask for mask, _ in members]
+        values = [value for _, value in members]
+        for pos, (mask_a, value_a) in enumerate(members):
+            syms = [mask_a ^ mask_b for mask_b in masks[pos + 1:]]
+            pairs.update(syms)
+            for sym, value_b in zip(syms, values[pos + 1:]):
+                sums[sym] = sums.get(sym, 0) + value_a * value_b
+    # each pair counts in both orders; parallel pairs (difference 0) are constant
+    diag += 2 * sums.pop(0, 0)
+    pairs.pop(0, None)
 
-    buckets = {}
-    for size, items in sorted(bucket_edges.items()):
-        scheme = XorScheme(
-            Hypergraph(inst.n, tuple(e for e, _, _ in items)),
-            tuple(w for _, w, _ in items),
-            size,
+    n = inst.n
+    bucket_edges: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
+    for sym, count in pairs.items():
+        edge = tuple(v for v in range(n) if sym >> v & 1)
+        bucket_edges.setdefault(len(edge), {})[edge] = (2 * count, 2 * sums[sym])
+    buckets = {
+        size: CoalescedEdges(
+            n, size, sum(c for c, _ in edges.values()), 2 * log_den, edges
         )
-        buckets[size] = XorInstance(scheme, tuple(s for _, _, s in items))
-    return OddSplit(n_groups=len(groups), diag_term=diag, buckets=buckets)
+        for size, edges in sorted(bucket_edges.items())
+    }
+    return OddSplit(
+        n_groups=len(groups), diag_term=Fraction(diag, 1 << 2 * log_den), buckets=buckets
+    )
 
 
 def split_to_unit_weights(inst: XorInstance) -> tuple[XorInstance, Fraction]:
@@ -548,13 +590,14 @@ def _refute_direct_k1(inst: XorInstance) -> Certificate:
     return Certificate(mode="direct", bound=bound, status="certified")
 
 
-def _refute_even(inst: XorInstance, k: int, params: RefuteParams) -> Certificate:
+def _refute_even(edges: CoalescedEdges, params: RefuteParams) -> Certificate:
+    k = edges.k
     r = params.r if params.r is not None else k // 2
     r = max(r, k // 2)  # the construction does not exist below k/2
-    ell = params.ell if params.ell is not None else default_ell(r, inst.n)
+    ell = params.ell if params.ell is not None else default_ell(r, edges.n)
     uncertain_mode = params.mode if params.mode != "auto" else "trace"
     try:
-        dim = _kikuchi_dim(inst.n, k, r, params.dim_cap)
+        dim = _kikuchi_dim(edges.n, k, r, params.dim_cap)
     except ResourceCap:
         return _uncertain(uncertain_mode, r=r)
     if params.mode in ("trace", "auto"):
@@ -562,7 +605,7 @@ def _refute_even(inst: XorInstance, k: int, params: RefuteParams) -> Certificate
     if dim > params.dense_cap or params.mode not in ("trace", "spectral", "auto"):
         # no engine can run, so the matrix is not worth building
         return _uncertain(uncertain_mode, r=r, ell=ell)
-    op = build_kikuchi(inst, r, params.dim_cap)
+    op = build_kikuchi(edges, r, params.dim_cap)
     candidates: list[tuple[float, str, int | None]] = []
     if params.mode in ("trace", "auto"):
         try:
@@ -587,16 +630,19 @@ def _refute_even(inst: XorInstance, k: int, params: RefuteParams) -> Certificate
     )
 
 
-def _refute_odd(inst: XorInstance, k: int, params: RefuteParams) -> Certificate:
+def _refute_odd(inst: XorInstance, params: RefuteParams) -> Certificate:
     split = odd_to_even(inst)
     parts = []
-    inner = Fraction(split.diag_term)
+    inner = split.diag_term
     certified = True
     for size, bucket in sorted(split.buckets.items()):
         bucket_r = params.r
         if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > inst.n - size:
             bucket_r = size // 2
-        sub = refute(bucket, replace(params, r=bucket_r))
+        # a bucket is valid, uniform and free of zero weights, and the odd
+        # instance was split into unit weights already if asked; of refute's
+        # steps only the clamp is left
+        sub = _clamp(_refute_even(bucket, replace(params, r=bucket_r)))
         parts.append(sub)
         certified = certified and sub.certified
         inner += bucket.m * Fraction(sub.bound)
@@ -628,7 +674,10 @@ def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate
     at most the trivial bound 1, which every instance value obeys;
     resource-cap failures surface as status "uncertain" with that bound.
     """
-    cert = _refute(inst, params or RefuteParams())
+    return _clamp(_refute(inst, params or RefuteParams()))
+
+
+def _clamp(cert: Certificate) -> Certificate:
     return replace(cert, bound=1.0) if cert.bound > 1.0 else cert
 
 
@@ -685,5 +734,5 @@ def _refute(inst: XorInstance, params: RefuteParams) -> Certificate:
     if k == 1:
         return _refute_direct_k1(inst)
     if k % 2 == 0:
-        return _refute_even(inst, k, params)
-    return _refute_odd(inst, k, params)
+        return _refute_even(_coalesce(inst, k), params)
+    return _refute_odd(inst, params)

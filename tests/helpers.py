@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from xorcert.circuits import Circuit, JuntaGate
-from xorcert.core import Dyadic, XorInstance, make_instance, subset_rank
+from xorcert.core import (
+    Dyadic,
+    Hypergraph,
+    XorInstance,
+    XorScheme,
+    make_instance,
+    subset_rank,
+)
 from xorcert.fourier import ParityClass, classify_parity, expand_junta
 
 
@@ -78,3 +86,45 @@ def reference_kikuchi(
                     entries[(si, ti)] = entries.get((si, ti), Dyadic(0)) + value
     entries = {key: v for key, v in entries.items() if not v.is_zero()}
     return entries, tuple(degrees)
+
+
+def reference_odd_split(
+    inst: XorInstance,
+) -> tuple[int, Fraction, dict[int, XorInstance]]:
+    """(n_groups, diag_term, buckets) of the Cauchy-Schwarz split, written out
+    one copy at a time: edges are grouped on their minimum vertex (zero
+    weights skipped), every pair of group-mates with an empty symmetric
+    difference adds 2 * b * w to the constant part, and every other pair is
+    emitted twice, as an edge of weight w_a * w_b and sign b_a * b_b in the
+    bucket of its difference's size. The uniform odd arity is taken as given."""
+    groups: dict[int, list[int]] = {}
+    for idx, (edge, w) in enumerate(zip(inst.scheme.hypergraph.edges, inst.scheme.weights)):
+        if not w.is_zero():
+            groups.setdefault(edge[0], []).append(idx)
+    edges, weights, rhs = inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs
+    diag = Fraction(0)
+    copies: dict[int, list[tuple[tuple[int, ...], Dyadic, int]]] = {}
+    for members in groups.values():
+        for idx in members:
+            diag += weights[idx].as_fraction() ** 2
+        for pos, ia in enumerate(members):
+            for ib in members[pos + 1:]:
+                sym = tuple(sorted(set(edges[ia]) ^ set(edges[ib])))
+                w = weights[ia] * weights[ib]
+                sign = rhs[ia] * rhs[ib]
+                if not sym:
+                    diag += 2 * sign * w.as_fraction()
+                else:
+                    copies.setdefault(len(sym), []).extend([(sym, w, sign)] * 2)
+    buckets = {
+        size: XorInstance(
+            XorScheme(
+                Hypergraph(inst.n, tuple(e for e, _, _ in items)),
+                tuple(w for _, w, _ in items),
+                size,
+            ),
+            tuple(b for _, _, b in items),
+        )
+        for size, items in copies.items()
+    }
+    return len(groups), diag, buckets

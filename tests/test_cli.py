@@ -98,6 +98,13 @@ class TestExitCodes:
                    "--m", "4", "--seed", "1", "--out", str(out)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, k, m", [(3, 5, 2), (-1, 0, 1), (4, -1, 2), (4, 2, -1)])
+    def test_impossible_instance_shape_exits_one(self, tmp_path, n, k, m):
+        out = tmp_path / "instance.json"
+        assert run("gen", "instance", "--n", str(n), "--k", str(k), "--m", str(m),
+                   "--seed", "1", "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_usage_error_exits_one(self):
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen

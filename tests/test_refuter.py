@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from xorcert.refuter import (
     trace_certificate,
 )
 
-from helpers import random_instance, reference_kikuchi
+from helpers import random_instance, reference_kikuchi, reference_odd_split
 
 
 def _weights(max_log_den: int = 3):
@@ -238,7 +240,80 @@ class TestOddSplit:
     def test_shared_min_vertex(self):
         inst = make_instance(5, [(0, 1, 2), (0, 1, 3)], [1, 1])
         split = odd_to_even(inst)
-        assert split.buckets[2].scheme.hypergraph.edges == ((2, 3), (2, 3))
+        bucket = split.buckets[2]
+        # the pair counts in both orders: two copies of (2, 3), each 1 * 1
+        assert bucket.edges == {(2, 3): (2, 2)}
+        assert (bucket.m, bucket.log_den) == (2, 0)
+
+    def test_sign_flipped_pairs_cancel(self):
+        inst = make_instance(5, [(0, 1, 2), (0, 1, 3), (0, 1, 2)], [1, 1, -1])
+        split = odd_to_even(inst)
+        # squares 3, and the parallel pair with opposite signs 2 * (-1)
+        assert split.diag_term == 1
+        assert split.buckets[2].edges == {(2, 3): (4, 0)}
+        assert split.buckets[2].m == 4
+        assert not build_kikuchi(split.buckets[2], 1).entries
+        cert = refute(inst)
+        assert cert.certified
+        assert Fraction(cert.bound) >= brute_val(inst) == Fraction(1, 3)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_pair_reference(self, data):
+        k = data.draw(st.sampled_from((3, 5)), label="k")
+        n = data.draw(st.integers(min_value=k, max_value=8), label="n")
+        edge_strategy = st.lists(
+            st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k, unique=True
+        ).map(lambda e: tuple(sorted(e)))
+        # few distinct edges, so that edges share minimum vertices and repeat
+        pool = data.draw(
+            st.lists(edge_strategy, min_size=1, max_size=4, unique=True), label="pool"
+        )
+        copies = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool),
+                    st.one_of(st.just(Dyadic(0)), _weights()),
+                    st.sampled_from((1, -1)),
+                ),
+                min_size=1,
+                max_size=16,
+            ),
+            label="copies",
+        )
+        # a twin flips the sign of every pair it forms, so pair sums cancel
+        twins = data.draw(
+            st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)),
+            label="twins",
+        )
+        copies += [(e, w, -b) for (e, w, b), twin in zip(copies, twins) if twin]
+        inst = make_instance(
+            n,
+            [e for e, _, _ in copies],
+            [b for _, _, b in copies],
+            weights=[w for _, w, _ in copies],
+            arity=k,
+        )
+        split = odd_to_even(inst)
+        n_groups, diag, ref_buckets = reference_odd_split(inst)
+        assert split.n_groups == n_groups
+        assert split.diag_term == diag
+        assert sorted(split.buckets) == sorted(ref_buckets)
+        for size, ref in ref_buckets.items():
+            bucket = split.buckets[size]
+            assert (bucket.n, bucket.k, bucket.m) == (n, size, ref.m)
+            multiplicity = Counter(ref.scheme.hypergraph.edges)
+            sums = dict.fromkeys(multiplicity, Fraction(0))
+            for e, w, b in zip(ref.scheme.hypergraph.edges, ref.scheme.weights, ref.rhs):
+                sums[e] += b * w.as_fraction()
+            assert {
+                e: (count, Fraction(total, 1 << bucket.log_den))
+                for e, (count, total) in bucket.edges.items()
+            } == {e: (multiplicity[e], sums[e]) for e in multiplicity}
+            # and the bucket's matrix is the per-copy bucket's matrix
+            op = build_kikuchi(bucket, size // 2)
+            assert (op.entries, op.degrees) == reference_kikuchi(ref, size // 2)
+            assert op.trace_degree == build_kikuchi(ref, size // 2).trace_degree
 
     def test_parallel_edges_fold_into_diag(self):
         inst = make_instance(3, [(0, 1, 2), (0, 1, 2)], [1, 1])
@@ -321,6 +396,28 @@ class TestRefute:
         assert cert.certified
         assert cert.r == 2
 
+    def test_odd_refute_validates_once_and_never_a_bucket(self, monkeypatch):
+        inst = random_instance(random.Random(12), 9, 3, 40)
+        refutes = []
+        validated = []
+        real_refute, real_validate = refuter.refute, refuter.validate_instance
+
+        def counting_refute(*args, **kwargs):
+            refutes.append(args[0])
+            return real_refute(*args, **kwargs)
+
+        def recording_validate(x):
+            validated.append(x)
+            real_validate(x)
+
+        monkeypatch.setattr(refuter, "refute", counting_refute)
+        monkeypatch.setattr(refuter, "validate_instance", recording_validate)
+        cert = refuter.refute(inst)
+        assert len(cert.breakdown) == 2  # buckets of sizes 2 and 4
+        assert refutes == [inst]
+        assert 1 <= len(validated) <= 2
+        assert all(x is inst for x in validated)
+
     def test_json_roundtrip(self):
         inst = make_instance(4, [(0,), (0, 1), (1, 2, 3)], [1, -1, 1])
         cert = refute(inst)
@@ -364,3 +461,62 @@ class TestSoundnessSweep:
                 cert = refute(inst, RefuteParams(mode=mode))
                 if cert.certified:
                     assert Fraction(cert.bound) >= val, (k, mode, trial)
+
+
+def _pinned_instance(n, k, stride, log_den=None):
+    """Every stride-th k-subset of range(n), with fixed signs and, given
+    log_den, weights at the scale 2^-log_den running over [-1, 1]."""
+    edges = list(combinations(range(n), k))[::stride]
+    rhs = [1 if (i * i + 3 * i) % 7 < 4 else -1 for i in range(len(edges))]
+    weights = None
+    if log_den is not None:
+        top = 1 << log_den
+        weights = [Dyadic((5 * i) % (2 * top + 1) - top, log_den) for i in range(len(edges))]
+    return make_instance(n, edges, rhs, weights=weights)
+
+
+# Certificates recorded from the per-copy odd-arity split and subset ranking
+# by colex_rank; the ROADMAP asks perf changes to keep certificates
+# bit-identical, so every later version must reproduce them byte for byte.
+# Shapes are (n, k, stride, log_den) of _pinned_instance.
+PINNED = [
+    ((8, 2, 1, None), RefuteParams(),
+     '{"mode": "spectral", "r": 1, "ell": null, "bound": 0.6557536763928092, "status": "certified", "breakdown": []}'),
+    ((8, 2, 1, 2), RefuteParams(mode="trace", ell=4),
+     '{"mode": "trace", "r": 1, "ell": 4, "bound": 0.49644817169455907, "status": "certified", "breakdown": []}'),
+    ((7, 2, 1, 3), RefuteParams(split_weights=True),
+     '{"mode": "spectral", "r": 1, "ell": null, "bound": 0.39367535105322055, "status": "certified", "breakdown": []}'),
+    ((9, 3, 2, None), RefuteParams(),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8963174393535783, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.5516834789789334, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.5232595435351011, "status": "certified", "breakdown": []}]}'),
+    ((9, 3, 2, 2), RefuteParams(mode="spectral"),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.5435332680939872, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.19080256463592737, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.27429529124181484, "status": "certified", "breakdown": []}]}'),
+    ((8, 3, 2, 1), RefuteParams(split_weights=True),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 1.0, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.8563258082924804, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.7749970436224078, "status": "certified", "breakdown": []}]}'),
+    ((9, 3, 1, None), RefuteParams(r=2, mode="trace"),
+     '{"mode": "trace", "r": null, "ell": null, "bound": 0.8575379753213617, "status": "certified", "breakdown": [{"mode": "trace", "r": 2, "ell": 10, "bound": 0.40540913866972067, "status": "certified", "breakdown": []}, {"mode": "trace", "r": 2, "ell": 10, "bound": 0.463974922376848, "status": "certified", "breakdown": []}]}'),
+    ((9, 4, 2, None), RefuteParams(r=3),
+     '{"mode": "spectral", "r": 3, "ell": null, "bound": 0.5501628080923094, "status": "certified", "breakdown": []}'),
+    ((8, 4, 1, 3), RefuteParams(mode="trace"),
+     '{"mode": "trace", "r": 2, "ell": 10, "bound": 0.3159152983808259, "status": "certified", "breakdown": []}'),
+    ((9, 5, 2, None), RefuteParams(),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8063391794710835, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.46757134774903264, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.341657259666786, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.34904175151433353, "status": "certified", "breakdown": []}]}'),
+    ((9, 5, 3, 2), RefuteParams(mode="spectral"),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.526798810381874, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.18730782312192218, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.18794804593199918, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.20007878726390232, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 4, "ell": null, "bound": 0.03214285714464772, "status": "certified", "breakdown": []}]}'),
+]
+
+
+class TestPinnedCertificates:
+    @pytest.mark.parametrize(
+        "shape, params, expected", PINNED, ids=[str(shape) for shape, _, _ in PINNED]
+    )
+    def test_certificate_bytes(self, shape, params, expected):
+        assert refute(_pinned_instance(*shape), params).to_json() == expected
+
+    def test_clamped_bucket(self):
+        # the bucket's own bound, about 1.43, is clamped to 1.0
+        inst = make_instance(5, [(0, 1, 2), (0, 1, 3)], [1, 1])
+        assert refute(inst).to_json() == (
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 1.0, "status": "certified", '
+            '"breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 1.0, '
+            '"status": "certified", "breakdown": []}]}'
+        )
