@@ -9,7 +9,6 @@ from .core import (
     XorScheme,
     make_instance,
     subset_rank,
-    subset_unrank,
     validate_instance,
 )
 from .circuits import (
@@ -48,7 +47,6 @@ from .avoid import (
     AvoidResult,
     CertifyParams,
     RemoteCertificate,
-    avoid,
     certify_not_in_range,
     find_parity_dependency,
 )

@@ -165,13 +165,18 @@ class Circuit:
 
 def eval_circuit(c: Circuit, x: Sequence[int]) -> tuple[int, ...]:
     """Evaluate every output on a symbol string x in [2**w]^n."""
+    check_input(c, x)
+    return tuple(g.eval(x) for g in c.gates)
+
+
+def check_input(c: Circuit, x: Sequence[int]) -> None:
+    """Raise ValidationError unless x is a string of n symbols in [0, 2**w)."""
     if len(x) != c.n:
         raise ValidationError([f"input length {len(x)} != n = {c.n}"])
     top = 1 << c.w
     for j, sym in enumerate(x):
         if not 0 <= sym < top:
             raise ValidationError([f"symbol {sym} at position {j} out of range"])
-    return tuple(g.eval(x) for g in c.gates)
 
 
 def junta_to_tree(gate: JuntaGate) -> WordDecisionTree:

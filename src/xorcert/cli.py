@@ -54,6 +54,13 @@ def _symbols_from_arg(text: str) -> tuple[int, ...]:
         raise CliError(f"expected comma-separated symbols, got {text!r}") from exc
 
 
+def _fraction_from_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"expected a fraction, got {text!r}") from exc
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         print(text)
@@ -184,7 +191,7 @@ def _cmd_avoid(args) -> int:
         log.info("subexponential mode: kwise generator at independence %d", ell)
     else:
         gen = prg.parse_spec(args.gen)
-    eps = Fraction(args.eps) if args.eps is not None else None
+    eps = _fraction_from_arg(args.eps) if args.eps is not None else None
     params = AvoidParams(
         budget=args.budget,
         certify=CertifyParams(eps=eps, refute=_refute_params(args)),

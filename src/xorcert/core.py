@@ -42,8 +42,7 @@ class Dyadic:
     """Exact binary rational num * 2**(-log_den).
 
     Canonical form: ``num`` is odd or zero, and zero carries ``log_den == 0``.
-    Addition, subtraction and multiplication are always exact; division is
-    supported only when the quotient is again dyadic.
+    Addition, subtraction and multiplication are always exact.
     """
 
     num: int
@@ -94,16 +93,6 @@ class Dyadic:
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.num * other.num, self.log_den + other.log_den)
 
-    def __truediv__(self, other: "Dyadic") -> "Dyadic":
-        if other.num == 0:
-            raise ZeroDivisionError("dyadic division by zero")
-        # split the divisor numerator into odd part and power of two
-        two_exp = (abs(other.num) & -abs(other.num)).bit_length() - 1
-        odd = other.num >> two_exp
-        if self.num % odd != 0:
-            raise ValueError(f"{self} / {other} is not dyadic")
-        return Dyadic(self.num // odd, self.log_den + two_exp - other.log_den)
-
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.log_den)
 
@@ -152,23 +141,6 @@ def colex_rank(subset: Sequence[int]) -> int:
     return sum(comb(v, i + 1) for i, v in enumerate(subset))
 
 
-def subset_unrank(rank: int, n: int, r: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank`."""
-    if not 0 <= rank < comb(n, r):
-        raise ValidationError([f"rank {rank} out of range [0, C({n},{r}))"])
-    out = []
-    hi = n
-    for i in range(r, 0, -1):
-        # Largest v with C(v, i) <= rank; scan downward from the previous pick.
-        v = hi - 1
-        while comb(v, i) > rank:
-            v -= 1
-        out.append(v)
-        rank -= comb(v, i)
-        hi = v
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Ordered edge list over vertex set range(n); parallel edges allowed.
@@ -200,9 +172,6 @@ class Hypergraph:
                 out.append(f"edge {idx}: vertices not strictly increasing in {e}")
         object.__setattr__(self, "_violations", tuple(out))
         return out
-
-    def arities(self) -> set[int]:
-        return {len(e) for e in self.edges}
 
 
 @dataclass(frozen=True)

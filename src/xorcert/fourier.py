@@ -52,12 +52,6 @@ class FourierExpansion:
     def degree(self) -> int:
         return max((len(a) for a in self.coeffs), default=0)
 
-    def l1_mass(self) -> Dyadic:
-        total = Dyadic(0)
-        for c in self.coeffs.values():
-            total = total + abs(c)
-        return total
-
 
 def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion:
     """Exact transform of a junta truth table by direct character summation."""

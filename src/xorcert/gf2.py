@@ -60,30 +60,6 @@ def gf_mul(a: int, b: int, s: int) -> int:
     return acc
 
 
-def gf_pow(a: int, e: int, s: int) -> int:
-    """a**e in GF(2^s); 0**0 is taken to be 1."""
-    acc = 1
-    base = a
-    while e:
-        if e & 1:
-            acc = gf_mul(acc, base, s)
-        base = gf_mul(base, base, s)
-        e >>= 1
-    return acc
-
-
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of int-encoded row vectors."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def find_xor_dependency(vectors: Sequence[int]) -> list[int] | None:
     """Indices of a nonempty subset of vectors XOR-ing to zero, if one exists.
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, JuntaGate, Leaf, TreeNode, to_layered
+from .circuits import Circuit, JuntaGate, Leaf, TreeNode, check_input, to_layered
 from .core import ValidationError, XorInstance, validate_instance
 from .prg import GeneratorSpec, sample_output_bits, seed_count
 from .reduction import SchemeEnsemble, group_characters
@@ -195,6 +195,7 @@ def check_decomposition(
         ensemble = group_characters(lc)
     if len(b) != c.m or len(x) != c.n:
         raise ValidationError(["shape mismatch between circuit, input, and target"])
+    check_input(c, x)  # duplicate() keeps only the low w bits of a symbol
     bits = lc.duplicate(x)
 
     lhs = sum(out * bi for out, bi in zip(lc.eval_bits(bits), b))  # m * <C(x), b>

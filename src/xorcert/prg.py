@@ -261,7 +261,7 @@ def parse_spec(text: str) -> GeneratorSpec:
                 )
             return GeneratorSpec.kwise_eps_biased(k, m, _parse_eps(kv["eps"]), s)
         raise KeyError(kind)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError([f"bad generator spec {text!r}: {exc}"]) from exc

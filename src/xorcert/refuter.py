@@ -1,31 +1,40 @@
 """Certified upper bounds on the value of weighted XOR systems.
 
-Even arity goes through the level-r Kikuchi matrix: rows and columns are
-r-subsets of the variables, an edge contributes its signed weight to every
-pair (S, T) with S xor T equal to the edge, and the instance value is bounded
-by twice the spectral norm of the degree-reweighted matrix. The matrix is
-built from the distinct edges (``CoalescedEdges``): parallel copies are
-coalesced first into a multiplicity, which enters the degrees, and a summed
-signed weight, which is the entry. Two certificate engines are provided:
+``refute`` validates its input and then reads its edges, weights and
+right-hand sides exactly once, in ``_coalesce``: one pass gives each edge
+size its distinct edges (``CoalescedEdges``), each with its number of
+copies, its live copies (those of nonzero weight) and the exact signed sum
+of b * w over its copies. Every path reads that form:
+
+* arity 0 and 1 are certified directly, by the sum of |signed sum| over m;
+* even arity goes through the level-r Kikuchi matrix: rows and columns are
+  r-subsets of the variables, an edge contributes its signed sum to every
+  pair (S, T) with S xor T equal to the edge and its copies to the degree of
+  S, and the instance value is bounded by twice the spectral norm of the
+  degree-reweighted matrix;
+* odd arity is reduced to even buckets by grouping edges on their minimum
+  vertex and applying Cauchy-Schwarz to the group sums: each pair of
+  distinct group-mates adds the product of their live copies and of their
+  signed sums to its symmetric difference, so every bucket arrives in the
+  same distinct-edge form;
+* mixed arity averages the per-size bounds with weights m_k / m;
+* ``split_weights`` counts a copy of weight num * 2^-L as |num| unit copies
+  and rescales the bound by m' / m, with m' the unit copies in total.
+
+Two certificate engines bound the reweighted norm:
 
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power;
 * spectral -- dense symmetric eigensolve plus a residual margin, tighter.
 
-Odd arity is reduced to even instances by grouping edges on their minimum
-vertex and applying Cauchy-Schwarz to the group sums. The split coalesces as
-it pairs: each pair of group-mates adds to the multiplicity and signed sum of
-its symmetric difference, so every even bucket arrives in the distinct-edge
-form the build reads. Arity 0 and 1 are certified by direct exact
-computation. All floating-point steps round their result upward before it
-enters a certificate, and no certified bound exceeds the trivial bound 1.
+All floating-point steps round their result upward before they enter a
+certificate, and no certified bound exceeds the trivial bound 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -36,10 +45,8 @@ import numpy as np
 
 from .core import (
     Dyadic,
-    Hypergraph,
     ValidationError,
     XorInstance,
-    XorScheme,
     is_int,
     subset_rank,
     validate_instance,
@@ -62,7 +69,7 @@ class RefuteParams:
     dim_cap: int = 20000  # matrix side length for the sparse build
     dense_cap: int = 4096  # side length for dense powering / eigensolve
     work_flops: float = 4e9  # budget that truncates the trace power
-    split_weights: bool = False  # cross-check path over unit-granule edges
+    split_weights: bool = False  # count each weight as |num| unit copies
 
     @staticmethod
     def from_obj(obj: dict) -> "RefuteParams":
@@ -245,12 +252,15 @@ def _kikuchi_dim(n: int, k: int, r: int, dim_cap: int) -> int:
 
 @dataclass(frozen=True)
 class CoalescedEdges:
-    """A uniform even-arity instance as its distinct edges.
+    """One edge size of an instance as its distinct edges.
 
     ``edges`` maps each distinct edge, a sorted vertex tuple, to (number of
     copies, signed sum of b * w over the copies as an integer at the scale
     2^-log_den). ``m`` counts copies, so the degrees, d and the trace degree
-    of the Kikuchi matrix are those of the per-copy instance.
+    of the Kikuchi matrix are those of the per-copy instance. ``live`` maps
+    each edge to its copies of nonzero weight, which are the ones the odd
+    split pairs; it is None for the even buckets of that split, whose copies
+    are all live. ``_coalesce`` makes one per edge size of an instance.
     """
 
     n: int
@@ -258,20 +268,56 @@ class CoalescedEdges:
     m: int
     log_den: int
     edges: dict[tuple[int, ...], tuple[int, int]]
+    live: dict[tuple[int, ...], int] | None = None
 
 
-def _coalesce(inst: XorInstance, k: int) -> CoalescedEdges:
-    """Unchecked: the caller has validated ``inst`` and all its edges have k
-    vertices."""
-    hyper_edges = inst.scheme.hypergraph.edges
-    counts = Counter(hyper_edges)
-    sums = dict.fromkeys(counts, 0)
+def _coalesce(inst: XorInstance, split_weights: bool = False) -> dict[int, CoalescedEdges]:
+    """Read the edges, weights and rhs of a validated instance in one pass.
+
+    Returns one ``CoalescedEdges`` per edge size, in increasing size, with
+    every sum at the instance's finest weight scale 2^-L. Under
+    ``split_weights`` a copy of weight num * 2^-L counts as |num| copies of
+    weight 2^-L with the sign of num moved into their rhs; the term sums,
+    and so the signed sums, are unchanged, and zero weights leave no copy.
+    """
     log_den = max((w.log_den for w in inst.scheme.weights), default=0)
-    for edge, w, b in zip(hyper_edges, inst.scheme.weights, inst.rhs):
-        sums[edge] += (b * w.num) << (log_den - w.log_den)
-    return CoalescedEdges(
-        inst.n, k, inst.m, log_den, {e: (c, sums[e]) for e, c in counts.items()}
-    )
+    # edge -> [copies, live copies, signed sum at 2^-L]
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for edge, w, b in zip(inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs):
+        units = w.num << (log_den - w.log_den)
+        copies = abs(units) if split_weights else 1
+        if not copies:
+            continue
+        entry = acc.get(edge)
+        if entry is None:
+            entry = acc[edge] = [0, 0, 0]
+        entry[0] += copies
+        if units:
+            entry[1] += copies
+            entry[2] += b * units
+    by_size: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    for edge, entry in acc.items():
+        by_size.setdefault(len(edge), {})[edge] = entry
+    return {
+        k: CoalescedEdges(
+            inst.n,
+            k,
+            sum(copies for copies, _, _ in edges.values()),
+            log_den,
+            {e: (copies, total) for e, (copies, _, total) in edges.items()},
+            {e: live for e, (_, live, _) in edges.items()},
+        )
+        for k, edges in sorted(by_size.items())
+    }
+
+
+def _uniform(inst: XorInstance, what: str) -> CoalescedEdges:
+    """Validate and coalesce an instance that must have a single edge size."""
+    validate_instance(inst)
+    parts = _coalesce(inst)
+    if len(parts) > 1:
+        raise ValidationError([f"{what} needs a uniform arity, got {sorted(parts)}"])
+    return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, {}, {})
 
 
 def build_kikuchi(
@@ -279,21 +325,16 @@ def build_kikuchi(
 ) -> KikuchiOperator:
     """Populate the level-r matrix from the instance's distinct edges.
 
-    An ``XorInstance`` is validated and its parallel copies are coalesced
-    into a multiplicity and an exact signed sum of b * w; a
+    An ``XorInstance`` is validated and coalesced first; a
     ``CoalescedEdges`` is taken as it is. Each distinct edge then enumerates
     its ordered pairs (S, T) with S xor T equal to the edge once: the row
-    degree of S grows by the multiplicity, and the entry is the signed sum.
-    Since S xor T determines the edge, no entry collects more than one edge.
-    Rows are ranked through one table from each r-subset's vertex bitmask to
-    its colex rank, built once per call.
+    degree of S grows by the number of copies, and the entry is the signed
+    sum. Since S xor T determines the edge, no entry collects more than one
+    edge. Rows are ranked through one table from each r-subset's vertex
+    bitmask to its colex rank, built once per call.
     """
     if isinstance(inst, XorInstance):
-        validate_instance(inst)
-        sizes = inst.scheme.hypergraph.arities()
-        if len(sizes) > 1:
-            raise ValidationError([f"kikuchi build needs a uniform arity, got {sorted(sizes)}"])
-        inst = _coalesce(inst, sizes.pop() if sizes else 0)
+        inst = _uniform(inst, "kikuchi build")
     if inst.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
         raise ValidationError(["kikuchi build needs at least one edge"])
@@ -468,95 +509,57 @@ class OddSplit:
     buckets: dict[int, CoalescedEdges] = field(default_factory=dict)
 
 
-def odd_to_even(inst: XorInstance) -> OddSplit:
-    """Group edges by minimum vertex; square the group sums.
+def odd_to_even(part: XorInstance | CoalescedEdges) -> OddSplit:
+    """Group distinct edges by minimum vertex; square the group sums.
 
-    The constant part collects per-edge squared weights and parallel-edge
-    pairs; every ordered pair of distinct group-mates with nonempty symmetric
-    difference is a copy of that difference in the even bucket of its size.
-    Both orderings of a pair count, so each unordered pair adds 2 to the
-    difference's multiplicity and twice its product to the signed sum. All
-    products are integers at the one scale 2^-2L, where 2^-L is the finest
-    weight scale of the instance, and edges are paired as vertex bitmasks.
+    An ``XorInstance`` is validated and coalesced first. Only live copies
+    enter a group. The copies of one edge pair among themselves into the
+    constant part, which gets the square of the edge's signed sum. Two
+    distinct group-mates a and b pair live_a * live_b copies, whose products
+    sum to sum_a * sum_b, into the edge a xor b of the even bucket of its
+    size. Both orderings of a pair count, so that edge's copies grow by
+    2 * live_a * live_b and its signed sum by 2 * sum_a * sum_b. All
+    products are integers at the one scale 2^-2L, where 2^-L is the scale of
+    the signed sums, and edges are paired as vertex bitmasks.
     """
-    validate_instance(inst)
-    sizes = inst.scheme.hypergraph.arities()
-    if len(sizes) != 1:
-        raise ValidationError([f"odd-arity split needs a uniform arity, got {sorted(sizes)}"])
-    k = sizes.pop()
+    if isinstance(part, XorInstance):
+        part = _uniform(part, "odd-arity split")
+    k = part.k
     if k % 2 == 0 or k < 3:
         raise ValidationError([f"odd-arity split needs odd arity >= 3, got {k}"])
-    log_den = max(w.log_den for w in inst.scheme.weights)
-    # minimum vertex -> (edge bitmask, b * w at 2^-L) of its nonzero edges
-    groups: dict[int, list[tuple[int, int]]] = {}
+    # minimum vertex -> (edge bitmask, live copies, signed sum) of its live edges
+    groups: dict[int, list[tuple[int, int, int]]] = {}
     diag = 0
-    for edge, w, b in zip(inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs):
-        if w.num:
-            value = (b * w.num) << (log_den - w.log_den)
-            diag += value * value
-            groups.setdefault(edge[0], []).append((sum(1 << v for v in edge), value))
+    for edge, (_, total) in part.edges.items():
+        live = part.live[edge]
+        if live:
+            diag += total * total
+            groups.setdefault(edge[0], []).append((sum(1 << v for v in edge), live, total))
 
-    # symmetric difference -> number of pairs, and -> sum of their products
-    pairs: Counter = Counter()
-    sums: dict[int, int] = {}
+    # symmetric difference -> [pairs of copies, sum of their products]
+    acc: dict[int, list[int]] = {}
     for members in groups.values():
-        masks = [mask for mask, _ in members]
-        values = [value for _, value in members]
-        for pos, (mask_a, value_a) in enumerate(members):
-            syms = [mask_a ^ mask_b for mask_b in masks[pos + 1:]]
-            pairs.update(syms)
-            for sym, value_b in zip(syms, values[pos + 1:]):
-                sums[sym] = sums.get(sym, 0) + value_a * value_b
-    # each pair counts in both orders; parallel pairs (difference 0) are constant
-    diag += 2 * sums.pop(0, 0)
-    pairs.pop(0, None)
+        for pos, (mask_a, live_a, total_a) in enumerate(members):
+            for mask_b, live_b, total_b in members[pos + 1:]:
+                sym = mask_a ^ mask_b
+                entry = acc.get(sym)
+                if entry is None:
+                    acc[sym] = [live_a * live_b, total_a * total_b]
+                else:
+                    entry[0] += live_a * live_b
+                    entry[1] += total_a * total_b
 
-    n = inst.n
+    n = part.n
+    log_den = 2 * part.log_den
     bucket_edges: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
-    for sym, count in pairs.items():
+    for sym, (pairs, products) in acc.items():
         edge = tuple(v for v in range(n) if sym >> v & 1)
-        bucket_edges.setdefault(len(edge), {})[edge] = (2 * count, 2 * sums[sym])
+        bucket_edges.setdefault(len(edge), {})[edge] = (2 * pairs, 2 * products)
     buckets = {
-        size: CoalescedEdges(
-            n, size, sum(c for c, _ in edges.values()), 2 * log_den, edges
-        )
+        size: CoalescedEdges(n, size, sum(c for c, _ in edges.values()), log_den, edges)
         for size, edges in sorted(bucket_edges.items())
     }
-    return OddSplit(
-        n_groups=len(groups), diag_term=Fraction(diag, 1 << 2 * log_den), buckets=buckets
-    )
-
-
-def split_to_unit_weights(inst: XorInstance) -> tuple[XorInstance, Fraction]:
-    """Replace every edge of weight num * 2^-L by |num| parallel copies of
-    weight 2^-L, absorbing the sign into the copied right-hand sides.
-
-    The per-assignment term sums agree, so with m' copies in total,
-    val(original) = (m' / m) * val(split). Returns (split instance, m'/m).
-    """
-    validate_instance(inst)
-    log_scale = max((w.log_den for w in inst.scheme.weights), default=0)
-    granule = Dyadic(1, log_scale)
-    edges = []
-    weights = []
-    rhs = []
-    for edge, w, b in zip(
-        inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs
-    ):
-        scaled = w.scaled(log_scale)
-        sign = 1 if scaled >= 0 else -1
-        for _ in range(abs(scaled)):
-            edges.append(edge)
-            weights.append(granule)
-            rhs.append(sign * b)
-    arity = inst.arity
-    split = XorInstance(
-        XorScheme(Hypergraph(inst.n, tuple(edges)), tuple(weights), arity),
-        tuple(rhs),
-    )
-    if inst.m == 0:
-        return split, Fraction(1)
-    return split, Fraction(len(edges), inst.m)
+    return OddSplit(n_groups=len(groups), diag_term=Fraction(diag, 1 << log_den), buckets=buckets)
 
 
 def _combine_mode(parts: Sequence[Certificate]) -> str:
@@ -567,26 +570,27 @@ def _combine_mode(parts: Sequence[Certificate]) -> str:
     return "direct"
 
 
-def _refute_direct_k0(inst: XorInstance) -> Certificate:
-    total = Dyadic(0)
-    for w, b in zip(inst.scheme.weights, inst.rhs):
-        total = total + Dyadic(b * w.num, w.log_den)
-    bound = _float_up(abs(total.as_fraction()) / inst.m)
-    return Certificate(mode="direct", bound=bound, status="certified")
+def _combine(parts: list[Certificate], bound: float) -> Certificate:
+    """The certificate made of ``parts``: ``bound`` if every part is
+    certified, else uncertain at the trivial bound 1."""
+    certified = all(c.certified for c in parts)
+    return Certificate(
+        mode=_combine_mode(parts),
+        bound=bound if certified else 1.0,
+        status="certified" if certified else "uncertain",
+        breakdown=tuple(parts),
+    )
 
 
-def _refute_direct_k1(inst: XorInstance) -> Certificate:
-    per_vertex: dict[int, Dyadic] = {}
-    for edge, w, b in zip(
-        inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs
-    ):
-        v = edge[0]
-        cur = per_vertex.get(v, Dyadic(0))
-        per_vertex[v] = cur + Dyadic(b * w.num, w.log_den)
-    total = Fraction(0)
-    for val in per_vertex.values():
-        total += abs(val.as_fraction())
-    bound = _float_up(total / inst.m)
+_ZERO = Certificate(mode="direct", bound=0.0, status="certified")
+
+
+def _refute_direct(part: CoalescedEdges) -> Certificate:
+    """Arity 0 or 1: each distinct edge is the constant or one variable, so
+    the value is at most the sum of |signed sum| over m, and exactly that
+    for arity 1."""
+    total = sum(abs(s) for _, s in part.edges.values())
+    bound = _float_up(Fraction(total, part.m << part.log_den))
     return Certificate(mode="direct", bound=bound, status="certified")
 
 
@@ -630,109 +634,59 @@ def _refute_even(edges: CoalescedEdges, params: RefuteParams) -> Certificate:
     )
 
 
-def _refute_odd(inst: XorInstance, params: RefuteParams) -> Certificate:
-    split = odd_to_even(inst)
+def _refute_odd(part: CoalescedEdges, params: RefuteParams) -> Certificate:
+    split = odd_to_even(part)
     parts = []
     inner = split.diag_term
-    certified = True
-    for size, bucket in sorted(split.buckets.items()):
+    for size, bucket in split.buckets.items():
         bucket_r = params.r
-        if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > inst.n - size:
+        if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > part.n - size:
             bucket_r = size // 2
-        # a bucket is valid, uniform and free of zero weights, and the odd
-        # instance was split into unit weights already if asked; of refute's
-        # steps only the clamp is left
         sub = _clamp(_refute_even(bucket, replace(params, r=bucket_r)))
         parts.append(sub)
-        certified = certified and sub.certified
         inner += bucket.m * Fraction(sub.bound)
-    if not certified:
-        return Certificate(
-            mode=_combine_mode(parts) if parts else "direct",
-            bound=1.0,
-            status="uncertain",
-            breakdown=tuple(parts),
-        )
-    inner = max(inner, Fraction(0))
-    bound = _float_up(split.n_groups * inner)
-    bound = _sqrt_up(bound) / inst.m
+    bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / part.m
     # division rounds to nearest; one ulp up restores the upper bound
-    bound = _up(bound)
-    return Certificate(
-        mode=_combine_mode(parts) if parts else "direct",
-        bound=bound,
-        status="certified",
-        breakdown=tuple(parts),
-    )
+    return _combine(parts, _up(bound))
 
 
-def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:
-    """Certified upper bound on the instance value; dispatches on arity.
-
-    Mixed-arity instances are bucketed by edge size and the per-bucket bounds
-    are averaged with weights m_k / m. The returned bound is always sound and
-    at most the trivial bound 1, which every instance value obeys;
-    resource-cap failures surface as status "uncertain" with that bound.
-    """
-    return _clamp(_refute(inst, params or RefuteParams()))
+def _refute_part(part: CoalescedEdges, params: RefuteParams) -> Certificate:
+    if not any(part.live.values()):
+        return _ZERO  # every weight is zero, and so is the value
+    if part.k < 2:
+        return _refute_direct(part)
+    if part.k % 2 == 0:
+        return _refute_even(part, params)
+    return _refute_odd(part, params)
 
 
 def _clamp(cert: Certificate) -> Certificate:
     return replace(cert, bound=1.0) if cert.bound > 1.0 else cert
 
 
-def _refute(inst: XorInstance, params: RefuteParams) -> Certificate:
+def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:
+    """Certified upper bound on the instance value; dispatches on arity.
+
+    The instance is validated and coalesced once. Mixed-arity instances are
+    bucketed by edge size and the per-bucket bounds are averaged with
+    weights m_k / m. The returned bound is always sound and at most the
+    trivial bound 1, which every instance value obeys; resource-cap failures
+    surface as status "uncertain" with that bound.
+    """
+    params = params or RefuteParams()
     validate_instance(inst)
-    if inst.m == 0:
-        return Certificate(mode="direct", bound=0.0, status="certified")
-    if all(w.is_zero() for w in inst.scheme.weights):
-        return Certificate(mode="direct", bound=0.0, status="certified")
-    if params.split_weights:
-        split, scale = split_to_unit_weights(inst)
-        inner = refute(split, replace(params, split_weights=False))
-        if not inner.certified:
-            return inner
-        return replace(inner, bound=_float_up(Fraction(inner.bound) * scale))
-
-    sizes = sorted({len(e) for e in inst.scheme.hypergraph.edges})
-    if len(sizes) > 1:
-        parts = []
-        total = Fraction(0)
-        certified = True
-        for size in sizes:
-            picks = [
-                i
-                for i, e in enumerate(inst.scheme.hypergraph.edges)
-                if len(e) == size
-            ]
-            sub_inst = XorInstance(
-                XorScheme(
-                    Hypergraph(
-                        inst.n,
-                        tuple(inst.scheme.hypergraph.edges[i] for i in picks),
-                    ),
-                    tuple(inst.scheme.weights[i] for i in picks),
-                    size,
-                ),
-                tuple(inst.rhs[i] for i in picks),
-            )
-            sub = refute(sub_inst, params)
-            parts.append(sub)
-            certified = certified and sub.certified
-            total += Fraction(len(picks), inst.m) * Fraction(sub.bound)
-        bound = _float_up(total) if certified else 1.0
-        return Certificate(
-            mode=_combine_mode(parts),
-            bound=bound,
-            status="certified" if certified else "uncertain",
-            breakdown=tuple(parts),
-        )
-
-    k = sizes[0]
-    if k == 0:
-        return _refute_direct_k0(inst)
-    if k == 1:
-        return _refute_direct_k1(inst)
-    if k % 2 == 0:
-        return _refute_even(_coalesce(inst, k), params)
-    return _refute_odd(inst, params)
+    parts = _coalesce(inst, params.split_weights)
+    if not any(any(part.live.values()) for part in parts.values()):
+        return _ZERO  # no edges, or every weight is zero
+    certs = [_clamp(_refute_part(part, params)) for part in parts.values()]
+    m = sum(part.m for part in parts.values())
+    if len(certs) == 1:
+        cert = certs[0]
+    else:
+        # each part's bound is at most 1, so their average is too
+        total = sum(Fraction(p.m, m) * Fraction(c.bound) for p, c in zip(parts.values(), certs))
+        cert = _combine(certs, _float_up(total))
+    if params.split_weights and cert.certified:
+        # the m unit copies have the term sums of the inst.m original copies
+        cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, inst.m)))
+    return _clamp(cert)

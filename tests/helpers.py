@@ -16,7 +16,8 @@ from xorcert.core import (
     make_instance,
     subset_rank,
 )
-from xorcert.fourier import ParityClass, classify_parity, expand_junta
+from xorcert.fourier import FourierExpansion, ParityClass, classify_parity, expand_junta
+from xorcert.gf2 import gf_mul
 
 
 def random_instance(
@@ -128,3 +129,89 @@ def reference_odd_split(
         for size, items in copies.items()
     }
     return len(groups), diag, buckets
+
+
+
+def split_to_unit_weights(inst: XorInstance) -> tuple[XorInstance, Fraction]:
+    """Per-granule reference for ``RefuteParams(split_weights=True)``: every
+    edge of weight num * 2^-L, with 2^-L the finest weight scale, becomes
+    |num| parallel copies of weight 2^-L, the sign moved into the copied
+    right-hand sides. The term sums agree, so with m' copies in total,
+    val(original) = (m' / m) * val(split). Returns (split instance, m'/m)."""
+    log_scale = max((w.log_den for w in inst.scheme.weights), default=0)
+    granule = Dyadic(1, log_scale)
+    edges = []
+    rhs = []
+    for edge, w, b in zip(inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs):
+        scaled = w.scaled(log_scale)
+        sign = 1 if scaled >= 0 else -1
+        for _ in range(abs(scaled)):
+            edges.append(edge)
+            rhs.append(sign * b)
+    split = XorInstance(
+        XorScheme(Hypergraph(inst.n, tuple(edges)), (granule,) * len(edges), inst.arity),
+        tuple(rhs),
+    )
+    if inst.m == 0:
+        return split, Fraction(1)
+    return split, Fraction(len(edges), inst.m)
+
+
+def dyadic_div(a: Dyadic, b: Dyadic) -> Dyadic:
+    """a / b, which must again be dyadic; ValueError otherwise."""
+    if b.num == 0:
+        raise ZeroDivisionError("dyadic division by zero")
+    # split the divisor numerator into odd part and power of two
+    two_exp = (abs(b.num) & -abs(b.num)).bit_length() - 1
+    odd = b.num >> two_exp
+    if a.num % odd != 0:
+        raise ValueError(f"{a} / {b} is not dyadic")
+    return Dyadic(a.num // odd, a.log_den + two_exp - b.log_den)
+
+
+def subset_unrank(rank: int, n: int, r: int) -> tuple[int, ...]:
+    """Inverse of ``subset_rank``: the r-subset of range(n) of that colex rank."""
+    assert 0 <= rank < comb(n, r)
+    out = []
+    hi = n
+    for i in range(r, 0, -1):
+        # largest v with C(v, i) <= rank; scan downward from the previous pick
+        v = hi - 1
+        while comb(v, i) > rank:
+            v -= 1
+        out.append(v)
+        rank -= comb(v, i)
+        hi = v
+    return tuple(reversed(out))
+
+
+def gf_pow(a: int, e: int, s: int) -> int:
+    """a**e in GF(2^s) by square and multiply; 0**0 is taken to be 1."""
+    acc = 1
+    base = a
+    while e:
+        if e & 1:
+            acc = gf_mul(acc, base, s)
+        base = gf_mul(base, base, s)
+        e >>= 1
+    return acc
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of int-encoded row vectors."""
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def l1_mass(exp: FourierExpansion) -> Dyadic:
+    """Sum of |coefficient| over the expansion."""
+    total = Dyadic(0)
+    for c in exp.coeffs.values():
+        total = total + abs(c)
+    return total

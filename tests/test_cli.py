@@ -109,6 +109,22 @@ class TestExitCodes:
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_bad_eps_exits_one(self, circuit_file, eps):
+        assert run("avoid", "--circuit", str(circuit_file), "--gen",
+                   "biased:m=30,s=6", "--eps", eps) == 1
+
+    @pytest.mark.parametrize("spec", ["biased:m=4,eps=1/0", "biased:m=4,eps=0^-1"])
+    def test_zero_division_in_spec_exits_one(self, spec):
+        assert run("gen-prg", "--spec", spec) == 1
+
+    @pytest.mark.parametrize("x", ["0,5,1", "0,-1,1", "0,1"])
+    def test_decomp_input_out_of_range_exits_one(self, tmp_path, x):
+        circ = tmp_path / "tree.json"
+        assert run("gen", "circuit", "--kind", "tree", "--n", "3", "--w", "1",
+                   "--t", "2", "--m", "3", "--seed", "5", "--out", str(circ)) == 0
+        assert run("oracle", "decomp", "--circuit", str(circ), "--x", x, "--b", "010") == 1
+
 
 class TestArtifacts:
     def test_determinism_byte_identical(self, tmp_path, circuit_file):

@@ -1,6 +1,8 @@
 import random
 
-from xorcert.gf2 import IRREDUCIBLE, find_xor_dependency, gf2_rank, gf_mul, gf_pow
+from xorcert.gf2 import IRREDUCIBLE, find_xor_dependency, gf_mul
+
+from helpers import gf2_rank, gf_pow
 
 
 def _poly_mod(a: int, m: int) -> int:

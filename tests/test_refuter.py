@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from xorcert.refuter import (
     trace_certificate,
 )
 
-from helpers import random_instance, reference_kikuchi, reference_odd_split
+from helpers import random_instance, reference_kikuchi, reference_odd_split, split_to_unit_weights
 
 
 def _weights(max_log_den: int = 3):
@@ -418,6 +419,36 @@ class TestRefute:
         assert 1 <= len(validated) <= 2
         assert all(x is inst for x in validated)
 
+    def test_mixed_refute_validates_its_input_once_and_never_recurses(self, monkeypatch):
+        inst = make_instance(
+            6,
+            [(), (2,), (0, 1), (0, 1, 2), (0, 1, 3), (1, 3, 4, 5)],
+            [1, -1, 1, -1, 1, 1],
+            weights=[Dyadic(1, 1), Dyadic(0), Dyadic(3, 2), Dyadic(1), Dyadic(-1, 1), Dyadic(1)],
+        )
+        refutes = []
+        validated = []
+        real_refute, real_validate = refuter.refute, refuter.validate_instance
+
+        def counting_refute(*args, **kwargs):
+            refutes.append(args[0])
+            return real_refute(*args, **kwargs)
+
+        def recording_validate(x):
+            validated.append(x)
+            real_validate(x)
+
+        monkeypatch.setattr(refuter, "refute", counting_refute)
+        monkeypatch.setattr(refuter, "validate_instance", recording_validate)
+        # under split_weights the zero-weight arity-1 part has no copies
+        for params, parts in ((RefuteParams(), 5), (RefuteParams(split_weights=True), 4)):
+            refutes.clear()
+            validated.clear()
+            cert = refuter.refute(inst, params)
+            assert len(cert.breakdown) == parts
+            assert refutes == [inst]
+            assert validated == [inst]
+
     def test_json_roundtrip(self):
         inst = make_instance(4, [(0,), (0, 1), (1, 2, 3)], [1, -1, 1])
         cert = refute(inst)
@@ -428,8 +459,6 @@ class TestRefute:
 class TestWeightSplitting:
     def test_term_sums_agree(self):
         rng = random.Random(8)
-        from xorcert.refuter import split_to_unit_weights
-
         for _ in range(50):
             n = rng.randint(2, 6)
             inst = random_instance(rng, n, 2, rng.randint(1, 10), weighted=True)
@@ -438,6 +467,32 @@ class TestWeightSplitting:
             assert brute_val(inst) * inst.m == brute_val(split) * split.m
             x = [rng.choice((1, -1)) for _ in range(n)]
             assert inst.term_sum(x) == split.term_sum(x)
+
+    def test_flag_matches_the_per_granule_reference(self):
+        """refute with split_weights is, byte for byte, refute of the unit
+        split followed by the rescale by m'/m and the clamp at 1."""
+        rng = random.Random(10)
+        for trial in range(150):
+            n = rng.randint(4, 8)
+            sizes = rng.sample(range(5), rng.choice((1, 2, 3)))
+            edges, weights, rhs = [], [], []
+            for _ in range(rng.randint(1, 12)):
+                edges.append(tuple(sorted(rng.sample(range(n), rng.choice(sizes)))))
+                log_den = rng.randint(0, 2)
+                num = rng.randint(-(1 << log_den), 1 << log_den) if rng.random() < 0.7 else 0
+                weights.append(Dyadic(num, log_den))
+                rhs.append(rng.choice((1, -1)))
+            if trial % 5 == 0:  # parallel copies
+                edges, weights, rhs = edges * 2, weights + weights[::-1], rhs * 2
+            inst = make_instance(n, edges, rhs, weights=weights)
+            params = RefuteParams(mode=("auto", "trace", "spectral")[trial % 3])
+            split, scale = split_to_unit_weights(inst)
+            expected = refute(split, params)
+            if expected.certified:
+                rescaled = refuter._float_up(Fraction(expected.bound) * scale)
+                expected = replace(expected, bound=min(rescaled, 1.0))
+            got = refute(inst, replace(params, split_weights=True))
+            assert got.to_json() == expected.to_json(), trial
 
     def test_refute_flag_rescales_soundly(self):
         rng = random.Random(9)
@@ -519,4 +574,80 @@ class TestPinnedCertificates:
             '{"mode": "spectral", "r": null, "ell": null, "bound": 1.0, "status": "certified", '
             '"breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 1.0, '
             '"status": "certified", "breakdown": []}]}'
+        )
+
+
+def _copies_instance(n, copies):
+    """Instance from (edge, (num, log_den), rhs) triples."""
+    return make_instance(
+        n,
+        [e for e, _, _ in copies],
+        [b for _, _, b in copies],
+        weights=[Dyadic(num, log_den) for _, (num, log_den), _ in copies],
+    )
+
+
+# 3-XOR copies, parallel ones among them, some of zero weight
+_ODD_PARALLEL = [
+    ((0, 1, 2), (1, 1), 1), ((0, 1, 2), (0, 0), -1), ((0, 1, 2), (-1, 2), 1),
+    ((0, 1, 3), (0, 0), 1), ((0, 1, 3), (3, 2), -1), ((0, 2, 4), (1, 0), 1),
+    ((1, 3, 4), (0, 0), -1), ((1, 3, 4), (1, 1), 1), ((0, 3, 4), (0, 0), 1),
+]
+
+
+class TestCoalescedShapes:
+    """Certificates recorded before refute read each instance in one
+    coalescing pass, for shapes where the copies, the live copies and the
+    signed sums of an edge part ways."""
+
+    def test_zero_weight_part_is_direct_but_a_cancelling_part_is_not(self):
+        # the arity-2 part has only zero weights: direct 0; the arity-4 part
+        # has live copies whose sums cancel: the engines certify 0
+        inst = _copies_instance(6, [
+            ((0, 1), (0, 0), 1), ((2, 3), (0, 0), -1), ((0, 1), (0, 0), 1),
+            ((0, 1, 2), (3, 2), 1), ((0, 1, 3), (-1, 1), 1), ((1, 2, 4), (1, 0), -1),
+            ((0, 2, 3, 5), (1, 1), 1), ((0, 2, 3, 5), (1, 1), -1),
+        ])
+        assert refute(inst).to_json() == (
+            '{"mode": "trace", "r": null, "ell": null, "bound": 0.30297999108852947, '
+            '"status": "certified", "breakdown": [{"mode": "direct", "r": null, "ell": null, '
+            '"bound": 0.0, "status": "certified", "breakdown": []}, {"mode": "spectral", '
+            '"r": null, "ell": null, "bound": 0.8079466429027452, "status": "certified", '
+            '"breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.5625000000000853, '
+            '"status": "certified", "breakdown": []}]}, {"mode": "trace", "r": 2, "ell": 8, '
+            '"bound": 0.0, "status": "certified", "breakdown": []}]}'
+        )
+
+    def test_split_drops_a_zero_weight_part_and_its_wrapper(self):
+        inst = _copies_instance(6, [
+            ((0,), (0, 0), 1), ((3,), (0, 2), -1),
+            ((0, 1, 2), (3, 2), 1), ((0, 1, 3), (-1, 1), -1),
+            ((0, 2, 4), (1, 0), 1), ((1, 2, 5), (-3, 2), 1),
+        ])
+        assert refute(inst, RefuteParams(split_weights=True)).to_json() == (
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.6147976825562623, '
+            '"status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, '
+            '"bound": 0.08333333333341861, "status": "certified", "breakdown": []}, '
+            '{"mode": "spectral", "r": 2, "ell": null, "bound": 0.08928571428592746, '
+            '"status": "certified", "breakdown": []}]}'
+        )
+
+    def test_odd_split_pairs_only_live_copies(self):
+        odd = (
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.3464497580346562, '
+            '"status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, '
+            '"bound": 0.13888888888895998, "status": "certified", "breakdown": []}, '
+            '{"mode": "spectral", "r": 2, "ell": null, "bound": 0.9375000000001635, '
+            '"status": "certified", "breakdown": []}]}'
+        )
+        assert refute(_copies_instance(5, _ODD_PARALLEL)).to_json() == odd
+        # an arity-2 part with parallel zero-weight copies counts every copy
+        mixed = _copies_instance(5, _ODD_PARALLEL + [
+            ((0, 1), (0, 0), 1), ((0, 1), (1, 1), -1), ((0, 1), (0, 0), 1), ((2, 3), (1, 2), 1),
+        ])
+        assert refute(mixed).to_json() == (
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.30673946459257656, '
+            '"status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, '
+            '"bound": 0.2173913043478972, "status": "certified", "breakdown": []}, '
+            + odd + ']}'
         )
