@@ -5,10 +5,15 @@ outputs force a GF(2) dependency whose violation is a range gap. Otherwise
 parity outputs are pruned and candidate targets drawn from an explicit
 generator are certified one seed at a time, as ``certify_not_in_range`` does:
 
-* junta circuits split into per-pattern XOR instances; their refutation
+* junta circuits split into per-pattern XOR schemes; their refutation
   bounds plus the non-parity ceiling must sum below 1;
 * decision-tree circuits go through the layered character grouping and refute
   every ensemble key; the sum must be at most 2 eps.
+
+The split or ensemble is prepared once per circuit, so a target pays one
+bincount of its signed sums and the engines, with no per-key instance built
+or validated. A prepared ensemble passed in by the caller must have been
+grouped from the circuit being certified.
 
 Both certificates are sound upper bounds on the best output/target agreement,
 so a certified target is guaranteed to sit outside the range.
@@ -21,10 +26,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .circuits import Circuit, to_layered
-from .core import ValidationError, XorInstance
+from .core import ValidationError
 from .fourier import ParityClass
 from .gf2 import find_xor_dependency
 from .prg import GeneratorSpec, sample_int, seed_count, seed_to_str
@@ -34,10 +39,9 @@ from .reduction import (
     SchemeEnsemble,
     _analyze_gates,
     _split_analyzed,
-    attach_rhs,
     group_characters,
 )
-from .refuter import Certificate, RefuteParams, _combine_mode, _float_up, refute
+from .refuter import Certificate, RefuteParams, _combine_mode, _float_up
 
 
 @dataclass(frozen=True)
@@ -126,10 +130,9 @@ def _prune_parities(c: Circuit, analysis: GateAnalysis) -> tuple[list[int], Junt
 
 
 def _sum_bounds(
-    instances: Iterable[XorInstance], ceiling: Fraction, params: RefuteParams
+    parts: list[Certificate], ceiling: Fraction
 ) -> tuple[Fraction, Certificate, bool]:
     """(Sum of refutation bounds plus ceiling, composite certificate, all certified)."""
-    parts = [refute(inst, params) for inst in instances]
     total = ceiling + sum(Fraction(cert.bound) for cert in parts)
     ok = all(cert.certified for cert in parts)
     composite = Certificate(
@@ -152,15 +155,14 @@ def _certify_prepared(
     Bound and distance are scaled to all ``m_full`` outputs, every pruned
     output counted as agreeing."""
     m_kept = len(b_kept)
+    parts = prepared.prepared.refute(b_kept, params.refute)
     if isinstance(prepared, JuntaSplit):
         t = prepared.t
         ceiling = Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else Fraction(0)
-        instances = (prepared.instance(a, b_kept) for a in sorted(prepared.buckets))
-        total, composite, ok = _sum_bounds(instances, ceiling, params.refute)
+        total, composite, ok = _sum_bounds(parts, ceiling)
         path, ok = "junta", ok and total < 1
     else:
-        instances = (inst for _, inst in sorted(attach_rhs(prepared, b_kept).items()))
-        total, composite, ok = _sum_bounds(instances, Fraction(0), params.refute)
+        total, composite, ok = _sum_bounds(parts, Fraction(0))
         path, ok = "tree", ok and total <= 2 * params.eps_for(prepared.t)
     if not ok:
         return _uncertain_remote(path, m_kept)
@@ -173,6 +175,22 @@ def _certify_prepared(
         kept_outputs=m_kept,
         certificate=composite,
     )
+
+
+def _check_grouped_from(ens: SchemeEnsemble, c: Circuit) -> None:
+    """Raise unless ``ens`` was grouped from c with its gates as trees: the
+    ensemble of another circuit bounds that circuit's agreement, not c's.
+    Tuple comparison tries identity before equality, so the ensemble of the
+    very same circuit costs one pass of pointer comparisons."""
+    src = ens.circuit
+    same = (
+        src is not None
+        and ens.prepared is not None
+        and (ens.n, ens.w, ens.t, ens.m) == (src.n, src.w, src.t, src.m) == (c.n, c.w, c.t, c.m)
+        and (src.gates == c.gates or src.gates == c.with_tree_gates().gates)
+    )
+    if not same:
+        raise ValidationError(["prepared ensemble was not grouped from this circuit"])
 
 
 def certify_not_in_range(
@@ -190,7 +208,8 @@ def certify_not_in_range(
     circuits: every ensemble key is refuted and the certificate claims
     fractional distance at least 1/2 - eps; ``prepared`` may pass the
     circuit's ensemble from ``group_characters`` so that repeated targets
-    share it (junta circuits ignore it). Never certifies falsely.
+    share it (junta circuits ignore it). An ensemble grouped from any other
+    circuit raises ValidationError. Never certifies falsely.
     """
     params = params or CertifyParams()
     c.ensure_valid()
@@ -204,6 +223,8 @@ def certify_not_in_range(
         return _certify_prepared(split, [b[i] for i in kept], c.m, params)
     if prepared is None:
         prepared = group_characters(to_layered(c.with_tree_gates()))
+    else:
+        _check_grouped_from(prepared, c)
     return _certify_prepared(prepared, b, c.m, params)
 
 
@@ -286,6 +307,20 @@ def _try_seed_range(
     return None
 
 
+# The work of the pool a worker process belongs to, set once per worker by
+# ``_init_worker`` so that each task ships only its seeds.
+_worker_work: tuple | None = None
+
+
+def _init_worker(work: tuple) -> None:
+    global _worker_work
+    _worker_work = work
+
+
+def _try_worker_seeds(seeds: Sequence[int]) -> tuple[int, RemoteCertificate] | None:
+    return _try_seed_range(_worker_work, seeds)
+
+
 def avoid(
     c: Circuit, gen: GeneratorSpec, params: AvoidParams | None = None
 ) -> AvoidResult:
@@ -327,9 +362,11 @@ def avoid(
             list(range(lo, min(lo + chunk, n_seeds)))
             for lo in range(0, n_seeds, chunk)
         ]
-        pool = ProcessPoolExecutor(max_workers=params.workers)
+        pool = ProcessPoolExecutor(
+            max_workers=params.workers, initializer=_init_worker, initargs=(work,)
+        )
         try:
-            futures = [pool.submit(_try_seed_range, work, r) for r in ranges]
+            futures = [pool.submit(_try_worker_seeds, r) for r in ranges]
             for rng_seeds, fut in zip(ranges, futures):
                 try:
                     if deadline is not None and time.monotonic() > deadline:

@@ -132,6 +132,11 @@ class Circuit:
         return len(self.gates)
 
     def violations(self) -> list[str]:
+        # a circuit is immutable, so a target certified against it does not
+        # pay for walking every gate again
+        cached = self.__dict__.get("_violations")
+        if cached is not None:
+            return list(cached)
         out = []
         if self.n < 1 or self.w < 1 or self.t < 0:
             out.append(f"bad shape (n={self.n}, w={self.w}, t={self.t})")
@@ -144,6 +149,7 @@ class Circuit:
                 out.extend(
                     f"gate {i}: {v}" for v in g.violations(self.n, self.w, self.t)
                 )
+        object.__setattr__(self, "_violations", tuple(out))
         return out
 
     def ensure_valid(self) -> "Circuit":

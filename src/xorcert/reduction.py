@@ -1,13 +1,20 @@
 """Decomposition of max-correlation with a target string into an ensemble of
 weighted XOR schemes over valuation variables, plus the junta-circuit split
 that buckets characters by their position pattern.
+
+Both are prepared for refutation when they are built: ``group_characters``
+prepares every ensemble key straight from the circuit's characters, and a
+``JuntaSplit`` its buckets, so that a target pays one bincount of its signed
+sums plus the engines (``refuter.PreparedSchemes``). An ensemble's dense
+per-output schemes, with a zero-weight filler edge wherever an output has no
+character at a key, are made only when ``SchemeEnsemble.schemes`` is read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Sequence
 
 from .circuits import Circuit, JuntaGate, LayeredCircuit
 from .core import (
@@ -25,6 +32,7 @@ from .fourier import (
     expand_junta,
     expand_layered_output,
 )
+from .refuter import PreparedSchemes, prepare_copies
 
 # An ensemble key is (beta, slot): beta gives one bit pattern inside [w] per
 # layer (as a mask), slot separates the different characters of one output
@@ -40,6 +48,10 @@ class SchemeEnsemble:
     the product of the beta-selected bits of group j in layer t'. Outputs
     with no character at a key get a zero-weight filler edge, so edge i
     always originates from circuit output i.
+
+    ``group_characters`` also records the tree-gate ``circuit`` the ensemble
+    was grouped from, and ``prepared``, every key's scheme in sorted key
+    order prepared for refutation.
     """
 
     n: int
@@ -47,6 +59,8 @@ class SchemeEnsemble:
     t: int
     m: int
     schemes: Mapping[EnsembleKey, XorScheme]
+    circuit: Circuit | None = field(default=None, repr=False, compare=False)
+    prepared: PreparedSchemes | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -102,60 +116,88 @@ def _character_profile(
     return tuple(beta), tuple(groups)
 
 
+class _DenseSchemes(Mapping):
+    """The dense scheme of every key of a prepared ensemble, each made from
+    the key's live copies when it is first read."""
+
+    def __init__(self, n: int, keys: Sequence[EnsembleKey], prepared: PreparedSchemes):
+        self._n = n
+        self._index = {key: j for j, key in enumerate(keys)}
+        self._prepared = prepared
+        self._made: dict[EnsembleKey, XorScheme] = {}
+
+    def __getitem__(self, key: EnsembleKey) -> XorScheme:
+        scheme = self._made.get(key)
+        if scheme is None:
+            scheme = self._made[key] = self._dense(key)
+        return scheme
+
+    def __iter__(self) -> Iterator[EnsembleKey]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def _dense(self, key: EnsembleKey) -> XorScheme:
+        prepared = self._prepared
+        scheme = prepared.schemes[self._index[key]]
+        beta, _ = key
+        edge_of = {
+            part.row + j: edge for part in scheme.parts for j, edge in enumerate(part.edges)
+        }
+        edges = [_filler_edge(beta, self._n)] * prepared.m
+        weights = [Dyadic(0)] * prepared.m
+        lo, hi = scheme.span
+        for row, out, units in zip(
+            prepared.rows[lo:hi].tolist(), prepared.outputs[lo:hi].tolist(), prepared.units[lo:hi]
+        ):
+            edges[out] = edge_of[row]
+            weights[out] = Dyadic(units, scheme.log_den)
+        return XorScheme(
+            Hypergraph(self._n * len(beta), tuple(edges)),
+            tuple(weights),
+            SchemeEnsemble.key_arity(key),
+        )
+
+
 def group_characters(lc: LayeredCircuit) -> SchemeEnsemble:
     """Assign every nonzero character of every output to a (beta, slot) key.
 
     The resulting schemes satisfy, exactly and for every layered input and
     every right-hand side, that the average output/target agreement equals
-    the sum of the per-key instance values.
+    the sum of the per-key instance values. Each key is prepared from its
+    characters alone; the outputs without one count as zero-weight copies
+    of the key's filler edge.
     """
     c = lc.circuit
     n, w, t, m = c.n, c.w, c.t, c.m
     slots = 1 << (t * w)
-    all_betas = list(itertools.product(range(1 << w), repeat=t))
+    keys = list(itertools.product(itertools.product(range(1 << w), repeat=t), range(1, slots + 1)))
 
-    # (beta, slot, output) -> (edge, weight)
-    assignment: dict[tuple[tuple[int, ...], int, int], tuple[tuple[int, ...], Dyadic]] = {}
+    # key -> [(output, edge, weight)] of its characters, keys in sorted order
+    copies: dict[EnsembleKey, list] = {key: [] for key in keys}
     for i in range(m):
         exp = expand_layered_output(lc, i)
-        per_beta: dict[tuple[int, ...], list[tuple[tuple[int, ...], Dyadic]]] = {}
+        per_beta: dict[tuple[int, ...], list] = {}
         for alpha, coeff in exp.coeffs.items():
             beta, groups = _character_profile(lc, alpha)
-            per_beta.setdefault(beta, []).append((alpha, coeff))
+            per_beta.setdefault(beta, []).append((alpha, groups, coeff))
         for beta, chars in per_beta.items():
             chars.sort(key=lambda ac: tuple(reversed(ac[0])))  # colex
             if len(chars) > slots:
                 raise ValidationError(
                     [f"output {i}: {len(chars)} characters exceed {slots} slots"]
                 )
-            for slot0, (alpha, coeff) in enumerate(chars):
-                _, groups = _character_profile(lc, alpha)
-                edge = tuple(
-                    layer * n + groups[layer]
-                    for layer in range(t)
-                    if beta[layer]
-                )
-                assignment[(beta, slot0 + 1, i)] = (edge, coeff)
+            for slot, (_, groups, coeff) in enumerate(chars, 1):
+                edge = tuple(layer * n + groups[layer] for layer in range(t) if beta[layer])
+                copies[(beta, slot)].append((i, edge, coeff))
 
-    schemes: dict[EnsembleKey, XorScheme] = {}
-    for beta in all_betas:
-        filler = _filler_edge(beta, n)
-        arity = sum(1 for mask in beta if mask)
-        for slot in range(1, slots + 1):
-            edges = []
-            weights = []
-            for i in range(m):
-                hit = assignment.get((beta, slot, i))
-                if hit is None:
-                    edges.append(filler)
-                    weights.append(Dyadic(0))
-                else:
-                    edges.append(hit[0])
-                    weights.append(hit[1])
-            schemes[(beta, slot)] = XorScheme(
-                Hypergraph(n * t, tuple(edges)), tuple(weights), arity
-            )
-    return SchemeEnsemble(n, w, t, m, schemes)
+    prepared = prepare_copies(m, [
+        (n * t, chars, {_filler_edge(beta, n): m - len(chars)})
+        for (beta, _), chars in copies.items()
+    ])
+    schemes = _DenseSchemes(n, keys, prepared)
+    return SchemeEnsemble(n, w, t, m, schemes, circuit=c, prepared=prepared)
 
 
 def attach_rhs(
@@ -194,13 +236,22 @@ class JuntaSplit:
     ``buckets`` maps every proper subset of gate positions to the hypergraph
     of input projections and the per-gate coefficient vector; the full-degree
     characters are excluded and their total magnitude obeys the non-parity
-    ceiling 1 - 2^(1-t) gate by gate.
+    ceiling 1 - 2^(1-t) gate by gate. ``prepared`` holds the buckets in
+    sorted order, prepared for refutation without validating them again:
+    their edges and weights come from a validated circuit's expansions.
     """
 
     t: int
     m: int
     n: int
     buckets: Mapping[tuple[int, ...], tuple[Hypergraph, tuple[Dyadic, ...]]]
+    prepared: PreparedSchemes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prepared", prepare_copies(self.m, (
+            (hyper.n, list(zip(range(self.m), hyper.edges, weights)), {})
+            for _, (hyper, weights) in sorted(self.buckets.items())
+        )))
 
     def instance(self, alpha: tuple[int, ...], b: Sequence[int]) -> XorInstance:
         hyper, weights = self.buckets[alpha]

@@ -1,10 +1,14 @@
 """Certified upper bounds on the value of weighted XOR systems.
 
-``refute`` validates its input and then reads its edges, weights and
-right-hand sides exactly once, in ``_coalesce``: one pass gives each edge
-size its distinct edges (``CoalescedEdges``), each with its number of
-copies, its live copies (those of nonzero weight) and the exact signed sum
-of b * w over its copies. Every path reads that form:
+A scheme (edges and weights, the right-hand side left open) is prepared
+once (``prepare_copies``, ``PreparedSchemes``): each edge size gets its
+distinct edges, each with its number of copies and its live copies (those
+of nonzero weight), and every live copy an integer incidence (distinct
+edge, rhs position, w * 2^L). For a right-hand side b, one bincount of b * w * 2^L
+gives the exact signed sum of every distinct edge, and with them each edge
+size as ``CoalescedEdges``. ``refute`` validates an instance and prepares
+it; schemes that serve many right-hand sides, such as a circuit's ensemble,
+are prepared once for all of them. Every path reads the coalesced form:
 
 * arity 0 and 1 are certified directly, by the sum of |signed sum| over m;
 * even arity goes through the level-r Kikuchi matrix: rows and columns are
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -260,7 +265,8 @@ class CoalescedEdges:
     of the Kikuchi matrix are those of the per-copy instance. ``live`` maps
     each edge to its copies of nonzero weight, which are the ones the odd
     split pairs; it is None for the even buckets of that split, whose copies
-    are all live. ``_coalesce`` makes one per edge size of an instance.
+    are all live. ``PreparedScheme.coalesced`` makes one per edge size of a
+    scheme and right-hand side.
     """
 
     n: int
@@ -271,50 +277,208 @@ class CoalescedEdges:
     live: dict[tuple[int, ...], int] | None = None
 
 
-def _coalesce(inst: XorInstance, split_weights: bool = False) -> dict[int, CoalescedEdges]:
-    """Read the edges, weights and rhs of a validated instance in one pass.
+@dataclass(frozen=True)
+class PreparedPart:
+    """The distinct edges of one edge size of a prepared scheme.
 
-    Returns one ``CoalescedEdges`` per edge size, in increasing size, with
-    every sum at the instance's finest weight scale 2^-L. Under
-    ``split_weights`` a copy of weight num * 2^-L counts as |num| copies of
-    weight 2^-L with the sign of num moved into their rhs; the term sums,
-    and so the signed sums, are unchanged, and zero weights leave no copy.
+    Edge j of the part is row ``row + j`` of the signed sums. ``copies``
+    and ``live`` give each edge's copies and its copies of nonzero weight,
+    and ``m`` the part's copies in total. ``unit_copies`` gives each edge's
+    copies under ``split_weights``: the sum of |w| * 2^L over its copies.
     """
-    log_den = max((w.log_den for w in inst.scheme.weights), default=0)
-    # edge -> [copies, live copies, signed sum at 2^-L]
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for edge, w, b in zip(inst.scheme.hypergraph.edges, inst.scheme.weights, inst.rhs):
-        units = w.num << (log_den - w.log_den)
-        copies = abs(units) if split_weights else 1
-        if not copies:
-            continue
-        entry = acc.get(edge)
-        if entry is None:
-            entry = acc[edge] = [0, 0, 0]
-        entry[0] += copies
-        if units:
-            entry[1] += copies
-            entry[2] += b * units
-    by_size: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    for edge, entry in acc.items():
-        by_size.setdefault(len(edge), {})[edge] = entry
-    return {
-        k: CoalescedEdges(
-            inst.n,
-            k,
-            sum(copies for copies, _, _ in edges.values()),
-            log_den,
-            {e: (copies, total) for e, (copies, _, total) in edges.items()},
-            {e: live for e, (_, live, _) in edges.items()},
-        )
-        for k, edges in sorted(by_size.items())
-    }
+
+    k: int
+    row: int
+    m: int
+    edges: tuple[tuple[int, ...], ...]
+    copies: tuple[int, ...]
+    unit_copies: tuple[int, ...]
+    live: dict[tuple[int, ...], int]
+
+
+@dataclass(frozen=True)
+class PreparedScheme:
+    """What refutation reads of a weighted scheme that does not depend on its
+    right-hand side: per edge size, in increasing size, the distinct edges.
+
+    ``m`` is the number of edges of the scheme and ``log_den`` its finest
+    weight scale. Its live copies are the slots ``span`` of the incidence of
+    the ``PreparedSchemes`` that holds it.
+    """
+
+    n: int
+    m: int
+    log_den: int
+    parts: tuple[PreparedPart, ...]
+    span: tuple[int, int]
+
+    @property
+    def zero(self) -> bool:
+        """True if the scheme has no edges or every weight is zero."""
+        return self.span[0] == self.span[1]
+
+    def coalesced(
+        self, sums: Sequence[int], split_weights: bool = False
+    ) -> dict[int, CoalescedEdges]:
+        """One ``CoalescedEdges`` per edge size, given the signed sums of the
+        right-hand side. Under ``split_weights`` a copy of weight num * 2^-L
+        counts as |num| copies of weight 2^-L with the sign of num moved into
+        their rhs: the signed sums are unchanged, and zero weights leave no
+        copy, so edges and sizes with no weight drop out."""
+        out = {}
+        for part in self.parts:
+            part_sums = sums[part.row:part.row + len(part.edges)]
+            if not split_weights:
+                edges = dict(zip(part.edges, zip(part.copies, part_sums)))
+                out[part.k] = CoalescedEdges(
+                    self.n, part.k, part.m, self.log_den, edges, part.live
+                )
+                continue
+            kept = [(e, u, s) for e, u, s in zip(part.edges, part.unit_copies, part_sums) if u]
+            if kept:
+                out[part.k] = CoalescedEdges(
+                    self.n,
+                    part.k,
+                    sum(u for _, u, _ in kept),
+                    self.log_den,
+                    {e: (u, s) for e, u, s in kept},
+                    {e: u for e, u, _ in kept},
+                )
+        return out
+
+
+@dataclass(frozen=True)
+class PreparedSchemes:
+    """Weighted schemes over one right-hand side of length m, each read once.
+
+    Every live copy (one of nonzero weight) of every scheme has an integer
+    incidence: the row of its distinct edge, its position in the rhs, and
+    its units w * 2^L at its scheme's scale. For a target b, the signed sum
+    of an edge is the sum of b * w * 2^L over its live copies, so one
+    bincount gives the sums of all schemes at once. ``weights`` holds the
+    units as floats when their absolute sum is below 2^53, which keeps
+    every float partial sum an exact integer; otherwise it is None and the
+    sums are taken in Python integers.
+    """
+
+    m: int
+    schemes: tuple[PreparedScheme, ...]
+    n_rows: int
+    rows: np.ndarray
+    outputs: np.ndarray
+    units: tuple[int, ...]
+    weights: np.ndarray | None
+
+    def signed_sums(self, b: Sequence[int]) -> list[int]:
+        """Signed sum of b * w * 2^L of every distinct edge, by row."""
+        if self.weights is None:
+            sums = [0] * self.n_rows
+            for row, out, units in zip(self.rows.tolist(), self.outputs.tolist(), self.units):
+                sums[row] += b[out] * units
+            return sums
+        signed = np.asarray(b, dtype=np.float64)[self.outputs] * self.weights
+        return np.bincount(self.rows, signed, self.n_rows).astype(np.int64).tolist()
+
+    def refute(self, b: Sequence[int], params: RefuteParams | None = None) -> list[Certificate]:
+        """``refute`` of every scheme with right-hand side b, in order."""
+        if len(b) != self.m:
+            raise ValidationError([f"{len(b)} rhs signs for {self.m} edges"])
+        if not set(b) <= {1, -1}:
+            raise ValidationError([
+                f"edge {i}: rhs {v} not in {{+1, -1}}" for i, v in enumerate(b) if v not in (1, -1)
+            ])
+        return self._refute(b, params or RefuteParams())
+
+    def _refute(self, b: Sequence[int], params: RefuteParams) -> list[Certificate]:
+        sums = self.signed_sums(b) if self.units else []
+        return [_refute_scheme(scheme, sums, params) for scheme in self.schemes]
+
+
+# One scheme as its copies: (vertex count n, [(rhs position, edge, weight)],
+# {edge: zero-weight copies that have no rhs position}).
+SchemeCopies = tuple[
+    int, Sequence[tuple[int, tuple[int, ...], Dyadic]], Mapping[tuple[int, ...], int]
+]
+
+
+def prepare_copies(m: int, schemes: Iterable[SchemeCopies]) -> PreparedSchemes:
+    """Prepare schemes over a rhs of length m from their copies, unchecked.
+
+    Each scheme's distinct edges are found with their copies, live copies
+    and unit copies at its finest weight scale 2^-L (L >= 0, so a zero weight
+    never raises it), grouped by size in increasing order, and numbered
+    consecutively across the schemes. Parallel copies, zero-weight copies
+    included, land on one distinct edge.
+    """
+    prepared = []
+    rows = array("q")  # machine integers: no int object per copy
+    outputs = array("q")
+    all_units: list[int] = []
+    n_rows = 0
+    for n, copies, zeros in schemes:
+        log_den = max((w.log_den for _, _, w in copies), default=0)
+        # edge -> [copies, live copies, unit copies]
+        acc = {edge: [count, 0, 0] for edge, count in zeros.items() if count}
+        start = len(outputs)
+        live_edges = []
+        for out, edge, w in copies:
+            units = w.num << (log_den - w.log_den)
+            entry = acc.get(edge)
+            if entry is None:
+                entry = acc[edge] = [0, 0, 0]
+            entry[0] += 1
+            if units:
+                entry[1] += 1
+                entry[2] += abs(units)
+                live_edges.append(edge)
+                outputs.append(out)
+                all_units.append(units)
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for edge in acc:
+            by_size.setdefault(len(edge), []).append(edge)
+        parts = []
+        row_of: dict[tuple[int, ...], int] = {}
+        for k, edges in sorted(by_size.items()):
+            counts = [acc[e] for e in edges]
+            parts.append(PreparedPart(
+                k,
+                n_rows,
+                sum(c for c, _, _ in counts),
+                tuple(edges),
+                tuple(c for c, _, _ in counts),
+                tuple(u for _, _, u in counts),
+                {e: live for e, (_, live, _) in zip(edges, counts)},
+            ))
+            for edge in edges:
+                row_of[edge] = n_rows
+                n_rows += 1
+        rows.extend(map(row_of.__getitem__, live_edges))
+        prepared.append(PreparedScheme(n, m, log_den, tuple(parts), (start, len(rows))))
+    exact = sum(map(abs, all_units)) < 1 << 53
+    return PreparedSchemes(
+        m,
+        tuple(prepared),
+        n_rows,
+        np.array(rows, dtype=np.intp),
+        np.array(outputs, dtype=np.intp),
+        tuple(all_units),
+        np.array(all_units, dtype=np.float64) if exact else None,
+    )
+
+
+def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
+    """The scheme of a validated instance, prepared."""
+    scheme = inst.scheme
+    return prepare_copies(
+        inst.m, [(inst.n, list(zip(range(inst.m), scheme.hypergraph.edges, scheme.weights)), {})]
+    )
 
 
 def _uniform(inst: XorInstance, what: str) -> CoalescedEdges:
     """Validate and coalesce an instance that must have a single edge size."""
     validate_instance(inst)
-    parts = _coalesce(inst)
+    prepared = _prepare_instance(inst)
+    parts = prepared.schemes[0].coalesced(prepared.signed_sums(inst.rhs))
     if len(parts) > 1:
         raise ValidationError([f"{what} needs a uniform arity, got {sorted(parts)}"])
     return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, {}, {})
@@ -664,20 +828,13 @@ def _clamp(cert: Certificate) -> Certificate:
     return replace(cert, bound=1.0) if cert.bound > 1.0 else cert
 
 
-def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:
-    """Certified upper bound on the instance value; dispatches on arity.
-
-    The instance is validated and coalesced once. Mixed-arity instances are
-    bucketed by edge size and the per-bucket bounds are averaged with
-    weights m_k / m. The returned bound is always sound and at most the
-    trivial bound 1, which every instance value obeys; resource-cap failures
-    surface as status "uncertain" with that bound.
-    """
-    params = params or RefuteParams()
-    validate_instance(inst)
-    parts = _coalesce(inst, params.split_weights)
-    if not any(any(part.live.values()) for part in parts.values()):
+def _refute_scheme(
+    scheme: PreparedScheme, sums: Sequence[int], params: RefuteParams
+) -> Certificate:
+    """``refute`` of one prepared scheme, given the signed sums of its rhs."""
+    if scheme.zero:
         return _ZERO  # no edges, or every weight is zero
+    parts = scheme.coalesced(sums, params.split_weights)
     certs = [_clamp(_refute_part(part, params)) for part in parts.values()]
     m = sum(part.m for part in parts.values())
     if len(certs) == 1:
@@ -687,6 +844,21 @@ def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate
         total = sum(Fraction(p.m, m) * Fraction(c.bound) for p, c in zip(parts.values(), certs))
         cert = _combine(certs, _float_up(total))
     if params.split_weights and cert.certified:
-        # the m unit copies have the term sums of the inst.m original copies
-        cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, inst.m)))
+        # the m unit copies have the term sums of the scheme's original copies
+        cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
     return _clamp(cert)
+
+
+def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:
+    """Certified upper bound on the instance value; dispatches on arity.
+
+    The instance is validated once, then prepared and coalesced with its
+    right-hand side. Mixed-arity instances are bucketed by edge size and the
+    per-bucket bounds are averaged with weights m_k / m. The returned bound
+    is always sound and at most the trivial bound 1, which every instance
+    value obeys; resource-cap failures surface as status "uncertain" with
+    that bound.
+    """
+    params = params or RefuteParams()
+    validate_instance(inst)
+    return _prepare_instance(inst)._refute(inst.rhs, params)[0]

@@ -1,10 +1,13 @@
+import importlib
+import pickle
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from xorcert import fourier
+from xorcert import core, fourier, reduction
 from xorcert.avoid import (
     AvoidParams,
     CertifyParams,
@@ -15,14 +18,21 @@ from xorcert.avoid import (
 from xorcert.circuits import (
     Circuit,
     JuntaGate,
+    circuit_from_json,
+    circuit_to_json,
+    eval_circuit,
     random_parity_circuit,
     random_tree_circuit,
+    to_layered,
 )
 from xorcert.core import ValidationError
 from xorcert.oracle import brute_min_distance, brute_range_member
 from xorcert.prg import GeneratorSpec, sample
+from xorcert.reduction import SchemeEnsemble, group_characters
 
 from helpers import random_other_circuit, random_pruned_circuit, signs
+
+avoid_module = importlib.import_module("xorcert.avoid")
 
 X0 = JuntaGate((0,), (0, 1))
 X1 = JuntaGate((1,), (0, 1))
@@ -31,21 +41,27 @@ XOR01 = JuntaGate((0, 1), (0, 1, 1, 0))
 OR01 = JuntaGate((0, 1), (0, 1, 1, 1))
 
 
-@pytest.fixture()
-def expand_calls(monkeypatch):
-    """Counts calls of ``expand_junta`` through every xorcert module that
-    binds it."""
+def record_calls(monkeypatch, original) -> list:
+    """Arguments of every call of ``original`` made through any xorcert
+    module that binds it."""
     calls = []
-    original = fourier.expand_junta
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "xorcert" and getattr(module, "expand_junta", None) is original:
-            monkeypatch.setattr(module, "expand_junta", counted)
+        if name.split(".")[0] == "xorcert":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture()
+def expand_calls(monkeypatch):
+    """Arguments of every call of ``expand_junta``."""
+    return record_calls(monkeypatch, fourier.expand_junta)
 
 
 class TestParityDependency:
@@ -217,10 +233,10 @@ class TestOneAnalysis:
         c = random_pruned_circuit(random.Random(11), 8, 2, 120)
         res = avoid(c, GeneratorSpec.eps_biased(120, 10), AvoidParams(budget=16))
         assert res.stats["parity_outputs"] == 3
-        assert sorted(map(id, expand_calls)) == sorted(map(id, c.gates))
+        assert sorted(id(args[0]) for args in expand_calls) == sorted(map(id, c.gates))
         expand_calls.clear()
         certify_not_in_range(c, (1,) * c.m)
-        assert sorted(map(id, expand_calls)) == sorted(map(id, c.gates))
+        assert sorted(id(args[0]) for args in expand_calls) == sorted(map(id, c.gates))
 
     @pytest.mark.parametrize("kind", ["junta", "tree"])
     def test_certify_agrees_with_avoid(self, kind):
@@ -242,3 +258,104 @@ class TestOneAnalysis:
         assert [rc.min_distance.numerator, rc.min_distance.denominator] == (
             res.justification["min_distance"]
         )
+
+
+class TestPreparedTargets:
+    """A prepared ensemble or split serves every target without building,
+    attaching or validating a per-key instance."""
+
+    @staticmethod
+    def _circuits():
+        rng = random.Random(0)
+        a = random_tree_circuit(rng, 6, 1, 2, 200)
+        b = random_tree_circuit(rng, 6, 1, 2, 200)
+        small = random_tree_circuit(rng, 4, 1, 2, 200)
+        return a, b, small
+
+    def test_ensemble_of_another_circuit_is_rejected(self):
+        a, b, small = self._circuits()
+        target = eval_circuit(a, [0] * a.n)  # in the range of a
+        params = CertifyParams(eps=Fraction(2, 5))
+        own = certify_not_in_range(a, target, params, prepared=group_characters(to_layered(a)))
+        assert not own.certified
+        # unchecked, each of these ensembles certifies the in-range target
+        for other in (b, small):
+            with pytest.raises(ValidationError, match="not grouped from this circuit"):
+                certify_not_in_range(
+                    a, target, params, prepared=group_characters(to_layered(other))
+                )
+
+    def test_ensemble_of_an_equal_circuit_is_accepted(self):
+        a, _, _ = self._circuits()
+        target = signs(random.Random(1), a.m)
+        params = CertifyParams(eps=Fraction(2, 5))
+        twin = circuit_from_json(circuit_to_json(a))
+        assert twin == a and twin.gates[0] is not a.gates[0]
+        ens = group_characters(to_layered(twin))
+        assert certify_not_in_range(a, target, params, prepared=ens) == (
+            certify_not_in_range(a, target, params)
+        )
+        # a junta gate matches the tree it was grouped as
+        mixed = Circuit(a.n, a.w, a.t, (OR01,) + a.gates[1:])
+        ens = group_characters(to_layered(mixed.with_tree_gates()))
+        assert certify_not_in_range(mixed, target, params, prepared=ens) == (
+            certify_not_in_range(mixed, target, params)
+        )
+
+    def test_hand_built_ensemble_is_rejected(self):
+        a, _, _ = self._circuits()
+        ens = group_characters(to_layered(a))
+        bare = SchemeEnsemble(ens.n, ens.w, ens.t, ens.m, dict(ens.schemes))
+        with pytest.raises(ValidationError, match="not grouped from this circuit"):
+            certify_not_in_range(a, (1,) * a.m, prepared=bare)
+
+    def test_target_signs_checked(self):
+        a, _, _ = self._circuits()
+        ens = group_characters(to_layered(a))
+        with pytest.raises(ValidationError, match="rhs 0"):
+            certify_not_in_range(a, (0,) + (1,) * (a.m - 1), prepared=ens)
+
+    def test_bucket_wider_than_the_inputs_is_zero(self):
+        # t = 4 allows patterns of 3 positions, but every gate reads 2 of the
+        # n = 2 inputs, so those buckets hold only zero-weight fillers
+        c = Circuit(2, 1, 4, (JuntaGate((0, 1), (0, 0, 0, 1)), JuntaGate((0, 1), (0, 1, 1, 1))))
+        split = reduction.nonadaptive_split(c)
+        certs = dict(zip(sorted(split.buckets), split.prepared.refute((1, -1))))
+        assert all(certs[alpha].bound == 0.0 for alpha in certs if len(alpha) == 3)
+        assert not certify_not_in_range(c, (1, -1)).certified  # no error
+
+    def test_certify_builds_and_validates_no_instance(self, monkeypatch):
+        rng = random.Random(13)
+        c = random_tree_circuit(rng, 6, 2, 2, 300, leaf_prob=0.4)
+        ens = group_characters(to_layered(c))
+        validated = record_calls(monkeypatch, core.validate_instance)
+        attached = record_calls(monkeypatch, reduction.attach_rhs)
+        params = CertifyParams(eps=Fraction(2, 5))
+        rc = certify_not_in_range(c, signs(rng, c.m), params, prepared=ens)
+        assert rc.path == "tree"
+        assert validated == []
+        assert attached == []
+
+    def test_junta_avoid_validates_no_bucket(self, monkeypatch):
+        c = random_pruned_circuit(random.Random(11), 8, 2, 120)
+        validated = record_calls(monkeypatch, core.validate_instance)
+        res = avoid(c, GeneratorSpec.eps_biased(120, 10), AvoidParams(budget=16))
+        assert res.justification["kind"] == "refutation"
+        assert validated == []
+
+    def test_workers_ship_the_prepared_form_once_per_worker(self, monkeypatch):
+        task_bytes = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(avoid_module, "ProcessPoolExecutor", Recording)
+        rng = random.Random(12)
+        c = random_tree_circuit(rng, 6, 1, 2, 300, leaf_prob=0.15)
+        params = AvoidParams(budget=16, workers=2, certify=CertifyParams(eps=Fraction(1, 4)))
+        res = avoid(c, GeneratorSpec.eps_biased(c.m, 10), params)
+        assert res.justification["kind"] == "refutation"
+        # a task carries its seeds only; the ensemble went to each worker once
+        assert task_bytes and max(task_bytes) < 1000

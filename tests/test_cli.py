@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,24 @@ class TestArtifacts:
             inst = instance_from_json((out_dir / entry["file"]).read_text())
             assert inst.m == 3
             assert inst.arity == entry["arity"]
+
+    @pytest.mark.parametrize("kind, shape, digest", [
+        ("tree", ["--n", "3", "--w", "2", "--t", "2", "--m", "6", "--seed", "7"],
+         "fb9ccb1fac93d5ed031116a695dc790ebc478994fc0420bc29bb62e972f40e77"),
+        ("junta", ["--n", "4", "--t", "2", "--m", "5", "--seed", "3"],
+         "490b160e5a7c686510a3632fc8d543c88036a70f32737e02055fca2304d3a09f"),
+    ])
+    def test_reduce_files_pinned(self, tmp_path, kind, shape, digest):
+        """The scheme files of two fixed circuits, recorded while every key's
+        dense scheme was built in ``group_characters``."""
+        circ = tmp_path / "c.json"
+        assert run("gen", "circuit", "--kind", kind, *shape, "--out", str(circ)) == 0
+        out_dir = tmp_path / "ens"
+        assert run("reduce", "--circuit", str(circ), "--out-dir", str(out_dir)) == 0
+        h = hashlib.sha256()
+        for path in sorted(out_dir.iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == digest
 
     def test_avoid_artifact_reparses(self, tmp_path, circuit_file):
         from xorcert.avoid import avoid_result_from_obj

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorcert.circuits import (
     Circuit,
@@ -13,6 +16,7 @@ from xorcert.circuits import (
     to_layered,
 )
 from xorcert.core import Dyadic, ValidationError
+from xorcert.fourier import ParityClass, classify_parity, expand_junta
 from xorcert.oracle import brute_min_distance, brute_val, check_decomposition
 from xorcert.reduction import (
     attach_rhs,
@@ -20,6 +24,7 @@ from xorcert.reduction import (
     key_filename,
     nonadaptive_split,
 )
+from xorcert.refuter import RefuteParams, refute
 
 from helpers import random_other_circuit, signs
 
@@ -196,3 +201,83 @@ class TestNonadaptiveSplit:
                         sign *= x[v]
                     lead += Fraction(sign * coeff.num, (1 << coeff.log_den) * c.m)
             assert corr == total + lead
+
+
+_PARAMS = st.builds(
+    RefuteParams,
+    r=st.sampled_from((None, 1, 2, 3)),
+    mode=st.sampled_from(("trace", "spectral", "auto")),
+    split_weights=st.booleans(),
+)
+
+
+def _mixed_fan_in_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
+    """Non-parity junta circuit whose gates read 2 to t inputs, so buckets
+    of the larger patterns hold zero-weight filler edges."""
+    gates = []
+    while len(gates) < m:
+        inputs = tuple(sorted(rng.sample(range(n), rng.randint(2, t))))
+        gate = JuntaGate(inputs, tuple(rng.randrange(2) for _ in range(1 << len(inputs))))
+        if classify_parity(expand_junta(gate, n)) is ParityClass.OTHER:
+            gates.append(gate)
+    return Circuit(n, 1, t, tuple(gates))
+
+
+class TestPreparedMatchesInstances:
+    """A prepared key or bucket certifies exactly as ``refute`` of the
+    instance that ``attach_rhs`` or ``JuntaSplit.instance`` builds."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ensemble_keys(self, data):
+        shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+        t, w = data.draw(st.sampled_from(shapes), label="t, w")
+        small = t * w > 4  # 4^6 keys: keep the circuit tiny
+        n = data.draw(st.integers(t, 3 if small else 4), label="n")
+        m = data.draw(st.integers(1, 3 if small else 12), label="m")
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        c = random_tree_circuit(rng, n, w, t, m, leaf_prob=0.3)
+        ens = group_characters(to_layered(c))
+        b = signs(rng, m)
+        params = data.draw(_PARAMS, label="params")
+        instances = attach_rhs(ens, b)
+        expected = [refute(instances[key], params) for key in ens.keys()]
+        assert ens.prepared.refute(b, params) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_junta_buckets(self, data):
+        t = data.draw(st.integers(2, 4), label="t")
+        n = data.draw(st.integers(t, 7), label="n")
+        m = data.draw(st.integers(1, 30), label="m")
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        split = nonadaptive_split(_mixed_fan_in_circuit(rng, n, t, m))
+        b = signs(rng, m)
+        params = data.draw(_PARAMS, label="params")
+        assert split.prepared.refute(b, params) == [
+            refute(split.instance(alpha, b), params) for alpha in sorted(split.buckets)
+        ]
+
+    def test_filler_edge_merges_with_a_real_edge(self):
+        # output 1 has no character at key ((1,), 1), so its filler edge (0,)
+        # is the edge of output 0's character there
+        c = Circuit(2, 1, 1, (tree_identity(0), WordDecisionTree(Leaf(1)), tree_identity(1)))
+        ens = group_characters(to_layered(c))
+        key = ((1,), 1)
+        (part,) = ens.prepared.schemes[ens.keys().index(key)].parts
+        assert dict(zip(part.edges, part.copies)) == {(0,): 2, (1,): 1}
+        assert part.live == {(0,): 1, (1,): 1}
+        assert ens.schemes[key].hypergraph.edges == ((0,), (0,), (1,))
+        for b in product((1, -1), repeat=3):
+            for params in (RefuteParams(), RefuteParams(split_weights=True)):
+                assert ens.prepared.refute(b, params) == [
+                    refute(inst, params) for _, inst in sorted(attach_rhs(ens, b).items())
+                ]
+
+    def test_rhs_checked(self):
+        c = Circuit(1, 1, 1, (tree_identity(0),))
+        ens = group_characters(to_layered(c))
+        with pytest.raises(ValidationError, match="rhs signs for 1 edges"):
+            ens.prepared.refute((1, 1))
+        with pytest.raises(ValidationError, match="rhs 2 not in"):
+            ens.prepared.refute((2,))

@@ -367,6 +367,38 @@ class TestRefute:
         assert refute(make_instance(2, [(0, 1), (0, 1)], [1, -1])).bound == 0.0
         assert refute(make_instance(1, [(0,), (0,)], [1, -1])).bound == 0.0
 
+    def test_weights_beyond_53_bits_take_the_exact_integer_path(self):
+        a, b = Dyadic((1 << 60) - 1, 60), Dyadic((1 << 59) - 1, 59)
+        inst = make_instance(2, [(0,), (0,), (0, 1)], [1, -1, 1], weights=[a, b, Dyadic(0)])
+        prepared = refuter._prepare_instance(inst)
+        assert prepared.weights is None  # float sums would not be exact
+        # (1 - 2^-60) - (1 - 2^-59) = 2^-60, which rounds to 0 as floats
+        assert prepared.signed_sums(inst.rhs) == [1, 0]
+        cert = refute(inst)
+        assert [c.bound for c in cert.breakdown] == [2.0 ** -61, 0.0]
+        best = max(inst.value(x) for x in ((1, 1), (-1, 1)))
+        assert Fraction(cert.bound) >= best == Fraction(1, 3 << 60)
+
+    def test_float_sums_match_the_integer_loop(self):
+        # units up to 2^45 on 200 copies: the float sums stay just below 2^53
+        rng = random.Random(21)
+        for log_den in (3, 30, 45):
+            edges = [tuple(sorted(rng.sample(range(6), rng.choice((1, 2))))) for _ in range(200)]
+            weights = [Dyadic(rng.randint(-(1 << log_den), 1 << log_den), log_den) for _ in edges]
+            inst = make_instance(6, edges, [rng.choice((1, -1)) for _ in edges], weights=weights)
+            prepared = refuter._prepare_instance(inst)
+            assert prepared.weights is not None
+            expected = [0] * prepared.n_rows
+            for part in prepared.schemes[0].parts:
+                for row, edge in enumerate(part.edges, part.row):
+                    expected[row] = sum(
+                        b * w.scaled(prepared.schemes[0].log_den)
+                        for e, w, b in zip(edges, weights, inst.rhs)
+                        if e == edge
+                    )
+            assert prepared.signed_sums(inst.rhs) == expected
+            assert replace(prepared, weights=None).signed_sums(inst.rhs) == expected
+
     def test_k0_direct(self):
         inst = make_instance(2, [(), (), ()], [1, 1, -1], arity=0)
         cert = refute(inst)
