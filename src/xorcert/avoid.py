@@ -1,6 +1,7 @@
 """Range avoidance and remote-point certification for low-depth circuits.
 
-Fast path: one pass expands and classifies every junta gate, and enough parity
+Fast path: one batched transform per fan-in gives every junta gate's exact
+spectrum and parity class (``fourier.junta_spectra``), and enough parity
 outputs force a GF(2) dependency whose violation is a range gap. Otherwise
 parity outputs are pruned and candidate targets drawn from an explicit
 generator are certified one seed at a time, as ``certify_not_in_range`` does:
@@ -28,19 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .circuits import Circuit, to_layered
 from .core import ValidationError
-from .fourier import ParityClass
+from .fourier import GateSpectra, junta_spectra
 from .gf2 import find_xor_dependency
 from .prg import GeneratorSpec, sample_int, seed_count, seed_to_str
-from .reduction import (
-    GateAnalysis,
-    JuntaSplit,
-    SchemeEnsemble,
-    _analyze_gates,
-    _split_analyzed,
-    group_characters,
-)
+from .reduction import JuntaSplit, SchemeEnsemble, group_characters
 from .refuter import Certificate, RefuteParams, _combine_mode, _float_up
 
 
@@ -94,39 +90,43 @@ def find_parity_dependency(
     multiplies to a fixed sign. With at least n + 1 parity outputs a
     dependency always exists.
     """
-    return _parity_dependency(_analyze_gates(c)) if c.is_junta_circuit() else None
+    return _parity_dependency(junta_spectra(c.gates)) if c.is_junta_circuit() else None
 
 
-def _parity_dependency(analysis: GateAnalysis) -> tuple[list[int], int] | None:
-    vectors = []
-    signs = []
-    positions = []
-    for i, (cls, exp) in enumerate(analysis):
-        if cls is ParityClass.OTHER:
-            continue
-        mask = 0
-        for v in exp.support():
-            mask |= 1 << v
-        vectors.append(mask)
-        signs.append(1 if cls is ParityClass.XOR else -1)
-        positions.append(i)
-    dep = find_xor_dependency(vectors)
+def _parity_dependency(gates: Sequence[GateSpectra]) -> tuple[list[int], int] | None:
+    parities = []  # (output, sign, support as a bitmask of variables)
+    for g in gates:
+        rows = np.flatnonzero(g.parity)
+        for pos, sign, inputs, support in zip(
+            g.positions[rows].tolist(), g.parity[rows].tolist(),
+            g.inputs[rows].tolist(), g.support[rows].tolist(),
+        ):
+            mask = sum(1 << v for j, v in enumerate(inputs) if (support >> j) & 1)
+            parities.append((pos, sign, mask))
+    parities.sort()
+    dep = find_xor_dependency([mask for _, _, mask in parities])
     if dep is None:
         return None
-    outputs = [positions[j] for j in dep]
+    outputs = [parities[j][0] for j in dep]
     forced = 1
     for j in dep:
-        forced *= signs[j]
+        forced *= parities[j][1]
     return outputs, forced
 
 
-def _prune_parities(c: Circuit, analysis: GateAnalysis) -> tuple[list[int], JuntaSplit | None]:
-    """Positions of the non-parity outputs, and the split of those outputs."""
-    kept = [i for i, (cls, _) in enumerate(analysis) if cls is ParityClass.OTHER]
+def _prune_parities(
+    c: Circuit, gates: Sequence[GateSpectra]
+) -> tuple[list[int], JuntaSplit | None]:
+    """Positions of the non-parity outputs, and the split of those outputs,
+    renumbered in order."""
+    others = [(g, np.flatnonzero(g.parity == 0)) for g in gates]
+    kept = sorted(pos for g, rows in others for pos in g.positions[rows].tolist())
     if not kept:
         return kept, None
-    pruned = Circuit(c.n, c.w, c.t, tuple(c.gates[i] for i in kept))
-    return kept, _split_analyzed(pruned, [analysis[i] for i in kept])
+    kept_gates = tuple(
+        g.take(rows, np.searchsorted(kept, g.positions[rows])) for g, rows in others if len(rows)
+    )
+    return kept, JuntaSplit(c.t, len(kept), c.n, kept_gates)
 
 
 def _sum_bounds(
@@ -217,7 +217,7 @@ def certify_not_in_range(
         raise ValidationError([f"target length {len(b)} != m = {c.m}"])
 
     if c.is_junta_circuit():
-        kept, split = _prune_parities(c, _analyze_gates(c))
+        kept, split = _prune_parities(c, junta_spectra(c.gates))
         if split is None:
             return _uncertain_remote("junta", 0)
         return _certify_prepared(split, [b[i] for i in kept], c.m, params)
@@ -339,11 +339,11 @@ def avoid(
 
     stats: dict = {"budget": params.budget}
     if c.is_junta_circuit():
-        analysis = _analyze_gates(c)
-        dep = _parity_dependency(analysis)
+        gates = junta_spectra(c.gates)
+        dep = _parity_dependency(gates)
         if dep is not None:
             return _parity_avoid_result(c, dep[0], dep[1])
-        kept, prepared = _prune_parities(c, analysis)
+        kept, prepared = _prune_parities(c, gates)
     else:
         kept = list(range(c.m))
         prepared = group_characters(to_layered(c.with_tree_gates()))

@@ -1,15 +1,26 @@
 """Exact Fourier expansions of junta gates, shallow decision trees, and
 layered tree outputs, with level weights and parity classification.
 
-Characters are sorted index tuples (not bitmasks) so the variable count is
-unbounded. Every coefficient is an exact dyadic rational.
+Junta gates are analysed as integer arrays: ``junta_spectra`` stacks the
++-1 tables of all gates of one fan-in f and applies one in-place
+Walsh-Hadamard transform, which gives every gate's exact spectrum at the
+scale 2^-f; the parity class, the true support and the leading coefficient
+are read from it. ``expand_junta`` and ``classify_parity`` are the same
+transform and the same classification rule for one gate and for a sparse
+expansion.
+
+Elsewhere characters are sorted index tuples (not bitmasks) so the variable
+count is unbounded. Every coefficient is an exact dyadic rational.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .circuits import JuntaGate, Leaf, LayeredCircuit, TreeNode, WordDecisionTree
 from .core import Dyadic, ValidationError
@@ -53,27 +64,113 @@ class FourierExpansion:
         return max((len(a) for a in self.coeffs), default=0)
 
 
-def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion:
-    """Exact transform of a junta truth table by direct character summation."""
-    t = len(gate.inputs)
-    if t > 16:
-        raise ValidationError([f"junta fan-in {t} exceeds the transform cap 16"])
-    if len(gate.table) != 1 << t:
-        raise ValidationError(
-            [f"table length {len(gate.table)} != 2^{t}"]
+TRANSFORM_CAP = 16  # largest junta fan-in whose 2^f-entry table is transformed
+
+
+def walsh_hadamard(tables: np.ndarray) -> np.ndarray:
+    """Integer Walsh-Hadamard transform along axis 1 of a C-contiguous int64
+    array of shape (G, 2^f), in place, one butterfly level at a time.
+
+    Entry S of a row becomes sum_a row[a] * (-1)^|a & S|, so a row of +-1
+    table values becomes 2^f times the gate's Fourier coefficients.
+    """
+    rows, size = tables.shape
+    h = 1
+    while h < size:
+        pairs = tables.reshape(rows, size // (2 * h), 2, h)
+        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        lo += hi  # lo + hi
+        hi *= -2
+        hi += lo  # (lo + hi) - 2 hi = lo - hi
+        h *= 2
+    return tables
+
+
+@dataclass(frozen=True, eq=False)
+class GateSpectra:
+    """Exact spectra of junta gates that share one fan-in f, a row per gate.
+
+    Gate g sits at output ``positions[g]`` and reads ``inputs[g]``.
+    ``spectra[g, S]`` is 2^f times its coefficient on the character that
+    multiplies its inputs at the positions in the bitmask S, an exact integer.
+    ``parity[g]`` is +1 for XOR, -1 for NXOR and 0 for any other gate, and
+    ``support[g]`` is the bitmask of input positions the gate depends on.
+    """
+
+    fan_in: int
+    positions: np.ndarray
+    inputs: np.ndarray
+    spectra: np.ndarray
+    parity: np.ndarray
+    support: np.ndarray
+
+    def take(self, rows: np.ndarray, positions: np.ndarray) -> "GateSpectra":
+        """The selected rows, moved to new output positions."""
+        return GateSpectra(
+            self.fan_in,
+            positions,
+            self.inputs[rows],
+            self.spectra[rows],
+            self.parity[rows],
+            self.support[rows],
         )
+
+
+def junta_spectra(gates: Sequence) -> list[GateSpectra]:
+    """Spectra and parity classes of junta gates, grouped by fan-in.
+
+    Each fan-in's +-1 tables are stacked and go through one
+    :func:`walsh_hadamard` call, so every gate's table is transformed once.
+    """
+    by_fan_in: dict[int, list[int]] = {}
+    for i, gate in enumerate(gates):
+        if not isinstance(gate, JuntaGate):
+            raise ValidationError([f"gate {i} is not a junta gate"])
+        t = len(gate.inputs)
+        if t > TRANSFORM_CAP:
+            raise ValidationError([f"junta fan-in {t} exceeds the transform cap {TRANSFORM_CAP}"])
+        if len(gate.table) != 1 << t:
+            raise ValidationError([f"table length {len(gate.table)} != 2^{t}"])
+        by_fan_in.setdefault(t, []).append(i)
+    out = []
+    for t, positions in sorted(by_fan_in.items()):
+        rows = len(positions)
+        bits = np.fromiter(chain.from_iterable(gates[i].table for i in positions), np.int64)
+        spectra = walsh_hadamard((1 - 2 * (bits & 1)).reshape(rows, 1 << t))
+        inputs = np.fromiter(chain.from_iterable(gates[i].inputs for i in positions), np.int64)
+        parity, support = _classify_spectra(spectra, t)
+        out.append(GateSpectra(
+            t, np.array(positions, dtype=np.intp), inputs.reshape(rows, t), spectra, parity, support
+        ))
+    return out
+
+
+def _classify_spectra(spectra: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parity, support) of every row of a spectrum array at the scale 2^-t."""
+    nonzero = spectra != 0
+    support = np.bitwise_or.reduce(np.where(nonzero, np.arange(1 << t), 0), axis=1)
+    lead = spectra[np.arange(len(spectra)), support]
+    parity = _parity_rule(
+        (spectra * spectra).sum(axis=1),
+        nonzero.sum(axis=1),
+        np.bitwise_count(support).astype(np.int64),
+        lead,
+        t,
+    )
+    return parity, support
+
+
+def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion:
+    """Exact expansion of one junta gate, read from :func:`junta_spectra`."""
+    (spec,) = junta_spectra([gate])
     if n_vars is None:
         n_vars = max(gate.inputs, default=-1) + 1
-    coeffs: dict[tuple[int, ...], Dyadic] = {}
-    for mask in range(1 << t):
-        num = 0
-        for a in range(1 << t):
-            num += 1 - 2 * ((gate.table[a] + (a & mask).bit_count()) & 1)
-        if num:
-            alpha = tuple(
-                sorted(gate.inputs[j] for j in range(t) if (mask >> j) & 1)
-            )
-            coeffs[alpha] = Dyadic(num, t)
+    t = spec.fan_in
+    coeffs = {
+        tuple(sorted(gate.inputs[j] for j in range(t) if (mask >> j) & 1)): Dyadic(num, t)
+        for mask, num in enumerate(spec.spectra[0].tolist())
+        if num
+    }
     return FourierExpansion(n_vars, coeffs)
 
 
@@ -180,25 +277,51 @@ class ParityClass(enum.Enum):
 
 
 def classify_parity(exp: FourierExpansion) -> ParityClass:
-    """Detect (negated) parities on the true dependency support.
-
-    For OTHER gates the leading coefficient on the full support is checked
-    against the 1 - 2^(1-t) ceiling that separates them from parities.
-    """
-    if exp.parseval_sum() != Dyadic(1):
-        raise ValidationError(["expansion is not +-1-valued (Parseval != 1)"])
+    """Detect (negated) parities on the true dependency support, by the rule
+    that :func:`junta_spectra` applies to whole spectra."""
     support = exp.support()
-    if set(exp.coeffs) == {support}:
-        lead = exp.coeffs[support]
-        if lead == Dyadic(1):
-            return ParityClass.XOR
-        if lead == Dyadic(-1):
-            return ParityClass.NXOR
-    t = len(support)
-    lead = abs(exp.coeffs.get(support, Dyadic(0)))
-    ceiling = Dyadic((1 << (t - 1)) - 1, t - 1) if t >= 1 else Dyadic(0)
-    if ceiling < lead:
+    log_scale = max((c.log_den for c in exp.coeffs.values()), default=0)
+    nums = [c.scaled(log_scale) for c in exp.coeffs.values()]
+    lead = exp.coeffs.get(support)
+    summary = (
+        sum(num * num for num in nums),
+        len(nums),
+        len(support),
+        lead.scaled(log_scale) if lead is not None else 0,
+    )
+    (parity,) = _parity_rule(*(np.array([v], dtype=object) for v in summary), log_scale)
+    return _PARITY_CLASS[parity]
+
+
+def _parity_rule(
+    square_sum: np.ndarray,
+    nonzero: np.ndarray,
+    support_size: np.ndarray,
+    lead: np.ndarray,
+    log_scale: int,
+) -> np.ndarray:
+    """+1 (XOR), -1 (NXOR) or 0 (other) for each expansion, given its sum of
+    squared coefficients, its number of nonzero coefficients, the size of its
+    support and its leading coefficient, the one on the whole support, all
+    as integers at the scale 2^-log_scale.
+
+    A parity has the single coefficient +-1. For any other gate the leading
+    coefficient is checked against the 1 - 2^(1-t) ceiling, t the support
+    size, that separates it from parities.
+    """
+    one = 1 << log_scale
+    if np.any(square_sum != one * one):
+        raise ValidationError(["expansion is not +-1-valued (Parseval != 1)"])
+    parity = np.where((nonzero == 1) & (abs(lead) == one), lead // one, 0)
+    half = 1 << np.maximum(support_size - 1, 0)
+    over = (parity == 0) & (abs(lead) * half > (half - 1) * one)
+    if np.any(over):
+        g = int(np.argmax(over))
         raise AssertionError(
-            f"non-parity gate with |leading coefficient| {lead} > {ceiling}"
+            f"non-parity gate with |leading coefficient| {abs(lead[g])}/{one}"
+            f" > 1 - 1/{half[g]}"
         )
-    return ParityClass.OTHER
+    return parity
+
+
+_PARITY_CLASS = {1: ParityClass.XOR, -1: ParityClass.NXOR, 0: ParityClass.OTHER}

@@ -16,6 +16,7 @@ import numpy as np
 
 from .circuits import Circuit, JuntaGate, Leaf, TreeNode, check_input, to_layered
 from .core import ValidationError, XorInstance, validate_instance
+from .fourier import walsh_hadamard
 from .prg import GeneratorSpec, sample_output_bits, seed_count
 from .reduction import SchemeEnsemble, group_characters
 
@@ -137,23 +138,10 @@ def _output_histogram(spec: GeneratorSpec) -> np.ndarray:
     return counts
 
 
-def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    out = vec.astype(np.int64).copy()
-    h = 1
-    size = out.shape[0]
-    while h < size:
-        for start in range(0, size, h * 2):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h].copy()
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
-        h *= 2
-    return out
-
 def brute_bias(spec: GeneratorSpec) -> Fraction:
     """Exact max over nonempty parities of |E[chi_I]| over the whole seed space."""
     counts = _output_histogram(spec)
-    spectrum = _walsh_hadamard(counts)
+    spectrum = walsh_hadamard(counts.reshape(1, -1))[0]
     worst = int(np.max(np.abs(spectrum[1:]))) if spectrum.shape[0] > 1 else 0
     return Fraction(worst, seed_count(spec))
 

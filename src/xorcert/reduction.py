@@ -4,8 +4,10 @@ that buckets characters by their position pattern.
 
 Both are prepared for refutation when they are built: ``group_characters``
 prepares every ensemble key straight from the circuit's characters, and a
-``JuntaSplit`` its buckets, so that a target pays one bincount of its signed
-sums plus the engines (``refuter.PreparedSchemes``). An ensemble's dense
+``JuntaSplit`` its buckets straight from the gates' integer spectra
+(``fourier.junta_spectra``), with no per-gate expansion and no dense
+buckets, so that a target pays one bincount of its signed sums plus the
+engines (``refuter.PreparedSchemes``). An ensemble's dense
 per-output schemes, with a zero-weight filler edge wherever an output has no
 character at a key, are made only when ``SchemeEnsemble.schemes`` is read.
 """
@@ -16,7 +18,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .circuits import Circuit, JuntaGate, LayeredCircuit
+import numpy as np
+
+from .circuits import Circuit, LayeredCircuit
 from .core import (
     Dyadic,
     Hypergraph,
@@ -25,14 +29,8 @@ from .core import (
     XorScheme,
     sign_of_bit,
 )
-from .fourier import (
-    FourierExpansion,
-    ParityClass,
-    classify_parity,
-    expand_junta,
-    expand_layered_output,
-)
-from .refuter import PreparedSchemes, prepare_copies
+from .fourier import GateSpectra, expand_layered_output, junta_spectra
+from .refuter import PreparedSchemes, prepare_copies, prepare_rows
 
 # An ensemble key is (beta, slot): beta gives one bit pattern inside [w] per
 # layer (as a mask), slot separates the different characters of one output
@@ -231,47 +229,96 @@ def key_filename(key: EnsembleKey) -> str:
 
 @dataclass(frozen=True)
 class JuntaSplit:
-    """Per-pattern hypergraphs for a junta circuit with no parity outputs.
+    """Per-pattern XOR schemes of a junta circuit with no parity outputs.
 
-    ``buckets`` maps every proper subset of gate positions to the hypergraph
-    of input projections and the per-gate coefficient vector; the full-degree
-    characters are excluded and their total magnitude obeys the non-parity
-    ceiling 1 - 2^(1-t) gate by gate. ``prepared`` holds the buckets in
-    sorted order, prepared for refutation without validating them again:
-    their edges and weights come from a validated circuit's expansions.
+    Every proper subset alpha of the t gate positions is a bucket, a scheme
+    with one copy per output: output i contributes the character on its
+    inputs at the positions alpha with its coefficient or, if its gate reads
+    alpha[-1] or fewer inputs, a zero-weight filler edge range(|alpha|). The
+    full-degree characters are excluded; their total magnitude obeys the
+    non-parity ceiling 1 - 2^(1-t) gate by gate. ``gates`` holds the spectra
+    of the outputs, numbered 0 to m - 1, and ``prepared`` the buckets in
+    sorted order, prepared for refutation straight from those spectra.
     """
 
     t: int
     m: int
     n: int
-    buckets: Mapping[tuple[int, ...], tuple[Hypergraph, tuple[Dyadic, ...]]]
+    gates: tuple[GateSpectra, ...] = field(repr=False, compare=False)
     prepared: PreparedSchemes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prepared", prepare_copies(self.m, (
-            (hyper.n, list(zip(range(self.m), hyper.edges, weights)), {})
-            for _, (hyper, weights) in sorted(self.buckets.items())
-        )))
+        object.__setattr__(self, "prepared", self._prepare())
+
+    def patterns(self) -> list[tuple[int, ...]]:
+        """The buckets' position patterns, in sorted order."""
+        return sorted(
+            alpha for size in range(self.t) for alpha in itertools.combinations(range(self.t), size)
+        )
+
+    def _characters(self, alpha: tuple[int, ...]) -> list[tuple[GateSpectra, np.ndarray, np.ndarray]]:
+        """(gates, sorted edges, coefficients at the scale 2^-f) of every
+        fan-in f above the positions alpha."""
+        mask = sum(1 << j for j in alpha)
+        return [
+            (g, np.sort(g.inputs[:, list(alpha)], axis=1), g.spectra[:, mask])
+            for g in self.gates
+            if not alpha or alpha[-1] < g.fan_in
+        ]
+
+    def _prepare(self) -> PreparedSchemes:
+        """``prepare_rows`` of the buckets: a row per character and one row
+        for all of a bucket's filler copies, at the first of their outputs,
+        each bucket's rows in output order. A bucket's scale 2^-L is the
+        finest of its coefficients num * 2^-f in lowest terms."""
+        width = max(self.t - 1, 0)
+        schemes = []
+        # an empty block keeps the concatenation defined when m = 0
+        blocks = [tuple(np.zeros(shape, dtype=np.int64) for shape in (0, 0, (0, width), 0, 0))]
+        for j, alpha in enumerate(self.patterns()):
+            chars = self._characters(alpha)
+            log_den = 0
+            for g, _, col in chars:
+                low = int(np.bitwise_or.reduce(np.abs(col)))
+                if low:
+                    log_den = max(log_den, g.fan_in - (low & -low).bit_length() + 1)
+            schemes.append((self.n, log_den))
+            outputs = [g.positions for g, _, _ in chars]
+            edges = [edge for _, edge, _ in chars]
+            units = [
+                col << (log_den - g.fan_in) if log_den >= g.fan_in else col >> (g.fan_in - log_den)
+                for g, _, col in chars
+            ]
+            counts = [np.ones(len(col), dtype=np.int64) for _, _, col in chars]
+            fillers = [g.positions for g in self.gates if alpha and alpha[-1] >= g.fan_in]
+            if fillers:
+                outputs.append(np.array([min(pos.min() for pos in fillers)]))
+                edges.append(np.arange(len(alpha))[None, :])
+                units.append(np.zeros(1, dtype=np.int64))
+                counts.append(np.array([sum(map(len, fillers))]))
+            if not outputs:
+                continue
+            out = np.concatenate(outputs)
+            order = np.argsort(out, kind="stable")
+            padded = np.full((len(out), width), -1, dtype=np.int64)
+            padded[:, :len(alpha)] = np.concatenate(edges)
+            blocks.append((
+                np.full(len(out), j), out[order], padded[order],
+                np.concatenate(units)[order], np.concatenate(counts)[order],
+            ))
+        scheme, outputs, edges, units, counts = map(np.concatenate, zip(*blocks))
+        return prepare_rows(self.m, schemes, scheme, edges, outputs, units, counts)
 
     def instance(self, alpha: tuple[int, ...], b: Sequence[int]) -> XorInstance:
-        hyper, weights = self.buckets[alpha]
-        scheme = XorScheme(hyper, weights, len(alpha))
+        """Bucket alpha with right-hand side b as an instance, an edge per output."""
+        edges = [tuple(range(len(alpha)))] * self.m
+        weights = [Dyadic(0)] * self.m
+        for g, edge, col in self._characters(alpha):
+            for out, e, num in zip(g.positions.tolist(), edge.tolist(), col.tolist()):
+                edges[out] = tuple(e)
+                weights[out] = Dyadic(num, g.fan_in)
+        scheme = XorScheme(Hypergraph(self.n, tuple(edges)), tuple(weights), len(alpha))
         return XorInstance(scheme, tuple(b))
-
-
-GateAnalysis = Sequence[tuple[ParityClass, FourierExpansion]]
-
-
-def _analyze_gates(c: Circuit) -> GateAnalysis:
-    """(Parity class, Fourier expansion) of every gate of a junta circuit: the
-    one expansion that dependency search, pruning and splitting all share."""
-    out = []
-    for i, gate in enumerate(c.gates):
-        if not isinstance(gate, JuntaGate):
-            raise ValidationError([f"gate {i} is not a junta gate"])
-        exp = expand_junta(gate, c.n)
-        out.append((classify_parity(exp), exp))
-    return out
 
 
 def nonadaptive_split(c: Circuit) -> JuntaSplit:
@@ -280,33 +327,10 @@ def nonadaptive_split(c: Circuit) -> JuntaSplit:
     Every gate must classify as non-parity; XOR/NXOR outputs are rejected and
     have to be pruned by the caller first.
     """
-    return _split_analyzed(c, _analyze_gates(c))
-
-
-def _split_analyzed(c: Circuit, analysis: GateAnalysis) -> JuntaSplit:
-    """:func:`nonadaptive_split` given ``_analyze_gates(c)``."""
-    t = c.t
-    for i, (cls, _) in enumerate(analysis):
-        if cls is not ParityClass.OTHER:
-            raise ValidationError(
-                [f"gate {i} is a parity or negated parity; prune it first"]
-            )
-
-    buckets: dict[tuple[int, ...], tuple[Hypergraph, tuple[Dyadic, ...]]] = {}
-    for size in range(t):
-        for alpha in itertools.combinations(range(t), size):
-            edges = []
-            weights = []
-            for gate, (_, exp) in zip(c.gates, analysis):
-                if alpha and alpha[-1] >= len(gate.inputs):
-                    edges.append(tuple(range(size)))  # zero-weight filler
-                    weights.append(Dyadic(0))
-                    continue
-                char = tuple(sorted(gate.inputs[j] for j in alpha))
-                edges.append(char)
-                weights.append(exp.coeffs.get(char, Dyadic(0)))
-            buckets[alpha] = (
-                Hypergraph(c.n, tuple(edges)),
-                tuple(weights),
-            )
-    return JuntaSplit(t, c.m, c.n, buckets)
+    gates = junta_spectra(c.gates)
+    parities = [pos for g in gates for pos in g.positions[g.parity != 0].tolist()]
+    if parities:
+        raise ValidationError(
+            [f"gate {min(parities)} is a parity or negated parity; prune it first"]
+        )
+    return JuntaSplit(c.t, c.m, c.n, tuple(gates))

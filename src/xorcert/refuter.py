@@ -42,7 +42,8 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -233,12 +234,35 @@ class KikuchiOperator:
             total = total + Dyadic(2 * signs[i] * signs[j] * val.num, val.log_den)
         return total
 
+    @cached_property
+    def float_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, values as floats) of ``entries``, converted once
+        and read-only: both engines build their matrix from them."""
+        count = len(self.entries)
+        arrays = (
+            np.fromiter((i for i, _ in self.entries), np.intp, count),
+            np.fromiter((j for _, j in self.entries), np.intp, count),
+            np.fromiter(map(float, self.entries.values()), np.float64, count),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def gamma_floats(self) -> np.ndarray:
+        """:meth:`gamma` as floats, converted once and read-only."""
+        g = np.array([float(g) for g in self.gamma()])
+        g.flags.writeable = False
+        return g
+
     def dense_matrix(self) -> np.ndarray:
+        """The symmetric matrix as a new float array. The operator keeps
+        only its float entries: a dense matrix held through the eigensolve
+        would add dim^2 floats to the peak memory."""
+        rows, cols, values = self.float_entries
         a = np.zeros((self.dim, self.dim))
-        for (i, j), val in self.entries.items():
-            f = float(val)
-            a[i, j] = f
-            a[j, i] = f
+        a[rows, cols] = values
+        a[cols, rows] = values
         return a
 
 
@@ -394,6 +418,96 @@ class PreparedSchemes:
         return [_refute_scheme(scheme, sums, params) for scheme in self.schemes]
 
 
+def _number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(number of each row's distinct key, the distinct keys in number
+    order): numbered by column 0, then column 1, then first row."""
+    # a stable sort puts each distinct key's first row at the head of its run
+    by_key = np.lexsort(keys.T[::-1])
+    ordered = keys[by_key]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct, first = ordered[head], by_key[head]
+    order = np.lexsort((first, distinct[:, 1], distinct[:, 0]))
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.arange(len(order))
+    row = np.empty(len(keys), dtype=np.intp)
+    row[by_key] = number[np.cumsum(head) - 1]
+    return row, distinct[order]
+
+
+def prepare_rows(
+    m: int,
+    schemes: Sequence[tuple[int, int]],
+    scheme: np.ndarray,
+    edges: np.ndarray,
+    outputs: np.ndarray,
+    units: np.ndarray,
+    counts: np.ndarray,
+) -> PreparedSchemes:
+    """Prepare schemes over a rhs of length m from rows of copies, unchecked.
+
+    ``schemes`` gives each scheme's vertex count n and weight scale 2^-L.
+    Row i, in scheme ``scheme[i]``, stands for ``counts[i]`` copies of the
+    edge whose vertices are ``edges[i]``, padded with -1 to the array's width,
+    each of weight ``units[i]`` * 2^-L. A row of nonzero weight is one copy,
+    at rhs position ``outputs[i]``. Rows come in scheme order. ``units`` is
+    an int64 array whose absolute values sum below 2^63, or an object array
+    of Python ints.
+
+    Each scheme's distinct edges are found with their copies, live copies and
+    unit copies, grouped by size in increasing order and, within a size,
+    ordered by their first row; they are numbered consecutively across the
+    schemes. The live copies keep their row order in the incidence.
+    """
+    row, distinct = _number_distinct(np.column_stack((scheme, (edges >= 0).sum(axis=1), edges)))
+    n_rows = len(distinct)
+    live = units != 0
+    live_row = row[live]
+    live_units = units[live]
+    magnitudes = np.abs(live_units)
+    exact = int(magnitudes.sum()) < 1 << 53
+    if exact:
+        unit_copies = np.bincount(live_row, magnitudes.astype(np.float64), n_rows)
+        unit_copies = unit_copies.astype(np.int64).tolist()
+    else:
+        unit_copies = [0] * n_rows
+        for r, u in zip(live_row.tolist(), magnitudes.tolist()):
+            unit_copies[r] += u
+    copies = np.bincount(row, counts, n_rows).astype(np.int64).tolist()
+    live_copies = np.bincount(live_row, minlength=n_rows).tolist()
+
+    parts: list[list[PreparedPart]] = [[] for _ in schemes]
+    heads = distinct[:, :2].tolist()
+    vertices = distinct[:, 2:].tolist()
+    starts = [lo for lo in range(n_rows) if lo == 0 or heads[lo] != heads[lo - 1]]
+    for lo, hi in zip(starts, starts[1:] + [n_rows]):
+        j, k = heads[lo]
+        part_edges = tuple(tuple(v[:k]) for v in vertices[lo:hi])
+        parts[j].append(PreparedPart(
+            k,
+            lo,
+            sum(copies[lo:hi]),
+            part_edges,
+            tuple(copies[lo:hi]),
+            tuple(unit_copies[lo:hi]),
+            dict(zip(part_edges, live_copies[lo:hi])),
+        ))
+    ends = np.cumsum(np.bincount(scheme[live], minlength=len(schemes))).tolist()
+    prepared = tuple(
+        PreparedScheme(n, m, log_den, tuple(scheme_parts), (start, end))
+        for (n, log_den), scheme_parts, start, end in zip(schemes, parts, [0] + ends, ends)
+    )
+    return PreparedSchemes(
+        m,
+        prepared,
+        n_rows,
+        live_row,
+        outputs[live].astype(np.intp),
+        tuple(live_units.tolist()),
+        live_units.astype(np.float64) if exact else None,
+    )
+
+
 # One scheme as its copies: (vertex count n, [(rhs position, edge, weight)],
 # {edge: zero-weight copies that have no rhs position}).
 SchemeCopies = tuple[
@@ -402,67 +516,43 @@ SchemeCopies = tuple[
 
 
 def prepare_copies(m: int, schemes: Iterable[SchemeCopies]) -> PreparedSchemes:
-    """Prepare schemes over a rhs of length m from their copies, unchecked.
+    """:func:`prepare_rows` of schemes given as their copies, unchecked.
 
-    Each scheme's distinct edges are found with their copies, live copies
-    and unit copies at its finest weight scale 2^-L (L >= 0, so a zero weight
-    never raises it), grouped by size in increasing order, and numbered
-    consecutively across the schemes. Parallel copies, zero-weight copies
-    included, land on one distinct edge.
+    Each scheme is put at its finest weight scale 2^-L (L >= 0, so a zero
+    weight never raises it); its zero-weight copies without a rhs position
+    come first, one row per edge, then its copies in order.
     """
-    prepared = []
-    rows = array("q")  # machine integers: no int object per copy
-    outputs = array("q")
-    all_units: list[int] = []
-    n_rows = 0
-    for n, copies, zeros in schemes:
+    info = []
+    scheme, outputs, counts = array("q"), array("q"), array("q")  # no int object per row
+    edges: list[tuple[int, ...]] = []
+    units: list[int] = []
+    for j, (n, copies, zeros) in enumerate(schemes):
         log_den = max((w.log_den for _, _, w in copies), default=0)
-        # edge -> [copies, live copies, unit copies]
-        acc = {edge: [count, 0, 0] for edge, count in zeros.items() if count}
-        start = len(outputs)
-        live_edges = []
-        for out, edge, w in copies:
-            units = w.num << (log_den - w.log_den)
-            entry = acc.get(edge)
-            if entry is None:
-                entry = acc[edge] = [0, 0, 0]
-            entry[0] += 1
-            if units:
-                entry[1] += 1
-                entry[2] += abs(units)
-                live_edges.append(edge)
-                outputs.append(out)
-                all_units.append(units)
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for edge in acc:
-            by_size.setdefault(len(edge), []).append(edge)
-        parts = []
-        row_of: dict[tuple[int, ...], int] = {}
-        for k, edges in sorted(by_size.items()):
-            counts = [acc[e] for e in edges]
-            parts.append(PreparedPart(
-                k,
-                n_rows,
-                sum(c for c, _, _ in counts),
-                tuple(edges),
-                tuple(c for c, _, _ in counts),
-                tuple(u for _, _, u in counts),
-                {e: live for e, (_, live, _) in zip(edges, counts)},
-            ))
-            for edge in edges:
-                row_of[edge] = n_rows
-                n_rows += 1
-        rows.extend(map(row_of.__getitem__, live_edges))
-        prepared.append(PreparedScheme(n, m, log_den, tuple(parts), (start, len(rows))))
-    exact = sum(map(abs, all_units)) < 1 << 53
-    return PreparedSchemes(
+        info.append((n, log_den))
+        zero_rows = [(edge, count) for edge, count in zeros.items() if count]
+        scheme.extend([j] * (len(zero_rows) + len(copies)))
+        edges += [edge for edge, _ in zero_rows]
+        edges += [edge for _, edge, _ in copies]
+        outputs.extend([0] * len(zero_rows))
+        outputs.extend([out for out, _, _ in copies])
+        units += [0] * len(zero_rows)
+        units += [w.num << (log_den - w.log_den) for _, _, w in copies]
+        counts.extend([count for _, count in zero_rows])
+        counts.extend([1] * len(copies))
+    width = max(map(len, edges), default=0)
+    pads = [(-1,) * (width - k) for k in range(width + 1)]
+    padded = np.fromiter(
+        chain.from_iterable(edge + pads[len(edge)] for edge in edges), np.int64, len(edges) * width
+    )
+    small = sum(map(abs, units)) < 1 << 63
+    return prepare_rows(
         m,
-        tuple(prepared),
-        n_rows,
-        np.array(rows, dtype=np.intp),
-        np.array(outputs, dtype=np.intp),
-        tuple(all_units),
-        np.array(all_units, dtype=np.float64) if exact else None,
+        info,
+        np.frombuffer(scheme, dtype=np.int64),
+        padded.reshape(len(edges), width),
+        np.frombuffer(outputs, dtype=np.int64),
+        np.array(units, dtype=np.int64 if small else object),
+        np.frombuffer(counts, dtype=np.int64),
     )
 
 
@@ -549,10 +639,6 @@ def build_kikuchi(
 # Interval matrices: (mid, rad) with the true matrix within mid +- rad.
 
 
-def _gamma_floats(op: KikuchiOperator) -> np.ndarray:
-    return np.array([float(g) for g in op.gamma()])
-
-
 def _interval_matmul(
     a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -620,9 +706,7 @@ def trace_certificate(
     ell = truncate_ell(ell, dim, work_flops)
     if not op.entries:
         return 0.0, ell
-    gam = _gamma_floats(op)
-    amid = op.dense_matrix()
-    mid = amid / gam[:, None]
+    mid = op.dense_matrix() / op.gamma_floats[:, None]
     rad = 4.0 * _EPS * np.abs(mid)
     power = _interval_power((mid, rad), ell // 2)
     pmid, prad = power
@@ -645,8 +729,7 @@ def spectral_certificate(
         raise ResourceCap(f"dimension {dim} exceeds dense cap {dense_cap}")
     if not op.entries:
         return 0.0
-    gam = _gamma_floats(op)
-    scale = 1.0 / np.sqrt(gam)
+    scale = 1.0 / np.sqrt(op.gamma_floats)
     b = op.dense_matrix() * scale[:, None] * scale[None, :]
     b = 0.5 * (b + b.T)
     try:

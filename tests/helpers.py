@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from xorcert.circuits import Circuit, JuntaGate
 from xorcert.core import (
     Dyadic,
@@ -18,6 +20,7 @@ from xorcert.core import (
 )
 from xorcert.fourier import FourierExpansion, ParityClass, classify_parity, expand_junta
 from xorcert.gf2 import gf_mul
+from xorcert.refuter import PreparedPart, PreparedScheme, PreparedSchemes
 
 
 def random_instance(
@@ -49,6 +52,26 @@ def random_other_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
     return Circuit(n, 1, t, tuple(gates))
 
 
+def random_junta_gate(rng: random.Random, n: int, fan_in: int) -> JuntaGate:
+    """A gate on fan_in of n inputs, in any order: a random table, a
+    constant, a (negated) parity, or a random table on a random subset of
+    its inputs, so that its true support is smaller than its fan-in."""
+    inputs = tuple(rng.sample(range(n), fan_in))
+    kind = rng.randrange(4)
+    used = rng.randrange(1 << fan_in)
+    if kind == 0:
+        table = [rng.randrange(2) for _ in range(1 << fan_in)]
+    elif kind == 1:
+        table = [rng.randrange(2)] * (1 << fan_in)
+    elif kind == 2:
+        flip = rng.randrange(2)
+        table = [((a & used).bit_count() + flip) & 1 for a in range(1 << fan_in)]
+    else:
+        sub = [rng.randrange(2) for _ in range(1 << fan_in)]
+        table = [sub[a & used] for a in range(1 << fan_in)]
+    return JuntaGate(inputs, tuple(table))
+
+
 def random_pruned_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
     """Non-parity junta circuit with 3 outputs overwritten by single-input
     gates on distinct inputs: avoid prunes them, and they hold no GF(2)
@@ -57,6 +80,135 @@ def random_pruned_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit
     for pos, v in zip(rng.sample(range(m), 3), rng.sample(range(n), 3)):
         gates[pos] = JuntaGate((v,), rng.choice(((0, 1), (1, 0))))
     return Circuit(n, 1, t, tuple(gates))
+
+
+def reference_expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion:
+    """Exact transform of a junta truth table by direct character summation,
+    O(4^t) steps: the reference for the batched transform."""
+    t = len(gate.inputs)
+    if n_vars is None:
+        n_vars = max(gate.inputs, default=-1) + 1
+    coeffs: dict[tuple[int, ...], Dyadic] = {}
+    for mask in range(1 << t):
+        num = 0
+        for a in range(1 << t):
+            num += 1 - 2 * ((gate.table[a] + (a & mask).bit_count()) & 1)
+        if num:
+            alpha = tuple(
+                sorted(gate.inputs[j] for j in range(t) if (mask >> j) & 1)
+            )
+            coeffs[alpha] = Dyadic(num, t)
+    return FourierExpansion(n_vars, coeffs)
+
+
+Buckets = dict[tuple[int, ...], tuple[Hypergraph, tuple[Dyadic, ...]]]
+
+
+def reference_buckets(c: Circuit) -> Buckets:
+    """The junta split of c written out densely from the reference
+    expansions: every proper subset alpha of the t gate positions maps to a
+    hypergraph and weights with one edge per output, the character on the
+    gate's inputs at alpha with its coefficient, or a zero-weight filler edge
+    range(|alpha|) where the gate reads alpha[-1] or fewer inputs."""
+    expansions = [reference_expand_junta(gate, c.n) for gate in c.gates]
+    buckets: Buckets = {}
+    for size in range(c.t):
+        for alpha in combinations(range(c.t), size):
+            edges = []
+            weights = []
+            for gate, exp in zip(c.gates, expansions):
+                if alpha and alpha[-1] >= len(gate.inputs):
+                    edges.append(tuple(range(size)))  # zero-weight filler
+                    weights.append(Dyadic(0))
+                    continue
+                char = tuple(sorted(gate.inputs[j] for j in alpha))
+                edges.append(char)
+                weights.append(exp.coeffs.get(char, Dyadic(0)))
+            buckets[alpha] = (Hypergraph(c.n, tuple(edges)), tuple(weights))
+    return buckets
+
+
+def bucket_instance(buckets: Buckets, alpha: tuple[int, ...], b) -> XorInstance:
+    """Bucket alpha of a reference split with right-hand side b."""
+    hyper, weights = buckets[alpha]
+    return XorInstance(XorScheme(hyper, weights, len(alpha)), tuple(b))
+
+
+def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
+    """Per-copy reference for ``prepare_copies``: each scheme's distinct
+    edges collected in a dict in order of first appearance, the zero-weight
+    copies without a rhs position first, then grouped by size."""
+    prepared = []
+    rows: list[int] = []
+    outputs: list[int] = []
+    all_units: list[int] = []
+    n_rows = 0
+    for n, copies, zeros in schemes:
+        log_den = max((w.log_den for _, _, w in copies), default=0)
+        # edge -> [copies, live copies, unit copies]
+        acc = {edge: [count, 0, 0] for edge, count in zeros.items() if count}
+        start = len(outputs)
+        live_edges = []
+        for out, edge, w in copies:
+            units = w.num << (log_den - w.log_den)
+            entry = acc.setdefault(edge, [0, 0, 0])
+            entry[0] += 1
+            if units:
+                entry[1] += 1
+                entry[2] += abs(units)
+                live_edges.append(edge)
+                outputs.append(out)
+                all_units.append(units)
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for edge in acc:
+            by_size.setdefault(len(edge), []).append(edge)
+        parts = []
+        row_of: dict[tuple[int, ...], int] = {}
+        for k, edges in sorted(by_size.items()):
+            counts = [acc[e] for e in edges]
+            parts.append(PreparedPart(
+                k,
+                n_rows,
+                sum(c for c, _, _ in counts),
+                tuple(edges),
+                tuple(c for c, _, _ in counts),
+                tuple(u for _, _, u in counts),
+                {e: live for e, (_, live, _) in zip(edges, counts)},
+            ))
+            for edge in edges:
+                row_of[edge] = n_rows
+                n_rows += 1
+        rows.extend(map(row_of.__getitem__, live_edges))
+        prepared.append(PreparedScheme(n, m, log_den, tuple(parts), (start, len(rows))))
+    exact = sum(map(abs, all_units)) < 1 << 53
+    return PreparedSchemes(
+        m,
+        tuple(prepared),
+        n_rows,
+        np.array(rows, dtype=np.intp),
+        np.array(outputs, dtype=np.intp),
+        tuple(all_units),
+        np.array(all_units, dtype=np.float64) if exact else None,
+    )
+
+
+def prepare_buckets(m: int, buckets: Buckets) -> PreparedSchemes:
+    """The reference buckets in sorted order, prepared by the per-copy
+    reference."""
+    return reference_prepare_copies(m, (
+        (hyper.n, list(zip(range(m), hyper.edges, weights)), {})
+        for _, (hyper, weights) in sorted(buckets.items())
+    ))
+
+
+def prepared_fields(p: PreparedSchemes) -> tuple:
+    """Every field of prepared schemes, arrays as lists with their dtypes,
+    so that two of them compare with ==."""
+    weights = None if p.weights is None else (p.weights.tolist(), p.weights.dtype)
+    return (
+        p.m, p.schemes, p.n_rows, p.rows.tolist(), p.rows.dtype,
+        p.outputs.tolist(), p.outputs.dtype, p.units, weights,
+    )
 
 
 def signs(rng: random.Random, m: int) -> tuple[int, ...]:

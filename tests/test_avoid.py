@@ -41,13 +41,13 @@ XOR01 = JuntaGate((0, 1), (0, 1, 1, 0))
 OR01 = JuntaGate((0, 1), (0, 1, 1, 1))
 
 
-def record_calls(monkeypatch, original) -> list:
-    """Arguments of every call of ``original`` made through any xorcert
-    module that binds it."""
+def record_calls(monkeypatch, original, note=lambda *args: args) -> list:
+    """``note`` of the arguments of every call of ``original`` made through
+    any xorcert module that binds it, taken before the call."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(note(*args))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -59,9 +59,14 @@ def record_calls(monkeypatch, original) -> list:
 
 
 @pytest.fixture()
-def expand_calls(monkeypatch):
-    """Arguments of every call of ``expand_junta``."""
-    return record_calls(monkeypatch, fourier.expand_junta)
+def transformed_rows(monkeypatch):
+    """The rows of every table array that enters ``walsh_hadamard``, copied
+    before the transform overwrites them."""
+    return record_calls(monkeypatch, fourier.walsh_hadamard, lambda tables: tables.tolist())
+
+
+def sign_tables(c: Circuit) -> list[list[int]]:
+    return sorted([1 - 2 * bit for bit in gate.table] for gate in c.gates)
 
 
 class TestParityDependency:
@@ -218,6 +223,16 @@ class TestAvoid:
         assert seq.y == par.y
         assert seq.justification == par.justification
 
+    def test_workers_match_sequential_on_a_pruned_junta_circuit(self):
+        c = random_pruned_circuit(random.Random(11), 8, 2, 120)
+        gen = GeneratorSpec.eps_biased(120, 10)
+        seq = avoid(c, gen, AvoidParams(budget=16))
+        par = avoid(c, gen, AvoidParams(budget=16, workers=2))
+        assert seq.justification["kind"] == "refutation"
+        assert seq.justification["path"] == "junta"
+        assert seq.stats["parity_outputs"] == 3
+        assert par == seq
+
     def test_workers_honour_wall_clock(self):
         c = random_other_circuit(random.Random(10), 6, 2, 200)
         gen = GeneratorSpec.eps_biased(200, 9)
@@ -229,14 +244,17 @@ class TestAvoid:
 
 
 class TestOneAnalysis:
-    def test_each_gate_expanded_once(self, expand_calls):
+    def test_each_gate_expanded_once(self, transformed_rows):
         c = random_pruned_circuit(random.Random(11), 8, 2, 120)
+        transformed_rows.clear()  # making c classified its gates
         res = avoid(c, GeneratorSpec.eps_biased(120, 10), AvoidParams(budget=16))
         assert res.stats["parity_outputs"] == 3
-        assert sorted(id(args[0]) for args in expand_calls) == sorted(map(id, c.gates))
-        expand_calls.clear()
+        assert res.justification["kind"] == "refutation"
+        assert len(transformed_rows) == 2  # one call per fan-in
+        assert sorted(row for rows in transformed_rows for row in rows) == sign_tables(c)
+        transformed_rows.clear()
         certify_not_in_range(c, (1,) * c.m)
-        assert sorted(id(args[0]) for args in expand_calls) == sorted(map(id, c.gates))
+        assert sorted(row for rows in transformed_rows for row in rows) == sign_tables(c)
 
     @pytest.mark.parametrize("kind", ["junta", "tree"])
     def test_certify_agrees_with_avoid(self, kind):
@@ -320,7 +338,7 @@ class TestPreparedTargets:
         # n = 2 inputs, so those buckets hold only zero-weight fillers
         c = Circuit(2, 1, 4, (JuntaGate((0, 1), (0, 0, 0, 1)), JuntaGate((0, 1), (0, 1, 1, 1))))
         split = reduction.nonadaptive_split(c)
-        certs = dict(zip(sorted(split.buckets), split.prepared.refute((1, -1))))
+        certs = dict(zip(split.patterns(), split.prepared.refute((1, -1))))
         assert all(certs[alpha].bound == 0.0 for alpha in certs if len(alpha) == 3)
         assert not certify_not_in_range(c, (1, -1)).certified  # no error
 

@@ -106,6 +106,13 @@ class TestExitCodes:
                    "--seed", "1", "--out", str(out)) == 1
         assert not out.exists()
 
+    def test_fan_in_above_the_transform_cap_exits_one(self, tmp_path, caplog):
+        circ = tmp_path / "wide.json"
+        gate = {"kind": "junta", "inputs": list(range(17)), "table": "0110" * (1 << 15)}
+        circ.write_text(json.dumps({"n": 17, "w": 1, "t": 17, "m": 1, "gates": [gate]}))
+        assert run("avoid", "--circuit", str(circ), "--gen", "biased:m=1,s=4") == 1
+        assert "junta fan-in 17 exceeds the transform cap 16" in caplog.text
+
     def test_usage_error_exits_one(self):
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen

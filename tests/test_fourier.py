@@ -1,5 +1,8 @@
 import random
+from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,11 @@ from xorcert.fourier import (
     expand_decision_tree,
     expand_junta,
     expand_layered_output,
+    junta_spectra,
     level_weight,
 )
+
+from helpers import random_junta_gate, reference_expand_junta
 
 XOR = JuntaGate((0, 1), (0, 1, 1, 0))
 NXOR = JuntaGate((0, 1), (1, 0, 0, 1))
@@ -90,6 +96,120 @@ class TestExpandJunta:
         table = tuple((code >> i) & 1 for i in range(16))
         exp = expand_junta(JuntaGate((0, 1, 2, 3), table))
         assert exp.parseval_sum() == Dyadic(1)
+
+
+def parity_of_table(table) -> int:
+    """+1 if the table is a parity of some of its inputs, -1 if a negated
+    one, else 0: the definition, checked against every parity table."""
+    size = len(table)
+    for used in range(size):
+        par = [(a & used).bit_count() & 1 for a in range(size)]
+        if list(table) == par:
+            return 1
+        if [1 - v for v in table] == par:
+            return -1
+    return 0
+
+
+def support_of_table(table) -> int:
+    """Bitmask of the input positions whose flip changes some output."""
+    size = len(table)
+    t = size.bit_length() - 1
+    return sum(
+        1 << j for j in range(t) if any(table[a] != table[a ^ (1 << j)] for a in range(size))
+    )
+
+
+class TestJuntaSpectra:
+    """The batched transform and classification against exact references."""
+
+    @staticmethod
+    def _by_position(gates):
+        rows = {}
+        for g in junta_spectra(gates):
+            for pos, row, parity, support in zip(
+                g.positions.tolist(), g.spectra.tolist(), g.parity.tolist(), g.support.tolist()
+            ):
+                rows[pos] = (g.fan_in, row, parity, support)
+        assert sorted(rows) == list(range(len(gates)))
+        return [rows[i] for i in range(len(gates))]
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_every_table(self, t):
+        """All 256 three-input and all 65,536 four-input tables: spectra
+        against a dense +-1 Hadamard matrix product, supports and classes
+        against their definitions."""
+        size = 1 << t
+        tables = np.array(list(product((0, 1), repeat=size)), dtype=np.int64)
+        (g,) = junta_spectra([JuntaGate(tuple(range(t)), tuple(row)) for row in tables.tolist()])
+        hadamard = np.array(
+            [[1 - 2 * ((a & s).bit_count() & 1) for s in range(size)] for a in range(size)]
+        )
+        assert (g.spectra == (1 - 2 * tables) @ hadamard).all()
+        flips = [np.arange(size) ^ (1 << j) for j in range(t)]
+        support = sum((tables != tables[:, flip]).any(axis=1) << j for j, flip in enumerate(flips))
+        assert (g.support == support).all()
+        parity = np.zeros(len(tables), dtype=np.int64)
+        for used in range(size):
+            par = np.array([(a & used).bit_count() & 1 for a in range(size)])
+            parity[(tables == par).all(axis=1)] = 1
+            parity[(tables != par).all(axis=1)] = -1
+        assert (g.parity == parity).all()
+        assert (g.positions == np.arange(len(tables))).all()
+        if t == 3:
+            for row, table in zip(g.spectra.tolist(), tables.tolist()):
+                coeffs = reference_expand_junta(JuntaGate((0, 1, 2), tuple(table))).coeffs
+                chars = [tuple(j for j in range(3) if s >> j & 1) for s in range(8)]
+                assert row == [coeffs.get(char, Dyadic(0)).scaled(3) for char in chars]
+
+    def test_random_tables_fan_in_0_to_6(self):
+        """One call over mixed fan-ins, constants, parities and gates whose
+        true support is smaller than their fan-in, against the direct
+        summation and the definitions."""
+        rng = random.Random(41)
+        gates = [random_junta_gate(rng, 9, rng.randint(0, 6)) for _ in range(200)]
+        smaller = 0
+        classes = Counter()
+        for gate, (t, row, parity, support) in zip(gates, self._by_position(gates)):
+            exp = reference_expand_junta(gate, 9)
+            assert t == len(gate.inputs)
+            assert expand_junta(gate, 9) == exp
+            assert {
+                tuple(sorted(gate.inputs[j] for j in range(t) if s >> j & 1)): Dyadic(num, t)
+                for s, num in enumerate(row) if num
+            } == exp.coeffs
+            assert support == support_of_table(gate.table)
+            assert tuple(sorted(gate.inputs[j] for j in range(t) if support >> j & 1)) == exp.support()
+            assert parity == parity_of_table(gate.table)
+            assert _CLASS[parity] is classify_parity(exp)
+            smaller += support.bit_count() < t
+            classes[parity, t == 0] += 1
+        assert smaller > 20
+        assert set(classes) == {(1, True), (-1, True), (1, False), (-1, False), (0, False)}
+
+    def test_fan_in_twelve(self):
+        """A random 12-input table against the decision-tree recursion, and
+        the 12-input AND against its closed form."""
+        rng = random.Random(43)
+        inputs = tuple(rng.sample(range(14), 12))
+        gate = JuntaGate(inputs, tuple(rng.randrange(2) for _ in range(1 << 12)))
+        assert expand_junta(gate, 14) == expand_decision_tree(junta_to_tree(gate), 14, 12)
+        assert classify_parity(expand_junta(gate, 14)) is ParityClass.OTHER
+        # AND: -1 only on all ones, so 1 - 2 * prod (1 - x_i) / 2
+        conj = JuntaGate(inputs, (0,) * ((1 << 12) - 1) + (1,))
+        (g,) = junta_spectra([conj])
+        expected = [-2 * (-1) ** s.bit_count() for s in range(1 << 12)]
+        expected[0] += 1 << 12
+        assert g.spectra[0].tolist() == expected
+        assert (g.parity.tolist(), g.support.tolist()) == ([0], [(1 << 12) - 1])
+
+    def test_fan_in_cap(self):
+        gate = JuntaGate(tuple(range(17)), (0,) * (1 << 17))
+        with pytest.raises(ValidationError, match="junta fan-in 17 exceeds the transform cap 16"):
+            junta_spectra([gate])
+
+
+_CLASS = {1: ParityClass.XOR, -1: ParityClass.NXOR, 0: ParityClass.OTHER}
 
 
 class TestDecisionTree:

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,7 @@ from xorcert.circuits import (
     to_layered,
 )
 from xorcert.core import Dyadic, ValidationError
-from xorcert.fourier import ParityClass, classify_parity, expand_junta
+from xorcert.fourier import ParityClass, classify_parity, expand_junta, junta_spectra
 from xorcert.oracle import brute_min_distance, brute_val, check_decomposition
 from xorcert.reduction import (
     attach_rhs,
@@ -26,7 +27,29 @@ from xorcert.reduction import (
 )
 from xorcert.refuter import RefuteParams, refute
 
-from helpers import random_other_circuit, signs
+from helpers import (
+    bucket_instance,
+    prepare_buckets,
+    prepared_fields,
+    random_junta_gate,
+    random_other_circuit,
+    reference_buckets,
+    reference_expand_junta,
+    signs,
+)
+
+
+avoid_module = importlib.import_module("xorcert.avoid")
+
+
+def assert_split_is(split, buckets):
+    """The split prepares exactly the reference buckets, field for field,
+    and its instances are theirs."""
+    assert split.patterns() == sorted(buckets)
+    assert prepared_fields(split.prepared) == prepared_fields(prepare_buckets(split.m, buckets))
+    b = tuple((-1) ** i for i in range(split.m))
+    for alpha in buckets:
+        assert split.instance(alpha, b) == bucket_instance(buckets, alpha, b)
 
 
 def tree_identity(j):
@@ -148,11 +171,12 @@ class TestNonadaptiveSplit:
         org1 = JuntaGate((0, 1), (0, 1, 1, 1))
         org2 = JuntaGate((1, 2), (0, 1, 1, 1))
         c = Circuit(3, 1, 2, (org1, org2))
-        split = nonadaptive_split(c)
-        hyper, weights = split.buckets[(0,)]
+        buckets = reference_buckets(c)
+        assert_split_is(nonadaptive_split(c), buckets)
+        hyper, weights = buckets[(0,)]
         assert hyper.edges == ((0,), (1,))
         assert weights == (Dyadic(1, 1), Dyadic(1, 1))
-        hyper0, weights0 = split.buckets[()]
+        hyper0, weights0 = buckets[()]
         assert weights0 == (Dyadic(-1, 1), Dyadic(-1, 1))
 
     def test_rejects_parity_gate(self):
@@ -164,9 +188,10 @@ class TestNonadaptiveSplit:
     def test_bucket_count_and_shapes(self):
         rng = random.Random(3)
         c = random_other_circuit(rng, 6, 3, 10)
-        split = nonadaptive_split(c)
-        assert len(split.buckets) == 7  # proper subsets of a 3-element set
-        for alpha, (hyper, weights) in split.buckets.items():
+        buckets = reference_buckets(c)
+        assert_split_is(nonadaptive_split(c), buckets)
+        assert len(buckets) == 7  # proper subsets of a 3-element set
+        for alpha, (hyper, weights) in buckets.items():
             assert hyper.m == c.m
             assert len(weights) == c.m
             assert all(len(e) == len(alpha) for e in hyper.edges)
@@ -175,9 +200,9 @@ class TestNonadaptiveSplit:
         """Sum of bucket values plus leading terms equals the correlation."""
         rng = random.Random(19)
         c = random_other_circuit(rng, 5, 2, 6)
-        split = nonadaptive_split(c)
+        buckets = reference_buckets(c)
+        assert_split_is(nonadaptive_split(c), buckets)
         from xorcert.circuits import eval_circuit
-        from xorcert.fourier import expand_junta
 
         for trial in range(10):
             x_bits = [rng.randint(0, 1) for _ in range(5)]
@@ -187,12 +212,12 @@ class TestNonadaptiveSplit:
                 sum(o * bi for o, bi in zip(eval_circuit(c, x_bits), b)), c.m
             )
             total = Fraction(0)
-            for alpha, _ in split.buckets.items():
-                inst = split.instance(alpha, b)
+            for alpha, _ in buckets.items():
+                inst = bucket_instance(buckets, alpha, b)
                 total += inst.value(x)
             lead = Fraction(0)
             for gate, bi in zip(c.gates, b):
-                exp = expand_junta(gate, 5)
+                exp = reference_expand_junta(gate, 5)
                 char = tuple(sorted(gate.inputs))
                 coeff = exp.coeffs.get(char)
                 if coeff is not None and len(gate.inputs) == c.t:
@@ -225,7 +250,7 @@ def _mixed_fan_in_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit
 
 class TestPreparedMatchesInstances:
     """A prepared key or bucket certifies exactly as ``refute`` of the
-    instance that ``attach_rhs`` or ``JuntaSplit.instance`` builds."""
+    instance that ``attach_rhs`` or the reference split builds."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -251,11 +276,13 @@ class TestPreparedMatchesInstances:
         n = data.draw(st.integers(t, 7), label="n")
         m = data.draw(st.integers(1, 30), label="m")
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        split = nonadaptive_split(_mixed_fan_in_circuit(rng, n, t, m))
+        c = _mixed_fan_in_circuit(rng, n, t, m)
+        split = nonadaptive_split(c)
+        buckets = reference_buckets(c)
         b = signs(rng, m)
         params = data.draw(_PARAMS, label="params")
         assert split.prepared.refute(b, params) == [
-            refute(split.instance(alpha, b), params) for alpha in sorted(split.buckets)
+            refute(bucket_instance(buckets, alpha, b), params) for alpha in sorted(buckets)
         ]
 
     def test_filler_edge_merges_with_a_real_edge(self):
@@ -281,3 +308,28 @@ class TestPreparedMatchesInstances:
             ens.prepared.refute((1, 1))
         with pytest.raises(ValidationError, match="rhs 2 not in"):
             ens.prepared.refute((2,))
+
+
+class TestSplitMatchesReference:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_fan_in(self, data):
+        """Pruning and splitting the spectra prepares exactly the reference
+        buckets of the non-parity outputs, field for field."""
+        t = data.draw(st.integers(1, 5), label="t")
+        n = data.draw(st.integers(t, 8), label="n")
+        m = data.draw(st.integers(1, 25), label="m")
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        c = Circuit(n, 1, t, tuple(random_junta_gate(rng, n, rng.randint(0, t)) for _ in range(m)))
+        kept, split = avoid_module._prune_parities(c, junta_spectra(c.gates))
+        assert kept == [
+            i for i, gate in enumerate(c.gates)
+            if classify_parity(reference_expand_junta(gate, n)) is ParityClass.OTHER
+        ]
+        if not kept:
+            assert split is None
+            return
+        pruned = Circuit(n, 1, t, tuple(c.gates[i] for i in kept))
+        buckets = reference_buckets(pruned)
+        assert_split_is(split, buckets)
+        assert_split_is(nonadaptive_split(pruned), buckets)

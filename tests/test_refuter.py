@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +21,20 @@ from xorcert.refuter import (
     certificate_from_obj,
     default_ell,
     odd_to_even,
+    prepare_copies,
     refute,
     spectral_certificate,
     trace_certificate,
 )
 
-from helpers import random_instance, reference_kikuchi, reference_odd_split, split_to_unit_weights
+from helpers import (
+    prepared_fields,
+    random_instance,
+    reference_kikuchi,
+    reference_odd_split,
+    reference_prepare_copies,
+    split_to_unit_weights,
+)
 
 
 def _weights(max_log_den: int = 3):
@@ -228,6 +237,21 @@ class TestSpectral:
             t, _ = trace_certificate(op, default_ell(1, inst.n))
             s = spectral_certificate(op)
             assert s <= t + 1e-9
+
+    def test_engines_share_one_conversion(self):
+        inst = random_instance(random.Random(6), 8, 4, 40)
+        op = build_kikuchi(inst, 2)
+        expected = spectral_certificate(build_kikuchi(inst, 2))
+        trace_certificate(op, 4)
+        entries, gamma = op.__dict__["float_entries"], op.__dict__["gamma_floats"]  # made by trace
+        assert not any(a.flags.writeable for a in (*entries, gamma))
+        assert spectral_certificate(op) == expected
+        assert op.float_entries is entries and op.gamma_floats is gamma
+        dense = op.dense_matrix()
+        assert dense is not op.dense_matrix() and (dense == op.dense_matrix()).all()
+        for (i, j), val in op.entries.items():
+            assert dense[i, j] == dense[j, i] == float(val)
+        assert np.count_nonzero(dense) == 2 * len(op.entries)
 
 
 class TestOddSplit:
@@ -486,6 +510,43 @@ class TestRefute:
         cert = refute(inst)
         again = certificate_from_obj(__import__("json").loads(cert.to_json()))
         assert again == cert
+
+
+class TestPrepareCopies:
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_copy_reference(self, seed):
+        """Field for field, over schemes of mixed edge sizes with parallel
+        copies, zero weights, zero-weight copies without a rhs position and
+        weights whose units pass 2^53 and 2^63."""
+        rng = random.Random(seed)
+        m = rng.randint(0, 12)
+        schemes = []
+        for _ in range(rng.randint(0, 4)):
+            n = rng.randint(1, 6)
+            sizes = rng.sample(range(min(4, n) + 1), rng.randint(1, 2))
+            big = rng.random() < 0.2
+            copies = []
+            for out in rng.sample(range(m), rng.randint(0, m)):
+                if copies and rng.random() < 0.3:
+                    edge = rng.choice(copies)[1]
+                else:
+                    edge = tuple(sorted(rng.sample(range(n), rng.choice(sizes))))
+                if rng.random() < 0.3:
+                    w = Dyadic(0)
+                elif big:
+                    w = Dyadic(rng.randint(-(1 << 70), 1 << 70), 70)
+                else:
+                    w = Dyadic(rng.randint(-8, 8), rng.randint(0, 3))
+                copies.append((out, edge, w))
+            zeros = {
+                tuple(sorted(rng.sample(range(n), rng.choice(sizes)))): rng.randint(0, 3)
+                for _ in range(rng.randint(0, 2))
+            }
+            schemes.append((n, copies, zeros))
+        assert prepared_fields(prepare_copies(m, schemes)) == (
+            prepared_fields(reference_prepare_copies(m, schemes))
+        )
 
 
 class TestWeightSplitting:
