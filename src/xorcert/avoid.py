@@ -37,7 +37,7 @@ from .fourier import GateSpectra, junta_spectra
 from .gf2 import find_xor_dependency
 from .prg import GeneratorSpec, sample_int, seed_count, seed_to_str
 from .reduction import JuntaSplit, SchemeEnsemble, group_characters
-from .refuter import Certificate, RefuteParams, _combine_mode, _float_up
+from .refuter import Certificate, RefuteParams, _combine, _float_up
 
 
 @dataclass(frozen=True)
@@ -129,21 +129,6 @@ def _prune_parities(
     return kept, JuntaSplit(c.t, len(kept), c.n, kept_gates)
 
 
-def _sum_bounds(
-    parts: list[Certificate], ceiling: Fraction
-) -> tuple[Fraction, Certificate, bool]:
-    """(Sum of refutation bounds plus ceiling, composite certificate, all certified)."""
-    total = ceiling + sum(Fraction(cert.bound) for cert in parts)
-    ok = all(cert.certified for cert in parts)
-    composite = Certificate(
-        mode=_combine_mode(parts) if parts else "direct",
-        bound=_float_up(total),
-        status="certified" if ok else "uncertain",
-        breakdown=tuple(parts),
-    )
-    return total, composite, ok
-
-
 def _certify_prepared(
     prepared: JuntaSplit | SchemeEnsemble,
     b_kept: Sequence[int],
@@ -156,15 +141,14 @@ def _certify_prepared(
     output counted as agreeing."""
     m_kept = len(b_kept)
     parts = prepared.prepared.refute(b_kept, params.refute)
+    total = sum(Fraction(cert.bound) for cert in parts)
     if isinstance(prepared, JuntaSplit):
         t = prepared.t
-        ceiling = Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else Fraction(0)
-        total, composite, ok = _sum_bounds(parts, ceiling)
-        path, ok = "junta", ok and total < 1
+        total += Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else 0
+        path, ok = "junta", total < 1
     else:
-        total, composite, ok = _sum_bounds(parts, Fraction(0))
-        path, ok = "tree", ok and total <= 2 * params.eps_for(prepared.t)
-    if not ok:
+        path, ok = "tree", total <= 2 * params.eps_for(prepared.t)
+    if not (ok and all(cert.certified for cert in parts)):
         return _uncertain_remote(path, m_kept)
     share = Fraction(m_kept, m_full)
     return RemoteCertificate(
@@ -173,7 +157,7 @@ def _certify_prepared(
         correlation_bound=_float_up(share * total + (1 - share)),
         min_distance=share * (1 - total) / 2,
         kept_outputs=m_kept,
-        certificate=composite,
+        certificate=_combine(parts, _float_up(total)),
     )
 
 
@@ -293,17 +277,18 @@ def _parity_avoid_result(c: Circuit, outputs: list[int], forced: int) -> AvoidRe
     )
 
 
-def _try_seed_range(
-    work: tuple,
-    seeds: Sequence[int],
-) -> tuple[int, RemoteCertificate] | None:
+# A certified seed, its sample and its certificate.
+Hit = tuple[int, tuple[int, ...], RemoteCertificate]
+
+
+def _try_seed_range(work: tuple, seeds: Sequence[int]) -> Hit | None:
     """First certified seed in the given ascending seed list, if any."""
     prepared, b_positions, gen, params = work
     for seed in seeds:
         b_full = sample_int(gen, seed)
         rc = _certify_prepared(prepared, [b_full[i] for i in b_positions], gen.m, params)
         if rc.certified:
-            return seed, rc
+            return seed, b_full, rc
     return None
 
 
@@ -317,7 +302,7 @@ def _init_worker(work: tuple) -> None:
     _worker_work = work
 
 
-def _try_worker_seeds(seeds: Sequence[int]) -> tuple[int, RemoteCertificate] | None:
+def _try_worker_seeds(seeds: Sequence[int]) -> Hit | None:
     return _try_seed_range(_worker_work, seeds)
 
 
@@ -354,7 +339,7 @@ def avoid(
     n_seeds = min(seed_count(gen), params.budget) if prepared is not None else 0
     start = time.monotonic()
     deadline = None if params.wall_clock_s is None else start + params.wall_clock_s
-    hit: tuple[int, RemoteCertificate] | None = None
+    hit: Hit | None = None
     seeds_tried = 0
     if params.workers > 1 and n_seeds > 1:
         chunk = max(1, n_seeds // (params.workers * 4))
@@ -405,8 +390,7 @@ def avoid(
             stats=stats,
         )
 
-    seed, rc = hit
-    b_full = sample_int(gen, seed)
+    seed, b_full, rc = hit
     y = [1] * c.m
     for pos in kept:
         y[pos] = b_full[pos]

@@ -80,7 +80,6 @@ def _refute_params(args) -> refuter.RefuteParams:
         r=args.r,
         ell=args.ell,
         mode=args.mode,
-        dim_cap=args.dim_cap,
         dense_cap=args.dense_cap,
         work_flops=args.work_flops,
         split_weights=args.split_weights,
@@ -89,9 +88,10 @@ def _refute_params(args) -> refuter.RefuteParams:
 
 def _add_refute_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=None, help="Kikuchi level (default k/2)")
-    p.add_argument("--ell", type=int, default=None, help="trace power (default 2*ceil(r*ln n))")
-    p.add_argument("--mode", choices=("trace", "spectral", "auto"), default="auto")
-    p.add_argument("--dim-cap", type=int, default=refuter.RefuteParams.dim_cap)
+    p.add_argument("--ell", type=int, default=None,
+                   help="trace power, mode trace only (default 2*ceil(r*ln n))")
+    p.add_argument("--mode", choices=("trace", "spectral", "auto"), default="auto",
+                   help="certificate engine; auto runs the spectral one")
     p.add_argument("--dense-cap", type=int, default=refuter.RefuteParams.dense_cap)
     p.add_argument("--work-flops", type=float, default=refuter.RefuteParams.work_flops)
     p.add_argument("--split-weights", action="store_true",

@@ -27,9 +27,14 @@ are prepared once for all of them. Every path reads the coalesced form:
 
 Two certificate engines bound the reweighted norm:
 
+* spectral -- dense symmetric eigensolve plus a residual margin; the default
+              mode ``auto`` runs it, as does ``spectral``;
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
-              trace(B^ell) dominates the top eigenvalue power;
-* spectral -- dense symmetric eigensolve plus a residual margin, tighter.
+              trace(B^ell) dominates the top eigenvalue power; looser, and run
+              only when mode ``trace`` asks for it.
+
+Both are dense: a level whose matrix side exceeds ``dense_cap`` is not built
+and its certificate is uncertain.
 
 All floating-point steps round their result upward before they enter a
 certificate, and no certified bound exceeds the trivial bound 1.
@@ -42,7 +47,6 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -71,9 +75,8 @@ class RefuteParams:
 
     r: int | None = None
     ell: int | None = None
-    mode: str = "auto"  # trace | spectral | auto
-    dim_cap: int = 20000  # matrix side length for the sparse build
-    dense_cap: int = 4096  # side length for dense powering / eigensolve
+    mode: str = "auto"  # trace | spectral | auto (= spectral)
+    dense_cap: int = 4096  # matrix side length above which no matrix is built
     work_flops: float = 4e9  # budget that truncates the trace power
     split_weights: bool = False  # count each weight as |num| unit copies
 
@@ -99,7 +102,6 @@ _KNOBS = {
     "r": ("an integer or null", lambda v: v is None or is_int(v)),
     "ell": ("an integer or null", lambda v: v is None or is_int(v)),
     "mode": ("one of trace, spectral, auto", lambda v: v in ("trace", "spectral", "auto")),
-    "dim_cap": ("an integer", is_int),
     "dense_cap": ("an integer", is_int),
     "work_flops": ("a number", lambda v: is_int(v) or isinstance(v, float)),
     "split_weights": ("true or false", lambda v: isinstance(v, bool)),
@@ -234,48 +236,28 @@ class KikuchiOperator:
             total = total + Dyadic(2 * signs[i] * signs[j] * val.num, val.log_den)
         return total
 
-    @cached_property
-    def float_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, columns, values as floats) of ``entries``, converted once
-        and read-only: both engines build their matrix from them."""
-        count = len(self.entries)
-        arrays = (
-            np.fromiter((i for i, _ in self.entries), np.intp, count),
-            np.fromiter((j for _, j in self.entries), np.intp, count),
-            np.fromiter(map(float, self.entries.values()), np.float64, count),
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
-
-    @cached_property
-    def gamma_floats(self) -> np.ndarray:
-        """:meth:`gamma` as floats, converted once and read-only."""
-        g = np.array([float(g) for g in self.gamma()])
-        g.flags.writeable = False
-        return g
-
     def dense_matrix(self) -> np.ndarray:
-        """The symmetric matrix as a new float array. The operator keeps
-        only its float entries: a dense matrix held through the eigensolve
-        would add dim^2 floats to the peak memory."""
-        rows, cols, values = self.float_entries
+        """The symmetric matrix as a new float array."""
+        count = len(self.entries)
+        rows = np.fromiter((i for i, _ in self.entries), np.intp, count)
+        cols = np.fromiter((j for _, j in self.entries), np.intp, count)
+        values = np.fromiter(map(float, self.entries.values()), np.float64, count)
         a = np.zeros((self.dim, self.dim))
         a[rows, cols] = values
         a[cols, rows] = values
         return a
 
 
-def _kikuchi_dim(n: int, k: int, r: int, dim_cap: int) -> int:
+def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
     """Side length C(n, r) of the level-r matrix for arity k; ResourceCap if
-    the level does not exist or the side exceeds ``dim_cap``."""
+    the level does not exist or the side exceeds ``dense_cap``."""
     if r < k // 2:
         raise ResourceCap(f"level r={r} below k/2={k // 2}")
     if r - k // 2 > n - k:
         raise ResourceCap(f"level r={r} too large for n={n}, k={k}")
     dim = comb(n, r)
-    if dim > dim_cap:
-        raise ResourceCap(f"dimension C({n},{r})={dim} exceeds cap {dim_cap}")
+    if dim > dense_cap:
+        raise ResourceCap(f"dimension C({n},{r})={dim} exceeds cap {dense_cap}")
     return dim
 
 
@@ -575,7 +557,7 @@ def _uniform(inst: XorInstance, what: str) -> CoalescedEdges:
 
 
 def build_kikuchi(
-    inst: XorInstance | CoalescedEdges, r: int, dim_cap: int = RefuteParams.dim_cap
+    inst: XorInstance | CoalescedEdges, r: int, dense_cap: int = RefuteParams.dense_cap
 ) -> KikuchiOperator:
     """Populate the level-r matrix from the instance's distinct edges.
 
@@ -585,7 +567,9 @@ def build_kikuchi(
     degree of S grows by the number of copies, and the entry is the signed
     sum. Since S xor T determines the edge, no entry collects more than one
     edge. Rows are ranked through one table from each r-subset's vertex
-    bitmask to its colex rank, built once per call.
+    bitmask to its colex rank, built once per call. A level that does not
+    exist, or whose side exceeds ``dense_cap``, raises ResourceCap before
+    anything is built.
     """
     if isinstance(inst, XorInstance):
         inst = _uniform(inst, "kikuchi build")
@@ -595,7 +579,7 @@ def build_kikuchi(
     n, k = inst.n, inst.k
     if k % 2 != 0 or k < 2:
         raise ValidationError([f"kikuchi build needs an even arity >= 2, got {k}"])
-    dim = _kikuchi_dim(n, k, r, dim_cap)
+    dim = _kikuchi_dim(n, k, r, dense_cap)
 
     half = k // 2
     bit = [1 << v for v in range(n)]
@@ -692,21 +676,16 @@ def _check_ell(ell: int) -> None:
 
 
 def trace_certificate(
-    op: KikuchiOperator,
-    ell: int,
-    work_flops: float = RefuteParams.work_flops,
-    dense_cap: int = RefuteParams.dense_cap,
+    op: KikuchiOperator, ell: int, work_flops: float = RefuteParams.work_flops
 ) -> tuple[float, int]:
     """Upper bound trace((Gamma^-1 A)^ell)^(1/ell) on the reweighted spectral
     norm, with all rounding error pushed upward. Returns (bound, ell used)."""
     _check_ell(ell)
     dim = op.dim
-    if dim > dense_cap:
-        raise ResourceCap(f"dimension {dim} exceeds dense cap {dense_cap}")
     ell = truncate_ell(ell, dim, work_flops)
     if not op.entries:
         return 0.0, ell
-    mid = op.dense_matrix() / op.gamma_floats[:, None]
+    mid = op.dense_matrix() / np.array([float(g) for g in op.gamma()])[:, None]
     rad = 4.0 * _EPS * np.abs(mid)
     power = _interval_power((mid, rad), ell // 2)
     pmid, prad = power
@@ -720,16 +699,12 @@ def trace_certificate(
     return _root_up(_up(trace_up), ell), ell
 
 
-def spectral_certificate(
-    op: KikuchiOperator, dense_cap: int = RefuteParams.dense_cap
-) -> float:
+def spectral_certificate(op: KikuchiOperator) -> float:
     """Largest |eigenvalue| of the reweighted matrix plus a residual margin."""
     dim = op.dim
-    if dim > dense_cap:
-        raise ResourceCap(f"dimension {dim} exceeds dense cap {dense_cap}")
     if not op.entries:
         return 0.0
-    scale = 1.0 / np.sqrt(op.gamma_floats)
+    scale = 1.0 / np.sqrt([float(g) for g in op.gamma()])
     b = op.dense_matrix() * scale[:, None] * scale[None, :]
     b = 0.5 * (b + b.T)
     try:
@@ -842,42 +817,29 @@ def _refute_direct(part: CoalescedEdges) -> Certificate:
 
 
 def _refute_even(edges: CoalescedEdges, params: RefuteParams) -> Certificate:
+    """One engine: trace when mode ``trace`` asks for it, else spectral."""
     k = edges.k
     r = params.r if params.r is not None else k // 2
     r = max(r, k // 2)  # the construction does not exist below k/2
-    ell = params.ell if params.ell is not None else default_ell(r, edges.n)
-    uncertain_mode = params.mode if params.mode != "auto" else "trace"
-    try:
-        dim = _kikuchi_dim(edges.n, k, r, params.dim_cap)
-    except ResourceCap:
-        return _uncertain(uncertain_mode, r=r)
-    if params.mode in ("trace", "auto"):
+    mode, ell = "spectral", None  # auto is the spectral engine
+    if params.mode == "trace":
+        mode = "trace"
+        ell = params.ell if params.ell is not None else default_ell(r, edges.n)
         _check_ell(ell)
-    if dim > params.dense_cap or params.mode not in ("trace", "spectral", "auto"):
-        # no engine can run, so the matrix is not worth building
-        return _uncertain(uncertain_mode, r=r, ell=ell)
-    op = build_kikuchi(edges, r, params.dim_cap)
-    candidates: list[tuple[float, str, int | None]] = []
-    if params.mode in ("trace", "auto"):
-        try:
-            tb, used = trace_certificate(op, ell, params.work_flops, params.dense_cap)
-            candidates.append((tb, "trace", used))
-        except ResourceCap:
-            pass
-    if params.mode in ("spectral", "auto"):
-        try:
-            candidates.append((spectral_certificate(op, params.dense_cap), "spectral", None))
-        except ResourceCap:
-            pass
-    if not candidates:
-        return _uncertain(uncertain_mode, r=r, ell=ell)
-    norm_bound, mode, used_ell = min(candidates, key=lambda c: c[0])
+    try:
+        op = build_kikuchi(edges, r, params.dense_cap)
+        if ell is None:
+            norm_bound = spectral_certificate(op)
+        else:
+            norm_bound, ell = trace_certificate(op, ell, params.work_flops)
+    except ResourceCap:
+        return _uncertain(mode, r=r, ell=ell)
     return Certificate(
         mode=mode,
         bound=2.0 * norm_bound,  # doubling is exact in binary floating point
         status="certified",
         r=r,
-        ell=used_ell,
+        ell=ell,
     )
 
 

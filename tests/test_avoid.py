@@ -27,7 +27,7 @@ from xorcert.circuits import (
 )
 from xorcert.core import ValidationError
 from xorcert.oracle import brute_min_distance, brute_range_member
-from xorcert.prg import GeneratorSpec, sample
+from xorcert.prg import GeneratorSpec, sample, seed_to_str
 from xorcert.reduction import SchemeEnsemble, group_characters
 
 from helpers import random_other_circuit, random_pruned_circuit, signs
@@ -232,6 +232,17 @@ class TestAvoid:
         assert seq.justification["path"] == "junta"
         assert seq.stats["parity_outputs"] == 3
         assert par == seq
+
+    def test_winning_seed_sampled_once(self, monkeypatch):
+        sampled = record_calls(monkeypatch, avoid_module.sample_int, lambda gen, seed: seed)
+        c = random_other_circuit(random.Random(0), 4, 2, 10)
+        gen = GeneratorSpec.uniform(10)
+        res = avoid(c, gen, AvoidParams(budget=8))
+        assert res.justification["kind"] == "refutation"
+        s = res.seeds_tried - 1
+        assert s >= 1  # a seed before the winning one failed
+        assert res.justification["seed"] == seed_to_str(gen, s)
+        assert sampled == list(range(s + 1))
 
     def test_workers_honour_wall_clock(self):
         c = random_other_circuit(random.Random(10), 6, 2, 200)

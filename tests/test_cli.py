@@ -69,6 +69,13 @@ class TestExitCodes:
         assert run("refute", "--instance", str(instance_file),
                    "--params", str(params)) == 1
 
+    def test_dim_cap_is_not_a_knob(self, tmp_path, instance_file, caplog):
+        assert run("refute", "--instance", str(instance_file), "--dim-cap", "5") == 1
+        params = tmp_path / "params.json"
+        params.write_text('{"dim_cap": 5}')
+        assert run("refute", "--instance", str(instance_file), "--params", str(params)) == 1
+        assert "unknown certification knobs: ['dim_cap']" in caplog.text
+
     @pytest.mark.parametrize("text", [
         '{"k": 2, "edges": [[0, 1]]}',
         '{"k": 2, "n": "3", "edges": [[0, 1]]}',

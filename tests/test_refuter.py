@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorcert.circuits import random_tree_circuit, to_layered
 from xorcert.core import Dyadic, ValidationError, make_instance
 from xorcert.oracle import brute_val
+from xorcert.reduction import group_characters, nonadaptive_split
 from xorcert import refuter
 from xorcert.refuter import (
     Certificate,
@@ -30,9 +32,11 @@ from xorcert.refuter import (
 from helpers import (
     prepared_fields,
     random_instance,
+    random_other_circuit,
     reference_kikuchi,
     reference_odd_split,
     reference_prepare_copies,
+    signs,
     split_to_unit_weights,
 )
 
@@ -184,7 +188,7 @@ class TestBuild:
         with pytest.raises(ResourceCap):
             build_kikuchi(even, 3)  # r - k/2 > n - k
         with pytest.raises(ResourceCap):
-            build_kikuchi(make_instance(12, [(0, 1)], [1]), 5, dim_cap=100)
+            build_kikuchi(make_instance(12, [(0, 1)], [1]), 5, dense_cap=100)
 
 
 class TestTrace:
@@ -238,15 +242,12 @@ class TestSpectral:
             s = spectral_certificate(op)
             assert s <= t + 1e-9
 
-    def test_engines_share_one_conversion(self):
+    def test_dense_matrix_is_fresh_and_symmetric(self):
         inst = random_instance(random.Random(6), 8, 4, 40)
         op = build_kikuchi(inst, 2)
         expected = spectral_certificate(build_kikuchi(inst, 2))
         trace_certificate(op, 4)
-        entries, gamma = op.__dict__["float_entries"], op.__dict__["gamma_floats"]  # made by trace
-        assert not any(a.flags.writeable for a in (*entries, gamma))
-        assert spectral_certificate(op) == expected
-        assert op.float_entries is entries and op.gamma_floats is gamma
+        assert spectral_certificate(op) == expected  # trace left the operator as it was
         dense = op.dense_matrix()
         assert dense is not op.dense_matrix() and (dense == op.dense_matrix()).all()
         for (i, j), val in op.entries.items():
@@ -371,21 +372,21 @@ class TestRefute:
         assert Fraction(cert.bound) >= brute_val(inst)
 
     def test_dense_cap_checked_before_build(self, monkeypatch):
-        def no_build(*args, **kwargs):
-            raise AssertionError("build_kikuchi called")
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("r-subsets enumerated")
 
-        monkeypatch.setattr(refuter, "build_kikuchi", no_build)
-        # dimension C(24, 4) = 10626 is below dim_cap but above dense_cap
+        # build_kikuchi checks the cap before it enumerates a single r-subset
+        monkeypatch.setattr(refuter, "combinations", no_enumeration)
+        # dimension C(24, 4) = 10626 is above dense_cap
         inst = random_instance(random.Random(11), 24, 4, 2000)
-        cert = refute(inst, RefuteParams(r=4))
-        assert cert == Certificate(
-            mode="trace", bound=1.0, status="uncertain", r=4, ell=default_ell(4, 24)
-        )
-        cert = refute(inst, RefuteParams(r=4, ell=3, mode="spectral"))
-        assert cert == Certificate(mode="spectral", bound=1.0, status="uncertain", r=4, ell=3)
+        uncertain = Certificate(mode="spectral", bound=1.0, status="uncertain", r=4)
+        assert refute(inst, RefuteParams(r=4)) == uncertain
+        assert refute(inst, RefuteParams(r=4, ell=3, mode="spectral")) == uncertain
+        cert = refute(inst, RefuteParams(r=4, mode="trace"))
+        assert cert == replace(uncertain, mode="trace", ell=default_ell(4, 24))
         for ell in (0, 3):
             with pytest.raises(ValidationError):
-                refute(inst, RefuteParams(r=4, ell=ell))
+                refute(inst, RefuteParams(r=4, ell=ell, mode="trace"))
 
     def test_cancelling_pairs(self):
         assert refute(make_instance(2, [(0, 1), (0, 1)], [1, -1])).bound == 0.0
@@ -443,7 +444,7 @@ class TestRefute:
 
     def test_uncertain_on_caps(self):
         inst = random_instance(random.Random(6), 12, 4, 20)
-        cert = refute(inst, RefuteParams(dim_cap=5))
+        cert = refute(inst, RefuteParams(dense_cap=5))
         assert cert.status == "uncertain"
         assert cert.bound == 1.0
 
@@ -596,6 +597,79 @@ class TestWeightSplitting:
                 assert Fraction(cert.bound) >= brute_val(inst)
 
 
+def _mixed_instance(rng: random.Random, n: int, m: int):
+    """m copies of edge sizes 0 to 5 on n variables, weighted at mixed scales."""
+    edges = [tuple(sorted(rng.sample(range(n), rng.randint(0, 5)))) for _ in range(m)]
+    weights = []
+    for _ in edges:
+        log_den = rng.randint(0, 3)
+        weights.append(Dyadic(rng.randint(-(1 << log_den), 1 << log_den), log_den))
+    return make_instance(n, edges, signs(rng, m), weights=weights)
+
+
+# Knobs under which auto must equal spectral; ell=3, a bad trace power, is
+# read by neither
+_AUTO_PARAMS = [
+    RefuteParams(),
+    RefuteParams(split_weights=True),
+    RefuteParams(r=3),
+    RefuteParams(ell=3),
+    RefuteParams(dense_cap=5),
+]
+
+
+class TestOneEngine:
+    """``auto`` is the spectral engine, and trace runs only when asked for."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, None], ids=["2", "3", "4", "5", "mixed"])
+    def test_auto_equals_spectral(self, k):
+        rng = random.Random(200 + (k or 0))
+        for trial in range(10):
+            n, m = rng.randint(6, 9), rng.randint(1, 30)
+            if k is None:
+                inst = _mixed_instance(rng, n, m)
+            else:
+                inst = random_instance(rng, n, k, m, weighted=bool(trial % 2))
+            for params in _AUTO_PARAMS:
+                expected = refute(inst, replace(params, mode="spectral")).to_json()
+                assert refute(inst, params).to_json() == expected, (trial, params)
+
+    def test_prepared_auto_equals_spectral(self):
+        rng = random.Random(210)
+        tree = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
+        split = nonadaptive_split(random_other_circuit(rng, 6, 3, 60))
+        for prepared in (tree.prepared, split.prepared):
+            for _ in range(3):
+                b = signs(rng, prepared.m)
+                for params in _AUTO_PARAMS:
+                    expected = [c.to_json() for c in prepared.refute(b, replace(params, mode="spectral"))]
+                    assert [c.to_json() for c in prepared.refute(b, params)] == expected
+
+    def test_trace_runs_only_on_request(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(refuter, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(refuter, name, counted)
+
+        for name in ("build_kikuchi", "trace_certificate", "spectral_certificate"):
+            counting(name)
+        rng = random.Random(220)
+        insts = [random_instance(rng, 8, k, 20) for k in (2, 3, 4, 5)] + [_mixed_instance(rng, 8, 30)]
+        for mode in ("auto", "spectral", "trace"):
+            calls.clear()
+            for inst in insts:
+                assert refute(inst, RefuteParams(mode=mode)).certified
+            engine = "trace_certificate" if mode == "trace" else "spectral_certificate"
+            assert calls[engine] == calls["build_kikuchi"] > 0
+            assert sum(calls.values()) == 2 * calls["build_kikuchi"]
+
+
 class TestSoundnessSweep:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_bounds_dominate_brute_value(self, k):
@@ -702,12 +776,12 @@ class TestCoalescedShapes:
             ((0, 2, 3, 5), (1, 1), 1), ((0, 2, 3, 5), (1, 1), -1),
         ])
         assert refute(inst).to_json() == (
-            '{"mode": "trace", "r": null, "ell": null, "bound": 0.30297999108852947, '
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.30297999108852947, '
             '"status": "certified", "breakdown": [{"mode": "direct", "r": null, "ell": null, '
             '"bound": 0.0, "status": "certified", "breakdown": []}, {"mode": "spectral", '
             '"r": null, "ell": null, "bound": 0.8079466429027452, "status": "certified", '
             '"breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.5625000000000853, '
-            '"status": "certified", "breakdown": []}]}, {"mode": "trace", "r": 2, "ell": 8, '
+            '"status": "certified", "breakdown": []}]}, {"mode": "spectral", "r": 2, "ell": null, '
             '"bound": 0.0, "status": "certified", "breakdown": []}]}'
         )
 
