@@ -32,14 +32,6 @@ class WordDecisionTree:
 
     root: TreeNode
 
-    def depth(self) -> int:
-        def go(node: TreeNode) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(go(c) for c in node.children)
-
-        return go(self.root)
-
     def violations(self, n: int, w: int, t: int) -> list[str]:
         out: list[str] = []
 

@@ -9,8 +9,13 @@ are read from it. ``expand_junta`` and ``classify_parity`` are the same
 transform and the same classification rule for one gate and for a sparse
 expansion.
 
-Elsewhere characters are sorted index tuples (not bitmasks) so the variable
-count is unbounded. Every coefficient is an exact dyadic rational.
+A layered tree output is expanded the same way: ``layered_characters``
+gives each character a code per layer (its group and bit mask there) and its
+coefficient as an integer at the one scale 2^-(t*w), by one integer
+recursion; ``expand_layered_output`` is a thin wrapper. The sparse
+``FourierExpansion`` keys characters by sorted index tuples (not bitmasks),
+so its variable count is unbounded, and every coefficient is an exact
+dyadic rational.
 """
 
 from __future__ import annotations
@@ -227,38 +232,54 @@ def expand_decision_tree(
     return FourierExpansion(n_vars, go(tree.root, 0))
 
 
-def expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:
-    """Expansion of output i of a layered circuit over its w*n*t bit inputs.
+def layered_characters(lc: LayeredCircuit, i: int) -> dict[tuple[int, ...], int]:
+    """Characters of output i of a layered circuit, by one integer recursion.
 
-    The q-th query of the tree reads a whole w-bit group inside layer q; the
-    indicator of each symbol value contributes +-2^{-w} on every sub-pattern
-    of the group, and deeper recursion only touches later layers, so the
-    character sets concatenate disjointly.
+    A character is keyed by one code per layer: group * 2^w + gamma where it
+    multiplies the bits gamma (a nonzero mask) of that group of the layer, and
+    0 on a layer it does not touch. Its value is its coefficient in units of
+    2^-(t*w). The q-th query of the tree reads a whole w-bit group of layer q;
+    the indicator of each symbol value v contributes (-1)^|v & gamma| * 2^-w
+    on every sub-pattern gamma of the group, and deeper recursion only
+    touches later layers, so a character's codes concatenate.
     """
     c = lc.circuit
-    w = c.w
+    w, t = c.w, c.t
     gate = c.gates[i]
     if not isinstance(gate, WordDecisionTree):
         raise ValidationError([f"output {i} is not a decision tree"])
+    flips = [[(v & gamma).bit_count() & 1 for v in range(1 << w)] for gamma in range(1 << w)]
 
-    def go(node: TreeNode, layer: int) -> dict[tuple[int, ...], Dyadic]:
+    def go(node: TreeNode, layer: int) -> dict[tuple[int, ...], int]:
         if isinstance(node, Leaf):
-            return {(): Dyadic(node.value)}
-        out: dict[tuple[int, ...], Dyadic] = {}
-        base = lc.bit_index(layer, node.query, 0)
-        for v, child in enumerate(node.children):
-            sub = go(child, layer + 1)
-            for gamma in range(1 << w):
-                sign = 1 - 2 * ((v & gamma).bit_count() & 1)
-                gvars = tuple(base + b for b in range(w) if (gamma >> b) & 1)
-                for alpha, cf in sub.items():
-                    char = gvars + alpha  # later layers only: already sorted
-                    contrib = Dyadic(sign * cf.num, cf.log_den + w)
-                    prev = out.get(char)
-                    out[char] = contrib if prev is None else prev + contrib
-        return {a: cf for a, cf in out.items() if not cf.is_zero()}
+            return {(0,) * (t - layer): node.value << ((t - layer) * w)}
+        subs = [go(child, layer + 1) for child in node.children]
+        out: dict[tuple[int, ...], int] = {}
+        for gamma, flip in enumerate(flips):
+            code = ((node.query << w) | gamma if gamma else 0,)
+            for negate, sub in zip(flip, subs):
+                for rest, units in sub.items():
+                    key = code + rest
+                    out[key] = out.get(key, 0) + (-units if negate else units)
+        return {key: units for key, units in out.items() if units}
 
-    return FourierExpansion(lc.n_bits, go(gate.root, 0))
+    return go(gate.root, 0)
+
+
+def expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:
+    """Expansion of output i of a layered circuit over its w*n*t bit inputs,
+    read from :func:`layered_characters`."""
+    w, scale = lc.circuit.w, lc.circuit.t * lc.circuit.w
+    coeffs = {
+        tuple(
+            lc.bit_index(layer, code >> w, b)
+            for layer, code in enumerate(codes)
+            for b in range(w)
+            if (code >> b) & 1
+        ): Dyadic(units, scale)
+        for codes, units in layered_characters(lc, i).items()
+    }
+    return FourierExpansion(lc.n_bits, coeffs)
 
 
 def level_weight(exp: FourierExpansion, level: int) -> Dyadic:

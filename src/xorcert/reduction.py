@@ -2,12 +2,13 @@
 weighted XOR schemes over valuation variables, plus the junta-circuit split
 that buckets characters by their position pattern.
 
-Both are prepared for refutation when they are built: ``group_characters``
-prepares every ensemble key straight from the circuit's characters, and a
-``JuntaSplit`` its buckets straight from the gates' integer spectra
-(``fourier.junta_spectra``), with no per-gate expansion and no dense
-buckets, so that a target pays one bincount of its signed sums plus the
-engines (``refuter.PreparedSchemes``). An ensemble's dense
+Both are prepared for refutation by ``refuter.prepare_rows`` when they are
+built, with no per-output expansion and no dense buckets: ``group_characters``
+prepares every ensemble key straight from the outputs' integer characters
+(``fourier.layered_characters``), and a ``JuntaSplit`` its buckets straight
+from the gates' integer spectra (``fourier.junta_spectra``). A target then
+pays one bincount of its signed sums plus the engines
+(``refuter.PreparedSchemes``). An ensemble's dense
 per-output schemes, with a zero-weight filler edge wherever an output has no
 character at a key, are made only when ``SchemeEnsemble.schemes`` is read.
 """
@@ -29,8 +30,8 @@ from .core import (
     XorScheme,
     sign_of_bit,
 )
-from .fourier import GateSpectra, expand_layered_output, junta_spectra
-from .refuter import PreparedSchemes, prepare_copies, prepare_rows
+from .fourier import GateSpectra, junta_spectra, layered_characters
+from .refuter import PreparedSchemes, prepare_rows
 
 # An ensemble key is (beta, slot): beta gives one bit pattern inside [w] per
 # layer (as a mask), slot separates the different characters of one output
@@ -93,27 +94,6 @@ def _filler_edge(beta: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(layer * n for layer, mask in enumerate(beta) if mask)
 
 
-def _character_profile(
-    lc: LayeredCircuit, alpha: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-    """Per-layer (bit pattern mask, group index) of a layered character."""
-    c = lc.circuit
-    group_width = c.n * c.w
-    beta = [0] * c.t
-    groups: list[int | None] = [None] * c.t
-    for bit in alpha:
-        layer, rem = divmod(bit, group_width)
-        j, b = divmod(rem, c.w)
-        if groups[layer] is None:
-            groups[layer] = j
-        elif groups[layer] != j:
-            raise ValidationError(
-                [f"character {alpha} touches two groups in layer {layer}"]
-            )
-        beta[layer] |= 1 << b
-    return tuple(beta), tuple(groups)
-
-
 class _DenseSchemes(Mapping):
     """The dense scheme of every key of a prepared ensemble, each made from
     the key's live copies when it is first read."""
@@ -163,37 +143,60 @@ def group_characters(lc: LayeredCircuit) -> SchemeEnsemble:
 
     The resulting schemes satisfy, exactly and for every layered input and
     every right-hand side, that the average output/target agreement equals
-    the sum of the per-key instance values. Each key is prepared from its
-    characters alone; the outputs without one count as zero-weight copies
-    of the key's filler edge.
+    the sum of the per-key instance values. The characters of one output and
+    one beta fill slots 1, 2, ... in colex order of their bit indices, which
+    for a fixed beta is the order of their groups from the highest used layer
+    down. Every key is prepared from the integer characters
+    (``fourier.layered_characters``): a row per character, in output order,
+    after one row for the key's filler copies, the outputs without a
+    character there.
     """
     c = lc.circuit
     n, w, t, m = c.n, c.w, c.t, c.m
     slots = 1 << (t * w)
     keys = list(itertools.product(itertools.product(range(1 << w), repeat=t), range(1, slots + 1)))
 
-    # key -> [(output, edge, weight)] of its characters, keys in sorted order
-    copies: dict[EnsembleKey, list] = {key: [] for key in keys}
-    for i in range(m):
-        exp = expand_layered_output(lc, i)
-        per_beta: dict[tuple[int, ...], list] = {}
-        for alpha, coeff in exp.coeffs.items():
-            beta, groups = _character_profile(lc, alpha)
-            per_beta.setdefault(beta, []).append((alpha, groups, coeff))
-        for beta, chars in per_beta.items():
-            chars.sort(key=lambda ac: tuple(reversed(ac[0])))  # colex
-            if len(chars) > slots:
-                raise ValidationError(
-                    [f"output {i}: {len(chars)} characters exceed {slots} slots"]
-                )
-            for slot, (_, groups, coeff) in enumerate(chars, 1):
-                edge = tuple(layer * n + groups[layer] for layer in range(t) if beta[layer])
-                copies[(beta, slot)].append((i, edge, coeff))
+    chars = [layered_characters(lc, i) for i in range(m)]
+    sizes = [len(ch) for ch in chars]
+    total = sum(sizes)
+    codes = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(chars)), np.int64, total * t
+    ).reshape(total, t)
+    # every |coefficient| is at most 1: a unit is at most 2^(t*w), and the
+    # 4^(t*w) keys keep t*w far too small for the units to leave int64
+    units = np.fromiter(itertools.chain.from_iterable(ch.values() for ch in chars), np.int64, total)
+    outputs = np.repeat(np.arange(m), sizes)
+    places = w * np.arange(t - 1, -1, -1)  # beta's first layer is its most significant
+    beta = ((codes & ((1 << w) - 1)) << places).sum(axis=1)
+    # slots count off each (output, beta) run; an output has at most
+    # 2^(w*(t-1)) group tuples per beta, fewer than the slots
+    order = np.lexsort((*codes.T, beta, outputs))
+    run = np.ones(total, dtype=bool)
+    run[1:] = (np.diff(outputs[order]) != 0) | (np.diff(beta[order]) != 0)
+    first = np.maximum.accumulate(np.where(run, np.arange(total), 0))
+    key = np.empty(total, dtype=np.int64)
+    key[order] = beta[order] * slots + np.arange(total) - first
 
-    prepared = prepare_copies(m, [
-        (n * t, chars, {_filler_edge(beta, n): m - len(chars)})
-        for (beta, _), chars in copies.items()
-    ])
+    # one row for each key's filler copies, if it has any, ahead of its characters
+    fillers = m - np.bincount(key, minlength=len(keys))
+    filled = np.flatnonzero(fillers)
+    zeros = np.zeros(len(filled), dtype=np.int64)
+    key = np.concatenate((filled, key))
+    outputs = np.concatenate((zeros, outputs))
+    rows = np.lexsort((outputs, key))
+    filler_codes = ((filled // slots)[:, None] >> places) & ((1 << w) - 1)  # group 0
+    codes = np.concatenate((filler_codes, codes))[rows]
+    edges = np.sort(np.where(codes != 0, n * np.arange(t) + (codes >> w), n * t), axis=1)
+    edges[edges == n * t] = -1  # the unused layers, moved to the end
+    prepared = prepare_rows(
+        m,
+        [(n * t, t * w)] * len(keys),
+        key[rows],
+        edges,
+        outputs[rows],
+        np.concatenate((zeros, units))[rows],
+        np.concatenate((fillers[filled], np.ones(total, dtype=np.int64)))[rows],
+    )
     schemes = _DenseSchemes(n, keys, prepared)
     return SchemeEnsemble(n, w, t, m, schemes, circuit=c, prepared=prepared)
 
@@ -269,26 +272,18 @@ class JuntaSplit:
     def _prepare(self) -> PreparedSchemes:
         """``prepare_rows`` of the buckets: a row per character and one row
         for all of a bucket's filler copies, at the first of their outputs,
-        each bucket's rows in output order. A bucket's scale 2^-L is the
-        finest of its coefficients num * 2^-f in lowest terms."""
+        each bucket's rows in output order, with units at the scale 2^-f of
+        the widest fan-in f."""
         width = max(self.t - 1, 0)
-        schemes = []
+        log_den = max((g.fan_in for g in self.gates), default=0)
+        patterns = self.patterns()
         # an empty block keeps the concatenation defined when m = 0
         blocks = [tuple(np.zeros(shape, dtype=np.int64) for shape in (0, 0, (0, width), 0, 0))]
-        for j, alpha in enumerate(self.patterns()):
+        for j, alpha in enumerate(patterns):
             chars = self._characters(alpha)
-            log_den = 0
-            for g, _, col in chars:
-                low = int(np.bitwise_or.reduce(np.abs(col)))
-                if low:
-                    log_den = max(log_den, g.fan_in - (low & -low).bit_length() + 1)
-            schemes.append((self.n, log_den))
             outputs = [g.positions for g, _, _ in chars]
             edges = [edge for _, edge, _ in chars]
-            units = [
-                col << (log_den - g.fan_in) if log_den >= g.fan_in else col >> (g.fan_in - log_den)
-                for g, _, col in chars
-            ]
+            units = [col << (log_den - g.fan_in) for g, _, col in chars]
             counts = [np.ones(len(col), dtype=np.int64) for _, _, col in chars]
             fillers = [g.positions for g in self.gates if alpha and alpha[-1] >= g.fan_in]
             if fillers:
@@ -307,6 +302,7 @@ class JuntaSplit:
                 np.concatenate(units)[order], np.concatenate(counts)[order],
             ))
         scheme, outputs, edges, units, counts = map(np.concatenate, zip(*blocks))
+        schemes = [(self.n, log_den)] * len(patterns)
         return prepare_rows(self.m, schemes, scheme, edges, outputs, units, counts)
 
     def instance(self, alpha: tuple[int, ...], b: Sequence[int]) -> XorInstance:

@@ -1,7 +1,8 @@
 """Certified upper bounds on the value of weighted XOR systems.
 
 A scheme (edges and weights, the right-hand side left open) is prepared
-once (``prepare_copies``, ``PreparedSchemes``): each edge size gets its
+once (``prepare_rows``, ``PreparedSchemes``) from integer rows of copies:
+it is put at its finest weight scale 2^-L, each edge size gets its
 distinct edges, each with its number of copies and its live copies (those
 of nonzero weight), and every live copy an integer incidence (distinct
 edge, rhs position, w * 2^L). For a right-hand side b, one bincount of b * w * 2^L
@@ -44,12 +45,11 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -428,24 +428,38 @@ def prepare_rows(
 ) -> PreparedSchemes:
     """Prepare schemes over a rhs of length m from rows of copies, unchecked.
 
-    ``schemes`` gives each scheme's vertex count n and weight scale 2^-L.
-    Row i, in scheme ``scheme[i]``, stands for ``counts[i]`` copies of the
-    edge whose vertices are ``edges[i]``, padded with -1 to the array's width,
-    each of weight ``units[i]`` * 2^-L. A row of nonzero weight is one copy,
-    at rhs position ``outputs[i]``. Rows come in scheme order. ``units`` is
-    an int64 array whose absolute values sum below 2^63, or an object array
-    of Python ints.
+    ``schemes`` gives each scheme's vertex count n and the scale 2^-L of its
+    units. Row i, in scheme ``scheme[i]``, stands for ``counts[i]`` copies of
+    the edge whose vertices are ``edges[i]``, padded with -1 to the array's
+    width, each of weight ``units[i]`` * 2^-L. A row of nonzero weight is one
+    copy, at rhs position ``outputs[i]``. Rows come in scheme order. ``units``
+    is an int64 array whose absolute values sum below 2^63, or an object
+    array of Python ints.
 
-    Each scheme's distinct edges are found with their copies, live copies and
-    unit copies, grouped by size in increasing order and, within a size,
-    ordered by their first row; they are numbered consecutively across the
-    schemes. The live copies keep their row order in the incidence.
+    Each scheme is put at its finest weight scale in lowest terms: L drops by
+    the powers of two that all its units share, but never below 0, so a
+    scheme with no weight is at the scale 2^0. Its distinct edges are found
+    with their copies, live copies and unit copies, grouped by size in
+    increasing order and, within a size, ordered by their first row; they are
+    numbered consecutively across the schemes. The live copies keep their row
+    order in the incidence.
     """
     row, distinct = _number_distinct(np.column_stack((scheme, (edges >= 0).sum(axis=1), edges)))
     n_rows = len(distinct)
     live = units != 0
     live_row = row[live]
+    live_scheme = scheme[live]
     live_units = units[live]
+    sizes = np.bincount(live_scheme, minlength=len(schemes))
+    ends = np.cumsum(sizes)
+    log_dens = np.array([log_den for _, log_den in schemes], dtype=np.int64)
+    shift = log_dens.copy()  # a scheme with no live copy goes to the scale 2^0
+    used = np.flatnonzero(sizes)
+    if len(used):
+        shared = np.bitwise_or.reduceat(np.abs(live_units), (ends - sizes)[used]).tolist()
+        shift[used] = np.minimum(shift[used], [(s & -s).bit_length() - 1 for s in shared])
+        live_units = live_units >> shift[live_scheme].astype(live_units.dtype)
+    log_dens -= shift
     magnitudes = np.abs(live_units)
     exact = int(magnitudes.sum()) < 1 << 53
     if exact:
@@ -474,10 +488,12 @@ def prepare_rows(
             tuple(unit_copies[lo:hi]),
             dict(zip(part_edges, live_copies[lo:hi])),
         ))
-    ends = np.cumsum(np.bincount(scheme[live], minlength=len(schemes))).tolist()
+    ends = ends.tolist()
     prepared = tuple(
         PreparedScheme(n, m, log_den, tuple(scheme_parts), (start, end))
-        for (n, log_den), scheme_parts, start, end in zip(schemes, parts, [0] + ends, ends)
+        for (n, _), log_den, scheme_parts, start, end in zip(
+            schemes, log_dens.tolist(), parts, [0] + ends, ends
+        )
     )
     return PreparedSchemes(
         m,
@@ -490,37 +506,12 @@ def prepare_rows(
     )
 
 
-# One scheme as its copies: (vertex count n, [(rhs position, edge, weight)],
-# {edge: zero-weight copies that have no rhs position}).
-SchemeCopies = tuple[
-    int, Sequence[tuple[int, tuple[int, ...], Dyadic]], Mapping[tuple[int, ...], int]
-]
-
-
-def prepare_copies(m: int, schemes: Iterable[SchemeCopies]) -> PreparedSchemes:
-    """:func:`prepare_rows` of schemes given as their copies, unchecked.
-
-    Each scheme is put at its finest weight scale 2^-L (L >= 0, so a zero
-    weight never raises it); its zero-weight copies without a rhs position
-    come first, one row per edge, then its copies in order.
-    """
-    info = []
-    scheme, outputs, counts = array("q"), array("q"), array("q")  # no int object per row
-    edges: list[tuple[int, ...]] = []
-    units: list[int] = []
-    for j, (n, copies, zeros) in enumerate(schemes):
-        log_den = max((w.log_den for _, _, w in copies), default=0)
-        info.append((n, log_den))
-        zero_rows = [(edge, count) for edge, count in zeros.items() if count]
-        scheme.extend([j] * (len(zero_rows) + len(copies)))
-        edges += [edge for edge, _ in zero_rows]
-        edges += [edge for _, edge, _ in copies]
-        outputs.extend([0] * len(zero_rows))
-        outputs.extend([out for out, _, _ in copies])
-        units += [0] * len(zero_rows)
-        units += [w.num << (log_den - w.log_den) for _, _, w in copies]
-        counts.extend([count for _, count in zero_rows])
-        counts.extend([1] * len(copies))
+def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
+    """The scheme of a validated instance, prepared: a row per edge, at its
+    rhs position, with units at the scale of its finest weight."""
+    edges, weights = inst.scheme.hypergraph.edges, inst.scheme.weights
+    log_den = max((w.log_den for w in weights), default=0)
+    units = [w.scaled(log_den) for w in weights]
     width = max(map(len, edges), default=0)
     pads = [(-1,) * (width - k) for k in range(width + 1)]
     padded = np.fromiter(
@@ -528,21 +519,13 @@ def prepare_copies(m: int, schemes: Iterable[SchemeCopies]) -> PreparedSchemes:
     )
     small = sum(map(abs, units)) < 1 << 63
     return prepare_rows(
-        m,
-        info,
-        np.frombuffer(scheme, dtype=np.int64),
+        inst.m,
+        [(inst.n, log_den)],
+        np.zeros(inst.m, dtype=np.int64),
         padded.reshape(len(edges), width),
-        np.frombuffer(outputs, dtype=np.int64),
+        np.arange(inst.m),
         np.array(units, dtype=np.int64 if small else object),
-        np.frombuffer(counts, dtype=np.int64),
-    )
-
-
-def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
-    """The scheme of a validated instance, prepared."""
-    scheme = inst.scheme
-    return prepare_copies(
-        inst.m, [(inst.n, list(zip(range(inst.m), scheme.hypergraph.edges, scheme.weights)), {})]
+        np.ones(inst.m, dtype=np.int64),
     )
 
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from xorcert.circuits import Circuit, JuntaGate
+from xorcert.circuits import Circuit, JuntaGate, LayeredCircuit, Leaf
 from xorcert.core import (
     Dyadic,
     Hypergraph,
@@ -135,9 +135,12 @@ def bucket_instance(buckets: Buckets, alpha: tuple[int, ...], b) -> XorInstance:
 
 
 def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
-    """Per-copy reference for ``prepare_copies``: each scheme's distinct
-    edges collected in a dict in order of first appearance, the zero-weight
-    copies without a rhs position first, then grouped by size."""
+    """Per-copy reference for preparation: each scheme, given as (vertex
+    count n, [(rhs position, edge, weight)], {edge: zero-weight copies with
+    no rhs position}), is put at the finest scale of its Dyadic weights, and
+    its distinct edges are collected in a dict in order of first appearance,
+    the zero-weight copies without a rhs position first, then grouped by
+    size."""
     prepared = []
     rows: list[int] = []
     outputs: list[int] = []
@@ -190,6 +193,65 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
         tuple(all_units),
         np.array(all_units, dtype=np.float64) if exact else None,
     )
+
+
+def reference_expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:
+    """Expansion of output i of a layered circuit by the Dyadic recursion over
+    bit indices: the reference for the integer recursion."""
+    c = lc.circuit
+    w = c.w
+
+    def go(node, layer: int) -> dict[tuple[int, ...], Dyadic]:
+        if isinstance(node, Leaf):
+            return {(): Dyadic(node.value)}
+        out: dict[tuple[int, ...], Dyadic] = {}
+        base = lc.bit_index(layer, node.query, 0)
+        for v, child in enumerate(node.children):
+            sub = go(child, layer + 1)
+            for gamma in range(1 << w):
+                sign = 1 - 2 * ((v & gamma).bit_count() & 1)
+                gvars = tuple(base + b for b in range(w) if (gamma >> b) & 1)
+                for alpha, cf in sub.items():
+                    char = gvars + alpha  # later layers only: already sorted
+                    contrib = Dyadic(sign * cf.num, cf.log_den + w)
+                    prev = out.get(char)
+                    out[char] = contrib if prev is None else prev + contrib
+        return {a: cf for a, cf in out.items() if not cf.is_zero()}
+
+    return FourierExpansion(lc.n_bits, go(c.gates[i].root, 0))
+
+
+def reference_group_characters(lc: LayeredCircuit) -> PreparedSchemes:
+    """Every key's scheme of a tree circuit's ensemble in sorted key order,
+    prepared by the per-copy reference from the reference expansions: a
+    character's bits give its per-layer (mask, group), the characters of one
+    output and one beta fill slots 1, 2, ... in colex order of their bit
+    indices, and the outputs without a character at a key are zero-weight
+    copies of the key's filler edge, group 0 of every used layer."""
+    c = lc.circuit
+    n, w, t, m = c.n, c.w, c.t, c.m
+    slots = 1 << (t * w)
+    keys = product(product(range(1 << w), repeat=t), range(1, slots + 1))
+    copies: dict = {key: [] for key in keys}
+    for i in range(m):
+        per_beta: dict[tuple[int, ...], list] = {}
+        for alpha, coeff in reference_expand_layered_output(lc, i).coeffs.items():
+            beta = [0] * t
+            groups = [0] * t
+            for bit in alpha:
+                layer, rem = divmod(bit, n * w)
+                groups[layer], b = divmod(rem, w)
+                beta[layer] |= 1 << b
+            per_beta.setdefault(tuple(beta), []).append((alpha, groups, coeff))
+        for beta, chars in per_beta.items():
+            chars.sort(key=lambda ac: tuple(reversed(ac[0])))  # colex
+            for slot, (_, groups, coeff) in enumerate(chars, 1):
+                edge = tuple(layer * n + groups[layer] for layer in range(t) if beta[layer])
+                copies[(beta, slot)].append((i, edge, coeff))
+    return reference_prepare_copies(m, [
+        (n * t, chars, {tuple(layer * n for layer in range(t) if beta[layer]): m - len(chars)})
+        for (beta, _), chars in copies.items()
+    ])
 
 
 def prepare_buckets(m: int, buckets: Buckets) -> PreparedSchemes:

@@ -316,6 +316,7 @@ def test_criterion_9_remote_point_soundness():
     suites = [
         (200, 8, 1, 2, 600, Fraction(1, 4), 5),
         (100, 6, 2, 2, 800, Fraction(2, 5), 4),
+        (32, 8, 1, 3, 1500, Fraction(2, 5), 4),  # odd arity: keys of arity 3
     ]
     for count, n, w, t, m, eps, per_circuit in suites:
         done = 0

@@ -17,7 +17,13 @@ from xorcert.circuits import (
     to_layered,
 )
 from xorcert.core import Dyadic, ValidationError
-from xorcert.fourier import ParityClass, classify_parity, expand_junta, junta_spectra
+from xorcert.fourier import (
+    ParityClass,
+    classify_parity,
+    expand_junta,
+    expand_layered_output,
+    junta_spectra,
+)
 from xorcert.oracle import brute_min_distance, brute_val, check_decomposition
 from xorcert.reduction import (
     attach_rhs,
@@ -35,6 +41,8 @@ from helpers import (
     random_other_circuit,
     reference_buckets,
     reference_expand_junta,
+    reference_expand_layered_output,
+    reference_group_characters,
     signs,
 )
 
@@ -164,6 +172,33 @@ class TestGroupCharacters:
 
     def test_key_filename(self):
         assert key_filename(((0, 3), 2)) == "scheme_b0-3_l2.json"
+
+
+class TestGroupingMatchesReference:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        t=st.integers(1, 3),
+        w=st.integers(1, 2),
+        leaf_prob=st.sampled_from((0.0, 0.3, 0.6)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prepared_field_for_field(self, seed, t, w, leaf_prob):
+        """The integer grouping prepares exactly what the Dyadic recursion
+        and the per-copy reference prepare, constant outputs among the trees,
+        and the expansion read from it is the reference expansion."""
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        c = random_tree_circuit(rng, n, w, t, m, leaf_prob=leaf_prob)
+        gates = tuple(
+            WordDecisionTree(Leaf(rng.choice((1, -1)))) if rng.random() < 0.2 else g
+            for g in c.gates
+        )
+        lc = to_layered(Circuit(n, w, t, gates))
+        assert prepared_fields(group_characters(lc).prepared) == (
+            prepared_fields(reference_group_characters(lc))
+        )
+        for i in range(m):
+            assert expand_layered_output(lc, i) == reference_expand_layered_output(lc, i)
 
 
 class TestNonadaptiveSplit:

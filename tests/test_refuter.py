@@ -23,7 +23,6 @@ from xorcert.refuter import (
     certificate_from_obj,
     default_ell,
     odd_to_even,
-    prepare_copies,
     refute,
     spectral_certificate,
     trace_certificate,
@@ -513,40 +512,35 @@ class TestRefute:
         assert again == cert
 
 
-class TestPrepareCopies:
+class TestPrepareInstance:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_copy_reference(self, seed):
-        """Field for field, over schemes of mixed edge sizes with parallel
-        copies, zero weights, zero-weight copies without a rhs position and
-        weights whose units pass 2^53 and 2^63."""
+        """Field for field, over instances of mixed edge sizes with parallel
+        copies, zero weights and weights whose units pass 2^53 and 2^63."""
         rng = random.Random(seed)
         m = rng.randint(0, 12)
-        schemes = []
-        for _ in range(rng.randint(0, 4)):
-            n = rng.randint(1, 6)
-            sizes = rng.sample(range(min(4, n) + 1), rng.randint(1, 2))
-            big = rng.random() < 0.2
-            copies = []
-            for out in rng.sample(range(m), rng.randint(0, m)):
-                if copies and rng.random() < 0.3:
-                    edge = rng.choice(copies)[1]
-                else:
-                    edge = tuple(sorted(rng.sample(range(n), rng.choice(sizes))))
-                if rng.random() < 0.3:
-                    w = Dyadic(0)
-                elif big:
-                    w = Dyadic(rng.randint(-(1 << 70), 1 << 70), 70)
-                else:
-                    w = Dyadic(rng.randint(-8, 8), rng.randint(0, 3))
-                copies.append((out, edge, w))
-            zeros = {
-                tuple(sorted(rng.sample(range(n), rng.choice(sizes)))): rng.randint(0, 3)
-                for _ in range(rng.randint(0, 2))
-            }
-            schemes.append((n, copies, zeros))
-        assert prepared_fields(prepare_copies(m, schemes)) == (
-            prepared_fields(reference_prepare_copies(m, schemes))
+        n = rng.randint(1, 6)
+        sizes = rng.sample(range(min(4, n) + 1), rng.randint(1, 2))
+        big = rng.random() < 0.2
+        edges, weights = [], []
+        for _ in range(m):
+            if edges and rng.random() < 0.3:
+                edge = rng.choice(edges)
+            else:
+                edge = tuple(sorted(rng.sample(range(n), rng.choice(sizes))))
+            if rng.random() < 0.3:
+                w = Dyadic(0)
+            elif big:
+                w = Dyadic(rng.randint(-(1 << 70), 1 << 70), 70)
+            else:
+                w = Dyadic(rng.randint(-8, 8), rng.randint(0, 3))
+            edges.append(edge)
+            weights.append(w)
+        inst = make_instance(n, edges, signs(rng, m), weights=weights)
+        copies = list(zip(range(m), edges, weights))
+        assert prepared_fields(refuter._prepare_instance(inst)) == (
+            prepared_fields(reference_prepare_copies(m, [(n, copies, {})]))
         )
 
 
