@@ -204,6 +204,7 @@ class LayeredCircuit:
     circuit: Circuit
 
     def __post_init__(self) -> None:
+        self.circuit.ensure_valid()
         bad = [
             f"gate {i}: junta gate in layered circuit"
             for i, g in enumerate(self.circuit.gates)
@@ -256,8 +257,8 @@ class LayeredCircuit:
 
 
 def to_layered(c: Circuit) -> LayeredCircuit:
-    """Layered view; requires every gate to be a word decision tree."""
-    return LayeredCircuit(c.ensure_valid())
+    """Layered view; requires a valid circuit of word decision trees."""
+    return LayeredCircuit(c)
 
 
 # Seeded generators for test suites.

@@ -95,7 +95,8 @@ def _add_refute_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dense-cap", type=int, default=refuter.RefuteParams.dense_cap)
     p.add_argument("--work-flops", type=float, default=refuter.RefuteParams.work_flops)
     p.add_argument("--split-weights", action="store_true",
-                   help="cross-check path: split weights into unit granules")
+                   help="count each weight num*2^-L as |num| unit copies and rescale: "
+                        "a different bound, tighter or looser than the default")
     p.add_argument("--params", default=None,
                    help="JSON file overriding all certification knobs")
 

@@ -120,8 +120,10 @@ class _DenseSchemes(Mapping):
         prepared = self._prepared
         scheme = prepared.schemes[self._index[key]]
         beta, _ = key
-        edge_of = {
-            part.row + j: edge for part in scheme.parts for j, edge in enumerate(part.edges)
+        n_vars = self._n * len(beta)
+        edge_of = {  # the rows' vertex bitmasks as sorted tuples
+            part.row + j: tuple(v for v in range(n_vars) if e >> v & 1)
+            for part in scheme.parts for j, e in enumerate(part.edges)
         }
         edges = [_filler_edge(beta, self._n)] * prepared.m
         weights = [Dyadic(0)] * prepared.m
@@ -132,7 +134,7 @@ class _DenseSchemes(Mapping):
             edges[out] = edge_of[row]
             weights[out] = Dyadic(units, scheme.log_den)
         return XorScheme(
-            Hypergraph(self._n * len(beta), tuple(edges)),
+            Hypergraph(n_vars, tuple(edges)),
             tuple(weights),
             SchemeEnsemble.key_arity(key),
         )

@@ -3,13 +3,15 @@
 A scheme (edges and weights, the right-hand side left open) is prepared
 once (``prepare_rows``, ``PreparedSchemes``) from integer rows of copies:
 it is put at its finest weight scale 2^-L, each edge size gets its
-distinct edges, each with its number of copies and its live copies (those
-of nonzero weight), and every live copy an integer incidence (distinct
-edge, rhs position, w * 2^L). For a right-hand side b, one bincount of b * w * 2^L
-gives the exact signed sum of every distinct edge, and with them each edge
-size as ``CoalescedEdges``. ``refute`` validates an instance and prepares
-it; schemes that serve many right-hand sides, such as a circuit's ensemble,
-are prepared once for all of them. Every path reads the coalesced form:
+distinct edges as vertex bitmasks, each with its number of copies and its
+live copies (those of nonzero weight), and every live copy an integer
+incidence (distinct edge, rhs position, w * 2^L). For a right-hand side b,
+one bincount of b * w * 2^L gives the exact signed sum of every distinct
+edge, and with them each edge size as ``CoalescedEdges``. ``refute``
+validates an instance and prepares it; schemes that serve many right-hand
+sides, such as a circuit's ensemble, are prepared once for all of them.
+Every path reads the coalesced form, and sums stay integers at one scale
+up to the Kikuchi entries:
 
 * arity 0 and 1 are certified directly, by the sum of |signed sum| over m;
 * even arity goes through the level-r Kikuchi matrix: rows and columns are
@@ -17,14 +19,15 @@ are prepared once for all of them. Every path reads the coalesced form:
   pair (S, T) with S xor T equal to the edge and its copies to the degree of
   S, and the instance value is bounded by twice the spectral norm of the
   degree-reweighted matrix;
-* odd arity is reduced to even buckets by grouping edges on their minimum
+* odd arity is reduced to even buckets by grouping edges on their lowest
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
   distinct group-mates adds the product of their live copies and of their
   signed sums to its symmetric difference, so every bucket arrives in the
   same distinct-edge form;
 * mixed arity averages the per-size bounds with weights m_k / m;
 * ``split_weights`` counts a copy of weight num * 2^-L as |num| unit copies
-  and rescales the bound by m' / m, with m' the unit copies in total.
+  and rescales the bound by m' / m, with m' the unit copies in total: another
+  bound, not a check, tighter than the default on some instances, looser on others.
 
 Two certificate engines bound the reweighted norm:
 
@@ -78,7 +81,7 @@ class RefuteParams:
     mode: str = "auto"  # trace | spectral | auto (= spectral)
     dense_cap: int = 4096  # matrix side length above which no matrix is built
     work_flops: float = 4e9  # budget that truncates the trace power
-    split_weights: bool = False  # count each weight as |num| unit copies
+    split_weights: bool = False  # bound |num| unit copies per weight: another bound
 
     @staticmethod
     def from_obj(obj: dict) -> "RefuteParams":
@@ -195,15 +198,17 @@ def _root_up(x: float, power: int) -> float:
 class KikuchiOperator:
     """Level-r signed subset matrix of an even-arity instance.
 
-    ``entries`` stores the strict upper triangle; ``degrees[S]`` counts the
-    (edge, T) pairs incident to row S, independent of the edge weights.
+    ``entries`` stores the strict upper triangle as integer numerators at
+    the scale 2^-log_den; ``degrees[S]`` counts the (edge, T) pairs incident
+    to row S, independent of the edge weights.
     """
 
     n: int
     k: int
     r: int
     m: int
-    entries: dict[tuple[int, int], Dyadic]
+    entries: dict[tuple[int, int], int]
+    log_den: int
     degrees: tuple[int, ...]
     edge_multiplier: int
 
@@ -219,10 +224,6 @@ class KikuchiOperator:
     def trace_degree(self) -> int:
         return self.m * self.edge_multiplier
 
-    def gamma(self) -> list[Fraction]:
-        d = self.d
-        return [deg + d for deg in self.degrees]
-
     def quadratic_form(self, x: Sequence[int]) -> Dyadic:
         """Exact (x^r)^T A (x^r) for a +-1 assignment x."""
         signs = [0] * self.dim
@@ -231,21 +232,25 @@ class KikuchiOperator:
             for v in s:
                 sign *= x[v]
             signs[subset_rank(s, self.n, self.r)] = sign
-        total = Dyadic(0)
-        for (i, j), val in self.entries.items():
-            total = total + Dyadic(2 * signs[i] * signs[j] * val.num, val.log_den)
-        return total
+        total = sum(signs[i] * signs[j] * num for (i, j), num in self.entries.items())
+        return Dyadic(2 * total, self.log_den)
 
     def dense_matrix(self) -> np.ndarray:
-        """The symmetric matrix as a new float array."""
+        """The symmetric matrix as a new float array of num * 2^-log_den, rounded once."""
         count = len(self.entries)
         rows = np.fromiter((i for i, _ in self.entries), np.intp, count)
         cols = np.fromiter((j for _, j in self.entries), np.intp, count)
-        values = np.fromiter(map(float, self.entries.values()), np.float64, count)
+        values = np.ldexp(np.fromiter(self.entries.values(), np.float64, count), -self.log_den)
         a = np.zeros((self.dim, self.dim))
         a[rows, cols] = values
         a[cols, rows] = values
         return a
+
+
+def _gamma(op: KikuchiOperator) -> np.ndarray:
+    """deg_S + d of every row S, correctly rounded as Python's int / int is."""
+    dim, extra = op.dim, op.trace_degree
+    return np.array([(deg * dim + extra) / dim for deg in op.degrees])
 
 
 def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
@@ -265,7 +270,7 @@ def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
 class CoalescedEdges:
     """One edge size of an instance as its distinct edges.
 
-    ``edges`` maps each distinct edge, a sorted vertex tuple, to (number of
+    ``edges`` maps each distinct edge, as its vertex bitmask, to (number of
     copies, signed sum of b * w over the copies as an integer at the scale
     2^-log_den). ``m`` counts copies, so the degrees, d and the trace degree
     of the Kikuchi matrix are those of the per-copy instance. ``live`` maps
@@ -279,16 +284,16 @@ class CoalescedEdges:
     k: int
     m: int
     log_den: int
-    edges: dict[tuple[int, ...], tuple[int, int]]
-    live: dict[tuple[int, ...], int] | None = None
+    edges: dict[int, tuple[int, int]]
+    live: dict[int, int] | None = None
 
 
 @dataclass(frozen=True)
 class PreparedPart:
     """The distinct edges of one edge size of a prepared scheme.
 
-    Edge j of the part is row ``row + j`` of the signed sums. ``copies``
-    and ``live`` give each edge's copies and its copies of nonzero weight,
+    Edge j of the part, a vertex bitmask, is row ``row + j`` of the signed
+    sums. ``copies`` and ``live`` give each edge's copies and its live ones,
     and ``m`` the part's copies in total. ``unit_copies`` gives each edge's
     copies under ``split_weights``: the sum of |w| * 2^L over its copies.
     """
@@ -296,10 +301,10 @@ class PreparedPart:
     k: int
     row: int
     m: int
-    edges: tuple[tuple[int, ...], ...]
+    edges: tuple[int, ...]
     copies: tuple[int, ...]
     unit_copies: tuple[int, ...]
-    live: dict[tuple[int, ...], int]
+    live: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -439,10 +444,10 @@ def prepare_rows(
     Each scheme is put at its finest weight scale in lowest terms: L drops by
     the powers of two that all its units share, but never below 0, so a
     scheme with no weight is at the scale 2^0. Its distinct edges are found
-    with their copies, live copies and unit copies, grouped by size in
-    increasing order and, within a size, ordered by their first row; they are
-    numbered consecutively across the schemes. The live copies keep their row
-    order in the incidence.
+    as vertex bitmasks, with their copies, live copies and unit copies,
+    grouped by size in increasing order and, within a size, ordered by their
+    first row; they are numbered consecutively across the schemes. The live
+    copies keep their row order in the incidence.
     """
     row, distinct = _number_distinct(np.column_stack((scheme, (edges >= 0).sum(axis=1), edges)))
     n_rows = len(distinct)
@@ -478,7 +483,7 @@ def prepare_rows(
     starts = [lo for lo in range(n_rows) if lo == 0 or heads[lo] != heads[lo - 1]]
     for lo, hi in zip(starts, starts[1:] + [n_rows]):
         j, k = heads[lo]
-        part_edges = tuple(tuple(v[:k]) for v in vertices[lo:hi])
+        part_edges = tuple(sum(1 << x for x in v[:k]) for v in vertices[lo:hi])
         parts[j].append(PreparedPart(
             k,
             lo,
@@ -548,10 +553,10 @@ def build_kikuchi(
     ``CoalescedEdges`` is taken as it is. Each distinct edge then enumerates
     its ordered pairs (S, T) with S xor T equal to the edge once: the row
     degree of S grows by the number of copies, and the entry is the signed
-    sum. Since S xor T determines the edge, no entry collects more than one
-    edge. Rows are ranked through one table from each r-subset's vertex
-    bitmask to its colex rank, built once per call. A level that does not
-    exist, or whose side exceeds ``dense_cap``, raises ResourceCap before
+    sum, an integer at the edges' scale. Since S xor T determines the edge,
+    no entry collects more than one edge. Rows are ranked through one table
+    from each r-subset's vertex bitmask to its colex rank. A level that does
+    not exist, or whose side exceeds ``dense_cap``, raises ResourceCap before
     anything is built.
     """
     if isinstance(inst, XorInstance):
@@ -569,35 +574,26 @@ def build_kikuchi(
     # colex order of r-subsets is the numeric order of their bitmasks
     rank = {mask: i for i, mask in enumerate(sorted(map(sum, combinations(bit, r))))}
     multiplier = comb(k, half) * comb(n - k, r - half)
-    entries: dict[tuple[int, int], Dyadic] = {}
+    entries: dict[tuple[int, int], int] = {}
     degrees = [0] * dim
     for edge, (count, total) in inst.edges.items():
-        value = Dyadic(total, inst.log_den) if total else None  # zero sums stay out
-        edge_bits = [bit[v] for v in edge]
-        edge_mask = sum(edge_bits)
         # the r - k/2 vertices a pair adds outside its edge, as bitmasks
         outs = [0]
         if r > half:
-            outside = [b for b in bit if not b & edge_mask]
-            outs = list(map(sum, combinations(outside, r - half)))
-        for inner in combinations(edge_bits, half):
+            outs = list(map(sum, combinations([b for b in bit if not b & edge], r - half)))
+        for inner in combinations([b for b in bit if b & edge], half):
             inner_mask = sum(inner)
-            comp_mask = edge_mask ^ inner_mask
+            comp_mask = edge ^ inner_mask
             for out in outs:
                 si = rank[inner_mask | out]
                 degrees[si] += count
-                if value is not None:
+                if total:  # zero sums stay out
                     ti = rank[comp_mask | out]
                     if si < ti:
-                        entries[(si, ti)] = value
+                        entries[(si, ti)] = total
     op = KikuchiOperator(
-        n=n,
-        k=k,
-        r=r,
-        m=inst.m,
-        entries=entries,
-        degrees=tuple(degrees),
-        edge_multiplier=multiplier,
+        n=n, k=k, r=r, m=inst.m, entries=entries, log_den=inst.log_den,
+        degrees=tuple(degrees), edge_multiplier=multiplier,
     )
     assert sum(op.degrees) == op.trace_degree
     return op
@@ -668,7 +664,7 @@ def trace_certificate(
     ell = truncate_ell(ell, dim, work_flops)
     if not op.entries:
         return 0.0, ell
-    mid = op.dense_matrix() / np.array([float(g) for g in op.gamma()])[:, None]
+    mid = op.dense_matrix() / _gamma(op)[:, None]
     rad = 4.0 * _EPS * np.abs(mid)
     power = _interval_power((mid, rad), ell // 2)
     pmid, prad = power
@@ -687,7 +683,7 @@ def spectral_certificate(op: KikuchiOperator) -> float:
     dim = op.dim
     if not op.entries:
         return 0.0
-    scale = 1.0 / np.sqrt([float(g) for g in op.gamma()])
+    scale = 1.0 / np.sqrt(_gamma(op))
     b = op.dense_matrix() * scale[:, None] * scale[None, :]
     b = 0.5 * (b + b.T)
     try:
@@ -715,7 +711,7 @@ class OddSplit:
 
 
 def odd_to_even(part: XorInstance | CoalescedEdges) -> OddSplit:
-    """Group distinct edges by minimum vertex; square the group sums.
+    """Group distinct edges by lowest vertex; square the group sums.
 
     An ``XorInstance`` is validated and coalesced first. Only live copies
     enter a group. The copies of one edge pair among themselves into the
@@ -725,21 +721,21 @@ def odd_to_even(part: XorInstance | CoalescedEdges) -> OddSplit:
     size. Both orderings of a pair count, so that edge's copies grow by
     2 * live_a * live_b and its signed sum by 2 * sum_a * sum_b. All
     products are integers at the one scale 2^-2L, where 2^-L is the scale of
-    the signed sums, and edges are paired as vertex bitmasks.
-    """
+    the signed sums. Edges stay vertex bitmasks: a group is keyed by their
+    lowest bit, a bucket by their bit count."""
     if isinstance(part, XorInstance):
         part = _uniform(part, "odd-arity split")
     k = part.k
     if k % 2 == 0 or k < 3:
         raise ValidationError([f"odd-arity split needs odd arity >= 3, got {k}"])
-    # minimum vertex -> (edge bitmask, live copies, signed sum) of its live edges
+    # lowest bit -> (edge bitmask, live copies, signed sum) of its live edges
     groups: dict[int, list[tuple[int, int, int]]] = {}
     diag = 0
     for edge, (_, total) in part.edges.items():
         live = part.live[edge]
         if live:
             diag += total * total
-            groups.setdefault(edge[0], []).append((sum(1 << v for v in edge), live, total))
+            groups.setdefault(edge & -edge, []).append((edge, live, total))
 
     # symmetric difference -> [pairs of copies, sum of their products]
     acc: dict[int, list[int]] = {}
@@ -754,14 +750,12 @@ def odd_to_even(part: XorInstance | CoalescedEdges) -> OddSplit:
                     entry[0] += live_a * live_b
                     entry[1] += total_a * total_b
 
-    n = part.n
     log_den = 2 * part.log_den
-    bucket_edges: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
+    bucket_edges: dict[int, dict[int, tuple[int, int]]] = {}
     for sym, (pairs, products) in acc.items():
-        edge = tuple(v for v in range(n) if sym >> v & 1)
-        bucket_edges.setdefault(len(edge), {})[edge] = (2 * pairs, 2 * products)
+        bucket_edges.setdefault(sym.bit_count(), {})[sym] = (2 * pairs, 2 * products)
     buckets = {
-        size: CoalescedEdges(n, size, sum(c for c, _ in edges.values()), log_den, edges)
+        size: CoalescedEdges(part.n, size, sum(c for c, _ in edges.values()), log_den, edges)
         for size, edges in sorted(bucket_edges.items())
     }
     return OddSplit(n_groups=len(groups), diag_term=Fraction(diag, 1 << log_den), buckets=buckets)

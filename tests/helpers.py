@@ -20,7 +20,7 @@ from xorcert.core import (
 )
 from xorcert.fourier import FourierExpansion, ParityClass, classify_parity, expand_junta
 from xorcert.gf2 import gf_mul
-from xorcert.refuter import PreparedPart, PreparedScheme, PreparedSchemes
+from xorcert.refuter import KikuchiOperator, PreparedPart, PreparedScheme, PreparedSchemes
 
 
 def random_instance(
@@ -134,6 +134,11 @@ def bucket_instance(buckets: Buckets, alpha: tuple[int, ...], b) -> XorInstance:
     return XorInstance(XorScheme(hyper, weights, len(alpha)), tuple(b))
 
 
+def edge_mask(edge) -> int:
+    """The vertex bitmask of an edge given as its vertices."""
+    return sum(1 << v for v in edge)
+
+
 def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
     """Per-copy reference for preparation: each scheme, given as (vertex
     count n, [(rhs position, edge, weight)], {edge: zero-weight copies with
@@ -169,14 +174,16 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
         row_of: dict[tuple[int, ...], int] = {}
         for k, edges in sorted(by_size.items()):
             counts = [acc[e] for e in edges]
+            # the prepared form keys each edge by its vertex bitmask
+            masks = [edge_mask(e) for e in edges]
             parts.append(PreparedPart(
                 k,
                 n_rows,
                 sum(c for c, _, _ in counts),
-                tuple(edges),
+                tuple(masks),
                 tuple(c for c, _, _ in counts),
                 tuple(u for _, _, u in counts),
-                {e: live for e, (_, live, _) in zip(edges, counts)},
+                {e: live for e, (_, live, _) in zip(masks, counts)},
             ))
             for edge in edges:
                 row_of[edge] = n_rows
@@ -301,6 +308,27 @@ def reference_kikuchi(
                     entries[(si, ti)] = entries.get((si, ti), Dyadic(0)) + value
     entries = {key: v for key, v in entries.items() if not v.is_zero()}
     return entries, tuple(degrees)
+
+
+def dyadic_entries(op: KikuchiOperator) -> dict[tuple[int, int], Dyadic]:
+    """The entries of an operator as Dyadics, the form of ``reference_kikuchi``."""
+    return {key: Dyadic(num, op.log_den) for key, num in op.entries.items()}
+
+
+def reference_gamma(op: KikuchiOperator) -> list[float]:
+    """Gamma of every row by the former conversion: deg + d as a Fraction,
+    then its float."""
+    d = Fraction(op.trace_degree, op.dim)
+    return [float(deg + d) for deg in op.degrees]
+
+
+def reference_dense_matrix(op: KikuchiOperator) -> np.ndarray:
+    """The dense matrix by the former conversion: one float(Dyadic) per
+    entry, scattered to both triangles."""
+    a = np.zeros((op.dim, op.dim))
+    for (i, j), num in op.entries.items():
+        a[i, j] = a[j, i] = float(Dyadic(num, op.log_den))
+    return a
 
 
 def reference_odd_split(

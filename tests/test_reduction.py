@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from xorcert.circuits import (
     Circuit,
     JuntaGate,
+    LayeredCircuit,
     Leaf,
     Node,
     WordDecisionTree,
@@ -173,6 +174,13 @@ class TestGroupCharacters:
     def test_key_filename(self):
         assert key_filename(((0, 3), 2)) == "scheme_b0-3_l2.json"
 
+    def test_layered_view_checks_query_depth(self):
+        # a t=1 circuit whose tree queries twice: the layered view has no
+        # second layer for it, so it is refused before any grouping
+        c = Circuit(2, 1, 1, (WordDecisionTree(Node(0, (Node(1, (Leaf(1), Leaf(-1))), Leaf(1)))),))
+        with pytest.raises(ValidationError, match="query depth exceeds 1"):
+            group_characters(LayeredCircuit(c))
+
 
 class TestGroupingMatchesReference:
     @given(
@@ -327,8 +335,9 @@ class TestPreparedMatchesInstances:
         ens = group_characters(to_layered(c))
         key = ((1,), 1)
         (part,) = ens.prepared.schemes[ens.keys().index(key)].parts
-        assert dict(zip(part.edges, part.copies)) == {(0,): 2, (1,): 1}
-        assert part.live == {(0,): 1, (1,): 1}
+        # edges are vertex bitmasks: 0b01 is (0,) and 0b10 is (1,)
+        assert dict(zip(part.edges, part.copies)) == {0b01: 2, 0b10: 1}
+        assert part.live == {0b01: 1, 0b10: 1}
         assert ens.schemes[key].hypergraph.edges == ((0,), (0,), (1,))
         for b in product((1, -1), repeat=3):
             for params in (RefuteParams(), RefuteParams(split_weights=True)):

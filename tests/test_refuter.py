@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from xorcert.reduction import group_characters, nonadaptive_split
 from xorcert import refuter
 from xorcert.refuter import (
     Certificate,
+    KikuchiOperator,
     RefuteParams,
     ResourceCap,
     build_kikuchi,
@@ -29,9 +31,13 @@ from xorcert.refuter import (
 )
 
 from helpers import (
+    dyadic_entries,
+    edge_mask,
     prepared_fields,
     random_instance,
     random_other_circuit,
+    reference_dense_matrix,
+    reference_gamma,
     reference_kikuchi,
     reference_odd_split,
     reference_prepare_copies,
@@ -54,7 +60,7 @@ class TestBuild:
         assert op.edge_multiplier == 2
         assert op.d == 1
         assert op.degrees == (1, 1, 1, 1)
-        assert op.entries == {(0, 1): Dyadic(1), (2, 3): Dyadic(-1)}
+        assert (op.entries, op.log_den) == ({(0, 1): 1, (2, 3): -1}, 0)
 
     def test_single_4_edge(self):
         inst = make_instance(6, [(0, 1, 2, 3)], [1])
@@ -162,7 +168,7 @@ class TestBuild:
         )
         op = build_kikuchi(inst, r)
         entries, degrees = reference_kikuchi(inst, r)
-        assert op.entries == entries
+        assert dyadic_entries(op) == entries
         assert op.degrees == degrees
 
     def test_parallel_copies_that_cancel_leave_no_entry(self):
@@ -174,8 +180,8 @@ class TestBuild:
         )
         op = build_kikuchi(inst, 1)
         assert op.degrees == (3, 3, 1, 1)
-        assert op.entries == {(2, 3): Dyadic(3, 2)}
-        assert op.entries == reference_kikuchi(inst, 1)[0]
+        assert (op.entries, op.log_den) == ({(2, 3): 3}, 2)
+        assert dyadic_entries(op) == reference_kikuchi(inst, 1)[0]
 
     def test_rejects_odd_and_bad_levels(self):
         odd = make_instance(4, [(0, 1, 2)], [1])
@@ -249,9 +255,44 @@ class TestSpectral:
         assert spectral_certificate(op) == expected  # trace left the operator as it was
         dense = op.dense_matrix()
         assert dense is not op.dense_matrix() and (dense == op.dense_matrix()).all()
-        for (i, j), val in op.entries.items():
-            assert dense[i, j] == dense[j, i] == float(val)
+        for (i, j), num in op.entries.items():
+            assert dense[i, j] == dense[j, i] == float(Dyadic(num, op.log_den))
         assert np.count_nonzero(dense) == 2 * len(op.entries)
+
+
+class TestExactConversions:
+    """Gamma and the dense matrix are bit-identical to the former per-entry
+    conversions through Fraction and Dyadic."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_per_entry_conversions(self, data):
+        n = data.draw(st.integers(2, 7), label="n")
+        r = data.draw(st.integers(1, n - 1), label="r")
+        dim = comb(n, r)
+        keys = data.draw(
+            st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=24),
+            label="keys",
+        )
+        # numerators past 2^53 round once, as float(Dyadic) rounds them
+        nums = st.one_of(st.integers(-8, 8), st.integers(-(1 << 80), 1 << 80)).filter(bool)
+        entries = {(i, j): data.draw(nums, label="num") for i, j in keys if i < j}
+        op = KikuchiOperator(
+            n=n,
+            k=2,
+            r=r,
+            m=data.draw(st.integers(1, 1 << 40), label="m"),
+            entries=entries,
+            log_den=data.draw(st.integers(0, 60), label="log_den"),
+            degrees=tuple(data.draw(
+                st.lists(st.integers(0, 1 << 60), min_size=dim, max_size=dim), label="degrees"
+            )),
+            edge_multiplier=data.draw(st.integers(1, 1 << 20), label="multiplier"),
+        )
+        assert refuter._gamma(op).tolist() == reference_gamma(op)
+        dense = op.dense_matrix()
+        assert dense.tobytes() == reference_dense_matrix(op).tobytes()
+        assert np.count_nonzero(dense) == 2 * len(entries)
 
 
 class TestOddSplit:
@@ -267,7 +308,7 @@ class TestOddSplit:
         split = odd_to_even(inst)
         bucket = split.buckets[2]
         # the pair counts in both orders: two copies of (2, 3), each 1 * 1
-        assert bucket.edges == {(2, 3): (2, 2)}
+        assert bucket.edges == {edge_mask((2, 3)): (2, 2)}
         assert (bucket.m, bucket.log_den) == (2, 0)
 
     def test_sign_flipped_pairs_cancel(self):
@@ -275,7 +316,7 @@ class TestOddSplit:
         split = odd_to_even(inst)
         # squares 3, and the parallel pair with opposite signs 2 * (-1)
         assert split.diag_term == 1
-        assert split.buckets[2].edges == {(2, 3): (4, 0)}
+        assert split.buckets[2].edges == {edge_mask((2, 3)): (4, 0)}
         assert split.buckets[2].m == 4
         assert not build_kikuchi(split.buckets[2], 1).entries
         cert = refute(inst)
@@ -334,10 +375,10 @@ class TestOddSplit:
             assert {
                 e: (count, Fraction(total, 1 << bucket.log_den))
                 for e, (count, total) in bucket.edges.items()
-            } == {e: (multiplicity[e], sums[e]) for e in multiplicity}
+            } == {edge_mask(e): (multiplicity[e], sums[e]) for e in multiplicity}
             # and the bucket's matrix is the per-copy bucket's matrix
             op = build_kikuchi(bucket, size // 2)
-            assert (op.entries, op.degrees) == reference_kikuchi(ref, size // 2)
+            assert (dyadic_entries(op), op.degrees) == reference_kikuchi(ref, size // 2)
             assert op.trace_degree == build_kikuchi(ref, size // 2).trace_degree
 
     def test_parallel_edges_fold_into_diag(self):
@@ -418,7 +459,7 @@ class TestRefute:
                     expected[row] = sum(
                         b * w.scaled(prepared.schemes[0].log_den)
                         for e, w, b in zip(edges, weights, inst.rhs)
-                        if e == edge
+                        if edge_mask(e) == edge
                     )
             assert prepared.signed_sums(inst.rhs) == expected
             assert replace(prepared, weights=None).signed_sums(inst.rhs) == expected
