@@ -25,10 +25,8 @@ from .fourier import (
     FourierExpansion,
     ParityClass,
     classify_parity,
-    expand_decision_tree,
     expand_junta,
     expand_layered_output,
-    level_weight,
 )
 from .prg import GeneratorSpec, enumerate_seeds, sample, sample_int, seed_count
 from .reduction import SchemeEnsemble, attach_rhs, group_characters, nonadaptive_split
@@ -48,7 +46,6 @@ from .avoid import (
     CertifyParams,
     RemoteCertificate,
     certify_not_in_range,
-    find_parity_dependency,
 )
 from .oracle import (
     brute_bias,

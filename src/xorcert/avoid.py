@@ -81,19 +81,13 @@ def _uncertain_remote(path: str, kept: int) -> RemoteCertificate:
     )
 
 
-def find_parity_dependency(
-    c: Circuit,
-) -> tuple[list[int], int] | None:
+def _parity_dependency(gates: Sequence[GateSpectra]) -> tuple[list[int], int] | None:
     """Outputs multiplying to a forced constant, found by GF(2) elimination.
 
     Collects XOR/NXOR outputs as support vectors; any subset XOR-ing to zero
     multiplies to a fixed sign. With at least n + 1 parity outputs a
     dependency always exists.
     """
-    return _parity_dependency(junta_spectra(c.gates)) if c.is_junta_circuit() else None
-
-
-def _parity_dependency(gates: Sequence[GateSpectra]) -> tuple[list[int], int] | None:
     parities = []  # (output, sign, support as a bitmask of variables)
     for g in gates:
         rows = np.flatnonzero(g.parity)
@@ -219,6 +213,17 @@ class AvoidParams:
     workers: int = 1
     wall_clock_s: float | None = None
 
+    def __post_init__(self) -> None:
+        errors = []
+        if self.budget < 0:
+            errors.append(f"budget must be at least 0, got {self.budget}")
+        if self.workers < 1:
+            errors.append(f"workers must be at least 1, got {self.workers}")
+        if self.wall_clock_s is not None and not self.wall_clock_s >= 0:  # NaN fails too
+            errors.append(f"wall clock must be a number of seconds >= 0, got {self.wall_clock_s}")
+        if errors:
+            raise ValidationError(errors)
+
 
 @dataclass(frozen=True)
 class AvoidResult:
@@ -244,18 +249,6 @@ class AvoidResult:
 
     def to_json(self, wall_time: float | None = None) -> str:
         return json.dumps(self.to_obj(wall_time))
-
-
-def avoid_result_from_obj(obj: dict) -> AvoidResult:
-    from .refuter import certificate_from_obj
-
-    return AvoidResult(
-        y=tuple(obj["y"]) if obj["y"] is not None else None,
-        justification=obj["justification"],
-        certificates=tuple(certificate_from_obj(c) for c in obj["certificates"]),
-        seeds_tried=obj["seeds_tried"],
-        stats=obj.get("stats", {}),
-    )
 
 
 def _parity_avoid_result(c: Circuit, outputs: list[int], forced: int) -> AvoidResult:

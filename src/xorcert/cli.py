@@ -140,6 +140,8 @@ def _cmd_gen_instance(args) -> int:
 def _cmd_gen_prg(args) -> int:
     spec = prg.parse_spec(args.spec)
     if args.enumerate is not None:
+        if args.enumerate < 0:
+            raise CliError(f"--enumerate must be at least 0, got {args.enumerate}")
         seeds = list(prg.enumerate_seeds(spec))[: args.enumerate]
     else:
         seeds = [args.seed_int]

@@ -132,12 +132,6 @@ def subset_rank(subset: Sequence[int], n: int, r: int) -> int:
             errors.append(f"element {v} out of range [0, {n})")
     if errors:
         raise ValidationError(errors)
-    return colex_rank(subset)
-
-
-def colex_rank(subset: Sequence[int]) -> int:
-    """Unchecked :func:`subset_rank` for hot loops: the caller guarantees a
-    strictly increasing subset of range(n)."""
     return sum(comb(v, i + 1) for i, v in enumerate(subset))
 
 

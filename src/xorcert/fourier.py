@@ -1,5 +1,5 @@
-"""Exact Fourier expansions of junta gates, shallow decision trees, and
-layered tree outputs, with level weights and parity classification.
+"""Exact Fourier expansions of junta gates and layered tree outputs, with
+parity classification.
 
 Junta gates are analysed as integer arrays: ``junta_spectra`` stacks the
 +-1 tables of all gates of one fan-in f and applies one in-place
@@ -179,59 +179,6 @@ def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion
     return FourierExpansion(n_vars, coeffs)
 
 
-def _merge_char(alpha: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Symmetric difference alpha ^ {j}; x_j^2 = 1 folds repeated queries."""
-    if j in alpha:
-        return tuple(v for v in alpha if v != j)
-    return tuple(sorted(alpha + (j,)))
-
-
-def expand_decision_tree(
-    tree: WordDecisionTree, n_vars: int, max_depth: int | None = None
-) -> FourierExpansion:
-    """Expansion of a Boolean-query (w = 1) decision tree.
-
-    Uses the restriction recursion g = (1 + x_j)/2 * g_{x_j=+1}
-    + (1 - x_j)/2 * g_{x_j=-1}, so sparse trees never touch a full table.
-    """
-
-    def go(node: TreeNode, depth: int) -> dict[tuple[int, ...], Dyadic]:
-        if isinstance(node, Leaf):
-            if node.value not in (1, -1):
-                raise ValidationError([f"leaf value {node.value} not a sign"])
-            return {(): Dyadic(node.value)}
-        if max_depth is not None and depth >= max_depth:
-            raise ValidationError(
-                [f"tree depth exceeds declared bound {max_depth}"]
-            )
-        if len(node.children) != 2:
-            raise ValidationError(
-                ["decision-tree expansion requires Boolean queries (w = 1)"]
-            )
-        if not 0 <= node.query < n_vars:
-            raise ValidationError([f"query {node.query} out of range"])
-        pos = go(node.children[0], depth + 1)  # x_j = +1 branch (bit 0)
-        neg = go(node.children[1], depth + 1)
-        out: dict[tuple[int, ...], Dyadic] = {}
-
-        def add(alpha: tuple[int, ...], c: Dyadic) -> None:
-            prev = out.get(alpha)
-            out[alpha] = c if prev is None else prev + c
-
-        j = node.query
-        for alpha, c in pos.items():
-            half = Dyadic(c.num, c.log_den + 1)
-            add(alpha, half)
-            add(_merge_char(alpha, j), half)
-        for alpha, c in neg.items():
-            half = Dyadic(c.num, c.log_den + 1)
-            add(alpha, half)
-            add(_merge_char(alpha, j), -half)
-        return {a: c for a, c in out.items() if not c.is_zero()}
-
-    return FourierExpansion(n_vars, go(tree.root, 0))
-
-
 def layered_characters(lc: LayeredCircuit, i: int) -> dict[tuple[int, ...], int]:
     """Characters of output i of a layered circuit, by one integer recursion.
 
@@ -280,15 +227,6 @@ def expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:
         for codes, units in layered_characters(lc, i).items()
     }
     return FourierExpansion(lc.n_bits, coeffs)
-
-
-def level_weight(exp: FourierExpansion, level: int) -> Dyadic:
-    """Exact sum of |coefficient| over characters of the given size."""
-    total = Dyadic(0)
-    for alpha, c in exp.coeffs.items():
-        if len(alpha) == level:
-            total = total + abs(c)
-    return total
 
 
 class ParityClass(enum.Enum):

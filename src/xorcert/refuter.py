@@ -56,14 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Dyadic,
-    ValidationError,
-    XorInstance,
-    is_int,
-    subset_rank,
-    validate_instance,
-)
+from .core import ValidationError, XorInstance, is_int, validate_instance
 
 _EPS = 2.0 ** -53
 
@@ -145,17 +138,6 @@ class Certificate:
         return json.dumps(self.to_obj())
 
 
-def certificate_from_obj(obj: dict) -> Certificate:
-    return Certificate(
-        mode=obj["mode"],
-        bound=obj["bound"],
-        status=obj["status"],
-        r=obj.get("r"),
-        ell=obj.get("ell"),
-        breakdown=tuple(certificate_from_obj(c) for c in obj.get("breakdown", ())),
-    )
-
-
 def _uncertain(mode: str, r: int | None = None, ell: int | None = None) -> Certificate:
     # val <= 1 holds unconditionally, so 1.0 is the honest trivial bound.
     return Certificate(mode=mode, bound=1.0, status="uncertain", r=r, ell=ell)
@@ -217,23 +199,8 @@ class KikuchiOperator:
         return comb(self.n, self.r)
 
     @property
-    def d(self) -> Fraction:
-        return Fraction(self.m * self.edge_multiplier, self.dim)
-
-    @property
     def trace_degree(self) -> int:
         return self.m * self.edge_multiplier
-
-    def quadratic_form(self, x: Sequence[int]) -> Dyadic:
-        """Exact (x^r)^T A (x^r) for a +-1 assignment x."""
-        signs = [0] * self.dim
-        for s in combinations(range(self.n), self.r):
-            sign = 1
-            for v in s:
-                sign *= x[v]
-            signs[subset_rank(s, self.n, self.r)] = sign
-        total = sum(signs[i] * signs[j] * num for (i, j), num in self.entries.items())
-        return Dyadic(2 * total, self.log_den)
 
     def dense_matrix(self) -> np.ndarray:
         """The symmetric matrix as a new float array of num * 2^-log_den, rounded once."""
@@ -293,9 +260,8 @@ class PreparedPart:
     """The distinct edges of one edge size of a prepared scheme.
 
     Edge j of the part, a vertex bitmask, is row ``row + j`` of the signed
-    sums. ``copies`` and ``live`` give each edge's copies and its live ones,
-    and ``m`` the part's copies in total. ``unit_copies`` gives each edge's
-    copies under ``split_weights``: the sum of |w| * 2^L over its copies.
+    sums and of the unit copies. ``copies`` and ``live`` give each edge's
+    copies and its live ones, and ``m`` the part's copies in total.
     """
 
     k: int
@@ -303,7 +269,6 @@ class PreparedPart:
     m: int
     edges: tuple[int, ...]
     copies: tuple[int, ...]
-    unit_copies: tuple[int, ...]
     live: dict[int, int]
 
 
@@ -329,23 +294,24 @@ class PreparedScheme:
         return self.span[0] == self.span[1]
 
     def coalesced(
-        self, sums: Sequence[int], split_weights: bool = False
+        self, sums: Sequence[int], unit_copies: Sequence[int] | None = None
     ) -> dict[int, CoalescedEdges]:
         """One ``CoalescedEdges`` per edge size, given the signed sums of the
-        right-hand side. Under ``split_weights`` a copy of weight num * 2^-L
-        counts as |num| copies of weight 2^-L with the sign of num moved into
-        their rhs: the signed sums are unchanged, and zero weights leave no
-        copy, so edges and sizes with no weight drop out."""
+        right-hand side. ``unit_copies`` (``PreparedSchemes.unit_copies``),
+        given under ``split_weights``, counts a copy of weight num * 2^-L as
+        |num| copies of weight 2^-L with the sign of num moved into their rhs:
+        the signed sums are unchanged, and zero weights leave no copy, so
+        edges and sizes with no weight drop out."""
         out = {}
         for part in self.parts:
-            part_sums = sums[part.row:part.row + len(part.edges)]
-            if not split_weights:
-                edges = dict(zip(part.edges, zip(part.copies, part_sums)))
+            rows = slice(part.row, part.row + len(part.edges))
+            if unit_copies is None:
+                edges = dict(zip(part.edges, zip(part.copies, sums[rows])))
                 out[part.k] = CoalescedEdges(
                     self.n, part.k, part.m, self.log_den, edges, part.live
                 )
                 continue
-            kept = [(e, u, s) for e, u, s in zip(part.edges, part.unit_copies, part_sums) if u]
+            kept = [(e, u, s) for e, u, s in zip(part.edges, unit_copies[rows], sums[rows]) if u]
             if kept:
                 out[part.k] = CoalescedEdges(
                     self.n,
@@ -366,7 +332,8 @@ class PreparedSchemes:
     incidence: the row of its distinct edge, its position in the rhs, and
     its units w * 2^L at its scheme's scale. For a target b, the signed sum
     of an edge is the sum of b * w * 2^L over its live copies, so one
-    bincount gives the sums of all schemes at once. ``weights`` holds the
+    bincount gives the sums of all schemes at once; its unit copies are the
+    same row sum with the sign of w in place of b. ``weights`` holds the
     units as floats when their absolute sum is below 2^53, which keeps
     every float partial sum an exact integer; otherwise it is None and the
     sums are taken in Python integers.
@@ -380,15 +347,25 @@ class PreparedSchemes:
     units: tuple[int, ...]
     weights: np.ndarray | None
 
-    def signed_sums(self, b: Sequence[int]) -> list[int]:
-        """Signed sum of b * w * 2^L of every distinct edge, by row."""
+    def _row_sums(self, signs: np.ndarray) -> list[int]:
+        """Exact sum of signs[i] * units[i] over the live copies i of every
+        distinct edge, by row, for an int64 array of one +-1 per live copy."""
         if self.weights is None:
             sums = [0] * self.n_rows
-            for row, out, units in zip(self.rows.tolist(), self.outputs.tolist(), self.units):
-                sums[row] += b[out] * units
+            for row, sign, units in zip(self.rows.tolist(), signs.tolist(), self.units):
+                sums[row] += sign * units
             return sums
-        signed = np.asarray(b, dtype=np.float64)[self.outputs] * self.weights
-        return np.bincount(self.rows, signed, self.n_rows).astype(np.int64).tolist()
+        return np.bincount(self.rows, signs * self.weights, self.n_rows).astype(np.int64).tolist()
+
+    def signed_sums(self, b: Sequence[int]) -> list[int]:
+        """Signed sum of b * w * 2^L of every distinct edge, by row."""
+        return self._row_sums(np.asarray(b, dtype=np.int64)[self.outputs])
+
+    def unit_copies(self) -> list[int]:
+        """Sum of |w| * 2^L of every distinct edge, by row: its copies under
+        ``split_weights``."""
+        signs = np.fromiter((-1 if u < 0 else 1 for u in self.units), np.int64, len(self.units))
+        return self._row_sums(signs)
 
     def refute(self, b: Sequence[int], params: RefuteParams | None = None) -> list[Certificate]:
         """``refute`` of every scheme with right-hand side b, in order."""
@@ -401,8 +378,10 @@ class PreparedSchemes:
         return self._refute(b, params or RefuteParams())
 
     def _refute(self, b: Sequence[int], params: RefuteParams) -> list[Certificate]:
+        # with no live copy every scheme is zero and reads neither
         sums = self.signed_sums(b) if self.units else []
-        return [_refute_scheme(scheme, sums, params) for scheme in self.schemes]
+        unit_copies = self.unit_copies() if params.split_weights and self.units else None
+        return [_refute_scheme(scheme, sums, unit_copies, params) for scheme in self.schemes]
 
 
 def _number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,10 +423,10 @@ def prepare_rows(
     Each scheme is put at its finest weight scale in lowest terms: L drops by
     the powers of two that all its units share, but never below 0, so a
     scheme with no weight is at the scale 2^0. Its distinct edges are found
-    as vertex bitmasks, with their copies, live copies and unit copies,
-    grouped by size in increasing order and, within a size, ordered by their
-    first row; they are numbered consecutively across the schemes. The live
-    copies keep their row order in the incidence.
+    as vertex bitmasks, with their copies and live copies, grouped by size
+    in increasing order and, within a size, ordered by their first row; they
+    are numbered consecutively across the schemes. The live copies keep
+    their row order in the incidence.
     """
     row, distinct = _number_distinct(np.column_stack((scheme, (edges >= 0).sum(axis=1), edges)))
     n_rows = len(distinct)
@@ -465,15 +444,7 @@ def prepare_rows(
         shift[used] = np.minimum(shift[used], [(s & -s).bit_length() - 1 for s in shared])
         live_units = live_units >> shift[live_scheme].astype(live_units.dtype)
     log_dens -= shift
-    magnitudes = np.abs(live_units)
-    exact = int(magnitudes.sum()) < 1 << 53
-    if exact:
-        unit_copies = np.bincount(live_row, magnitudes.astype(np.float64), n_rows)
-        unit_copies = unit_copies.astype(np.int64).tolist()
-    else:
-        unit_copies = [0] * n_rows
-        for r, u in zip(live_row.tolist(), magnitudes.tolist()):
-            unit_copies[r] += u
+    exact = int(np.abs(live_units).sum()) < 1 << 53
     copies = np.bincount(row, counts, n_rows).astype(np.int64).tolist()
     live_copies = np.bincount(live_row, minlength=n_rows).tolist()
 
@@ -490,7 +461,6 @@ def prepare_rows(
             sum(copies[lo:hi]),
             part_edges,
             tuple(copies[lo:hi]),
-            tuple(unit_copies[lo:hi]),
             dict(zip(part_edges, live_copies[lo:hi])),
         ))
     ends = ends.tolist()
@@ -534,33 +504,20 @@ def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
     )
 
 
-def _uniform(inst: XorInstance, what: str) -> CoalescedEdges:
-    """Validate and coalesce an instance that must have a single edge size."""
-    validate_instance(inst)
-    prepared = _prepare_instance(inst)
-    parts = prepared.schemes[0].coalesced(prepared.signed_sums(inst.rhs))
-    if len(parts) > 1:
-        raise ValidationError([f"{what} needs a uniform arity, got {sorted(parts)}"])
-    return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, {}, {})
-
-
 def build_kikuchi(
-    inst: XorInstance | CoalescedEdges, r: int, dense_cap: int = RefuteParams.dense_cap
+    inst: CoalescedEdges, r: int, dense_cap: int = RefuteParams.dense_cap
 ) -> KikuchiOperator:
-    """Populate the level-r matrix from the instance's distinct edges.
+    """Populate the level-r matrix from one edge size's distinct edges, as
+    ``PreparedScheme.coalesced`` and ``odd_to_even`` give them.
 
-    An ``XorInstance`` is validated and coalesced first; a
-    ``CoalescedEdges`` is taken as it is. Each distinct edge then enumerates
-    its ordered pairs (S, T) with S xor T equal to the edge once: the row
-    degree of S grows by the number of copies, and the entry is the signed
-    sum, an integer at the edges' scale. Since S xor T determines the edge,
-    no entry collects more than one edge. Rows are ranked through one table
-    from each r-subset's vertex bitmask to its colex rank. A level that does
-    not exist, or whose side exceeds ``dense_cap``, raises ResourceCap before
-    anything is built.
+    Each distinct edge enumerates its ordered pairs (S, T) with S xor T
+    equal to the edge once: the row degree of S grows by the number of
+    copies, and the entry is the signed sum, an integer at the edges' scale.
+    Since S xor T determines the edge, no entry collects more than one edge.
+    Rows are ranked through one table from each r-subset's vertex bitmask to
+    its colex rank. A level that does not exist, or whose side exceeds
+    ``dense_cap``, raises ResourceCap before anything is built.
     """
-    if isinstance(inst, XorInstance):
-        inst = _uniform(inst, "kikuchi build")
     if inst.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
         raise ValidationError(["kikuchi build needs at least one edge"])
@@ -640,8 +597,16 @@ def _powering_matmuls(q: int) -> int:
     return (q.bit_length() - 1) + (q.bit_count() - 1)
 
 
+# Largest trace power used. The exact check of the ell-th root costs about
+# ell^2 and takes under 1 ms at this ell. Against any larger ell the bound
+# loosens by at most a factor dim^(1/ELL_CAP), 1.0082 at the default dense_cap.
+ELL_CAP = 1024
+
+
 def truncate_ell(ell: int, dim: int, work_flops: float) -> int:
-    """Largest even power <= ell whose dense powering fits the flop budget."""
+    """Largest even power <= min(ell, ELL_CAP) whose dense powering fits the
+    flop budget."""
+    ell = min(ell, ELL_CAP)
     ell = max(2, ell - (ell % 2))
     per_matmul = 10.0 * float(dim) ** 3  # one interval matmul ~ 5 real products
     while ell > 2 and _powering_matmuls(ell // 2) * per_matmul > work_flops:
@@ -710,21 +675,20 @@ class OddSplit:
     buckets: dict[int, CoalescedEdges] = field(default_factory=dict)
 
 
-def odd_to_even(part: XorInstance | CoalescedEdges) -> OddSplit:
-    """Group distinct edges by lowest vertex; square the group sums.
+def odd_to_even(part: CoalescedEdges) -> OddSplit:
+    """Group one odd edge size's distinct edges, as
+    ``PreparedScheme.coalesced`` gives them, by lowest vertex; square the
+    group sums.
 
-    An ``XorInstance`` is validated and coalesced first. Only live copies
-    enter a group. The copies of one edge pair among themselves into the
-    constant part, which gets the square of the edge's signed sum. Two
-    distinct group-mates a and b pair live_a * live_b copies, whose products
-    sum to sum_a * sum_b, into the edge a xor b of the even bucket of its
-    size. Both orderings of a pair count, so that edge's copies grow by
-    2 * live_a * live_b and its signed sum by 2 * sum_a * sum_b. All
-    products are integers at the one scale 2^-2L, where 2^-L is the scale of
-    the signed sums. Edges stay vertex bitmasks: a group is keyed by their
-    lowest bit, a bucket by their bit count."""
-    if isinstance(part, XorInstance):
-        part = _uniform(part, "odd-arity split")
+    Only live copies enter a group. The copies of one edge pair among
+    themselves into the constant part, which gets the square of the edge's
+    signed sum. Two distinct group-mates a and b pair live_a * live_b
+    copies, whose products sum to sum_a * sum_b, into the edge a xor b of
+    the even bucket of its size. Both orderings of a pair count, so that
+    edge's copies grow by 2 * live_a * live_b and its signed sum by
+    2 * sum_a * sum_b. All products are integers at the one scale 2^-2L,
+    where 2^-L is the scale of the signed sums. Edges stay vertex bitmasks:
+    a group is keyed by their lowest bit, a bucket by their bit count."""
     k = part.k
     if k % 2 == 0 or k < 3:
         raise ValidationError([f"odd-arity split needs odd arity >= 3, got {k}"])
@@ -851,12 +815,16 @@ def _clamp(cert: Certificate) -> Certificate:
 
 
 def _refute_scheme(
-    scheme: PreparedScheme, sums: Sequence[int], params: RefuteParams
+    scheme: PreparedScheme,
+    sums: Sequence[int],
+    unit_copies: Sequence[int] | None,
+    params: RefuteParams,
 ) -> Certificate:
-    """``refute`` of one prepared scheme, given the signed sums of its rhs."""
+    """``refute`` of one prepared scheme, given the signed sums of its rhs
+    and, under ``split_weights``, the unit copies."""
     if scheme.zero:
         return _ZERO  # no edges, or every weight is zero
-    parts = scheme.coalesced(sums, params.split_weights)
+    parts = scheme.coalesced(sums, unit_copies)
     certs = [_clamp(_refute_part(part, params)) for part in parts.values()]
     m = sum(part.m for part in parts.values())
     if len(certs) == 1:
@@ -865,7 +833,7 @@ def _refute_scheme(
         # each part's bound is at most 1, so their average is too
         total = sum(Fraction(p.m, m) * Fraction(c.bound) for p, c in zip(parts.values(), certs))
         cert = _combine(certs, _float_up(total))
-    if params.split_weights and cert.certified:
+    if unit_copies is not None and cert.certified:
         # the m unit copies have the term sums of the scheme's original copies
         cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
     return _clamp(cert)

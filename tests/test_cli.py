@@ -1,9 +1,25 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from xorcert.cli import main
+
+from helpers import avoid_result_from_obj
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_subprocess(*argv, timeout=60):
+    """Run a Python file or module from the source tree in a new process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def run(*argv):
@@ -133,6 +149,25 @@ class TestExitCodes:
     def test_zero_division_in_spec_exits_one(self, spec):
         assert run("gen-prg", "--spec", spec) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--budget", "-3", "budget must be at least 0, got -3"),
+        ("--workers", "0", "workers must be at least 1, got 0"),
+        ("--workers", "-1", "workers must be at least 1, got -1"),
+        ("--wall-clock", "-1", "wall clock must be a number of seconds >= 0, got -1.0"),
+        ("--wall-clock", "nan", "wall clock must be a number of seconds >= 0, got nan"),
+    ])
+    def test_senseless_avoid_knob_exits_one(self, circuit_file, caplog, flag, value, message):
+        assert run("avoid", "--circuit", str(circuit_file), "--gen",
+                   "biased:m=30,s=6", flag, value) == 1
+        assert message in caplog.text
+
+    def test_negative_enumerate_exits_one(self, tmp_path, caplog):
+        out = tmp_path / "prg.txt"
+        assert run("gen-prg", "--spec", "biased:m=4,s=3", "--enumerate", "-1",
+                   "--out", str(out)) == 1
+        assert "--enumerate must be at least 0, got -1" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("x", ["0,5,1", "0,-1,1", "0,1"])
     def test_decomp_input_out_of_range_exits_one(self, tmp_path, x):
         circ = tmp_path / "tree.json"
@@ -190,8 +225,6 @@ class TestArtifacts:
         assert h.hexdigest() == digest
 
     def test_avoid_artifact_reparses(self, tmp_path, circuit_file):
-        from xorcert.avoid import avoid_result_from_obj
-
         out = tmp_path / "res.json"
         run("avoid", "--circuit", str(circuit_file), "--gen", "biased:m=30,s=6",
             "--budget", "4", "--out", str(out))
@@ -243,3 +276,17 @@ class TestOracleCommands:
         assert run("oracle", "decomp", "--circuit", str(circ),
                    "--x", "0,1", "--b", "010", "--out", str(out)) == 0
         assert json.loads(out.read_text())["residual"] == [0, 1]
+
+
+def test_huge_trace_power_is_capped(instance_file):
+    # the exact root check of an ell of 10^11 would not finish; the cap is 1024
+    proc = run_subprocess("-m", "xorcert.cli", "refute", "--instance", str(instance_file),
+                          "--mode", "trace", "--ell", "100000000000")
+    assert proc.returncode in (0, 2), proc.stderr
+    assert json.loads(proc.stdout)["ell"] == 1024
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_help_runs(script):
+    proc = run_subprocess(str(script), "--help")
+    assert proc.returncode == 0, proc.stderr

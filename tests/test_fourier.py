@@ -20,14 +20,17 @@ from xorcert.core import Dyadic, ValidationError
 from xorcert.fourier import (
     ParityClass,
     classify_parity,
-    expand_decision_tree,
     expand_junta,
     expand_layered_output,
     junta_spectra,
-    level_weight,
 )
 
-from helpers import random_junta_gate, reference_expand_junta
+from helpers import (
+    expand_decision_tree,
+    level_weight,
+    random_junta_gate,
+    reference_expand_junta,
+)
 
 XOR = JuntaGate((0, 1), (0, 1, 1, 0))
 NXOR = JuntaGate((0, 1), (1, 0, 0, 1))

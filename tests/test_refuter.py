@@ -22,7 +22,6 @@ from xorcert.refuter import (
     RefuteParams,
     ResourceCap,
     build_kikuchi,
-    certificate_from_obj,
     default_ell,
     odd_to_even,
     refute,
@@ -31,9 +30,12 @@ from xorcert.refuter import (
 )
 
 from helpers import (
+    certificate_from_obj,
+    coalesce,
     dyadic_entries,
     edge_mask,
     prepared_fields,
+    quadratic_form,
     random_instance,
     random_other_circuit,
     reference_dense_matrix,
@@ -56,15 +58,15 @@ def _weights(max_log_den: int = 3):
 class TestBuild:
     def test_two_edge_example(self):
         inst = make_instance(4, [(0, 1), (2, 3)], [1, -1])
-        op = build_kikuchi(inst, 1)
+        op = build_kikuchi(coalesce(inst), 1)
         assert op.edge_multiplier == 2
-        assert op.d == 1
+        assert op.trace_degree == op.dim
         assert op.degrees == (1, 1, 1, 1)
         assert (op.entries, op.log_den) == ({(0, 1): 1, (2, 3): -1}, 0)
 
     def test_single_4_edge(self):
         inst = make_instance(6, [(0, 1, 2, 3)], [1])
-        op = build_kikuchi(inst, 2)
+        op = build_kikuchi(coalesce(inst), 2)
         assert op.edge_multiplier == 6
         assert sum(op.degrees) == 6
         assert len(op.entries) == 3
@@ -76,9 +78,8 @@ class TestBuild:
             n = rng.randint(k + 1, 9)
             r = rng.randint(k // 2, min(4, n - k // 2))
             inst = random_instance(rng, n, k, rng.randint(1, 12), weighted=True)
-            op = build_kikuchi(inst, r)
+            op = build_kikuchi(coalesce(inst), r)
             assert sum(op.degrees) == op.m * op.edge_multiplier
-            assert op.d * op.dim == op.trace_degree
 
     def test_quadratic_form_identity(self):
         rng = random.Random(2)
@@ -87,17 +88,17 @@ class TestBuild:
             n = rng.randint(k + 1, 9)
             r = rng.randint(k // 2, min(3, n - k // 2))
             inst = random_instance(rng, n, k, rng.randint(1, 10), weighted=True)
-            op = build_kikuchi(inst, r)
+            op = build_kikuchi(coalesce(inst), r)
             for _ in range(5):
                 x = [rng.choice((1, -1)) for _ in range(n)]
                 expected = inst.term_sum(x) * Dyadic(op.edge_multiplier)
-                assert op.quadratic_form(x) == expected
+                assert quadratic_form(op, x) == expected
 
     def test_quadratic_form_all_ones(self):
         inst = make_instance(5, [(0, 1), (1, 2), (3, 4)], [1, -1, 1])
-        op = build_kikuchi(inst, 1)
+        op = build_kikuchi(coalesce(inst), 1)
         total = sum(b for b in inst.rhs)
-        assert op.quadratic_form([1] * 5) == Dyadic(op.edge_multiplier * total)
+        assert quadratic_form(op, [1] * 5) == Dyadic(op.edge_multiplier * total)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -122,11 +123,11 @@ class TestBuild:
             label="weights",
         )
         inst = make_instance(n, edges, rhs, weights=weights, arity=k)
-        op = build_kikuchi(inst, r)
+        op = build_kikuchi(coalesce(inst), r)
         x = data.draw(
             st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), label="x"
         )
-        assert op.quadratic_form(x) == inst.term_sum(x) * Dyadic(op.edge_multiplier)
+        assert quadratic_form(op, x) == inst.term_sum(x) * Dyadic(op.edge_multiplier)
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -166,7 +167,7 @@ class TestBuild:
             weights=[w for _, w, _ in copies],
             arity=k,
         )
-        op = build_kikuchi(inst, r)
+        op = build_kikuchi(coalesce(inst), r)
         entries, degrees = reference_kikuchi(inst, r)
         assert dyadic_entries(op) == entries
         assert op.degrees == degrees
@@ -178,7 +179,7 @@ class TestBuild:
             [1, -1, -1, 1],
             weights=[Dyadic(1, 1), Dyadic(1, 2), Dyadic(1, 2), Dyadic(3, 2)],
         )
-        op = build_kikuchi(inst, 1)
+        op = build_kikuchi(coalesce(inst), 1)
         assert op.degrees == (3, 3, 1, 1)
         assert (op.entries, op.log_den) == ({(2, 3): 3}, 2)
         assert dyadic_entries(op) == reference_kikuchi(inst, 1)[0]
@@ -186,20 +187,20 @@ class TestBuild:
     def test_rejects_odd_and_bad_levels(self):
         odd = make_instance(4, [(0, 1, 2)], [1])
         with pytest.raises(ValidationError):
-            build_kikuchi(odd, 2)
+            build_kikuchi(coalesce(odd), 2)
         even = make_instance(4, [(0, 1, 2, 3)], [1])
         with pytest.raises(ResourceCap):
-            build_kikuchi(even, 1)
+            build_kikuchi(coalesce(even), 1)
         with pytest.raises(ResourceCap):
-            build_kikuchi(even, 3)  # r - k/2 > n - k
+            build_kikuchi(coalesce(even), 3)  # r - k/2 > n - k
         with pytest.raises(ResourceCap):
-            build_kikuchi(make_instance(12, [(0, 1)], [1]), 5, dense_cap=100)
+            build_kikuchi(coalesce(make_instance(12, [(0, 1)], [1])), 5, dense_cap=100)
 
 
 class TestTrace:
     def test_hand_computed_2x2(self):
         inst = make_instance(2, [(0, 1)], [1])
-        op = build_kikuchi(inst, 1)
+        op = build_kikuchi(coalesce(inst), 1)
         bound, used = trace_certificate(op, 2)
         assert used == 2
         assert math.isclose(bound, math.sqrt(0.5), rel_tol=1e-9)
@@ -207,26 +208,31 @@ class TestTrace:
 
     def test_zero_matrix(self):
         inst = make_instance(2, [(0, 1), (0, 1)], [1, -1])
-        op = build_kikuchi(inst, 1)
+        op = build_kikuchi(coalesce(inst), 1)
         assert trace_certificate(op, 4)[0] == 0.0
 
     def test_longer_powers_tighten(self):
         rng = random.Random(3)
         for _ in range(50):
             inst = random_instance(rng, rng.randint(4, 8), 2, rng.randint(4, 20))
-            op = build_kikuchi(inst, 1)
+            op = build_kikuchi(coalesce(inst), 1)
             b2, _ = trace_certificate(op, 2)
             b4, _ = trace_certificate(op, 4)
             assert b4 <= b2 + 1e-12
 
     def test_odd_ell_rejected(self):
-        op = build_kikuchi(make_instance(2, [(0, 1)], [1]), 1)
+        op = build_kikuchi(coalesce(make_instance(2, [(0, 1)], [1])), 1)
         with pytest.raises(ValidationError):
             trace_certificate(op, 3)
 
+    def test_ell_capped(self):
+        assert refuter.truncate_ell(10**11, 15, 4e9) == refuter.ELL_CAP == 1024
+        assert refuter.truncate_ell(1025, 15, 4e9) == 1024
+        assert refuter.truncate_ell(1022, 15, 4e9) == 1022
+
     def test_work_cap_truncates(self):
         inst = random_instance(random.Random(4), 10, 2, 30)
-        op = build_kikuchi(inst, 2)
+        op = build_kikuchi(coalesce(inst), 2)
         _, used = trace_certificate(op, 20, work_flops=10.0)
         assert used == 2
 
@@ -234,7 +240,7 @@ class TestTrace:
 class TestSpectral:
     def test_hand_computed(self):
         inst = make_instance(2, [(0, 1)], [1])
-        op = build_kikuchi(inst, 1)
+        op = build_kikuchi(coalesce(inst), 1)
         bound = spectral_certificate(op)
         assert 0.5 <= bound <= 0.5 + 1e-10
 
@@ -242,15 +248,15 @@ class TestSpectral:
         rng = random.Random(5)
         for _ in range(50):
             inst = random_instance(rng, rng.randint(4, 9), 2, rng.randint(2, 25))
-            op = build_kikuchi(inst, 1)
+            op = build_kikuchi(coalesce(inst), 1)
             t, _ = trace_certificate(op, default_ell(1, inst.n))
             s = spectral_certificate(op)
             assert s <= t + 1e-9
 
     def test_dense_matrix_is_fresh_and_symmetric(self):
         inst = random_instance(random.Random(6), 8, 4, 40)
-        op = build_kikuchi(inst, 2)
-        expected = spectral_certificate(build_kikuchi(inst, 2))
+        op = build_kikuchi(coalesce(inst), 2)
+        expected = spectral_certificate(build_kikuchi(coalesce(inst), 2))
         trace_certificate(op, 4)
         assert spectral_certificate(op) == expected  # trace left the operator as it was
         dense = op.dense_matrix()
@@ -298,14 +304,14 @@ class TestExactConversions:
 class TestOddSplit:
     def test_disjoint_groups(self):
         inst = make_instance(6, [(0, 1, 2), (3, 4, 5)], [1, 1])
-        split = odd_to_even(inst)
+        split = odd_to_even(coalesce(inst))
         assert split.n_groups == 2
         assert split.diag_term == 2
         assert not split.buckets
 
     def test_shared_min_vertex(self):
         inst = make_instance(5, [(0, 1, 2), (0, 1, 3)], [1, 1])
-        split = odd_to_even(inst)
+        split = odd_to_even(coalesce(inst))
         bucket = split.buckets[2]
         # the pair counts in both orders: two copies of (2, 3), each 1 * 1
         assert bucket.edges == {edge_mask((2, 3)): (2, 2)}
@@ -313,7 +319,7 @@ class TestOddSplit:
 
     def test_sign_flipped_pairs_cancel(self):
         inst = make_instance(5, [(0, 1, 2), (0, 1, 3), (0, 1, 2)], [1, 1, -1])
-        split = odd_to_even(inst)
+        split = odd_to_even(coalesce(inst))
         # squares 3, and the parallel pair with opposite signs 2 * (-1)
         assert split.diag_term == 1
         assert split.buckets[2].edges == {edge_mask((2, 3)): (4, 0)}
@@ -360,7 +366,7 @@ class TestOddSplit:
             weights=[w for _, w, _ in copies],
             arity=k,
         )
-        split = odd_to_even(inst)
+        split = odd_to_even(coalesce(inst))
         n_groups, diag, ref_buckets = reference_odd_split(inst)
         assert split.n_groups == n_groups
         assert split.diag_term == diag
@@ -379,17 +385,17 @@ class TestOddSplit:
             # and the bucket's matrix is the per-copy bucket's matrix
             op = build_kikuchi(bucket, size // 2)
             assert (dyadic_entries(op), op.degrees) == reference_kikuchi(ref, size // 2)
-            assert op.trace_degree == build_kikuchi(ref, size // 2).trace_degree
+            assert op.trace_degree == build_kikuchi(coalesce(ref), size // 2).trace_degree
 
     def test_parallel_edges_fold_into_diag(self):
         inst = make_instance(3, [(0, 1, 2), (0, 1, 2)], [1, 1])
-        split = odd_to_even(inst)
+        split = odd_to_even(coalesce(inst))
         assert split.diag_term == 4
         assert not split.buckets
 
     def test_rejects_even(self):
         with pytest.raises(ValidationError):
-            odd_to_even(make_instance(4, [(0, 1)], [1]))
+            odd_to_even(coalesce(make_instance(4, [(0, 1)], [1])))
 
 
 class TestRefute:
@@ -399,13 +405,13 @@ class TestRefute:
         assert cert.certified
         assert (cert.mode, cert.ell) == ("trace", 2)
         # the engine's bound, 2 * sqrt(1/2), is clamped at the trivial bound
-        assert math.isclose(2 * trace_certificate(build_kikuchi(inst, 1), 2)[0], math.sqrt(2))
+        assert math.isclose(2 * trace_certificate(build_kikuchi(coalesce(inst), 1), 2)[0], math.sqrt(2))
         assert cert.bound == 1.0
         assert Fraction(cert.bound) >= brute_val(inst)
 
     def test_single_edge_clamped_at_one(self):
         inst = make_instance(4, [(0, 1)], [1])
-        assert 2 * spectral_certificate(build_kikuchi(inst, 1)) > 1.0
+        assert 2 * spectral_certificate(build_kikuchi(coalesce(inst), 1)) > 1.0
         cert = refute(inst)
         assert cert.certified
         assert cert.bound == 1.0
@@ -580,9 +586,22 @@ class TestPrepareInstance:
             weights.append(w)
         inst = make_instance(n, edges, signs(rng, m), weights=weights)
         copies = list(zip(range(m), edges, weights))
-        assert prepared_fields(refuter._prepare_instance(inst)) == (
+        prepared = refuter._prepare_instance(inst)
+        assert prepared_fields(prepared) == (
             prepared_fields(reference_prepare_copies(m, [(n, copies, {})]))
         )
+        # under split_weights each edge has sum |w| * 2^L copies, per copy
+        log_den = prepared.schemes[0].log_den
+        units: dict[int, dict[int, int]] = {}
+        for edge, w in zip(edges, weights):
+            if w.num:
+                per_edge = units.setdefault(len(edge), {})
+                per_edge[edge_mask(edge)] = per_edge.get(edge_mask(edge), 0) + abs(w.scaled(log_den))
+        sums = prepared.signed_sums(inst.rhs)
+        parts = prepared.schemes[0].coalesced(sums, prepared.unit_copies())
+        assert {
+            k: (part.m, {e: c for e, (c, _) in part.edges.items()}) for k, part in parts.items()
+        } == {k: (sum(per_edge.values()), per_edge) for k, per_edge in units.items()}
 
 
 class TestWeightSplitting:
