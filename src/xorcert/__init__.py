@@ -8,7 +8,6 @@ from .core import (
     XorInstance,
     XorScheme,
     make_instance,
-    subset_rank,
     validate_instance,
 )
 from .circuits import (

@@ -1,5 +1,5 @@
-"""Exact-arithmetic substrate: dyadic rationals, hypergraphs, weighted XOR
-systems, and colexicographic subset ranking.
+"""Exact-arithmetic substrate: dyadic rationals, hypergraphs and weighted XOR
+systems.
 
 The bit convention is fixed once for the whole package: bit 0 maps to the
 sign +1 and bit 1 maps to -1, i.e. sign(a) = (-1)**a.
@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -62,14 +61,6 @@ class Dyadic:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "log_den", log_den)
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Dyadic":
-        den = f.denominator
-        log_den = den.bit_length() - 1
-        if den != 1 << log_den:
-            raise ValueError(f"{f} is not a dyadic rational")
-        return cls(f.numerator, log_den)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.log_den)
 
@@ -118,21 +109,6 @@ class Dyadic:
         if self.log_den == 0:
             return f"Dyadic({self.num})"
         return f"Dyadic({self.num}/2^{self.log_den})"
-
-
-def subset_rank(subset: Sequence[int], n: int, r: int) -> int:
-    """Colexicographic rank of a sorted r-subset of range(n)."""
-    errors = []
-    if len(subset) != r:
-        errors.append(f"expected {r} elements, got {len(subset)}")
-    for i, v in enumerate(subset):
-        if i > 0 and subset[i - 1] >= v:
-            errors.append(f"elements not strictly increasing at position {i}")
-        if not 0 <= v < n:
-            errors.append(f"element {v} out of range [0, {n})")
-    if errors:
-        raise ValidationError(errors)
-    return sum(comb(v, i + 1) for i, v in enumerate(subset))
 
 
 @dataclass(frozen=True)

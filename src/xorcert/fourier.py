@@ -44,15 +44,6 @@ class FourierExpansion:
         }
         object.__setattr__(self, "coeffs", clean)
 
-    def evaluate(self, x: Sequence[int]) -> Dyadic:
-        total = Dyadic(0)
-        for alpha, c in self.coeffs.items():
-            sign = 1
-            for v in alpha:
-                sign *= x[v]
-            total = total + Dyadic(sign * c.num, c.log_den)
-        return total
-
     def parseval_sum(self) -> Dyadic:
         total = Dyadic(0)
         for c in self.coeffs.values():

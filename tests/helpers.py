@@ -19,7 +19,6 @@ from xorcert.core import (
     XorInstance,
     XorScheme,
     make_instance,
-    subset_rank,
     validate_instance,
 )
 from xorcert.fourier import (
@@ -414,6 +413,26 @@ def split_to_unit_weights(inst: XorInstance) -> tuple[XorInstance, Fraction]:
     return split, Fraction(len(edges), inst.m)
 
 
+def dyadic_from_fraction(f: Fraction) -> Dyadic:
+    """The Dyadic equal to f; ValueError if its denominator is not a power of two."""
+    den = f.denominator
+    log_den = den.bit_length() - 1
+    if den != 1 << log_den:
+        raise ValueError(f"{f} is not a dyadic rational")
+    return Dyadic(f.numerator, log_den)
+
+
+def evaluate(exp: FourierExpansion, x) -> Dyadic:
+    """The expansion's value at the +-1 point x: the sum of c_alpha * x^alpha."""
+    total = Dyadic(0)
+    for alpha, c in exp.coeffs.items():
+        sign = 1
+        for v in alpha:
+            sign *= x[v]
+        total = total + Dyadic(sign * c.num, c.log_den)
+    return total
+
+
 def dyadic_div(a: Dyadic, b: Dyadic) -> Dyadic:
     """a / b, which must again be dyadic; ValueError otherwise."""
     if b.num == 0:
@@ -424,6 +443,21 @@ def dyadic_div(a: Dyadic, b: Dyadic) -> Dyadic:
     if a.num % odd != 0:
         raise ValueError(f"{a} / {b} is not dyadic")
     return Dyadic(a.num // odd, a.log_den + two_exp - b.log_den)
+
+
+def subset_rank(subset, n: int, r: int) -> int:
+    """Colexicographic rank of a sorted r-subset of range(n)."""
+    errors = []
+    if len(subset) != r:
+        errors.append(f"expected {r} elements, got {len(subset)}")
+    for i, v in enumerate(subset):
+        if i > 0 and subset[i - 1] >= v:
+            errors.append(f"elements not strictly increasing at position {i}")
+        if not 0 <= v < n:
+            errors.append(f"element {v} out of range [0, {n})")
+    if errors:
+        raise ValidationError(errors)
+    return sum(comb(v, i + 1) for i, v in enumerate(subset))
 
 
 def subset_unrank(rank: int, n: int, r: int) -> tuple[int, ...]:
@@ -585,3 +619,44 @@ def avoid_result_from_obj(obj: dict) -> AvoidResult:
         seeds_tried=obj["seeds_tried"],
         stats=obj.get("stats", {}),
     )
+
+
+def exactly_psd(matrix: list[list[Fraction]]) -> bool:
+    """Whether a symmetric rational matrix of side at most 40 is positive
+    semidefinite, by exact LDL^T elimination: a negative pivot refutes it,
+    and a zero pivot needs a zero row, as in every PSD matrix."""
+    a = [row[:] for row in matrix]
+    n = len(a)
+    assert n <= 40, "exact elimination is for small matrices"
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(a[k][k + 1:]):
+                return False
+            continue
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            if factor:
+                row_i, row_k = a[i], a[k]
+                for j in range(k + 1, n):
+                    row_i[j] -= factor * row_k[j]
+    return True
+
+
+def spectral_bound_holds(op: KikuchiOperator, lam: float) -> bool:
+    """Whether lam * Gamma - A and lam * Gamma + A are both exactly PSD, with
+    Gamma = deg + d and A taken as exact rationals: the statement
+    ``spectral_certificate`` proves when it returns lam."""
+    d = Fraction(op.trace_degree, op.dim)
+    a = [[Fraction(0)] * op.dim for _ in range(op.dim)]
+    for (i, j), num in op.entries.items():
+        a[i][j] = a[j][i] = Fraction(num, 1 << op.log_den)
+    for sign in (-1, 1):
+        side = [[sign * x for x in row] for row in a]
+        for i, deg in enumerate(op.degrees):
+            side[i][i] = Fraction(lam) * (deg + d)
+        if not exactly_psd(side):
+            return False
+    return True

@@ -3,11 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from xorcert.cli import main
+from xorcert.core import ValidationError, instance_from_json
+from xorcert.refuter import RefuteParams
 
 from helpers import avoid_result_from_obj
 
@@ -160,6 +164,60 @@ class TestExitCodes:
         assert run("avoid", "--circuit", str(circuit_file), "--gen",
                    "biased:m=30,s=6", flag, value) == 1
         assert message in caplog.text
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dense-cap", "-1"], "dense cap must be at least 1, got -1"),
+        (["--dense-cap", "0"], "dense cap must be at least 1, got 0"),
+        (["--work-flops", "nan", "--mode", "trace"], "work flops must be a finite number > 0, got nan"),
+        (["--work-flops", "-5", "--mode", "trace"], "work flops must be a finite number > 0, got -5.0"),
+        (["--work-flops", "inf"], "work flops must be a finite number > 0, got inf"),
+        (["--r", "-1"], "level r must be at least 0, got -1"),
+    ])
+    def test_senseless_refute_knob_exits_one(self, instance_file, caplog, flags, message):
+        assert run("refute", "--instance", str(instance_file), *flags) == 1
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("knobs, message", [
+        ('{"dense_cap": -1}', "dense cap must be at least 1, got -1"),
+        ('{"work_flops": 0}', "work flops must be a finite number > 0, got 0"),
+        ('{"work_flops": 1e400}', "work flops must be a finite number > 0, got inf"),
+        ('{"r": -2}', "level r must be at least 0, got -2"),
+    ])
+    def test_senseless_refute_knob_in_json_exits_one(
+        self, tmp_path, instance_file, caplog, knobs, message
+    ):
+        params = tmp_path / "params.json"
+        params.write_text(knobs)
+        assert run("refute", "--instance", str(instance_file), "--params", str(params)) == 1
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"dense_cap": 0}, "dense cap must be at least 1, got 0"),
+        ({"work_flops": float("nan")}, "work flops must be a finite number > 0, got nan"),
+        ({"r": -1}, "level r must be at least 0, got -1"),
+        ({"mode": "fast"}, "mode must be one of trace, spectral, auto, got 'fast'"),
+    ])
+    def test_senseless_refute_knob_in_python_raises(self, knobs, message):
+        with pytest.raises(ValidationError) as info:
+            RefuteParams(**knobs)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("num, log_den", [((1 << 1099) + 1, 1100), (3, 1100)],
+                             ids=["past-the-float-range", "below-the-smallest-float"])
+    def test_fine_scale_weights_certify(self, tmp_path, num, log_den):
+        inst = tmp_path / "fine.json"
+        edges = [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]
+        inst.write_text(json.dumps({
+            "k": 2, "n": 4, "edges": edges, "rhs": [1, -1, 1, 1, -1],
+            "weights": [{"num": num, "log_den": log_den}] * len(edges),
+        }))
+        out = tmp_path / "cert.json"
+        assert run("refute", "--instance", str(inst), "--out", str(out)) == 0
+        cert = json.loads(out.read_text())
+        assert cert["status"] == "certified"
+        parsed = instance_from_json(inst.read_text())
+        value = max(abs(parsed.value(x)) for x in product((1, -1), repeat=4))
+        assert Fraction(cert["bound"]) >= value > 0
 
     def test_negative_enumerate_exits_one(self, tmp_path, caplog):
         out = tmp_path / "prg.txt"

@@ -26,6 +26,7 @@ from xorcert.fourier import (
 )
 
 from helpers import (
+    evaluate,
     expand_decision_tree,
     level_weight,
     random_junta_gate,
@@ -66,7 +67,7 @@ class TestExpandJunta:
             exp = expand_junta(gate)
             for idx in range(1 << t):
                 x = [1 - 2 * ((idx >> j) & 1) for j in range(max(t, 1))]
-                assert exp.evaluate(x) == Dyadic(1 - 2 * table[idx])
+                assert evaluate(exp, x) == Dyadic(1 - 2 * table[idx])
 
     def test_table_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -83,7 +84,7 @@ class TestExpandJunta:
             for code in range(64):
                 bits = [(code >> j) & 1 for j in range(6)]
                 x = [1 - 2 * b for b in bits]
-                assert exp.evaluate(x) == Dyadic(gate.eval(bits))
+                assert evaluate(exp, x) == Dyadic(gate.eval(bits))
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_parseval_exhaustive(self, t):
@@ -313,4 +314,4 @@ class TestLayeredExpansion:
                 x = [1 - 2 * b for b in bits]
                 vals = lc.eval_bits(bits)
                 for i, exp in enumerate(exps):
-                    assert exp.evaluate(x) == Dyadic(vals[i])
+                    assert evaluate(exp, x) == Dyadic(vals[i])

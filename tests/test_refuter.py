@@ -44,6 +44,7 @@ from helpers import (
     reference_odd_split,
     reference_prepare_copies,
     signs,
+    spectral_bound_holds,
     split_to_unit_weights,
 )
 
@@ -264,6 +265,147 @@ class TestSpectral:
         for (i, j), num in op.entries.items():
             assert dense[i, j] == dense[j, i] == float(Dyadic(num, op.log_den))
         assert np.count_nonzero(dense) == 2 * len(op.entries)
+
+
+def _eigen_norm(op: KikuchiOperator) -> float:
+    """Float estimate of the reweighted norm, by a dense eigensolve."""
+    scale = 1.0 / np.sqrt(refuter._gamma(op))
+    eigvals = np.linalg.eigvalsh(op.dense_matrix() * scale[:, None] * scale)
+    return float(max(-eigvals[0], eigvals[-1]))
+
+
+def _two_copies(inst):
+    """The instance beside a copy of itself on fresh vertices."""
+    n, edges = inst.n, list(inst.scheme.hypergraph.edges)
+    shifted = [tuple(v + n for v in e) for e in edges]
+    weights = list(inst.scheme.weights) * 2
+    return make_instance(2 * n, edges + shifted, list(inst.rhs) * 2, weights=weights)
+
+
+def _graph_op(n, edges, rng, weights=None):
+    """Level-1 operator of a 2-XOR instance: its signed adjacency matrix."""
+    inst = make_instance(n, edges, [rng.choice((1, -1)) for _ in edges], weights=weights)
+    return build_kikuchi(coalesce(inst), 1)
+
+
+class TestSpectralProof:
+    """The spectral bound is a proof: lam Gamma +- A is exactly PSD at the
+    returned lam, on both estimate paths and on shapes chosen to stress it."""
+
+    @pytest.fixture(params=["eigvalsh", "lanczos"])
+    def path(self, request, monkeypatch):
+        if request.param == "lanczos":  # every side takes the Lanczos estimate
+            monkeypatch.setattr(refuter, "_LANCZOS_FROM", 1)
+        return request.param
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bound_is_exactly_psd(self, data):
+        n = data.draw(st.integers(4, 8), label="n")
+        k = data.draw(st.sampled_from((2, 4)), label="k")
+        r = data.draw(st.integers(k // 2, n - k // 2), label="r")
+        if comb(n, r) > 40:
+            r = k // 2
+        m = data.draw(st.integers(1, 24), label="m")
+        edges = [tuple(sorted(data.draw(st.permutations(range(n)))[:k])) for _ in range(m)]
+        big = st.builds(Dyadic, st.integers(-(1 << 60), 1 << 60), st.just(60))
+        weights = data.draw(st.lists(st.one_of(_weights(), big), min_size=m, max_size=m))
+        rhs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+        op = build_kikuchi(coalesce(make_instance(n, edges, rhs, weights=weights)), r)
+        lanczos = data.draw(st.booleans(), label="lanczos")
+        old = refuter._LANCZOS_FROM
+        refuter._LANCZOS_FROM = 1 if lanczos else old
+        try:
+            lam = spectral_certificate(op)
+        finally:
+            refuter._LANCZOS_FROM = old
+        assert spectral_bound_holds(op, lam)
+
+    def test_two_disjoint_copies(self, path):
+        # every eigenvalue of the matrix is double
+        base = random_instance(random.Random(11), 6, 2, 14)
+        op = build_kikuchi(coalesce(_two_copies(base)), 1)
+        lam = spectral_certificate(op)
+        assert spectral_bound_holds(op, lam)
+        assert lam <= _eigen_norm(op) * (1 + 1e-7)
+
+    def test_symmetric_spectrum(self, path):
+        # a bipartite graph: every eigenvalue comes with its negative
+        rng = random.Random(12)
+        edges = [(i, j) for i in range(6) for j in range(6, 12) if rng.random() < 0.5]
+        op = _graph_op(12, edges, rng)
+        lam = spectral_certificate(op)
+        assert spectral_bound_holds(op, lam)
+        assert lam <= _eigen_norm(op) * (1 + 1e-7)
+
+    def test_star_heavy_degrees(self, path):
+        # vertex 0 meets almost every edge: its Gamma is about 12 times the others'
+        rng = random.Random(13)
+        edges = [(0, j) for j in range(1, 36)] * 4 + [(3, 7), (5, 9), (2, 11)]
+        op = _graph_op(36, edges, rng)
+        gamma = refuter._gamma(op)
+        assert gamma.max() > 10 * gamma.min()
+        lam = spectral_certificate(op)
+        assert spectral_bound_holds(op, lam)
+        assert lam <= _eigen_norm(op) * (1 + 1e-7)
+
+    @pytest.mark.parametrize("num, log_den", [
+        ((1 << 60) + 1, 61),  # entries above 2^53, not exact in floats
+        ((1 << 1099) + 1, 1100),  # numerators past the float range
+        (3, 1100),  # weights below the smallest float
+    ], ids=["above-2^53", "past-the-float-range", "below-the-smallest-float"])
+    def test_entries_beyond_the_float_format(self, path, num, log_den):
+        rng = random.Random(14)
+        edges = [tuple(sorted(rng.sample(range(8), 2))) for _ in range(20)]
+        op = _graph_op(8, edges, rng, weights=[Dyadic(num, log_den)] * 20)
+        lam = spectral_certificate(op)
+        assert 0.0 < lam and spectral_bound_holds(op, lam)
+
+    def test_a_low_estimate_climbs_the_ladder(self, monkeypatch):
+        inst = random_instance(random.Random(15), 8, 2, 20)
+        op = build_kikuchi(coalesce(inst), 1)
+        calls = []
+        proves = refuter._cholesky_proves
+
+        def counting(*args):
+            calls.append(args[2])
+            return proves(*args)
+
+        monkeypatch.setattr(refuter, "_cholesky_proves", counting)
+        estimate = refuter._estimate_top
+        monkeypatch.setattr(refuter, "_estimate_top", lambda a, s: estimate(a, s) * (1 - 1e-9))
+        lam = spectral_certificate(op)
+        assert len(calls) > 1 and calls[-1] > calls[0]
+        assert spectral_bound_holds(op, lam)
+
+    def test_half_the_estimate_is_uncertain_or_sound(self, monkeypatch):
+        inst = random_instance(random.Random(16), 8, 2, 20)
+        estimate = refuter._estimate_top
+        monkeypatch.setattr(refuter, "_estimate_top", lambda a, s: estimate(a, s) / 2)
+        calls = []
+        proves = refuter._cholesky_proves
+        monkeypatch.setattr(refuter, "_cholesky_proves", lambda *a: calls.append(a) or proves(*a))
+        with pytest.raises(ResourceCap):
+            spectral_certificate(build_kikuchi(coalesce(inst), 1))
+        assert len(calls) == len(refuter._LADDER)
+        cert = refute(inst)
+        assert cert.status == "uncertain" and cert.bound == 1.0
+
+    def test_empty_operator_is_zero(self):
+        op = build_kikuchi(coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1)
+        assert not op.entries
+        assert spectral_certificate(op) == 0.0
+
+    def test_lanczos_calls_repeat_bitwise(self):
+        rng = random.Random(17)
+        n = refuter._LANCZOS_FROM + 20
+        op = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(6 * n)], rng)
+        first = spectral_certificate(op)
+        np.random.seed(99)
+        np.random.standard_normal(7)  # the global generator plays no part
+        assert spectral_certificate(op) == first
+        norm = _eigen_norm(op)
+        assert norm <= first <= norm * (1 + 1e-7)
 
 
 class TestExactConversions:
@@ -754,30 +896,32 @@ def _pinned_instance(n, k, stride, log_den=None):
 # Certificates recorded from the per-copy odd-arity split and subset ranking
 # by colex_rank; the ROADMAP asks perf changes to keep certificates
 # bit-identical, so every later version must reproduce them byte for byte.
+# The spectral bounds were re-recorded once, when the spectral engine became
+# a Cholesky proof: each moved by under 3e-11 relative (see CHANGES.md).
 # Shapes are (n, k, stride, log_den) of _pinned_instance.
 PINNED = [
     ((8, 2, 1, None), RefuteParams(),
-     '{"mode": "spectral", "r": 1, "ell": null, "bound": 0.6557536763928092, "status": "certified", "breakdown": []}'),
+     '{"mode": "spectral", "r": 1, "ell": null, "bound": 0.6557536763928116, "status": "certified", "breakdown": []}'),
     ((8, 2, 1, 2), RefuteParams(mode="trace", ell=4),
      '{"mode": "trace", "r": 1, "ell": 4, "bound": 0.49644817169455907, "status": "certified", "breakdown": []}'),
     ((7, 2, 1, 3), RefuteParams(split_weights=True),
-     '{"mode": "spectral", "r": 1, "ell": null, "bound": 0.39367535105322055, "status": "certified", "breakdown": []}'),
+     '{"mode": "spectral", "r": 1, "ell": null, "bound": 0.3936753510528414, "status": "certified", "breakdown": []}'),
     ((9, 3, 2, None), RefuteParams(),
-     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8963174393535783, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.5516834789789334, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.5232595435351011, "status": "certified", "breakdown": []}]}'),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8963174393538808, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.551683478978924, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.5232595435359311, "status": "certified", "breakdown": []}]}'),
     ((9, 3, 2, 2), RefuteParams(mode="spectral"),
-     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.5435332680939872, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.19080256463592737, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.27429529124181484, "status": "certified", "breakdown": []}]}'),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.5435332680940392, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.19080256463584033, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.2742952912420068, "status": "certified", "breakdown": []}]}'),
     ((8, 3, 2, 1), RefuteParams(split_weights=True),
-     '{"mode": "spectral", "r": null, "ell": null, "bound": 1.0, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.8563258082924804, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.7749970436224078, "status": "certified", "breakdown": []}]}'),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 1.0, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.856325808292518, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.7749970436232482, "status": "certified", "breakdown": []}]}'),
     ((9, 3, 1, None), RefuteParams(r=2, mode="trace"),
      '{"mode": "trace", "r": null, "ell": null, "bound": 0.8575379753213617, "status": "certified", "breakdown": [{"mode": "trace", "r": 2, "ell": 10, "bound": 0.40540913866972067, "status": "certified", "breakdown": []}, {"mode": "trace", "r": 2, "ell": 10, "bound": 0.463974922376848, "status": "certified", "breakdown": []}]}'),
     ((9, 4, 2, None), RefuteParams(r=3),
-     '{"mode": "spectral", "r": 3, "ell": null, "bound": 0.5501628080923094, "status": "certified", "breakdown": []}'),
+     '{"mode": "spectral", "r": 3, "ell": null, "bound": 0.5501628080983433, "status": "certified", "breakdown": []}'),
     ((8, 4, 1, 3), RefuteParams(mode="trace"),
      '{"mode": "trace", "r": 2, "ell": 10, "bound": 0.3159152983808259, "status": "certified", "breakdown": []}'),
     ((9, 5, 2, None), RefuteParams(),
-     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8063391794710835, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.46757134774903264, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.341657259666786, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.34904175151433353, "status": "certified", "breakdown": []}]}'),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8063391794719083, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.467571347749005, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.34165725966715027, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.3490417515177254, "status": "certified", "breakdown": []}]}'),
     ((9, 5, 3, 2), RefuteParams(mode="spectral"),
-     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.526798810381874, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.18730782312192218, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.18794804593199918, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.20007878726390232, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 4, "ell": null, "bound": 0.03214285714464772, "status": "certified", "breakdown": []}]}'),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.5267988103821812, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.18730782312183442, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.18794804593196948, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.20007878726533698, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 4, "ell": null, "bound": 0.03214285714379263, "status": "certified", "breakdown": []}]}'),
 ]
 
 
@@ -819,7 +963,8 @@ _ODD_PARALLEL = [
 class TestCoalescedShapes:
     """Certificates recorded before refute read each instance in one
     coalescing pass, for shapes where the copies, the live copies and the
-    signed sums of an edge part ways."""
+    signed sums of an edge part ways; the spectral bounds re-recorded with
+    the Cholesky proof."""
 
     def test_zero_weight_part_is_direct_but_a_cancelling_part_is_not(self):
         # the arity-2 part has only zero weights: direct 0; the arity-4 part
@@ -830,11 +975,11 @@ class TestCoalescedShapes:
             ((0, 2, 3, 5), (1, 1), 1), ((0, 2, 3, 5), (1, 1), -1),
         ])
         assert refute(inst).to_json() == (
-            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.30297999108852947, '
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.30297999108852725, '
             '"status": "certified", "breakdown": [{"mode": "direct", "r": null, "ell": null, '
             '"bound": 0.0, "status": "certified", "breakdown": []}, {"mode": "spectral", '
-            '"r": null, "ell": null, "bound": 0.8079466429027452, "status": "certified", '
-            '"breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.5625000000000853, '
+            '"r": null, "ell": null, "bound": 0.8079466429027393, "status": "certified", '
+            '"breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.5625000000000641, '
             '"status": "certified", "breakdown": []}]}, {"mode": "spectral", "r": 2, "ell": null, '
             '"bound": 0.0, "status": "certified", "breakdown": []}]}'
         )
@@ -846,19 +991,19 @@ class TestCoalescedShapes:
             ((0, 2, 4), (1, 0), 1), ((1, 2, 5), (-3, 2), 1),
         ])
         assert refute(inst, RefuteParams(split_weights=True)).to_json() == (
-            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.6147976825562623, '
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.6147976825560182, '
             '"status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, '
-            '"bound": 0.08333333333341861, "status": "certified", "breakdown": []}, '
-            '{"mode": "spectral", "r": 2, "ell": null, "bound": 0.08928571428592746, '
+            '"bound": 0.08333333333334282, "status": "certified", "breakdown": []}, '
+            '{"mode": "spectral", "r": 2, "ell": null, "bound": 0.08928571428576013, '
             '"status": "certified", "breakdown": []}]}'
         )
 
     def test_odd_split_pairs_only_live_copies(self):
         odd = (
-            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.3464497580346562, '
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.34644975803464484, '
             '"status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, '
-            '"bound": 0.13888888888895998, "status": "certified", "breakdown": []}, '
-            '{"mode": "spectral", "r": 2, "ell": null, "bound": 0.9375000000001635, '
+            '"bound": 0.138888888888901, "status": "certified", "breakdown": []}, '
+            '{"mode": "spectral", "r": 2, "ell": null, "bound": 0.9375000000002399, '
             '"status": "certified", "breakdown": []}]}'
         )
         assert refute(_copies_instance(5, _ODD_PARALLEL)).to_json() == odd
@@ -867,8 +1012,8 @@ class TestCoalescedShapes:
             ((0, 1), (0, 0), 1), ((0, 1), (1, 1), -1), ((0, 1), (0, 0), 1), ((2, 3), (1, 2), 1),
         ])
         assert refute(mixed).to_json() == (
-            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.30673946459257656, '
+            '{"mode": "spectral", "r": null, "ell": null, "bound": 0.30673946459255264, '
             '"status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, '
-            '"bound": 0.2173913043478972, "status": "certified", "breakdown": []}, '
+            '"bound": 0.21739130434784507, "status": "certified", "breakdown": []}, '
             + odd + ']}'
         )
