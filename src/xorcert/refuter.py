@@ -18,7 +18,11 @@ up to the Kikuchi entries:
   r-subsets of the variables, an edge contributes its signed sum to every
   pair (S, T) with S xor T equal to the edge and its copies to the degree of
   S, and the instance value is bounded by twice the spectral norm of the
-  degree-reweighted matrix;
+  degree-reweighted matrix. Where the entries sit, which edge each reads
+  and the degrees depend on the edges and the level alone: this pattern is
+  computed by index arithmetic over all pairs at once, kept by the prepared
+  part for every later right-hand side, and each target only gathers its
+  signed sums into it;
 * odd arity is reduced to even buckets by grouping edges on their lowest
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
   distinct group-mates adds the product of their live copies and of their
@@ -31,16 +35,17 @@ up to the Kikuchi entries:
 
 Two certificate engines bound the reweighted norm:
 
-* spectral -- a float estimate lam of the top eigenvalue, raised a little and
-              proved by two shifted float Choleskys that lam Gamma - A and
-              lam Gamma + A are positive semidefinite; the default mode
+* spectral -- a float estimate lam of the top eigenvalue (from side 180 up
+              by Lanczos steps over the stored entries), raised a little
+              and proved by two shifted float Choleskys that lam Gamma - A
+              and lam Gamma + A are positive semidefinite; the default mode
               ``auto`` runs it, as does ``spectral``;
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power; looser, and run
               only when mode ``trace`` asks for it.
 
-Both are dense: a level whose matrix side exceeds ``dense_cap`` is not built
-and its certificate is uncertain.
+Both factor or multiply the dense matrix: a level whose matrix side exceeds
+``dense_cap`` is not built and its certificate is uncertain.
 
 All floating-point steps round their result upward before they enter a
 certificate, no step rests on an assumed error constant of a library, and no
@@ -193,22 +198,30 @@ def _root_up(x: float, power: int) -> float:
     return root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KikuchiOperator:
     """Level-r signed subset matrix of an even-arity instance.
 
-    ``entries`` stores the strict upper triangle as integer numerators at
-    the scale 2^-log_den; ``degrees[S]`` counts the (edge, T) pairs incident
-    to row S, independent of the edge weights.
+    Its strict upper triangle is stored by position, in increasing (row,
+    column) order, nonzero entries only: ``entries[i]`` is the integer
+    numerator, at the scale 2^-log_den, of the entry at (rows[i], cols[i]),
+    so ``len(entries)`` counts the stored entries. ``degrees[S]`` counts the
+    copies of the (edge, T) pairs incident to row S, independent of the edge
+    weights. Numerators and degrees are exact integers: int64 arrays when
+    every value fits, else object arrays of Python ints. ``build_kikuchi``
+    hands out the degrees of its ``KikuchiPattern``, read-only, since every
+    target of the pattern shares them.
     """
 
     n: int
     k: int
     r: int
     m: int
-    entries: dict[tuple[int, int], int]
+    rows: np.ndarray
+    cols: np.ndarray
+    entries: np.ndarray
     log_den: int
-    degrees: tuple[int, ...]
+    degrees: np.ndarray
     edge_multiplier: int
 
     @property
@@ -222,41 +235,48 @@ class KikuchiOperator:
     def dense_matrix(self) -> np.ndarray:
         """The symmetric matrix as a new float array of num * 2^-log_den, each
         entry correctly rounded."""
-        rows, cols, values, _ = _entries_at(self, self.log_den, _top_bits(self))
-        return _symmetric(self.dim, rows, cols, values)
+        values, _ = _entries_at(self, self.log_den, _top_bits(self))
+        return _symmetric(self.dim, self.rows, self.cols, values)
+
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """Integers as an int64 array when every one fits, else as an object
+    array of Python ints; numpy's integer operations then serve both."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _top_bits(op: KikuchiOperator) -> int:
     """Bit length of the largest |numerator| of the entries."""
-    return max(map(abs, op.entries.values()), default=0).bit_length()
+    if not len(op.entries):
+        return 0
+    # no abs: it overflows on -2^63 in int64
+    return max(int(op.entries.max()), -int(op.entries.min())).bit_length()
 
 
-def _entries_at(
-    op: KikuchiOperator, log_scale: int, top: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(rows, columns, values, errors) of the strict upper triangle: each
-    value is num * 2^-log_scale correctly rounded, and errors bounds each
-    value's rounding error, or is None when every value is exact. ``top``
-    is ``_top_bits(op)``.
+def _entries_at(op: KikuchiOperator, log_scale: int, top: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, errors) of the stored entries: each value is
+    num * 2^-log_scale correctly rounded, and errors bounds each value's
+    rounding error, or is None when every value is exact. ``top`` is
+    ``_top_bits(op)``.
 
     Numerators below 2^53 at the scale 2^-1074 or coarser convert exactly
     through one float and ``ldexp``; otherwise every value is an int / int
     division, which Python rounds correctly at any size.
     """
-    count = len(op.entries)
-    pairs = np.fromiter(chain.from_iterable(op.entries), np.intp, 2 * count).reshape(count, 2)
-    rows, cols = pairs[:, 0], pairs[:, 1]
-    nums = op.entries.values()
     if top <= 53 and log_scale <= 1074:
-        return rows, cols, np.ldexp(np.fromiter(nums, np.float64, count), -log_scale), None
+        return np.ldexp(op.entries.astype(np.float64), -log_scale), None
     den = 1 << log_scale
+    nums = op.entries.tolist()
     rounded = [num / den for num in nums]
     # below 2^53 a normal value is exact; anything else is off by < 1 ulp
     errors = [
         0.0 if -(1 << 53) < num < 1 << 53 and abs(v) >= _MIN_NORMAL else math.ulp(v)
         for num, v in zip(nums, rounded)
     ]
-    return rows, cols, np.array(rounded), np.array(errors)
+    return np.array(rounded), np.array(errors)
 
 
 def _symmetric(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -269,7 +289,7 @@ def _symmetric(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray)
 def _gamma(op: KikuchiOperator) -> np.ndarray:
     """deg_S + d of every row S, correctly rounded as Python's int / int is."""
     dim, extra = op.dim, op.trace_degree
-    return np.array([(deg * dim + extra) / dim for deg in op.degrees])
+    return np.array([(deg * dim + extra) / dim for deg in op.degrees.tolist()])
 
 
 def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
@@ -285,26 +305,51 @@ def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
     return dim
 
 
+@dataclass(frozen=True, eq=False)
+class KikuchiPattern:
+    """Where the level-r matrix of a list of distinct edges can be nonzero,
+    and its degrees.
+
+    Position i of the strict upper triangle, at (rows[i], cols[i]) in
+    increasing (row, column) order, holds the signed sum of distinct edge
+    ``edge[i]``: S xor T determines the edge, so no position holds two.
+    ``degrees`` are those of ``KikuchiOperator``. Only the edges, their
+    copies and the level fix a pattern, not the signed sums. Its arrays are
+    read-only: every later target reads them.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    edge: np.ndarray
+    degrees: np.ndarray
+
+
 @dataclass(frozen=True)
 class CoalescedEdges:
     """One edge size of an instance as its distinct edges.
 
-    ``edges`` maps each distinct edge, as its vertex bitmask, to (number of
-    copies, signed sum of b * w over the copies as an integer at the scale
-    2^-log_den). ``m`` counts copies, so the degrees, d and the trace degree
-    of the Kikuchi matrix are those of the per-copy instance. ``live`` maps
-    each edge to its copies of nonzero weight, which are the ones the odd
-    split pairs; it is None for the even buckets of that split, whose copies
-    are all live. ``PreparedScheme.coalesced`` makes one per edge size of a
-    scheme and right-hand side.
+    Distinct edge j is the vertex bitmask ``edges[j]``, with ``copies[j]``
+    copies and the signed sum ``sums[j]`` of b * w over them, an integer at
+    the scale 2^-log_den. ``m`` counts copies, so the degrees, d and the
+    trace degree of the Kikuchi matrix are those of the per-copy instance.
+    ``live[j]`` counts the edge's copies of nonzero weight, which are the
+    ones the odd split pairs; it is None for the even buckets of that split,
+    whose copies are all live. ``patterns`` maps a level to the
+    ``KikuchiPattern`` of these edges and copies: ``PreparedScheme.coalesced``
+    hands every right-hand side of a part the part's own map, so the
+    pattern of a level is built once, at the first of them. Under
+    ``split_weights`` and in the odd buckets the map is fresh.
     """
 
     n: int
     k: int
     m: int
     log_den: int
-    edges: dict[int, tuple[int, int]]
-    live: dict[int, int] | None = None
+    edges: Sequence[int]
+    copies: Sequence[int]
+    sums: Sequence[int]
+    live: Sequence[int] | None = None
+    patterns: dict[int, KikuchiPattern] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -314,6 +359,8 @@ class PreparedPart:
     Edge j of the part, a vertex bitmask, is row ``row + j`` of the signed
     sums and of the unit copies. ``copies`` and ``live`` give each edge's
     copies and its live ones, and ``m`` the part's copies in total.
+    ``patterns`` keeps the Kikuchi patterns of the levels built so far;
+    they depend on the scheme alone, so every right-hand side reuses them.
     """
 
     k: int
@@ -321,7 +368,8 @@ class PreparedPart:
     m: int
     edges: tuple[int, ...]
     copies: tuple[int, ...]
-    live: dict[int, int]
+    live: tuple[int, ...]
+    patterns: dict[int, KikuchiPattern] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -351,27 +399,25 @@ class PreparedScheme:
         """One ``CoalescedEdges`` per edge size, given the signed sums of the
         right-hand side. ``unit_copies`` (``PreparedSchemes.unit_copies``),
         given under ``split_weights``, counts a copy of weight num * 2^-L as
-        |num| copies of weight 2^-L with the sign of num moved into their rhs:
-        the signed sums are unchanged, and zero weights leave no copy, so
-        edges and sizes with no weight drop out."""
+        |num| live copies of weight 2^-L with the sign of num moved into
+        their rhs: the signed sums are unchanged, and zero weights leave no
+        copy, so edges and sizes with no weight drop out. Such a part has a
+        fresh pattern map, as in ``refute(inst)``, so its patterns are built
+        for each right-hand side."""
         out = {}
         for part in self.parts:
             rows = slice(part.row, part.row + len(part.edges))
             if unit_copies is None:
-                edges = dict(zip(part.edges, zip(part.copies, sums[rows])))
                 out[part.k] = CoalescedEdges(
-                    self.n, part.k, part.m, self.log_den, edges, part.live
+                    self.n, part.k, part.m, self.log_den, part.edges, part.copies, sums[rows],
+                    part.live, part.patterns,
                 )
                 continue
             kept = [(e, u, s) for e, u, s in zip(part.edges, unit_copies[rows], sums[rows]) if u]
             if kept:
+                edges, copies, kept_sums = zip(*kept)
                 out[part.k] = CoalescedEdges(
-                    self.n,
-                    part.k,
-                    sum(u for _, u, _ in kept),
-                    self.log_den,
-                    {e: (u, s) for e, u, s in kept},
-                    {e: u for e, u, _ in kept},
+                    self.n, part.k, sum(copies), self.log_den, edges, copies, kept_sums, copies
                 )
         return out
 
@@ -513,7 +559,7 @@ def prepare_rows(
             sum(copies[lo:hi]),
             part_edges,
             tuple(copies[lo:hi]),
-            dict(zip(part_edges, live_copies[lo:hi])),
+            tuple(live_copies[lo:hi]),
         ))
     ends = ends.tolist()
     prepared = tuple(
@@ -556,19 +602,94 @@ def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
     )
 
 
+def _vertices(edges: Sequence[int], n: int, k: int) -> np.ndarray:
+    """The vertices of each edge bitmask over range(n), in increasing order,
+    one row of k per edge. Past 63 vertices the masks are Python ints."""
+    masks = np.array(edges, dtype=np.int64 if n <= 63 else object)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    return np.nonzero(bits)[1].reshape(len(edges), k)
+
+
+def _colex_table(n: int, r: int) -> np.ndarray:
+    """C(v, p + 1) at [v, p] wherever vertex v can sit at position p of an
+    r-subset of range(n), else 0; every value is below C(n, r), so int64
+    holds it. A subset's colex rank is the sum of its vertices' values."""
+    return np.array(
+        [[comb(v, p + 1) if p <= v <= n - r + p else 0 for p in range(r)] for v in range(n)],
+        dtype=np.int64,
+    ).reshape(n, r)
+
+
+def _colex_ranks(chosen: np.ndarray, added: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Colex ranks, by ``_colex_table``, of the subsets chosen | added: the
+    last axes hold each subset's two disjoint parts in increasing order,
+    the other axes broadcast. A vertex's position counts the vertices of
+    the other part below it."""
+    below = added[..., None, :] < chosen[..., :, None]
+    at_chosen = np.arange(chosen.shape[-1]) + below.sum(axis=-1)
+    at_added = np.arange(added.shape[-1]) + (~below).sum(axis=-2)
+    return table[chosen, at_chosen].sum(axis=-1) + table[added, at_added].sum(axis=-1)
+
+
+def _kikuchi_pattern(
+    n: int, k: int, r: int, edges: Sequence[int], copies: Sequence[int]
+) -> KikuchiPattern:
+    """The level-r pattern of distinct edges (vertex bitmasks) with their
+    copies, by index arithmetic over every (edge, S, T) at once.
+
+    A pair (S, T) with S xor T equal to an edge splits the edge into two
+    halves of k/2 vertices, S's and T's, and adds the same r - k/2 vertices
+    outside the edge to both. Each unordered pair is made once, with S's
+    half holding the edge's lowest vertex; it gives the entry at
+    (min, max) of the two ranks, and the edge's copies to the degree of
+    both rows. Degrees are summed in int64 when the trace degree fits, else
+    in Python ints.
+    """
+    half = k // 2
+    dim = comb(n, r)
+    count = len(edges)
+    verts = _vertices(edges, n, k)
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count)[:, None], verts] = True
+    outside = np.nonzero(~member)[1].reshape(count, n - k)
+    picks = np.array(list(combinations(range(n - k), r - half)), dtype=np.intp)
+    added = outside[:, picks][:, None]  # edge, 1, pick, vertex
+    firsts = [c for c in combinations(range(k), half) if c[0] == 0]
+    seconds = [[p for p in range(k) if p not in c] for c in firsts]
+    table = _colex_table(n, r)
+    s = _colex_ranks(verts[:, firsts][:, :, None], added, table)  # edge, half, pick
+    t = _colex_ranks(verts[:, seconds][:, :, None], added, table)
+    edge = np.broadcast_to(np.arange(count)[:, None, None], s.shape).ravel()
+    s, t = s.ravel(), t.ravel()
+    rows, cols = np.minimum(s, t), np.maximum(s, t)
+    order = np.argsort(rows * dim + cols)
+
+    total = sum(copies) * comb(k, half) * comb(n - k, r - half)
+    dtype = np.int64 if total < 1 << 63 else object
+    weight = np.array(copies, dtype=dtype)[edge]
+    degrees = np.zeros(dim, dtype=dtype)
+    np.add.at(degrees, s, weight)
+    np.add.at(degrees, t, weight)
+    assert degrees.sum() == total
+    pattern = KikuchiPattern(rows[order], cols[order], edge[order], degrees)
+    # every later target's operator shares these, its degrees as they are
+    for array in (pattern.rows, pattern.cols, pattern.edge, pattern.degrees):
+        array.flags.writeable = False
+    return pattern
+
+
 def build_kikuchi(
     inst: CoalescedEdges, r: int, dense_cap: int = RefuteParams.dense_cap
 ) -> KikuchiOperator:
-    """Populate the level-r matrix from one edge size's distinct edges, as
+    """The level-r matrix of one edge size's distinct edges, as
     ``PreparedScheme.coalesced`` and ``odd_to_even`` give them.
 
-    Each distinct edge enumerates its ordered pairs (S, T) with S xor T
-    equal to the edge once: the row degree of S grows by the number of
-    copies, and the entry is the signed sum, an integer at the edges' scale.
-    Since S xor T determines the edge, no entry collects more than one edge.
-    Rows are ranked through one table from each r-subset's vertex bitmask to
-    its colex rank. A level that does not exist, or whose side exceeds
-    ``dense_cap``, raises ResourceCap before anything is built.
+    The level's ``KikuchiPattern`` comes from ``inst.patterns``, or is built
+    there by ``_kikuchi_pattern`` if it is the first for these edges. The
+    operator then gathers each position's signed sum and keeps the nonzero
+    ones: exact integers at the edges' scale, int64 when every signed sum
+    fits, else Python ints. A level that does not exist, or whose side
+    exceeds ``dense_cap``, raises ResourceCap before anything is built.
     """
     if inst.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
@@ -576,44 +697,63 @@ def build_kikuchi(
     n, k = inst.n, inst.k
     if k % 2 != 0 or k < 2:
         raise ValidationError([f"kikuchi build needs an even arity >= 2, got {k}"])
-    dim = _kikuchi_dim(n, k, r, dense_cap)
-
-    half = k // 2
-    bit = [1 << v for v in range(n)]
-    # colex order of r-subsets is the numeric order of their bitmasks
-    rank = {mask: i for i, mask in enumerate(sorted(map(sum, combinations(bit, r))))}
-    multiplier = comb(k, half) * comb(n - k, r - half)
-    entries: dict[tuple[int, int], int] = {}
-    degrees = [0] * dim
-    for edge, (count, total) in inst.edges.items():
-        # the r - k/2 vertices a pair adds outside its edge, as bitmasks
-        outs = [0]
-        if r > half:
-            outs = list(map(sum, combinations([b for b in bit if not b & edge], r - half)))
-        for inner in combinations([b for b in bit if b & edge], half):
-            inner_mask = sum(inner)
-            comp_mask = edge ^ inner_mask
-            for out in outs:
-                si = rank[inner_mask | out]
-                degrees[si] += count
-                if total:  # zero sums stay out
-                    ti = rank[comp_mask | out]
-                    if si < ti:
-                        entries[(si, ti)] = total
-    op = KikuchiOperator(
-        n=n, k=k, r=r, m=inst.m, entries=entries, log_den=inst.log_den,
-        degrees=tuple(degrees), edge_multiplier=multiplier,
+    _kikuchi_dim(n, k, r, dense_cap)
+    pattern = inst.patterns.get(r)
+    if pattern is None:
+        pattern = inst.patterns[r] = _kikuchi_pattern(n, k, r, inst.edges, inst.copies)
+    nums = _int_array(inst.sums)[pattern.edge]
+    kept = nums != 0  # zero sums stay out
+    return KikuchiOperator(
+        n=n, k=k, r=r, m=inst.m, rows=pattern.rows[kept], cols=pattern.cols[kept],
+        entries=nums[kept], log_den=inst.log_den, degrees=pattern.degrees,
+        edge_multiplier=comb(k, k // 2) * comb(n - k, r - k // 2),
     )
-    assert sum(op.degrees) == op.trace_degree
-    return op
 
 
 # Interval matrices: (mid, rad) with the true matrix within mid +- rad.
+#
+# Rounding to a float maps x to x (1 + delta) + eta with |delta| <= u = 2^-53
+# and |eta| <= 2^-1075, half the smallest subnormal _TINY; eta is nonzero only
+# where the result is subnormal, and a sum that comes out subnormal is exact.
+# The relative terms below cover delta, and an absolute term covers eta.
+
+_TINY = 2.0**-1074
+
+
+def _reweighted_interval(op: KikuchiOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma^-1 A as an interval matrix.
+
+    mid_ij = fl(a_ij / g_i), with a_ij = fl(A_ij) and g_i = fl(Gamma_i)
+    correctly rounded; g_i is normal, so its eta is 0. Then
+    mid_ij - A_ij / Gamma_i = (A_ij / Gamma_i) ((1 + d1)(1 + d3) / (1 + d2) - 1)
+    + eta1 (1 + d3) / g_i + eta3. The first term is at most
+    3.01 u |A_ij / Gamma_i|: 4 u |mid_ij| covers it while mid_ij is normal,
+    and below 2^-1022 it is under 4 * 2^-1075. The other two are under
+    2^-1075 (1 + 1.01 / g_i). The radius adds 4 _TINY (1 + 1 / g_i) =
+    8 * 2^-1075 (1 + 1 / g_i), which covers these absolute parts together
+    with the rounding of the radius itself, at most 2^-1075 per operation
+    where it is subnormal.
+    """
+    gamma = _gamma(op)
+    mid = op.dense_matrix() / gamma[:, None]
+    rad = 4.0 * _EPS * np.abs(mid) + (4.0 * _TINY * (1.0 + 1.0 / gamma))[:, None]
+    return mid, rad
 
 
 def _interval_matmul(
     a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The product of two interval matrices.
+
+    A float product P of dim x dim matrices X and Y satisfies
+    |P - XY| <= gamma |X||Y| + dim 2^-1075 (1 + gamma) entrywise: each of
+    the dim terms of an entry carries its own eta, and the sums after it
+    grow it by at most the factor 1 + gamma. Of the five products here,
+    mid's etas go into the radius as they are, each of the three terms of
+    the radius can fall short by its own, and absprod's enter multiplied by
+    gamma: under 5 dim 2^-1075 in all. The absolute term 4 dim _TINY =
+    8 dim 2^-1075 covers them with room for the last roundings.
+    """
     amid, arad = a
     bmid, brad = b
     dim = amid.shape[0]
@@ -624,6 +764,7 @@ def _interval_matmul(
     rad += gamma * absprod
     rad *= 1.0 + 8.0 * gamma  # slack for the float evaluation of rad itself
     rad += 4.0 * _EPS * np.abs(mid)
+    rad += 4.0 * dim * _TINY
     return mid, rad
 
 
@@ -679,17 +820,20 @@ def trace_certificate(
     _check_ell(ell)
     dim = op.dim
     ell = truncate_ell(ell, dim, work_flops)
-    if not op.entries:
+    if not len(op.entries):
         return 0.0, ell
-    mid = op.dense_matrix() / _gamma(op)[:, None]
-    rad = 4.0 * _EPS * np.abs(mid)
-    power = _interval_power((mid, rad), ell // 2)
-    pmid, prad = power
+    pmid, prad = _interval_power(_reweighted_interval(op), ell // 2)
     raw = float(np.sum(pmid * pmid.T))
     slack = float(
         2.0 * np.sum(np.abs(pmid) * prad.T)
         + np.sum(prad * prad.T)
         + 4.0 * dim * dim * _EPS * np.sum(np.abs(pmid * pmid.T))
+        # underflow: a sum of dim^2 products loses under
+        # dim^2 2^-1075 (1 + gamma) to their etas. raw, the doubled first
+        # sum of slack and its second lose (1 + 2 + 1) times that; the
+        # third's loss enters scaled by 4 dim^2 eps < 1. Under
+        # 8 dim^2 2^-1075 in all
+        + 4.0 * dim * dim * _TINY
     )
     trace_up = max(raw + slack, 0.0)
     return _root_up(_up(trace_up), ell), ell
@@ -709,11 +853,27 @@ _LANCZOS_ERROR = 2.0**-26
 _LADDER = (1, 16, 256, 4096, 65536)
 
 
-def _lanczos_top(a: np.ndarray, scale: np.ndarray) -> float:
-    """Largest |Ritz value| of diag(scale) a diag(scale) after
-    _LANCZOS_STEPS Lanczos steps from a fixed pseudorandom start, each new
-    vector orthogonalised twice against all earlier ones."""
+def _lanczos_top(upper: tuple[np.ndarray, np.ndarray, np.ndarray], scale: np.ndarray) -> float:
+    """Largest |Ritz value| of diag(scale) A diag(scale), for the symmetric A
+    with zero diagonal whose strict upper triangle ``upper`` gives as
+    (rows, columns, values) in increasing row order, after _LANCZOS_STEPS
+    Lanczos steps from a fixed pseudorandom start, each new vector
+    orthogonalised twice against all earlier ones. Each step multiplies by
+    the stored entries only: the upper triangle row by row, the lower one
+    by a bincount over the columns."""
+    rows, cols, values = upper
     dim = len(scale)
+    values = values * scale[rows] * scale[cols]
+    # the first entry of each row that has one: reduceat would give an
+    # empty row the entry at its index, not 0, so such rows are skipped
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))
+    filled = rows[heads]
+
+    def times(x: np.ndarray) -> np.ndarray:
+        y = np.bincount(cols, values * x[rows], dim)
+        y[filled] += np.add.reduceat(values * x[cols], heads)
+        return y
+
     basis = np.empty((_LANCZOS_STEPS, dim))
     q = np.random.default_rng(0).standard_normal(dim)  # its own generator: calls repeat bitwise
     q /= np.linalg.norm(q)
@@ -721,7 +881,7 @@ def _lanczos_top(a: np.ndarray, scale: np.ndarray) -> float:
     beta: list[float] = []
     for j in range(_LANCZOS_STEPS):
         basis[j] = q
-        w = scale * (a @ (scale * q))
+        w = times(q)
         size = np.linalg.norm(w)
         known = basis[: j + 1]
         h = known @ w
@@ -737,10 +897,14 @@ def _lanczos_top(a: np.ndarray, scale: np.ndarray) -> float:
     return float(max(-ritz[0], ritz[-1]))
 
 
-def _estimate_top(a: np.ndarray, scale: np.ndarray) -> float:
-    """Largest |eigenvalue| of diag(scale) a diag(scale), not certified."""
+def _estimate_top(
+    a: np.ndarray, upper: tuple[np.ndarray, np.ndarray, np.ndarray], scale: np.ndarray
+) -> float:
+    """Largest |eigenvalue| of diag(scale) a diag(scale), not certified: a is
+    symmetric with zero diagonal, and ``upper`` is its strict upper triangle
+    as (rows, columns, values)."""
     if len(scale) >= _LANCZOS_FROM:
-        return _lanczos_top(a, scale)
+        return _lanczos_top(upper, scale)
     eigvals = np.linalg.eigvalsh(a * scale[:, None] * scale)
     return float(max(-eigvals[0], eigvals[-1]))
 
@@ -777,9 +941,12 @@ def _cholesky_proves(stack: np.ndarray, diag: np.ndarray, lam: float, shift: flo
     ``shift`` rounded down. Overwrites the stack's diagonals."""
     n = len(diag)
     m_diag = np.nextafter(lam * diag, 0.0)
+    # written through the C-order stack: a reshape of its transpose is a copy
     stack.reshape(len(stack), n * n)[:, :: n + 1] = np.nextafter(m_diag - shift, -np.inf)
     try:
-        np.linalg.cholesky(stack)  # LinAlgError at the first pivot <= 0
+        # the transpose, equal to the symmetric stack, is in LAPACK's
+        # column-major order, so numpy copies it in contiguously
+        np.linalg.cholesky(stack.transpose(0, 2, 1))  # LinAlgError at the first pivot <= 0
     except np.linalg.LinAlgError:
         return False
     return True
@@ -838,17 +1005,19 @@ def spectral_certificate(op: KikuchiOperator) -> float:
     Below ``_LANCZOS_FROM`` both sides go to LAPACK in one stacked call;
     above it they run one after the other in one buffer.
     """
-    if not op.entries:
+    if not len(op.entries):
         return 0.0
     dim = op.dim
     top = _top_bits(op)
-    rows, cols, values, errors = _entries_at(op, top, top)
+    rows, cols = op.rows, op.cols
+    values, errors = _entries_at(op, top, top)
     gamma = np.nextafter(_gamma(op), 0.0)
     inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
     diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
     pair = inv[rows] * inv[cols]
-    buf = _symmetric(dim, rows, cols, values * pair)  # D^-1 A' D^-1, owned
-    lam_hat = _estimate_top(buf, 1.0 / np.sqrt(diag))
+    upper = values * pair
+    buf = _symmetric(dim, rows, cols, upper)  # D^-1 A' D^-1, owned
+    lam_hat = _estimate_top(buf, (rows, cols, upper), 1.0 / np.sqrt(diag))
 
     tail = 0.0  # ||D^-1 F D^-1||_2, bounded by its largest row sum, upward
     if errors is not None:
@@ -905,8 +1074,7 @@ def odd_to_even(part: CoalescedEdges) -> OddSplit:
     # lowest bit -> (edge bitmask, live copies, signed sum) of its live edges
     groups: dict[int, list[tuple[int, int, int]]] = {}
     diag = 0
-    for edge, (_, total) in part.edges.items():
-        live = part.live[edge]
+    for edge, total, live in zip(part.edges, part.sums, part.live):
         if live:
             diag += total * total
             groups.setdefault(edge & -edge, []).append((edge, live, total))
@@ -925,12 +1093,16 @@ def odd_to_even(part: CoalescedEdges) -> OddSplit:
                     entry[1] += total_a * total_b
 
     log_den = 2 * part.log_den
-    bucket_edges: dict[int, dict[int, tuple[int, int]]] = {}
+    # size -> [edges, copies, signed sums]
+    columns: dict[int, tuple[list[int], list[int], list[int]]] = {}
     for sym, (pairs, products) in acc.items():
-        bucket_edges.setdefault(sym.bit_count(), {})[sym] = (2 * pairs, 2 * products)
+        edges, copies, sums = columns.setdefault(sym.bit_count(), ([], [], []))
+        edges.append(sym)
+        copies.append(2 * pairs)
+        sums.append(2 * products)
     buckets = {
-        size: CoalescedEdges(part.n, size, sum(c for c, _ in edges.values()), log_den, edges)
-        for size, edges in sorted(bucket_edges.items())
+        size: CoalescedEdges(part.n, size, sum(copies), log_den, edges, copies, sums)
+        for size, (edges, copies, sums) in sorted(columns.items())
     }
     return OddSplit(n_groups=len(groups), diag_term=Fraction(diag, 1 << log_den), buckets=buckets)
 
@@ -962,7 +1134,7 @@ def _refute_direct(part: CoalescedEdges) -> Certificate:
     """Arity 0 or 1: each distinct edge is the constant or one variable, so
     the value is at most the sum of |signed sum| over m, and exactly that
     for arity 1."""
-    total = sum(abs(s) for _, s in part.edges.values())
+    total = sum(map(abs, part.sums))
     bound = _float_up(Fraction(total, part.m << part.log_den))
     return Certificate(mode="direct", bound=bound, status="certified")
 
@@ -1011,7 +1183,7 @@ def _refute_odd(part: CoalescedEdges, params: RefuteParams) -> Certificate:
 
 
 def _refute_part(part: CoalescedEdges, params: RefuteParams) -> Certificate:
-    if not any(part.live.values()):
+    if not any(part.live):
         return _ZERO  # every weight is zero, and so is the value
     if part.k < 2:
         return _refute_direct(part)

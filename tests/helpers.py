@@ -197,7 +197,7 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
                 sum(c for c, _ in counts),
                 tuple(masks),
                 tuple(c for c, _ in counts),
-                {e: live for e, (_, live) in zip(masks, counts)},
+                tuple(live for _, live in counts),
             ))
             for edge in edges:
                 row_of[edge] = n_rows
@@ -324,23 +324,33 @@ def reference_kikuchi(
     return entries, tuple(degrees)
 
 
+def entry_dict(op: KikuchiOperator) -> dict[tuple[int, int], int]:
+    """The stored entries of an operator as {(row, column): numerator}."""
+    return dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.entries.tolist()))
+
+
+def edge_table(part: CoalescedEdges) -> dict[int, tuple[int, int]]:
+    """The distinct edges of a part as {bitmask: (copies, signed sum)}."""
+    return dict(zip(part.edges, zip(part.copies, part.sums)))
+
+
 def dyadic_entries(op: KikuchiOperator) -> dict[tuple[int, int], Dyadic]:
     """The entries of an operator as Dyadics, the form of ``reference_kikuchi``."""
-    return {key: Dyadic(num, op.log_den) for key, num in op.entries.items()}
+    return {key: Dyadic(num, op.log_den) for key, num in entry_dict(op).items()}
 
 
 def reference_gamma(op: KikuchiOperator) -> list[float]:
     """Gamma of every row by the former conversion: deg + d as a Fraction,
     then its float."""
     d = Fraction(op.trace_degree, op.dim)
-    return [float(deg + d) for deg in op.degrees]
+    return [float(deg + d) for deg in op.degrees.tolist()]
 
 
 def reference_dense_matrix(op: KikuchiOperator) -> np.ndarray:
     """The dense matrix by the former conversion: one float(Dyadic) per
     entry, scattered to both triangles."""
     a = np.zeros((op.dim, op.dim))
-    for (i, j), num in op.entries.items():
+    for (i, j), num in entry_dict(op).items():
         a[i, j] = a[j, i] = float(Dyadic(num, op.log_den))
     return a
 
@@ -516,7 +526,7 @@ def coalesce(inst: XorInstance) -> CoalescedEdges:
     parts = prepared.schemes[0].coalesced(prepared.signed_sums(inst.rhs))
     if len(parts) > 1:
         raise ValidationError([f"needs a uniform arity, got {sorted(parts)}"])
-    return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, {}, {})
+    return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, (), (), (), ())
 
 
 def quadratic_form(op: KikuchiOperator, x) -> Dyadic:
@@ -527,7 +537,7 @@ def quadratic_form(op: KikuchiOperator, x) -> Dyadic:
         for v in s:
             sign *= x[v]
         signs[subset_rank(s, op.n, op.r)] = sign
-    total = sum(signs[i] * signs[j] * num for (i, j), num in op.entries.items())
+    total = sum(signs[i] * signs[j] * num for (i, j), num in entry_dict(op).items())
     return Dyadic(2 * total, op.log_den)
 
 
@@ -651,11 +661,11 @@ def spectral_bound_holds(op: KikuchiOperator, lam: float) -> bool:
     ``spectral_certificate`` proves when it returns lam."""
     d = Fraction(op.trace_degree, op.dim)
     a = [[Fraction(0)] * op.dim for _ in range(op.dim)]
-    for (i, j), num in op.entries.items():
+    for (i, j), num in entry_dict(op).items():
         a[i][j] = a[j][i] = Fraction(num, 1 << op.log_den)
     for sign in (-1, 1):
         side = [[sign * x for x in row] for row in a]
-        for i, deg in enumerate(op.degrees):
+        for i, deg in enumerate(op.degrees.tolist()):
             side[i][i] = Fraction(lam) * (deg + d)
         if not exactly_psd(side):
             return False

@@ -92,6 +92,14 @@ def test_a_traced_batch_counts_every_layer_and_restores_every_binding():
         "avoid.seeds_tried",
     ):
         assert tracer.counts[counter] > 0, counter
+    # the values of the per-pair build loop this batch was first traced with:
+    # one build per target and even part or bucket, the same pairs and the
+    # same stored entries, however the operator is laid out
+    builds = [calls for (_, name), (calls, _) in tracer.self_times().items()
+              if name == "refuter.build_kikuchi"]
+    assert sum(builds) == 30
+    assert tracer.counts["refuter.kikuchi.pairs"] == 5176
+    assert tracer.counts["refuter.kikuchi.nnz"] == 357
     spans = {name for _, name in tracer.self_times()}
     assert {
         "refuter.refute", "refuter.build_kikuchi", "refuter.odd_to_even", "refuter.spectral",

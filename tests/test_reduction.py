@@ -337,7 +337,7 @@ class TestPreparedMatchesInstances:
         (part,) = ens.prepared.schemes[ens.keys().index(key)].parts
         # edges are vertex bitmasks: 0b01 is (0,) and 0b10 is (1,)
         assert dict(zip(part.edges, part.copies)) == {0b01: 2, 0b10: 1}
-        assert part.live == {0b01: 1, 0b10: 1}
+        assert part.live == (1, 1)
         assert ens.schemes[key].hypergraph.edges == ((0,), (0,), (1,))
         for b in product((1, -1), repeat=3):
             for params in (RefuteParams(), RefuteParams(split_weights=True)):

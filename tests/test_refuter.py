@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from xorcert.circuits import random_tree_circuit, to_layered
 from xorcert.core import Dyadic, ValidationError, make_instance
 from xorcert.oracle import brute_val
-from xorcert.reduction import group_characters, nonadaptive_split
+from xorcert.reduction import attach_rhs, group_characters, nonadaptive_split
 from xorcert import refuter
 from xorcert.refuter import (
     Certificate,
@@ -34,6 +34,8 @@ from helpers import (
     coalesce,
     dyadic_entries,
     edge_mask,
+    edge_table,
+    entry_dict,
     prepared_fields,
     quadratic_form,
     random_instance,
@@ -56,14 +58,57 @@ def _weights(max_log_den: int = 3):
     )
 
 
+def _check_per_copy_reference(data, n: int, k: int, r: int) -> None:
+    """Draw copies of a few distinct edges on n vertices, weights at the
+    scale 2^-70 among them, whose signed sums pass 2^63, and check the
+    level-r operator against the per-copy enumeration."""
+    big = st.builds(Dyadic, st.integers(-(1 << 70), 1 << 70), st.just(70))
+    edge_strategy = st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k, unique=True
+    ).map(lambda e: tuple(sorted(e)))
+    # few distinct edges and many copies, so most edges are parallel
+    pool = data.draw(
+        st.lists(edge_strategy, min_size=1, max_size=3, unique=True), label="pool"
+    )
+    copies = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pool),
+                st.one_of(st.just(Dyadic(0)), _weights(), big),
+                st.sampled_from((1, -1)),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        label="copies",
+    )
+    # a twin has the same edge and weight and the opposite sign
+    twins = data.draw(
+        st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)),
+        label="twins",
+    )
+    copies += [(e, w, -b) for (e, w, b), twin in zip(copies, twins) if twin]
+    inst = make_instance(
+        n,
+        [e for e, _, _ in copies],
+        [b for _, _, b in copies],
+        weights=[w for _, w, _ in copies],
+        arity=k,
+    )
+    op = build_kikuchi(coalesce(inst), r)
+    entries, degrees = reference_kikuchi(inst, r)
+    assert dyadic_entries(op) == entries
+    assert tuple(op.degrees.tolist()) == degrees
+
+
 class TestBuild:
     def test_two_edge_example(self):
         inst = make_instance(4, [(0, 1), (2, 3)], [1, -1])
         op = build_kikuchi(coalesce(inst), 1)
         assert op.edge_multiplier == 2
         assert op.trace_degree == op.dim
-        assert op.degrees == (1, 1, 1, 1)
-        assert (op.entries, op.log_den) == ({(0, 1): 1, (2, 3): -1}, 0)
+        assert op.degrees.tolist() == [1, 1, 1, 1]
+        assert (entry_dict(op), op.log_den) == ({(0, 1): 1, (2, 3): -1}, 0)
 
     def test_single_4_edge(self):
         inst = make_instance(6, [(0, 1, 2, 3)], [1])
@@ -133,45 +178,42 @@ class TestBuild:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_copy_reference(self, data):
+        """Entries and degrees equal the per-copy enumeration at every level
+        of small shapes."""
         k = data.draw(st.sampled_from((2, 4, 6)), label="k")
         n = data.draw(st.integers(min_value=k, max_value=8), label="n")
         r = data.draw(st.integers(min_value=k // 2, max_value=n - k // 2), label="r")
-        edge_strategy = st.lists(
-            st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k, unique=True
-        ).map(lambda e: tuple(sorted(e)))
-        # few distinct edges and many copies, so most edges are parallel
-        pool = data.draw(
-            st.lists(edge_strategy, min_size=1, max_size=3, unique=True), label="pool"
-        )
-        copies = data.draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(pool),
-                    st.one_of(st.just(Dyadic(0)), _weights()),
-                    st.sampled_from((1, -1)),
-                ),
-                min_size=1,
-                max_size=24,
-            ),
-            label="copies",
-        )
-        # a twin has the same edge and weight and the opposite sign
-        twins = data.draw(
-            st.lists(st.booleans(), min_size=len(copies), max_size=len(copies)),
-            label="twins",
-        )
-        copies += [(e, w, -b) for (e, w, b), twin in zip(copies, twins) if twin]
-        inst = make_instance(
-            n,
-            [e for e, _, _ in copies],
-            [b for _, _, b in copies],
-            weights=[w for _, w, _ in copies],
-            arity=k,
-        )
-        op = build_kikuchi(coalesce(inst), r)
-        entries, degrees = reference_kikuchi(inst, r)
-        assert dyadic_entries(op) == entries
-        assert op.degrees == degrees
+        _check_per_copy_reference(data, n, k, r)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_copy_reference_on_wide_instances(self, data):
+        """The same on up to 70 vertices, where bitmasks pass 64 bits."""
+        k, r = data.draw(st.sampled_from(((2, 1), (2, 2), (4, 2))), label="k, r")
+        n = data.draw(st.integers(min_value=56, max_value=70), label="n")
+        _check_per_copy_reference(data, n, k, r)
+
+    def test_pattern_is_read_only(self):
+        # the degrees are the pattern's, shared by every later target
+        parts = refuter._prepare_instance(make_instance(4, [(0, 1), (2, 3)], [1, -1]))
+        (part,) = parts.schemes[0].coalesced(parts.signed_sums([1, -1])).values()
+        op = build_kikuchi(part, 1)
+        with pytest.raises(ValueError):
+            op.degrees[0] = 5
+        for array in vars(part.patterns[1]).values():
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert build_kikuchi(part, 1).degrees.tolist() == [1, 1, 1, 1]
+
+    def test_signed_sums_past_int64_stay_exact(self):
+        # three parallel copies of weight about 1 at the scale 2^-70: the
+        # sums pass 2^63, and only Python ints hold them
+        w = Dyadic((1 << 70) - 1, 70)
+        inst = make_instance(70, [(3, 68), (3, 68), (3, 68), (0, 69)], [1, 1, 1, -1], weights=[w] * 4)
+        op = build_kikuchi(coalesce(inst), 1)
+        assert op.entries.dtype == object
+        assert entry_dict(op) == {(0, 69): -((1 << 70) - 1), (3, 68): 3 * ((1 << 70) - 1)}
+        assert dyadic_entries(op) == reference_kikuchi(inst, 1)[0]
 
     def test_parallel_copies_that_cancel_leave_no_entry(self):
         inst = make_instance(
@@ -181,8 +223,8 @@ class TestBuild:
             weights=[Dyadic(1, 1), Dyadic(1, 2), Dyadic(1, 2), Dyadic(3, 2)],
         )
         op = build_kikuchi(coalesce(inst), 1)
-        assert op.degrees == (3, 3, 1, 1)
-        assert (op.entries, op.log_den) == ({(2, 3): 3}, 2)
+        assert op.degrees.tolist() == [3, 3, 1, 1]
+        assert (entry_dict(op), op.log_den) == ({(2, 3): 3}, 2)
         assert dyadic_entries(op) == reference_kikuchi(inst, 1)[0]
 
     def test_rejects_odd_and_bad_levels(self):
@@ -237,6 +279,35 @@ class TestTrace:
         _, used = trace_certificate(op, 20, work_flops=10.0)
         assert used == 2
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_intervals_hold_the_exact_matrix_in_the_subnormal_range(self, data):
+        """Gamma^-1 A and its square, in exact rationals, lie within the
+        trace engine's intervals for weights at scales 2^-1040 to 2^-1074,
+        where entries and products underflow."""
+        op, exact = _tiny_weight_op(data, 1040, 1074)
+        square = [
+            [sum(exact[i][t] * exact[t][j] for t in range(op.dim)) for j in range(op.dim)]
+            for i in range(op.dim)
+        ]
+        interval = refuter._reweighted_interval(op)
+        for matrix, (mid, rad) in ((exact, interval), (square, refuter._interval_matmul(interval, interval))):
+            for i, row in enumerate(matrix):
+                for j, value in enumerate(row):
+                    assert abs(Fraction(mid[i, j]) - value) <= Fraction(rad[i, j]), (i, j)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_sum_holds_where_its_products_underflow(self, data):
+        """At ell = 2 the bound's square is at least the exact trace of
+        (Gamma^-1 A)^2 for weights at scales 2^-530 to 2^-545, where the
+        products of the trace sum are subnormal."""
+        op, exact = _tiny_weight_op(data, 530, 545)
+        bound, used = trace_certificate(op, 2)
+        assert used == 2
+        trace = sum(exact[i][j] * exact[j][i] for i in range(op.dim) for j in range(op.dim))
+        assert Fraction(bound) ** 2 >= trace
+
 
 class TestSpectral:
     def test_hand_computed(self):
@@ -262,9 +333,33 @@ class TestSpectral:
         assert spectral_certificate(op) == expected  # trace left the operator as it was
         dense = op.dense_matrix()
         assert dense is not op.dense_matrix() and (dense == op.dense_matrix()).all()
-        for (i, j), num in op.entries.items():
+        for (i, j), num in entry_dict(op).items():
             assert dense[i, j] == dense[j, i] == float(Dyadic(num, op.log_den))
         assert np.count_nonzero(dense) == 2 * len(op.entries)
+
+
+def _tiny_weight_op(data, lo: int, hi: int):
+    """A level-1 or level-2 operator of a drawn 2-XOR instance on 3 to 6
+    vertices with weights num * 2^-L, |num| < 1024 and L from lo to hi,
+    and its Gamma^-1 A in exact rationals."""
+    n = data.draw(st.integers(3, 6), label="n")
+    r = data.draw(st.integers(1, 2), label="r")
+    m = data.draw(st.integers(1, 12), label="m")
+    edges = [tuple(sorted(data.draw(st.permutations(range(n)))[:2])) for _ in range(m)]
+    weights = data.draw(st.lists(
+        st.builds(Dyadic, st.integers(-1023, 1023), st.integers(lo, hi)),
+        min_size=m, max_size=m,
+    ), label="weights")
+    rhs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m), label="rhs")
+    op = build_kikuchi(coalesce(make_instance(n, edges, rhs, weights=weights)), r)
+    d = Fraction(op.trace_degree, op.dim)
+    degrees = op.degrees.tolist()
+    exact = [[Fraction(0)] * op.dim for _ in range(op.dim)]
+    for (i, j), num in entry_dict(op).items():
+        a = Fraction(num, 1 << op.log_den)
+        exact[i][j] = a / (degrees[i] + d)
+        exact[j][i] = a / (degrees[j] + d)
+    return op, exact
 
 
 def _eigen_norm(op: KikuchiOperator) -> float:
@@ -373,7 +468,7 @@ class TestSpectralProof:
 
         monkeypatch.setattr(refuter, "_cholesky_proves", counting)
         estimate = refuter._estimate_top
-        monkeypatch.setattr(refuter, "_estimate_top", lambda a, s: estimate(a, s) * (1 - 1e-9))
+        monkeypatch.setattr(refuter, "_estimate_top", lambda *args: estimate(*args) * (1 - 1e-9))
         lam = spectral_certificate(op)
         assert len(calls) > 1 and calls[-1] > calls[0]
         assert spectral_bound_holds(op, lam)
@@ -381,7 +476,7 @@ class TestSpectralProof:
     def test_half_the_estimate_is_uncertain_or_sound(self, monkeypatch):
         inst = random_instance(random.Random(16), 8, 2, 20)
         estimate = refuter._estimate_top
-        monkeypatch.setattr(refuter, "_estimate_top", lambda a, s: estimate(a, s) / 2)
+        monkeypatch.setattr(refuter, "_estimate_top", lambda *args: estimate(*args) / 2)
         calls = []
         proves = refuter._cholesky_proves
         monkeypatch.setattr(refuter, "_cholesky_proves", lambda *a: calls.append(a) or proves(*a))
@@ -393,8 +488,21 @@ class TestSpectralProof:
 
     def test_empty_operator_is_zero(self):
         op = build_kikuchi(coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1)
-        assert not op.entries
+        assert not len(op.entries)
         assert spectral_certificate(op) == 0.0
+
+    def test_lanczos_matches_a_dense_eigensolve_with_empty_rows(self):
+        # edges on the lower half of the vertices only: the upper half's rows
+        # are empty, and so is the upper triangle's row of the top used vertex
+        rng = random.Random(18)
+        n = refuter._LANCZOS_FROM + 20
+        op = _graph_op(n, [tuple(sorted(rng.sample(range(n // 2), 2))) for _ in range(3 * n)], rng)
+        assert n // 2 - 1 not in set(op.rows.tolist()) and op.degrees[n // 2 - 1] > 0
+        scale = 1.0 / np.sqrt(refuter._gamma(op))
+        values, _ = refuter._entries_at(op, op.log_den, refuter._top_bits(op))
+        estimate = refuter._lanczos_top((op.rows, op.cols, values), scale)
+        norm = _eigen_norm(op)
+        assert abs(estimate - norm) <= 2.0**-26 * norm
 
     def test_lanczos_calls_repeat_bitwise(self):
         rng = random.Random(17)
@@ -424,15 +532,17 @@ class TestExactConversions:
         )
         # numerators past 2^53 round once, as float(Dyadic) rounds them
         nums = st.one_of(st.integers(-8, 8), st.integers(-(1 << 80), 1 << 80)).filter(bool)
-        entries = {(i, j): data.draw(nums, label="num") for i, j in keys if i < j}
+        entries = {(i, j): data.draw(nums, label="num") for i, j in sorted(keys) if i < j}
         op = KikuchiOperator(
             n=n,
             k=2,
             r=r,
             m=data.draw(st.integers(1, 1 << 40), label="m"),
-            entries=entries,
+            rows=np.array([i for i, _ in entries], dtype=np.intp),
+            cols=np.array([j for _, j in entries], dtype=np.intp),
+            entries=refuter._int_array(list(entries.values())),
             log_den=data.draw(st.integers(0, 60), label="log_den"),
-            degrees=tuple(data.draw(
+            degrees=refuter._int_array(data.draw(
                 st.lists(st.integers(0, 1 << 60), min_size=dim, max_size=dim), label="degrees"
             )),
             edge_multiplier=data.draw(st.integers(1, 1 << 20), label="multiplier"),
@@ -456,7 +566,7 @@ class TestOddSplit:
         split = odd_to_even(coalesce(inst))
         bucket = split.buckets[2]
         # the pair counts in both orders: two copies of (2, 3), each 1 * 1
-        assert bucket.edges == {edge_mask((2, 3)): (2, 2)}
+        assert edge_table(bucket) == {edge_mask((2, 3)): (2, 2)}
         assert (bucket.m, bucket.log_den) == (2, 0)
 
     def test_sign_flipped_pairs_cancel(self):
@@ -464,9 +574,9 @@ class TestOddSplit:
         split = odd_to_even(coalesce(inst))
         # squares 3, and the parallel pair with opposite signs 2 * (-1)
         assert split.diag_term == 1
-        assert split.buckets[2].edges == {edge_mask((2, 3)): (4, 0)}
+        assert edge_table(split.buckets[2]) == {edge_mask((2, 3)): (4, 0)}
         assert split.buckets[2].m == 4
-        assert not build_kikuchi(split.buckets[2], 1).entries
+        assert not len(build_kikuchi(split.buckets[2], 1).entries)
         cert = refute(inst)
         assert cert.certified
         assert Fraction(cert.bound) >= brute_val(inst) == Fraction(1, 3)
@@ -522,11 +632,11 @@ class TestOddSplit:
                 sums[e] += b * w.as_fraction()
             assert {
                 e: (count, Fraction(total, 1 << bucket.log_den))
-                for e, (count, total) in bucket.edges.items()
+                for e, (count, total) in edge_table(bucket).items()
             } == {edge_mask(e): (multiplicity[e], sums[e]) for e in multiplicity}
             # and the bucket's matrix is the per-copy bucket's matrix
             op = build_kikuchi(bucket, size // 2)
-            assert (dyadic_entries(op), op.degrees) == reference_kikuchi(ref, size // 2)
+            assert (dyadic_entries(op), tuple(op.degrees.tolist())) == reference_kikuchi(ref, size // 2)
             assert op.trace_degree == build_kikuchi(coalesce(ref), size // 2).trace_degree
 
     def test_parallel_edges_fold_into_diag(self):
@@ -742,7 +852,7 @@ class TestPrepareInstance:
         sums = prepared.signed_sums(inst.rhs)
         parts = prepared.schemes[0].coalesced(sums, prepared.unit_copies())
         assert {
-            k: (part.m, {e: c for e, (c, _) in part.edges.items()}) for k, part in parts.items()
+            k: (part.m, dict(zip(part.edges, part.copies))) for k, part in parts.items()
         } == {k: (sum(per_edge.values()), per_edge) for k, per_edge in units.items()}
 
 
@@ -791,6 +901,34 @@ class TestWeightSplitting:
             cert = refute(inst, RefuteParams(split_weights=True))
             if cert.certified:
                 assert Fraction(cert.bound) >= brute_val(inst)
+
+
+class TestPatternReuse:
+    def test_targets_reuse_the_pattern_and_match_a_fresh_refute(self, monkeypatch):
+        """Prepared schemes build each part's pattern once per level, at its
+        first target, and every later target's certificate is byte-identical
+        to a fresh refute of its instance; under split_weights each call
+        builds its own patterns and leaves the kept ones as they are."""
+        rng = random.Random(230)
+        ens = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
+        built = []
+        real = refuter._kikuchi_pattern
+        monkeypatch.setattr(refuter, "_kikuchi_pattern", lambda *a: built.append(a) or real(*a))
+        targets = [signs(rng, ens.prepared.m) for _ in range(6)]
+        runs = [(b, RefuteParams()) for b in targets]
+        runs += [(b, p) for p in (RefuteParams(split_weights=True), RefuteParams(r=2)) for b in targets[:2]]
+        builds = []  # patterns built by each prepared call
+        for b, params in runs:
+            built.clear()
+            got = [c.to_json() for c in ens.prepared.refute(b, params)]
+            builds.append(len(built))
+            fresh = [refute(inst, params).to_json() for _, inst in sorted(attach_rhs(ens, b).items())]
+            assert got == fresh, params
+        # only the first target of each level builds: the arity-2 parts at
+        # their own level, then at r=2; split_weights builds every time
+        assert builds[0] > 0 and builds[1:6] == [0] * 5
+        assert builds[6] == builds[7] == builds[0]
+        assert builds[8] > 0 and builds[9] == 0
 
 
 def _mixed_instance(rng: random.Random, n: int, m: int):
