@@ -23,6 +23,7 @@ so a certified target is guaranteed to sit outside the range.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
@@ -123,6 +124,14 @@ def _prune_parities(
     return kept, JuntaSplit(c.t, len(kept), c.n, kept_gates)
 
 
+def _exact_sum(values: Sequence[float]) -> Fraction:
+    """The exact sum of finite floats in one integer sum: each is its 53-bit
+    integer mantissa times a power of two, shifted to the smallest power."""
+    parts = [math.frexp(v) for v in values]
+    low = min([e - 53 for _, e in parts] + [0])
+    return Fraction(sum(int(f * 2.0**53) << (e - 53 - low) for f, e in parts), 1 << -low)
+
+
 def _certify_prepared(
     prepared: JuntaSplit | SchemeEnsemble,
     b_kept: Sequence[int],
@@ -135,7 +144,7 @@ def _certify_prepared(
     output counted as agreeing."""
     m_kept = len(b_kept)
     parts = prepared.prepared.refute(b_kept, params.refute)
-    total = sum(Fraction(cert.bound) for cert in parts)
+    total = _exact_sum([cert.bound for cert in parts])
     if isinstance(prepared, JuntaSplit):
         t = prepared.t
         total += Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else 0

@@ -25,9 +25,10 @@ up to the Kikuchi entries:
   signed sums into it;
 * odd arity is reduced to even buckets by grouping edges on their lowest
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
-  distinct group-mates adds the product of their live copies and of their
-  signed sums to its symmetric difference, so every bucket arrives in the
-  same distinct-edge form;
+  distinct group-mates, all of them formed at once by index arithmetic,
+  adds the product of their live copies and of their signed sums to its
+  symmetric difference, so every bucket arrives in the same distinct-edge
+  form;
 * mixed arity averages the per-size bounds with weights m_k / m;
 * ``split_weights`` counts a copy of weight num * 2^-L as |num| unit copies
   and rescales the bound by m' / m, with m' the unit copies in total: another
@@ -499,6 +500,15 @@ def _number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, distinct[order]
 
 
+def _bitmasks(vertices: np.ndarray) -> list[int]:
+    """The vertex bitmask of each row of vertices, padded with -1 at its
+    end: one shift and sum in int64 while every vertex is below 63, a
+    Python int per row past that."""
+    if vertices.max(initial=-1) < 63:
+        return np.left_shift(vertices >= 0, vertices.clip(0)).sum(axis=1).tolist()
+    return [sum(1 << x for x in v if x >= 0) for v in vertices.tolist()]
+
+
 def prepare_rows(
     m: int,
     schemes: Sequence[tuple[int, int]],
@@ -548,16 +558,15 @@ def prepare_rows(
 
     parts: list[list[PreparedPart]] = [[] for _ in schemes]
     heads = distinct[:, :2].tolist()
-    vertices = distinct[:, 2:].tolist()
+    masks = _bitmasks(distinct[:, 2:])
     starts = [lo for lo in range(n_rows) if lo == 0 or heads[lo] != heads[lo - 1]]
     for lo, hi in zip(starts, starts[1:] + [n_rows]):
         j, k = heads[lo]
-        part_edges = tuple(sum(1 << x for x in v[:k]) for v in vertices[lo:hi])
         parts[j].append(PreparedPart(
             k,
             lo,
             sum(copies[lo:hi]),
-            part_edges,
+            tuple(masks[lo:hi]),
             tuple(copies[lo:hi]),
             tuple(live_copies[lo:hi]),
         ))
@@ -1054,6 +1063,22 @@ class OddSplit:
     buckets: dict[int, CoalescedEdges] = field(default_factory=dict)
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    head = np.ones(len(ordered), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    return np.flatnonzero(head)
+
+
+def _for_products(values: np.ndarray, terms: int) -> np.ndarray:
+    """Integers ``values`` as an int64 array if twice any sum of ``terms``
+    products of two of them stays below 2^63, else as Python ints."""
+    top = max(int(values.max()), -int(values.min())) if len(values) else 0
+    if values.dtype != object and 2 * top * top * terms < 1 << 63:
+        return values
+    return values.astype(object)
+
+
 def odd_to_even(part: CoalescedEdges) -> OddSplit:
     """Group one odd edge size's distinct edges, as
     ``PreparedScheme.coalesced`` gives them, by lowest vertex; square the
@@ -1066,45 +1091,59 @@ def odd_to_even(part: CoalescedEdges) -> OddSplit:
     the even bucket of its size. Both orderings of a pair count, so that
     edge's copies grow by 2 * live_a * live_b and its signed sum by
     2 * sum_a * sum_b. All products are integers at the one scale 2^-2L,
-    where 2^-L is the scale of the signed sums. Edges stay vertex bitmasks:
-    a group is keyed by their lowest bit, a bucket by their bit count."""
+    where 2^-L is the scale of the signed sums.
+
+    One pass of array arithmetic does it: a stable sort by lowest bit puts
+    each group in one run, every in-group pair comes from one prefix of the
+    pairs of the largest group, and a sort by symmetric difference sums
+    the pair products of each bucket edge; a bucket holds its edges in
+    increasing bitmask order. Masks are int64 up to 63 vertices, Python
+    ints past them. Live copies and signed sums are multiplied in int64
+    while twice their largest square times the number of terms stays
+    below 2^63, and as Python ints otherwise, so every sum is exact."""
     k = part.k
     if k % 2 == 0 or k < 3:
         raise ValidationError([f"odd-arity split needs odd arity >= 3, got {k}"])
-    # lowest bit -> (edge bitmask, live copies, signed sum) of its live edges
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    diag = 0
-    for edge, total, live in zip(part.edges, part.sums, part.live):
-        if live:
-            diag += total * total
-            groups.setdefault(edge & -edge, []).append((edge, live, total))
+    live = _int_array(part.live)
+    kept = np.flatnonzero(live)
+    masks = np.array(part.edges, dtype=np.int64 if part.n <= 63 else object)[kept]
+    low = masks & -masks
+    order = np.argsort(low, kind="stable")
+    masks, live, sums = masks[order], live[kept][order], _int_array(part.sums)[kept][order]
+    starts = _run_starts(low[order])
+    sizes = np.diff(starts, append=len(masks))
+    # pair p of a group of g edges is (col[p], row[p]) for p below C(g, 2)
+    row, col = np.tril_indices(int(sizes.max(initial=0)), -1)
+    counts = sizes * (sizes - 1) // 2
+    n_pairs = int(counts.sum())
+    first = np.repeat(starts, counts)
+    p = np.arange(n_pairs) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = first + col[p], first + row[p]
 
-    # symmetric difference -> [pairs of copies, sum of their products]
-    acc: dict[int, list[int]] = {}
-    for members in groups.values():
-        for pos, (mask_a, live_a, total_a) in enumerate(members):
-            for mask_b, live_b, total_b in members[pos + 1:]:
-                sym = mask_a ^ mask_b
-                entry = acc.get(sym)
-                if entry is None:
-                    acc[sym] = [live_a * live_b, total_a * total_b]
-                else:
-                    entry[0] += live_a * live_b
-                    entry[1] += total_a * total_b
-
+    live = _for_products(live, n_pairs)
+    sums = _for_products(sums, n_pairs + len(sums))
     log_den = 2 * part.log_den
-    # size -> [edges, copies, signed sums]
-    columns: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    for sym, (pairs, products) in acc.items():
-        edges, copies, sums = columns.setdefault(sym.bit_count(), ([], [], []))
-        edges.append(sym)
-        copies.append(2 * pairs)
-        sums.append(2 * products)
-    buckets = {
-        size: CoalescedEdges(part.n, size, sum(copies), log_den, edges, copies, sums)
-        for size, (edges, copies, sums) in sorted(columns.items())
-    }
-    return OddSplit(n_groups=len(groups), diag_term=Fraction(diag, 1 << log_den), buckets=buckets)
+    diag = Fraction(int(np.dot(sums, sums)), 1 << log_den)
+    sym = masks[a] ^ masks[b]
+    by_sym = np.argsort(sym)
+    a, b, sym = a[by_sym], b[by_sym], sym[by_sym]
+    heads = _run_starts(sym)
+    edges = sym[heads]
+    copies = 2 * np.add.reduceat(live[a] * live[b], heads)
+    totals = 2 * np.add.reduceat(sums[a] * sums[b], heads)
+    if edges.dtype == object:
+        bits = np.array([e.bit_count() for e in edges.tolist()], dtype=np.int64)
+    else:
+        bits = np.bitwise_count(edges)
+    buckets = {}
+    for size in np.unique(bits).tolist():
+        at = bits == size
+        bucket_copies = copies[at].tolist()
+        buckets[size] = CoalescedEdges(
+            part.n, size, sum(bucket_copies), log_den, edges[at].tolist(), bucket_copies,
+            totals[at].tolist(),
+        )
+    return OddSplit(n_groups=len(starts), diag_term=diag, buckets=buckets)
 
 
 def _combine_mode(parts: Sequence[Certificate]) -> str:

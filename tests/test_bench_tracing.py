@@ -100,6 +100,8 @@ def test_a_traced_batch_counts_every_layer_and_restores_every_binding():
     assert sum(builds) == 30
     assert tracer.counts["refuter.kikuchi.pairs"] == 5176
     assert tracer.counts["refuter.kikuchi.nnz"] == 357
+    # the copies of the odd instance's buckets, as the per-pair split made them
+    assert tracer.counts["refuter.odd_to_even.bucket_edges"] == 190
     spans = {name for _, name in tracer.self_times()}
     assert {
         "refuter.refute", "refuter.build_kikuchi", "refuter.odd_to_even", "refuter.spectral",

@@ -553,6 +553,33 @@ class TestExactConversions:
         assert np.count_nonzero(dense) == 2 * len(entries)
 
 
+def _check_split(inst):
+    """``odd_to_even`` of a uniform odd-arity instance against the per-copy
+    ``reference_odd_split``: the groups, the constant part, and every
+    bucket's edges, copies, signed sums and Kikuchi matrix. Returns the split."""
+    split = odd_to_even(coalesce(inst))
+    n_groups, diag, ref_buckets = reference_odd_split(inst)
+    assert split.n_groups == n_groups
+    assert split.diag_term == diag
+    assert sorted(split.buckets) == sorted(ref_buckets)
+    for size, ref in ref_buckets.items():
+        bucket = split.buckets[size]
+        assert (bucket.n, bucket.k, bucket.m) == (inst.n, size, ref.m)
+        multiplicity = Counter(ref.scheme.hypergraph.edges)
+        sums = dict.fromkeys(multiplicity, Fraction(0))
+        for e, w, b in zip(ref.scheme.hypergraph.edges, ref.scheme.weights, ref.rhs):
+            sums[e] += b * w.as_fraction()
+        assert {
+            e: (count, Fraction(total, 1 << bucket.log_den))
+            for e, (count, total) in edge_table(bucket).items()
+        } == {edge_mask(e): (multiplicity[e], sums[e]) for e in multiplicity}
+        # and the bucket's matrix is the per-copy bucket's matrix
+        op = build_kikuchi(bucket, size // 2)
+        assert (dyadic_entries(op), tuple(op.degrees.tolist())) == reference_kikuchi(ref, size // 2)
+        assert op.trace_degree == build_kikuchi(coalesce(ref), size // 2).trace_degree
+    return split
+
+
 class TestOddSplit:
     def test_disjoint_groups(self):
         inst = make_instance(6, [(0, 1, 2), (3, 4, 5)], [1, 1])
@@ -611,33 +638,58 @@ class TestOddSplit:
             label="twins",
         )
         copies += [(e, w, -b) for (e, w, b), twin in zip(copies, twins) if twin]
-        inst = make_instance(
+        _check_split(make_instance(
             n,
             [e for e, _, _ in copies],
             [b for _, _, b in copies],
             weights=[w for _, w, _ in copies],
             arity=k,
+        ))
+
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_masks_at_and_past_63_vertices(self, n):
+        # masks are int64 up to 63 vertices and go through object arrays past them
+        t = n - 1
+        edges = [
+            (0, t - 5, t), (0, 1, t - 5), (0, t - 4, t - 3),
+            (t - 6, t - 5, t), (t - 6, t - 4, t - 1), (2, t - 4, t - 2),
+        ]
+        split = _check_split(make_instance(n, edges * 2, [1, -1, 1, 1, -1, 1] * 2))
+        assert split.n_groups == 3
+        assert max(max(bucket.edges) for bucket in split.buckets.values()).bit_length() == n
+
+    @pytest.mark.parametrize("log_den", [40, 55, 70])
+    def test_products_past_2_63_stay_exact(self, log_den):
+        # weights at 2^-log_den: their pair products pass 2^63, and at
+        # 2^-70 the signed sums themselves do
+        top = 1 << log_den
+        copies = [
+            ((0, 1, 2), Dyadic(top - 1, log_den), 1), ((0, 1, 3), Dyadic(-top + 3, log_den), 1),
+            ((0, 2, 4), Dyadic(top - 7, log_den), -1), ((0, 1, 2), Dyadic(top - 5, log_den), 1),
+            ((1, 2, 3), Dyadic(top - 9, log_den), -1), ((1, 3, 4), Dyadic(-top + 1, log_den), 1),
+        ]
+        inst = make_instance(
+            5, [e for e, _, _ in copies], [b for _, _, b in copies],
+            weights=[w for _, w, _ in copies],
         )
-        split = odd_to_even(coalesce(inst))
-        n_groups, diag, ref_buckets = reference_odd_split(inst)
-        assert split.n_groups == n_groups
-        assert split.diag_term == diag
-        assert sorted(split.buckets) == sorted(ref_buckets)
-        for size, ref in ref_buckets.items():
-            bucket = split.buckets[size]
-            assert (bucket.n, bucket.k, bucket.m) == (n, size, ref.m)
-            multiplicity = Counter(ref.scheme.hypergraph.edges)
-            sums = dict.fromkeys(multiplicity, Fraction(0))
-            for e, w, b in zip(ref.scheme.hypergraph.edges, ref.scheme.weights, ref.rhs):
-                sums[e] += b * w.as_fraction()
-            assert {
-                e: (count, Fraction(total, 1 << bucket.log_den))
-                for e, (count, total) in edge_table(bucket).items()
-            } == {edge_mask(e): (multiplicity[e], sums[e]) for e in multiplicity}
-            # and the bucket's matrix is the per-copy bucket's matrix
-            op = build_kikuchi(bucket, size // 2)
-            assert (dyadic_entries(op), tuple(op.degrees.tolist())) == reference_kikuchi(ref, size // 2)
-            assert op.trace_degree == build_kikuchi(coalesce(ref), size // 2).trace_degree
+        split = _check_split(inst)
+        assert max(abs(s) for bucket in split.buckets.values() for s in bucket.sums) >= 1 << 63
+
+    def test_no_live_edge_has_no_group(self):
+        zero = Dyadic(0)
+        inst = make_instance(
+            5, [(0, 1, 2), (0, 1, 3), (1, 2, 4)], [1, -1, 1], weights=[zero] * 3
+        )
+        split = _check_split(inst)
+        assert (split.n_groups, split.diag_term, split.buckets) == (0, 0, {})
+
+    def test_single_member_groups_pair_nothing(self):
+        # every lowest vertex is that of one distinct edge, parallel copies aside
+        inst = make_instance(
+            6, [(0, 1, 2), (1, 2, 3), (2, 3, 5), (1, 2, 3), (3, 4, 5)], [1, 1, -1, 1, -1]
+        )
+        split = _check_split(inst)
+        assert (split.n_groups, split.diag_term, split.buckets) == (4, 7, {})
 
     def test_parallel_edges_fold_into_diag(self):
         inst = make_instance(3, [(0, 1, 2), (0, 1, 2)], [1, 1])
@@ -1036,6 +1088,9 @@ def _pinned_instance(n, k, stride, log_den=None):
 # bit-identical, so every later version must reproduce them byte for byte.
 # The spectral bounds were re-recorded once, when the spectral engine became
 # a Cholesky proof: each moved by under 3e-11 relative (see CHANGES.md).
+# The two complete 3-uniform shapes on 16 vertices, whose groups hold up to
+# 105 edges, were recorded from the split that paired group-mates one at a
+# time, before it became array arithmetic.
 # Shapes are (n, k, stride, log_den) of _pinned_instance.
 PINNED = [
     ((8, 2, 1, None), RefuteParams(),
@@ -1060,6 +1115,10 @@ PINNED = [
      '{"mode": "spectral", "r": null, "ell": null, "bound": 0.8063391794719083, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.467571347749005, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.34165725966715027, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.3490417515177254, "status": "certified", "breakdown": []}]}'),
     ((9, 5, 3, 2), RefuteParams(mode="spectral"),
      '{"mode": "spectral", "r": null, "ell": null, "bound": 0.5267988103821812, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.18730782312183442, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.18794804593196948, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 3, "ell": null, "bound": 0.20007878726533698, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 4, "ell": null, "bound": 0.03214285714379263, "status": "certified", "breakdown": []}]}'),
+    ((16, 3, 1, None), RefuteParams(),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.7091999532382753, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.25671974324305136, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.30155016995058465, "status": "certified", "breakdown": []}]}'),
+    ((16, 3, 1, 40), RefuteParams(),
+     '{"mode": "spectral", "r": null, "ell": null, "bound": 0.7091999526494366, "status": "certified", "breakdown": [{"mode": "spectral", "r": 1, "ell": null, "bound": 0.25671974262750713, "status": "certified", "breakdown": []}, {"mode": "spectral", "r": 2, "ell": null, "bound": 0.3015501695475247, "status": "certified", "breakdown": []}]}'),
 ]
 
 
