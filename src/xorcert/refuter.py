@@ -40,7 +40,11 @@ Two certificate engines bound the reweighted norm:
               by Lanczos steps over the stored entries), raised a little
               and proved by two shifted float Choleskys that lam Gamma - A
               and lam Gamma + A are positive semidefinite; the default mode
-              ``auto`` runs it, as does ``spectral``;
+              ``auto`` runs it, as does ``spectral``. It takes a batch:
+              ``PreparedSchemes`` builds the operators of every scheme of a
+              right-hand side first, proves them all in one call, stacked
+              by side length below 180, then folds the bounds into the
+              certificates;
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power; looser, and run
               only when mode ``trace`` asks for it.
@@ -61,7 +65,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -237,7 +242,7 @@ class KikuchiOperator:
         """The symmetric matrix as a new float array of num * 2^-log_den, each
         entry correctly rounded."""
         values, _ = _entries_at(self, self.log_den, _top_bits(self))
-        return _symmetric(self.dim, self.rows, self.cols, values)
+        return _symmetric(self.dim, self.rows, self.cols, values)[0]
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
@@ -280,17 +285,42 @@ def _entries_at(op: KikuchiOperator, log_scale: int, top: int) -> tuple[np.ndarr
     return np.array(rounded), np.array(errors)
 
 
-def _symmetric(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    a[rows, cols] = values
-    a[cols, rows] = values
+def _symmetric(
+    dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, which=0, count: int = 1
+) -> np.ndarray:
+    """``count`` symmetric dim x dim matrices with zero diagonal as one new
+    (count, dim, dim) array: each value at (which, row, col) and at its
+    mirror (which, col, row)."""
+    a = np.zeros((count, dim, dim))
+    a[which, rows, cols] = values
+    a[which, cols, rows] = values
     return a
 
 
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays one after the other; a single one is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _gammas(ops: Sequence[KikuchiOperator]) -> np.ndarray:
+    """deg_S + d of every row S of operators of one side length, a row per
+    operator, each correctly rounded as Python's int / int is: by one float
+    division while every deg_S * dim + d * dim stays below 2^53, where both
+    operands are exact floats and IEEE division rounds their quotient
+    correctly too."""
+    dim = ops[0].dim
+    degrees = _joined([op.degrees for op in ops]).reshape(len(ops), dim)
+    extra = [op.trace_degree for op in ops]
+    if degrees.dtype != object and int(degrees.max()) * dim + max(extra) < 1 << 53:
+        return (degrees * dim + np.array(extra)[:, None]) / dim
+    return np.array([
+        [(deg * dim + e) / dim for deg in op.degrees.tolist()] for op, e in zip(ops, extra)
+    ])
+
+
 def _gamma(op: KikuchiOperator) -> np.ndarray:
-    """deg_S + d of every row S, correctly rounded as Python's int / int is."""
-    dim, extra = op.dim, op.trace_degree
-    return np.array([(deg * dim + extra) / dim for deg in op.degrees.tolist()])
+    """deg_S + d of every row S of one operator."""
+    return _gammas([op])[0]
 
 
 def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
@@ -477,10 +507,17 @@ class PreparedSchemes:
         return self._refute(b, params or RefuteParams())
 
     def _refute(self, b: Sequence[int], params: RefuteParams) -> list[Certificate]:
+        """Three passes: every scheme builds its operators, the spectral
+        ones are proved in one ``spectral_certificate`` call, and each
+        scheme folds the bounds into its certificate."""
         # with no live copy every scheme is zero and reads neither
         sums = self.signed_sums(b) if self.units else []
         unit_copies = self.unit_copies() if params.split_weights and self.units else None
-        return [_refute_scheme(scheme, sums, unit_copies, params) for scheme in self.schemes]
+        ops: list[KikuchiOperator] = []
+        folds = [_refute_scheme(scheme, sums, unit_copies, params, ops) for scheme in self.schemes]
+        bounds = spectral_certificate(ops) if ops else []
+        proved = [_spectral(op, bound) for op, bound in zip(ops, bounds)]
+        return [fold(proved) for fold in folds]
 
 
 def _number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -559,7 +596,9 @@ def prepare_rows(
     parts: list[list[PreparedPart]] = [[] for _ in schemes]
     heads = distinct[:, :2].tolist()
     masks = _bitmasks(distinct[:, 2:])
-    starts = [lo for lo in range(n_rows) if lo == 0 or heads[lo] != heads[lo - 1]]
+    head = np.ones(n_rows, dtype=bool)  # where a (scheme, size) starts
+    head[1:] = (distinct[1:, :2] != distinct[:-1, :2]).any(axis=1)
+    starts = np.flatnonzero(head).tolist()
     for lo, hi in zip(starts, starts[1:] + [n_rows]):
         j, k = heads[lo]
         parts[j].append(PreparedPart(
@@ -590,24 +629,33 @@ def prepare_rows(
 
 def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
     """The scheme of a validated instance, prepared: a row per edge, at its
-    rhs position, with units at the scale of its finest weight."""
+    rhs position, with units at the scale of its finest weight. Units are
+    shifted in int64 while the largest numerator, shift and edge count
+    leave every unit and their sum below 2^63, and as Python ints past
+    that."""
     edges, weights = inst.scheme.hypergraph.edges, inst.scheme.weights
-    log_den = max((w.log_den for w in weights), default=0)
-    units = [w.scaled(log_den) for w in weights]
-    width = max(map(len, edges), default=0)
-    pads = [(-1,) * (width - k) for k in range(width + 1)]
-    padded = np.fromiter(
-        chain.from_iterable(edge + pads[len(edge)] for edge in edges), np.int64, len(edges) * width
+    m = inst.m
+    nums = _int_array([w.num for w in weights])
+    shifts = np.fromiter((w.log_den for w in weights), np.int64, m)
+    log_den = int(shifts.max(initial=0))
+    shifts = log_den - shifts
+    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0))).bit_length()
+    if nums.dtype == object or top + int(shifts.max(initial=0)) + m.bit_length() > 63:
+        nums = nums.astype(object)
+    units = nums << shifts.astype(nums.dtype)
+    sizes = np.fromiter(map(len, edges), np.intp, m)
+    padded = np.full((m, int(sizes.max(initial=0))), -1, dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = np.fromiter(
+        chain.from_iterable(edges), np.int64, int(sizes.sum())
     )
-    small = sum(map(abs, units)) < 1 << 63
     return prepare_rows(
-        inst.m,
+        m,
         [(inst.n, log_den)],
-        np.zeros(inst.m, dtype=np.int64),
-        padded.reshape(len(edges), width),
-        np.arange(inst.m),
-        np.array(units, dtype=np.int64 if small else object),
-        np.ones(inst.m, dtype=np.int64),
+        np.zeros(m, dtype=np.int64),
+        padded,
+        np.arange(m),
+        units,
+        np.ones(m, dtype=np.int64),
     )
 
 
@@ -908,50 +956,64 @@ def _lanczos_top(upper: tuple[np.ndarray, np.ndarray, np.ndarray], scale: np.nda
 
 def _estimate_top(
     a: np.ndarray, upper: tuple[np.ndarray, np.ndarray, np.ndarray], scale: np.ndarray
-) -> float:
-    """Largest |eigenvalue| of diag(scale) a diag(scale), not certified: a is
-    symmetric with zero diagonal, and ``upper`` is its strict upper triangle
-    as (rows, columns, values)."""
-    if len(scale) >= _LANCZOS_FROM:
-        return _lanczos_top(upper, scale)
-    eigvals = np.linalg.eigvalsh(a * scale[:, None] * scale)
-    return float(max(-eigvals[0], eigvals[-1]))
+) -> np.ndarray:
+    """Largest |eigenvalue| of each diag(scale_i) a_i diag(scale_i), not
+    certified, for a stack a of symmetric matrices with zero diagonal and a
+    row of ``scale`` per matrix. From ``_LANCZOS_FROM`` up the stack holds
+    one matrix, whose strict upper triangle ``upper`` gives as (rows,
+    columns, values)."""
+    if a.shape[-1] >= _LANCZOS_FROM:
+        return np.array([_lanczos_top(upper, scale[0])])
+    eigvals = np.linalg.eigvalsh(a * scale[:, :, None] * scale[:, None, :])
+    return np.maximum(-eigvals[:, 0], eigvals[:, -1])
 
 
 def _sides(a: np.ndarray, stacked: bool):
-    """-a, then +a, as stacks of shape (count, n, n): both in one stack for
-    a small matrix, so one LAPACK call serves the two; else a itself,
-    negated in place between the two, so no second matrix is made."""
+    """-a, then +a, for a stack a of shape (count, n, n): both in one stack
+    of 2 count matrices for small ones, so one LAPACK call serves them all;
+    else a itself, negated in place between the two, so no second stack is
+    made."""
     if stacked:
         both = np.empty((2, *a.shape))
         np.negative(a, out=both[0])
         both[1] = a
-        yield both
+        yield both.reshape(-1, *a.shape[1:])
         return
     a *= -1.0
-    yield a[None]
+    yield a
     a *= -1.0
-    yield a[None]
+    yield a
 
 
-def _shift(n: int, lam: float, diag_sum: float, tail: float) -> float:
+def _up_each(x):
+    """Each value one float upward: ``_up`` of arrays as of scalars."""
+    return np.nextafter(x, np.inf)
+
+
+def _shift(n: int, lam, diag_sum, tail):
     """The shift c of ``spectral_certificate``, evaluated upward:
     gamma_{n+2} / (1 - gamma_{n+2}) times tr(M) <= lam * diag_sum, plus
-    ``tail``, plus a generous bound on what underflow adds."""
+    ``tail``, plus a generous bound on what underflow adds. The last three
+    are arrays with a value per operator, or floats."""
     ku = (n + 2) * _EPS  # exact
     growth = _up(ku / (1.0 - 2.0 * ku))  # gamma_{n+2} / (1 - gamma_{n+2})
     underflow = 2.0**-1019 * n * (n + 3 + 2.0 * lam)  # diagonal entries < 2 lam
-    return _up(_up(_up(growth * _up(lam * diag_sum)) + tail) + underflow)
+    return _up_each(_up_each(_up_each(growth * _up_each(lam * diag_sum)) + tail) + underflow)
 
 
-def _cholesky_proves(stack: np.ndarray, diag: np.ndarray, lam: float, shift: float) -> bool:
+def _cholesky_proves(
+    stack: np.ndarray, diag: np.ndarray, lam: np.ndarray, shift: np.ndarray
+) -> bool:
     """Whether the float Cholesky of every matrix in ``stack`` runs to
-    completion once its diagonal is set to lam * diag rounded down, minus
-    ``shift`` rounded down. Overwrites the stack's diagonals."""
-    n = len(diag)
-    m_diag = np.nextafter(lam * diag, 0.0)
+    completion once its diagonal is set to lam_i * diag_i rounded down,
+    minus shift_i rounded down. ``diag`` has a row per operator and
+    ``lam`` and ``shift`` a value; the stack holds one matrix of each
+    operator, in their order, once or more. Overwrites the stack's
+    diagonals."""
+    count, n = diag.shape
+    m_diag = np.nextafter(lam[:, None] * diag, 0.0)
     # written through the C-order stack: a reshape of its transpose is a copy
-    stack.reshape(len(stack), n * n)[:, :: n + 1] = np.nextafter(m_diag - shift, -np.inf)
+    stack.reshape(-1, count, n * n)[..., :: n + 1] = np.nextafter(m_diag - shift[:, None], -np.inf)
     try:
         # the transpose, equal to the symmetric stack, is in LAPACK's
         # column-major order, so numpy copies it in contiguously
@@ -961,8 +1023,82 @@ def _cholesky_proves(stack: np.ndarray, diag: np.ndarray, lam: float, shift: flo
     return True
 
 
-def spectral_certificate(op: KikuchiOperator) -> float:
-    """Proved upper bound lam on the norm of B = Gamma^-1/2 A Gamma^-1/2.
+def _scaled_stack(
+    ops: Sequence[KikuchiOperator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """Steps 1 and 2 of ``spectral_certificate`` over a stack of nonempty
+    operators of one side length: (the matrices D^-1 A' D^-1 as one new
+    (count, dim, dim) array, the diagonals D^-2 G, the tails, the top bits,
+    the estimates). Every array the size of the entries is dropped on
+    return, before any Cholesky."""
+    count, dim = len(ops), ops[0].dim
+    tops = [_top_bits(op) for op in ops]
+    converted = [_entries_at(op, top, top) for op, top in zip(ops, tops)]
+    rows = _joined([op.rows for op in ops])
+    cols = _joined([op.cols for op in ops])
+    values = _joined([v for v, _ in converted])
+    # the operator of each entry
+    which = np.repeat(np.arange(count), [len(v) for v, _ in converted]) if count > 1 else 0
+    gamma = np.nextafter(_gammas(ops), 0.0)
+    inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
+    diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
+    pair = inv[which, rows] * inv[which, cols]
+    upper = values * pair
+    buf = _symmetric(dim, rows, cols, upper, which, count)  # D^-1 A' D^-1, owned
+    lam_hat = _estimate_top(buf, (rows, cols, upper), 1.0 / np.sqrt(diag))
+
+    tail = np.zeros(count)  # ||D^-1 F D^-1||_2, bounded by its largest row sum, upward
+    inexact = [i for i, (_, errors) in enumerate(converted) if errors is not None]
+    if inexact:
+        errors = _joined([np.zeros(len(v)) if e is None else e for v, e in converted])
+        scaled = errors * pair
+        at, size = which * dim, count * dim
+        row_sums = np.bincount(at + rows, scaled, size) + np.bincount(at + cols, scaled, size)
+        largest = row_sums.reshape(count, dim).max(axis=1)[inexact]
+        tail[inexact] = _up_each(largest * (1.0 + 2.0 * dim * _EPS))
+    return buf, diag, tail, tops, lam_hat
+
+
+def _prove_stack(ops: Sequence[KikuchiOperator]) -> list[float | None]:
+    """``spectral_certificate`` of nonempty operators of one side length,
+    all below ``_LANCZOS_FROM`` or a single one: one estimate and one
+    Cholesky of both sides of every matrix at the first rung. If that
+    Cholesky fails, each operator is proved again alone, as a stack of one,
+    which climbs the ladder."""
+    count, dim = len(ops), ops[0].dim
+    buf, diag, tail, tops, lam_hat = _scaled_stack(ops)
+    diag_sum = _up_each([math.fsum(row) for row in diag.tolist()])
+
+    # With an exact estimate this leaves H a smallest eigenvalue of at least
+    # three times the shift.
+    delta = 16.0 * (dim + 2) ** 2 * _EPS
+    if dim >= _LANCZOS_FROM:
+        delta = max(delta, _LANCZOS_ERROR)
+    rung = 0
+    lam = lam_hat * (1.0 + delta)
+    shift = _shift(dim, lam, diag_sum, tail)
+    for stack in _sides(buf, stacked=dim < _LANCZOS_FROM):
+        while not _cholesky_proves(stack, diag, lam, shift):
+            if count > 1:  # some matrix needs a higher rung than the others
+                return [bound for op in ops for bound in _prove_stack([op])]
+            rung += 1
+            if rung == len(_LADDER):
+                return [None]
+            lam = lam_hat * (1.0 + delta * _LADDER[rung])
+            shift = _shift(dim, lam, diag_sum, tail)
+    bounds = [math.ldexp(x, top - op.log_den) for x, top, op in zip(lam.tolist(), tops, ops)]
+    return [bound if bound >= _MIN_NORMAL else _up(bound) for bound in bounds]
+
+
+# Most entries of one stack of small matrices: a copy of the stack takes
+# 2 MB whatever the side, so memory stays bounded on any batch.
+_STACK_ENTRIES = 1 << 18
+
+
+def spectral_certificate(ops: Sequence[KikuchiOperator]) -> list[float | None]:
+    """Proved upper bound lam on the norm of B = Gamma^-1/2 A Gamma^-1/2 of
+    each operator, in order: 0 for an operator without entries, None where
+    no rung of the ladder proves one, which makes its certificate uncertain.
 
     The norm is at most lam exactly when lam Gamma - A and lam Gamma + A are
     both positive semidefinite. lam is an estimate of B's largest
@@ -986,7 +1122,7 @@ def spectral_certificate(op: KikuchiOperator) -> float:
     1. Scaling. A' = 2^t A, with t = log_den - (bit length of the largest
        |numerator|), has its largest |entry| in [1/2, 1). ``_entries_at``
        rounds its entries correctly; F, the float A' minus the exact one,
-       has |F_ij| <= err_ij. G = Gamma rounded down: ``_gamma`` rounds
+       has |F_ij| <= err_ij. G = Gamma rounded down: ``_gammas`` rounds
        correctly, so one nextafter toward 0 gives G <= Gamma. D is the
        diagonal of powers of two with D^-2 G in [1/2, 2); scaling by D^-1
        is exact and keeps semidefiniteness.
@@ -1006,50 +1142,34 @@ def spectral_certificate(op: KikuchiOperator) -> float:
        ||D^-1 F D^-1||_2 is at most its largest Gershgorin row sum. The
        underflow term bounds generously what gradual underflow adds to dH
        and to the scaling of A' by D^-1.
-    5. If a Cholesky fails, delta climbs the rungs of ``_LADDER``. A side
-       proved at one lam stays proved at any larger lam, since Gamma > 0.
-       If the last rung fails, ResourceCap: the certificate is uncertain.
+    5. If a Cholesky fails, delta climbs the rungs of ``_LADDER``, for that
+       matrix alone: a stack that fails at the first rung is proved again
+       one operator at a time, and only an operator whose own Cholesky
+       fails climbs. A side proved at one lam stays proved at any larger
+       lam, since Gamma > 0. If the last rung fails, the bound is None.
        The bound for A is lam 2^-t, rounded up.
 
-    Below ``_LANCZOS_FROM`` both sides go to LAPACK in one stacked call;
-    above it they run one after the other in one buffer.
+    Operators below ``_LANCZOS_FROM`` are proved in stacks of one side
+    length, at most ``_STACK_ENTRIES`` entries each: one stacked eigvalsh
+    for the estimates, and one stacked Cholesky for both sides of every
+    matrix. numpy hands each matrix of a stack to the same LAPACK routine
+    with the same inputs as a stack of one, and every array step is taken
+    entry by entry, so each bound is bit-identical to the operator's own
+    proof. From ``_LANCZOS_FROM`` up each operator is proved alone, its
+    two sides one after the other in one buffer.
     """
-    if not len(op.entries):
-        return 0.0
-    dim = op.dim
-    top = _top_bits(op)
-    rows, cols = op.rows, op.cols
-    values, errors = _entries_at(op, top, top)
-    gamma = np.nextafter(_gamma(op), 0.0)
-    inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
-    diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
-    pair = inv[rows] * inv[cols]
-    upper = values * pair
-    buf = _symmetric(dim, rows, cols, upper)  # D^-1 A' D^-1, owned
-    lam_hat = _estimate_top(buf, (rows, cols, upper), 1.0 / np.sqrt(diag))
-
-    tail = 0.0  # ||D^-1 F D^-1||_2, bounded by its largest row sum, upward
-    if errors is not None:
-        scaled = errors * pair
-        row_sums = np.bincount(rows, scaled, dim) + np.bincount(cols, scaled, dim)
-        tail = _up(float(row_sums.max()) * (1.0 + 2.0 * dim * _EPS))
-    diag_sum = _up(math.fsum(diag.tolist()))
-
-    # With an exact estimate this leaves H a smallest eigenvalue of at least
-    # three times the shift.
-    delta = 16.0 * (dim + 2) ** 2 * _EPS
-    if dim >= _LANCZOS_FROM:
-        delta = max(delta, _LANCZOS_ERROR)
-    rung = 0
-    lam = lam_hat * (1.0 + delta)
-    for stack in _sides(buf, stacked=dim < _LANCZOS_FROM):
-        while not _cholesky_proves(stack, diag, lam, _shift(dim, lam, diag_sum, tail)):
-            rung += 1
-            if rung == len(_LADDER):
-                raise ResourceCap(f"no Cholesky proof up to delta={delta * _LADDER[-1]:g}")
-            lam = lam_hat * (1.0 + delta * _LADDER[rung])
-    bound = math.ldexp(lam, top - op.log_den)
-    return bound if bound >= _MIN_NORMAL else _up(bound)
+    bounds: list[float | None] = [0.0] * len(ops)
+    by_side: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):
+        if len(op.entries):
+            by_side.setdefault(op.dim, []).append(i)
+    for dim, members in by_side.items():
+        size = max(1, _STACK_ENTRIES // (dim * dim)) if dim < _LANCZOS_FROM else 1
+        for lo in range(0, len(members), size):
+            chunk = members[lo : lo + size]
+            for i, bound in zip(chunk, _prove_stack([ops[i] for i in chunk])):
+                bounds[i] = bound
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -1168,6 +1288,26 @@ def _combine(parts: list[Certificate], bound: float) -> Certificate:
 
 _ZERO = Certificate(mode="direct", bound=0.0, status="certified")
 
+# A certificate whose spectral proofs are still to come: given the
+# certificates of the batch's operators, in the order they joined it, it
+# returns its own.
+_Fold = Callable[[Sequence[Certificate]], Certificate]
+
+
+def _known(cert: Certificate) -> _Fold:
+    return lambda proved: cert
+
+
+_ZERO_FOLD = _known(_ZERO)
+
+
+def _spectral(op: KikuchiOperator, norm_bound: float | None) -> Certificate:
+    """The certificate of one operator from its ``spectral_certificate``."""
+    if norm_bound is None:
+        return _uncertain("spectral", r=op.r)
+    # doubling is exact in binary floating point
+    return Certificate(mode="spectral", bound=2.0 * norm_bound, status="certified", r=op.r)
+
 
 def _refute_direct(part: CoalescedEdges) -> Certificate:
     """Arity 0 or 1: each distinct edge is the constant or one variable, so
@@ -1178,8 +1318,9 @@ def _refute_direct(part: CoalescedEdges) -> Certificate:
     return Certificate(mode="direct", bound=bound, status="certified")
 
 
-def _refute_even(edges: CoalescedEdges, params: RefuteParams) -> Certificate:
-    """One engine: trace when mode ``trace`` asks for it, else spectral."""
+def _refute_even(edges: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOperator]) -> _Fold:
+    """One engine: trace when mode ``trace`` asks for it, run here; else
+    spectral, whose operator joins ``ops``."""
     k = edges.k
     r = params.r if params.r is not None else k // 2
     r = max(r, k // 2)  # the construction does not exist below k/2
@@ -1190,45 +1331,47 @@ def _refute_even(edges: CoalescedEdges, params: RefuteParams) -> Certificate:
         _check_ell(ell)
     try:
         op = build_kikuchi(edges, r, params.dense_cap)
-        if ell is None:
-            norm_bound = spectral_certificate(op)
-        else:
+        if ell is not None:
             norm_bound, ell = trace_certificate(op, ell, params.work_flops)
     except ResourceCap:
-        return _uncertain(mode, r=r, ell=ell)
-    return Certificate(
-        mode=mode,
-        bound=2.0 * norm_bound,  # doubling is exact in binary floating point
-        status="certified",
-        r=r,
-        ell=ell,
-    )
+        return _known(_uncertain(mode, r=r, ell=ell))
+    if ell is None:
+        ops.append(op)
+        return itemgetter(len(ops) - 1)
+    return _known(Certificate(mode=mode, bound=2.0 * norm_bound, status="certified", r=r, ell=ell))
 
 
-def _refute_odd(part: CoalescedEdges, params: RefuteParams) -> Certificate:
+def _refute_odd(part: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOperator]) -> _Fold:
     split = odd_to_even(part)
-    parts = []
-    inner = split.diag_term
+    folds = []
     for size, bucket in split.buckets.items():
         bucket_r = params.r
         if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > part.n - size:
             bucket_r = size // 2
-        sub = _clamp(_refute_even(bucket, replace(params, r=bucket_r)))
-        parts.append(sub)
-        inner += bucket.m * Fraction(sub.bound)
-    bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / part.m
-    # division rounds to nearest; one ulp up restores the upper bound
-    return _combine(parts, _up(bound))
+        folds.append(_refute_even(bucket, replace(params, r=bucket_r), ops))
+
+    def fold(proved: Sequence[Certificate]) -> Certificate:
+        parts = []
+        inner = split.diag_term
+        for bucket, bucket_fold in zip(split.buckets.values(), folds):
+            sub = _clamp(bucket_fold(proved))
+            parts.append(sub)
+            inner += bucket.m * Fraction(sub.bound)
+        bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / part.m
+        # division rounds to nearest; one ulp up restores the upper bound
+        return _combine(parts, _up(bound))
+
+    return fold
 
 
-def _refute_part(part: CoalescedEdges, params: RefuteParams) -> Certificate:
+def _refute_part(part: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOperator]) -> _Fold:
     if not any(part.live):
-        return _ZERO  # every weight is zero, and so is the value
+        return _ZERO_FOLD  # every weight is zero, and so is the value
     if part.k < 2:
-        return _refute_direct(part)
+        return _known(_refute_direct(part))
     if part.k % 2 == 0:
-        return _refute_even(part, params)
-    return _refute_odd(part, params)
+        return _refute_even(part, params, ops)
+    return _refute_odd(part, params, ops)
 
 
 def _clamp(cert: Certificate) -> Certificate:
@@ -1240,24 +1383,31 @@ def _refute_scheme(
     sums: Sequence[int],
     unit_copies: Sequence[int] | None,
     params: RefuteParams,
-) -> Certificate:
+    ops: list[KikuchiOperator],
+) -> _Fold:
     """``refute`` of one prepared scheme, given the signed sums of its rhs
-    and, under ``split_weights``, the unit copies."""
+    and, under ``split_weights``, the unit copies; its spectral operators
+    join ``ops``."""
     if scheme.zero:
-        return _ZERO  # no edges, or every weight is zero
-    parts = scheme.coalesced(sums, unit_copies)
-    certs = [_clamp(_refute_part(part, params)) for part in parts.values()]
-    m = sum(part.m for part in parts.values())
-    if len(certs) == 1:
-        cert = certs[0]
-    else:
-        # each part's bound is at most 1, so their average is too
-        total = sum(Fraction(p.m, m) * Fraction(c.bound) for p, c in zip(parts.values(), certs))
-        cert = _combine(certs, _float_up(total))
-    if unit_copies is not None and cert.certified:
-        # the m unit copies have the term sums of the scheme's original copies
-        cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
-    return _clamp(cert)
+        return _ZERO_FOLD  # no edges, or every weight is zero
+    parts = list(scheme.coalesced(sums, unit_copies).values())
+    folds = [_refute_part(part, params, ops) for part in parts]
+
+    def fold(proved: Sequence[Certificate]) -> Certificate:
+        certs = [_clamp(part_fold(proved)) for part_fold in folds]
+        m = sum(part.m for part in parts)
+        if len(certs) == 1:
+            cert = certs[0]
+        else:
+            # each part's bound is at most 1, so their average is too
+            total = sum(Fraction(p.m, m) * Fraction(c.bound) for p, c in zip(parts, certs))
+            cert = _combine(certs, _float_up(total))
+        if unit_copies is not None and cert.certified:
+            # the m unit copies have the term sums of the scheme's original copies
+            cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
+        return _clamp(cert)
+
+    return fold
 
 
 def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:

@@ -32,6 +32,7 @@ from xorcert.reduction import SchemeEnsemble, group_characters
 from helpers import find_parity_dependency, random_other_circuit, random_pruned_circuit, signs
 
 avoid_module = importlib.import_module("xorcert.avoid")
+refuter = importlib.import_module("xorcert.refuter")
 
 X0 = JuntaGate((0,), (0, 1))
 X1 = JuntaGate((1,), (0, 1))
@@ -363,6 +364,19 @@ class TestPreparedTargets:
         assert rc.path == "tree"
         assert validated == []
         assert attached == []
+
+    def test_a_target_proves_every_operator_in_one_engine_call(self, monkeypatch):
+        # the shape of the benchmark's remote-tree circuit
+        rng = random.Random(14)
+        c = random_tree_circuit(rng, 6, 2, 2, 800, leaf_prob=0.4)
+        ens = group_characters(to_layered(c))
+        target = signs(rng, c.m)
+        expected = certify_not_in_range(c, target, CertifyParams(eps=Fraction(2, 5)), prepared=ens)
+        built = record_calls(monkeypatch, refuter.build_kikuchi)
+        batches = record_calls(monkeypatch, refuter.spectral_certificate, len)
+        rc = certify_not_in_range(c, target, CertifyParams(eps=Fraction(2, 5)), prepared=ens)
+        assert rc == expected
+        assert len(batches) == 1 and batches[0] == len(built) > 10
 
     def test_junta_avoid_validates_no_bucket(self, monkeypatch):
         c = random_pruned_circuit(random.Random(11), 8, 2, 120)

@@ -313,7 +313,7 @@ class TestSpectral:
     def test_hand_computed(self):
         inst = make_instance(2, [(0, 1)], [1])
         op = build_kikuchi(coalesce(inst), 1)
-        bound = spectral_certificate(op)
+        bound = spectral_certificate([op])[0]
         assert 0.5 <= bound <= 0.5 + 1e-10
 
     def test_spectral_at_most_trace(self):
@@ -322,15 +322,15 @@ class TestSpectral:
             inst = random_instance(rng, rng.randint(4, 9), 2, rng.randint(2, 25))
             op = build_kikuchi(coalesce(inst), 1)
             t, _ = trace_certificate(op, default_ell(1, inst.n))
-            s = spectral_certificate(op)
+            s = spectral_certificate([op])[0]
             assert s <= t + 1e-9
 
     def test_dense_matrix_is_fresh_and_symmetric(self):
         inst = random_instance(random.Random(6), 8, 4, 40)
         op = build_kikuchi(coalesce(inst), 2)
-        expected = spectral_certificate(build_kikuchi(coalesce(inst), 2))
+        expected = spectral_certificate([build_kikuchi(coalesce(inst), 2)])[0]
         trace_certificate(op, 4)
-        assert spectral_certificate(op) == expected  # trace left the operator as it was
+        assert spectral_certificate([op])[0] == expected  # trace left the operator as it was
         dense = op.dense_matrix()
         assert dense is not op.dense_matrix() and (dense == op.dense_matrix()).all()
         for (i, j), num in entry_dict(op).items():
@@ -411,7 +411,7 @@ class TestSpectralProof:
         old = refuter._LANCZOS_FROM
         refuter._LANCZOS_FROM = 1 if lanczos else old
         try:
-            lam = spectral_certificate(op)
+            lam = spectral_certificate([op])[0]
         finally:
             refuter._LANCZOS_FROM = old
         assert spectral_bound_holds(op, lam)
@@ -420,7 +420,7 @@ class TestSpectralProof:
         # every eigenvalue of the matrix is double
         base = random_instance(random.Random(11), 6, 2, 14)
         op = build_kikuchi(coalesce(_two_copies(base)), 1)
-        lam = spectral_certificate(op)
+        lam = spectral_certificate([op])[0]
         assert spectral_bound_holds(op, lam)
         assert lam <= _eigen_norm(op) * (1 + 1e-7)
 
@@ -429,7 +429,7 @@ class TestSpectralProof:
         rng = random.Random(12)
         edges = [(i, j) for i in range(6) for j in range(6, 12) if rng.random() < 0.5]
         op = _graph_op(12, edges, rng)
-        lam = spectral_certificate(op)
+        lam = spectral_certificate([op])[0]
         assert spectral_bound_holds(op, lam)
         assert lam <= _eigen_norm(op) * (1 + 1e-7)
 
@@ -440,7 +440,7 @@ class TestSpectralProof:
         op = _graph_op(36, edges, rng)
         gamma = refuter._gamma(op)
         assert gamma.max() > 10 * gamma.min()
-        lam = spectral_certificate(op)
+        lam = spectral_certificate([op])[0]
         assert spectral_bound_holds(op, lam)
         assert lam <= _eigen_norm(op) * (1 + 1e-7)
 
@@ -453,7 +453,7 @@ class TestSpectralProof:
         rng = random.Random(14)
         edges = [tuple(sorted(rng.sample(range(8), 2))) for _ in range(20)]
         op = _graph_op(8, edges, rng, weights=[Dyadic(num, log_den)] * 20)
-        lam = spectral_certificate(op)
+        lam = spectral_certificate([op])[0]
         assert 0.0 < lam and spectral_bound_holds(op, lam)
 
     def test_a_low_estimate_climbs_the_ladder(self, monkeypatch):
@@ -463,13 +463,14 @@ class TestSpectralProof:
         proves = refuter._cholesky_proves
 
         def counting(*args):
-            calls.append(args[2])
+            [lam] = args[2].tolist()  # a stack of one operator
+            calls.append(lam)
             return proves(*args)
 
         monkeypatch.setattr(refuter, "_cholesky_proves", counting)
         estimate = refuter._estimate_top
         monkeypatch.setattr(refuter, "_estimate_top", lambda *args: estimate(*args) * (1 - 1e-9))
-        lam = spectral_certificate(op)
+        lam = spectral_certificate([op])[0]
         assert len(calls) > 1 and calls[-1] > calls[0]
         assert spectral_bound_holds(op, lam)
 
@@ -480,8 +481,7 @@ class TestSpectralProof:
         calls = []
         proves = refuter._cholesky_proves
         monkeypatch.setattr(refuter, "_cholesky_proves", lambda *a: calls.append(a) or proves(*a))
-        with pytest.raises(ResourceCap):
-            spectral_certificate(build_kikuchi(coalesce(inst), 1))
+        assert spectral_certificate([build_kikuchi(coalesce(inst), 1)]) == [None]
         assert len(calls) == len(refuter._LADDER)
         cert = refute(inst)
         assert cert.status == "uncertain" and cert.bound == 1.0
@@ -489,7 +489,7 @@ class TestSpectralProof:
     def test_empty_operator_is_zero(self):
         op = build_kikuchi(coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1)
         assert not len(op.entries)
-        assert spectral_certificate(op) == 0.0
+        assert spectral_certificate([op])[0] == 0.0
 
     def test_lanczos_matches_a_dense_eigensolve_with_empty_rows(self):
         # edges on the lower half of the vertices only: the upper half's rows
@@ -508,12 +508,132 @@ class TestSpectralProof:
         rng = random.Random(17)
         n = refuter._LANCZOS_FROM + 20
         op = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(6 * n)], rng)
-        first = spectral_certificate(op)
+        first = spectral_certificate([op])[0]
         np.random.seed(99)
         np.random.standard_normal(7)  # the global generator plays no part
-        assert spectral_certificate(op) == first
+        assert spectral_certificate([op])[0] == first
         norm = _eigen_norm(op)
         assert norm <= first <= norm * (1 + 1e-7)
+
+
+def _hexed(bounds) -> list:
+    """Bounds as exact strings, None kept: equal lists are equal bit for bit."""
+    return [None if b is None else float.hex(b) for b in bounds]
+
+
+class TestBatchedProof:
+    """One ``spectral_certificate`` call proves a batch of operators, and
+    each bound is bit-identical to the operator's own proof: a matrix that
+    needs a higher rung climbs alone, and one without proof leaves every
+    other certificate as it was."""
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_batch_equals_its_operators_one_at_a_time(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        batch = []
+        sides = data.draw(st.lists(st.integers(4, 7), min_size=2, max_size=2, unique=True))
+        for n in sides:
+            for _ in range(data.draw(st.integers(1, 4), label="count")):
+                m = rng.randint(1, 20)
+                edges = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)]
+                weights = data.draw(st.lists(_weights(), min_size=m, max_size=m), label="weights")
+                batch.append(_graph_op(n, edges, rng, weights))
+        batch += [batch[0], batch[0]]  # duplicates
+        batch.append(build_kikuchi(coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1))
+        assert not len(batch[-1].entries)
+        n = sides[0]  # in a stack with others
+        wide = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(12)], rng,
+                         weights=[Dyadic((1 << 60) + 1, 61)] * 12)
+        assert refuter._top_bits(wide) > 53  # the values carry errors and a tail
+        n = refuter._LANCZOS_FROM + 4
+        big = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)], rng)
+        batch = data.draw(st.permutations(batch + [wide, big]), label="order")
+        # small stacks too: one of side 7, three of side 4
+        cap = data.draw(st.sampled_from((refuter._STACK_ENTRIES, 49)), label="stack entries")
+        old, proves = refuter._STACK_ENTRIES, refuter._cholesky_proves
+        seen = Counter()
+
+        def recording(stack, diag, lam, shift):
+            # what each operator's Cholesky reads: its diagonal, lam and shift
+            seen.update(zip(map(bytes, diag), lam.tolist(), shift.tolist()))
+            return proves(stack, diag, lam, shift)
+
+        refuter._STACK_ENTRIES, refuter._cholesky_proves = cap, recording
+        try:
+            bounds = spectral_certificate(batch)
+            in_batch = seen.copy()
+            seen.clear()
+            alone = [spectral_certificate([op])[0] for op in batch]
+        finally:
+            refuter._STACK_ENTRIES, refuter._cholesky_proves = old, proves
+        assert _hexed(bounds) == _hexed(alone)
+        # a stack that falls back proves its operators alone too, so only a
+        # surplus is allowed
+        assert not seen - in_batch
+        for op, bound in zip(batch, bounds):
+            if op.dim < 10:
+                assert spectral_bound_holds(op, bound)
+
+    def test_a_low_estimate_climbs_the_ladder_alone(self, monkeypatch):
+        rng = random.Random(19)
+        ops = [build_kikuchi(coalesce(random_instance(rng, 8, 2, 20)), 1) for _ in range(5)]
+        estimates = []
+        estimate = refuter._estimate_top
+        monkeypatch.setattr(
+            refuter, "_estimate_top", lambda *a: estimates.append(estimate(*a)) or estimates[-1]
+        )
+        honest = spectral_certificate(ops)
+        [first] = estimates  # one stack
+        assert len(set(first.tolist())) == 5
+        low = first[2]
+
+        def lowered(*args):
+            top = estimate(*args)
+            return np.where(top == low, top * (1 - 1e-9), top)
+
+        monkeypatch.setattr(refuter, "_estimate_top", lowered)
+        calls = []
+        proves = refuter._cholesky_proves
+        monkeypatch.setattr(
+            refuter, "_cholesky_proves", lambda *a: calls.append(a[2].tolist()) or proves(*a)
+        )
+        bounds = spectral_certificate(ops)
+        # the stack fails at the first rung; then each operator alone, in order
+        stacked, singles = calls[0], [lam for call in calls[1:] for lam in call]
+        assert len(stacked) == 5 and len(singles) == len(calls) - 1
+        assert singles[:2] == stacked[:2] and singles[-2:] == stacked[3:]
+        climbed = singles[2:-2]
+        assert len(climbed) > 1 and climbed[0] == stacked[2] and climbed == sorted(set(climbed))
+        assert _hexed(bounds[:2] + bounds[3:]) == _hexed(honest[:2] + honest[3:])
+        assert bounds[2] > honest[2] and spectral_bound_holds(ops[2], bounds[2])
+
+    def test_an_operator_without_proof_makes_only_its_part_uncertain(self, monkeypatch):
+        rng = random.Random(230)
+        tree = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 300, leaf_prob=0.4)))
+        b = signs(rng, tree.prepared.m)
+        estimates = []
+        estimate = refuter._estimate_top
+        monkeypatch.setattr(
+            refuter, "_estimate_top", lambda *a: estimates.append(estimate(*a)) or estimates[-1]
+        )
+        before = tree.prepared.refute(b)
+        seen = Counter(np.concatenate(estimates).tolist())
+        low = next(top for top, count in seen.items() if count == 1)
+
+        def halved(*args):
+            top = estimate(*args)
+            return np.where(top == low, top / 2, top)
+
+        monkeypatch.setattr(refuter, "_estimate_top", halved)
+        after = tree.prepared.refute(b)
+        changed = [i for i, (x, y) in enumerate(zip(before, after)) if x != y]
+        assert len(changed) == 1
+        old, new = before[changed[0]], after[changed[0]]
+        assert old.certified and (new.status, new.bound) == ("uncertain", 1.0)
+        if old.breakdown:  # of the scheme's parts, only one changed
+            parts = [(x, y) for x, y in zip(old.breakdown, new.breakdown) if x != y]
+            assert len(parts) == 1 and parts[0][1].status == "uncertain"
 
 
 class TestExactConversions:
@@ -715,7 +835,7 @@ class TestRefute:
 
     def test_single_edge_clamped_at_one(self):
         inst = make_instance(4, [(0, 1)], [1])
-        assert 2 * spectral_certificate(build_kikuchi(coalesce(inst), 1)) > 1.0
+        assert 2 * spectral_certificate([build_kikuchi(coalesce(inst), 1)])[0] > 1.0
         cert = refute(inst)
         assert cert.certified
         assert cert.bound == 1.0
@@ -1038,7 +1158,8 @@ class TestOneEngine:
             real = getattr(refuter, name)
 
             def counted(*args, **kwargs):
-                calls[name] += 1
+                # the spectral engine takes a batch: count its operators
+                calls[name] += len(args[0]) if name == "spectral_certificate" else 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(refuter, name, counted)
