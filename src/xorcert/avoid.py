@@ -9,7 +9,7 @@ generator are certified one seed at a time, as ``certify_not_in_range`` does:
 * junta circuits split into per-pattern XOR schemes; their refutation
   bounds plus the non-parity ceiling must sum below 1;
 * decision-tree circuits go through the layered character grouping and refute
-  every ensemble key; the sum must be at most 2 eps.
+  every ensemble key; the sum must be below 1 and at most 2 eps.
 
 The split or ensemble is prepared once per circuit, so a target pays one
 bincount of its signed sums and the engines, with no per-key instance built
@@ -22,13 +22,14 @@ so a certified target is guaranteed to sit outside the range.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .circuits import Circuit, to_layered
 from .core import ValidationError
 from .fourier import GateSpectra, junta_spectra
 from .gf2 import find_xor_dependency
-from .prg import GeneratorSpec, sample_int, seed_count, seed_to_str
+from .prg import GeneratorSpec, sample_int, seed_count, seed_order, seed_to_str
 from .reduction import JuntaSplit, SchemeEnsemble, group_characters
 from .refuter import Certificate, RefuteParams, _combine, _float_up
 
@@ -139,7 +140,8 @@ def _certify_prepared(
     params: CertifyParams,
 ) -> RemoteCertificate:
     """The one certification decision: a junta split needs its summed bound,
-    non-parity ceiling included, below 1; an ensemble its sum at most 2 eps.
+    non-parity ceiling included, below 1; an ensemble its sum below 1 and at
+    most 2 eps (a sum of 1 or more excludes nothing, whatever eps is).
     Bound and distance are scaled to all ``m_full`` outputs, every pruned
     output counted as agreeing."""
     m_kept = len(b_kept)
@@ -148,10 +150,10 @@ def _certify_prepared(
     if isinstance(prepared, JuntaSplit):
         t = prepared.t
         total += Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else 0
-        path, ok = "junta", total < 1
+        path, limit = "junta", Fraction(1)
     else:
-        path, ok = "tree", total <= 2 * params.eps_for(prepared.t)
-    if not (ok and all(cert.certified for cert in parts)):
+        path, limit = "tree", 2 * params.eps_for(prepared.t)
+    if not (total < 1 and total <= limit and all(cert.certified for cert in parts)):
         return _uncertain_remote(path, m_kept)
     share = Fraction(m_kept, m_full)
     return RemoteCertificate(
@@ -279,19 +281,23 @@ def _parity_avoid_result(c: Circuit, outputs: list[int], forced: int) -> AvoidRe
     )
 
 
-# A certified seed, its sample and its certificate.
-Hit = tuple[int, tuple[int, ...], RemoteCertificate]
-
-
-def _try_seed_range(work: tuple, seeds: Sequence[int]) -> Hit | None:
-    """First certified seed in the given ascending seed list, if any."""
+def _try_seed(work: tuple, seed: int) -> tuple[tuple[int, ...], RemoteCertificate] | None:
+    """The seed's sample and its certificate, if it certifies."""
     prepared, b_positions, gen, params = work
+    b_full = sample_int(gen, seed)
+    rc = _certify_prepared(prepared, [b_full[i] for i in b_positions], gen.m, params)
+    return (b_full, rc) if rc.certified else None
+
+
+def _try_seeds(work: tuple, seeds: Iterator[int], timeout: float | None) -> Iterator:
+    """``_try_seed`` on each seed in turn, lazily. Like ``pool.map``, it
+    raises a futures TimeoutError once a result is not ready within
+    ``timeout`` seconds."""
+    end = None if timeout is None else time.monotonic() + timeout
     for seed in seeds:
-        b_full = sample_int(gen, seed)
-        rc = _certify_prepared(prepared, [b_full[i] for i in b_positions], gen.m, params)
-        if rc.certified:
-            return seed, b_full, rc
-    return None
+        if end is not None and time.monotonic() > end:
+            raise FutureTimeout
+        yield _try_seed(work, seed)
 
 
 # The work of the pool a worker process belongs to, set once per worker by
@@ -304,8 +310,8 @@ def _init_worker(work: tuple) -> None:
     _worker_work = work
 
 
-def _try_worker_seeds(seeds: Sequence[int]) -> Hit | None:
-    return _try_seed_range(_worker_work, seeds)
+def _try_worker_seed(seed: int) -> tuple[tuple[int, ...], RemoteCertificate] | None:
+    return _try_seed(_worker_work, seed)
 
 
 def avoid(
@@ -314,10 +320,11 @@ def avoid(
     """Deterministically exhibit a string outside the range of c.
 
     Junta circuits first look for a parity dependency; otherwise parity
-    outputs are pruned and seeds of the generator are enumerated in ascending
-    order until one sample certifies. Pruned coordinates of the answer are
-    filled with +1, which is sound because the certificate already excludes
-    every extension of the kept coordinates from the range.
+    outputs are pruned and seeds of the generator are tried in
+    ``prg.seed_order``, degenerate seeds last, until one sample certifies; a
+    pooled run reports what a serial one does. Pruned coordinates of the
+    answer are filled with +1, which is sound because the certificate
+    already excludes every extension of the kept coordinates from the range.
     """
     params = params or AvoidParams()
     c.ensure_valid()
@@ -339,48 +346,32 @@ def avoid(
     work = (prepared, kept, gen, params.certify)
 
     n_seeds = min(seed_count(gen), params.budget) if prepared is not None else 0
-    start = time.monotonic()
-    deadline = None if params.wall_clock_s is None else start + params.wall_clock_s
-    hit: Hit | None = None
+    seeds, to_try = itertools.tee(itertools.islice(seed_order(gen), n_seeds))
+    pool = hit = None
     seeds_tried = 0
-    if params.workers > 1 and n_seeds > 1:
-        chunk = max(1, n_seeds // (params.workers * 4))
-        ranges = [
-            list(range(lo, min(lo + chunk, n_seeds)))
-            for lo in range(0, n_seeds, chunk)
-        ]
-        pool = ProcessPoolExecutor(
-            max_workers=params.workers, initializer=_init_worker, initargs=(work,)
-        )
-        try:
-            futures = [pool.submit(_try_worker_seeds, r) for r in ranges]
-            for rng_seeds, fut in zip(ranges, futures):
-                try:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise FutureTimeout
-                    res = fut.result(None if deadline is None else deadline - time.monotonic())
-                except FutureTimeout:
-                    stats["aborted"] = "wall clock"
-                    break
-                if res is not None:
-                    hit = res
-                    seeds_tried += res[0] - rng_seeds[0] + 1
-                    break
-                seeds_tried += len(rng_seeds)
-        finally:
+    try:
+        if params.workers > 1 and n_seeds > 1:
+            pool = ProcessPoolExecutor(
+                max_workers=params.workers, initializer=_init_worker, initargs=(work,)
+            )
+            results = pool.map(
+                _try_worker_seed, to_try,
+                chunksize=max(1, n_seeds // (4 * params.workers)), timeout=params.wall_clock_s,
+            )
+        else:
+            results = _try_seeds(work, to_try, params.wall_clock_s)
+        for seed, res in zip(seeds, results):
+            seeds_tried += 1
+            if res is not None:
+                hit = seed, *res
+                break
+    except FutureTimeout:
+        stats["aborted"] = "wall clock"
+    finally:
+        if pool is not None:
             # Chunks not yet started are dropped. After a hit the running ones
             # are waited for; after the wall clock ran out they are not.
             pool.shutdown(wait="aborted" not in stats, cancel_futures=True)
-    else:
-        for seed in range(n_seeds):
-            if deadline is not None and time.monotonic() > deadline:
-                stats["aborted"] = "wall clock"
-                break
-            seeds_tried += 1
-            res = _try_seed_range(work, [seed])
-            if res is not None:
-                hit = res
-                break
 
     if hit is None:
         stats["seeds_tried"] = seeds_tried

@@ -19,8 +19,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
-from .core import ValidationError, sign_of_bit
+from .core import ValidationError
 from .gf2 import IRREDUCIBLE, gf_mul
 
 ENUMERATION_CAP = 1 << 20
@@ -140,6 +141,12 @@ def _vandermonde_columns(k: int, m: int, s: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def _pack(bits: Iterable[int]) -> int:
+    """The int whose bit i is the parity of the i-th value, built through one
+    binary string: OR-ing in shifted bits costs time quadratic in m."""
+    return int("".join("1" if b & 1 else "0" for b in bits)[::-1], 2)
+
+
 def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
     """Output as an int whose bit i is output bit i."""
     if not 0 <= seed < 1 << spec.seed_bits:
@@ -150,17 +157,10 @@ def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
         s = spec.field_degree
         a = seed & ((1 << s) - 1)
         x = seed >> s
-        out = 0
-        for i, rep in enumerate(_power_reps(a, spec.m, s)):
-            out |= ((rep & x).bit_count() & 1) << i
-        return out
+        return _pack((rep & x).bit_count() for rep in _power_reps(a, spec.m, s))
     if spec.kind == "kwise":
-        out = 0
-        for i, col in enumerate(
-            _vandermonde_columns(spec.k, spec.m, spec.field_degree)
-        ):
-            out |= ((col & seed).bit_count() & 1) << i
-        return out
+        cols = _vandermonde_columns(spec.k, spec.m, spec.field_degree)
+        return _pack((col & seed).bit_count() for col in cols)
     # kwise_eps_biased: eps-biased string drives the kwise seed.
     inner = GeneratorSpec.kwise(spec.k, spec.m, spec.field_degree)
     outer = GeneratorSpec.eps_biased(inner.seed_bits, spec.outer_degree)
@@ -169,8 +169,8 @@ def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
 
 def sample_int(spec: GeneratorSpec, seed: int) -> tuple[int, ...]:
     """Sign string for an integer seed in [0, 2^seed_bits)."""
-    bits = sample_output_bits(spec, seed)
-    return tuple(sign_of_bit((bits >> i) & 1) for i in range(spec.m))
+    bits = f"{sample_output_bits(spec, seed):0{spec.m}b}"
+    return tuple(-1 if ch == "1" else 1 for ch in reversed(bits))
 
 
 def sample(spec: GeneratorSpec, seed: str) -> tuple[int, ...]:
@@ -201,6 +201,25 @@ def seed_count(spec: GeneratorSpec, cap: int | None = None) -> int:
 def enumerate_seeds(spec: GeneratorSpec, cap: int | None = ENUMERATION_CAP) -> range:
     """Seeds in ascending numeric order."""
     return range(seed_count(spec, cap))
+
+
+def seed_order(spec: GeneratorSpec) -> Iterator[int]:
+    """Every seed once, lazily, degenerate seeds last.
+
+    An ``eps_biased`` seed a + x 2^s (and the outer stage's seed of
+    ``kwise_eps_biased``) with x = 0 gives the all-+1 string, and a in {0, 1}
+    a nearly constant one. Seeds with x != 0 and a not in {0, 1} come first,
+    ascending; the rest follow, ascending. Other kinds ascend.
+    """
+    if spec.kind not in ("eps_biased", "kwise_eps_biased"):
+        yield from range(seed_count(spec))
+        return
+    q = 1 << (spec.field_degree if spec.kind == "eps_biased" else spec.outer_degree)
+    for x in range(1, q):
+        yield from range(x * q + 2, (x + 1) * q)
+    yield from range(q)
+    for x in range(1, q):
+        yield from (x * q, x * q + 1)
 
 
 def format_spec(spec: GeneratorSpec) -> str:

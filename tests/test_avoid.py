@@ -149,6 +149,24 @@ class TestCertify:
                 assert d >= Fraction(1, 2) - eps
         assert hits > 0
 
+    def test_depth_zero_tree_circuit_does_not_certify_its_output(self):
+        # eps defaults to 2^-2t = 1 at t = 0: only the sum below 1 can refuse
+        rng = random.Random(1)
+        c = random_tree_circuit(rng, 4, 1, 0, 6)
+        b = eval_circuit(c, [rng.randrange(2) for _ in range(c.n)])
+        rc = certify_not_in_range(c, b)
+        assert not rc.certified
+        assert brute_min_distance(c, b) == 0
+
+    def test_eps_one_certifies_no_in_range_target(self):
+        rng = random.Random(1)
+        c = random_tree_circuit(rng, 5, 1, 2, 60, leaf_prob=0.3)
+        for _ in range(20):
+            b = eval_circuit(c, [rng.randrange(2) for _ in range(c.n)])
+            rc = certify_not_in_range(c, b, CertifyParams(eps=Fraction(1)))
+            assert not rc.certified
+            assert rc.min_distance == 0
+
     def test_all_parity_circuit_is_uncertain(self):
         c = Circuit(2, 1, 1, (X0, X1))
         rc = certify_not_in_range(c, (1, 1))
@@ -249,6 +267,55 @@ class TestAvoid:
         gen = GeneratorSpec.eps_biased(200, 9)
         res = avoid(c, gen, AvoidParams(budget=8, workers=2, wall_clock_s=0.0))
         assert not res.succeeded
+        assert res.justification["kind"] == "failed"
+        assert res.stats["aborted"] == "wall clock"
+        assert res.seeds_tried == 0
+
+
+def plus_one_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
+    """Non-parity junta circuit whose gates all give +1 on the input 0...0,
+    so that the all-+1 string is in its range."""
+    gates = []
+    while len(gates) < m:
+        inputs = tuple(sorted(rng.sample(range(n), t)))
+        gate = JuntaGate(inputs, (0,) + tuple(rng.randrange(2) for _ in range((1 << t) - 1)))
+        if fourier.junta_spectra([gate])[0].parity[0] == 0:
+            gates.append(gate)
+    return Circuit(n, 1, t, tuple(gates))
+
+
+class TestSeedSearch:
+    """One seed loop for serial and pooled runs, degenerate seeds last."""
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        c = plus_one_circuit(random.Random(3), 12, 3, 600)
+        assert brute_range_member(c, (1,) * c.m)
+        return c
+
+    @pytest.mark.parametrize("s", [9, 10])
+    def test_all_plus_one_in_range_is_avoided(self, circuit, s):
+        # ascending seeds start with 2^s all-+1 targets and fail at budget 256
+        gen = GeneratorSpec.eps_biased(circuit.m, s)
+        res = avoid(circuit, gen)
+        assert res.justification["kind"] == "refutation"
+        assert res.stats["parity_outputs"] == 0
+        assert res.y == sample(gen, res.justification["seed"])
+        assert not brute_range_member(circuit, res.y)
+
+    @pytest.mark.parametrize("s", [9, 10])
+    def test_workers_match_serial(self, circuit, s):
+        # 256 seeds over 2 workers are chunks of 32; the hit falls inside one
+        gen = GeneratorSpec.eps_biased(circuit.m, s)
+        serial = avoid(circuit, gen, AvoidParams(workers=1))
+        pooled = avoid(circuit, gen, AvoidParams(workers=2))
+        assert serial.seeds_tried % 32 not in (0, 1)
+        assert pooled == serial
+
+    def test_serial_honours_wall_clock(self):
+        c = random_other_circuit(random.Random(10), 6, 2, 200)
+        gen = GeneratorSpec.eps_biased(200, 9)
+        res = avoid(c, gen, AvoidParams(budget=8, wall_clock_s=0.0))
         assert res.justification["kind"] == "failed"
         assert res.stats["aborted"] == "wall clock"
         assert res.seeds_tried == 0

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from xorcert.core import ValidationError
+from xorcert.gf2 import IRREDUCIBLE, gf_mul
 from xorcert.oracle import brute_bias, brute_independence
 from xorcert.prg import (
     GeneratorSpec,
@@ -13,6 +15,7 @@ from xorcert.prg import (
     sample,
     sample_int,
     seed_count,
+    seed_order,
     seed_to_str,
 )
 
@@ -84,9 +87,81 @@ class TestSampling:
         spec = GeneratorSpec.eps_biased(8, 6)
         assert sample_int(spec, 37) == sample_int(spec, 37)
 
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec.eps_biased(300, 9),
+        GeneratorSpec.kwise(3, 300, 9),
+        GeneratorSpec.kwise_eps_biased(2, 40, Fraction(1, 4)),
+    ])
+    def test_matches_per_bit_reference(self, spec):
+        """Output bit i by its definition, one field product at a time."""
+        def bits(spec, seed):
+            s = spec.field_degree
+            if spec.kind == "eps_biased":
+                a, x, pw = seed % (1 << s), seed >> s, 1
+                out = []
+                for _ in range(spec.m):
+                    out.append((pw & x).bit_count() & 1)
+                    pw = gf_mul(pw, a, s)
+                return out
+            if spec.kind == "kwise":
+                out = []
+                for point in range(spec.m):
+                    parity, pw = 0, 1
+                    for j in range(spec.k):  # coefficient j is seed bits [j s, (j + 1) s)
+                        parity += (pw & (seed >> (j * s))).bit_count()
+                        pw = gf_mul(pw, point, s)
+                    out.append(parity & 1)
+                return out
+            inner = GeneratorSpec.kwise(spec.k, spec.m, spec.field_degree)
+            outer = GeneratorSpec.eps_biased(inner.seed_bits, spec.outer_degree)
+            return bits(inner, sum(b << i for i, b in enumerate(bits(outer, seed))))
+
+        rng = random.Random(0)
+        for seed in [0, 1, 2, (1 << spec.seed_bits) - 1] + [rng.randrange(1 << spec.seed_bits) for _ in range(20)]:
+            assert sample_int(spec, seed) == tuple(1 - 2 * b for b in bits(spec, seed))
+
     def test_enumerate_ascending(self):
         spec = GeneratorSpec.kwise(2, 4, 2)
         assert list(enumerate_seeds(spec)) == list(range(16))
+
+
+class TestSeedOrder:
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec.uniform(3),
+        GeneratorSpec.eps_biased(5, 1),
+        GeneratorSpec.eps_biased(5, 3),
+        GeneratorSpec.kwise(2, 4, 2),
+        GeneratorSpec.kwise_eps_biased(2, 4, Fraction(1, 2)),
+    ])
+    def test_every_seed_once(self, spec):
+        assert sorted(seed_order(spec)) == list(range(seed_count(spec)))
+
+    def test_plain_kinds_ascend(self):
+        for spec in (GeneratorSpec.uniform(3), GeneratorSpec.kwise(2, 4, 2)):
+            assert list(seed_order(spec)) == list(range(seed_count(spec)))
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec.eps_biased(5, 3),
+        GeneratorSpec.kwise_eps_biased(2, 4, Fraction(1, 2)),  # outer degree 3
+    ])
+    def test_degenerate_seeds_last(self, spec):
+        s, q = 3, 8
+        assert spec.seed_bits == 2 * s
+        order = list(seed_order(spec))
+        good = (q - 1) * (q - 2)  # x != 0 and a not in {0, 1}, for seed a + x 2^s
+        assert all(seed >> s and seed % q >= 2 for seed in order[:good])
+        assert order[:good] == sorted(order[:good])
+        assert order[good:] == sorted(order[good:])
+
+    def test_first_sample_of_a_large_field_is_not_constant(self):
+        spec = GeneratorSpec.eps_biased(200, 9)
+        first = next(seed_order(spec))
+        assert first == (1 << 9) + 2
+        assert len(set(sample_int(spec, first))) == 2
+
+    def test_lazy(self):
+        spec = GeneratorSpec.eps_biased(64, max(IRREDUCIBLE))
+        assert next(seed_order(spec)) == (1 << spec.field_degree) + 2
 
 
 class TestGuarantees:
