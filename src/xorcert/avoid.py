@@ -116,13 +116,13 @@ def _prune_parities(
     """Positions of the non-parity outputs, and the split of those outputs,
     renumbered in order."""
     others = [(g, np.flatnonzero(g.parity == 0)) for g in gates]
-    kept = sorted(pos for g, rows in others for pos in g.positions[rows].tolist())
-    if not kept:
-        return kept, None
+    kept = np.sort(np.concatenate([np.empty(0, np.intp)] + [g.positions[rows] for g, rows in others]))
+    if not len(kept):
+        return [], None
     kept_gates = tuple(
         g.take(rows, np.searchsorted(kept, g.positions[rows])) for g, rows in others if len(rows)
     )
-    return kept, JuntaSplit(c.t, len(kept), c.n, kept_gates)
+    return kept.tolist(), JuntaSplit(c.t, len(kept), c.n, kept_gates)
 
 
 def _exact_sum(values: Sequence[float]) -> Fraction:
@@ -145,15 +145,18 @@ def _certify_prepared(
     Bound and distance are scaled to all ``m_full`` outputs, every pruned
     output counted as agreeing."""
     m_kept = len(b_kept)
-    parts = prepared.prepared.refute(b_kept, params.refute)
-    total = _exact_sum([cert.bound for cert in parts])
+    schemes = prepared.prepared
+    parts = schemes.refute(b_kept, params.refute)
+    # the zero schemes share one certificate, certified at bound 0
+    live = [parts[j] for j in schemes.nonzero]
+    total = _exact_sum([cert.bound for cert in live])
     if isinstance(prepared, JuntaSplit):
         t = prepared.t
         total += Fraction((1 << (t - 1)) - 1, 1 << (t - 1)) if t >= 1 else 0
         path, limit = "junta", Fraction(1)
     else:
         path, limit = "tree", 2 * params.eps_for(prepared.t)
-    if not (total < 1 and total <= limit and all(cert.certified for cert in parts)):
+    if not (total < 1 and total <= limit and all(cert.certified for cert in live)):
         return _uncertain_remote(path, m_kept)
     share = Fraction(m_kept, m_full)
     return RemoteCertificate(
@@ -219,6 +222,15 @@ def certify_not_in_range(
 
 @dataclass(frozen=True)
 class AvoidParams:
+    """Knobs of ``avoid``.
+
+    ``workers > 1`` certifies seeds in a process pool, in chunks of the same
+    seed sequence, and reports what a serial run does. A pool costs about
+    0.2 s to start, so serial search is faster on every shipped workload and
+    test. The pooled path also certifies the rest of a chunk after a hit in
+    it, work that the serial loop never does.
+    """
+
     budget: int = 256  # maximum number of seeds to try
     certify: CertifyParams = field(default_factory=CertifyParams)
     workers: int = 1

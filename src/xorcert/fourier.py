@@ -1,10 +1,10 @@
 """Exact Fourier expansions of junta gates and layered tree outputs, with
 parity classification.
 
-Junta gates are analysed as integer arrays: ``junta_spectra`` stacks the
-+-1 tables of all gates of one fan-in f and applies one in-place
-Walsh-Hadamard transform, which gives every gate's exact spectrum at the
-scale 2^-f; the parity class, the true support and the leading coefficient
+Junta gates are analysed as integer arrays: ``junta_spectra`` reads every
+gate once, stacks the +-1 tables of all gates of one fan-in f as columns and
+applies one in-place Walsh-Hadamard transform, which gives every gate's
+exact spectrum at the scale 2^-f; the parity class, the true support and the leading coefficient
 are read from it. ``expand_junta`` and ``classify_parity`` are the same
 transform and the same classification rule for one gate and for a sparse
 expansion.
@@ -64,17 +64,18 @@ TRANSFORM_CAP = 16  # largest junta fan-in whose 2^f-entry table is transformed
 
 
 def walsh_hadamard(tables: np.ndarray) -> np.ndarray:
-    """Integer Walsh-Hadamard transform along axis 1 of a C-contiguous int64
-    array of shape (G, 2^f), in place, one butterfly level at a time.
+    """Integer Walsh-Hadamard transform along axis 0 of a C-contiguous int64
+    array of shape (2^f, G), in place, one butterfly level at a time.
 
-    Entry S of a row becomes sum_a row[a] * (-1)^|a & S|, so a row of +-1
-    table values becomes 2^f times the gate's Fourier coefficients.
+    Entry S of a column becomes sum_a column[a] * (-1)^|a & S|, so a column
+    of +-1 table values becomes 2^f times the gate's Fourier coefficients.
+    Each butterfly adds and subtracts whole rows of G values.
     """
-    rows, size = tables.shape
+    size = tables.shape[0]
     h = 1
     while h < size:
-        pairs = tables.reshape(rows, size // (2 * h), 2, h)
-        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        pairs = tables.reshape(size // (2 * h), 2, h, -1)
+        lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi  # lo + hi
         hi *= -2
         hi += lo  # (lo + hi) - 2 hi = lo - hi
@@ -88,7 +89,8 @@ class GateSpectra:
 
     Gate g sits at output ``positions[g]`` and reads ``inputs[g]``.
     ``spectra[g, S]`` is 2^f times its coefficient on the character that
-    multiplies its inputs at the positions in the bitmask S, an exact integer.
+    multiplies its inputs at the positions in the bitmask S, an exact integer
+    (a transposed view of the transformed columns).
     ``parity[g]`` is +1 for XOR, -1 for NXOR and 0 for any other gate, and
     ``support[g]`` is the bitmask of input positions the gate depends on.
     """
@@ -115,40 +117,64 @@ class GateSpectra:
 def junta_spectra(gates: Sequence) -> list[GateSpectra]:
     """Spectra and parity classes of junta gates, grouped by fan-in.
 
-    Each fan-in's +-1 tables are stacked and go through one
+    One pass over the gates reads their inputs and tables, which are packed
+    into flat arrays; every gate must be a junta gate of fan-in at most
+    ``TRANSFORM_CAP`` with a table of 2^f entries, checked on the packed
+    lengths. Each fan-in's +-1 tables are stacked and go through one
     :func:`walsh_hadamard` call, so every gate's table is transformed once.
     """
-    by_fan_in: dict[int, list[int]] = {}
-    for i, gate in enumerate(gates):
-        if not isinstance(gate, JuntaGate):
-            raise ValidationError([f"gate {i} is not a junta gate"])
-        t = len(gate.inputs)
+    if not set(map(type, gates)) <= {JuntaGate}:
+        for i, gate in enumerate(gates):
+            if not isinstance(gate, JuntaGate):
+                junta_spectra(gates[:i])  # an earlier gate's error comes first
+                raise ValidationError([f"gate {i} is not a junta gate"])
+    inputs = [gate.inputs for gate in gates]
+    tables = [gate.table for gate in gates]
+    fan_ins = np.fromiter(map(len, inputs), np.int64, len(gates))
+    sizes = np.fromiter(map(len, tables), np.int64, len(gates))
+    wrong = (fan_ins > TRANSFORM_CAP) | (sizes != 1 << np.minimum(fan_ins, TRANSFORM_CAP))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        t = int(fan_ins[i])
         if t > TRANSFORM_CAP:
             raise ValidationError([f"junta fan-in {t} exceeds the transform cap {TRANSFORM_CAP}"])
-        if len(gate.table) != 1 << t:
-            raise ValidationError([f"table length {len(gate.table)} != 2^{t}"])
-        by_fan_in.setdefault(t, []).append(i)
+        raise ValidationError([f"table length {sizes[i]} != 2^{t}"])
+    bits = _packed(tables, int(sizes.sum())) & 1
+    flat_inputs = _packed(inputs, int(fan_ins.sum()))
+    table_at = np.cumsum(sizes) - sizes
+    inputs_at = np.cumsum(fan_ins) - fan_ins
     out = []
-    for t, positions in sorted(by_fan_in.items()):
-        rows = len(positions)
-        bits = np.fromiter(chain.from_iterable(gates[i].table for i in positions), np.int64)
-        spectra = walsh_hadamard((1 - 2 * (bits & 1)).reshape(rows, 1 << t))
-        inputs = np.fromiter(chain.from_iterable(gates[i].inputs for i in positions), np.int64)
-        parity, support = _classify_spectra(spectra, t)
+    for t in np.flatnonzero(np.bincount(fan_ins)).tolist():
+        positions = np.flatnonzero(fan_ins == t)
+        columns = walsh_hadamard(1 - 2 * bits[np.arange(1 << t)[:, None] + table_at[positions]])
+        parity, support = _classify_spectra(columns, t)
         out.append(GateSpectra(
-            t, np.array(positions, dtype=np.intp), inputs.reshape(rows, t), spectra, parity, support
+            t, positions, flat_inputs[inputs_at[positions, None] + np.arange(t)],
+            columns.T, parity, support,
         ))
     return out
 
 
-def _classify_spectra(spectra: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parity, support) of every row of a spectrum array at the scale 2^-t."""
-    nonzero = spectra != 0
-    support = np.bitwise_or.reduce(np.where(nonzero, np.arange(1 << t), 0), axis=1)
-    lead = spectra[np.arange(len(spectra)), support]
+def _packed(rows: list[Sequence[int]], count: int) -> np.ndarray:
+    """The ``count`` entries of all rows, in order, as one int64 array:
+    through one bytes object while every entry is in range(256), one
+    Python int at a time past that."""
+    try:
+        flat = np.frombuffer(bytes(chain.from_iterable(rows)), np.uint8)
+    except (TypeError, ValueError):
+        return np.fromiter(chain.from_iterable(rows), np.int64, count)
+    return flat.astype(np.int64)
+
+
+def _classify_spectra(columns: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parity, support) of every column of a spectrum array at the scale
+    2^-t, one column per gate."""
+    nonzero = columns != 0
+    support = np.bitwise_or.reduce(np.where(nonzero, np.arange(1 << t)[:, None], 0), axis=0)
+    lead = columns[support, np.arange(columns.shape[1])]
     parity = _parity_rule(
-        (spectra * spectra).sum(axis=1),
-        nonzero.sum(axis=1),
+        (columns * columns).sum(axis=0),
+        nonzero.sum(axis=0),
         np.bitwise_count(support).astype(np.int64),
         lead,
         t,

@@ -141,7 +141,7 @@ def _output_histogram(spec: GeneratorSpec) -> np.ndarray:
 def brute_bias(spec: GeneratorSpec) -> Fraction:
     """Exact max over nonempty parities of |E[chi_I]| over the whole seed space."""
     counts = _output_histogram(spec)
-    spectrum = walsh_hadamard(counts.reshape(1, -1))[0]
+    spectrum = walsh_hadamard(counts.reshape(-1, 1))[:, 0]
     worst = int(np.max(np.abs(spectrum[1:]))) if spectrum.shape[0] > 1 else 0
     return Fraction(worst, seed_count(spec))
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .core import ValidationError
 from .gf2 import IRREDUCIBLE, gf_mul
 
@@ -115,15 +117,24 @@ class GeneratorSpec:
         )
 
 
+# The largest field degree whose elements, and the seed half x, fit in int64
+# with room to spare. The shipped field table stops at degree 32, well inside.
+INT64_DEGREE = 62
+
+
 @functools.lru_cache(maxsize=4096)
-def _power_reps(a: int, m: int, s: int) -> tuple[int, ...]:
-    """Representations of a^0, a^1, ..., a^(m-1) in GF(2^s); 0^0 = 1."""
+def _power_reps(a: int, m: int, s: int) -> np.ndarray:
+    """Representations of a^0, a^1, ..., a^(m-1) in GF(2^s); 0^0 = 1. An
+    int64 array up to ``INT64_DEGREE``, an object array of Python ints past
+    it; read-only, since the cache shares it."""
     reps = [1]
     acc = 1
     for _ in range(m - 1):
         acc = gf_mul(acc, a, s)
         reps.append(acc)
-    return tuple(reps)
+    out = np.array(reps, dtype=np.int64 if s <= INT64_DEGREE else object)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -147,17 +158,21 @@ def _pack(bits: Iterable[int]) -> int:
     return int("".join("1" if b & 1 else "0" for b in bits)[::-1], 2)
 
 
-def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
-    """Output as an int whose bit i is output bit i."""
+def _check_seed(spec: GeneratorSpec, seed: int) -> None:
     if not 0 <= seed < 1 << spec.seed_bits:
         raise ValidationError([f"seed {seed} outside [0, 2^{spec.seed_bits})"])
+
+
+def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
+    """Output as an int whose bit i is output bit i."""
+    _check_seed(spec, seed)
     if spec.kind == "uniform":
         return seed
     if spec.kind == "eps_biased":
         s = spec.field_degree
         a = seed & ((1 << s) - 1)
         x = seed >> s
-        return _pack((rep & x).bit_count() for rep in _power_reps(a, spec.m, s))
+        return _pack((rep & x).bit_count() for rep in _power_reps(a, spec.m, s).tolist())
     if spec.kind == "kwise":
         cols = _vandermonde_columns(spec.k, spec.m, spec.field_degree)
         return _pack((col & seed).bit_count() for col in cols)
@@ -168,7 +183,16 @@ def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
 
 
 def sample_int(spec: GeneratorSpec, seed: int) -> tuple[int, ...]:
-    """Sign string for an integer seed in [0, 2^seed_bits)."""
+    """Sign string for an integer seed in [0, 2^seed_bits).
+
+    An ``eps_biased`` output over a field of degree at most
+    ``INT64_DEGREE`` is taken in int64 arrays: bit i is the parity of
+    a^i & x. Other outputs are read from :func:`sample_output_bits`."""
+    s = spec.field_degree
+    if spec.kind == "eps_biased" and s <= INT64_DEGREE:
+        _check_seed(spec, seed)
+        bits = np.bitwise_count(_power_reps(seed & ((1 << s) - 1), spec.m, s) & (seed >> s))
+        return tuple((1 - 2 * (bits & 1).astype(np.int64)).tolist())
     bits = f"{sample_output_bits(spec, seed):0{spec.m}b}"
     return tuple(-1 if ch == "1" else 1 for ch in reversed(bits))
 

@@ -129,7 +129,9 @@ class _DenseSchemes(Mapping):
         weights = [Dyadic(0)] * prepared.m
         lo, hi = scheme.span
         for row, out, units in zip(
-            prepared.rows[lo:hi].tolist(), prepared.outputs[lo:hi].tolist(), prepared.units[lo:hi]
+            prepared.rows[lo:hi].tolist(),
+            prepared.outputs[lo:hi].tolist(),
+            prepared.units[lo:hi].tolist(),
         ):
             edges[out] = edge_of[row]
             weights[out] = Dyadic(units, scheme.log_den)
@@ -275,37 +277,62 @@ class JuntaSplit:
         """``prepare_rows`` of the buckets: a row per character and one row
         for all of a bucket's filler copies, at the first of their outputs,
         each bucket's rows in output order, with units at the scale 2^-f of
-        the widest fan-in f."""
-        width = max(self.t - 1, 0)
+        the widest fan-in f.
+
+        The gates' inputs and spectra are first laid out by output, one
+        column each, so that every bucket's characters are read for all
+        outputs at once, as (bucket, output) arrays whose occupied places,
+        in order, are the rows."""
+        m, width = self.m, max(self.t - 1, 0)
         log_den = max((g.fan_in for g in self.gates), default=0)
+        reach = max(self.t, log_den)
         patterns = self.patterns()
-        # an empty block keeps the concatenation defined when m = 0
-        blocks = [tuple(np.zeros(shape, dtype=np.int64) for shape in (0, 0, (0, width), 0, 0))]
-        for j, alpha in enumerate(patterns):
-            chars = self._characters(alpha)
-            outputs = [g.positions for g, _, _ in chars]
-            edges = [edge for _, edge, _ in chars]
-            units = [col << (log_den - g.fan_in) for g, _, col in chars]
-            counts = [np.ones(len(col), dtype=np.int64) for _, _, col in chars]
-            fillers = [g.positions for g in self.gates if alpha and alpha[-1] >= g.fan_in]
-            if fillers:
-                outputs.append(np.array([min(pos.min() for pos in fillers)]))
-                edges.append(np.arange(len(alpha))[None, :])
-                units.append(np.zeros(1, dtype=np.int64))
-                counts.append(np.array([sum(map(len, fillers))]))
-            if not outputs:
-                continue
-            out = np.concatenate(outputs)
-            order = np.argsort(out, kind="stable")
-            padded = np.full((len(out), width), -1, dtype=np.int64)
-            padded[:, :len(alpha)] = np.concatenate(edges)
-            blocks.append((
-                np.full(len(out), j), out[order], padded[order],
-                np.concatenate(units)[order], np.concatenate(counts)[order],
-            ))
-        scheme, outputs, edges, units, counts = map(np.concatenate, zip(*blocks))
-        schemes = [(self.n, log_den)] * len(patterns)
-        return prepare_rows(self.m, schemes, scheme, edges, outputs, units, counts)
+        size = np.array([len(alpha) for alpha in patterns], dtype=np.int64)
+        last = np.array([alpha[-1] if alpha else -1 for alpha in patterns], dtype=np.int64)
+        mask = [sum(1 << j for j in alpha) for alpha in patterns]
+        # row `reach` of the inputs is padding, which sorts last; the
+        # characters are (vertex, bucket, output) arrays, so the rows' edges
+        # come out one vertex column at a time
+        columns = [alpha + (reach,) * (width - len(alpha)) for alpha in patterns]
+        top = np.iinfo(np.int64).max
+        fan_in = np.zeros(m, dtype=np.int64)
+        inputs = np.full((reach + 1, m), top, dtype=np.int64)
+        spectra = np.zeros((1 << reach, m), dtype=np.int64)
+        for g in self.gates:
+            fan_in[g.positions] = g.fan_in
+            inputs[:g.fan_in, g.positions] = g.inputs.T
+            spectra[:1 << g.fan_in, g.positions] = (g.spectra << (log_den - g.fan_in)).T
+        chars = inputs[np.array(columns, dtype=np.intp).reshape(len(patterns), width).T]
+        _sort_axis0(chars)
+        chars[chars == top] = -1
+        units = spectra[mask]
+        used = last[:, None] < fan_in
+        # a bucket's fillers are the outputs of fan-in at most alpha[-1]:
+        # their number, and the first of them, by fan-in
+        at_most = np.cumsum(np.bincount(fan_in, minlength=reach + 1))
+        first = np.full(reach + 1, m, dtype=np.int64)
+        np.minimum.at(first, fan_in, np.arange(m))
+        first = np.minimum.accumulate(first)
+        fillers = np.where(last >= 0, at_most[last], 0)  # the empty pattern has none
+        filled = np.flatnonzero(fillers)
+        at = filled, first[last[filled]]
+        place = np.arange(width)
+        chars[:, at[0], at[1]] = np.where(place[:, None] < size[filled], place[:, None], -1)
+        counts = np.ones(used.shape, dtype=np.int64)
+        counts[at] = fillers[filled]
+        used[at] = True
+        rows = np.flatnonzero(used)
+        scheme = np.repeat(np.arange(len(patterns)), used.sum(axis=1))
+        outputs = rows - scheme * m
+        return prepare_rows(
+            m,
+            [(self.n, log_den)] * len(patterns),
+            scheme,
+            np.take(chars.reshape(width, len(patterns) * m), rows, axis=1).T,
+            outputs,
+            units.ravel()[rows],
+            counts.ravel()[rows],
+        )
 
     def instance(self, alpha: tuple[int, ...], b: Sequence[int]) -> XorInstance:
         """Bucket alpha with right-hand side b as an instance, an edge per output."""
@@ -317,6 +344,19 @@ class JuntaSplit:
                 weights[out] = Dyadic(num, g.fan_in)
         scheme = XorScheme(Hypergraph(self.n, tuple(edges)), tuple(weights), len(alpha))
         return XorInstance(scheme, tuple(b))
+
+
+def _sort_axis0(values: np.ndarray) -> None:
+    """Sort an array in place along axis 0, which is short: an odd-even
+    transposition network of elementwise minima and maxima over whole
+    slices, far cheaper than a sort call per short column."""
+    width = len(values)
+    for rnd in range(width):
+        for j in range(rnd % 2, width - 1, 2):
+            lo, hi = values[j], values[j + 1]
+            low = np.minimum(lo, hi)
+            np.maximum(lo, hi, out=hi)
+            lo[...] = low
 
 
 def nonadaptive_split(c: Circuit) -> JuntaSplit:

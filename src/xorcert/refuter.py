@@ -63,6 +63,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
@@ -459,7 +460,8 @@ class PreparedSchemes:
 
     Every live copy (one of nonzero weight) of every scheme has an integer
     incidence: the row of its distinct edge, its position in the rhs, and
-    its units w * 2^L at its scheme's scale. For a target b, the signed sum
+    its units w * 2^L at its scheme's scale, in an int64 array or, past
+    int64, an object array of Python ints. For a target b, the signed sum
     of an edge is the sum of b * w * 2^L over its live copies, so one
     bincount gives the sums of all schemes at once; its unit copies are the
     same row sum with the sign of w in place of b. ``weights`` holds the
@@ -473,7 +475,7 @@ class PreparedSchemes:
     n_rows: int
     rows: np.ndarray
     outputs: np.ndarray
-    units: tuple[int, ...]
+    units: np.ndarray
     weights: np.ndarray | None
 
     def _row_sums(self, signs: np.ndarray) -> list[int]:
@@ -481,7 +483,7 @@ class PreparedSchemes:
         distinct edge, by row, for an int64 array of one +-1 per live copy."""
         if self.weights is None:
             sums = [0] * self.n_rows
-            for row, sign, units in zip(self.rows.tolist(), signs.tolist(), self.units):
+            for row, sign, units in zip(self.rows.tolist(), signs.tolist(), self.units.tolist()):
                 sums[row] += sign * units
             return sums
         return np.bincount(self.rows, signs * self.weights, self.n_rows).astype(np.int64).tolist()
@@ -493,8 +495,7 @@ class PreparedSchemes:
     def unit_copies(self) -> list[int]:
         """Sum of |w| * 2^L of every distinct edge, by row: its copies under
         ``split_weights``."""
-        signs = np.fromiter((-1 if u < 0 else 1 for u in self.units), np.int64, len(self.units))
-        return self._row_sums(signs)
+        return self._row_sums(np.where(self.units < 0, -1, 1))
 
     def refute(self, b: Sequence[int], params: RefuteParams | None = None) -> list[Certificate]:
         """``refute`` of every scheme with right-hand side b, in order."""
@@ -506,35 +507,96 @@ class PreparedSchemes:
             ])
         return self._refute(b, params or RefuteParams())
 
+    @cached_property
+    def nonzero(self) -> tuple[int, ...]:
+        """The indices of the schemes with a live copy. Every other scheme
+        has no edge or no weight, and its certificate is the shared
+        ``_ZERO``, bound 0."""
+        return tuple(j for j, scheme in enumerate(self.schemes) if not scheme.zero)
+
     def _refute(self, b: Sequence[int], params: RefuteParams) -> list[Certificate]:
-        """Three passes: every scheme builds its operators, the spectral
-        ones are proved in one ``spectral_certificate`` call, and each
-        scheme folds the bounds into its certificate."""
+        """Three passes: every nonzero scheme builds its operators, the
+        spectral ones are proved in one ``spectral_certificate`` call, and
+        each nonzero scheme folds the bounds into its certificate."""
         # with no live copy every scheme is zero and reads neither
-        sums = self.signed_sums(b) if self.units else []
-        unit_copies = self.unit_copies() if params.split_weights and self.units else None
+        sums = self.signed_sums(b) if len(self.units) else []
+        unit_copies = self.unit_copies() if params.split_weights and len(self.units) else None
         ops: list[KikuchiOperator] = []
-        folds = [_refute_scheme(scheme, sums, unit_copies, params, ops) for scheme in self.schemes]
+        folds = [
+            _refute_scheme(self.schemes[j], sums, unit_copies, params, ops) for j in self.nonzero
+        ]
         bounds = spectral_certificate(ops) if ops else []
         proved = [_spectral(op, bound) for op, bound in zip(ops, bounds)]
-        return [fold(proved) for fold in folds]
+        certs = [_ZERO] * len(self.schemes)
+        for j, fold in zip(self.nonzero, folds):
+            certs[j] = fold(proved)
+        return certs
 
 
-def _number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(number of each row's distinct key, the distinct keys in number
-    order): numbered by column 0, then column 1, then first row."""
-    # a stable sort puts each distinct key's first row at the head of its run
-    by_key = np.lexsort(keys.T[::-1])
-    ordered = keys[by_key]
-    head = np.ones(len(keys), dtype=bool)
-    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    distinct, first = ordered[head], by_key[head]
-    order = np.lexsort((first, distinct[:, 1], distinct[:, 0]))
+# Distinct rows are found through a table over the code space while it holds
+# at most this many entries per row, and by sorting the codes past that.
+_DENSE_CODES = 4
+
+
+def _number_rows(
+    scheme: np.ndarray, edges: np.ndarray, n_schemes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(number of each row's distinct key, the distinct keys in number order)
+    for the keys (scheme, size, vertices) of rows whose vertices are padded
+    with -1 at their end, the size counting the others: numbered by scheme,
+    then size, then first row.
+
+    Each row gets one int64 code, its scheme and its vertices + 1 as
+    mixed-radix digits, the radix one past the largest digit. The first row
+    of every distinct code, and the distinct code of every row, come from a
+    table over the code space while that space is at most ``_DENSE_CODES``
+    times the rows, else from one stable sort of the codes. Where a code
+    would not fit in int64, the rows' columns are sorted instead. Only the
+    distinct keys are reduced along their rows.
+    """
+    count, width = edges.shape
+    radix = int(edges.max(initial=-1)) + 2
+    space = n_schemes * radix**width
+    if space > 1 << 63:
+        keys = np.column_stack((scheme, edges))
+        by_key = np.lexsort(keys.T[::-1])
+        ordered = keys[by_key]
+        first, inverse = _runs(by_key, (ordered[1:] != ordered[:-1]).any(axis=1))
+    else:
+        code = scheme.astype(np.int64)
+        for column in edges.T:
+            code *= radix
+            code += column + 1
+        if space <= _DENSE_CODES * count:
+            first = np.full(space, count, dtype=np.intp)
+            np.minimum.at(first, code, np.arange(count))
+            codes = np.flatnonzero(first < count)
+            first = first[codes]
+            index = np.empty(space, dtype=np.intp)
+            index[codes] = np.arange(len(codes))
+            inverse = index[code]
+        else:
+            by_key = np.argsort(code, kind="stable")
+            ordered = code[by_key]
+            first, inverse = _runs(by_key, ordered[1:] != ordered[:-1])
+    vertices = edges[first]
+    schemes = scheme[first]
+    sizes = (vertices >= 0).sum(axis=1)
+    order = np.lexsort((first, sizes, schemes))
     number = np.empty(len(order), dtype=np.intp)
     number[order] = np.arange(len(order))
-    row = np.empty(len(keys), dtype=np.intp)
-    row[by_key] = number[np.cumsum(head) - 1]
-    return row, distinct[order]
+    return number[inverse], np.column_stack((schemes, sizes, vertices))[order]
+
+
+def _runs(by_key: np.ndarray, change: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct key, each row's distinct key), given a
+    stable sort of the rows by key and where the sorted keys change: the
+    first row of each key heads its run."""
+    head = np.ones(len(by_key), dtype=bool)
+    head[1:] = change
+    inverse = np.empty(len(by_key), dtype=np.intp)
+    inverse[by_key] = np.cumsum(head) - 1
+    return by_key[head], inverse
 
 
 def _bitmasks(vertices: np.ndarray) -> list[int]:
@@ -573,9 +635,9 @@ def prepare_rows(
     are numbered consecutively across the schemes. The live copies keep
     their row order in the incidence.
     """
-    row, distinct = _number_distinct(np.column_stack((scheme, (edges >= 0).sum(axis=1), edges)))
+    row, distinct = _number_rows(scheme, edges, len(schemes))
     n_rows = len(distinct)
-    live = units != 0
+    live = np.flatnonzero(units != 0)
     live_row = row[live]
     live_scheme = scheme[live]
     live_units = units[live]
@@ -622,7 +684,7 @@ def prepare_rows(
         n_rows,
         live_row,
         outputs[live].astype(np.intp),
-        tuple(live_units.tolist()),
+        live_units,
         live_units.astype(np.float64) if exact else None,
     )
 
@@ -1385,11 +1447,9 @@ def _refute_scheme(
     params: RefuteParams,
     ops: list[KikuchiOperator],
 ) -> _Fold:
-    """``refute`` of one prepared scheme, given the signed sums of its rhs
-    and, under ``split_weights``, the unit copies; its spectral operators
-    join ``ops``."""
-    if scheme.zero:
-        return _ZERO_FOLD  # no edges, or every weight is zero
+    """``refute`` of one prepared scheme with a live copy, given the signed
+    sums of its rhs and, under ``split_weights``, the unit copies; its
+    spectral operators join ``ops``."""
     parts = list(scheme.coalesced(sums, unit_copies).values())
     folds = [_refute_part(part, params, ops) for part in parts]
 

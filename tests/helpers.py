@@ -211,9 +211,28 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
         n_rows,
         np.array(rows, dtype=np.intp),
         np.array(outputs, dtype=np.intp),
-        tuple(all_units),
+        np.array(all_units, dtype=object),
         np.array(all_units, dtype=np.float64) if exact else None,
     )
+
+
+def reference_number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(number of each row's distinct key, the distinct keys in number
+    order) for rows of keys (scheme, size, vertices): numbered by column 0,
+    then column 1, then first row, by sorting all columns. The reference for
+    the one-code numbering of ``prepare_rows``."""
+    # a stable sort puts each distinct key's first row at the head of its run
+    by_key = np.lexsort(keys.T[::-1])
+    ordered = keys[by_key]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct, first = ordered[head], by_key[head]
+    order = np.lexsort((first, distinct[:, 1], distinct[:, 0]))
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.arange(len(order))
+    row = np.empty(len(keys), dtype=np.intp)
+    row[by_key] = number[np.cumsum(head) - 1]
+    return row, distinct[order]
 
 
 def reference_expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:
@@ -290,7 +309,7 @@ def prepared_fields(p: PreparedSchemes) -> tuple:
     weights = None if p.weights is None else (p.weights.tolist(), p.weights.dtype)
     return (
         p.m, p.schemes, p.n_rows, p.rows.tolist(), p.rows.dtype,
-        p.outputs.tolist(), p.outputs.dtype, p.units, weights,
+        p.outputs.tolist(), p.outputs.dtype, p.units.tolist(), weights,
     )
 
 

@@ -60,9 +60,9 @@ def record_calls(monkeypatch, original, note=lambda *args: args) -> list:
 
 @pytest.fixture()
 def transformed_rows(monkeypatch):
-    """The rows of every table array that enters ``walsh_hadamard``, copied
-    before the transform overwrites them."""
-    return record_calls(monkeypatch, fourier.walsh_hadamard, lambda tables: tables.tolist())
+    """The tables of every array that enters ``walsh_hadamard``, one per
+    column, copied before the transform overwrites them."""
+    return record_calls(monkeypatch, fourier.walsh_hadamard, lambda tables: tables.T.tolist())
 
 
 def sign_tables(c: Circuit) -> list[list[int]]:

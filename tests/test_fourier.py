@@ -212,6 +212,56 @@ class TestJuntaSpectra:
         with pytest.raises(ValidationError, match="junta fan-in 17 exceeds the transform cap 16"):
             junta_spectra([gate])
 
+    @pytest.mark.parametrize("bad, message", [
+        (WordDecisionTree(Leaf(1)), "gate 2 is not a junta gate"),
+        (JuntaGate(tuple(range(17)), (0,) * (1 << 17)), "junta fan-in 17 exceeds the transform cap 16"),
+        (JuntaGate((0, 1, 2), (0, 1, 1, 0)), "table length 4 != 2^3"),
+        (JuntaGate((0, 1), (0, 1) * 4), "table length 8 != 2^2"),
+        (JuntaGate((), ()), "table length 0 != 2^0"),
+    ])
+    def test_rejections_among_valid_gates(self, bad, message):
+        """The first bad gate is named with its message, wherever it sits
+        among valid gates, and a later bad gate does not mask it."""
+        good = [JuntaGate((0,), (0, 1)), OR]
+        with pytest.raises(ValidationError) as err:
+            junta_spectra(good + [bad] + good)
+        assert err.value.violations == [message]
+        later = [JuntaGate((0, 1), (0,)), WordDecisionTree(Leaf(1))]
+        with pytest.raises(ValidationError) as err:
+            junta_spectra(good + [bad] + later)
+        assert err.value.violations == [message]
+
+    def test_table_entries_past_a_byte(self):
+        """Entries are read by their low bit, also past 255, as the circuit
+        never checks them here."""
+        plain = junta_spectra([OR, JuntaGate((1, 300), (1, 0, 0, 0))])
+        wide = junta_spectra([JuntaGate((0, 1), (0, 257, 3, 1)), JuntaGate((1, 300), (1, 0, 0, 256))])
+        for g, h in zip(plain, wide):
+            assert g.spectra.tolist() == h.spectra.tolist()
+            assert g.inputs.tolist() == h.inputs.tolist() == [[0, 1], [1, 300]]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_fan_ins_match_the_reference(self, data):
+        """One call over gates of fan-in 0 to 4 in any order: every gate's
+        spectrum, inputs and parity class as the direct summation gives."""
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        gates = [
+            random_junta_gate(rng, 6, data.draw(st.integers(0, 4), label="fan-in"))
+            for _ in range(data.draw(st.integers(0, 30), label="m"))
+        ]
+        rows = self._by_position(gates)
+        for gate, (t, row, parity, _) in zip(gates, rows):
+            exp = reference_expand_junta(gate, 6)
+            assert t == len(gate.inputs)
+            assert {
+                tuple(sorted(gate.inputs[j] for j in range(t) if s >> j & 1)): Dyadic(num, t)
+                for s, num in enumerate(row) if num
+            } == exp.coeffs
+            assert _CLASS[parity] is classify_parity(exp)
+        for g in junta_spectra(gates):
+            assert g.inputs.tolist() == [list(gates[i].inputs) for i in g.positions.tolist()]
+
 
 _CLASS = {1: ParityClass.XOR, -1: ParityClass.NXOR, 0: ParityClass.OTHER}
 

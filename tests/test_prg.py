@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from xorcert import prg
 from xorcert.core import ValidationError
 from xorcert.gf2 import IRREDUCIBLE, gf_mul
 from xorcert.oracle import brute_bias, brute_independence
@@ -14,6 +16,7 @@ from xorcert.prg import (
     parse_spec,
     sample,
     sample_int,
+    sample_output_bits,
     seed_count,
     seed_order,
     seed_to_str,
@@ -123,6 +126,67 @@ class TestSampling:
     def test_enumerate_ascending(self):
         spec = GeneratorSpec.kwise(2, 4, 2)
         assert list(enumerate_seeds(spec)) == list(range(16))
+
+
+@pytest.fixture()
+def wide_fields(monkeypatch):
+    """Field degrees 62 and 63 added to the field table, by the primitive
+    polynomials x^62 + x^10 + x^9 + x^2 + 1 and x^63 + x + 1, with the
+    power cache cleared on both sides."""
+    monkeypatch.setitem(IRREDUCIBLE, 62, (1 << 62) | 0b11000000101)
+    monkeypatch.setitem(IRREDUCIBLE, 63, (1 << 63) | 0b11)
+    prg._power_reps.cache_clear()
+    yield
+    prg._power_reps.cache_clear()
+
+
+def string_path(spec: GeneratorSpec, seed: int) -> tuple[int, ...]:
+    """The signs read one by one from the packed output bits."""
+    bits = sample_output_bits(spec, seed)
+    return tuple(1 - 2 * (bits >> i & 1) for i in range(spec.m))
+
+
+_EVERY_KIND = [
+    GeneratorSpec.uniform(9),
+    GeneratorSpec.eps_biased(50, 7),
+    GeneratorSpec.kwise(3, 50, 6),
+    GeneratorSpec.kwise_eps_biased(2, 20, Fraction(1, 4)),
+]
+
+
+class TestIntegerSampling:
+    @pytest.mark.parametrize("s", [1, 10, 62, 63])
+    def test_small_bias_matches_the_string_path(self, wide_fields, s):
+        """The int64 path (up to degree 62) and the string path (63) give the
+        string path's signs and each bit's definition, on random seeds and
+        on the degenerate ones: x = 0, and a in {0, 1}."""
+        spec = GeneratorSpec.eps_biased(40, s)
+        q = 1 << s
+        rng = random.Random(s)
+        xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(4)]
+        seeds = [a + x * q for x in xs for a in [0, 1, q - 1] + [rng.randrange(q) for _ in range(3)]]
+        for seed in seeds:
+            a, x, power = seed % q, seed >> s, 1
+            definition = []
+            for _ in range(spec.m):
+                definition.append(1 - 2 * ((power & x).bit_count() & 1))
+                power = gf_mul(power, a, s)
+            assert sample_int(spec, seed) == string_path(spec, seed) == tuple(definition)
+        assert prg._power_reps(2, spec.m, s).dtype == (object if s > prg.INT64_DEGREE else np.int64)
+
+    @pytest.mark.parametrize("spec", _EVERY_KIND)
+    def test_every_kind_matches_the_string_path(self, spec):
+        rng = random.Random(7)
+        for seed in [0, 1, (1 << spec.seed_bits) - 1] + [rng.randrange(1 << spec.seed_bits) for _ in range(20)]:
+            assert sample_int(spec, seed) == string_path(spec, seed)
+
+    @pytest.mark.parametrize("spec", _EVERY_KIND)
+    def test_out_of_range_seeds(self, spec):
+        for seed in (-1, 1 << spec.seed_bits):
+            with pytest.raises(ValidationError, match="outside"):
+                sample_int(spec, seed)
+            with pytest.raises(ValidationError, match="outside"):
+                sample_output_bits(spec, seed)
 
 
 class TestSeedOrder:

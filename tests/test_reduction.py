@@ -210,6 +210,10 @@ class TestGroupingMatchesReference:
 
 
 class TestNonadaptiveSplit:
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_no_outputs(self, t):
+        assert_split_is(nonadaptive_split(Circuit(4, 1, t, ())), reference_buckets(Circuit(4, 1, t, ())))
+
     def test_or_pair_example(self):
         org1 = JuntaGate((0, 1), (0, 1, 1, 1))
         org2 = JuntaGate((1, 2), (0, 1, 1, 1))

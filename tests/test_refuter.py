@@ -43,6 +43,7 @@ from helpers import (
     reference_dense_matrix,
     reference_gamma,
     reference_kikuchi,
+    reference_number_distinct,
     reference_odd_split,
     reference_prepare_copies,
     signs,
@@ -1028,6 +1029,112 @@ class TestPrepareInstance:
         } == {k: (sum(per_edge.values()), per_edge) for k, per_edge in units.items()}
 
 
+def _random_rows(rng: random.Random, pool: list[int], width: int, n_schemes: int):
+    """Rows of copies for ``prepare_rows`` in scheme order, with their
+    per-copy description for ``reference_prepare_copies``: sorted edges of
+    mixed sizes over the vertex pool, padded with -1, repeated edges, and
+    zero-weight rows of one or more copies. A zero-weight row stands for
+    its copies in place, so first rows and first appearances agree."""
+    scheme, edges, outputs, units, counts = [], [], [], [], []
+    described = []
+    m = 12
+    for j in range(n_schemes):
+        log_den = rng.randint(0, 3)
+        copies, seen = [], []
+        for _ in range(rng.randint(0, 10)):
+            if seen and rng.random() < 0.4:
+                edge = rng.choice(seen)
+            else:
+                edge = tuple(sorted(rng.sample(pool, rng.randint(0, min(width, len(pool))))))
+                seen.append(edge)
+            zero = rng.random() < 0.3
+            count = rng.randint(1, 3) if zero else 1
+            out = rng.randrange(m)
+            num = 0 if zero else rng.choice([-1, 1]) * rng.randint(1, 8)
+            scheme.append(j)
+            edges.append(edge + (-1,) * (width - len(edge)))
+            outputs.append(out)
+            units.append(num)
+            counts.append(count)
+            copies += [(out, edge, Dyadic(num, log_den))] * count
+        described.append((max(pool, default=0) + 1, copies, {}, log_den))
+    rows = (
+        np.array(scheme, dtype=np.int64),
+        np.array(edges, dtype=np.int64).reshape(len(edges), width),
+        np.array(outputs, dtype=np.int64),
+        np.array(units, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )
+    return m, described, rows
+
+
+# vertex pools that take each path of the numbering: a table over the code
+# space, one sort of the codes, the same with Python-int vertex masks, and
+# (at width 4, where 65,537^4 > 2^63) a sort of the columns
+_POOLS = {
+    "table": lambda rng: list(range(4)),
+    "sorted codes": lambda rng: rng.sample(range(40), 8),
+    "masks past 63": lambda rng: rng.sample(range(60, 140), 8),
+    "past int64": lambda rng: rng.sample(range((1 << 16) - 40, 1 << 16), 8),
+}
+
+
+class TestNumbering:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        pool=st.sampled_from(sorted(_POOLS)),
+        width=st.integers(0, 4),
+        n_schemes=st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prepare_rows_numbers_as_the_reference(self, seed, pool, width, n_schemes):
+        """Every row's number and every distinct key, in number order, as
+        the column sort numbers them, and every field as the per-copy
+        reference prepares it: mixed sizes, -1 padding, zero-weight rows,
+        empty inputs, vertices past 63 and codes past int64."""
+        rng = random.Random(seed)
+        m, described, rows = _random_rows(rng, _POOLS[pool](rng), width, n_schemes)
+        scheme, edges, outputs, units, counts = rows
+        keys = np.column_stack((scheme, (edges >= 0).sum(axis=1), edges))
+        number, distinct = reference_number_distinct(keys)
+        got_number, got_distinct = refuter._number_rows(scheme, edges, n_schemes)
+        assert got_number.tolist() == number.tolist()
+        assert got_distinct.tolist() == distinct.reshape(len(distinct), width + 2).tolist()
+
+        schemes = [(n, log_den) for n, _, _, log_den in described]
+        prepared = refuter.prepare_rows(m, schemes, scheme, edges, outputs, units, counts)
+        assert prepared.rows.tolist() == number[units != 0].tolist()
+        assert prepared.n_rows == len(distinct)
+        parts = [part for s in prepared.schemes for part in s.parts]
+        assert [(j, part.k) for j, s in enumerate(prepared.schemes) for part in s.parts] == sorted(
+            set(map(tuple, distinct[:, :2].tolist()))
+        )
+        assert [mask for part in parts for mask in part.edges] == [
+            edge_mask(v for v in key if v >= 0) for key in distinct[:, 2:].tolist()
+        ]
+        assert prepared_fields(prepared) == prepared_fields(reference_prepare_copies(
+            m, [(n, copies, zeros) for n, copies, zeros, _ in described]
+        ))
+
+    @pytest.mark.parametrize("pool", sorted(_POOLS))
+    def test_each_path_on_many_rows(self, pool):
+        """Hundreds of rows over few distinct keys, so that the table path
+        is taken where the code space is small (5^4 codes per scheme)."""
+        rng = random.Random(pool)
+        vertices = _POOLS[pool](rng)
+        width, count = 4, 600
+        edges = np.full((count, width), -1, dtype=np.int64)
+        scheme = np.sort(np.array([rng.randrange(3) for _ in range(count)], dtype=np.int64))
+        for i in range(count):
+            edge = sorted(rng.sample(vertices, rng.randint(0, width)))
+            edges[i, :len(edge)] = edge
+        keys = np.column_stack((scheme, (edges >= 0).sum(axis=1), edges))
+        number, distinct = reference_number_distinct(keys)
+        got_number, got_distinct = refuter._number_rows(scheme, edges, 3)
+        assert got_number.tolist() == number.tolist()
+        assert got_distinct.tolist() == distinct.tolist()
+
+
 class TestWeightSplitting:
     def test_term_sums_agree(self):
         rng = random.Random(8)
@@ -1122,6 +1229,31 @@ _AUTO_PARAMS = [
     RefuteParams(ell=3),
     RefuteParams(dense_cap=5),
 ]
+
+
+class TestZeroSchemes:
+    def test_zero_schemes_share_one_certificate(self, monkeypatch):
+        """Only the schemes with a live copy are refuted; every other key of
+        a tree ensemble gets the shared bound-0 certificate, which is what
+        its dense instance refutes to."""
+        rng = random.Random(220)
+        ens = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
+        prepared = ens.prepared
+        refuted = []
+        original = refuter._refute_scheme
+        monkeypatch.setattr(
+            refuter, "_refute_scheme", lambda scheme, *rest: refuted.append(scheme) or original(scheme, *rest)
+        )
+        b = signs(rng, prepared.m)
+        certs = prepared.refute(b)
+        assert refuted == [prepared.schemes[j] for j in prepared.nonzero]
+        assert 0 < len(prepared.nonzero) < len(prepared.schemes)
+        monkeypatch.undo()
+        instances = attach_rhs(ens, b)
+        for j, key in enumerate(ens.keys()):
+            if j not in prepared.nonzero:
+                assert certs[j] is refuter._ZERO
+                assert refute(instances[key]).to_json() == certs[j].to_json()
 
 
 class TestOneEngine:
