@@ -22,14 +22,13 @@ so a certified target is guaranteed to sit outside the range.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .circuits import Circuit, to_layered
 from .core import ValidationError
 from .fourier import GateSpectra, junta_spectra
 from .gf2 import find_xor_dependency
-from .prg import GeneratorSpec, sample_int, seed_count, seed_order, seed_to_str
+from .prg import GeneratorSpec, sample_int, seed_order, seed_to_str
 from .reduction import JuntaSplit, SchemeEnsemble, group_characters
 from .refuter import Certificate, RefuteParams, _combine, _float_up
 
@@ -224,11 +223,10 @@ def certify_not_in_range(
 class AvoidParams:
     """Knobs of ``avoid``.
 
-    ``workers > 1`` certifies seeds in a process pool, in chunks of the same
-    seed sequence, and reports what a serial run does. A pool costs about
-    0.2 s to start, so serial search is faster on every shipped workload and
-    test. The pooled path also certifies the rest of a chunk after a hit in
-    it, work that the serial loop never does.
+    Seeds are certified one at a time in one process. With ``wall_clock_s``
+    set, no seed starts after that many seconds; a seed already started is
+    certified to the end. ``workers`` is kept for callers that pass it and
+    accepts only 1.
     """
 
     budget: int = 256  # maximum number of seeds to try
@@ -240,8 +238,8 @@ class AvoidParams:
         errors = []
         if self.budget < 0:
             errors.append(f"budget must be at least 0, got {self.budget}")
-        if self.workers < 1:
-            errors.append(f"workers must be at least 1, got {self.workers}")
+        if self.workers != 1:
+            errors.append(f"workers must be 1, got {self.workers}")
         if self.wall_clock_s is not None and not self.wall_clock_s >= 0:  # NaN fails too
             errors.append(f"wall clock must be a number of seconds >= 0, got {self.wall_clock_s}")
         if errors:
@@ -293,39 +291,6 @@ def _parity_avoid_result(c: Circuit, outputs: list[int], forced: int) -> AvoidRe
     )
 
 
-def _try_seed(work: tuple, seed: int) -> tuple[tuple[int, ...], RemoteCertificate] | None:
-    """The seed's sample and its certificate, if it certifies."""
-    prepared, b_positions, gen, params = work
-    b_full = sample_int(gen, seed)
-    rc = _certify_prepared(prepared, [b_full[i] for i in b_positions], gen.m, params)
-    return (b_full, rc) if rc.certified else None
-
-
-def _try_seeds(work: tuple, seeds: Iterator[int], timeout: float | None) -> Iterator:
-    """``_try_seed`` on each seed in turn, lazily. Like ``pool.map``, it
-    raises a futures TimeoutError once a result is not ready within
-    ``timeout`` seconds."""
-    end = None if timeout is None else time.monotonic() + timeout
-    for seed in seeds:
-        if end is not None and time.monotonic() > end:
-            raise FutureTimeout
-        yield _try_seed(work, seed)
-
-
-# The work of the pool a worker process belongs to, set once per worker by
-# ``_init_worker`` so that each task ships only its seeds.
-_worker_work: tuple | None = None
-
-
-def _init_worker(work: tuple) -> None:
-    global _worker_work
-    _worker_work = work
-
-
-def _try_worker_seed(seed: int) -> tuple[tuple[int, ...], RemoteCertificate] | None:
-    return _try_seed(_worker_work, seed)
-
-
 def avoid(
     c: Circuit, gen: GeneratorSpec, params: AvoidParams | None = None
 ) -> AvoidResult:
@@ -333,8 +298,8 @@ def avoid(
 
     Junta circuits first look for a parity dependency; otherwise parity
     outputs are pruned and seeds of the generator are tried in
-    ``prg.seed_order``, degenerate seeds last, until one sample certifies; a
-    pooled run reports what a serial one does. Pruned coordinates of the
+    ``prg.seed_order``, degenerate seeds last, until one sample certifies or
+    the budget or the wall clock runs out. Pruned coordinates of the
     answer are filled with +1, which is sound because the certificate
     already excludes every extension of the kept coordinates from the range.
     """
@@ -355,35 +320,20 @@ def avoid(
         prepared = group_characters(to_layered(c.with_tree_gates()))
     stats["kept_outputs"] = len(kept)
     stats["parity_outputs"] = c.m - len(kept)
-    work = (prepared, kept, gen, params.certify)
 
-    n_seeds = min(seed_count(gen), params.budget) if prepared is not None else 0
-    seeds, to_try = itertools.tee(itertools.islice(seed_order(gen), n_seeds))
-    pool = hit = None
+    end = None if params.wall_clock_s is None else time.monotonic() + params.wall_clock_s
+    hit = None
     seeds_tried = 0
-    try:
-        if params.workers > 1 and n_seeds > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=params.workers, initializer=_init_worker, initargs=(work,)
-            )
-            results = pool.map(
-                _try_worker_seed, to_try,
-                chunksize=max(1, n_seeds // (4 * params.workers)), timeout=params.wall_clock_s,
-            )
-        else:
-            results = _try_seeds(work, to_try, params.wall_clock_s)
-        for seed, res in zip(seeds, results):
-            seeds_tried += 1
-            if res is not None:
-                hit = seed, *res
-                break
-    except FutureTimeout:
-        stats["aborted"] = "wall clock"
-    finally:
-        if pool is not None:
-            # Chunks not yet started are dropped. After a hit the running ones
-            # are waited for; after the wall clock ran out they are not.
-            pool.shutdown(wait="aborted" not in stats, cancel_futures=True)
+    for seed in islice(seed_order(gen), params.budget if prepared is not None else 0):
+        if end is not None and time.monotonic() >= end:
+            stats["aborted"] = "wall clock"
+            break
+        seeds_tried += 1
+        b_full = sample_int(gen, seed)
+        rc = _certify_prepared(prepared, [b_full[i] for i in kept], c.m, params.certify)
+        if rc.certified:
+            hit = seed, b_full, rc
+            break
 
     if hit is None:
         stats["seeds_tried"] = seeds_tried

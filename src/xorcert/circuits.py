@@ -103,6 +103,11 @@ class JuntaGate:
 Gate = Union[JuntaGate, WordDecisionTree]
 
 
+def all_junta_gates(gates: Sequence) -> bool:
+    """Whether every gate is a JuntaGate, by exact type, in one C-level pass."""
+    return set(map(type, gates)) <= {JuntaGate}
+
+
 @dataclass(frozen=True)
 class Circuit:
     """m-output circuit over n input symbols of w bits each.
@@ -151,7 +156,7 @@ class Circuit:
         return self
 
     def is_junta_circuit(self) -> bool:
-        return all(isinstance(g, JuntaGate) for g in self.gates)
+        return all_junta_gates(self.gates)
 
     def with_tree_gates(self) -> "Circuit":
         gates = tuple(

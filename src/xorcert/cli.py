@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import random
 import sys
 import time
@@ -142,7 +141,7 @@ def _cmd_gen_prg(args) -> int:
     if args.enumerate is not None:
         if args.enumerate < 0:
             raise CliError(f"--enumerate must be at least 0, got {args.enumerate}")
-        seeds = list(prg.enumerate_seeds(spec))[: args.enumerate]
+        seeds = range(min(args.enumerate, prg.seed_count(spec)))
     else:
         seeds = [args.seed_int]
     lines = []
@@ -189,7 +188,7 @@ def _cmd_avoid(args) -> int:
     if args.subexp:
         if args.r is None:
             raise CliError("--subexp requires --r")
-        ell = max(2, 2 * math.ceil(args.r * math.log(max(c.n, 2))))
+        ell = refuter.default_ell(args.r, c.n)
         gen = prg.GeneratorSpec.kwise(ell, c.m)
         log.info("subexponential mode: kwise generator at independence %d", ell)
     else:
@@ -198,7 +197,6 @@ def _cmd_avoid(args) -> int:
     params = AvoidParams(
         budget=args.budget,
         certify=CertifyParams(eps=eps, refute=_refute_params(args)),
-        workers=args.workers,
         wall_clock_s=args.wall_clock,
     )
     start = time.monotonic()
@@ -295,12 +293,9 @@ def build_parser() -> _Parser:
     pa.add_argument("--eps", default=None, help="remoteness parameter (fraction)")
     pa.add_argument("--subexp", action="store_true", help="kwise generator at the level-r independence")
     pa.add_argument(
-        "--workers", type=int, default=1,
-        help="processes certifying seeds; a pool takes about 0.2 s to start, so serial search"
-        " (1) is faster on every shipped workload, and a pool certifies the rest of a chunk"
-        " after a hit",
+        "--wall-clock", type=float, default=None,
+        help="seconds after which no further seed is started",
     )
-    pa.add_argument("--wall-clock", type=float, default=None)
     pa.add_argument("--timing", action="store_true", help="include wall_time in the artifact")
     _add_refute_flags(pa)
     pa.add_argument("--out", default=None)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuits import JuntaGate, Leaf, LayeredCircuit, TreeNode, WordDecisionTree
+from .circuits import JuntaGate, Leaf, LayeredCircuit, TreeNode, WordDecisionTree, all_junta_gates
 from .core import Dyadic, ValidationError
 
 
@@ -123,9 +123,9 @@ def junta_spectra(gates: Sequence) -> list[GateSpectra]:
     lengths. Each fan-in's +-1 tables are stacked and go through one
     :func:`walsh_hadamard` call, so every gate's table is transformed once.
     """
-    if not set(map(type, gates)) <= {JuntaGate}:
+    if not all_junta_gates(gates):
         for i, gate in enumerate(gates):
-            if not isinstance(gate, JuntaGate):
+            if type(gate) is not JuntaGate:
                 junta_spectra(gates[:i])  # an earlier gate's error comes first
                 raise ValidationError([f"gate {i} is not a junta gate"])
     inputs = [gate.inputs for gate in gates]

@@ -1,9 +1,8 @@
 import importlib
-import pickle
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -232,24 +231,17 @@ class TestAvoid:
         b = avoid(c, gen, AvoidParams(budget=8))
         assert a == b
 
-    def test_workers_match_sequential(self):
-        rng = random.Random(9)
-        c = random_other_circuit(rng, 6, 2, 200)
-        gen = GeneratorSpec.eps_biased(200, 9)
-        seq = avoid(c, gen, AvoidParams(budget=8))
-        par = avoid(c, gen, AvoidParams(budget=8, workers=2))
-        assert seq.y == par.y
-        assert seq.justification == par.justification
-
-    def test_workers_match_sequential_on_a_pruned_junta_circuit(self):
+    def test_serial_search_on_a_pruned_junta_circuit(self):
         c = random_pruned_circuit(random.Random(11), 8, 2, 120)
-        gen = GeneratorSpec.eps_biased(120, 10)
-        seq = avoid(c, gen, AvoidParams(budget=16))
-        par = avoid(c, gen, AvoidParams(budget=16, workers=2))
-        assert seq.justification["kind"] == "refutation"
-        assert seq.justification["path"] == "junta"
-        assert seq.stats["parity_outputs"] == 3
-        assert par == seq
+        res = avoid(c, GeneratorSpec.eps_biased(120, 10), AvoidParams(budget=16))
+        assert res.justification["kind"] == "refutation"
+        assert res.justification["path"] == "junta"
+        assert res.stats["parity_outputs"] == 3
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_other_than_one_raise(self, workers):
+        with pytest.raises(ValidationError, match=f"workers must be 1, got {workers}"):
+            AvoidParams(workers=workers)
 
     def test_winning_seed_sampled_once(self, monkeypatch):
         sampled = record_calls(monkeypatch, avoid_module.sample_int, lambda gen, seed: seed)
@@ -261,15 +253,6 @@ class TestAvoid:
         assert s >= 1  # a seed before the winning one failed
         assert res.justification["seed"] == seed_to_str(gen, s)
         assert sampled == list(range(s + 1))
-
-    def test_workers_honour_wall_clock(self):
-        c = random_other_circuit(random.Random(10), 6, 2, 200)
-        gen = GeneratorSpec.eps_biased(200, 9)
-        res = avoid(c, gen, AvoidParams(budget=8, workers=2, wall_clock_s=0.0))
-        assert not res.succeeded
-        assert res.justification["kind"] == "failed"
-        assert res.stats["aborted"] == "wall clock"
-        assert res.seeds_tried == 0
 
 
 def plus_one_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
@@ -285,7 +268,8 @@ def plus_one_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
 
 
 class TestSeedSearch:
-    """One seed loop for serial and pooled runs, degenerate seeds last."""
+    """One serial seed loop, degenerate seeds last, stopped by budget or
+    wall clock."""
 
     @pytest.fixture(scope="class")
     def circuit(self):
@@ -303,15 +287,6 @@ class TestSeedSearch:
         assert res.y == sample(gen, res.justification["seed"])
         assert not brute_range_member(circuit, res.y)
 
-    @pytest.mark.parametrize("s", [9, 10])
-    def test_workers_match_serial(self, circuit, s):
-        # 256 seeds over 2 workers are chunks of 32; the hit falls inside one
-        gen = GeneratorSpec.eps_biased(circuit.m, s)
-        serial = avoid(circuit, gen, AvoidParams(workers=1))
-        pooled = avoid(circuit, gen, AvoidParams(workers=2))
-        assert serial.seeds_tried % 32 not in (0, 1)
-        assert pooled == serial
-
     def test_serial_honours_wall_clock(self):
         c = random_other_circuit(random.Random(10), 6, 2, 200)
         gen = GeneratorSpec.eps_biased(200, 9)
@@ -319,6 +294,26 @@ class TestSeedSearch:
         assert res.justification["kind"] == "failed"
         assert res.stats["aborted"] == "wall clock"
         assert res.seeds_tried == 0
+
+    def test_deadline_passing_mid_search_starts_no_further_seed(self, monkeypatch):
+        # each certification takes one second of a fake clock, so seeds start
+        # at 0, 1 and 2 s; the one that would start at 3 s is past 2.5 s
+        now = [0.0]
+        certified = []
+
+        def never_certifies(prepared, b_kept, m_full, params):
+            certified.append(now[0])
+            now[0] += 1.0
+            return avoid_module._uncertain_remote("junta", len(b_kept))
+
+        monkeypatch.setattr(avoid_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(avoid_module, "_certify_prepared", never_certifies)
+        c = random_other_circuit(random.Random(10), 6, 2, 200)
+        res = avoid(c, GeneratorSpec.eps_biased(200, 9), AvoidParams(budget=8, wall_clock_s=2.5))
+        assert certified == [0.0, 1.0, 2.0]
+        assert res.justification["kind"] == "failed"
+        assert res.stats["aborted"] == "wall clock"
+        assert res.seeds_tried == res.stats["seeds_tried"] == 3
 
 
 class TestOneAnalysis:
@@ -451,20 +446,3 @@ class TestPreparedTargets:
         res = avoid(c, GeneratorSpec.eps_biased(120, 10), AvoidParams(budget=16))
         assert res.justification["kind"] == "refutation"
         assert validated == []
-
-    def test_workers_ship_the_prepared_form_once_per_worker(self, monkeypatch):
-        task_bytes = []
-
-        class Recording(ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(avoid_module, "ProcessPoolExecutor", Recording)
-        rng = random.Random(12)
-        c = random_tree_circuit(rng, 6, 1, 2, 300, leaf_prob=0.15)
-        params = AvoidParams(budget=16, workers=2, certify=CertifyParams(eps=Fraction(1, 4)))
-        res = avoid(c, GeneratorSpec.eps_biased(c.m, 10), params)
-        assert res.justification["kind"] == "refutation"
-        # a task carries its seeds only; the ensemble went to each worker once
-        assert task_bytes and max(task_bytes) < 1000

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -155,8 +156,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--budget", "-3", "budget must be at least 0, got -3"),
-        ("--workers", "0", "workers must be at least 1, got 0"),
-        ("--workers", "-1", "workers must be at least 1, got -1"),
         ("--wall-clock", "-1", "wall clock must be a number of seconds >= 0, got -1.0"),
         ("--wall-clock", "nan", "wall clock must be a number of seconds >= 0, got nan"),
     ])
@@ -297,6 +296,26 @@ class TestArtifacts:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 4
         assert all(len(line) == 6 and set(line) <= {"0", "1"} for line in lines)
+
+    def test_gen_prg_enumerates_a_seed_space_past_the_cap(self, tmp_path):
+        # 2^36 seeds: the first 8 are emitted without listing the others
+        out = tmp_path / "prg.txt"
+        assert run("gen-prg", "--spec", "kwise:k=6,m=64,s=6", "--enumerate", "8",
+                   "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 8
+        assert all(len(line) == 64 and set(line) <= {"0", "1"} for line in lines)
+
+    @pytest.mark.parametrize("n, ell", [(1, 2), (4, 6)])
+    def test_subexp_draws_targets_at_the_default_ell(self, tmp_path, caplog, n, ell):
+        # default_ell(2, n): 2 ceil(2 ln n), floored at 2
+        circ = tmp_path / "circuit.json"
+        assert run("gen", "circuit", "--kind", "junta", "--n", str(n), "--t", "1",
+                   "--m", "6", "--seed", "1", "--out", str(circ)) == 0
+        caplog.set_level(logging.INFO)
+        assert run("avoid", "--circuit", str(circ), "--subexp", "--r", "2",
+                   "--budget", "4", "--out", str(tmp_path / "res.json")) in (0, 2)
+        assert f"kwise generator at independence {ell}" in caplog.text
 
 
 class TestOracleCommands:
