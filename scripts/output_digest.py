@@ -8,6 +8,12 @@ seeds:
 
     PYTHONPATH=src python scripts/output_digest.py --seeds 1 2 3
 
+With ``--passes N`` each workload runs N passes over the same set-up and
+every pass is hashed: the state kept across targets (patterns, their
+reweighting, stack layouts) must leave later, warm passes byte-identical
+to the first, cold one. The line shows the first pass's digest, and the
+script exits 1 if a later pass differs from it.
+
 ``bench/workloads.py`` is imported by path and only read.
 """
 
@@ -33,25 +39,39 @@ def _load_workloads():
     return importlib.import_module("workloads").WORKLOADS
 
 
-def digest(workload, seed: int) -> str:
+def digests(workload, seed: int, passes: int) -> list[str]:
+    """The digest of each of ``passes`` passes over one set-up."""
     inputs = workload.make_inputs(random.Random(f"{workload.name}:{seed}"))
     calls = workload.ops(inputs, workload.setup(inputs))
-    h = hashlib.sha256()
-    for call in calls:
-        h.update(workload.canonical(call()).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    out = []
+    for _ in range(passes):
+        h = hashlib.sha256()
+        for call in calls:
+            h.update(workload.canonical(call()).encode())
+            h.update(b"\n")
+        out.append(h.hexdigest())
+    return out
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--passes", type=int, default=1,
+                    help="passes over each set-up; exit 1 if a later one differs from the first")
     args = ap.parse_args()
+    if args.passes < 1:
+        ap.error(f"--passes must be at least 1, got {args.passes}")
 
+    status = 0
     for name, workload in _load_workloads().items():
         for seed in args.seeds:
-            print(f"{name}\tseed {seed}\t{digest(workload, seed)}", flush=True)
-    return 0
+            first, *later = digests(workload, seed, args.passes)
+            print(f"{name}\tseed {seed}\t{first}", flush=True)
+            for i, other in enumerate(later, 2):
+                if other != first:
+                    print(f"{name}\tseed {seed}\tpass {i} differs: {other}", file=sys.stderr)
+                    status = 1
+    return status
 
 
 if __name__ == "__main__":

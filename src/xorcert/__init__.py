@@ -27,7 +27,7 @@ from .fourier import (
     expand_junta,
     expand_layered_output,
 )
-from .prg import GeneratorSpec, enumerate_seeds, sample, sample_int, seed_count
+from .prg import GeneratorSpec, sample, sample_int, seed_count
 from .reduction import SchemeEnsemble, attach_rhs, group_characters, nonadaptive_split
 from .refuter import (
     Certificate,

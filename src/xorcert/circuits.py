@@ -156,7 +156,12 @@ class Circuit:
         return self
 
     def is_junta_circuit(self) -> bool:
-        return all_junta_gates(self.gates)
+        # immutable, as for violations: one walk over the gates per circuit
+        cached = self.__dict__.get("_junta")
+        if cached is None:
+            cached = all_junta_gates(self.gates)
+            object.__setattr__(self, "_junta", cached)
+        return cached
 
     def with_tree_gates(self) -> "Circuit":
         gates = tuple(

@@ -26,9 +26,6 @@ import numpy as np
 from .core import ValidationError
 from .gf2 import IRREDUCIBLE, gf_mul
 
-ENUMERATION_CAP = 1 << 20
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str  # uniform | eps_biased | kwise | kwise_eps_biased
@@ -222,21 +219,23 @@ def seed_count(spec: GeneratorSpec, cap: int | None = None) -> int:
     return count
 
 
-def enumerate_seeds(spec: GeneratorSpec, cap: int | None = ENUMERATION_CAP) -> range:
-    """Seeds in ascending numeric order."""
-    return range(seed_count(spec, cap))
-
-
 def seed_order(spec: GeneratorSpec) -> Iterator[int]:
     """Every seed once, lazily, degenerate seeds last.
 
     An ``eps_biased`` seed a + x 2^s (and the outer stage's seed of
     ``kwise_eps_biased``) with x = 0 gives the all-+1 string, and a in {0, 1}
     a nearly constant one. Seeds with x != 0 and a not in {0, 1} come first,
-    ascending; the rest follow, ascending. Other kinds ascend.
+    ascending; the rest follow, ascending. A ``kwise`` seed below 2^s is a
+    constant polynomial, whose string is all +1 or all -1: those come after
+    every other seed. ``uniform`` ascends.
     """
-    if spec.kind not in ("eps_biased", "kwise_eps_biased"):
+    if spec.kind == "uniform":
         yield from range(seed_count(spec))
+        return
+    if spec.kind == "kwise":
+        q = 1 << spec.field_degree
+        yield from range(q, seed_count(spec))
+        yield from range(q)
         return
     q = 1 << (spec.field_degree if spec.kind == "eps_biased" else spec.outer_degree)
     for x in range(1, q):
@@ -269,15 +268,45 @@ def _parse_eps(text: str) -> Fraction:
     return Fraction(text)
 
 
+# The keys each spec kind takes, and the pairs of keys that exclude each other.
+_SPEC_KEYS = {
+    "uniform": {"m"},
+    "biased": {"m", "s", "eps"},
+    "kwise": {"k", "m", "s"},
+    "kwise_biased": {"k", "m", "s", "so", "eps"},
+}
+_EXCLUSIVE = {"biased": ("s", "eps"), "kwise_biased": ("so", "eps")}
+
+
+def _spec_keys(text: str) -> tuple[str, dict[str, str]]:
+    """The kind and the key=value pairs of a spec; ValidationError for an
+    unknown kind, an unknown or repeated key, or two keys that exclude each
+    other."""
+    kind, _, rest = text.partition(":")
+    if kind not in _SPEC_KEYS:
+        raise ValidationError([f"bad generator spec {text!r}: unknown kind {kind!r}"])
+    kv: dict[str, str] = {}
+    errors = []
+    for part in rest.split(",") if rest else ():
+        key, _, val = part.partition("=")
+        key = key.strip()
+        if key in kv:
+            errors.append(f"repeated key {key!r}")
+        elif key not in _SPEC_KEYS[kind]:
+            errors.append(f"unknown key {key!r}; {kind} takes {', '.join(sorted(_SPEC_KEYS[kind]))}")
+        kv[key] = val.strip()
+    pair = _EXCLUSIVE.get(kind)
+    if pair and set(pair) <= set(kv):
+        errors.append(f"give {pair[0]} or {pair[1]}, not both")
+    if errors:
+        raise ValidationError([f"bad generator spec {text!r}: {e}" for e in errors])
+    return kind, kv
+
+
 def parse_spec(text: str) -> GeneratorSpec:
     """Parse CLI spec strings such as kwise:k=8,m=1024,s=10 or biased:eps=2^-20,m=4096."""
+    kind, kv = _spec_keys(text)
     try:
-        kind, _, rest = text.partition(":")
-        kv: dict[str, str] = {}
-        if rest:
-            for part in rest.split(","):
-                key, _, val = part.partition("=")
-                kv[key.strip()] = val.strip()
         if kind == "uniform":
             return GeneratorSpec.uniform(int(kv["m"]))
         if kind == "biased":
@@ -288,23 +317,21 @@ def parse_spec(text: str) -> GeneratorSpec:
         if kind == "kwise":
             s = int(kv["s"]) if "s" in kv else None
             return GeneratorSpec.kwise(int(kv["k"]), int(kv["m"]), s)
-        if kind == "kwise_biased":
-            k, m = int(kv["k"]), int(kv["m"])
-            s = int(kv["s"]) if "s" in kv else None
-            if "so" in kv:
-                inner = GeneratorSpec.kwise(k, m, s)
-                outer = GeneratorSpec.eps_biased(inner.seed_bits, int(kv["so"]))
-                return GeneratorSpec(
-                    "kwise_eps_biased",
-                    m,
-                    k=k,
-                    eps=outer.eps,
-                    field_degree=inner.field_degree,
-                    outer_degree=outer.field_degree,
-                )
-            return GeneratorSpec.kwise_eps_biased(k, m, _parse_eps(kv["eps"]), s)
-        raise KeyError(kind)
+        k, m = int(kv["k"]), int(kv["m"])
+        s = int(kv["s"]) if "s" in kv else None
+        if "so" in kv:
+            inner = GeneratorSpec.kwise(k, m, s)
+            outer = GeneratorSpec.eps_biased(inner.seed_bits, int(kv["so"]))
+            return GeneratorSpec(
+                "kwise_eps_biased",
+                m,
+                k=k,
+                eps=outer.eps,
+                field_degree=inner.field_degree,
+                outer_degree=outer.field_degree,
+            )
+        return GeneratorSpec.kwise_eps_biased(k, m, _parse_eps(kv["eps"]), s)
+    except ValidationError:
+        raise
     except (KeyError, ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
         raise ValidationError([f"bad generator spec {text!r}: {exc}"]) from exc

@@ -21,8 +21,9 @@ up to the Kikuchi entries:
   degree-reweighted matrix. Where the entries sit, which edge each reads
   and the degrees depend on the edges and the level alone: this pattern is
   computed by index arithmetic over all pairs at once, kept by the prepared
-  part for every later right-hand side, and each target only gathers its
-  signed sums into it;
+  part for every later right-hand side together with the reweighting that
+  the spectral proof reads of the degrees, and each target only gathers
+  its signed sums into it;
 * odd arity is reduced to even buckets by grouping edges on their lowest
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
   distinct group-mates, all of them formed at once by index arithmetic,
@@ -66,8 +67,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,11 +180,26 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def _ratio_up(num: int, den: int) -> float:
+    """The least float >= num / den, for den > 0: Python's int / int rounds
+    to nearest, so one step up at most."""
+    f = num / den
+    p, q = f.as_integer_ratio()
+    return f if p * den >= num * q else _up(f)
+
+
 def _float_up(value: Fraction) -> float:
-    f = float(value)
-    while Fraction(f) < value:
-        f = _up(f)
-    return f
+    return _ratio_up(value.numerator, value.denominator)
+
+
+def _mean_up(weights: Sequence[int], values: Sequence[float]) -> float:
+    """The weighted mean of floats, sum(w_i v_i) / sum(w_i), rounded upward:
+    each float is p / 2^e, so one common power of two makes the sum exact
+    in integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(q for _, q in ratios)
+    num = sum(w * p * (den // q) for w, (p, q) in zip(weights, ratios))
+    return _ratio_up(num, sum(weights) * den)
 
 
 def _sqrt_up(x: float) -> float:
@@ -205,45 +221,74 @@ def _root_up(x: float, power: int) -> float:
     return root
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class KikuchiOperator:
-    """Level-r signed subset matrix of an even-arity instance.
+    """Level-r signed subset matrix of an even-arity instance: a
+    ``KikuchiPattern`` and the signed sum at each of its positions.
 
-    Its strict upper triangle is stored by position, in increasing (row,
-    column) order, nonzero entries only: ``entries[i]`` is the integer
-    numerator, at the scale 2^-log_den, of the entry at (rows[i], cols[i]),
-    so ``len(entries)`` counts the stored entries. ``degrees[S]`` counts the
-    copies of the (edge, T) pairs incident to row S, independent of the edge
-    weights. Numerators and degrees are exact integers: int64 arrays when
-    every value fits, else object arrays of Python ints. ``build_kikuchi``
-    hands out the degrees of its ``KikuchiPattern``, read-only, since every
-    target of the pattern shares them.
+    ``values[i]`` is the integer numerator, at the scale 2^-log_den, of the
+    entry at position i of the pattern, zero where the edge's signed sum is
+    zero. ``rows``, ``cols`` and ``entries`` are the nonzero ones, in
+    increasing (row, column) order, so ``len(entries)`` counts the stored
+    entries; they are taken out of the positions at their first use.
+    ``degrees[S]`` counts the copies of the (edge, T) pairs incident to row
+    S, independent of the edge weights: the pattern's, read-only, since
+    every target of the pattern shares them. Numerators and degrees are
+    exact integers: int64 arrays when every value fits, else object arrays
+    of Python ints. Not frozen: one is made for every part and target, and
+    a frozen dataclass takes several times as long to make.
     """
 
     n: int
     k: int
     r: int
     m: int
-    rows: np.ndarray
-    cols: np.ndarray
-    entries: np.ndarray
+    pattern: KikuchiPattern
+    values: np.ndarray
     log_den: int
-    degrees: np.ndarray
     edge_multiplier: int
 
     @property
     def dim(self) -> int:
-        return comb(self.n, self.r)
+        return len(self.pattern.degrees)
 
     @property
     def trace_degree(self) -> int:
         return self.m * self.edge_multiplier
 
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.pattern.degrees
+
+    @property
+    def empty(self) -> bool:
+        """True if every entry is zero."""
+        return not np.count_nonzero(self.values)
+
+    @cached_property
+    def _nonzero(self) -> np.ndarray:
+        return np.flatnonzero(self.values)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.pattern.rows[self._nonzero]
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        return self.pattern.cols[self._nonzero]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.values[self._nonzero]
+
     def dense_matrix(self) -> np.ndarray:
         """The symmetric matrix as a new float array of num * 2^-log_den, each
         entry correctly rounded."""
-        values, _ = _entries_at(self, self.log_den, _top_bits(self))
-        return _symmetric(self.dim, self.rows, self.cols, values)[0]
+        values, _ = _entries_at(self.entries, self.log_den, _top_bits(self.entries))
+        a = np.zeros((self.dim, self.dim))
+        a[self.rows, self.cols] = values
+        a[self.cols, self.rows] = values
+        return a
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
@@ -255,73 +300,57 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _top_bits(op: KikuchiOperator) -> int:
-    """Bit length of the largest |numerator| of the entries."""
-    if not len(op.entries):
+def _top_bits(nums: np.ndarray) -> int:
+    """Bit length of the largest |numerator|."""
+    if not len(nums):
         return 0
     # no abs: it overflows on -2^63 in int64
-    return max(int(op.entries.max()), -int(op.entries.min())).bit_length()
+    return max(int(nums.max()), -int(nums.min())).bit_length()
 
 
-def _entries_at(op: KikuchiOperator, log_scale: int, top: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, errors) of the stored entries: each value is
+def _entries_at(nums: np.ndarray, log_scale: int, top: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, errors) of integer numerators: each value is
     num * 2^-log_scale correctly rounded, and errors bounds each value's
     rounding error, or is None when every value is exact. ``top`` is
-    ``_top_bits(op)``.
+    ``_top_bits(nums)``.
 
     Numerators below 2^53 at the scale 2^-1074 or coarser convert exactly
     through one float and ``ldexp``; otherwise every value is an int / int
     division, which Python rounds correctly at any size.
     """
     if top <= 53 and log_scale <= 1074:
-        return np.ldexp(op.entries.astype(np.float64), -log_scale), None
+        return np.ldexp(nums.astype(np.float64), -log_scale), None
     den = 1 << log_scale
-    nums = op.entries.tolist()
+    nums = nums.tolist()
     rounded = [num / den for num in nums]
-    # below 2^53 a normal value is exact; anything else is off by < 1 ulp
+    # below 2^53 a normal value, and zero, is exact; anything else is off by < 1 ulp
     errors = [
-        0.0 if -(1 << 53) < num < 1 << 53 and abs(v) >= _MIN_NORMAL else math.ulp(v)
+        0.0 if num == 0 or (-(1 << 53) < num < 1 << 53 and abs(v) >= _MIN_NORMAL) else math.ulp(v)
         for num, v in zip(nums, rounded)
     ]
     return np.array(rounded), np.array(errors)
 
 
-def _symmetric(
-    dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, which=0, count: int = 1
-) -> np.ndarray:
-    """``count`` symmetric dim x dim matrices with zero diagonal as one new
-    (count, dim, dim) array: each value at (which, row, col) and at its
-    mirror (which, col, row)."""
-    a = np.zeros((count, dim, dim))
-    a[which, rows, cols] = values
-    a[which, cols, rows] = values
-    return a
-
-
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays one after the other; a single one is not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    """The arrays one after the other along their last axis; a single one is
+    not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
 
 
-def _gammas(ops: Sequence[KikuchiOperator]) -> np.ndarray:
-    """deg_S + d of every row S of operators of one side length, a row per
-    operator, each correctly rounded as Python's int / int is: by one float
-    division while every deg_S * dim + d * dim stays below 2^53, where both
-    operands are exact floats and IEEE division rounds their quotient
-    correctly too."""
-    dim = ops[0].dim
-    degrees = _joined([op.degrees for op in ops]).reshape(len(ops), dim)
-    extra = [op.trace_degree for op in ops]
-    if degrees.dtype != object and int(degrees.max()) * dim + max(extra) < 1 << 53:
-        return (degrees * dim + np.array(extra)[:, None]) / dim
-    return np.array([
-        [(deg * dim + e) / dim for deg in op.degrees.tolist()] for op, e in zip(ops, extra)
-    ])
+def _gamma_of(degrees: np.ndarray, trace_degree: int) -> np.ndarray:
+    """deg_S + d of every row S, with d = trace_degree / dim, each correctly
+    rounded as Python's int / int is: by one float division while every
+    deg_S * dim + d * dim stays below 2^53, where both operands are exact
+    floats and IEEE division rounds their quotient correctly too."""
+    dim = len(degrees)
+    if degrees.dtype != object and int(degrees.max()) * dim + trace_degree < 1 << 53:
+        return (degrees * dim + trace_degree) / dim
+    return np.array([(deg * dim + trace_degree) / dim for deg in degrees.tolist()])
 
 
 def _gamma(op: KikuchiOperator) -> np.ndarray:
     """deg_S + d of every row S of one operator."""
-    return _gammas([op])[0]
+    return _gamma_of(op.degrees, op.trace_degree)
 
 
 def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
@@ -337,6 +366,22 @@ def _kikuchi_dim(n: int, k: int, r: int, dense_cap: int) -> int:
     return dim
 
 
+class _Layout(NamedTuple):
+    """What the spectral proof reads of the patterns of a stack of operators
+    of one side length, whatever the signed sums (its steps 1-2). G is
+    Gamma rounded down, and D the powers of two that put D^-2 G in
+    [1/2, 2). A pattern keeps the layout of a stack of itself alone, with
+    read-only arrays; a longer stack's is joined from those."""
+
+    starts: np.ndarray  # where each operator's positions start
+    which: np.ndarray | int  # the operator of each position; 0 for a stack of one
+    pair: np.ndarray  # D^-1_S D^-1_T at each position (S, T)
+    at: np.ndarray  # each position's place in the flattened stack; its mirror's below
+    scale: np.ndarray  # (D^-2 G)^-1/2, the estimate's scale, a row per operator
+    diag: np.ndarray  # D^-2 G, a row per operator
+    diag_sum: np.ndarray  # tr(D^-2 G) summed upward, per operator
+
+
 @dataclass(frozen=True, eq=False)
 class KikuchiPattern:
     """Where the level-r matrix of a list of distinct edges can be nonzero,
@@ -345,9 +390,12 @@ class KikuchiPattern:
     Position i of the strict upper triangle, at (rows[i], cols[i]) in
     increasing (row, column) order, holds the signed sum of distinct edge
     ``edge[i]``: S xor T determines the edge, so no position holds two.
-    ``degrees`` are those of ``KikuchiOperator``. Only the edges, their
-    copies and the level fix a pattern, not the signed sums. Its arrays are
-    read-only: every later target reads them.
+    ``degrees`` are those of ``KikuchiOperator``; they sum to the trace
+    degree, d times the side. Only the edges, their copies and the level fix
+    a pattern, not the signed sums. Its arrays are read-only: every later
+    target reads them. ``layout`` is what the spectral proof reads of the
+    pattern, its reweighting among it, computed at the pattern's first
+    proof and kept for every later target.
     """
 
     rows: np.ndarray
@@ -355,14 +403,36 @@ class KikuchiPattern:
     edge: np.ndarray
     degrees: np.ndarray
 
+    @cached_property
+    def layout(self) -> _Layout:
+        """The ``_Layout`` of a stack of this pattern alone."""
+        gamma = np.nextafter(_gamma_of(self.degrees, int(self.degrees.sum())), 0.0)
+        inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
+        diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
+        places = np.array((self.rows, self.cols))
+        layout = _Layout(
+            np.zeros(1, dtype=np.intp),
+            0,
+            inv[self.rows] * inv[self.cols],
+            places * len(diag) + places[::-1],
+            (1.0 / np.sqrt(diag))[None],
+            diag[None],
+            np.array([_up(math.fsum(diag.tolist()))]),
+        )
+        for array in layout:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        return layout
 
-@dataclass(frozen=True)
+
+@dataclass(eq=False)
 class CoalescedEdges:
     """One edge size of an instance as its distinct edges.
 
     Distinct edge j is the vertex bitmask ``edges[j]``, with ``copies[j]``
     copies and the signed sum ``sums[j]`` of b * w over them, an integer at
-    the scale 2^-log_den. ``m`` counts copies, so the degrees, d and the
+    the scale 2^-log_den: ``sums`` is an int64 array, or an object array of
+    Python ints past int64. ``m`` counts copies, so the degrees, d and the
     trace degree of the Kikuchi matrix are those of the per-copy instance.
     ``live[j]`` counts the edge's copies of nonzero weight, which are the
     ones the odd split pairs; it is None for the even buckets of that split,
@@ -370,7 +440,8 @@ class CoalescedEdges:
     ``KikuchiPattern`` of these edges and copies: ``PreparedScheme.coalesced``
     hands every right-hand side of a part the part's own map, so the
     pattern of a level is built once, at the first of them. Under
-    ``split_weights`` and in the odd buckets the map is fresh.
+    ``split_weights`` and in the odd buckets the map is fresh. Not frozen,
+    as ``KikuchiOperator``: one is made for every part and target.
     """
 
     n: int
@@ -379,7 +450,7 @@ class CoalescedEdges:
     log_den: int
     edges: Sequence[int]
     copies: Sequence[int]
-    sums: Sequence[int]
+    sums: np.ndarray
     live: Sequence[int] | None = None
     patterns: dict[int, KikuchiPattern] = field(default_factory=dict, compare=False, repr=False)
 
@@ -426,16 +497,18 @@ class PreparedScheme:
         return self.span[0] == self.span[1]
 
     def coalesced(
-        self, sums: Sequence[int], unit_copies: Sequence[int] | None = None
+        self, sums: np.ndarray, unit_copies: np.ndarray | None = None
     ) -> dict[int, CoalescedEdges]:
         """One ``CoalescedEdges`` per edge size, given the signed sums of the
-        right-hand side. ``unit_copies`` (``PreparedSchemes.unit_copies``),
-        given under ``split_weights``, counts a copy of weight num * 2^-L as
-        |num| live copies of weight 2^-L with the sign of num moved into
-        their rhs: the signed sums are unchanged, and zero weights leave no
-        copy, so edges and sizes with no weight drop out. Such a part has a
-        fresh pattern map, as in ``refute(inst)``, so its patterns are built
-        for each right-hand side."""
+        right-hand side, by row (``PreparedSchemes.signed_sums``): each part
+        reads a view of its rows. ``unit_copies``
+        (``PreparedSchemes.unit_copies``), given under ``split_weights``,
+        counts a copy of weight num * 2^-L as |num| live copies of weight
+        2^-L with the sign of num moved into their rhs: the signed sums are
+        unchanged, and zero weights leave no copy, so edges and sizes with
+        no weight drop out. Such a part has a fresh pattern map, as in
+        ``refute(inst)``, so its patterns are built for each right-hand
+        side."""
         out = {}
         for part in self.parts:
             rows = slice(part.row, part.row + len(part.edges))
@@ -445,11 +518,13 @@ class PreparedScheme:
                     part.live, part.patterns,
                 )
                 continue
-            kept = [(e, u, s) for e, u, s in zip(part.edges, unit_copies[rows], sums[rows]) if u]
-            if kept:
-                edges, copies, kept_sums = zip(*kept)
+            kept = np.flatnonzero(unit_copies[rows])
+            if len(kept):
+                copies = unit_copies[rows][kept].tolist()
+                edges = [part.edges[j] for j in kept.tolist()]
                 out[part.k] = CoalescedEdges(
-                    self.n, part.k, sum(copies), self.log_den, edges, copies, kept_sums, copies
+                    self.n, part.k, sum(copies), self.log_den, edges, copies, sums[rows][kept],
+                    copies,
                 )
         return out
 
@@ -468,6 +543,13 @@ class PreparedSchemes:
     units as floats when their absolute sum is below 2^53, which keeps
     every float partial sum an exact integer; otherwise it is None and the
     sums are taken in Python integers.
+
+    What depends on the schemes alone is kept for every target: each part's
+    Kikuchi patterns with their reweighting (``KikuchiPattern.layout``),
+    built at the part's first target, and in ``layouts`` the last layout of
+    each stack of the spectral proof. A target computes only its signed
+    sums, as one array that each part reads a view of, gathers them into
+    its operators, and proves the stacks.
     """
 
     m: int
@@ -477,22 +559,24 @@ class PreparedSchemes:
     outputs: np.ndarray
     units: np.ndarray
     weights: np.ndarray | None
+    layouts: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _row_sums(self, signs: np.ndarray) -> list[int]:
+    def _row_sums(self, signs: np.ndarray) -> np.ndarray:
         """Exact sum of signs[i] * units[i] over the live copies i of every
-        distinct edge, by row, for an int64 array of one +-1 per live copy."""
+        distinct edge, by row, for an int64 array of one +-1 per live copy:
+        an int64 array, or an object array of Python ints past int64."""
         if self.weights is None:
             sums = [0] * self.n_rows
             for row, sign, units in zip(self.rows.tolist(), signs.tolist(), self.units.tolist()):
                 sums[row] += sign * units
-            return sums
-        return np.bincount(self.rows, signs * self.weights, self.n_rows).astype(np.int64).tolist()
+            return _int_array(sums)
+        return np.bincount(self.rows, signs * self.weights, self.n_rows).astype(np.int64)
 
-    def signed_sums(self, b: Sequence[int]) -> list[int]:
+    def signed_sums(self, b: Sequence[int]) -> np.ndarray:
         """Signed sum of b * w * 2^L of every distinct edge, by row."""
         return self._row_sums(np.asarray(b, dtype=np.int64)[self.outputs])
 
-    def unit_copies(self) -> list[int]:
+    def unit_copies(self) -> np.ndarray:
         """Sum of |w| * 2^L of every distinct edge, by row: its copies under
         ``split_weights``."""
         return self._row_sums(np.where(self.units < 0, -1, 1))
@@ -519,13 +603,13 @@ class PreparedSchemes:
         spectral ones are proved in one ``spectral_certificate`` call, and
         each nonzero scheme folds the bounds into its certificate."""
         # with no live copy every scheme is zero and reads neither
-        sums = self.signed_sums(b) if len(self.units) else []
+        sums = self.signed_sums(b) if len(self.units) else None
         unit_copies = self.unit_copies() if params.split_weights and len(self.units) else None
         ops: list[KikuchiOperator] = []
         folds = [
             _refute_scheme(self.schemes[j], sums, unit_copies, params, ops) for j in self.nonzero
         ]
-        bounds = spectral_certificate(ops) if ops else []
+        bounds = spectral_certificate(ops, layouts=self.layouts) if ops else []
         proved = [_spectral(op, bound) for op, bound in zip(ops, bounds)]
         certs = [_ZERO] * len(self.schemes)
         for j, fold in zip(self.nonzero, folds):
@@ -805,10 +889,10 @@ def build_kikuchi(
 
     The level's ``KikuchiPattern`` comes from ``inst.patterns``, or is built
     there by ``_kikuchi_pattern`` if it is the first for these edges. The
-    operator then gathers each position's signed sum and keeps the nonzero
-    ones: exact integers at the edges' scale, int64 when every signed sum
-    fits, else Python ints. A level that does not exist, or whose side
-    exceeds ``dense_cap``, raises ResourceCap before anything is built.
+    operator then gathers each position's signed sum, zeros included: exact
+    integers at the edges' scale, of the dtype of ``inst.sums``. A level
+    that does not exist, or whose side exceeds ``dense_cap``, raises
+    ResourceCap before anything is built.
     """
     if inst.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
@@ -820,12 +904,9 @@ def build_kikuchi(
     pattern = inst.patterns.get(r)
     if pattern is None:
         pattern = inst.patterns[r] = _kikuchi_pattern(n, k, r, inst.edges, inst.copies)
-    nums = _int_array(inst.sums)[pattern.edge]
-    kept = nums != 0  # zero sums stay out
     return KikuchiOperator(
-        n=n, k=k, r=r, m=inst.m, rows=pattern.rows[kept], cols=pattern.cols[kept],
-        entries=nums[kept], log_den=inst.log_den, degrees=pattern.degrees,
-        edge_multiplier=comb(k, k // 2) * comb(n - k, r - k // 2),
+        n, k, r, inst.m, pattern, inst.sums[pattern.edge], inst.log_den,
+        comb(k, k // 2) * comb(n - k, r - k // 2),
     )
 
 
@@ -939,7 +1020,7 @@ def trace_certificate(
     _check_ell(ell)
     dim = op.dim
     ell = truncate_ell(ell, dim, work_flops)
-    if not len(op.entries):
+    if op.empty:
         return 0.0, ell
     pmid, prad = _interval_power(_reweighted_interval(op), ell // 2)
     raw = float(np.sum(pmid * pmid.T))
@@ -1017,7 +1098,7 @@ def _lanczos_top(upper: tuple[np.ndarray, np.ndarray, np.ndarray], scale: np.nda
 
 
 def _estimate_top(
-    a: np.ndarray, upper: tuple[np.ndarray, np.ndarray, np.ndarray], scale: np.ndarray
+    a: np.ndarray, upper: tuple[np.ndarray, np.ndarray, np.ndarray] | None, scale: np.ndarray
 ) -> np.ndarray:
     """Largest |eigenvalue| of each diag(scale_i) a_i diag(scale_i), not
     certified, for a stack a of symmetric matrices with zero diagonal and a
@@ -1085,51 +1166,89 @@ def _cholesky_proves(
     return True
 
 
+def _layout(patterns: Sequence[KikuchiPattern]) -> _Layout:
+    """The layout of a stack of operators with these patterns: each
+    pattern's own, joined, with every position placed in its operator's
+    matrix of the stack."""
+    if len(patterns) == 1:
+        return patterns[0].layout
+    layouts = [pattern.layout for pattern in patterns]
+    count, dim = len(layouts), layouts[0].diag.shape[1]
+    sizes = [len(layout.pair) for layout in layouts]
+    which = np.repeat(np.arange(count), sizes)
+    return _Layout(
+        np.cumsum(sizes) - sizes,
+        which,
+        _joined([layout.pair for layout in layouts]),
+        _joined([layout.at for layout in layouts]) + which * (dim * dim),
+        np.concatenate([layout.scale for layout in layouts]),
+        np.concatenate([layout.diag for layout in layouts]),
+        np.concatenate([layout.diag_sum for layout in layouts]),
+    )
+
+
 def _scaled_stack(
-    ops: Sequence[KikuchiOperator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], np.ndarray]:
+    ops: Sequence[KikuchiOperator], layout: _Layout
+) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
     """Steps 1 and 2 of ``spectral_certificate`` over a stack of nonempty
-    operators of one side length: (the matrices D^-1 A' D^-1 as one new
-    (count, dim, dim) array, the diagonals D^-2 G, the tails, the top bits,
-    the estimates). Every array the size of the entries is dropped on
-    return, before any Cholesky."""
+    operators of one side length, laid out by ``layout``: (the matrices
+    D^-1 A' D^-1 as one new (count, dim, dim) array, the tails, the top
+    bits, the estimates).
+
+    Everything that depends on the degrees alone comes from the layout. Per
+    target the signed sums of every position, zeros included, are joined
+    once: one reduceat of max and one of min give each operator's top bits,
+    one ``ldexp`` with an exponent per entry scales them while every
+    numerator is an int64 below 2^53 (else each operator goes through
+    ``_entries_at``), and one scatter writes the stack. A zero writes the
+    zero that is already there and adds nothing to the tops or the tails,
+    so the stack is that of the nonzero entries alone. Every array the size
+    of the entries is dropped on return, before any Cholesky."""
     count, dim = len(ops), ops[0].dim
-    tops = [_top_bits(op) for op in ops]
-    converted = [_entries_at(op, top, top) for op, top in zip(ops, tops)]
-    rows = _joined([op.rows for op in ops])
-    cols = _joined([op.cols for op in ops])
-    values = _joined([v for v, _ in converted])
-    # the operator of each entry
-    which = np.repeat(np.arange(count), [len(v) for v, _ in converted]) if count > 1 else 0
-    gamma = np.nextafter(_gammas(ops), 0.0)
-    inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
-    diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
-    pair = inv[which, rows] * inv[which, cols]
-    upper = values * pair
-    buf = _symmetric(dim, rows, cols, upper, which, count)  # D^-1 A' D^-1, owned
-    lam_hat = _estimate_top(buf, (rows, cols, upper), 1.0 / np.sqrt(diag))
+    nums = _joined([op.values for op in ops])
+    highs = np.maximum.reduceat(nums, layout.starts).tolist()
+    lows = np.minimum.reduceat(nums, layout.starts).tolist()
+    tops = [max(high, -low).bit_length() for high, low in zip(highs, lows)]
+    errors = None
+    if nums.dtype != object and max(tops) <= 53:
+        values = np.ldexp(nums.astype(np.float64), np.negative(tops)[layout.which])
+    else:
+        converted = [_entries_at(op.values, top, top) for op, top in zip(ops, tops)]
+        values = _joined([v for v, _ in converted])
+        inexact = [i for i, (_, e) in enumerate(converted) if e is not None]
+        if inexact:
+            errors = _joined([np.zeros(len(v)) if e is None else e for v, e in converted])
+    upper = values * layout.pair
+    buf = np.zeros((count, dim, dim))  # D^-1 A' D^-1, owned
+    buf.reshape(-1)[layout.at] = upper
+    triangle = None
+    if dim >= _LANCZOS_FROM:  # a stack of one; Lanczos reads its nonzero entries
+        nonzero = np.flatnonzero(nums)
+        pattern = ops[0].pattern
+        triangle = (pattern.rows[nonzero], pattern.cols[nonzero], upper[nonzero])
+    lam_hat = _estimate_top(buf, triangle, layout.scale)
 
     tail = np.zeros(count)  # ||D^-1 F D^-1||_2, bounded by its largest row sum, upward
-    inexact = [i for i, (_, errors) in enumerate(converted) if errors is not None]
-    if inexact:
-        errors = _joined([np.zeros(len(v)) if e is None else e for v, e in converted])
-        scaled = errors * pair
-        at, size = which * dim, count * dim
-        row_sums = np.bincount(at + rows, scaled, size) + np.bincount(at + cols, scaled, size)
+    if errors is not None:
+        scaled = errors * layout.pair
+        size = count * dim
+        # at // dim is the row of each position, and of its mirror, in the stack
+        rows, cols = layout.at // dim
+        row_sums = np.bincount(rows, scaled, size) + np.bincount(cols, scaled, size)
         largest = row_sums.reshape(count, dim).max(axis=1)[inexact]
         tail[inexact] = _up_each(largest * (1.0 + 2.0 * dim * _EPS))
-    return buf, diag, tail, tops, lam_hat
+    return buf, tail, tops, lam_hat
 
 
-def _prove_stack(ops: Sequence[KikuchiOperator]) -> list[float | None]:
+def _prove_stack(ops: Sequence[KikuchiOperator], layout: _Layout) -> list[float | None]:
     """``spectral_certificate`` of nonempty operators of one side length,
     all below ``_LANCZOS_FROM`` or a single one: one estimate and one
     Cholesky of both sides of every matrix at the first rung. If that
     Cholesky fails, each operator is proved again alone, as a stack of one,
     which climbs the ladder."""
     count, dim = len(ops), ops[0].dim
-    buf, diag, tail, tops, lam_hat = _scaled_stack(ops)
-    diag_sum = _up_each([math.fsum(row) for row in diag.tolist()])
+    buf, tail, tops, lam_hat = _scaled_stack(ops, layout)
+    diag, diag_sum = layout.diag, layout.diag_sum
 
     # With an exact estimate this leaves H a smallest eigenvalue of at least
     # three times the shift.
@@ -1142,7 +1261,7 @@ def _prove_stack(ops: Sequence[KikuchiOperator]) -> list[float | None]:
     for stack in _sides(buf, stacked=dim < _LANCZOS_FROM):
         while not _cholesky_proves(stack, diag, lam, shift):
             if count > 1:  # some matrix needs a higher rung than the others
-                return [bound for op in ops for bound in _prove_stack([op])]
+                return [b for op in ops for b in _prove_stack([op], op.pattern.layout)]
             rung += 1
             if rung == len(_LADDER):
                 return [None]
@@ -1157,10 +1276,15 @@ def _prove_stack(ops: Sequence[KikuchiOperator]) -> list[float | None]:
 _STACK_ENTRIES = 1 << 18
 
 
-def spectral_certificate(ops: Sequence[KikuchiOperator]) -> list[float | None]:
+def spectral_certificate(
+    ops: Sequence[KikuchiOperator], layouts: dict | None = None
+) -> list[float | None]:
     """Proved upper bound lam on the norm of B = Gamma^-1/2 A Gamma^-1/2 of
     each operator, in order: 0 for an operator without entries, None where
     no rung of the ladder proves one, which makes its certificate uncertain.
+    ``layouts``, a dict that the caller keeps from one batch to the next,
+    holds the last layout of each stack (``_Layout``), which the next batch
+    reuses if the stack has the same patterns.
 
     The norm is at most lam exactly when lam Gamma - A and lam Gamma + A are
     both positive semidefinite. lam is an estimate of B's largest
@@ -1182,14 +1306,19 @@ def spectral_certificate(ops: Sequence[KikuchiOperator]) -> list[float | None]:
     lam Gamma + A.
 
     1. Scaling. A' = 2^t A, with t = log_den - (bit length of the largest
-       |numerator|), has its largest |entry| in [1/2, 1). ``_entries_at``
-       rounds its entries correctly; F, the float A' minus the exact one,
-       has |F_ij| <= err_ij. G = Gamma rounded down: ``_gammas`` rounds
-       correctly, so one nextafter toward 0 gives G <= Gamma. D is the
-       diagonal of powers of two with D^-2 G in [1/2, 2); scaling by D^-1
-       is exact and keeps semidefiniteness.
-    2. The matrix. M has off-diagonal s D^-1 A' D^-1, in floats, and
-       diagonal m_i = lam (D^-2 G)_i rounded down. Then
+       |numerator|), has its largest |entry| in [1/2, 1). Its entries are
+       rounded correctly: exactly by one ``ldexp`` while every numerator
+       is below 2^53, else by ``_entries_at``; F, the float A' minus the
+       exact one, has |F_ij| <= err_ij. G = Gamma rounded down:
+       ``_gamma_of`` rounds correctly, so one nextafter toward 0 gives
+       G <= Gamma. D is the diagonal of powers of two with D^-2 G in
+       [1/2, 2); scaling by D^-1 is exact and keeps semidefiniteness. G, D,
+       D^-2 G and its trace depend on the degrees alone: the operator's
+       pattern computes them once (``KikuchiPattern.layout``), and a
+       target computes only t and A'.
+    2. The matrix. M has off-diagonal s D^-1 A' D^-1, in floats: each
+       entry A'_ij times D^-1_i D^-1_j, a product the pattern keeps for
+       every position. Its diagonal is m_i = lam (D^-2 G)_i rounded down. Then
        D^-1 (lam Gamma + s A') D^-1 = M + N - s D^-1 F D^-1, with N a
        diagonal >= 0.
     3. The shift. H is M with diagonal m_i - c rounded down, so
@@ -1223,13 +1352,19 @@ def spectral_certificate(ops: Sequence[KikuchiOperator]) -> list[float | None]:
     bounds: list[float | None] = [0.0] * len(ops)
     by_side: dict[int, list[int]] = {}
     for i, op in enumerate(ops):
-        if len(op.entries):
+        if not op.empty:
             by_side.setdefault(op.dim, []).append(i)
+    if layouts is None:
+        layouts = {}
     for dim, members in by_side.items():
         size = max(1, _STACK_ENTRIES // (dim * dim)) if dim < _LANCZOS_FROM else 1
         for lo in range(0, len(members), size):
-            chunk = members[lo : lo + size]
-            for i, bound in zip(chunk, _prove_stack([ops[i] for i in chunk])):
+            stack = [ops[i] for i in members[lo : lo + size]]
+            patterns = tuple(op.pattern for op in stack)
+            last = layouts.get((dim, lo))
+            if last is None or last[0] != patterns:
+                last = layouts[(dim, lo)] = (patterns, _layout(patterns))
+            for i, bound in zip(members[lo : lo + size], _prove_stack(stack, last[1])):
                 bounds[i] = bound
     return bounds
 
@@ -1323,13 +1458,13 @@ def odd_to_even(part: CoalescedEdges) -> OddSplit:
         bucket_copies = copies[at].tolist()
         buckets[size] = CoalescedEdges(
             part.n, size, sum(bucket_copies), log_den, edges[at].tolist(), bucket_copies,
-            totals[at].tolist(),
+            totals[at],
         )
     return OddSplit(n_groups=len(starts), diag_term=diag, buckets=buckets)
 
 
 def _combine_mode(parts: Sequence[Certificate]) -> str:
-    modes = {c.mode for c in parts}
+    modes = set(map(attrgetter("mode"), parts))
     for mode in ("trace", "spectral", "parity", "direct"):
         if mode in modes:
             return mode
@@ -1339,7 +1474,7 @@ def _combine_mode(parts: Sequence[Certificate]) -> str:
 def _combine(parts: list[Certificate], bound: float) -> Certificate:
     """The certificate made of ``parts``: ``bound`` if every part is
     certified, else uncertain at the trivial bound 1."""
-    certified = all(c.certified for c in parts)
+    certified = set(map(attrgetter("status"), parts)) <= {"certified"}
     return Certificate(
         mode=_combine_mode(parts),
         bound=bound if certified else 1.0,
@@ -1375,8 +1510,8 @@ def _refute_direct(part: CoalescedEdges) -> Certificate:
     """Arity 0 or 1: each distinct edge is the constant or one variable, so
     the value is at most the sum of |signed sum| over m, and exactly that
     for arity 1."""
-    total = sum(map(abs, part.sums))
-    bound = _float_up(Fraction(total, part.m << part.log_den))
+    total = sum(map(abs, part.sums.tolist()))
+    bound = _ratio_up(total, part.m << part.log_den)
     return Certificate(mode="direct", bound=bound, status="certified")
 
 
@@ -1442,8 +1577,8 @@ def _clamp(cert: Certificate) -> Certificate:
 
 def _refute_scheme(
     scheme: PreparedScheme,
-    sums: Sequence[int],
-    unit_copies: Sequence[int] | None,
+    sums: np.ndarray,
+    unit_copies: np.ndarray | None,
     params: RefuteParams,
     ops: list[KikuchiOperator],
 ) -> _Fold:
@@ -1455,15 +1590,14 @@ def _refute_scheme(
 
     def fold(proved: Sequence[Certificate]) -> Certificate:
         certs = [_clamp(part_fold(proved)) for part_fold in folds]
-        m = sum(part.m for part in parts)
         if len(certs) == 1:
             cert = certs[0]
         else:
             # each part's bound is at most 1, so their average is too
-            total = sum(Fraction(p.m, m) * Fraction(c.bound) for p, c in zip(parts, certs))
-            cert = _combine(certs, _float_up(total))
+            cert = _combine(certs, _mean_up([p.m for p in parts], [c.bound for c in certs]))
         if unit_copies is not None and cert.certified:
             # the m unit copies have the term sums of the scheme's original copies
+            m = sum(part.m for part in parts)
             cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
         return _clamp(cert)
 

@@ -154,6 +154,18 @@ class TestExitCodes:
     def test_zero_division_in_spec_exits_one(self, spec):
         assert run("gen-prg", "--spec", spec) == 1
 
+    @pytest.mark.parametrize("spec, message", [
+        ("biased:m=4,s=3,x=1", "unknown key 'x'"),
+        ("biased:m=4,m=8,s=3", "repeated key 'm'"),
+        ("biased:m=4,s=3,eps=1/2", "give s or eps, not both"),
+        ("kwise:k=2,m=4,s=2,so=5", "unknown key 'so'"),
+    ])
+    def test_bad_spec_key_exits_one(self, tmp_path, caplog, spec, message):
+        out = tmp_path / "prg.txt"
+        assert run("gen-prg", "--spec", spec, "--out", str(out)) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--budget", "-3", "budget must be at least 0, got -3"),
         ("--wall-clock", "-1", "wall clock must be a number of seconds >= 0, got -1.0"),

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from xorcert.gf2 import IRREDUCIBLE, gf_mul
 from xorcert.oracle import brute_bias, brute_independence
 from xorcert.prg import (
     GeneratorSpec,
-    enumerate_seeds,
     format_spec,
     parse_spec,
     sample,
@@ -69,6 +68,18 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             parse_spec("kwise:m=4")
 
+    @pytest.mark.parametrize("text, message", [
+        ("biased:m=4,s=3,x=1", "unknown key 'x'; biased takes eps, m, s"),
+        ("biased:m=4,m=8,s=3", "repeated key 'm'"),
+        ("biased:m=4,s=3,eps=1/2", "give s or eps, not both"),
+        ("kwise:k=2,m=4,s=2,so=5", "unknown key 'so'; kwise takes k, m, s"),
+        ("kwise_biased:k=2,m=4,so=6,eps=1/8", "give so or eps, not both"),
+        ("uniform:m=4,", "unknown key ''"),
+    ])
+    def test_parse_rejects_bad_keys(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_spec(text)
+
 
 class TestSampling:
     def test_zero_seed_all_plus_one(self):
@@ -122,10 +133,6 @@ class TestSampling:
         rng = random.Random(0)
         for seed in [0, 1, 2, (1 << spec.seed_bits) - 1] + [rng.randrange(1 << spec.seed_bits) for _ in range(20)]:
             assert sample_int(spec, seed) == tuple(1 - 2 * b for b in bits(spec, seed))
-
-    def test_enumerate_ascending(self):
-        spec = GeneratorSpec.kwise(2, 4, 2)
-        assert list(enumerate_seeds(spec)) == list(range(16))
 
 
 @pytest.fixture()
@@ -201,8 +208,21 @@ class TestSeedOrder:
         assert sorted(seed_order(spec)) == list(range(seed_count(spec)))
 
     def test_plain_kinds_ascend(self):
-        for spec in (GeneratorSpec.uniform(3), GeneratorSpec.kwise(2, 4, 2)):
-            assert list(seed_order(spec)) == list(range(seed_count(spec)))
+        # uniform is the one kind without degenerate seeds
+        spec = GeneratorSpec.uniform(3)
+        assert list(seed_order(spec)) == list(range(seed_count(spec)))
+
+    def test_kwise_constant_seeds_last(self):
+        # seeds below 2^s are constant polynomials: all +1 or all -1
+        spec = GeneratorSpec.kwise(2, 4, 2)
+        assert list(seed_order(spec)) == list(range(4, 16)) + list(range(4))
+        assert all(len(set(sample_int(spec, seed))) == 1 for seed in range(4))
+
+    def test_kwise_budget_samples_no_constant_string(self):
+        spec = GeneratorSpec.kwise(6, 64)
+        first = list(islice(seed_order(spec), 256))
+        assert all(len(set(sample_int(spec, seed))) == 2 for seed in first)
+        assert len(set(first)) == 256
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec.eps_biased(5, 3),

@@ -19,6 +19,7 @@ from xorcert import refuter
 from xorcert.refuter import (
     Certificate,
     KikuchiOperator,
+    KikuchiPattern,
     RefuteParams,
     ResourceCap,
     build_kikuchi,
@@ -500,7 +501,7 @@ class TestSpectralProof:
         op = _graph_op(n, [tuple(sorted(rng.sample(range(n // 2), 2))) for _ in range(3 * n)], rng)
         assert n // 2 - 1 not in set(op.rows.tolist()) and op.degrees[n // 2 - 1] > 0
         scale = 1.0 / np.sqrt(refuter._gamma(op))
-        values, _ = refuter._entries_at(op, op.log_den, refuter._top_bits(op))
+        values, _ = refuter._entries_at(op.entries, op.log_den, refuter._top_bits(op.entries))
         estimate = refuter._lanczos_top((op.rows, op.cols, values), scale)
         norm = _eigen_norm(op)
         assert abs(estimate - norm) <= 2.0**-26 * norm
@@ -546,7 +547,7 @@ class TestBatchedProof:
         n = sides[0]  # in a stack with others
         wide = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(12)], rng,
                          weights=[Dyadic((1 << 60) + 1, 61)] * 12)
-        assert refuter._top_bits(wide) > 53  # the values carry errors and a tail
+        assert refuter._top_bits(wide.entries) > 53  # the values carry errors and a tail
         n = refuter._LANCZOS_FROM + 4
         big = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)], rng)
         batch = data.draw(st.permutations(batch + [wide, big]), label="order")
@@ -575,6 +576,50 @@ class TestBatchedProof:
         for op, bound in zip(batch, bounds):
             if op.dim < 10:
                 assert spectral_bound_holds(op, bound)
+
+    def test_a_mixed_batch_equals_its_operators_alone(self):
+        """A Lanczos operator, small operators of two side lengths, one whose
+        sums are all zero and one with entries past int64, in one batch:
+        each bound is bit-identical to the operator's proof alone, and a
+        batch that reuses its layouts proves the same."""
+        rng = random.Random(234)
+        small = [
+            _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)], rng)
+            for n, m in ((5, 7), (8, 20), (5, 9), (8, 13))
+        ]
+        zero = build_kikuchi(coalesce(make_instance(5, [(0, 1), (0, 1)], [1, -1])), 1)
+        w = Dyadic((1 << 70) - 1, 70)
+        wide = build_kikuchi(coalesce(make_instance(
+            8, [(3, 6)] * 3 + [(0, 7), (1, 2)], [1, 1, 1, -1, 1], weights=[w] * 5
+        )), 1)
+        n = refuter._LANCZOS_FROM + 4
+        big = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)], rng)
+        assert zero.empty and wide.values.dtype == object and big.dim >= refuter._LANCZOS_FROM
+        batch = [small[0], big, small[1], zero, wide, small[2], small[3]]
+        alone = [spectral_certificate([op])[0] for op in batch]
+        layouts = {}
+        for _ in range(2):
+            assert _hexed(spectral_certificate(batch, layouts=layouts)) == _hexed(alone)
+        assert alone[3] == 0.0 and None not in alone
+        for op, bound in zip(batch, alone):
+            if op.dim < 10:
+                assert spectral_bound_holds(op, bound)
+
+    @pytest.mark.parametrize("weight", [Dyadic(3, 4), Dyadic((1 << 60) + 1, 61)],
+                             ids=["exact", "above-2^53"])
+    def test_zero_positions_change_no_bit(self, weight):
+        """An operator with positions whose sums are zero is proved bit for
+        bit as the operator of its nonzero positions alone."""
+        rng = random.Random(235)
+        edges = [(0, 1), (0, 1), (2, 3), (1, 4), (3, 5), (0, 5), (2, 4)]
+        rhs = [1, -1] + [rng.choice((1, -1)) for _ in edges[2:]]
+        op = build_kikuchi(coalesce(make_instance(6, edges, rhs, weights=[weight] * 7)), 2)
+        assert 0 < len(op.entries) < len(op.values)
+        pattern = KikuchiPattern(op.rows, op.cols, np.arange(len(op.entries)), op.degrees)
+        nonzero = KikuchiOperator(op.n, op.k, op.r, op.m, pattern, op.entries, op.log_den,
+                                  op.edge_multiplier)
+        assert _hexed(spectral_certificate([op])) == _hexed(spectral_certificate([nonzero]))
+        assert (op.dense_matrix() == nonzero.dense_matrix()).all()
 
     def test_a_low_estimate_climbs_the_ladder_alone(self, monkeypatch):
         rng = random.Random(19)
@@ -654,18 +699,23 @@ class TestExactConversions:
         # numerators past 2^53 round once, as float(Dyadic) rounds them
         nums = st.one_of(st.integers(-8, 8), st.integers(-(1 << 80), 1 << 80)).filter(bool)
         entries = {(i, j): data.draw(nums, label="num") for i, j in sorted(keys) if i < j}
+        rows = np.array([i for i, _ in entries], dtype=np.intp)
+        pattern = KikuchiPattern(
+            rows=rows,
+            cols=np.array([j for _, j in entries], dtype=np.intp),
+            edge=np.arange(len(rows)),
+            degrees=refuter._int_array(data.draw(
+                st.lists(st.integers(0, 1 << 60), min_size=dim, max_size=dim), label="degrees"
+            )),
+        )
         op = KikuchiOperator(
             n=n,
             k=2,
             r=r,
             m=data.draw(st.integers(1, 1 << 40), label="m"),
-            rows=np.array([i for i, _ in entries], dtype=np.intp),
-            cols=np.array([j for _, j in entries], dtype=np.intp),
-            entries=refuter._int_array(list(entries.values())),
+            pattern=pattern,
+            values=refuter._int_array(list(entries.values())),
             log_den=data.draw(st.integers(0, 60), label="log_den"),
-            degrees=refuter._int_array(data.draw(
-                st.lists(st.integers(0, 1 << 60), min_size=dim, max_size=dim), label="degrees"
-            )),
             edge_multiplier=data.draw(st.integers(1, 1 << 20), label="multiplier"),
         )
         assert refuter._gamma(op).tolist() == reference_gamma(op)
@@ -869,7 +919,7 @@ class TestRefute:
         prepared = refuter._prepare_instance(inst)
         assert prepared.weights is None  # float sums would not be exact
         # (1 - 2^-60) - (1 - 2^-59) = 2^-60, which rounds to 0 as floats
-        assert prepared.signed_sums(inst.rhs) == [1, 0]
+        assert prepared.signed_sums(inst.rhs).tolist() == [1, 0]
         cert = refute(inst)
         assert [c.bound for c in cert.breakdown] == [2.0 ** -61, 0.0]
         best = max(inst.value(x) for x in ((1, 1), (-1, 1)))
@@ -892,8 +942,8 @@ class TestRefute:
                         for e, w, b in zip(edges, weights, inst.rhs)
                         if edge_mask(e) == edge
                     )
-            assert prepared.signed_sums(inst.rhs) == expected
-            assert replace(prepared, weights=None).signed_sums(inst.rhs) == expected
+            assert prepared.signed_sums(inst.rhs).tolist() == expected
+            assert replace(prepared, weights=None).signed_sums(inst.rhs).tolist() == expected
 
     def test_k0_direct(self):
         inst = make_instance(2, [(), (), ()], [1, 1, -1], arity=0)
@@ -1208,6 +1258,48 @@ class TestPatternReuse:
         assert builds[0] > 0 and builds[1:6] == [0] * 5
         assert builds[6] == builds[7] == builds[0]
         assert builds[8] > 0 and builds[9] == 0
+
+    def test_later_targets_compute_no_reweighting(self, monkeypatch):
+        """The reweighting of every pattern, and the layout of every stack,
+        come from the first target: later ones compute neither, nor a
+        pattern."""
+        rng = random.Random(232)
+        ens = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
+        counts = Counter()
+        for name in ("_gamma_of", "_kikuchi_pattern", "_layout"):
+            real = getattr(refuter, name)
+            monkeypatch.setattr(
+                refuter, name, lambda *a, name=name, real=real: counts.update([name]) or real(*a)
+            )
+        per_target = []
+        for _ in range(5):
+            counts.clear()
+            # a target with no all-zero operator keeps the batch, and so its stacks, the same
+            b = [1] * ens.prepared.m
+            b[rng.randrange(len(b))] = -1
+            ens.prepared.refute(b)
+            per_target.append(dict(counts))
+        assert per_target[0]["_gamma_of"] == per_target[0]["_kikuchi_pattern"] > 0
+        assert per_target[0]["_layout"] > 0
+        assert per_target[1:] == [{}] * 4
+        # a stack laid out anew still reads each pattern's kept reweighting
+        ens.prepared.layouts.clear()
+        counts.clear()
+        ens.prepared.refute(b)
+        assert dict(counts) == {"_layout": per_target[0]["_layout"]}
+
+    def test_a_reused_ensemble_matches_a_fresh_one(self):
+        """Certificates from an ensemble that keeps its patterns and layouts
+        from earlier targets are byte-identical to those of an ensemble
+        grouped afresh for each target."""
+        rng = random.Random(233)
+        circuit = to_layered(random_tree_circuit(rng, 6, 2, 2, 150, leaf_prob=0.4))
+        warm = group_characters(circuit)
+        for _ in range(5):
+            b = signs(rng, warm.prepared.m)
+            cold = group_characters(circuit)
+            got = [c.to_json() for c in warm.prepared.refute(b)]
+            assert got == [c.to_json() for c in cold.prepared.refute(b)]
 
 
 def _mixed_instance(rng: random.Random, n: int, m: int):
