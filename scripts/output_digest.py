@@ -14,6 +14,13 @@ reweighting, stack layouts) must leave later, warm passes byte-identical
 to the first, cold one. The line shows the first pass's digest, and the
 script exits 1 if a later pass differs from it.
 
+After the benchmark's workloads come the lines of ``remote-tree-odd``, which
+no benchmark workload covers: a prepared ensemble of a t=3 tree circuit
+(n=8, w=1, leaf probability 0.4, m=600), whose arity-3 keys take the odd
+split, and 8 uniform targets, each certified with the default knobs and
+with ``split_weights``. Its later passes read the odd parts' kept pairings
+and the kept parts of ``split_weights``.
+
 ``bench/workloads.py`` is imported by path and only read.
 """
 
@@ -26,9 +33,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import importlib
+import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+
+from xorcert.avoid import CertifyParams, certify_not_in_range
+from xorcert.circuits import random_tree_circuit, to_layered
+from xorcert.reduction import group_characters
+from xorcert.refuter import RefuteParams
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,6 +52,36 @@ def _load_workloads():
     sys.dont_write_bytecode = True  # leave bench/ as it is
     sys.path.insert(0, str(BENCH))  # workloads.py imports its neighbour checks.py
     return importlib.import_module("workloads").WORKLOADS
+
+
+def _odd_tree_workload() -> SimpleNamespace:
+    """The ``remote-tree-odd`` lines, in the form of a benchmark workload."""
+    knobs = [
+        CertifyParams(eps=Fraction(2, 5), refute=RefuteParams(split_weights=split))
+        for split in (False, True)
+    ]
+
+    def make_inputs(rng):
+        circuit = random_tree_circuit(rng, 8, 1, 3, 600, leaf_prob=0.4)
+        targets = [[rng.choice((1, -1)) for _ in range(circuit.m)] for _ in range(8)]
+        return circuit, targets
+
+    def ops(inputs, ens):
+        circuit, targets = inputs
+        return [
+            lambda b=b, p=p: certify_not_in_range(circuit, b, p, prepared=ens)
+            for b in targets for p in knobs
+        ]
+
+    return SimpleNamespace(
+        name="remote-tree-odd",
+        make_inputs=make_inputs,
+        setup=lambda inputs: group_characters(to_layered(inputs[0])),
+        ops=ops,
+        canonical=lambda rc: json.dumps(
+            [rc.status, rc.correlation_bound, str(rc.min_distance), rc.certificate.to_obj()]
+        ),
+    )
 
 
 def digests(workload, seed: int, passes: int) -> list[str]:
@@ -63,7 +108,8 @@ def main() -> int:
         ap.error(f"--passes must be at least 1, got {args.passes}")
 
     status = 0
-    for name, workload in _load_workloads().items():
+    workloads = {**_load_workloads(), "remote-tree-odd": _odd_tree_workload()}
+    for name, workload in workloads.items():
         for seed in args.seeds:
             first, *later = digests(workload, seed, args.passes)
             print(f"{name}\tseed {seed}\t{first}", flush=True)

@@ -46,6 +46,10 @@ class CertifyParams:
     eps: Fraction | None = None  # defaults to 2^(-2t)
     refute: RefuteParams = field(default_factory=RefuteParams)
 
+    def __post_init__(self) -> None:
+        if self.eps is not None and self.eps < 0:
+            raise ValidationError([f"eps must be at least 0, got {self.eps}"])
+
     def eps_for(self, t: int) -> Fraction:
         return self.eps if self.eps is not None else Fraction(1, 1 << (2 * t))
 

@@ -210,13 +210,8 @@ def seed_to_str(spec: GeneratorSpec, seed: int) -> str:
     return "".join("1" if (seed >> i) & 1 else "0" for i in range(spec.seed_bits))
 
 
-def seed_count(spec: GeneratorSpec, cap: int | None = None) -> int:
-    count = 1 << spec.seed_bits
-    if cap is not None and count > cap:
-        raise ValidationError(
-            [f"seed space 2^{spec.seed_bits} exceeds enumeration cap {cap}"]
-        )
-    return count
+def seed_count(spec: GeneratorSpec) -> int:
+    return 1 << spec.seed_bits
 
 
 def seed_order(spec: GeneratorSpec) -> Iterator[int]:

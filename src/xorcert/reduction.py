@@ -122,8 +122,8 @@ class _DenseSchemes(Mapping):
         beta, _ = key
         n_vars = self._n * len(beta)
         edge_of = {  # the rows' vertex bitmasks as sorted tuples
-            part.row + j: tuple(v for v in range(n_vars) if e >> v & 1)
-            for part in scheme.parts for j, e in enumerate(part.edges)
+            row: tuple(v for v in range(n_vars) if e >> v & 1)
+            for part in scheme.parts for row, e in enumerate(part.edges, part.rows.start)
         }
         edges = [_filler_edge(beta, self._n)] * prepared.m
         weights = [Dyadic(0)] * prepared.m

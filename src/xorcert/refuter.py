@@ -5,13 +5,13 @@ once (``prepare_rows``, ``PreparedSchemes``) from integer rows of copies:
 it is put at its finest weight scale 2^-L, each edge size gets its
 distinct edges as vertex bitmasks, each with its number of copies and its
 live copies (those of nonzero weight), and every live copy an integer
-incidence (distinct edge, rhs position, w * 2^L). For a right-hand side b,
-one bincount of b * w * 2^L gives the exact signed sum of every distinct
-edge, and with them each edge size as ``CoalescedEdges``. ``refute``
-validates an instance and prepares it; schemes that serve many right-hand
-sides, such as a circuit's ensemble, are prepared once for all of them.
-Every path reads the coalesced form, and sums stay integers at one scale
-up to the Kikuchi entries:
+incidence (distinct edge, rhs position, w * 2^L): each edge size is a
+``PreparedPart``. For a right-hand side b, one bincount of b * w * 2^L gives
+the exact signed sum of every distinct edge, and each part reads its rows of
+them. ``refute`` validates an instance and prepares it; schemes that serve
+many right-hand sides, such as a circuit's ensemble, are prepared once for
+all of them. Every path reads a part and the signed sums, and sums stay
+integers at one scale up to the Kikuchi entries:
 
 * arity 0 and 1 are certified directly, by the sum of |signed sum| over m;
 * even arity goes through the level-r Kikuchi matrix: rows and columns are
@@ -28,12 +28,14 @@ up to the Kikuchi entries:
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
   distinct group-mates, all of them formed at once by index arithmetic,
   adds the product of their live copies and of their signed sums to its
-  symmetric difference, so every bucket arrives in the same distinct-edge
-  form;
+  symmetric difference. The pairs, and so every bucket as a part of its
+  own, depend on the edges alone: the odd part keeps them, and a target
+  pays only the products of its signed sums;
 * mixed arity averages the per-size bounds with weights m_k / m;
 * ``split_weights`` counts a copy of weight num * 2^-L as |num| unit copies
   and rescales the bound by m' / m, with m' the unit copies in total: another
-  bound, not a check, tighter than the default on some instances, looser on others.
+  bound, not a check, tighter than the default on some instances, looser on
+  others. The unit-copy parts are prepared once, as the scheme's own are.
 
 Two certificate engines bound the reweighted norm:
 
@@ -425,54 +427,91 @@ class KikuchiPattern:
         return layout
 
 
-@dataclass(eq=False)
-class CoalescedEdges:
-    """One edge size of an instance as its distinct edges.
+@dataclass(frozen=True)
+class PreparedPart:
+    """One edge size of a scheme as its distinct edges, the right-hand side
+    left open.
 
-    Distinct edge j is the vertex bitmask ``edges[j]``, with ``copies[j]``
-    copies and the signed sum ``sums[j]`` of b * w over them, an integer at
-    the scale 2^-log_den: ``sums`` is an int64 array, or an object array of
-    Python ints past int64. ``m`` counts copies, so the degrees, d and the
-    trace degree of the Kikuchi matrix are those of the per-copy instance.
-    ``live[j]`` counts the edge's copies of nonzero weight, which are the
-    ones the odd split pairs; it is None for the even buckets of that split,
-    whose copies are all live. ``patterns`` maps a level to the
-    ``KikuchiPattern`` of these edges and copies: ``PreparedScheme.coalesced``
-    hands every right-hand side of a part the part's own map, so the
-    pattern of a level is built once, at the first of them. Under
-    ``split_weights`` and in the odd buckets the map is fresh. Not frozen,
-    as ``KikuchiOperator``: one is made for every part and target.
+    Distinct edge j is the vertex bitmask ``edges[j]`` over n vertices, with
+    ``copies[j]`` copies and ``live[j]`` live ones (of nonzero weight, the
+    ones the odd split pairs). Its signed sum of b * w, an integer at the
+    scale 2^-log_den, is row ``rows.start + j`` of the signed sums that the
+    part is read with: an int64 array, or an object array of Python ints
+    past int64. ``m`` counts copies, so the degrees, d and the trace degree
+    of the Kikuchi matrix are those of the per-copy instance.
+
+    A scheme's parts come from ``prepare_rows``, those under
+    ``split_weights`` from ``PreparedSchemes.unit_schemes`` and an odd
+    part's buckets from its ``pairing``. What depends on the edges alone is
+    kept for every target: ``patterns`` maps a level to its
+    ``KikuchiPattern``, and ``pairing``; each is built at its first target.
     """
 
     n: int
     k: int
-    m: int
     log_den: int
-    edges: Sequence[int]
-    copies: Sequence[int]
-    sums: np.ndarray
-    live: Sequence[int] | None = None
-    patterns: dict[int, KikuchiPattern] = field(default_factory=dict, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class PreparedPart:
-    """The distinct edges of one edge size of a prepared scheme.
-
-    Edge j of the part, a vertex bitmask, is row ``row + j`` of the signed
-    sums and of the unit copies. ``copies`` and ``live`` give each edge's
-    copies and its live ones, and ``m`` the part's copies in total.
-    ``patterns`` keeps the Kikuchi patterns of the levels built so far;
-    they depend on the scheme alone, so every right-hand side reuses them.
-    """
-
-    k: int
-    row: int
+    rows: slice
     m: int
     edges: tuple[int, ...]
     copies: tuple[int, ...]
     live: tuple[int, ...]
     patterns: dict[int, KikuchiPattern] = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def pairing(self) -> tuple:
+        """What ``odd_to_even`` reads of an odd part whatever its signed
+        sums: (kept, a, b, heads, by_size, n_groups, buckets). ``kept`` are
+        the live edges, by lowest vertex, so that each of the n_groups groups
+        is a run; pair p is (kept[a[p]], kept[b[p]]), and the pairs of each
+        bucket edge form a run from ``heads``. ``buckets`` maps a size to a
+        part whose rows are those of the runs taken in ``by_size`` order.
+
+        By array arithmetic: a stable sort by lowest bit makes the groups,
+        every in-group pair comes from one prefix of the pairs of the
+        largest group, a sort by symmetric difference makes the runs, and a
+        stable sort of the bucket edges by size orders the buckets. A bucket
+        holds its edges in increasing bitmask order, and both orderings of
+        each pair: its copies are twice the sum of live_a * live_b. Masks
+        are int64 up to 63 vertices, Python ints past them; live copies are
+        multiplied in int64 while twice their largest square times the
+        number of pairs stays below 2^63."""
+        live = _int_array(self.live)
+        kept = np.flatnonzero(live)
+        masks = np.array(self.edges, dtype=np.int64 if self.n <= 63 else object)[kept]
+        low = masks & -masks
+        order = np.argsort(low, kind="stable")
+        kept, masks, live = kept[order], masks[order], live[kept][order]
+        starts = np.flatnonzero(_run_heads(low[order]))
+        sizes = np.diff(starts, append=len(masks))
+        # pair p of a group of g edges is (col[p], row[p]) for p below C(g, 2)
+        row, col = np.tril_indices(int(sizes.max(initial=0)), -1)
+        counts = sizes * (sizes - 1) // 2
+        n_pairs = int(counts.sum())
+        first = np.repeat(starts, counts)
+        p = np.arange(n_pairs) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b = first + col[p], first + row[p]
+        sym = masks[a] ^ masks[b]
+        by_sym = np.argsort(sym)
+        a, b, sym = a[by_sym], b[by_sym], sym[by_sym]
+        heads = np.flatnonzero(_run_heads(sym))
+        edges = sym[heads]
+        if edges.dtype == object:
+            bits = np.array([e.bit_count() for e in edges.tolist()], dtype=np.int64)
+        else:
+            bits = np.bitwise_count(edges)
+        by_size = np.argsort(bits, kind="stable")
+        live = _for_products(live, n_pairs)
+        copies = (2 * np.add.reduceat(live[a] * live[b], heads))[by_size].tolist()
+        edges, bits = edges[by_size].tolist(), bits[by_size]
+        buckets = {}
+        ends = np.flatnonzero(_run_heads(bits)).tolist() + [len(heads)]
+        for lo, hi in zip(ends, ends[1:]):
+            size, bucket_copies = int(bits[lo]), tuple(copies[lo:hi])
+            buckets[size] = PreparedPart(
+                self.n, size, 2 * self.log_den, slice(lo, hi), sum(bucket_copies),
+                tuple(edges[lo:hi]), bucket_copies, bucket_copies,
+            )
+        return kept, a, b, heads, by_size, len(starts), buckets
 
 
 @dataclass(frozen=True)
@@ -496,38 +535,6 @@ class PreparedScheme:
         """True if the scheme has no edges or every weight is zero."""
         return self.span[0] == self.span[1]
 
-    def coalesced(
-        self, sums: np.ndarray, unit_copies: np.ndarray | None = None
-    ) -> dict[int, CoalescedEdges]:
-        """One ``CoalescedEdges`` per edge size, given the signed sums of the
-        right-hand side, by row (``PreparedSchemes.signed_sums``): each part
-        reads a view of its rows. ``unit_copies``
-        (``PreparedSchemes.unit_copies``), given under ``split_weights``,
-        counts a copy of weight num * 2^-L as |num| live copies of weight
-        2^-L with the sign of num moved into their rhs: the signed sums are
-        unchanged, and zero weights leave no copy, so edges and sizes with
-        no weight drop out. Such a part has a fresh pattern map, as in
-        ``refute(inst)``, so its patterns are built for each right-hand
-        side."""
-        out = {}
-        for part in self.parts:
-            rows = slice(part.row, part.row + len(part.edges))
-            if unit_copies is None:
-                out[part.k] = CoalescedEdges(
-                    self.n, part.k, part.m, self.log_den, part.edges, part.copies, sums[rows],
-                    part.live, part.patterns,
-                )
-                continue
-            kept = np.flatnonzero(unit_copies[rows])
-            if len(kept):
-                copies = unit_copies[rows][kept].tolist()
-                edges = [part.edges[j] for j in kept.tolist()]
-                out[part.k] = CoalescedEdges(
-                    self.n, part.k, sum(copies), self.log_den, edges, copies, sums[rows][kept],
-                    copies,
-                )
-        return out
-
 
 @dataclass(frozen=True)
 class PreparedSchemes:
@@ -545,10 +552,11 @@ class PreparedSchemes:
     sums are taken in Python integers.
 
     What depends on the schemes alone is kept for every target: each part's
-    Kikuchi patterns with their reweighting (``KikuchiPattern.layout``),
-    built at the part's first target, and in ``layouts`` the last layout of
-    each stack of the spectral proof. A target computes only its signed
-    sums, as one array that each part reads a view of, gathers them into
+    Kikuchi patterns with their reweighting (``KikuchiPattern.layout``) and
+    an odd part's pairing, built at the part's first target, the parts under
+    ``split_weights`` (``unit_schemes``), and in ``layouts`` the last layout
+    of each stack of the spectral proof. A target computes only its signed
+    sums, as one array that each part reads its rows of, gathers them into
     its operators, and proves the stacks.
     """
 
@@ -576,10 +584,35 @@ class PreparedSchemes:
         """Signed sum of b * w * 2^L of every distinct edge, by row."""
         return self._row_sums(np.asarray(b, dtype=np.int64)[self.outputs])
 
-    def unit_copies(self) -> np.ndarray:
-        """Sum of |w| * 2^L of every distinct edge, by row: its copies under
-        ``split_weights``."""
-        return self._row_sums(np.where(self.units < 0, -1, 1))
+    @cached_property
+    def unit_schemes(self) -> tuple[np.ndarray, tuple[PreparedScheme, ...]]:
+        """(rows, schemes): every scheme again with its parts under
+        ``split_weights``, and the rows of the signed sums that those parts
+        read, in their order.
+
+        A copy of weight num * 2^-L counts as |num| live copies of weight
+        2^-L with the sign of num moved into their rhs: an edge's copies are
+        the sum of |w| * 2^L over its live copies, and its signed sum is
+        unchanged. Zero weights leave no copy, so edges and sizes with no
+        weight drop out. Built at the first target that asks for it, and
+        kept with the parts' patterns for every later one."""
+        units = self._row_sums(np.where(self.units < 0, -1, 1))
+        rows, schemes, at = [], [], 0
+        for scheme in self.schemes:
+            parts = []
+            for part in scheme.parts:
+                own = units[part.rows]
+                kept = np.flatnonzero(own)
+                if len(kept):
+                    copies = tuple(own[kept].tolist())
+                    parts.append(PreparedPart(
+                        part.n, part.k, part.log_den, slice(at, at + len(kept)), sum(copies),
+                        tuple(part.edges[j] for j in kept.tolist()), copies, copies,
+                    ))
+                    rows.append(kept + part.rows.start)
+                    at += len(kept)
+            schemes.append(replace(scheme, parts=tuple(parts)))
+        return np.concatenate(rows or [np.zeros(0, dtype=np.intp)]), tuple(schemes)
 
     def refute(self, b: Sequence[int], params: RefuteParams | None = None) -> list[Certificate]:
         """``refute`` of every scheme with right-hand side b, in order."""
@@ -602,13 +635,14 @@ class PreparedSchemes:
         """Three passes: every nonzero scheme builds its operators, the
         spectral ones are proved in one ``spectral_certificate`` call, and
         each nonzero scheme folds the bounds into its certificate."""
-        # with no live copy every scheme is zero and reads neither
-        sums = self.signed_sums(b) if len(self.units) else None
-        unit_copies = self.unit_copies() if params.split_weights and len(self.units) else None
+        schemes, sums = self.schemes, None
+        if self.nonzero:  # else every scheme is zero and reads no sum
+            sums = self.signed_sums(b)
+            if params.split_weights:
+                rows, schemes = self.unit_schemes
+                sums = sums[rows]
         ops: list[KikuchiOperator] = []
-        folds = [
-            _refute_scheme(self.schemes[j], sums, unit_copies, params, ops) for j in self.nonzero
-        ]
+        folds = [_refute_scheme(schemes[j], sums, params, ops) for j in self.nonzero]
         bounds = spectral_certificate(ops, layouts=self.layouts) if ops else []
         proved = [_spectral(op, bound) for op, bound in zip(ops, bounds)]
         certs = [_ZERO] * len(self.schemes)
@@ -645,7 +679,7 @@ def _number_rows(
         keys = np.column_stack((scheme, edges))
         by_key = np.lexsort(keys.T[::-1])
         ordered = keys[by_key]
-        first, inverse = _runs(by_key, (ordered[1:] != ordered[:-1]).any(axis=1))
+        first, inverse = _runs(by_key, ordered)
     else:
         code = scheme.astype(np.int64)
         for column in edges.T:
@@ -662,7 +696,7 @@ def _number_rows(
         else:
             by_key = np.argsort(code, kind="stable")
             ordered = code[by_key]
-            first, inverse = _runs(by_key, ordered[1:] != ordered[:-1])
+            first, inverse = _runs(by_key, ordered)
     vertices = edges[first]
     schemes = scheme[first]
     sizes = (vertices >= 0).sum(axis=1)
@@ -672,12 +706,20 @@ def _number_rows(
     return number[inverse], np.column_stack((schemes, sizes, vertices))[order]
 
 
-def _runs(by_key: np.ndarray, change: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_heads(ordered: np.ndarray) -> np.ndarray:
+    """Whether each row of a sorted array, of values or of keys, starts a
+    run of equal rows."""
+    head = np.ones(len(ordered), dtype=bool)
+    change = ordered[1:] != ordered[:-1]
+    head[1:] = change.any(axis=1) if change.ndim > 1 else change
+    return head
+
+
+def _runs(by_key: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first row of each distinct key, each row's distinct key), given a
-    stable sort of the rows by key and where the sorted keys change: the
-    first row of each key heads its run."""
-    head = np.ones(len(by_key), dtype=bool)
-    head[1:] = change
+    stable sort ``by_key`` of the rows and the keys in that order: the first
+    row of each key heads its run."""
+    head = _run_heads(ordered)
     inverse = np.empty(len(by_key), dtype=np.intp)
     inverse[by_key] = np.cumsum(head) - 1
     return by_key[head], inverse
@@ -742,14 +784,15 @@ def prepare_rows(
     parts: list[list[PreparedPart]] = [[] for _ in schemes]
     heads = distinct[:, :2].tolist()
     masks = _bitmasks(distinct[:, 2:])
-    head = np.ones(n_rows, dtype=bool)  # where a (scheme, size) starts
-    head[1:] = (distinct[1:, :2] != distinct[:-1, :2]).any(axis=1)
-    starts = np.flatnonzero(head).tolist()
+    log_dens = log_dens.tolist()
+    starts = np.flatnonzero(_run_heads(distinct[:, :2])).tolist()  # where a (scheme, size) starts
     for lo, hi in zip(starts, starts[1:] + [n_rows]):
         j, k = heads[lo]
         parts[j].append(PreparedPart(
+            schemes[j][0],
             k,
-            lo,
+            log_dens[j],
+            slice(lo, hi),
             sum(copies[lo:hi]),
             tuple(masks[lo:hi]),
             tuple(copies[lo:hi]),
@@ -759,7 +802,7 @@ def prepare_rows(
     prepared = tuple(
         PreparedScheme(n, m, log_den, tuple(scheme_parts), (start, end))
         for (n, _), log_den, scheme_parts, start, end in zip(
-            schemes, log_dens.tolist(), parts, [0] + ends, ends
+            schemes, log_dens, parts, [0] + ends, ends
         )
     )
     return PreparedSchemes(
@@ -882,30 +925,31 @@ def _kikuchi_pattern(
 
 
 def build_kikuchi(
-    inst: CoalescedEdges, r: int, dense_cap: int = RefuteParams.dense_cap
+    part: PreparedPart, sums: np.ndarray, r: int, dense_cap: int = RefuteParams.dense_cap
 ) -> KikuchiOperator:
-    """The level-r matrix of one edge size's distinct edges, as
-    ``PreparedScheme.coalesced`` and ``odd_to_even`` give them.
+    """The level-r matrix of an even part with the signed sums it reads its
+    rows of: a scheme's part, one under ``split_weights``, or a bucket of
+    ``odd_to_even`` with that split's sums.
 
-    The level's ``KikuchiPattern`` comes from ``inst.patterns``, or is built
+    The level's ``KikuchiPattern`` comes from ``part.patterns``, or is built
     there by ``_kikuchi_pattern`` if it is the first for these edges. The
     operator then gathers each position's signed sum, zeros included: exact
-    integers at the edges' scale, of the dtype of ``inst.sums``. A level
-    that does not exist, or whose side exceeds ``dense_cap``, raises
-    ResourceCap before anything is built.
+    integers at the part's scale, of the dtype of ``sums``. A level that
+    does not exist, or whose side exceeds ``dense_cap``, raises ResourceCap
+    before anything is built.
     """
-    if inst.m == 0:
+    if part.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
         raise ValidationError(["kikuchi build needs at least one edge"])
-    n, k = inst.n, inst.k
+    n, k = part.n, part.k
     if k % 2 != 0 or k < 2:
         raise ValidationError([f"kikuchi build needs an even arity >= 2, got {k}"])
     _kikuchi_dim(n, k, r, dense_cap)
-    pattern = inst.patterns.get(r)
+    pattern = part.patterns.get(r)
     if pattern is None:
-        pattern = inst.patterns[r] = _kikuchi_pattern(n, k, r, inst.edges, inst.copies)
+        pattern = part.patterns[r] = _kikuchi_pattern(n, k, r, part.edges, part.copies)
     return KikuchiOperator(
-        n, k, r, inst.m, pattern, inst.sums[pattern.edge], inst.log_den,
+        n, k, r, part.m, pattern, sums[part.rows][pattern.edge], part.log_den,
         comb(k, k // 2) * comb(n - k, r - k // 2),
     )
 
@@ -1369,37 +1413,32 @@ def spectral_certificate(
     return bounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OddSplit:
-    """Cauchy-Schwarz pairing data for an odd-arity instance: group sums over
-    minimum vertices yield a constant part plus even-arity cross instances,
-    one ``CoalescedEdges`` bucket per symmetric-difference size."""
+    """The Cauchy-Schwarz split of an odd part for one right-hand side:
+    group sums over lowest vertices yield a constant part plus even-arity
+    cross instances, one bucket per symmetric-difference size. A bucket is
+    a ``PreparedPart`` that the odd part's pairing keeps, and ``sums`` holds
+    the signed sums it reads its rows of."""
 
     n_groups: int
     diag_term: Fraction
-    buckets: dict[int, CoalescedEdges] = field(default_factory=dict)
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of a sorted array starts."""
-    head = np.ones(len(ordered), dtype=bool)
-    head[1:] = ordered[1:] != ordered[:-1]
-    return np.flatnonzero(head)
+    buckets: dict[int, PreparedPart]
+    sums: np.ndarray
 
 
 def _for_products(values: np.ndarray, terms: int) -> np.ndarray:
     """Integers ``values`` as an int64 array if twice any sum of ``terms``
     products of two of them stays below 2^63, else as Python ints."""
     top = max(int(values.max()), -int(values.min())) if len(values) else 0
-    if values.dtype != object and 2 * top * top * terms < 1 << 63:
-        return values
+    if 2 * top * top * terms < 1 << 63:
+        return values.astype(np.int64, copy=False)
     return values.astype(object)
 
 
-def odd_to_even(part: CoalescedEdges) -> OddSplit:
-    """Group one odd edge size's distinct edges, as
-    ``PreparedScheme.coalesced`` gives them, by lowest vertex; square the
-    group sums.
+def odd_to_even(part: PreparedPart, sums: np.ndarray) -> OddSplit:
+    """Group one odd part's distinct edges by lowest vertex and square the
+    group sums, given the signed sums the part reads its rows of.
 
     Only live copies enter a group. The copies of one edge pair among
     themselves into the constant part, which gets the square of the edge's
@@ -1410,57 +1449,18 @@ def odd_to_even(part: CoalescedEdges) -> OddSplit:
     2 * sum_a * sum_b. All products are integers at the one scale 2^-2L,
     where 2^-L is the scale of the signed sums.
 
-    One pass of array arithmetic does it: a stable sort by lowest bit puts
-    each group in one run, every in-group pair comes from one prefix of the
-    pairs of the largest group, and a sort by symmetric difference sums
-    the pair products of each bucket edge; a bucket holds its edges in
-    increasing bitmask order. Masks are int64 up to 63 vertices, Python
-    ints past them. Live copies and signed sums are multiplied in int64
-    while twice their largest square times the number of terms stays
-    below 2^63, and as Python ints otherwise, so every sum is exact."""
-    k = part.k
-    if k % 2 == 0 or k < 3:
-        raise ValidationError([f"odd-arity split needs odd arity >= 3, got {k}"])
-    live = _int_array(part.live)
-    kept = np.flatnonzero(live)
-    masks = np.array(part.edges, dtype=np.int64 if part.n <= 63 else object)[kept]
-    low = masks & -masks
-    order = np.argsort(low, kind="stable")
-    masks, live, sums = masks[order], live[kept][order], _int_array(part.sums)[kept][order]
-    starts = _run_starts(low[order])
-    sizes = np.diff(starts, append=len(masks))
-    # pair p of a group of g edges is (col[p], row[p]) for p below C(g, 2)
-    row, col = np.tril_indices(int(sizes.max(initial=0)), -1)
-    counts = sizes * (sizes - 1) // 2
-    n_pairs = int(counts.sum())
-    first = np.repeat(starts, counts)
-    p = np.arange(n_pairs) - np.repeat(np.cumsum(counts) - counts, counts)
-    a, b = first + col[p], first + row[p]
-
-    live = _for_products(live, n_pairs)
-    sums = _for_products(sums, n_pairs + len(sums))
-    log_den = 2 * part.log_den
-    diag = Fraction(int(np.dot(sums, sums)), 1 << log_den)
-    sym = masks[a] ^ masks[b]
-    by_sym = np.argsort(sym)
-    a, b, sym = a[by_sym], b[by_sym], sym[by_sym]
-    heads = _run_starts(sym)
-    edges = sym[heads]
-    copies = 2 * np.add.reduceat(live[a] * live[b], heads)
-    totals = 2 * np.add.reduceat(sums[a] * sums[b], heads)
-    if edges.dtype == object:
-        bits = np.array([e.bit_count() for e in edges.tolist()], dtype=np.int64)
-    else:
-        bits = np.bitwise_count(edges)
-    buckets = {}
-    for size in np.unique(bits).tolist():
-        at = bits == size
-        bucket_copies = copies[at].tolist()
-        buckets[size] = CoalescedEdges(
-            part.n, size, sum(bucket_copies), log_den, edges[at].tolist(), bucket_copies,
-            totals[at],
-        )
-    return OddSplit(n_groups=len(starts), diag_term=diag, buckets=buckets)
+    The groups, pairs and buckets are the part's ``pairing``. A target
+    squares the signed sums of the live edges into the constant part and
+    sums the pair products of each bucket edge in one ``reduceat``: in int64
+    while twice their largest square times the number of terms stays below
+    2^63, else as Python ints, so every sum is exact."""
+    if part.k % 2 == 0 or part.k < 3:
+        raise ValidationError([f"odd-arity split needs odd arity >= 3, got {part.k}"])
+    kept, a, b, heads, by_size, n_groups, buckets = part.pairing
+    own = _for_products(sums[part.rows][kept], len(a) + len(kept))
+    diag = Fraction(int(np.dot(own, own)), 1 << (2 * part.log_den))
+    totals = 2 * np.add.reduceat(own[a] * own[b], heads)
+    return OddSplit(n_groups, diag, buckets, totals[by_size])
 
 
 def _combine_mode(parts: Sequence[Certificate]) -> str:
@@ -1506,28 +1506,30 @@ def _spectral(op: KikuchiOperator, norm_bound: float | None) -> Certificate:
     return Certificate(mode="spectral", bound=2.0 * norm_bound, status="certified", r=op.r)
 
 
-def _refute_direct(part: CoalescedEdges) -> Certificate:
+def _refute_direct(part: PreparedPart, sums: np.ndarray) -> Certificate:
     """Arity 0 or 1: each distinct edge is the constant or one variable, so
     the value is at most the sum of |signed sum| over m, and exactly that
     for arity 1."""
-    total = sum(map(abs, part.sums.tolist()))
+    total = sum(map(abs, sums[part.rows].tolist()))
     bound = _ratio_up(total, part.m << part.log_den)
     return Certificate(mode="direct", bound=bound, status="certified")
 
 
-def _refute_even(edges: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOperator]) -> _Fold:
+def _refute_even(
+    part: PreparedPart, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
+) -> _Fold:
     """One engine: trace when mode ``trace`` asks for it, run here; else
     spectral, whose operator joins ``ops``."""
-    k = edges.k
+    k = part.k
     r = params.r if params.r is not None else k // 2
     r = max(r, k // 2)  # the construction does not exist below k/2
     mode, ell = "spectral", None  # auto is the spectral engine
     if params.mode == "trace":
         mode = "trace"
-        ell = params.ell if params.ell is not None else default_ell(r, edges.n)
+        ell = params.ell if params.ell is not None else default_ell(r, part.n)
         _check_ell(ell)
     try:
-        op = build_kikuchi(edges, r, params.dense_cap)
+        op = build_kikuchi(part, sums, r, params.dense_cap)
         if ell is not None:
             norm_bound, ell = trace_certificate(op, ell, params.work_flops)
     except ResourceCap:
@@ -1538,14 +1540,16 @@ def _refute_even(edges: CoalescedEdges, params: RefuteParams, ops: list[KikuchiO
     return _known(Certificate(mode=mode, bound=2.0 * norm_bound, status="certified", r=r, ell=ell))
 
 
-def _refute_odd(part: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOperator]) -> _Fold:
-    split = odd_to_even(part)
+def _refute_odd(
+    part: PreparedPart, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
+) -> _Fold:
+    split = odd_to_even(part, sums)
     folds = []
     for size, bucket in split.buckets.items():
         bucket_r = params.r
         if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > part.n - size:
             bucket_r = size // 2
-        folds.append(_refute_even(bucket, replace(params, r=bucket_r), ops))
+        folds.append(_refute_even(bucket, split.sums, replace(params, r=bucket_r), ops))
 
     def fold(proved: Sequence[Certificate]) -> Certificate:
         parts = []
@@ -1561,14 +1565,16 @@ def _refute_odd(part: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOpe
     return fold
 
 
-def _refute_part(part: CoalescedEdges, params: RefuteParams, ops: list[KikuchiOperator]) -> _Fold:
+def _refute_part(
+    part: PreparedPart, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
+) -> _Fold:
     if not any(part.live):
         return _ZERO_FOLD  # every weight is zero, and so is the value
     if part.k < 2:
-        return _known(_refute_direct(part))
+        return _known(_refute_direct(part, sums))
     if part.k % 2 == 0:
-        return _refute_even(part, params, ops)
-    return _refute_odd(part, params, ops)
+        return _refute_even(part, sums, params, ops)
+    return _refute_odd(part, sums, params, ops)
 
 
 def _clamp(cert: Certificate) -> Certificate:
@@ -1576,17 +1582,12 @@ def _clamp(cert: Certificate) -> Certificate:
 
 
 def _refute_scheme(
-    scheme: PreparedScheme,
-    sums: np.ndarray,
-    unit_copies: np.ndarray | None,
-    params: RefuteParams,
-    ops: list[KikuchiOperator],
+    scheme: PreparedScheme, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
 ) -> _Fold:
     """``refute`` of one prepared scheme with a live copy, given the signed
-    sums of its rhs and, under ``split_weights``, the unit copies; its
-    spectral operators join ``ops``."""
-    parts = list(scheme.coalesced(sums, unit_copies).values())
-    folds = [_refute_part(part, params, ops) for part in parts]
+    sums its parts read; under ``split_weights`` the scheme is the one of
+    ``PreparedSchemes.unit_schemes``. Its spectral operators join ``ops``."""
+    folds = [_refute_part(part, sums, params, ops) for part in scheme.parts]
 
     def fold(proved: Sequence[Certificate]) -> Certificate:
         certs = [_clamp(part_fold(proved)) for part_fold in folds]
@@ -1594,10 +1595,10 @@ def _refute_scheme(
             cert = certs[0]
         else:
             # each part's bound is at most 1, so their average is too
-            cert = _combine(certs, _mean_up([p.m for p in parts], [c.bound for c in certs]))
-        if unit_copies is not None and cert.certified:
+            cert = _combine(certs, _mean_up([p.m for p in scheme.parts], [c.bound for c in certs]))
+        if params.split_weights and cert.certified:
             # the m unit copies have the term sums of the scheme's original copies
-            m = sum(part.m for part in parts)
+            m = sum(part.m for part in scheme.parts)
             cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
         return _clamp(cert)
 
@@ -1607,7 +1608,7 @@ def _refute_scheme(
 def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:
     """Certified upper bound on the instance value; dispatches on arity.
 
-    The instance is validated once, then prepared and coalesced with its
+    The instance is validated once, then prepared and refuted with its
     right-hand side. Mixed-arity instances are bucketed by edge size and the
     per-bucket bounds are averaged with weights m_k / m. The returned bound
     is always sound and at most the trivial bound 1, which every instance

@@ -31,7 +31,6 @@ from xorcert.fourier import (
 from xorcert.gf2 import gf_mul
 from xorcert.refuter import (
     Certificate,
-    CoalescedEdges,
     KikuchiOperator,
     PreparedPart,
     PreparedScheme,
@@ -192,8 +191,10 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
             # the prepared form keys each edge by its vertex bitmask
             masks = [edge_mask(e) for e in edges]
             parts.append(PreparedPart(
+                n,
                 k,
-                n_rows,
+                log_den,
+                slice(n_rows, n_rows + len(edges)),
                 sum(c for c, _ in counts),
                 tuple(masks),
                 tuple(c for c, _ in counts),
@@ -348,9 +349,10 @@ def entry_dict(op: KikuchiOperator) -> dict[tuple[int, int], int]:
     return dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.entries.tolist()))
 
 
-def edge_table(part: CoalescedEdges) -> dict[int, tuple[int, int]]:
-    """The distinct edges of a part as {bitmask: (copies, signed sum)}."""
-    return dict(zip(part.edges, zip(part.copies, part.sums)))
+def edge_table(part: PreparedPart, sums: np.ndarray) -> dict[int, tuple[int, int]]:
+    """The distinct edges of a part, given the signed sums it reads its
+    rows of, as {bitmask: (copies, signed sum)}."""
+    return dict(zip(part.edges, zip(part.copies, sums[part.rows].tolist())))
 
 
 def dyadic_entries(op: KikuchiOperator) -> dict[tuple[int, int], Dyadic]:
@@ -537,15 +539,18 @@ def l1_mass(exp: FourierExpansion) -> Dyadic:
     return total
 
 
-def coalesce(inst: XorInstance) -> CoalescedEdges:
-    """Validate and coalesce an instance of a single edge size, as ``refute``
-    prepares it: the input of ``build_kikuchi`` and ``odd_to_even``."""
+def coalesce(inst: XorInstance) -> tuple[PreparedPart, np.ndarray]:
+    """(part, signed sums) of a validated instance of a single edge size, as
+    ``refute`` prepares it: the input of ``build_kikuchi`` and
+    ``odd_to_even``."""
     validate_instance(inst)
     prepared = refuter._prepare_instance(inst)
-    parts = prepared.schemes[0].coalesced(prepared.signed_sums(inst.rhs))
+    parts = prepared.schemes[0].parts
     if len(parts) > 1:
-        raise ValidationError([f"needs a uniform arity, got {sorted(parts)}"])
-    return parts.popitem()[1] if parts else CoalescedEdges(inst.n, 0, 0, 0, (), (), (), ())
+        raise ValidationError([f"needs a uniform arity, got {[part.k for part in parts]}"])
+    if not parts:
+        return PreparedPart(inst.n, 0, 0, slice(0, 0), 0, (), (), ()), np.zeros(0, dtype=np.int64)
+    return parts[0], prepared.signed_sums(inst.rhs)
 
 
 def quadratic_form(op: KikuchiOperator, x) -> Dyadic:

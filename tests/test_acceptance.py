@@ -94,7 +94,7 @@ def test_criterion_2_kikuchi_identity():
         r = rng.randint(k // 2, r_hi)
         m = rng.randint(1, 15)
         inst = random_instance(rng, n, k, m, weighted=bool(configs % 2))
-        op = build_kikuchi(coalesce(inst), r)
+        op = build_kikuchi(*coalesce(inst), r)
         assert sum(op.degrees) == op.m * op.edge_multiplier
         for _ in range(50):
             x = [rng.choice((1, -1)) for _ in range(n)]

@@ -176,6 +176,14 @@ class TestCertify:
         with pytest.raises(ValidationError):
             certify_not_in_range(c, (1, 1))
 
+    @pytest.mark.parametrize("eps", [Fraction(-1), Fraction(-1, 1 << 40)])
+    def test_negative_eps_is_rejected(self, eps):
+        # eps < 0 asks for a distance above 1/2: an impossible knob, not a
+        # target that fails to certify
+        with pytest.raises(ValidationError, match="eps must be at least 0"):
+            CertifyParams(eps=eps)
+        assert CertifyParams(eps=Fraction(0)).eps_for(2) == 0
+
 
 class TestAvoid:
     def test_parity_path_duplicate_outputs(self):

@@ -145,7 +145,7 @@ class TestExitCodes:
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen
 
-    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    @pytest.mark.parametrize("eps", ["abc", "1/0", "-1"])
     def test_bad_eps_exits_one(self, circuit_file, eps):
         assert run("avoid", "--circuit", str(circuit_file), "--gen",
                    "biased:m=30,s=6", "--eps", eps) == 1

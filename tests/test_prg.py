@@ -43,8 +43,6 @@ class TestSpecs:
         assert seed_count(GeneratorSpec.eps_biased(4, 4)) == 256
         assert seed_count(GeneratorSpec.uniform(1)) == 2
         assert seed_count(GeneratorSpec.kwise(2, 4, 2)) == 16
-        with pytest.raises(ValidationError):
-            seed_count(GeneratorSpec.kwise(8, 1024, 10), cap=1 << 16)
 
     def test_parse_format_roundtrip(self):
         for text in (

@@ -97,7 +97,7 @@ def _check_per_copy_reference(data, n: int, k: int, r: int) -> None:
         weights=[w for _, w, _ in copies],
         arity=k,
     )
-    op = build_kikuchi(coalesce(inst), r)
+    op = build_kikuchi(*coalesce(inst), r)
     entries, degrees = reference_kikuchi(inst, r)
     assert dyadic_entries(op) == entries
     assert tuple(op.degrees.tolist()) == degrees
@@ -106,7 +106,7 @@ def _check_per_copy_reference(data, n: int, k: int, r: int) -> None:
 class TestBuild:
     def test_two_edge_example(self):
         inst = make_instance(4, [(0, 1), (2, 3)], [1, -1])
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         assert op.edge_multiplier == 2
         assert op.trace_degree == op.dim
         assert op.degrees.tolist() == [1, 1, 1, 1]
@@ -114,7 +114,7 @@ class TestBuild:
 
     def test_single_4_edge(self):
         inst = make_instance(6, [(0, 1, 2, 3)], [1])
-        op = build_kikuchi(coalesce(inst), 2)
+        op = build_kikuchi(*coalesce(inst), 2)
         assert op.edge_multiplier == 6
         assert sum(op.degrees) == 6
         assert len(op.entries) == 3
@@ -126,7 +126,7 @@ class TestBuild:
             n = rng.randint(k + 1, 9)
             r = rng.randint(k // 2, min(4, n - k // 2))
             inst = random_instance(rng, n, k, rng.randint(1, 12), weighted=True)
-            op = build_kikuchi(coalesce(inst), r)
+            op = build_kikuchi(*coalesce(inst), r)
             assert sum(op.degrees) == op.m * op.edge_multiplier
 
     def test_quadratic_form_identity(self):
@@ -136,7 +136,7 @@ class TestBuild:
             n = rng.randint(k + 1, 9)
             r = rng.randint(k // 2, min(3, n - k // 2))
             inst = random_instance(rng, n, k, rng.randint(1, 10), weighted=True)
-            op = build_kikuchi(coalesce(inst), r)
+            op = build_kikuchi(*coalesce(inst), r)
             for _ in range(5):
                 x = [rng.choice((1, -1)) for _ in range(n)]
                 expected = inst.term_sum(x) * Dyadic(op.edge_multiplier)
@@ -144,7 +144,7 @@ class TestBuild:
 
     def test_quadratic_form_all_ones(self):
         inst = make_instance(5, [(0, 1), (1, 2), (3, 4)], [1, -1, 1])
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         total = sum(b for b in inst.rhs)
         assert quadratic_form(op, [1] * 5) == Dyadic(op.edge_multiplier * total)
 
@@ -171,7 +171,7 @@ class TestBuild:
             label="weights",
         )
         inst = make_instance(n, edges, rhs, weights=weights, arity=k)
-        op = build_kikuchi(coalesce(inst), r)
+        op = build_kikuchi(*coalesce(inst), r)
         x = data.draw(
             st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), label="x"
         )
@@ -198,21 +198,22 @@ class TestBuild:
     def test_pattern_is_read_only(self):
         # the degrees are the pattern's, shared by every later target
         parts = refuter._prepare_instance(make_instance(4, [(0, 1), (2, 3)], [1, -1]))
-        (part,) = parts.schemes[0].coalesced(parts.signed_sums([1, -1])).values()
-        op = build_kikuchi(part, 1)
+        (part,) = parts.schemes[0].parts
+        sums = parts.signed_sums([1, -1])
+        op = build_kikuchi(part, sums, 1)
         with pytest.raises(ValueError):
             op.degrees[0] = 5
         for array in vars(part.patterns[1]).values():
             with pytest.raises(ValueError):
                 array[0] = 0
-        assert build_kikuchi(part, 1).degrees.tolist() == [1, 1, 1, 1]
+        assert build_kikuchi(part, sums, 1).degrees.tolist() == [1, 1, 1, 1]
 
     def test_signed_sums_past_int64_stay_exact(self):
         # three parallel copies of weight about 1 at the scale 2^-70: the
         # sums pass 2^63, and only Python ints hold them
         w = Dyadic((1 << 70) - 1, 70)
         inst = make_instance(70, [(3, 68), (3, 68), (3, 68), (0, 69)], [1, 1, 1, -1], weights=[w] * 4)
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         assert op.entries.dtype == object
         assert entry_dict(op) == {(0, 69): -((1 << 70) - 1), (3, 68): 3 * ((1 << 70) - 1)}
         assert dyadic_entries(op) == reference_kikuchi(inst, 1)[0]
@@ -224,7 +225,7 @@ class TestBuild:
             [1, -1, -1, 1],
             weights=[Dyadic(1, 1), Dyadic(1, 2), Dyadic(1, 2), Dyadic(3, 2)],
         )
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         assert op.degrees.tolist() == [3, 3, 1, 1]
         assert (entry_dict(op), op.log_den) == ({(2, 3): 3}, 2)
         assert dyadic_entries(op) == reference_kikuchi(inst, 1)[0]
@@ -232,20 +233,20 @@ class TestBuild:
     def test_rejects_odd_and_bad_levels(self):
         odd = make_instance(4, [(0, 1, 2)], [1])
         with pytest.raises(ValidationError):
-            build_kikuchi(coalesce(odd), 2)
+            build_kikuchi(*coalesce(odd), 2)
         even = make_instance(4, [(0, 1, 2, 3)], [1])
         with pytest.raises(ResourceCap):
-            build_kikuchi(coalesce(even), 1)
+            build_kikuchi(*coalesce(even), 1)
         with pytest.raises(ResourceCap):
-            build_kikuchi(coalesce(even), 3)  # r - k/2 > n - k
+            build_kikuchi(*coalesce(even), 3)  # r - k/2 > n - k
         with pytest.raises(ResourceCap):
-            build_kikuchi(coalesce(make_instance(12, [(0, 1)], [1])), 5, dense_cap=100)
+            build_kikuchi(*coalesce(make_instance(12, [(0, 1)], [1])), 5, dense_cap=100)
 
 
 class TestTrace:
     def test_hand_computed_2x2(self):
         inst = make_instance(2, [(0, 1)], [1])
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         bound, used = trace_certificate(op, 2)
         assert used == 2
         assert math.isclose(bound, math.sqrt(0.5), rel_tol=1e-9)
@@ -253,20 +254,20 @@ class TestTrace:
 
     def test_zero_matrix(self):
         inst = make_instance(2, [(0, 1), (0, 1)], [1, -1])
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         assert trace_certificate(op, 4)[0] == 0.0
 
     def test_longer_powers_tighten(self):
         rng = random.Random(3)
         for _ in range(50):
             inst = random_instance(rng, rng.randint(4, 8), 2, rng.randint(4, 20))
-            op = build_kikuchi(coalesce(inst), 1)
+            op = build_kikuchi(*coalesce(inst), 1)
             b2, _ = trace_certificate(op, 2)
             b4, _ = trace_certificate(op, 4)
             assert b4 <= b2 + 1e-12
 
     def test_odd_ell_rejected(self):
-        op = build_kikuchi(coalesce(make_instance(2, [(0, 1)], [1])), 1)
+        op = build_kikuchi(*coalesce(make_instance(2, [(0, 1)], [1])), 1)
         with pytest.raises(ValidationError):
             trace_certificate(op, 3)
 
@@ -277,7 +278,7 @@ class TestTrace:
 
     def test_work_cap_truncates(self):
         inst = random_instance(random.Random(4), 10, 2, 30)
-        op = build_kikuchi(coalesce(inst), 2)
+        op = build_kikuchi(*coalesce(inst), 2)
         _, used = trace_certificate(op, 20, work_flops=10.0)
         assert used == 2
 
@@ -314,7 +315,7 @@ class TestTrace:
 class TestSpectral:
     def test_hand_computed(self):
         inst = make_instance(2, [(0, 1)], [1])
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         bound = spectral_certificate([op])[0]
         assert 0.5 <= bound <= 0.5 + 1e-10
 
@@ -322,15 +323,15 @@ class TestSpectral:
         rng = random.Random(5)
         for _ in range(50):
             inst = random_instance(rng, rng.randint(4, 9), 2, rng.randint(2, 25))
-            op = build_kikuchi(coalesce(inst), 1)
+            op = build_kikuchi(*coalesce(inst), 1)
             t, _ = trace_certificate(op, default_ell(1, inst.n))
             s = spectral_certificate([op])[0]
             assert s <= t + 1e-9
 
     def test_dense_matrix_is_fresh_and_symmetric(self):
         inst = random_instance(random.Random(6), 8, 4, 40)
-        op = build_kikuchi(coalesce(inst), 2)
-        expected = spectral_certificate([build_kikuchi(coalesce(inst), 2)])[0]
+        op = build_kikuchi(*coalesce(inst), 2)
+        expected = spectral_certificate([build_kikuchi(*coalesce(inst), 2)])[0]
         trace_certificate(op, 4)
         assert spectral_certificate([op])[0] == expected  # trace left the operator as it was
         dense = op.dense_matrix()
@@ -353,7 +354,7 @@ def _tiny_weight_op(data, lo: int, hi: int):
         min_size=m, max_size=m,
     ), label="weights")
     rhs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m), label="rhs")
-    op = build_kikuchi(coalesce(make_instance(n, edges, rhs, weights=weights)), r)
+    op = build_kikuchi(*coalesce(make_instance(n, edges, rhs, weights=weights)), r)
     d = Fraction(op.trace_degree, op.dim)
     degrees = op.degrees.tolist()
     exact = [[Fraction(0)] * op.dim for _ in range(op.dim)]
@@ -382,7 +383,7 @@ def _two_copies(inst):
 def _graph_op(n, edges, rng, weights=None):
     """Level-1 operator of a 2-XOR instance: its signed adjacency matrix."""
     inst = make_instance(n, edges, [rng.choice((1, -1)) for _ in edges], weights=weights)
-    return build_kikuchi(coalesce(inst), 1)
+    return build_kikuchi(*coalesce(inst), 1)
 
 
 class TestSpectralProof:
@@ -408,7 +409,7 @@ class TestSpectralProof:
         big = st.builds(Dyadic, st.integers(-(1 << 60), 1 << 60), st.just(60))
         weights = data.draw(st.lists(st.one_of(_weights(), big), min_size=m, max_size=m))
         rhs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
-        op = build_kikuchi(coalesce(make_instance(n, edges, rhs, weights=weights)), r)
+        op = build_kikuchi(*coalesce(make_instance(n, edges, rhs, weights=weights)), r)
         lanczos = data.draw(st.booleans(), label="lanczos")
         old = refuter._LANCZOS_FROM
         refuter._LANCZOS_FROM = 1 if lanczos else old
@@ -421,7 +422,7 @@ class TestSpectralProof:
     def test_two_disjoint_copies(self, path):
         # every eigenvalue of the matrix is double
         base = random_instance(random.Random(11), 6, 2, 14)
-        op = build_kikuchi(coalesce(_two_copies(base)), 1)
+        op = build_kikuchi(*coalesce(_two_copies(base)), 1)
         lam = spectral_certificate([op])[0]
         assert spectral_bound_holds(op, lam)
         assert lam <= _eigen_norm(op) * (1 + 1e-7)
@@ -460,7 +461,7 @@ class TestSpectralProof:
 
     def test_a_low_estimate_climbs_the_ladder(self, monkeypatch):
         inst = random_instance(random.Random(15), 8, 2, 20)
-        op = build_kikuchi(coalesce(inst), 1)
+        op = build_kikuchi(*coalesce(inst), 1)
         calls = []
         proves = refuter._cholesky_proves
 
@@ -483,13 +484,13 @@ class TestSpectralProof:
         calls = []
         proves = refuter._cholesky_proves
         monkeypatch.setattr(refuter, "_cholesky_proves", lambda *a: calls.append(a) or proves(*a))
-        assert spectral_certificate([build_kikuchi(coalesce(inst), 1)]) == [None]
+        assert spectral_certificate([build_kikuchi(*coalesce(inst), 1)]) == [None]
         assert len(calls) == len(refuter._LADDER)
         cert = refute(inst)
         assert cert.status == "uncertain" and cert.bound == 1.0
 
     def test_empty_operator_is_zero(self):
-        op = build_kikuchi(coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1)
+        op = build_kikuchi(*coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1)
         assert not len(op.entries)
         assert spectral_certificate([op])[0] == 0.0
 
@@ -542,7 +543,7 @@ class TestBatchedProof:
                 weights = data.draw(st.lists(_weights(), min_size=m, max_size=m), label="weights")
                 batch.append(_graph_op(n, edges, rng, weights))
         batch += [batch[0], batch[0]]  # duplicates
-        batch.append(build_kikuchi(coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1))
+        batch.append(build_kikuchi(*coalesce(make_instance(4, [(0, 1), (0, 1)], [1, -1])), 1))
         assert not len(batch[-1].entries)
         n = sides[0]  # in a stack with others
         wide = _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(12)], rng,
@@ -587,9 +588,9 @@ class TestBatchedProof:
             _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)], rng)
             for n, m in ((5, 7), (8, 20), (5, 9), (8, 13))
         ]
-        zero = build_kikuchi(coalesce(make_instance(5, [(0, 1), (0, 1)], [1, -1])), 1)
+        zero = build_kikuchi(*coalesce(make_instance(5, [(0, 1), (0, 1)], [1, -1])), 1)
         w = Dyadic((1 << 70) - 1, 70)
-        wide = build_kikuchi(coalesce(make_instance(
+        wide = build_kikuchi(*coalesce(make_instance(
             8, [(3, 6)] * 3 + [(0, 7), (1, 2)], [1, 1, 1, -1, 1], weights=[w] * 5
         )), 1)
         n = refuter._LANCZOS_FROM + 4
@@ -613,7 +614,7 @@ class TestBatchedProof:
         rng = random.Random(235)
         edges = [(0, 1), (0, 1), (2, 3), (1, 4), (3, 5), (0, 5), (2, 4)]
         rhs = [1, -1] + [rng.choice((1, -1)) for _ in edges[2:]]
-        op = build_kikuchi(coalesce(make_instance(6, edges, rhs, weights=[weight] * 7)), 2)
+        op = build_kikuchi(*coalesce(make_instance(6, edges, rhs, weights=[weight] * 7)), 2)
         assert 0 < len(op.entries) < len(op.values)
         pattern = KikuchiPattern(op.rows, op.cols, np.arange(len(op.entries)), op.degrees)
         nonzero = KikuchiOperator(op.n, op.k, op.r, op.m, pattern, op.entries, op.log_den,
@@ -623,7 +624,7 @@ class TestBatchedProof:
 
     def test_a_low_estimate_climbs_the_ladder_alone(self, monkeypatch):
         rng = random.Random(19)
-        ops = [build_kikuchi(coalesce(random_instance(rng, 8, 2, 20)), 1) for _ in range(5)]
+        ops = [build_kikuchi(*coalesce(random_instance(rng, 8, 2, 20)), 1) for _ in range(5)]
         estimates = []
         estimate = refuter._estimate_top
         monkeypatch.setattr(
@@ -728,7 +729,7 @@ def _check_split(inst):
     """``odd_to_even`` of a uniform odd-arity instance against the per-copy
     ``reference_odd_split``: the groups, the constant part, and every
     bucket's edges, copies, signed sums and Kikuchi matrix. Returns the split."""
-    split = odd_to_even(coalesce(inst))
+    split = odd_to_even(*coalesce(inst))
     n_groups, diag, ref_buckets = reference_odd_split(inst)
     assert split.n_groups == n_groups
     assert split.diag_term == diag
@@ -742,39 +743,39 @@ def _check_split(inst):
             sums[e] += b * w.as_fraction()
         assert {
             e: (count, Fraction(total, 1 << bucket.log_den))
-            for e, (count, total) in edge_table(bucket).items()
+            for e, (count, total) in edge_table(bucket, split.sums).items()
         } == {edge_mask(e): (multiplicity[e], sums[e]) for e in multiplicity}
         # and the bucket's matrix is the per-copy bucket's matrix
-        op = build_kikuchi(bucket, size // 2)
+        op = build_kikuchi(bucket, split.sums, size // 2)
         assert (dyadic_entries(op), tuple(op.degrees.tolist())) == reference_kikuchi(ref, size // 2)
-        assert op.trace_degree == build_kikuchi(coalesce(ref), size // 2).trace_degree
+        assert op.trace_degree == build_kikuchi(*coalesce(ref), size // 2).trace_degree
     return split
 
 
 class TestOddSplit:
     def test_disjoint_groups(self):
         inst = make_instance(6, [(0, 1, 2), (3, 4, 5)], [1, 1])
-        split = odd_to_even(coalesce(inst))
+        split = odd_to_even(*coalesce(inst))
         assert split.n_groups == 2
         assert split.diag_term == 2
         assert not split.buckets
 
     def test_shared_min_vertex(self):
         inst = make_instance(5, [(0, 1, 2), (0, 1, 3)], [1, 1])
-        split = odd_to_even(coalesce(inst))
+        split = odd_to_even(*coalesce(inst))
         bucket = split.buckets[2]
         # the pair counts in both orders: two copies of (2, 3), each 1 * 1
-        assert edge_table(bucket) == {edge_mask((2, 3)): (2, 2)}
+        assert edge_table(bucket, split.sums) == {edge_mask((2, 3)): (2, 2)}
         assert (bucket.m, bucket.log_den) == (2, 0)
 
     def test_sign_flipped_pairs_cancel(self):
         inst = make_instance(5, [(0, 1, 2), (0, 1, 3), (0, 1, 2)], [1, 1, -1])
-        split = odd_to_even(coalesce(inst))
+        split = odd_to_even(*coalesce(inst))
         # squares 3, and the parallel pair with opposite signs 2 * (-1)
         assert split.diag_term == 1
-        assert edge_table(split.buckets[2]) == {edge_mask((2, 3)): (4, 0)}
+        assert edge_table(split.buckets[2], split.sums) == {edge_mask((2, 3)): (4, 0)}
         assert split.buckets[2].m == 4
-        assert not len(build_kikuchi(split.buckets[2], 1).entries)
+        assert not len(build_kikuchi(split.buckets[2], split.sums, 1).entries)
         cert = refute(inst)
         assert cert.certified
         assert Fraction(cert.bound) >= brute_val(inst) == Fraction(1, 3)
@@ -844,7 +845,7 @@ class TestOddSplit:
             weights=[w for _, w, _ in copies],
         )
         split = _check_split(inst)
-        assert max(abs(s) for bucket in split.buckets.values() for s in bucket.sums) >= 1 << 63
+        assert max(abs(s) for s in split.sums.tolist()) >= 1 << 63
 
     def test_no_live_edge_has_no_group(self):
         zero = Dyadic(0)
@@ -864,13 +865,13 @@ class TestOddSplit:
 
     def test_parallel_edges_fold_into_diag(self):
         inst = make_instance(3, [(0, 1, 2), (0, 1, 2)], [1, 1])
-        split = odd_to_even(coalesce(inst))
+        split = odd_to_even(*coalesce(inst))
         assert split.diag_term == 4
         assert not split.buckets
 
     def test_rejects_even(self):
         with pytest.raises(ValidationError):
-            odd_to_even(coalesce(make_instance(4, [(0, 1)], [1])))
+            odd_to_even(*coalesce(make_instance(4, [(0, 1)], [1])))
 
 
 class TestRefute:
@@ -880,13 +881,13 @@ class TestRefute:
         assert cert.certified
         assert (cert.mode, cert.ell) == ("trace", 2)
         # the engine's bound, 2 * sqrt(1/2), is clamped at the trivial bound
-        assert math.isclose(2 * trace_certificate(build_kikuchi(coalesce(inst), 1), 2)[0], math.sqrt(2))
+        assert math.isclose(2 * trace_certificate(build_kikuchi(*coalesce(inst), 1), 2)[0], math.sqrt(2))
         assert cert.bound == 1.0
         assert Fraction(cert.bound) >= brute_val(inst)
 
     def test_single_edge_clamped_at_one(self):
         inst = make_instance(4, [(0, 1)], [1])
-        assert 2 * spectral_certificate([build_kikuchi(coalesce(inst), 1)])[0] > 1.0
+        assert 2 * spectral_certificate([build_kikuchi(*coalesce(inst), 1)])[0] > 1.0
         cert = refute(inst)
         assert cert.certified
         assert cert.bound == 1.0
@@ -936,7 +937,7 @@ class TestRefute:
             assert prepared.weights is not None
             expected = [0] * prepared.n_rows
             for part in prepared.schemes[0].parts:
-                for row, edge in enumerate(part.edges, part.row):
+                for row, edge in enumerate(part.edges, part.rows.start):
                     expected[row] = sum(
                         b * w.scaled(prepared.schemes[0].log_den)
                         for e, w, b in zip(edges, weights, inst.rhs)
@@ -1073,10 +1074,17 @@ class TestPrepareInstance:
                 per_edge = units.setdefault(len(edge), {})
                 per_edge[edge_mask(edge)] = per_edge.get(edge_mask(edge), 0) + abs(w.scaled(log_den))
         sums = prepared.signed_sums(inst.rhs)
-        parts = prepared.schemes[0].coalesced(sums, prepared.unit_copies())
+        rows, (scheme,) = prepared.unit_schemes
         assert {
-            k: (part.m, dict(zip(part.edges, part.copies))) for k, part in parts.items()
+            part.k: (part.m, dict(zip(part.edges, part.copies))) for part in scheme.parts
         } == {k: (sum(per_edge.values()), per_edge) for k, per_edge in units.items()}
+        # each unit part reads its edges' own signed sums
+        assert {
+            edge: total for part in scheme.parts for edge, (_, total) in edge_table(part, sums[rows]).items()
+        } == {
+            edge: total for part in prepared.schemes[0].parts
+            for edge, (_, total) in edge_table(part, sums).items() if edge in units.get(part.k, {})
+        }
 
 
 def _random_rows(rng: random.Random, pool: list[int], width: int, n_schemes: int):
@@ -1236,8 +1244,9 @@ class TestPatternReuse:
     def test_targets_reuse_the_pattern_and_match_a_fresh_refute(self, monkeypatch):
         """Prepared schemes build each part's pattern once per level, at its
         first target, and every later target's certificate is byte-identical
-        to a fresh refute of its instance; under split_weights each call
-        builds its own patterns and leaves the kept ones as they are."""
+        to a fresh refute of its instance; the parts under split_weights
+        are prepared once too, and build their own patterns at their first
+        target."""
         rng = random.Random(230)
         ens = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
         built = []
@@ -1253,11 +1262,41 @@ class TestPatternReuse:
             builds.append(len(built))
             fresh = [refute(inst, params).to_json() for _, inst in sorted(attach_rhs(ens, b).items())]
             assert got == fresh, params
-        # only the first target of each level builds: the arity-2 parts at
-        # their own level, then at r=2; split_weights builds every time
+        # only the first target of each level and of each set of parts
+        # builds: the arity-2 parts at their own level, the unit parts of
+        # split_weights at theirs, then the arity-2 parts at r=2
         assert builds[0] > 0 and builds[1:6] == [0] * 5
-        assert builds[6] == builds[7] == builds[0]
+        assert builds[6] == builds[0] and builds[7] == 0
         assert builds[8] > 0 and builds[9] == 0
+
+    @pytest.mark.parametrize("params", [RefuteParams(), RefuteParams(split_weights=True)],
+                             ids=["default", "split_weights"])
+    def test_odd_parts_keep_their_pairing(self, monkeypatch, params):
+        """On a t=3 tree ensemble, whose arity-3 keys take the odd split,
+        the first target builds every pattern and every pairing, and later
+        ones build neither; every target's certificates are byte-identical
+        to a fresh refute of its instances."""
+        rng = random.Random(234)
+        ens = group_characters(to_layered(random_tree_circuit(rng, 8, 1, 3, 600, leaf_prob=0.4)))
+        counts = Counter()
+        real = refuter._kikuchi_pattern
+        monkeypatch.setattr(
+            refuter, "_kikuchi_pattern", lambda *a: counts.update(["pattern"]) or real(*a)
+        )
+        # the kept descriptor now counts each pairing it builds
+        pairing = vars(refuter.PreparedPart)["pairing"]
+        build = pairing.func
+        monkeypatch.setattr(pairing, "func", lambda part: counts.update(["pairing"]) or build(part))
+        per_target = []
+        for _ in range(8):
+            counts.clear()
+            b = signs(rng, ens.prepared.m)
+            got = [c.to_json() for c in ens.prepared.refute(b, params)]
+            per_target.append(dict(counts))
+            fresh = [refute(inst, params).to_json() for _, inst in sorted(attach_rhs(ens, b).items())]
+            assert got == fresh
+        assert per_target[0]["pairing"] > 0 and per_target[0]["pattern"] > 0
+        assert per_target[1:] == [{}] * 7
 
     def test_later_targets_compute_no_reweighting(self, monkeypatch):
         """The reweighting of every pattern, and the layout of every stack,
