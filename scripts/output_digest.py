@@ -21,6 +21,11 @@ split, and 8 uniform targets, each certified with the default knobs and
 with ``split_weights``. Its later passes read the odd parts' kept pairings
 and the kept parts of ``split_weights``.
 
+Then come the lines of ``remote-tree-trace``: the inputs and set-up of
+``remote-tree`` at each seed, its 8 targets certified under mode ``trace``,
+which no benchmark workload runs on a prepared ensemble. Its later passes
+read the plan that the first pass recorded for those knobs.
+
 ``bench/workloads.py`` is imported by path and only read.
 """
 
@@ -84,9 +89,34 @@ def _odd_tree_workload() -> SimpleNamespace:
     )
 
 
+def _trace_tree_workload(tree) -> SimpleNamespace:
+    """The ``remote-tree-trace`` lines: the inputs and set-up of the
+    ``remote-tree`` workload ``tree``, each target certified under mode
+    trace."""
+    params = CertifyParams(eps=Fraction(2, 5), refute=RefuteParams(mode="trace"))
+
+    def ops(inputs, state):
+        circuit, ens = state
+        return [
+            lambda b=b: certify_not_in_range(circuit, b, params, prepared=ens)
+            for b in inputs["targets"]
+        ]
+
+    return SimpleNamespace(
+        name="remote-tree-trace",
+        inputs_of=tree.name,
+        make_inputs=tree.make_inputs,
+        setup=tree.setup,
+        ops=ops,
+        canonical=tree.canonical,
+    )
+
+
 def digests(workload, seed: int, passes: int) -> list[str]:
-    """The digest of each of ``passes`` passes over one set-up."""
-    inputs = workload.make_inputs(random.Random(f"{workload.name}:{seed}"))
+    """The digest of each of ``passes`` passes over one set-up. A workload
+    that reads another's inputs names it in ``inputs_of``."""
+    name = getattr(workload, "inputs_of", workload.name)
+    inputs = workload.make_inputs(random.Random(f"{name}:{seed}"))
     calls = workload.ops(inputs, workload.setup(inputs))
     out = []
     for _ in range(passes):
@@ -108,7 +138,9 @@ def main() -> int:
         ap.error(f"--passes must be at least 1, got {args.passes}")
 
     status = 0
-    workloads = {**_load_workloads(), "remote-tree-odd": _odd_tree_workload()}
+    workloads = _load_workloads()
+    workloads["remote-tree-odd"] = _odd_tree_workload()
+    workloads["remote-tree-trace"] = _trace_tree_workload(workloads["remote-tree"])
     for name, workload in workloads.items():
         for seed in args.seeds:
             first, *later = digests(workload, seed, args.passes)

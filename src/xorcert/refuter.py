@@ -44,10 +44,10 @@ Two certificate engines bound the reweighted norm:
               and proved by two shifted float Choleskys that lam Gamma - A
               and lam Gamma + A are positive semidefinite; the default mode
               ``auto`` runs it, as does ``spectral``. It takes a batch:
-              ``PreparedSchemes`` builds the operators of every scheme of a
-              right-hand side first, proves them all in one call, stacked
-              by side length below 180, then folds the bounds into the
-              certificates;
+              every operator of a right-hand side is proved in one call,
+              stacked by side length below 180, and the bounds are folded
+              into the certificates by the plan that ``PreparedSchemes``
+              keeps for each set of knobs;
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power; looser, and run
               only when mode ``trace`` asks for it.
@@ -69,8 +69,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from operator import attrgetter, itemgetter
-from typing import Callable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,8 +237,9 @@ class KikuchiOperator:
     S, independent of the edge weights: the pattern's, read-only, since
     every target of the pattern shares them. Numerators and degrees are
     exact integers: int64 arrays when every value fits, else object arrays
-    of Python ints. Not frozen: one is made for every part and target, and
-    a frozen dataclass takes several times as long to make.
+    of Python ints. Not frozen: the first target of a plan makes one for
+    every even part and bucket, a later target one per part only under mode
+    ``trace``, and a frozen dataclass takes several times as long to make.
     """
 
     n: int
@@ -554,10 +555,11 @@ class PreparedSchemes:
     What depends on the schemes alone is kept for every target: each part's
     Kikuchi patterns with their reweighting (``KikuchiPattern.layout``) and
     an odd part's pairing, built at the part's first target, the parts under
-    ``split_weights`` (``unit_schemes``), and in ``layouts`` the last layout
-    of each stack of the spectral proof. A target computes only its signed
-    sums, as one array that each part reads its rows of, gathers them into
-    its operators, and proves the stacks.
+    ``split_weights`` (``unit_schemes``), and in ``plans`` one ``_Plan`` per
+    set of knobs, recorded at the first target with them. A later target
+    with the same knobs computes its signed sums, splits its odd parts,
+    gathers the values of every operator at once, proves them in one call
+    and folds the bounds by the plan's rows.
     """
 
     m: int
@@ -567,7 +569,7 @@ class PreparedSchemes:
     outputs: np.ndarray
     units: np.ndarray
     weights: np.ndarray | None
-    layouts: dict = field(default_factory=dict, compare=False, repr=False)
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _row_sums(self, signs: np.ndarray) -> np.ndarray:
         """Exact sum of signs[i] * units[i] over the live copies i of every
@@ -632,22 +634,26 @@ class PreparedSchemes:
         return tuple(j for j, scheme in enumerate(self.schemes) if not scheme.zero)
 
     def _refute(self, b: Sequence[int], params: RefuteParams) -> list[Certificate]:
-        """Three passes: every nonzero scheme builds its operators, the
-        spectral ones are proved in one ``spectral_certificate`` call, and
-        each nonzero scheme folds the bounds into its certificate."""
-        schemes, sums = self.schemes, None
-        if self.nonzero:  # else every scheme is zero and reads no sum
-            sums = self.signed_sums(b)
-            if params.split_weights:
-                rows, schemes = self.unit_schemes
-                sums = sums[rows]
-        ops: list[KikuchiOperator] = []
-        folds = [_refute_scheme(schemes[j], sums, params, ops) for j in self.nonzero]
-        bounds = spectral_certificate(ops, layouts=self.layouts) if ops else []
-        proved = [_spectral(op, bound) for op, bound in zip(ops, bounds)]
+        """The certificates of the plan of ``params``: the first target with
+        these knobs records it, a later one computes its signed sums, splits
+        the plan's odd parts, gathers every operator's values from both at
+        once and hands them to the plan's proof and fold."""
         certs = [_ZERO] * len(self.schemes)
-        for j, fold in zip(self.nonzero, folds):
-            certs[j] = fold(proved)
+        if not self.nonzero:  # every scheme is zero and reads no sum
+            return certs
+        sums = self.signed_sums(b)
+        if params.split_weights:
+            sums = sums[self.unit_schemes[0]]
+        plan = self.plans.get(params)
+        if plan is None:
+            plan, values, splits, ops = _Plan.record(self, sums, params)
+            self.plans[params] = plan
+        else:
+            splits = [odd_to_even(part, sums) for part in plan.odd]
+            values = _joined([sums] + [split.sums for split in splits])[plan.gather]
+            ops = None
+        for j, cert in zip(self.nonzero, plan.certificates(sums, splits, values, ops)):
+            certs[j] = cert
         return certs
 
 
@@ -1231,33 +1237,78 @@ def _layout(patterns: Sequence[KikuchiPattern]) -> _Layout:
     )
 
 
-def _scaled_stack(
-    ops: Sequence[KikuchiOperator], layout: _Layout
-) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
-    """Steps 1 and 2 of ``spectral_certificate`` over a stack of nonempty
-    operators of one side length, laid out by ``layout``: (the matrices
-    D^-1 A' D^-1 as one new (count, dim, dim) array, the tails, the top
-    bits, the estimates).
+@dataclass(eq=False)
+class _BatchShape:
+    """What ``spectral_certificate`` reads of a batch of operators whatever
+    their values: each operator's pattern, scale 2^-log_den and side length,
+    where its values start among the batch's (``offsets``, with their end
+    last; ``starts`` without it), and in ``layouts``, for each stack of the
+    proof, keyed by side length and the place of its first operator among
+    those of that side, its operators and their joined ``_Layout``. A plan
+    keeps one for all its targets, so that a stack with the same operators
+    as before is not laid out again."""
 
-    Everything that depends on the degrees alone comes from the layout. Per
-    target the signed sums of every position, zeros included, are joined
-    once: one reduceat of max and one of min give each operator's top bits,
-    one ``ldexp`` with an exponent per entry scales them while every
+    patterns: tuple[KikuchiPattern, ...]
+    log_dens: list[int]
+    dims: list[int]
+    offsets: list[int]
+    starts: np.ndarray
+    layouts: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Operators to prove in one ``spectral_certificate`` call: their
+    ``shape`` and the values of every position of each, zeros included, one
+    operator after the other."""
+
+    shape: _BatchShape
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.shape.patterns)
+
+    @staticmethod
+    def of(ops: Sequence[KikuchiOperator]) -> "_Batch":
+        offsets = np.cumsum([0] + [len(op.values) for op in ops]).tolist()
+        shape = _BatchShape(
+            tuple(op.pattern for op in ops),
+            [op.log_den for op in ops],
+            [op.dim for op in ops],
+            offsets,
+            np.array(offsets[:-1], dtype=np.intp),
+        )
+        values = _joined([op.values for op in ops]) if ops else np.zeros(0, dtype=np.int64)
+        return _Batch(shape, values)
+
+
+def _scaled_stack(
+    nums: np.ndarray, tops: list[int], layout: _Layout, pattern: KikuchiPattern
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps 1 and 2 of ``spectral_certificate`` over a stack of nonempty
+    operators of one side length, laid out by ``layout``, given the values
+    of their positions one after the other, zeros included, and the top
+    bits of each: (the matrices D^-1 A' D^-1 as one new (count, dim, dim)
+    array, the tails, the estimates). ``pattern`` is that of the first
+    operator, the only one from ``_LANCZOS_FROM`` up.
+
+    Everything that depends on the degrees alone comes from the layout. One
+    ``ldexp`` with an exponent per entry scales the values while every
     numerator is an int64 below 2^53 (else each operator goes through
     ``_entries_at``), and one scatter writes the stack. A zero writes the
-    zero that is already there and adds nothing to the tops or the tails,
-    so the stack is that of the nonzero entries alone. Every array the size
-    of the entries is dropped on return, before any Cholesky."""
-    count, dim = len(ops), ops[0].dim
-    nums = _joined([op.values for op in ops])
-    highs = np.maximum.reduceat(nums, layout.starts).tolist()
-    lows = np.minimum.reduceat(nums, layout.starts).tolist()
-    tops = [max(high, -low).bit_length() for high, low in zip(highs, lows)]
+    zero that is already there and adds nothing to the tails, so the stack
+    is that of the nonzero entries alone. Every array the size of the
+    entries is dropped on return, before any Cholesky."""
+    count, dim = layout.diag.shape
     errors = None
     if nums.dtype != object and max(tops) <= 53:
         values = np.ldexp(nums.astype(np.float64), np.negative(tops)[layout.which])
     else:
-        converted = [_entries_at(op.values, top, top) for op, top in zip(ops, tops)]
+        starts = layout.starts.tolist()
+        converted = [
+            _entries_at(nums[lo:hi], top, top)
+            for lo, hi, top in zip(starts, starts[1:] + [len(nums)], tops)
+        ]
         values = _joined([v for v, _ in converted])
         inexact = [i for i, (_, e) in enumerate(converted) if e is not None]
         if inexact:
@@ -1268,7 +1319,6 @@ def _scaled_stack(
     triangle = None
     if dim >= _LANCZOS_FROM:  # a stack of one; Lanczos reads its nonzero entries
         nonzero = np.flatnonzero(nums)
-        pattern = ops[0].pattern
         triangle = (pattern.rows[nonzero], pattern.cols[nonzero], upper[nonzero])
     lam_hat = _estimate_top(buf, triangle, layout.scale)
 
@@ -1281,17 +1331,24 @@ def _scaled_stack(
         row_sums = np.bincount(rows, scaled, size) + np.bincount(cols, scaled, size)
         largest = row_sums.reshape(count, dim).max(axis=1)[inexact]
         tail[inexact] = _up_each(largest * (1.0 + 2.0 * dim * _EPS))
-    return buf, tail, tops, lam_hat
+    return buf, tail, lam_hat
 
 
-def _prove_stack(ops: Sequence[KikuchiOperator], layout: _Layout) -> list[float | None]:
+def _prove_stack(
+    nums: np.ndarray,
+    tops: list[int],
+    log_dens: list[int],
+    patterns: Sequence[KikuchiPattern],
+    layout: _Layout,
+) -> list[float | None]:
     """``spectral_certificate`` of nonempty operators of one side length,
-    all below ``_LANCZOS_FROM`` or a single one: one estimate and one
-    Cholesky of both sides of every matrix at the first rung. If that
+    all below ``_LANCZOS_FROM`` or a single one, given as for
+    ``_scaled_stack`` with each one's scale and pattern: one estimate and
+    one Cholesky of both sides of every matrix at the first rung. If that
     Cholesky fails, each operator is proved again alone, as a stack of one,
     which climbs the ladder."""
-    count, dim = len(ops), ops[0].dim
-    buf, tail, tops, lam_hat = _scaled_stack(ops, layout)
+    count, dim = layout.diag.shape
+    buf, tail, lam_hat = _scaled_stack(nums, tops, layout, patterns[0])
     diag, diag_sum = layout.diag, layout.diag_sum
 
     # With an exact estimate this leaves H a smallest eigenvalue of at least
@@ -1305,13 +1362,21 @@ def _prove_stack(ops: Sequence[KikuchiOperator], layout: _Layout) -> list[float 
     for stack in _sides(buf, stacked=dim < _LANCZOS_FROM):
         while not _cholesky_proves(stack, diag, lam, shift):
             if count > 1:  # some matrix needs a higher rung than the others
-                return [b for op in ops for b in _prove_stack([op], op.pattern.layout)]
+                starts = layout.starts.tolist() + [len(nums)]
+                return [
+                    bound
+                    for i, pattern in enumerate(patterns)
+                    for bound in _prove_stack(
+                        nums[starts[i] : starts[i + 1]], tops[i : i + 1], log_dens[i : i + 1],
+                        [pattern], pattern.layout,
+                    )
+                ]
             rung += 1
             if rung == len(_LADDER):
                 return [None]
             lam = lam_hat * (1.0 + delta * _LADDER[rung])
             shift = _shift(dim, lam, diag_sum, tail)
-    bounds = [math.ldexp(x, top - op.log_den) for x, top, op in zip(lam.tolist(), tops, ops)]
+    bounds = [math.ldexp(x, top - log_den) for x, top, log_den in zip(lam.tolist(), tops, log_dens)]
     return [bound if bound >= _MIN_NORMAL else _up(bound) for bound in bounds]
 
 
@@ -1320,15 +1385,12 @@ def _prove_stack(ops: Sequence[KikuchiOperator], layout: _Layout) -> list[float 
 _STACK_ENTRIES = 1 << 18
 
 
-def spectral_certificate(
-    ops: Sequence[KikuchiOperator], layouts: dict | None = None
-) -> list[float | None]:
+def spectral_certificate(ops: Sequence[KikuchiOperator] | _Batch) -> list[float | None]:
     """Proved upper bound lam on the norm of B = Gamma^-1/2 A Gamma^-1/2 of
     each operator, in order: 0 for an operator without entries, None where
     no rung of the ladder proves one, which makes its certificate uncertain.
-    ``layouts``, a dict that the caller keeps from one batch to the next,
-    holds the last layout of each stack (``_Layout``), which the next batch
-    reuses if the stack has the same patterns.
+    The operators come as a list, or as a ``_Batch``, whose shape a plan
+    keeps with the layout of each stack for the next target.
 
     The norm is at most lam exactly when lam Gamma - A and lam Gamma + A are
     both positive semidefinite. lam is an estimate of B's largest
@@ -1391,24 +1453,45 @@ def spectral_certificate(
     with the same inputs as a stack of one, and every array step is taken
     entry by entry, so each bound is bit-identical to the operator's own
     proof. From ``_LANCZOS_FROM`` up each operator is proved alone, its
-    two sides one after the other in one buffer.
+    two sides one after the other in one buffer. One reduceat of max and
+    one of min over the batch's values give every operator's top bits, and
+    an operator whose values are all zero is no stack's.
     """
-    bounds: list[float | None] = [0.0] * len(ops)
+    batch = ops if isinstance(ops, _Batch) else _Batch.of(ops)
+    shape, values = batch.shape, batch.values
+    bounds: list[float | None] = [0.0] * len(batch)
+    if not len(batch):
+        return bounds
+    highs = np.maximum.reduceat(values, shape.starts).tolist()
+    lows = np.minimum.reduceat(values, shape.starts).tolist()
+    tops = [max(high, -low).bit_length() for high, low in zip(highs, lows)]
     by_side: dict[int, list[int]] = {}
-    for i, op in enumerate(ops):
-        if not op.empty:
-            by_side.setdefault(op.dim, []).append(i)
-    if layouts is None:
-        layouts = {}
+    for i, (top, dim) in enumerate(zip(tops, shape.dims)):
+        if top:
+            by_side.setdefault(dim, []).append(i)
+    at = shape.offsets
     for dim, members in by_side.items():
         size = max(1, _STACK_ENTRIES // (dim * dim)) if dim < _LANCZOS_FROM else 1
         for lo in range(0, len(members), size):
-            stack = [ops[i] for i in members[lo : lo + size]]
-            patterns = tuple(op.pattern for op in stack)
-            last = layouts.get((dim, lo))
-            if last is None or last[0] != patterns:
-                last = layouts[(dim, lo)] = (patterns, _layout(patterns))
-            for i, bound in zip(members[lo : lo + size], _prove_stack(stack, last[1])):
+            stack = tuple(members[lo : lo + size])
+            last = shape.layouts.get((dim, lo))
+            if last is None or last[0] != stack:
+                last = shape.layouts[(dim, lo)] = (
+                    stack, _layout([shape.patterns[i] for i in stack])
+                )
+            first, end = stack[0], stack[-1]
+            if end - first == len(stack) - 1:  # a run of the batch: a view
+                nums = values[at[first] : at[end + 1]]
+            else:
+                nums = np.concatenate([values[at[i] : at[i + 1]] for i in stack])
+            proved = _prove_stack(
+                nums,
+                [tops[i] for i in stack],
+                [shape.log_dens[i] for i in stack],
+                [shape.patterns[i] for i in stack],
+                last[1],
+            )
+            for i, bound in zip(stack, proved):
                 bounds[i] = bound
     return bounds
 
@@ -1429,9 +1512,11 @@ class OddSplit:
 
 def _for_products(values: np.ndarray, terms: int) -> np.ndarray:
     """Integers ``values`` as an int64 array if twice any sum of ``terms``
-    products of two of them stays below 2^63, else as Python ints."""
+    products of two of them stays below 2^63, else as Python ints; at least
+    one term is counted, so that every value fits int64 even where none is
+    multiplied."""
     top = max(int(values.max()), -int(values.min())) if len(values) else 0
-    if 2 * top * top * terms < 1 << 63:
+    if 2 * top * top * max(terms, 1) < 1 << 63:
         return values.astype(np.int64, copy=False)
     return values.astype(object)
 
@@ -1485,124 +1570,246 @@ def _combine(parts: list[Certificate], bound: float) -> Certificate:
 
 _ZERO = Certificate(mode="direct", bound=0.0, status="certified")
 
-# A certificate whose spectral proofs are still to come: given the
-# certificates of the batch's operators, in the order they joined it, it
-# returns its own.
-_Fold = Callable[[Sequence[Certificate]], Certificate]
-
-
-def _known(cert: Certificate) -> _Fold:
-    return lambda proved: cert
-
-
-_ZERO_FOLD = _known(_ZERO)
-
-
-def _spectral(op: KikuchiOperator, norm_bound: float | None) -> Certificate:
-    """The certificate of one operator from its ``spectral_certificate``."""
-    if norm_bound is None:
-        return _uncertain("spectral", r=op.r)
-    # doubling is exact in binary floating point
-    return Certificate(mode="spectral", bound=2.0 * norm_bound, status="certified", r=op.r)
-
-
-def _refute_direct(part: PreparedPart, sums: np.ndarray) -> Certificate:
-    """Arity 0 or 1: each distinct edge is the constant or one variable, so
-    the value is at most the sum of |signed sum| over m, and exactly that
-    for arity 1."""
-    total = sum(map(abs, sums[part.rows].tolist()))
-    bound = _ratio_up(total, part.m << part.log_den)
-    return Certificate(mode="direct", bound=bound, status="certified")
-
-
-def _refute_even(
-    part: PreparedPart, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
-) -> _Fold:
-    """One engine: trace when mode ``trace`` asks for it, run here; else
-    spectral, whose operator joins ``ops``."""
-    k = part.k
-    r = params.r if params.r is not None else k // 2
-    r = max(r, k // 2)  # the construction does not exist below k/2
-    mode, ell = "spectral", None  # auto is the spectral engine
-    if params.mode == "trace":
-        mode = "trace"
-        ell = params.ell if params.ell is not None else default_ell(r, part.n)
-        _check_ell(ell)
-    try:
-        op = build_kikuchi(part, sums, r, params.dense_cap)
-        if ell is not None:
-            norm_bound, ell = trace_certificate(op, ell, params.work_flops)
-    except ResourceCap:
-        return _known(_uncertain(mode, r=r, ell=ell))
-    if ell is None:
-        ops.append(op)
-        return itemgetter(len(ops) - 1)
-    return _known(Certificate(mode=mode, bound=2.0 * norm_bound, status="certified", r=r, ell=ell))
-
-
-def _refute_odd(
-    part: PreparedPart, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
-) -> _Fold:
-    split = odd_to_even(part, sums)
-    folds = []
-    for size, bucket in split.buckets.items():
-        bucket_r = params.r
-        if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > part.n - size:
-            bucket_r = size // 2
-        folds.append(_refute_even(bucket, split.sums, replace(params, r=bucket_r), ops))
-
-    def fold(proved: Sequence[Certificate]) -> Certificate:
-        parts = []
-        inner = split.diag_term
-        for bucket, bucket_fold in zip(split.buckets.values(), folds):
-            sub = _clamp(bucket_fold(proved))
-            parts.append(sub)
-            inner += bucket.m * Fraction(sub.bound)
-        bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / part.m
-        # division rounds to nearest; one ulp up restores the upper bound
-        return _combine(parts, _up(bound))
-
-    return fold
-
-
-def _refute_part(
-    part: PreparedPart, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
-) -> _Fold:
-    if not any(part.live):
-        return _ZERO_FOLD  # every weight is zero, and so is the value
-    if part.k < 2:
-        return _known(_refute_direct(part, sums))
-    if part.k % 2 == 0:
-        return _refute_even(part, sums, params, ops)
-    return _refute_odd(part, sums, params, ops)
-
 
 def _clamp(cert: Certificate) -> Certificate:
     return replace(cert, bound=1.0) if cert.bound > 1.0 else cert
 
 
-def _refute_scheme(
-    scheme: PreparedScheme, sums: np.ndarray, params: RefuteParams, ops: list[KikuchiOperator]
-) -> _Fold:
-    """``refute`` of one prepared scheme with a live copy, given the signed
-    sums its parts read; under ``split_weights`` the scheme is the one of
-    ``PreparedSchemes.unit_schemes``. Its spectral operators join ``ops``."""
-    folds = [_refute_part(part, sums, params, ops) for part in scheme.parts]
+def _proved(mode: str, norm_bound: float | None, r: int, ell: int | None = None) -> Certificate:
+    """The certificate of one operator from its engine's bound on the
+    reweighted norm, clamped at 1."""
+    if norm_bound is None:
+        return _uncertain(mode, r=r)
+    # doubling is exact in binary floating point
+    bound = min(2.0 * norm_bound, 1.0)
+    return Certificate(mode=mode, bound=bound, status="certified", r=r, ell=ell)
 
-    def fold(proved: Sequence[Certificate]) -> Certificate:
-        certs = [_clamp(part_fold(proved)) for part_fold in folds]
-        if len(certs) == 1:
-            cert = certs[0]
+
+@dataclass(eq=False)
+class _Plan:
+    """How the nonzero schemes of a ``PreparedSchemes`` are refuted under
+    one set of knobs, whatever the target: recorded at the first target
+    with those knobs (``record``) and read by every later one.
+
+    Every part of a nonzero scheme is one of four kinds:
+
+    * zero: it has no weight, so its value is 0;
+    * direct: of arity 0 or 1, whose value is at most the sum of |signed
+      sum| over m, and exactly that for arity 1; its rows of the signed
+      sums are run i of ``direct``, at the scale 1 / ``dens[i]``;
+    * even: the operator in slot i of the batch, at level ``heads[i][2]``,
+      whose values are the source's at ``rows_at[i] + shape.patterns[i].edge``,
+      or where its level is capped an uncertain certificate;
+    * odd: part i of ``odd``, whose buckets are even parts of their own.
+
+    The source is the signed sums that the parts read, then the bucket
+    sums of each odd part in turn. A target's certificates of the parts
+    are one list: the slots in order, ``constants`` (``_ZERO`` and every
+    capped level's), the direct parts, then the odd parts, each of which
+    reads the (copies, place) of its buckets in ``odd_rows``. ``pick``
+    gives the place of each nonzero scheme's first part, whose certificate
+    is the scheme's, except for the schemes in ``mixed``: those of several
+    parts or under ``split_weights``, as (their place among the nonzero
+    schemes, the copies of each part, the factor of the rescale or None,
+    the places of the parts).
+    """
+
+    params: RefuteParams
+    shape: _BatchShape
+    heads: list[tuple[int, int, int, int, int]]  # (n, k, r, m, edge multiplier) of each slot
+    ells: list[int | None]  # the trace power asked for at each slot
+    rows_at: list[int]
+    constants: list[Certificate]
+    direct: np.ndarray
+    direct_starts: np.ndarray
+    dens: list[int]
+    exact: bool  # whether every sum of |signed sum| fits int64
+    odd: list[PreparedPart]
+    odd_rows: list[tuple[int, list[tuple[int, int]]]]  # (copies, buckets) of each odd part
+    pick: list[int]
+    mixed: list[tuple[int, list[int], Fraction | None, list[int]]]
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """Where the values of every slot are in the source, slot after
+        slot; built at the second target, since the first has its
+        operators."""
+        return _joined(
+            [at + pattern.edge for at, pattern in zip(self.rows_at, self.shape.patterns)]
+            or [np.zeros(0, dtype=np.intp)]
+        )
+
+    @staticmethod
+    def record(
+        prepared: PreparedSchemes, sums: np.ndarray, params: RefuteParams
+    ) -> tuple[_Plan, np.ndarray, list[OddSplit], list[KikuchiOperator]]:
+        """The plan of ``params``, from the first target's signed sums (under
+        ``split_weights`` those of the unit parts): every even part and
+        bucket builds its operator through ``build_kikuchi``, and every odd
+        part splits through ``odd_to_even``. Returns (the plan, the values of
+        its operators joined, the splits, the operators)."""
+        schemes = prepared.unit_schemes[1] if params.split_weights else prepared.schemes
+        mode = "trace" if params.mode == "trace" else "spectral"  # auto is the spectral engine
+        ops: list[KikuchiOperator] = []
+        ells: list[int | None] = []
+        rows_at: list[int] = []
+        constants = [_ZERO]
+        direct: list[range] = []
+        dens: list[int] = []
+        odd: list[PreparedPart] = []
+        odd_rows: list[tuple[int, list]] = []
+        splits: list[OddSplit] = []
+        source = len(sums)  # where the next odd part's bucket sums start
+
+        # until every kind is counted, a part is (kind, its index among its
+        # kind): an even part or a bucket is ("slot", i) or ("constant", c)
+        def leaf(part: PreparedPart, part_sums: np.ndarray, r: int, at: int) -> tuple[str, int]:
+            ell = None
+            if mode == "trace":
+                ell = params.ell if params.ell is not None else default_ell(r, part.n)
+                _check_ell(ell)
+            try:
+                op = build_kikuchi(part, part_sums, r, params.dense_cap)
+            except ResourceCap:
+                constants.append(_uncertain(mode, r=r, ell=ell))
+                return "constant", len(constants) - 1
+            ops.append(op)
+            ells.append(ell)
+            rows_at.append(at + part.rows.start)
+            return "slot", len(ops) - 1
+
+        planned = []
+        for j in prepared.nonzero:
+            scheme = schemes[j]
+            refs = []
+            for part in scheme.parts:
+                k = part.k
+                if not any(part.live):
+                    refs.append(("constant", 0))
+                elif k < 2:
+                    refs.append(("direct", len(direct)))
+                    direct.append(range(part.rows.start, part.rows.stop))
+                    dens.append(part.m << part.log_den)
+                elif k % 2 == 0:
+                    # the construction does not exist below k/2
+                    r = max(params.r if params.r is not None else k // 2, k // 2)
+                    refs.append(leaf(part, sums, r, 0))
+                else:
+                    split = odd_to_even(part, sums)
+                    buckets = []
+                    for size, bucket in split.buckets.items():
+                        r = params.r
+                        if r is None or r < size // 2 or r - size // 2 > part.n - size:
+                            r = size // 2
+                        buckets.append((bucket.m, leaf(bucket, split.sums, r, source)))
+                    refs.append(("odd", len(odd)))
+                    odd.append(part)
+                    odd_rows.append((part.m, buckets))
+                    splits.append(split)
+                    source += len(split.sums)
+            planned.append((scheme, refs))
+
+        # a target's certificates of the parts: slots, constants, direct, odd
+        first = {"slot": 0, "constant": len(ops)}
+        first["direct"] = first["constant"] + len(constants)
+        first["odd"] = first["direct"] + len(direct)
+
+        def place(ref: tuple[str, int]) -> int:
+            kind, i = ref
+            return first[kind] + i
+
+        pick, mixed = [], []
+        for at, (scheme, refs) in enumerate(planned):
+            places = list(map(place, refs))
+            pick.append(places[0])
+            if len(places) > 1 or params.split_weights:
+                copies = [part.m for part in scheme.parts]
+                # the m' unit copies have the term sums of the scheme's m original copies
+                scale = Fraction(sum(copies), scheme.m) if params.split_weights else None
+                mixed.append((at, copies, scale, places))
+        batch = _Batch.of(ops)
+        lengths = [len(rows) for rows in direct]
+        plan = _Plan(
+            params,
+            batch.shape,
+            [(op.n, op.k, op.r, op.m, op.edge_multiplier) for op in ops],
+            ells,
+            rows_at,
+            constants,
+            np.array([i for rows in direct for i in rows], dtype=np.intp),
+            np.cumsum([0] + lengths[:-1], dtype=np.intp),
+            dens,
+            prepared.weights is not None,
+            odd,
+            [(m, [(bucket_m, place(ref)) for bucket_m, ref in buckets]) for m, buckets in odd_rows],
+            pick,
+            mixed,
+        )
+        return plan, batch.values, splits, ops
+
+    def certificates(
+        self,
+        sums: np.ndarray,
+        splits: list[OddSplit],
+        values: np.ndarray,
+        ops: list[KikuchiOperator] | None = None,
+    ) -> list[Certificate]:
+        """The certificate of every nonzero scheme for one target, given its
+        signed sums, the splits of ``odd`` and the values of every slot:
+        every slot is proved, in one ``spectral_certificate`` call or under
+        mode ``trace`` by ``trace_certificate`` each, then the direct parts'
+        sums of |signed sum| are taken in one reduceat, and each part's
+        certificate, clamped at 1, is folded into its scheme's. ``ops`` are
+        the first target's operators; a later target under mode trace
+        makes them of its values."""
+        params = self.params
+        if params.mode == "trace":
+            if ops is None:
+                at = self.shape.offsets
+                ops = [
+                    KikuchiOperator(n, k, r, m, pattern, values[at[i] : at[i + 1]], log_den, mult)
+                    for i, ((n, k, r, m, mult), pattern, log_den) in enumerate(
+                        zip(self.heads, self.shape.patterns, self.shape.log_dens)
+                    )
+                ]
+            parts = []
+            for op, ell in zip(ops, self.ells):
+                norm_bound, used = trace_certificate(op, ell, params.work_flops)
+                parts.append(_proved("trace", norm_bound, op.r, used))
         else:
-            # each part's bound is at most 1, so their average is too
-            cert = _combine(certs, _mean_up([p.m for p in scheme.parts], [c.bound for c in certs]))
-        if params.split_weights and cert.certified:
-            # the m unit copies have the term sums of the scheme's original copies
-            m = sum(part.m for part in scheme.parts)
-            cert = replace(cert, bound=_float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
-        return _clamp(cert)
+            bounds = spectral_certificate(_Batch(self.shape, values)) if self.heads else []
+            parts = [_proved("spectral", bound, head[2]) for bound, head in zip(bounds, self.heads)]
+        parts += self.constants
+        if self.dens:
+            own = sums[self.direct]
+            if not self.exact:  # Python ints: a sum of |signed sum| may pass int64
+                own = own.astype(object)
+            totals = np.add.reduceat(np.abs(own), self.direct_starts).tolist()
+            parts += [
+                _clamp(Certificate(mode="direct", bound=_ratio_up(total, den), status="certified"))
+                for total, den in zip(totals, self.dens)
+            ]
+        for split, (m, buckets) in zip(splits, self.odd_rows):
+            subs = [parts[at] for _, at in buckets]
+            inner = split.diag_term + sum(
+                bucket_m * Fraction(sub.bound) for (bucket_m, _), sub in zip(buckets, subs)
+            )
+            bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / m
+            # division rounds to nearest; one ulp up restores the upper bound
+            parts.append(_clamp(_combine(subs, _up(bound))))
 
-    return fold
+        certs = [parts[at] for at in self.pick]
+        for at, copies, scale, places in self.mixed:
+            subs = [parts[i] for i in places]
+            if len(subs) == 1:
+                cert = subs[0]
+            else:
+                # each part's bound is at most 1, so their average is too
+                cert = _combine(subs, _mean_up(copies, [c.bound for c in subs]))
+            if scale is not None and cert.certified:
+                cert = replace(cert, bound=_float_up(Fraction(cert.bound) * scale))
+            certs[at] = _clamp(cert)
+        return certs
 
 
 def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -35,6 +36,7 @@ from xorcert.refuter import (
     PreparedPart,
     PreparedScheme,
     PreparedSchemes,
+    RefuteParams,
 )
 
 
@@ -694,3 +696,77 @@ def spectral_bound_holds(op: KikuchiOperator, lam: float) -> bool:
         if not exactly_psd(side):
             return False
     return True
+
+
+def reference_prepared_refute(
+    prepared: PreparedSchemes, b, params: RefuteParams | None = None
+) -> list[Certificate]:
+    """``PreparedSchemes.refute`` by a walk over the schemes, without a
+    plan: every nonzero scheme builds the operators of its parts, proves
+    each one alone and folds their bounds into its certificate."""
+    params = params or RefuteParams()
+    sums = prepared.signed_sums(b)
+    schemes = prepared.schemes
+    if params.split_weights:
+        rows, schemes = prepared.unit_schemes
+        sums = sums[rows]
+    certs = [refuter._ZERO] * len(prepared.schemes)
+    for j in prepared.nonzero:
+        certs[j] = _reference_scheme(schemes[j], sums, params)
+    return certs
+
+
+def _reference_scheme(scheme: PreparedScheme, sums: np.ndarray, params: RefuteParams) -> Certificate:
+    certs = [refuter._clamp(_reference_part(part, sums, params)) for part in scheme.parts]
+    if len(certs) == 1:
+        cert = certs[0]
+    else:
+        bound = refuter._mean_up([p.m for p in scheme.parts], [c.bound for c in certs])
+        cert = refuter._combine(certs, bound)
+    if params.split_weights and cert.certified:
+        m = sum(part.m for part in scheme.parts)
+        cert = replace(cert, bound=refuter._float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
+    return refuter._clamp(cert)
+
+
+def _reference_part(part: PreparedPart, sums: np.ndarray, params: RefuteParams) -> Certificate:
+    if not any(part.live):
+        return refuter._ZERO
+    if part.k < 2:
+        total = sum(map(abs, sums[part.rows].tolist()))
+        bound = refuter._ratio_up(total, part.m << part.log_den)
+        return Certificate(mode="direct", bound=bound, status="certified")
+    if part.k % 2 == 0:
+        return _reference_even(part, sums, params)
+    split = refuter.odd_to_even(part, sums)
+    parts, inner = [], split.diag_term
+    for size, bucket in split.buckets.items():
+        bucket_r = params.r
+        if bucket_r is None or bucket_r < size // 2 or bucket_r - size // 2 > part.n - size:
+            bucket_r = size // 2
+        sub = refuter._clamp(_reference_even(bucket, split.sums, replace(params, r=bucket_r)))
+        parts.append(sub)
+        inner += bucket.m * Fraction(sub.bound)
+    bound = refuter._sqrt_up(refuter._float_up(split.n_groups * max(inner, Fraction(0)))) / part.m
+    return refuter._combine(parts, refuter._up(bound))
+
+
+def _reference_even(part: PreparedPart, sums: np.ndarray, params: RefuteParams) -> Certificate:
+    k = part.k
+    r = max(params.r if params.r is not None else k // 2, k // 2)
+    mode, ell = "spectral", None
+    if params.mode == "trace":
+        mode = "trace"
+        ell = params.ell if params.ell is not None else refuter.default_ell(r, part.n)
+        refuter._check_ell(ell)
+    try:
+        op = refuter.build_kikuchi(part, sums, r, params.dense_cap)
+    except refuter.ResourceCap:
+        return refuter._uncertain(mode, r=r, ell=ell)
+    if ell is None:
+        bound = refuter.spectral_certificate([op])[0]
+        if bound is None:
+            return refuter._uncertain("spectral", r=r)
+        return Certificate(mode="spectral", bound=2.0 * bound, status="certified", r=r)
+    bound, ell = refuter.trace_certificate(op, ell, params.work_flops)
+    return Certificate(mode="trace", bound=2.0 * bound, status="certified", r=r, ell=ell)

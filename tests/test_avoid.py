@@ -441,12 +441,16 @@ class TestPreparedTargets:
         c = random_tree_circuit(rng, 6, 2, 2, 800, leaf_prob=0.4)
         ens = group_characters(to_layered(c))
         target = signs(rng, c.m)
-        expected = certify_not_in_range(c, target, CertifyParams(eps=Fraction(2, 5)), prepared=ens)
+        params = CertifyParams(eps=Fraction(2, 5))
         built = record_calls(monkeypatch, refuter.build_kikuchi)
         batches = record_calls(monkeypatch, refuter.spectral_certificate, len)
-        rc = certify_not_in_range(c, target, CertifyParams(eps=Fraction(2, 5)), prepared=ens)
-        assert rc == expected
+        expected = certify_not_in_range(c, target, params, prepared=ens)
+        # the first target builds every operator and proves them in one call
         assert len(batches) == 1 and batches[0] == len(built) > 10
+        # a later one builds none, and proves as many in one call
+        rc = certify_not_in_range(c, target, params, prepared=ens)
+        assert rc == expected
+        assert batches == [batches[0]] * 2 and len(built) == batches[0]
 
     def test_junta_avoid_validates_no_bucket(self, monkeypatch):
         c = random_pruned_circuit(random.Random(11), 8, 2, 120)

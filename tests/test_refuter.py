@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xorcert.circuits import random_tree_circuit, to_layered
@@ -47,6 +47,7 @@ from helpers import (
     reference_number_distinct,
     reference_odd_split,
     reference_prepare_copies,
+    reference_prepared_refute,
     signs,
     spectral_bound_holds,
     split_to_unit_weights,
@@ -598,9 +599,10 @@ class TestBatchedProof:
         assert zero.empty and wide.values.dtype == object and big.dim >= refuter._LANCZOS_FROM
         batch = [small[0], big, small[1], zero, wide, small[2], small[3]]
         alone = [spectral_certificate([op])[0] for op in batch]
-        layouts = {}
+        joined = refuter._Batch.of(batch)  # its shape keeps the layouts of its stacks
         for _ in range(2):
-            assert _hexed(spectral_certificate(batch, layouts=layouts)) == _hexed(alone)
+            assert _hexed(spectral_certificate(joined)) == _hexed(alone)
+            assert joined.shape.layouts
         assert alone[3] == 0.0 and None not in alone
         for op, bound in zip(batch, alone):
             if op.dim < 10:
@@ -1254,7 +1256,8 @@ class TestPatternReuse:
         monkeypatch.setattr(refuter, "_kikuchi_pattern", lambda *a: built.append(a) or real(*a))
         targets = [signs(rng, ens.prepared.m) for _ in range(6)]
         runs = [(b, RefuteParams()) for b in targets]
-        runs += [(b, p) for p in (RefuteParams(split_weights=True), RefuteParams(r=2)) for b in targets[:2]]
+        later = (RefuteParams(split_weights=True), RefuteParams(r=2), RefuteParams(mode="trace"))
+        runs += [(b, p) for p in later for b in targets[:2]]
         builds = []  # patterns built by each prepared call
         for b, params in runs:
             built.clear()
@@ -1264,10 +1267,12 @@ class TestPatternReuse:
             assert got == fresh, params
         # only the first target of each level and of each set of parts
         # builds: the arity-2 parts at their own level, the unit parts of
-        # split_weights at theirs, then the arity-2 parts at r=2
+        # split_weights at theirs, then the arity-2 parts at r=2; mode trace
+        # reads the default levels, whose patterns are built
         assert builds[0] > 0 and builds[1:6] == [0] * 5
         assert builds[6] == builds[0] and builds[7] == 0
         assert builds[8] > 0 and builds[9] == 0
+        assert builds[10:] == [0, 0]
 
     @pytest.mark.parametrize("params", [RefuteParams(), RefuteParams(split_weights=True)],
                              ids=["default", "split_weights"])
@@ -1322,7 +1327,7 @@ class TestPatternReuse:
         assert per_target[0]["_layout"] > 0
         assert per_target[1:] == [{}] * 4
         # a stack laid out anew still reads each pattern's kept reweighting
-        ens.prepared.layouts.clear()
+        ens.prepared.plans[RefuteParams()].shape.layouts.clear()
         counts.clear()
         ens.prepared.refute(b)
         assert dict(counts) == {"_layout": per_target[0]["_layout"]}
@@ -1370,14 +1375,23 @@ class TestZeroSchemes:
         rng = random.Random(220)
         ens = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
         prepared = ens.prepared
-        refuted = []
-        original = refuter._refute_scheme
+        built = []
+        original = refuter.build_kikuchi
         monkeypatch.setattr(
-            refuter, "_refute_scheme", lambda scheme, *rest: refuted.append(scheme) or original(scheme, *rest)
+            refuter, "build_kikuchi", lambda part, *rest: built.append(part) or original(part, *rest)
         )
         b = signs(rng, prepared.m)
         certs = prepared.refute(b)
-        assert refuted == [prepared.schemes[j] for j in prepared.nonzero]
+        # the plan places every nonzero scheme, with a place per part of
+        # each one of several parts, and no other scheme; it builds only
+        # their parts
+        [plan] = prepared.plans.values()
+        nonzero = [prepared.schemes[j] for j in prepared.nonzero]
+        assert len(plan.pick) == len(nonzero)
+        assert {at: len(places) for at, _, _, places in plan.mixed} == {
+            at: len(s.parts) for at, s in enumerate(nonzero) if len(s.parts) > 1
+        }
+        assert 0 < len(built) and {id(p) for p in built} <= {id(p) for s in nonzero for p in s.parts}
         assert 0 < len(prepared.nonzero) < len(prepared.schemes)
         monkeypatch.undo()
         instances = attach_rhs(ens, b)
@@ -1385,6 +1399,109 @@ class TestZeroSchemes:
             if j not in prepared.nonzero:
                 assert certs[j] is refuter._ZERO
                 assert refute(instances[key]).to_json() == certs[j].to_json()
+
+
+# Knobs of the plan's equivalence test: those of auto, the trace engine at
+# its own levels and capped, and a level above every arity's least
+_PLAN_PARAMS = _AUTO_PARAMS + [
+    RefuteParams(mode="trace"),
+    RefuteParams(mode="trace", dense_cap=5),
+    RefuteParams(r=2),
+]
+
+
+class TestPlan:
+    """``PreparedSchemes`` records one plan per set of knobs at its first
+    target and reads it at every later one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1 << 16),
+        source=st.sampled_from(["tree", "junta", "mixed"]),
+        w=st.sampled_from([1, 2]),
+        t=st.sampled_from([2, 3]),
+        params=st.sampled_from(_PLAN_PARAMS),
+    )
+    # one edge of weight 0: no scheme is nonzero, so there is no plan
+    @example(seed=11214, source="mixed", w=1, t=2, params=RefuteParams())
+    def test_the_plan_equals_the_reference(self, seed, source, w, t, params):
+        """Byte for byte, at the first target and at later ones, the plan's
+        certificates are those of the walk over the schemes, on tree
+        ensembles (odd parts among them at t=3), a junta split and
+        mixed-arity instances, whose fresh refute records a plan too. Where
+        every scheme is zero, no plan is recorded."""
+        rng = random.Random(seed)
+        if source == "tree":
+            m = 16 if (w, t) == (2, 3) else 60
+            prepared = group_characters(to_layered(random_tree_circuit(rng, 6, w, t, m, leaf_prob=0.4))).prepared
+        elif source == "junta":
+            prepared = nonadaptive_split(random_other_circuit(rng, 6, 3, 40)).prepared
+        else:
+            inst = _mixed_instance(rng, rng.randint(6, 8), rng.randint(1, 30))
+            expected = reference_prepared_refute(refuter._prepare_instance(inst), inst.rhs, params)
+            assert refute(inst, params).to_json() == expected[0].to_json()
+            prepared = refuter._prepare_instance(inst)
+        for _ in range(3):
+            b = signs(rng, prepared.m)
+            got = [c.to_json() for c in prepared.refute(b, params)]
+            assert got == [c.to_json() for c in reference_prepared_refute(prepared, b, params)]
+        assert list(prepared.plans) == ([params] if prepared.nonzero else [])
+
+    @pytest.mark.parametrize(
+        "params",
+        [RefuteParams(), RefuteParams(split_weights=True), RefuteParams(mode="trace")],
+        ids=["default", "split_weights", "trace"],
+    )
+    @pytest.mark.parametrize("bits", [62, 70])
+    def test_weights_past_int64(self, params, bits):
+        """Weights of 62 bits: each signed sum fits int64, but the sum of
+        the direct part's |signed sum| does not and stays exact. Weights of
+        70 bits: so do the unit copies of an odd part whose groups pair
+        nowhere. At the first target and at later ones."""
+        rng = random.Random(238)
+        # the 3-edges have three lowest vertices, so no group has a pair
+        edges = [(), (0,), (1,), (2,), (0, 1), (0, 1, 2), (1, 2, 3), (2, 4, 5), (0, 2, 3, 5)]
+        weights = [Dyadic((1 << bits) - 1 - 2 * i, bits) for i in range(len(edges))]
+        inst = make_instance(6, edges, signs(rng, len(edges)), weights=weights)
+        prepared = refuter._prepare_instance(inst)
+        assert prepared.weights is None
+        assert (prepared.signed_sums(inst.rhs).dtype == np.int64) == (bits == 62)
+        expected = reference_prepared_refute(prepared, inst.rhs, params)
+        assert refute(inst, params).to_json() == expected[0].to_json()
+        for _ in range(3):
+            b = signs(rng, prepared.m)
+            got = [c.to_json() for c in prepared.refute(b, params)]
+            assert got == [c.to_json() for c in reference_prepared_refute(prepared, b, params)]
+
+    @pytest.mark.parametrize("shape", [(6, 2, 2, 800), (8, 1, 3, 600)], ids=["t=2", "t=3"])
+    def test_alternating_knobs_build_only_at_their_first_target(self, monkeypatch, shape):
+        """Targets that alternate between the default knobs and
+        split_weights build patterns, pairings and stack layouts only at
+        the first target of each, and match the walk over the schemes."""
+        rng = random.Random(237)
+        ens = group_characters(to_layered(random_tree_circuit(rng, *shape, leaf_prob=0.4)))
+        counts = Counter()
+        for name in ("_kikuchi_pattern", "_layout"):
+            real = getattr(refuter, name)
+            monkeypatch.setattr(
+                refuter, name, lambda *a, name=name, real=real: counts.update([name]) or real(*a)
+            )
+        pairing = vars(refuter.PreparedPart)["pairing"]
+        build = pairing.func
+        monkeypatch.setattr(pairing, "func", lambda part: counts.update(["pairing"]) or build(part))
+        per_target = []
+        for _ in range(6):
+            b = signs(rng, ens.prepared.m)
+            for params in (RefuteParams(), RefuteParams(split_weights=True)):
+                counts.clear()
+                got = [c.to_json() for c in ens.prepared.refute(b, params)]
+                per_target.append(dict(counts))
+                expected = reference_prepared_refute(ens.prepared, b, params)
+                assert got == [c.to_json() for c in expected]
+        for first in per_target[:2]:
+            assert first["_kikuchi_pattern"] > 0 and first["_layout"] > 0
+            assert ("pairing" in first) == (shape[2] == 3)
+        assert per_target[2:] == [{}] * 10
 
 
 class TestOneEngine:
