@@ -23,7 +23,6 @@ so a certified target is guaranteed to sit outside the range.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .fourier import GateSpectra, junta_spectra
 from .gf2 import find_xor_dependency
 from .prg import GeneratorSpec, sample_int, seed_order, seed_to_str
 from .reduction import JuntaSplit, SchemeEnsemble, group_characters
-from .refuter import Certificate, RefuteParams, _combine, _float_up
+from .refuter import Certificate, RefuteParams, _combine, _exact_sum, _float_up
 
 
 @dataclass(frozen=True)
@@ -128,26 +127,20 @@ def _prune_parities(
     return kept.tolist(), JuntaSplit(c.t, len(kept), c.n, kept_gates)
 
 
-def _exact_sum(values: Sequence[float]) -> Fraction:
-    """The exact sum of finite floats in one integer sum: each is its 53-bit
-    integer mantissa times a power of two, shifted to the smallest power."""
-    parts = [math.frexp(v) for v in values]
-    low = min([e - 53 for _, e in parts] + [0])
-    return Fraction(sum(int(f * 2.0**53) << (e - 53 - low) for f, e in parts), 1 << -low)
-
-
 def _certify_prepared(
     prepared: JuntaSplit | SchemeEnsemble,
-    b_kept: Sequence[int],
-    m_full: int,
+    kept: Sequence[int],
+    b: Sequence[int],
     params: CertifyParams,
 ) -> RemoteCertificate:
-    """The one certification decision: a junta split needs its summed bound,
-    non-parity ceiling included, below 1; an ensemble its sum below 1 and at
-    most 2 eps (a sum of 1 or more excludes nothing, whatever eps is).
-    Bound and distance are scaled to all ``m_full`` outputs, every pruned
-    output counted as agreeing."""
-    m_kept = len(b_kept)
+    """The one certification decision on the ``kept`` outputs of target b:
+    a junta split needs its summed bound, non-parity ceiling included,
+    below 1; an ensemble its sum below 1 and at most 2 eps (a sum of 1 or
+    more excludes nothing, whatever eps is). Bound and distance are scaled
+    to all of b's outputs, every pruned output counted as agreeing."""
+    m_kept, m_full = len(kept), len(b)
+    # kept is increasing, so as long as b it is every output
+    b_kept = b if m_kept == m_full else [b[i] for i in kept]
     schemes = prepared.prepared
     parts = schemes.refute(b_kept, params.refute)
     # the zero schemes share one certificate, certified at bound 0
@@ -170,6 +163,25 @@ def _certify_prepared(
         kept_outputs=m_kept,
         certificate=_combine(parts, _float_up(total)),
     )
+
+
+def _prepare(
+    c: Circuit, prepared: SchemeEnsemble | None = None, gates: Sequence[GateSpectra] | None = None
+) -> tuple[Sequence[int], JuntaSplit | SchemeEnsemble | None]:
+    """What certification reads of a valid circuit, whatever the target:
+    the kept outputs in increasing order and their split or ensemble. A
+    junta circuit's parity outputs are pruned from ``gates``, its spectra
+    by ``junta_spectra``, expanded here unless given; where none is kept
+    the split is None. A tree circuit keeps every output and reads
+    ``prepared``, which must have been grouped from it, or groups its
+    characters."""
+    if c.is_junta_circuit():
+        return _prune_parities(c, junta_spectra(c.gates) if gates is None else gates)
+    if prepared is None:
+        prepared = group_characters(to_layered(c.with_tree_gates()))
+    else:
+        _check_grouped_from(prepared, c)
+    return range(c.m), prepared
 
 
 def _check_grouped_from(ens: SchemeEnsemble, c: Circuit) -> None:
@@ -211,16 +223,10 @@ def certify_not_in_range(
     if len(b) != c.m:
         raise ValidationError([f"target length {len(b)} != m = {c.m}"])
 
-    if c.is_junta_circuit():
-        kept, split = _prune_parities(c, junta_spectra(c.gates))
-        if split is None:
-            return _uncertain_remote("junta", 0)
-        return _certify_prepared(split, [b[i] for i in kept], c.m, params)
+    kept, prepared = _prepare(c, prepared)
     if prepared is None:
-        prepared = group_characters(to_layered(c.with_tree_gates()))
-    else:
-        _check_grouped_from(prepared, c)
-    return _certify_prepared(prepared, b, c.m, params)
+        return _uncertain_remote("junta", 0)
+    return _certify_prepared(prepared, kept, b, params)
 
 
 @dataclass(frozen=True)
@@ -313,15 +319,11 @@ def avoid(
         raise ValidationError([f"generator length {gen.m} != circuit outputs {c.m}"])
 
     stats: dict = {"budget": params.budget}
-    if c.is_junta_circuit():
-        gates = junta_spectra(c.gates)
-        dep = _parity_dependency(gates)
-        if dep is not None:
-            return _parity_avoid_result(c, dep[0], dep[1])
-        kept, prepared = _prune_parities(c, gates)
-    else:
-        kept = list(range(c.m))
-        prepared = group_characters(to_layered(c.with_tree_gates()))
+    gates = junta_spectra(c.gates) if c.is_junta_circuit() else None
+    dep = None if gates is None else _parity_dependency(gates)
+    if dep is not None:
+        return _parity_avoid_result(c, *dep)
+    kept, prepared = _prepare(c, gates=gates)
     stats["kept_outputs"] = len(kept)
     stats["parity_outputs"] = c.m - len(kept)
 
@@ -334,7 +336,7 @@ def avoid(
             break
         seeds_tried += 1
         b_full = sample_int(gen, seed)
-        rc = _certify_prepared(prepared, [b_full[i] for i in kept], c.m, params.certify)
+        rc = _certify_prepared(prepared, kept, b_full, params.certify)
         if rc.certified:
             hit = seed, b_full, rc
             break

@@ -18,6 +18,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import circuits, core, oracle, prg, reduction, refuter
@@ -141,7 +142,7 @@ def _cmd_gen_prg(args) -> int:
     if args.enumerate is not None:
         if args.enumerate < 0:
             raise CliError(f"--enumerate must be at least 0, got {args.enumerate}")
-        seeds = range(min(args.enumerate, prg.seed_count(spec)))
+        seeds = islice(prg.seed_order(spec), args.enumerate)
     else:
         seeds = [args.seed_int]
     lines = []
@@ -271,7 +272,8 @@ def build_parser() -> _Parser:
     pp = add_parser(sub, "gen-prg", help="sample explicit generators")
     pp.add_argument("--spec", required=True, help="e.g. kwise:k=8,m=1024,s=10")
     pp.add_argument("--seed-int", type=int, default=0)
-    pp.add_argument("--enumerate", type=int, default=None, help="emit the first N seeds")
+    pp.add_argument("--enumerate", type=int, default=None,
+                    help="emit the first N seeds, in the order avoid tries them")
     pp.add_argument("--out", default=None)
     pp.set_defaults(func=_cmd_gen_prg)
 

@@ -47,7 +47,9 @@ Two certificate engines bound the reweighted norm:
               every operator of a right-hand side is proved in one call,
               stacked by side length below 180, and the bounds are folded
               into the certificates by the plan that ``PreparedSchemes``
-              keeps for each set of knobs;
+              keeps for each set of knobs. Every target takes one path:
+              signed sums, odd splits, one gather of every operator's
+              values, one proof and the fold;
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power; looser, and run
               only when mode ``trace`` asks for it.
@@ -69,7 +71,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -194,14 +196,16 @@ def _float_up(value: Fraction) -> float:
     return _ratio_up(value.numerator, value.denominator)
 
 
-def _mean_up(weights: Sequence[int], values: Sequence[float]) -> float:
-    """The weighted mean of floats, sum(w_i v_i) / sum(w_i), rounded upward:
-    each float is p / 2^e, so one common power of two makes the sum exact
-    in integers."""
+def _exact_sum(values: Sequence[float], weights: Sequence[int] | None = None) -> Fraction:
+    """The exact sum of finite floats, each times its integer weight if
+    ``weights`` is given: each float is p / 2^e, so shifting every p to the
+    largest e makes the sum one sum of integers."""
     ratios = [v.as_integer_ratio() for v in values]
-    den = max(q for _, q in ratios)
-    num = sum(w * p * (den // q) for w, (p, q) in zip(weights, ratios))
-    return _ratio_up(num, sum(weights) * den)
+    top = max([q.bit_length() for _, q in ratios], default=1)
+    terms = [p << (top - q.bit_length()) for p, q in ratios]
+    if weights is not None:
+        terms = map(mul, weights, terms)
+    return Fraction(sum(terms), 1 << (top - 1))
 
 
 def _sqrt_up(x: float) -> float:
@@ -237,9 +241,9 @@ class KikuchiOperator:
     S, independent of the edge weights: the pattern's, read-only, since
     every target of the pattern shares them. Numerators and degrees are
     exact integers: int64 arrays when every value fits, else object arrays
-    of Python ints. Not frozen: the first target of a plan makes one for
-    every even part and bucket, a later target one per part only under mode
-    ``trace``, and a frozen dataclass takes several times as long to make.
+    of Python ints. Not frozen: a plan's record builds one for every even
+    part and bucket, every target one per part under mode ``trace``, and a
+    frozen dataclass takes several times as long to make.
     """
 
     n: int
@@ -556,10 +560,9 @@ class PreparedSchemes:
     Kikuchi patterns with their reweighting (``KikuchiPattern.layout``) and
     an odd part's pairing, built at the part's first target, the parts under
     ``split_weights`` (``unit_schemes``), and in ``plans`` one ``_Plan`` per
-    set of knobs, recorded at the first target with them. A later target
-    with the same knobs computes its signed sums, splits its odd parts,
-    gathers the values of every operator at once, proves them in one call
-    and folds the bounds by the plan's rows.
+    set of knobs. Every target computes its signed sums, splits its odd
+    parts, gathers the values of every operator at once, proves them in one
+    call and folds the bounds by the plan of its knobs.
     """
 
     m: int
@@ -582,8 +585,9 @@ class PreparedSchemes:
             return _int_array(sums)
         return np.bincount(self.rows, signs * self.weights, self.n_rows).astype(np.int64)
 
-    def signed_sums(self, b: Sequence[int]) -> np.ndarray:
-        """Signed sum of b * w * 2^L of every distinct edge, by row."""
+    def signed_sums(self, b: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Signed sum of b * w * 2^L of every distinct edge, by row; an int64
+        array b is read as it is."""
         return self._row_sums(np.asarray(b, dtype=np.int64)[self.outputs])
 
     @cached_property
@@ -620,11 +624,10 @@ class PreparedSchemes:
         """``refute`` of every scheme with right-hand side b, in order."""
         if len(b) != self.m:
             raise ValidationError([f"{len(b)} rhs signs for {self.m} edges"])
-        if not set(b) <= {1, -1}:
-            raise ValidationError([
-                f"edge {i}: rhs {v} not in {{+1, -1}}" for i, v in enumerate(b) if v not in (1, -1)
-            ])
-        return self._refute(b, params or RefuteParams())
+        bad = [i for i, v in enumerate(b) if v not in (1, -1)]
+        if bad:
+            raise ValidationError([f"edge {i}: rhs {b[i]} not in {{+1, -1}}" for i in bad])
+        return self._refute(np.asarray(b, dtype=np.int64), params or RefuteParams())
 
     @cached_property
     def nonzero(self) -> tuple[int, ...]:
@@ -633,11 +636,12 @@ class PreparedSchemes:
         ``_ZERO``, bound 0."""
         return tuple(j for j, scheme in enumerate(self.schemes) if not scheme.zero)
 
-    def _refute(self, b: Sequence[int], params: RefuteParams) -> list[Certificate]:
-        """The certificates of the plan of ``params``: the first target with
-        these knobs records it, a later one computes its signed sums, splits
-        the plan's odd parts, gathers every operator's values from both at
-        once and hands them to the plan's proof and fold."""
+    def _refute(self, b: Sequence[int] | np.ndarray, params: RefuteParams) -> list[Certificate]:
+        """The certificates of the plan of ``params``, recorded at the first
+        target with these knobs. Every target computes its signed sums,
+        splits the plan's odd parts (the first target takes the splits the
+        record made), gathers every operator's values from both at once and
+        hands them to the plan's proof and fold."""
         certs = [_ZERO] * len(self.schemes)
         if not self.nonzero:  # every scheme is zero and reads no sum
             return certs
@@ -646,13 +650,12 @@ class PreparedSchemes:
             sums = sums[self.unit_schemes[0]]
         plan = self.plans.get(params)
         if plan is None:
-            plan, values, splits, ops = _Plan.record(self, sums, params)
+            plan, splits = _Plan.record(self, sums, params)
             self.plans[params] = plan
         else:
             splits = [odd_to_even(part, sums) for part in plan.odd]
-            values = _joined([sums] + [split.sums for split in splits])[plan.gather]
-            ops = None
-        for j, cert in zip(self.nonzero, plan.certificates(sums, splits, values, ops)):
+        values = _joined([sums] + [split.sums for split in splits])[plan.gather]
+        for j, cert in zip(self.nonzero, plan.certificates(sums, splits, values)):
             certs[j] = cert
         return certs
 
@@ -1255,6 +1258,17 @@ class _BatchShape:
     starts: np.ndarray
     layouts: dict = field(default_factory=dict)
 
+    @staticmethod
+    def of(ops: Sequence[KikuchiOperator]) -> "_BatchShape":
+        offsets = np.cumsum([0] + [len(op.values) for op in ops]).tolist()
+        return _BatchShape(
+            tuple(op.pattern for op in ops),
+            [op.log_den for op in ops],
+            [op.dim for op in ops],
+            offsets,
+            np.array(offsets[:-1], dtype=np.intp),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
@@ -1270,16 +1284,8 @@ class _Batch:
 
     @staticmethod
     def of(ops: Sequence[KikuchiOperator]) -> "_Batch":
-        offsets = np.cumsum([0] + [len(op.values) for op in ops]).tolist()
-        shape = _BatchShape(
-            tuple(op.pattern for op in ops),
-            [op.log_den for op in ops],
-            [op.dim for op in ops],
-            offsets,
-            np.array(offsets[:-1], dtype=np.intp),
-        )
         values = _joined([op.values for op in ops]) if ops else np.zeros(0, dtype=np.int64)
-        return _Batch(shape, values)
+        return _Batch(_BatchShape.of(ops), values)
 
 
 def _scaled_stack(
@@ -1589,7 +1595,7 @@ def _proved(mode: str, norm_bound: float | None, r: int, ell: int | None = None)
 class _Plan:
     """How the nonzero schemes of a ``PreparedSchemes`` are refuted under
     one set of knobs, whatever the target: recorded at the first target
-    with those knobs (``record``) and read by every later one.
+    with those knobs (``record``) and read by every target.
 
     Every part of a nonzero scheme is one of four kinds:
 
@@ -1598,66 +1604,56 @@ class _Plan:
       sum| over m, and exactly that for arity 1; its rows of the signed
       sums are run i of ``direct``, at the scale 1 / ``dens[i]``;
     * even: the operator in slot i of the batch, at level ``heads[i][2]``,
-      whose values are the source's at ``rows_at[i] + shape.patterns[i].edge``,
       or where its level is capped an uncertain certificate;
     * odd: part i of ``odd``, whose buckets are even parts of their own.
 
     The source is the signed sums that the parts read, then the bucket
-    sums of each odd part in turn. A target's certificates of the parts
-    are one list: the slots in order, ``constants`` (``_ZERO`` and every
-    capped level's), the direct parts, then the odd parts, each of which
-    reads the (copies, place) of its buckets in ``odd_rows``. ``pick``
-    gives the place of each nonzero scheme's first part, whose certificate
-    is the scheme's, except for the schemes in ``mixed``: those of several
-    parts or under ``split_weights``, as (their place among the nonzero
-    schemes, the copies of each part, the factor of the rescale or None,
-    the places of the parts).
+    sums of each odd part in turn; ``gather`` holds where the values of
+    every slot are in it, slot after slot. A target's certificates of the
+    parts are one list: the slots in order, ``constants`` (``_ZERO`` and
+    every capped level's), the direct parts, then the odd parts, each of
+    which reads the copies and places of its buckets in ``odd_rows``.
+    ``pick`` gives the place of each nonzero scheme's first part, whose
+    certificate is the scheme's, except for the schemes in ``mixed``:
+    those of several parts or under ``split_weights``, as (their place
+    among the nonzero schemes, the copies of each part, the factor of the
+    rescale or None, the places of the parts).
     """
 
     params: RefuteParams
     shape: _BatchShape
     heads: list[tuple[int, int, int, int, int]]  # (n, k, r, m, edge multiplier) of each slot
     ells: list[int | None]  # the trace power asked for at each slot
-    rows_at: list[int]
+    gather: np.ndarray
     constants: list[Certificate]
     direct: np.ndarray
     direct_starts: np.ndarray
     dens: list[int]
     exact: bool  # whether every sum of |signed sum| fits int64
     odd: list[PreparedPart]
-    odd_rows: list[tuple[int, list[tuple[int, int]]]]  # (copies, buckets) of each odd part
+    odd_rows: list[tuple[int, list[int], list[int]]]  # (copies, bucket copies, bucket places)
     pick: list[int]
     mixed: list[tuple[int, list[int], Fraction | None, list[int]]]
-
-    @cached_property
-    def gather(self) -> np.ndarray:
-        """Where the values of every slot are in the source, slot after
-        slot; built at the second target, since the first has its
-        operators."""
-        return _joined(
-            [at + pattern.edge for at, pattern in zip(self.rows_at, self.shape.patterns)]
-            or [np.zeros(0, dtype=np.intp)]
-        )
 
     @staticmethod
     def record(
         prepared: PreparedSchemes, sums: np.ndarray, params: RefuteParams
-    ) -> tuple[_Plan, np.ndarray, list[OddSplit], list[KikuchiOperator]]:
+    ) -> tuple[_Plan, list[OddSplit]]:
         """The plan of ``params``, from the first target's signed sums (under
         ``split_weights`` those of the unit parts): every even part and
         bucket builds its operator through ``build_kikuchi``, and every odd
-        part splits through ``odd_to_even``. Returns (the plan, the values of
-        its operators joined, the splits, the operators)."""
+        part splits through ``odd_to_even``. Returns the plan and the
+        splits, which that target reads as every later one reads its own."""
         schemes = prepared.unit_schemes[1] if params.split_weights else prepared.schemes
         mode = "trace" if params.mode == "trace" else "spectral"  # auto is the spectral engine
         ops: list[KikuchiOperator] = []
         ells: list[int | None] = []
-        rows_at: list[int] = []
+        gather: list[np.ndarray] = []
         constants = [_ZERO]
         direct: list[range] = []
         dens: list[int] = []
         odd: list[PreparedPart] = []
-        odd_rows: list[tuple[int, list]] = []
+        odd_rows: list[tuple[int, list[int], list]] = []
         splits: list[OddSplit] = []
         source = len(sums)  # where the next odd part's bucket sums start
 
@@ -1675,7 +1671,7 @@ class _Plan:
                 return "constant", len(constants) - 1
             ops.append(op)
             ells.append(ell)
-            rows_at.append(at + part.rows.start)
+            gather.append(at + part.rows.start + op.pattern.edge)
             return "slot", len(ops) - 1
 
         planned = []
@@ -1696,15 +1692,15 @@ class _Plan:
                     refs.append(leaf(part, sums, r, 0))
                 else:
                     split = odd_to_even(part, sums)
-                    buckets = []
+                    leaves = []
                     for size, bucket in split.buckets.items():
                         r = params.r
                         if r is None or r < size // 2 or r - size // 2 > part.n - size:
                             r = size // 2
-                        buckets.append((bucket.m, leaf(bucket, split.sums, r, source)))
+                        leaves.append(leaf(bucket, split.sums, r, source))
                     refs.append(("odd", len(odd)))
                     odd.append(part)
-                    odd_rows.append((part.m, buckets))
+                    odd_rows.append((part.m, [b.m for b in split.buckets.values()], leaves))
                     splits.append(split)
                     source += len(split.sums)
             planned.append((scheme, refs))
@@ -1727,55 +1723,46 @@ class _Plan:
                 # the m' unit copies have the term sums of the scheme's m original copies
                 scale = Fraction(sum(copies), scheme.m) if params.split_weights else None
                 mixed.append((at, copies, scale, places))
-        batch = _Batch.of(ops)
         lengths = [len(rows) for rows in direct]
         plan = _Plan(
             params,
-            batch.shape,
+            _BatchShape.of(ops),
             [(op.n, op.k, op.r, op.m, op.edge_multiplier) for op in ops],
             ells,
-            rows_at,
+            _joined(gather or [np.zeros(0, dtype=np.intp)]),
             constants,
             np.array([i for rows in direct for i in rows], dtype=np.intp),
             np.cumsum([0] + lengths[:-1], dtype=np.intp),
             dens,
             prepared.weights is not None,
             odd,
-            [(m, [(bucket_m, place(ref)) for bucket_m, ref in buckets]) for m, buckets in odd_rows],
+            [(m, copies, list(map(place, leaves))) for m, copies, leaves in odd_rows],
             pick,
             mixed,
         )
-        return plan, batch.values, splits, ops
+        return plan, splits
 
     def certificates(
-        self,
-        sums: np.ndarray,
-        splits: list[OddSplit],
-        values: np.ndarray,
-        ops: list[KikuchiOperator] | None = None,
+        self, sums: np.ndarray, splits: list[OddSplit], values: np.ndarray
     ) -> list[Certificate]:
         """The certificate of every nonzero scheme for one target, given its
-        signed sums, the splits of ``odd`` and the values of every slot:
-        every slot is proved, in one ``spectral_certificate`` call or under
-        mode ``trace`` by ``trace_certificate`` each, then the direct parts'
-        sums of |signed sum| are taken in one reduceat, and each part's
-        certificate, clamped at 1, is folded into its scheme's. ``ops`` are
-        the first target's operators; a later target under mode trace
-        makes them of its values."""
+        signed sums, the splits of ``odd`` and the values of every slot,
+        gathered by ``gather``: every slot is proved, in one
+        ``spectral_certificate`` call or under mode ``trace`` by
+        ``trace_certificate`` each, of an operator made of its values, then
+        the direct parts' sums of |signed sum| are taken in one reduceat,
+        and each part's certificate, clamped at 1, is folded into its
+        scheme's."""
         params = self.params
         if params.mode == "trace":
-            if ops is None:
-                at = self.shape.offsets
-                ops = [
-                    KikuchiOperator(n, k, r, m, pattern, values[at[i] : at[i + 1]], log_den, mult)
-                    for i, ((n, k, r, m, mult), pattern, log_den) in enumerate(
-                        zip(self.heads, self.shape.patterns, self.shape.log_dens)
-                    )
-                ]
+            at = self.shape.offsets
             parts = []
-            for op, ell in zip(ops, self.ells):
+            for i, ((n, k, r, m, mult), pattern, log_den, ell) in enumerate(
+                zip(self.heads, self.shape.patterns, self.shape.log_dens, self.ells)
+            ):
+                op = KikuchiOperator(n, k, r, m, pattern, values[at[i] : at[i + 1]], log_den, mult)
                 norm_bound, used = trace_certificate(op, ell, params.work_flops)
-                parts.append(_proved("trace", norm_bound, op.r, used))
+                parts.append(_proved("trace", norm_bound, r, used))
         else:
             bounds = spectral_certificate(_Batch(self.shape, values)) if self.heads else []
             parts = [_proved("spectral", bound, head[2]) for bound, head in zip(bounds, self.heads)]
@@ -1789,11 +1776,9 @@ class _Plan:
                 _clamp(Certificate(mode="direct", bound=_ratio_up(total, den), status="certified"))
                 for total, den in zip(totals, self.dens)
             ]
-        for split, (m, buckets) in zip(splits, self.odd_rows):
-            subs = [parts[at] for _, at in buckets]
-            inner = split.diag_term + sum(
-                bucket_m * Fraction(sub.bound) for (bucket_m, _), sub in zip(buckets, subs)
-            )
+        for split, (m, copies, places) in zip(splits, self.odd_rows):
+            subs = [parts[at] for at in places]
+            inner = split.diag_term + _exact_sum([sub.bound for sub in subs], copies)
             bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / m
             # division rounds to nearest; one ulp up restores the upper bound
             parts.append(_clamp(_combine(subs, _up(bound))))
@@ -1805,7 +1790,8 @@ class _Plan:
                 cert = subs[0]
             else:
                 # each part's bound is at most 1, so their average is too
-                cert = _combine(subs, _mean_up(copies, [c.bound for c in subs]))
+                mean = _exact_sum([c.bound for c in subs], copies) / sum(copies)
+                cert = _combine(subs, _float_up(mean))
             if scale is not None and cert.certified:
                 cert = replace(cert, bound=_float_up(Fraction(cert.bound) * scale))
             certs[at] = _clamp(cert)

@@ -721,8 +721,9 @@ def _reference_scheme(scheme: PreparedScheme, sums: np.ndarray, params: RefutePa
     if len(certs) == 1:
         cert = certs[0]
     else:
-        bound = refuter._mean_up([p.m for p in scheme.parts], [c.bound for c in certs])
-        cert = refuter._combine(certs, bound)
+        copies = [p.m for p in scheme.parts]
+        mean = sum(m * Fraction(c.bound) for m, c in zip(copies, certs)) / sum(copies)
+        cert = refuter._combine(certs, refuter._float_up(mean))
     if params.split_weights and cert.certified:
         m = sum(part.m for part in scheme.parts)
         cert = replace(cert, bound=refuter._float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
+from xorcert import prg
 from xorcert.cli import main
-from xorcert.core import ValidationError, instance_from_json
+from xorcert.core import ValidationError, bit_of_sign, instance_from_json
 from xorcert.refuter import RefuteParams
 
 from helpers import avoid_result_from_obj
@@ -318,6 +319,20 @@ class TestArtifacts:
         assert len(lines) == 8
         assert all(len(line) == 64 and set(line) <= {"0", "1"} for line in lines)
 
+    @pytest.mark.parametrize("spec", ["kwise:k=6,m=64,s=6", "biased:m=30,s=6"])
+    def test_gen_prg_enumerates_in_seed_order(self, tmp_path, spec):
+        # the README's example first: the seeds that avoid tries first, in
+        # that order, none of which samples a constant string
+        out = tmp_path / "prg.txt"
+        assert run("gen-prg", "--spec", spec, "--enumerate", "8", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        gen = prg.parse_spec(spec)
+        assert lines == [
+            "".join(str(bit_of_sign(s)) for s in prg.sample_int(gen, seed))
+            for seed in islice(prg.seed_order(gen), 8)
+        ]
+        assert not any(len(set(line)) == 1 for line in lines)
+
     @pytest.mark.parametrize("n, ell", [(1, 2), (4, 6)])
     def test_subexp_draws_targets_at_the_default_ell(self, tmp_path, caplog, n, ell):
         # default_ell(2, n): 2 ceil(2 ln n), floored at 2
@@ -373,6 +388,27 @@ def test_huge_trace_power_is_capped(instance_file):
                           "--mode", "trace", "--ell", "100000000000")
     assert proc.returncode in (0, 2), proc.stderr
     assert json.loads(proc.stdout)["ell"] == 1024
+
+
+# what scripts/output_digest.py --seeds 1 --passes 2 prints
+DIGESTS_SEED_1 = """\
+refute-even\tseed 1\t88b3cae8a1aaac1975319b659a652c23eccabc9dc377fbd5b091a973f98b9152
+refute-odd\tseed 1\tc0a097bbadc4d4768eccb02617524ea9c8c74fdf0554ad5bd09f1665aa2407a2
+remote-tree\tseed 1\t246aa830d3f29a9489dccfbf14a84cd0dd2f5f0f7f0dac04fc097d7f1dc828ca
+avoid-junta\tseed 1\t9388e12a3896815db65f54beb46e07c35324857d3fa7a9e32910ad32fed29eab
+remote-tree-odd\tseed 1\tcb6e5e68d6353d34481a628e216ca9679eaa374097ea16c81db5d41ff86a1416
+remote-tree-trace\tseed 1\t57b7b8c085100f4e37ef03f03c246af895e91f04fe8819be319d338d27bf7af8
+"""
+
+
+def test_output_digests_are_pinned():
+    """Every workload's outputs at seed 1, on a cold pass and a warm one,
+    are byte-identical to the recorded ones. Re-record these lines only
+    together with a before/after table of the certificates that moved."""
+    script = ROOT / "scripts" / "output_digest.py"
+    proc = run_subprocess(str(script), "--seeds", "1", "--passes", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DIGESTS_SEED_1
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)

@@ -726,6 +726,28 @@ class TestExactConversions:
         assert dense.tobytes() == reference_dense_matrix(op).tobytes()
         assert np.count_nonzero(dense) == 2 * len(entries)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, 2.0**-1074, 2.0**-1022 - 2.0**-1074, 1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                st.integers(-(1 << 70), 1 << 70),
+            ),
+            max_size=12,
+        )
+    )
+    @example(pairs=[(0.0, 1 << 70), (2.0**-1074, 1 - (1 << 70)), (1.0, 3), (2.0**-1022, -1)])
+    def test_exact_sum_of_floats(self, pairs):
+        """The sum of floats, weighted or not, is exact: zero, subnormals,
+        1.0 and the largest floats among them, with 70-bit weights."""
+        values = [v for v, _ in pairs]
+        assert refuter._exact_sum(values) == sum(map(Fraction, values), Fraction(0))
+        expected = sum((Fraction(v) * w for v, w in pairs), Fraction(0))
+        assert refuter._exact_sum(values, [w for _, w in pairs]) == expected
+
 
 def _check_split(inst):
     """``odd_to_even`` of a uniform odd-arity instance against the per-copy
@@ -894,6 +916,20 @@ class TestRefute:
         assert cert.certified
         assert cert.bound == 1.0
         assert Fraction(cert.bound) >= brute_val(inst)
+
+    @pytest.mark.parametrize("value", [True, 1.0, -1.0, np.int64(1)], ids=repr)
+    def test_rhs_of_another_type_is_its_sign(self, value):
+        prepared = refuter._prepare_instance(make_instance(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1] * 4))
+        b = [1, -1, value, 1]
+        expected = prepared.refute([1, -1, int(value), 1])
+        assert [c.to_json() for c in prepared.refute(b)] == [c.to_json() for c in expected]
+
+    @pytest.mark.parametrize("value", ["1", None, 0, 2, 1.5], ids=repr)
+    def test_rhs_not_a_sign_is_rejected(self, value):
+        prepared = refuter._prepare_instance(make_instance(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1] * 4))
+        with pytest.raises(ValidationError) as err:
+            prepared.refute([1, -1, value, 1])
+        assert err.value.violations == [f"edge 2: rhs {value} not in {{+1, -1}}"]
 
     def test_dense_cap_checked_before_build(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
