@@ -12,7 +12,7 @@ import sys
 import time
 
 from xorcert.avoid import AvoidParams, avoid
-from xorcert.circuits import Circuit, JuntaGate, random_junta_circuit
+from xorcert.circuits import Circuit, JuntaGate, JuntaTable, random_junta_circuit
 from xorcert.fourier import junta_spectra
 from xorcert.oracle import brute_range_member
 from xorcert.prg import GeneratorSpec
@@ -24,7 +24,7 @@ def random_non_parity_circuit(rng: random.Random, n: int, t: int, m: int) -> Cir
         inputs = tuple(sorted(rng.sample(range(n), t)))
         table = tuple(rng.randrange(2) for _ in range(1 << t))
         gate = JuntaGate(inputs, table)
-        if junta_spectra([gate])[0].parity[0] == 0:  # neither XOR nor NXOR
+        if junta_spectra(JuntaTable.of([gate]))[0].parity[0] == 0:  # neither XOR nor NXOR
             gates.append(gate)
     return Circuit(n, 1, t, tuple(gates))
 

@@ -37,7 +37,7 @@ from .fourier import GateSpectra, junta_spectra
 from .gf2 import find_xor_dependency
 from .prg import GeneratorSpec, sample_int, seed_order, seed_to_str
 from .reduction import JuntaSplit, SchemeEnsemble, group_characters
-from .refuter import Certificate, RefuteParams, _combine, _exact_sum, _float_up
+from .refuter import Certificate, RefuteParams, _combine, _exact_sum, _float_up, _rhs_signs
 
 
 @dataclass(frozen=True)
@@ -114,35 +114,36 @@ def _parity_dependency(gates: Sequence[GateSpectra]) -> tuple[list[int], int] | 
 
 def _prune_parities(
     c: Circuit, gates: Sequence[GateSpectra]
-) -> tuple[list[int], JuntaSplit | None]:
-    """Positions of the non-parity outputs, and the split of those outputs,
-    renumbered in order."""
+) -> tuple[np.ndarray, JuntaSplit | None]:
+    """Positions of the non-parity outputs, increasing, and the split of
+    those outputs, renumbered in order."""
     others = [(g, np.flatnonzero(g.parity == 0)) for g in gates]
     kept = np.sort(np.concatenate([np.empty(0, np.intp)] + [g.positions[rows] for g, rows in others]))
     if not len(kept):
-        return [], None
+        return kept, None
     kept_gates = tuple(
         g.take(rows, np.searchsorted(kept, g.positions[rows])) for g, rows in others if len(rows)
     )
-    return kept.tolist(), JuntaSplit(c.t, len(kept), c.n, kept_gates)
+    return kept, JuntaSplit(c.t, len(kept), c.n, kept_gates)
 
 
 def _certify_prepared(
     prepared: JuntaSplit | SchemeEnsemble,
-    kept: Sequence[int],
-    b: Sequence[int],
+    kept: np.ndarray,
+    b: np.ndarray,
     params: CertifyParams,
 ) -> RemoteCertificate:
-    """The one certification decision on the ``kept`` outputs of target b:
-    a junta split needs its summed bound, non-parity ceiling included,
-    below 1; an ensemble its sum below 1 and at most 2 eps (a sum of 1 or
-    more excludes nothing, whatever eps is). Bound and distance are scaled
-    to all of b's outputs, every pruned output counted as agreeing."""
+    """The one certification decision on the ``kept`` outputs of target b,
+    an int64 array of +-1 that is not checked again: a junta split needs
+    its summed bound, non-parity ceiling included, below 1; an ensemble its
+    sum below 1 and at most 2 eps (a sum of 1 or more excludes nothing,
+    whatever eps is). Bound and distance are scaled to all of b's outputs,
+    every pruned output counted as agreeing."""
     m_kept, m_full = len(kept), len(b)
     # kept is increasing, so as long as b it is every output
-    b_kept = b if m_kept == m_full else [b[i] for i in kept]
+    b_kept = b if m_kept == m_full else b[kept]
     schemes = prepared.prepared
-    parts = schemes.refute(b_kept, params.refute)
+    parts = schemes._refute(b_kept, params.refute or RefuteParams())
     # the zero schemes share one certificate, certified at bound 0
     live = [parts[j] for j in schemes.nonzero]
     total = _exact_sum([cert.bound for cert in live])
@@ -167,7 +168,7 @@ def _certify_prepared(
 
 def _prepare(
     c: Circuit, prepared: SchemeEnsemble | None = None, gates: Sequence[GateSpectra] | None = None
-) -> tuple[Sequence[int], JuntaSplit | SchemeEnsemble | None]:
+) -> tuple[np.ndarray, JuntaSplit | SchemeEnsemble | None]:
     """What certification reads of a valid circuit, whatever the target:
     the kept outputs in increasing order and their split or ensemble. A
     junta circuit's parity outputs are pruned from ``gates``, its spectra
@@ -176,12 +177,12 @@ def _prepare(
     ``prepared``, which must have been grouped from it, or groups its
     characters."""
     if c.is_junta_circuit():
-        return _prune_parities(c, junta_spectra(c.gates) if gates is None else gates)
+        return _prune_parities(c, junta_spectra(c.junta_table) if gates is None else gates)
     if prepared is None:
         prepared = group_characters(to_layered(c.with_tree_gates()))
     else:
         _check_grouped_from(prepared, c)
-    return range(c.m), prepared
+    return np.arange(c.m), prepared
 
 
 def _check_grouped_from(ens: SchemeEnsemble, c: Circuit) -> None:
@@ -222,11 +223,12 @@ def certify_not_in_range(
     c.ensure_valid()
     if len(b) != c.m:
         raise ValidationError([f"target length {len(b)} != m = {c.m}"])
+    signs = _rhs_signs(b)  # every output's sign, named by its own index
 
     kept, prepared = _prepare(c, prepared)
     if prepared is None:
         return _uncertain_remote("junta", 0)
-    return _certify_prepared(prepared, kept, b, params)
+    return _certify_prepared(prepared, kept, signs, params)
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def avoid(
         raise ValidationError([f"generator length {gen.m} != circuit outputs {c.m}"])
 
     stats: dict = {"budget": params.budget}
-    gates = junta_spectra(c.gates) if c.is_junta_circuit() else None
+    gates = junta_spectra(c.junta_table) if c.is_junta_circuit() else None
     dep = None if gates is None else _parity_dependency(gates)
     if dep is not None:
         return _parity_avoid_result(c, *dep)
@@ -335,7 +337,8 @@ def avoid(
             stats["aborted"] = "wall clock"
             break
         seeds_tried += 1
-        b_full = sample_int(gen, seed)
+        # sample_int gives +-1, so the signs are not checked again
+        b_full = np.array(sample_int(gen, seed), dtype=np.int64)
         rc = _certify_prepared(prepared, kept, b_full, params.certify)
         if rc.certified:
             hit = seed, b_full, rc
@@ -352,11 +355,10 @@ def avoid(
         )
 
     seed, b_full, rc = hit
-    y = [1] * c.m
-    for pos in kept:
-        y[pos] = b_full[pos]
+    y = np.ones(c.m, dtype=np.int64)
+    y[kept] = b_full[kept]
     return AvoidResult(
-        y=tuple(y),
+        y=tuple(y.tolist()),
         justification={
             "kind": "refutation",
             "seed": seed_to_str(gen, seed),

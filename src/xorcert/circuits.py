@@ -1,5 +1,9 @@
 """Multi-output circuits: bounded-fan-in junta gates and word decision trees,
 plus the layered view that spreads a t-query tree across t layers of groups.
+
+A circuit's junta gates are read once, into one ``JuntaTable`` of flat
+arrays kept on the circuit; validation checks every junta gate at once on
+it, and ``fourier.junta_spectra`` transforms straight from it.
 """
 
 from __future__ import annotations
@@ -7,7 +11,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter, index, itemgetter
 from typing import Sequence, Union
+
+import numpy as np
 
 from .core import ValidationError, bit_of_sign, check_fields, is_int, is_int_list, sign_of_bit
 
@@ -74,24 +83,11 @@ class JuntaGate:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "table", tuple(self.table))
-
-    def violations(self, n: int, t: int) -> list[str]:
-        out = []
-        if len(self.inputs) > t:
-            out.append(f"{len(self.inputs)} inputs exceed fan-in bound {t}")
-        if len(set(self.inputs)) != len(self.inputs):
-            out.append(f"duplicate input index in {self.inputs}")
-        if any(not 0 <= v < n for v in self.inputs):
-            out.append(f"input index out of range in {self.inputs}")
-        if len(self.table) != 1 << len(self.inputs):
-            out.append(
-                f"table length {len(self.table)} != 2^{len(self.inputs)}"
-            )
-        if any(b not in (0, 1) for b in self.table):
-            out.append("table entries must be bits")
-        return out
+        # the loader passes tuples, and shares one table tuple among gates
+        if type(self.inputs) is not tuple:
+            object.__setattr__(self, "inputs", tuple(self.inputs))
+        if type(self.table) is not tuple:
+            object.__setattr__(self, "table", tuple(self.table))
 
     def eval(self, x: Sequence[int]) -> int:
         idx = 0
@@ -106,6 +102,140 @@ Gate = Union[JuntaGate, WordDecisionTree]
 def all_junta_gates(gates: Sequence) -> bool:
     """Whether every gate is a JuntaGate, by exact type, in one C-level pass."""
     return set(map(type, gates)) <= {JuntaGate}
+
+
+@dataclass(frozen=True, eq=False)
+class JuntaTable:
+    """The junta gates of a sequence of ``m`` gates as flat arrays, read
+    from the gates once by :meth:`of`.
+
+    Junta gate g sits at ``positions[g]`` of the sequence. It reads the
+    ``fan_ins[g]`` inputs that start at ``inputs[inputs_at[g]]``, and its
+    ``sizes[g]`` table entries start at ``bits[table_at[g]]``, one byte
+    each: the entry's low bit. ``int_inputs[g]`` is False where an input is
+    not an integer that fits int64 (its row packs as zeros), and
+    ``bit_tables[g]`` where an entry is not 0 or 1; only validation reads
+    them.
+    """
+
+    m: int
+    positions: np.ndarray
+    fan_ins: np.ndarray
+    inputs: np.ndarray
+    inputs_at: np.ndarray
+    sizes: np.ndarray
+    bits: np.ndarray
+    table_at: np.ndarray
+    int_inputs: np.ndarray
+    bit_tables: np.ndarray
+
+    @classmethod
+    def of(cls, gates: Sequence) -> "JuntaTable":
+        if all_junta_gates(gates):
+            positions, junta = np.arange(len(gates)), gates
+        else:
+            positions = np.array(
+                [i for i, g in enumerate(gates) if isinstance(g, JuntaGate)], dtype=np.intp
+            )
+            junta = [gates[i] for i in positions.tolist()]
+        inputs = list(map(attrgetter("inputs"), junta))
+        tables = list(map(attrgetter("table"), junta))
+        fan_ins = np.fromiter(map(len, inputs), np.int64, len(junta))
+        sizes = np.fromiter(map(len, tables), np.int64, len(junta))
+        flat_inputs, int_inputs = _packed_inputs(inputs, int(fan_ins.sum()))
+        bits, bit_tables = _packed_bits(tables, sizes)
+        return cls(
+            len(gates), positions, fan_ins, flat_inputs, np.cumsum(fan_ins) - fan_ins,
+            sizes, bits, np.cumsum(sizes) - sizes, int_inputs, bit_tables,
+        )
+
+    def violations(self, gates: Sequence, n: int, w: int, t: int) -> list[tuple[int, str]]:
+        """(position, message) for each violation of the junta gates, in
+        gate order and each gate's in the order of its checks. The checks
+        run on the arrays at once; a gate is read again only for its
+        messages."""
+        count = len(self.positions)
+        entry_gate = np.repeat(np.arange(count), self.fan_ins)
+        outside = np.zeros(count, dtype=bool)
+        outside[entry_gate[(self.inputs < 0) | (self.inputs >= n)]] = True
+        # sorted within each gate, a repeated input sits next to its copy
+        by_gate = np.lexsort((self.inputs, entry_gate))
+        ordered, owner = self.inputs[by_gate], entry_gate[by_gate]
+        repeated = np.zeros(count, dtype=bool)
+        repeated[owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])]] = True
+        untyped = np.zeros(count, dtype=bool)
+        for g in np.flatnonzero(~self.int_inputs).tolist():
+            # inputs that did not pack are read from the gate
+            inputs = gates[self.positions[g]].inputs
+            integers = all(hasattr(type(v), "__index__") for v in inputs)
+            untyped[g] = not integers
+            repeated[g] = integers and len(set(inputs)) != len(inputs)
+            outside[g] = integers and any(not 0 <= v < n for v in inputs)
+        fits = self.fan_ins < 63
+        size_ok = fits & (self.sizes == 1 << np.where(fits, self.fan_ins, 0))
+        checks = [
+            (np.full(count, w != 1), lambda g: "junta gate requires w == 1"),
+            (self.fan_ins > t, lambda g: f"{len(g.inputs)} inputs exceed fan-in bound {t}"),
+            (untyped, lambda g: f"non-integer input index in {g.inputs}"),
+            (repeated, lambda g: f"duplicate input index in {g.inputs}"),
+            (outside, lambda g: f"input index out of range in {g.inputs}"),
+            (~size_ok, lambda g: f"table length {len(g.table)} != 2^{len(g.inputs)}"),
+            (~self.bit_tables, lambda g: "table entries must be bits"),
+        ]
+        flags = np.stack([flag for flag, _ in checks], axis=1)
+        out = []
+        for g in np.flatnonzero(flags.any(axis=1)).tolist():
+            pos = int(self.positions[g])
+            out.extend(
+                (pos, message(gates[pos]))
+                for hit, (_, message) in zip(flags[g].tolist(), checks) if hit
+            )
+        return out
+
+
+def _packed_inputs(rows: list[tuple], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the ``count`` entries of all rows in order as one int64 array,
+    whether each row's entries are all integers that fit int64). Where one
+    is not, the rows are packed one at a time, and a row that does not fit
+    packs as zeros."""
+    typed = np.ones(len(rows), dtype=bool)
+    try:
+        return np.fromiter(map(index, chain.from_iterable(rows)), np.int64, count), typed
+    except (TypeError, OverflowError):
+        pass
+    flat = [np.zeros(0, dtype=np.int64)]
+    for g, row in enumerate(rows):
+        try:
+            flat.append(np.fromiter(map(index, row), np.int64, len(row)))
+        except (TypeError, OverflowError):
+            typed[g] = False
+            flat.append(np.zeros(len(row), dtype=np.int64))
+    return np.concatenate(flat), typed
+
+
+def _packed_bits(tables: list[tuple], sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the low bit of every entry of all tables in order, one uint8 each,
+    whether each table's entries are all 0 or 1): through one bytes object
+    while every entry is an integer in range(256), one table at a time past
+    that; an entry that is not an integer reads 1 where it equals 1."""
+    try:
+        flat = np.frombuffer(bytes(chain.from_iterable(tables)), np.uint8)
+    except (TypeError, ValueError):
+        bits, ok = [], []
+        for table in tables:
+            ok.append(all(v in (0, 1) for v in table))
+            try:
+                row = [index(v) & 1 for v in table]
+            except TypeError:
+                row = [v == 1 for v in table]
+            bits.extend(row)
+        return np.array(bits, dtype=np.uint8), np.array(ok, dtype=bool)
+    bad = flat > 1
+    if not bad.any():
+        return flat, np.ones(len(tables), dtype=bool)
+    ok = np.ones(len(tables), dtype=bool)
+    ok[np.repeat(np.arange(len(tables)), sizes)[bad]] = False
+    return flat & 1, ok
 
 
 @dataclass(frozen=True)
@@ -137,17 +267,23 @@ class Circuit:
         out = []
         if self.n < 1 or self.w < 1 or self.t < 0:
             out.append(f"bad shape (n={self.n}, w={self.w}, t={self.t})")
-        for i, g in enumerate(self.gates):
-            if isinstance(g, JuntaGate):
-                if self.w != 1:
-                    out.append(f"gate {i}: junta gate requires w == 1")
-                out.extend(f"gate {i}: {v}" for v in g.violations(self.n, self.t))
-            else:
-                out.extend(
-                    f"gate {i}: {v}" for v in g.violations(self.n, self.w, self.t)
-                )
+        table = self.junta_table
+        found = table.violations(self.gates, self.n, self.w, self.t)
+        if len(table.positions) < self.m:
+            found += [
+                (i, v)
+                for i, g in enumerate(self.gates) if not isinstance(g, JuntaGate)
+                for v in g.violations(self.n, self.w, self.t)
+            ]
+            found.sort(key=itemgetter(0))  # stable: a gate's own order stays
+        out.extend(f"gate {i}: {v}" for i, v in found)
         object.__setattr__(self, "_violations", tuple(out))
         return out
+
+    @cached_property
+    def junta_table(self) -> JuntaTable:
+        """The junta gates packed once, for validation and the transform."""
+        return JuntaTable.of(self.gates)
 
     def ensure_valid(self) -> "Circuit":
         out = self.violations()
@@ -156,12 +292,7 @@ class Circuit:
         return self
 
     def is_junta_circuit(self) -> bool:
-        # immutable, as for violations: one walk over the gates per circuit
-        cached = self.__dict__.get("_junta")
-        if cached is None:
-            cached = all_junta_gates(self.gates)
-            object.__setattr__(self, "_junta", cached)
-        return cached
+        return len(self.junta_table.positions) == self.m
 
     def with_tree_gates(self) -> "Circuit":
         gates = tuple(
@@ -376,11 +507,15 @@ def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
     check_fields(data, "circuit", _CIRCUIT_FIELDS)
     gates: list[Gate] = []
+    tables: dict[str, tuple[int, ...]] = {}  # one tuple per distinct table
     for i, g in enumerate(data["gates"]):
-        if type(g) is dict and g.get("kind") == "tree":
+        if _is_junta_obj(g):
+            table = tables.get(g["table"])
+            if table is None:
+                table = tables[g["table"]] = tuple(map(int, g["table"]))
+            gates.append(JuntaGate(tuple(g["inputs"]), table))
+        elif type(g) is dict and g.get("kind") == "tree":
             gates.append(WordDecisionTree(_tree_node_from_obj(g.get("root"))))
-        elif _is_junta_obj(g):
-            gates.append(JuntaGate(tuple(g["inputs"]), tuple(map(int, g["table"]))))
         else:
             raise ValidationError(
                 [f"gate {i} is neither a tree nor a junta with integer inputs and a 0/1 table"]

@@ -1,9 +1,10 @@
 """Exact Fourier expansions of junta gates and layered tree outputs, with
 parity classification.
 
-Junta gates are analysed as integer arrays: ``junta_spectra`` reads every
-gate once, stacks the +-1 tables of all gates of one fan-in f as columns and
-applies one in-place Walsh-Hadamard transform, which gives every gate's
+Junta gates are analysed as integer arrays: ``junta_spectra`` reads a
+circuit's packed gate table (``circuits.JuntaTable``), stacks the +-1 tables
+of all gates of one fan-in f as columns and applies one in-place
+Walsh-Hadamard transform, which gives every gate's
 exact spectrum at the scale 2^-f; the parity class, the true support and the leading coefficient
 are read from it. ``expand_junta`` and ``classify_parity`` are the same
 transform and the same classification rule for one gate and for a sparse
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .circuits import JuntaGate, Leaf, LayeredCircuit, TreeNode, WordDecisionTree, all_junta_gates
+from .circuits import JuntaGate, JuntaTable, Leaf, LayeredCircuit, TreeNode, WordDecisionTree
 from .core import Dyadic, ValidationError
 
 
@@ -114,56 +114,40 @@ class GateSpectra:
         )
 
 
-def junta_spectra(gates: Sequence) -> list[GateSpectra]:
-    """Spectra and parity classes of junta gates, grouped by fan-in.
+def junta_spectra(table: JuntaTable) -> list[GateSpectra]:
+    """Spectra and parity classes of junta gates, grouped by fan-in, read
+    from their packed table (``Circuit.junta_table``).
 
-    One pass over the gates reads their inputs and tables, which are packed
-    into flat arrays; every gate must be a junta gate of fan-in at most
-    ``TRANSFORM_CAP`` with a table of 2^f entries, checked on the packed
-    lengths. Each fan-in's +-1 tables are stacked and go through one
-    :func:`walsh_hadamard` call, so every gate's table is transformed once.
+    Every gate of the table's sequence must be a junta gate of fan-in at
+    most ``TRANSFORM_CAP`` with a table of 2^f entries, checked on the
+    packed lengths, and the first gate that is not one is named. Each fan-in's +-1
+    tables are stacked and go through one :func:`walsh_hadamard` call, so
+    every gate's table is transformed once.
     """
-    if not all_junta_gates(gates):
-        for i, gate in enumerate(gates):
-            if type(gate) is not JuntaGate:
-                junta_spectra(gates[:i])  # an earlier gate's error comes first
-                raise ValidationError([f"gate {i} is not a junta gate"])
-    inputs = [gate.inputs for gate in gates]
-    tables = [gate.table for gate in gates]
-    fan_ins = np.fromiter(map(len, inputs), np.int64, len(gates))
-    sizes = np.fromiter(map(len, tables), np.int64, len(gates))
+    fan_ins, sizes = table.fan_ins, table.sizes
+    count = len(fan_ins)
+    skipped = np.flatnonzero(table.positions != np.arange(count))
+    other_at = int(skipped[0]) if len(skipped) else count  # the first gate not in the table
     wrong = (fan_ins > TRANSFORM_CAP) | (sizes != 1 << np.minimum(fan_ins, TRANSFORM_CAP))
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        t = int(fan_ins[i])
+    first = int(np.argmax(wrong)) if wrong.any() else count
+    if first < count and table.positions[first] < other_at:
+        t = int(fan_ins[first])
         if t > TRANSFORM_CAP:
             raise ValidationError([f"junta fan-in {t} exceeds the transform cap {TRANSFORM_CAP}"])
-        raise ValidationError([f"table length {sizes[i]} != 2^{t}"])
-    bits = _packed(tables, int(sizes.sum())) & 1
-    flat_inputs = _packed(inputs, int(fan_ins.sum()))
-    table_at = np.cumsum(sizes) - sizes
-    inputs_at = np.cumsum(fan_ins) - fan_ins
+        raise ValidationError([f"table length {sizes[first]} != 2^{t}"])
+    if other_at < table.m:
+        raise ValidationError([f"gate {other_at} is not a junta gate"])
     out = []
     for t in np.flatnonzero(np.bincount(fan_ins)).tolist():
         positions = np.flatnonzero(fan_ins == t)
-        columns = walsh_hadamard(1 - 2 * bits[np.arange(1 << t)[:, None] + table_at[positions]])
+        tables = table.bits[np.arange(1 << t)[:, None] + table.table_at[positions]]
+        columns = walsh_hadamard(1 - 2 * tables.astype(np.int64))
         parity, support = _classify_spectra(columns, t)
         out.append(GateSpectra(
-            t, positions, flat_inputs[inputs_at[positions, None] + np.arange(t)],
+            t, positions, table.inputs[table.inputs_at[positions, None] + np.arange(t)],
             columns.T, parity, support,
         ))
     return out
-
-
-def _packed(rows: list[Sequence[int]], count: int) -> np.ndarray:
-    """The ``count`` entries of all rows, in order, as one int64 array:
-    through one bytes object while every entry is in range(256), one
-    Python int at a time past that."""
-    try:
-        flat = np.frombuffer(bytes(chain.from_iterable(rows)), np.uint8)
-    except (TypeError, ValueError):
-        return np.fromiter(chain.from_iterable(rows), np.int64, count)
-    return flat.astype(np.int64)
 
 
 def _classify_spectra(columns: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +168,7 @@ def _classify_spectra(columns: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarr
 
 def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion:
     """Exact expansion of one junta gate, read from :func:`junta_spectra`."""
-    (spec,) = junta_spectra([gate])
+    (spec,) = junta_spectra(JuntaTable.of([gate]))
     if n_vars is None:
         n_vars = max(gate.inputs, default=-1) + 1
     t = spec.fan_in

@@ -220,16 +220,26 @@ def seed_order(spec: GeneratorSpec) -> Iterator[int]:
     An ``eps_biased`` seed a + x 2^s (and the outer stage's seed of
     ``kwise_eps_biased``) with x = 0 gives the all-+1 string, and a in {0, 1}
     a nearly constant one. Seeds with x != 0 and a not in {0, 1} come first,
-    ascending; the rest follow, ascending. A ``kwise`` seed below 2^s is a
-    constant polynomial, whose string is all +1 or all -1: those come after
-    every other seed. ``uniform`` ascends.
+    ascending; the rest follow, ascending. A ``kwise`` seed is k
+    coefficients of s bits, the lowest first. Its constant coefficient adds
+    only its low bit to every output, so the seeds come in digit-reversed
+    order: consecutive seeds differ first in their highest coefficient. The
+    seeds below 2^s are constant polynomials, whose string is all +1 or all
+    -1: those come after every other seed, ascending. ``uniform`` ascends.
     """
     if spec.kind == "uniform":
         yield from range(seed_count(spec))
         return
     if spec.kind == "kwise":
         q = 1 << spec.field_degree
-        yield from range(q, seed_count(spec))
+        top = q ** (spec.k - 1)  # counters of a constant polynomial are its multiples
+        for counter in range(seed_count(spec)):
+            if counter % top:
+                seed, rest = 0, counter
+                for _ in range(spec.k):
+                    rest, digit = divmod(rest, q)
+                    seed = seed * q + digit
+                yield seed
         yield from range(q)
         return
     q = 1 << (spec.field_degree if spec.kind == "eps_biased" else spec.outer_degree)

@@ -365,7 +365,7 @@ def nonadaptive_split(c: Circuit) -> JuntaSplit:
     Every gate must classify as non-parity; XOR/NXOR outputs are rejected and
     have to be pruned by the caller first.
     """
-    gates = junta_spectra(c.gates)
+    gates = junta_spectra(c.junta_table)
     parities = [pos for g in gates for pos in g.positions[g.parity != 0].tolist()]
     if parities:
         raise ValidationError(

@@ -145,7 +145,7 @@ def default_ell(r: int, n: int) -> int:
     return max(2, 2 * math.ceil(r * math.log(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     mode: str  # trace | spectral | direct | parity
     bound: float
@@ -305,6 +305,16 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def _rhs_signs(b: Sequence[int]) -> np.ndarray:
+    """b as one int64 array, after one pass that names every entry other
+    than +1 and -1 by its index; converting first would read "1" and 1.5
+    as 1."""
+    bad = [i for i, v in enumerate(b) if v not in (1, -1)]
+    if bad:
+        raise ValidationError([f"edge {i}: rhs {b[i]} not in {{+1, -1}}" for i in bad])
+    return np.asarray(b, dtype=np.int64)
 
 
 def _top_bits(nums: np.ndarray) -> int:
@@ -624,10 +634,7 @@ class PreparedSchemes:
         """``refute`` of every scheme with right-hand side b, in order."""
         if len(b) != self.m:
             raise ValidationError([f"{len(b)} rhs signs for {self.m} edges"])
-        bad = [i for i, v in enumerate(b) if v not in (1, -1)]
-        if bad:
-            raise ValidationError([f"edge {i}: rhs {b[i]} not in {{+1, -1}}" for i in bad])
-        return self._refute(np.asarray(b, dtype=np.int64), params or RefuteParams())
+        return self._refute(_rhs_signs(b), params or RefuteParams())
 
     @cached_property
     def nonzero(self) -> tuple[int, ...]:
@@ -637,7 +644,8 @@ class PreparedSchemes:
         return tuple(j for j, scheme in enumerate(self.schemes) if not scheme.zero)
 
     def _refute(self, b: Sequence[int] | np.ndarray, params: RefuteParams) -> list[Certificate]:
-        """The certificates of the plan of ``params``, recorded at the first
+        """The certificates of the plan of ``params`` for right-hand side b,
+        one +-1 per edge that is not checked here, recorded at the first
         target with these knobs. Every target computes its signed sums,
         splits the plan's odd parts (the first target takes the splits the
         record made), gathers every operator's values from both at once and

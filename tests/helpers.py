@@ -89,6 +89,27 @@ def random_junta_gate(rng: random.Random, n: int, fan_in: int) -> JuntaGate:
     return JuntaGate(inputs, tuple(table))
 
 
+def reference_junta_violations(gate: JuntaGate, n: int, t: int) -> list[str]:
+    """A junta gate's violations by one walk over its inputs and table, in
+    the order of ``Circuit.violations``; a gate with an input that is not
+    an integer gets no duplicate or range check."""
+    out = []
+    if len(gate.inputs) > t:
+        out.append(f"{len(gate.inputs)} inputs exceed fan-in bound {t}")
+    if not all(hasattr(type(v), "__index__") for v in gate.inputs):
+        out.append(f"non-integer input index in {gate.inputs}")
+    else:
+        if len(set(gate.inputs)) != len(gate.inputs):
+            out.append(f"duplicate input index in {gate.inputs}")
+        if any(not 0 <= v < n for v in gate.inputs):
+            out.append(f"input index out of range in {gate.inputs}")
+    if len(gate.table) != 1 << len(gate.inputs):
+        out.append(f"table length {len(gate.table)} != 2^{len(gate.inputs)}")
+    if any(b not in (0, 1) for b in gate.table):
+        out.append("table entries must be bits")
+    return out
+
+
 def random_pruned_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
     """Non-parity junta circuit with 3 outputs overwritten by single-input
     gates on distinct inputs: avoid prunes them, and they hold no GF(2)
@@ -631,7 +652,7 @@ def level_weight(exp: FourierExpansion, level: int) -> Dyadic:
 
 def find_parity_dependency(c: Circuit) -> tuple[list[int], int] | None:
     """The parity dependency ``avoid`` looks for first, on a junta circuit."""
-    return _parity_dependency(junta_spectra(c.gates)) if c.is_junta_circuit() else None
+    return _parity_dependency(junta_spectra(c.junta_table)) if c.is_junta_circuit() else None
 
 
 def certificate_from_obj(obj: dict) -> Certificate:

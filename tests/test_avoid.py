@@ -16,6 +16,7 @@ from xorcert.avoid import (
 from xorcert.circuits import (
     Circuit,
     JuntaGate,
+    JuntaTable,
     circuit_from_json,
     circuit_to_json,
     eval_circuit,
@@ -176,6 +177,18 @@ class TestCertify:
         with pytest.raises(ValidationError):
             certify_not_in_range(c, (1, 1))
 
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_target_signs_checked_at_their_own_positions(self, at):
+        # output 0 is a parity, pruned before refutation: its sign is still
+        # checked, and every sign is named by its index in b, not among the
+        # kept outputs
+        c = Circuit(2, 1, 2, (XOR01,) + (OR01,) * 59)
+        b = [1] * c.m
+        b[at] = 7
+        with pytest.raises(ValidationError) as err:
+            certify_not_in_range(c, b)
+        assert err.value.violations == [f"edge {at}: rhs 7 not in {{+1, -1}}"]
+
     @pytest.mark.parametrize("eps", [Fraction(-1), Fraction(-1, 1 << 40)])
     def test_negative_eps_is_rejected(self, eps):
         # eps < 0 asks for a distance above 1/2: an impossible knob, not a
@@ -270,7 +283,7 @@ def plus_one_circuit(rng: random.Random, n: int, t: int, m: int) -> Circuit:
     while len(gates) < m:
         inputs = tuple(sorted(rng.sample(range(n), t)))
         gate = JuntaGate(inputs, (0,) + tuple(rng.randrange(2) for _ in range((1 << t) - 1)))
-        if fourier.junta_spectra([gate])[0].parity[0] == 0:
+        if fourier.junta_spectra(JuntaTable.of([gate]))[0].parity[0] == 0:
             gates.append(gate)
     return Circuit(n, 1, t, tuple(gates))
 

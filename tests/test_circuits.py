@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorcert.circuits import (
     Circuit,
     JuntaGate,
+    JuntaTable,
     Leaf,
     Node,
     WordDecisionTree,
@@ -19,7 +23,10 @@ from xorcert.circuits import (
 from xorcert.core import Dyadic, ValidationError
 from xorcert.fourier import expand_layered_output
 
-from helpers import l1_mass
+from helpers import l1_mass, reference_junta_violations
+
+
+OR01 = JuntaGate((0, 1), (0, 1, 1, 1))
 
 
 def all_inputs(n, w):
@@ -75,6 +82,130 @@ class TestValidation:
         bad = WordDecisionTree(Node(0, (Leaf(1), Leaf(1))))
         with pytest.raises(ValidationError, match="children"):
             Circuit(1, 2, 1, (bad,)).ensure_valid()
+
+    def test_non_integer_input_is_named(self):
+        # 0.5 is in range, so a range check alone lets the transform read it as 0
+        c = Circuit(2, 1, 2, (OR01, JuntaGate((0.5, 1), (0, 1, 1, 1))))
+        assert c.violations() == ["gate 1: non-integer input index in (0.5, 1)"]
+        with pytest.raises(ValidationError, match="gate 1: non-integer input"):
+            c.ensure_valid()
+
+    @pytest.mark.parametrize("c, messages", [
+        (Circuit(3, 1, 1, (OR01,)), ["gate 0: 2 inputs exceed fan-in bound 1"]),
+        (Circuit(3, 1, 2, (JuntaGate((1, 1), (0, 1, 1, 1)),)),
+         ["gate 0: duplicate input index in (1, 1)"]),
+        (Circuit(3, 1, 2, (JuntaGate((0, 3), (0, 1, 1, 1)),)),
+         ["gate 0: input index out of range in (0, 3)"]),
+        (Circuit(3, 1, 2, (OR01, JuntaGate((-1,), (0, 1)))),
+         ["gate 1: input index out of range in (-1,)"]),
+        (Circuit(3, 1, 2, (JuntaGate((0, 1), (0, 1, 1)),)), ["gate 0: table length 3 != 2^2"]),
+        (Circuit(3, 1, 2, (JuntaGate((), ()),)), ["gate 0: table length 0 != 2^0"]),
+        (Circuit(3, 1, 2, (JuntaGate((2,), (0, 2)),)), ["gate 0: table entries must be bits"]),
+        (Circuit(3, 1, 2, (OR01, JuntaGate((0, 0, 5), (0, -1, 1)))), [
+            "gate 1: 3 inputs exceed fan-in bound 2",
+            "gate 1: duplicate input index in (0, 0, 5)",
+            "gate 1: input index out of range in (0, 0, 5)",
+            "gate 1: table length 3 != 2^3",
+            "gate 1: table entries must be bits",
+        ]),
+        (Circuit(3, 2, 2, (OR01, JuntaGate((0, 1), (0, 1)))), [
+            "gate 0: junta gate requires w == 1",
+            "gate 1: junta gate requires w == 1",
+            "gate 1: table length 2 != 2^2",
+        ]),
+        (Circuit(3, 1, 1, (
+            JuntaGate((0, 0), (0, 1, 1, 1)),
+            WordDecisionTree(Node(4, (Leaf(1), Leaf(2)))),
+            OR01,
+            WordDecisionTree(Leaf(1)),
+            JuntaGate((1,), (0, 1, 1)),
+            WordDecisionTree(Node(0, (Leaf(1),))),
+        )), [
+            "gate 0: 2 inputs exceed fan-in bound 1",
+            "gate 0: duplicate input index in (0, 0)",
+            "gate 1: query index 4 out of range [0, 3)",
+            "gate 1: leaf value 2 not a sign",
+            "gate 2: 2 inputs exceed fan-in bound 1",
+            "gate 4: table length 3 != 2^1",
+            "gate 5: node has 1 children, expected 2",
+        ]),
+    ])
+    def test_junta_messages_are_pinned(self, c, messages):
+        """Every violation of a circuit, as a whole list in gate order, each
+        gate's in the order of its checks; tree gates keep theirs."""
+        assert c.violations() == messages
+        with pytest.raises(ValidationError) as err:
+            c.ensure_valid()
+        assert err.value.violations == messages
+
+
+def _junta_gates(draw, n: int) -> list:
+    """Junta gates of fan-in 0 to 4, valid or not, with a tree gate now and
+    then: inputs repeated, out of range, past int64 or not integers, tables
+    of the wrong length or with entries that are not bits."""
+    out = []
+    for _ in range(draw(st.integers(0, 8), label="m")):
+        if draw(st.integers(0, 9), label="tree") == 0:
+            out.append(WordDecisionTree(Leaf(draw(st.sampled_from([1, -1, 2])))))
+            continue
+        fan_in = draw(st.integers(0, 4), label="fan-in")
+        inputs = draw(st.one_of(
+            st.permutations(range(max(n, fan_in))).map(lambda p: tuple(p[:fan_in])),
+            st.lists(st.one_of(st.integers(-1, n + 1), st.sampled_from([0.5, True, 2 ** 70])),
+                     min_size=fan_in, max_size=fan_in).map(tuple),
+        ), label="inputs")
+        size = draw(st.one_of(st.just(1 << fan_in), st.integers(0, 17)), label="size")
+        table = draw(st.lists(st.one_of(
+            st.integers(0, 1), st.sampled_from([2, -1, 300, 1.0, 0.5, True])
+        ), min_size=size, max_size=size).map(tuple), label="table")
+        out.append(JuntaGate(inputs, table))
+    return out
+
+
+class TestJuntaTable:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_checks_and_packing_match_the_gates(self, data):
+        """``Circuit.violations`` on the packed table against one walk per
+        gate, and the packed arrays against the gates' tuples."""
+        n = data.draw(st.integers(1, 6), label="n")
+        t = data.draw(st.integers(0, 4), label="t")
+        gates = _junta_gates(data.draw, n)
+        c = Circuit(n, 1, t, tuple(gates))
+        expected = []
+        for i, g in enumerate(gates):
+            found = (
+                reference_junta_violations(g, n, t) if isinstance(g, JuntaGate)
+                else g.violations(n, 1, t)
+            )
+            expected += [f"gate {i}: {v}" for v in found]
+        assert c.violations() == expected
+        table = c.junta_table
+        junta = [i for i, g in enumerate(gates) if isinstance(g, JuntaGate)]
+        assert table.m == len(gates)
+        assert table.positions.tolist() == junta
+        for g, pos in enumerate(junta):
+            gate = gates[pos]
+            f, size = len(gate.inputs), len(gate.table)
+            assert (table.fan_ins[g], table.sizes[g]) == (f, size)
+            at, inputs = table.inputs_at[g], table.inputs[table.inputs_at[g]:][:f].tolist()
+            typed = all(isinstance(v, int) and v < 1 << 63 for v in gate.inputs)
+            assert table.int_inputs[g] == typed
+            assert inputs == (list(gate.inputs) if typed else [0] * f)
+            bits = table.bits[table.table_at[g]:][:size].tolist()
+            assert table.bit_tables[g] == all(v in (0, 1) for v in gate.table)
+            if all(isinstance(v, int) for v in gate.table):
+                assert bits == [v & 1 for v in gate.table]
+            assert table.bits.dtype == np.uint8
+            assert at == sum(len(gates[p].inputs) for p in junta[:g])
+            assert table.table_at[g] == sum(len(gates[p].table) for p in junta[:g])
+
+    def test_a_loaded_circuit_shares_its_tables(self):
+        c = random_junta_circuit(random.Random(5), 4, 1, 40)
+        loaded = circuit_from_json(circuit_to_json(c))
+        assert loaded == c
+        assert len({id(g.table) for g in loaded.gates}) == len({g.table for g in c.gates})
+        assert JuntaTable.of(loaded.gates).bits.tolist() == loaded.junta_table.bits.tolist()
 
 
 class TestLayered:

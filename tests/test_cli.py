@@ -115,6 +115,10 @@ class TestExitCodes:
         '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "junta", "inputs": [0]}]}',
         '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "tree", "root": {"leaf": "x"}}]}',
         '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "tree", "root": {"query": 0}}]}',
+        '{"n": 2, "w": 1, "t": 2, "m": 1, "gates": [{"kind": "junta", "inputs": [0, true], "table": "0111"}]}',
+        '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "junta", "inputs": [0.5], "table": "01"}]}',
+        '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "junta", "inputs": [0], "table": "012"}]}',
+        '{"n": 2, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "junta", "inputs": [0], "table": "011"}]}',
     ])
     def test_malformed_circuit_exits_one(self, tmp_path, text):
         circ = tmp_path / "circuit.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from xorcert.circuits import (
     JuntaGate,
+    JuntaTable,
     Leaf,
     Node,
     WordDecisionTree,
@@ -130,7 +131,7 @@ class TestJuntaSpectra:
     @staticmethod
     def _by_position(gates):
         rows = {}
-        for g in junta_spectra(gates):
+        for g in junta_spectra(JuntaTable.of(gates)):
             for pos, row, parity, support in zip(
                 g.positions.tolist(), g.spectra.tolist(), g.parity.tolist(), g.support.tolist()
             ):
@@ -145,7 +146,7 @@ class TestJuntaSpectra:
         against their definitions."""
         size = 1 << t
         tables = np.array(list(product((0, 1), repeat=size)), dtype=np.int64)
-        (g,) = junta_spectra([JuntaGate(tuple(range(t)), tuple(row)) for row in tables.tolist()])
+        (g,) = junta_spectra(JuntaTable.of([JuntaGate(tuple(range(t)), tuple(row)) for row in tables.tolist()]))
         hadamard = np.array(
             [[1 - 2 * ((a & s).bit_count() & 1) for s in range(size)] for a in range(size)]
         )
@@ -201,7 +202,7 @@ class TestJuntaSpectra:
         assert classify_parity(expand_junta(gate, 14)) is ParityClass.OTHER
         # AND: -1 only on all ones, so 1 - 2 * prod (1 - x_i) / 2
         conj = JuntaGate(inputs, (0,) * ((1 << 12) - 1) + (1,))
-        (g,) = junta_spectra([conj])
+        (g,) = junta_spectra(JuntaTable.of([conj]))
         expected = [-2 * (-1) ** s.bit_count() for s in range(1 << 12)]
         expected[0] += 1 << 12
         assert g.spectra[0].tolist() == expected
@@ -210,7 +211,7 @@ class TestJuntaSpectra:
     def test_fan_in_cap(self):
         gate = JuntaGate(tuple(range(17)), (0,) * (1 << 17))
         with pytest.raises(ValidationError, match="junta fan-in 17 exceeds the transform cap 16"):
-            junta_spectra([gate])
+            junta_spectra(JuntaTable.of([gate]))
 
     @pytest.mark.parametrize("bad, message", [
         (WordDecisionTree(Leaf(1)), "gate 2 is not a junta gate"),
@@ -224,18 +225,18 @@ class TestJuntaSpectra:
         among valid gates, and a later bad gate does not mask it."""
         good = [JuntaGate((0,), (0, 1)), OR]
         with pytest.raises(ValidationError) as err:
-            junta_spectra(good + [bad] + good)
+            junta_spectra(JuntaTable.of(good + [bad] + good))
         assert err.value.violations == [message]
         later = [JuntaGate((0, 1), (0,)), WordDecisionTree(Leaf(1))]
         with pytest.raises(ValidationError) as err:
-            junta_spectra(good + [bad] + later)
+            junta_spectra(JuntaTable.of(good + [bad] + later))
         assert err.value.violations == [message]
 
     def test_table_entries_past_a_byte(self):
         """Entries are read by their low bit, also past 255, as the circuit
         never checks them here."""
-        plain = junta_spectra([OR, JuntaGate((1, 300), (1, 0, 0, 0))])
-        wide = junta_spectra([JuntaGate((0, 1), (0, 257, 3, 1)), JuntaGate((1, 300), (1, 0, 0, 256))])
+        plain = junta_spectra(JuntaTable.of([OR, JuntaGate((1, 300), (1, 0, 0, 0))]))
+        wide = junta_spectra(JuntaTable.of([JuntaGate((0, 1), (0, 257, 3, 1)), JuntaGate((1, 300), (1, 0, 0, 256))]))
         for g, h in zip(plain, wide):
             assert g.spectra.tolist() == h.spectra.tolist()
             assert g.inputs.tolist() == h.inputs.tolist() == [[0, 1], [1, 300]]
@@ -259,7 +260,7 @@ class TestJuntaSpectra:
                 for s, num in enumerate(row) if num
             } == exp.coeffs
             assert _CLASS[parity] is classify_parity(exp)
-        for g in junta_spectra(gates):
+        for g in junta_spectra(JuntaTable.of(gates)):
             assert g.inputs.tolist() == [list(gates[i].inputs) for i in g.positions.tolist()]
 
 

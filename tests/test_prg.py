@@ -211,10 +211,17 @@ class TestSeedOrder:
         assert list(seed_order(spec)) == list(range(seed_count(spec)))
 
     def test_kwise_constant_seeds_last(self):
-        # seeds below 2^s are constant polynomials: all +1 or all -1
+        # seeds below 2^s are constant polynomials: all +1 or all -1; the
+        # others come digit-reversed, the highest coefficient changing first
         spec = GeneratorSpec.kwise(2, 4, 2)
-        assert list(seed_order(spec)) == list(range(4, 16)) + list(range(4))
+        assert list(seed_order(spec)) == [4, 8, 12, 5, 9, 13, 6, 10, 14, 7, 11, 15] + list(range(4))
         assert all(len(set(sample_int(spec, seed))) == 1 for seed in range(4))
+
+    def test_kwise_budget_samples_distinct_strings(self):
+        # the constant coefficient adds one bit to every output, so seeds that
+        # differ only there sample two strings between them
+        spec = parse_spec("kwise:k=6,m=64,s=6")
+        assert len({sample_int(spec, seed) for seed in islice(seed_order(spec), 256)}) >= 200
 
     def test_kwise_budget_samples_no_constant_string(self):
         spec = GeneratorSpec.kwise(6, 64)
