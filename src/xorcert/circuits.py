@@ -1,9 +1,13 @@
 """Multi-output circuits: bounded-fan-in junta gates and word decision trees,
 plus the layered view that spreads a t-query tree across t layers of groups.
 
-A circuit's junta gates are read once, into one ``JuntaTable`` of flat
-arrays kept on the circuit; validation checks every junta gate at once on
-it, and ``fourier.junta_spectra`` transforms straight from it.
+A circuit's gates are read once, into flat arrays kept on the circuit: its
+junta gates into one ``JuntaTable``, on which validation checks every junta
+gate at once and from which ``fourier.junta_spectra`` transforms, and its
+trees into one ``TreeTable`` of leaves, filled by one walk over a level of
+every tree at a time that also checks their nodes. The layered expansion
+(``fourier.layered_characters``) and the oracle's evaluation read the
+leaves.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter, index, itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, index, itemgetter, not_
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,12 +25,12 @@ import numpy as np
 from .core import ValidationError, bit_of_sign, check_fields, is_int, is_int_list, sign_of_bit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     value: int  # +1 or -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     query: int
     children: tuple  # 2**w subtrees, indexed by the queried symbol
@@ -40,29 +44,6 @@ class WordDecisionTree:
     """Adaptive decision tree querying symbols of width w bits."""
 
     root: TreeNode
-
-    def violations(self, n: int, w: int, t: int) -> list[str]:
-        out: list[str] = []
-
-        def go(node: TreeNode, depth: int) -> None:
-            if isinstance(node, Leaf):
-                if node.value not in (1, -1):
-                    out.append(f"leaf value {node.value} not a sign")
-                return
-            if depth >= t:
-                out.append(f"query depth exceeds {t}")
-                return
-            if not 0 <= node.query < n:
-                out.append(f"query index {node.query} out of range [0, {n})")
-            if len(node.children) != 1 << w:
-                out.append(
-                    f"node has {len(node.children)} children, expected {1 << w}"
-                )
-            for c in node.children:
-                go(c, depth + 1)
-
-        go(self.root, 0)
-        return out
 
     def eval(self, x: Sequence[int]) -> int:
         node = self.root
@@ -238,6 +219,103 @@ def _packed_bits(tables: list[tuple], sizes: np.ndarray) -> tuple[np.ndarray, np
     return flat & 1, ok
 
 
+@dataclass(frozen=True, eq=False)
+class TreeTable:
+    """The decision trees of a sequence of gates as flat per-leaf arrays,
+    read by :meth:`of` in one walk that takes a level of every tree at a
+    time and checks each node and leaf it reaches.
+
+    Every gate that is not a junta gate is read as a tree. Each leaf is a
+    row; the rows run in gate order and, within a gate, in the order of a
+    depth-first walk. ``outputs`` holds the leaf's gate position,
+    ``depths`` its depth d, ``groups[:, q]`` the group queried on layer q
+    and ``symbols[:, q]`` the symbol read there on the way to the leaf (for
+    q < d, 0 past d), and ``values`` its value (0 where it is not a sign).
+    The columns run to the deepest leaf, at most t.
+
+    ``violations`` holds (position, message) for each violation, in gate
+    order and each gate's in walk order; a node at depth t is too deep, and
+    nothing below it is walked.
+    """
+
+    outputs: np.ndarray
+    depths: np.ndarray
+    groups: np.ndarray
+    symbols: np.ndarray
+    values: np.ndarray
+    violations: tuple[tuple[int, str], ...]
+
+    @classmethod
+    def of(cls, gates: Sequence, n: int, w: int, t: int) -> "TreeTable":
+        owner = np.array(
+            [i for i, g in enumerate(gates) if not isinstance(g, JuntaGate)], dtype=np.int64
+        )
+        level = [gates[i].root for i in owner.tolist()]
+        groups = symbols = np.zeros((len(level), 0), dtype=np.int64)
+        fan_out = 1 << w if 0 <= w < 62 else -1  # -1: no node has the right count
+        blocks, found = [], []
+        depth = 0
+        while level:
+            leaf = list(map(isinstance, level, repeat(Leaf)))
+            is_leaf = np.fromiter(leaf, bool, len(leaf))
+            at = np.flatnonzero(is_leaf)
+            values = list(map(attrgetter("value"), compress(level, leaf)))
+            try:
+                signed = np.fromiter(map(index, values), np.int64, len(values))
+            except (TypeError, OverflowError):  # a sign that is not an integer, such as 1.0, reads as one
+                signed = np.array([v if v in (1, -1) else 0 for v in values], dtype=np.int64)
+            signs = (signed == 1) | (signed == -1)
+            blocks.append((owner[at], depth, groups[at], symbols[at], np.where(signs, signed, 0)))
+            found += [
+                (int(owner[at[j]]), symbols[at[j]].tolist(), 0, f"leaf value {values[j]} not a sign")
+                for j in np.flatnonzero(~signs).tolist()
+            ]
+            inner = np.flatnonzero(~is_leaf)
+            if depth >= t:
+                found += [
+                    (int(owner[j]), symbols[j].tolist(), 0, f"query depth exceeds {t}")
+                    for j in inner.tolist()
+                ]
+                break
+            nodes = list(compress(level, map(not_, leaf)))
+            queries = list(map(attrgetter("query"), nodes))
+            kids = list(map(attrgetter("children"), nodes))
+            fan_outs = np.fromiter(map(len, kids), np.int64, len(kids))
+            packed, typed = _packed_inputs(list(zip(queries)), len(queries))
+            # a flagged node's checks read its query itself, also one that did not pack
+            for j in np.flatnonzero(~typed | (packed < 0) | (packed >= n) | (fan_outs != fan_out)).tolist():
+                query, path = queries[j], (int(owner[inner[j]]), symbols[inner[j]].tolist())
+                if not hasattr(type(query), "__index__"):
+                    found.append((*path, 0, f"non-integer query index {query}"))
+                elif not 0 <= query < n:
+                    found.append((*path, 0, f"query index {query} out of range [0, {n})"))
+                if fan_outs[j] != fan_out:
+                    found.append((*path, 1, f"node has {fan_outs[j]} children, expected {2 ** w}"))
+            parent = np.repeat(inner, fan_outs)
+            groups = np.column_stack((groups[parent], np.repeat(packed, fan_outs)))
+            first = np.repeat(np.cumsum(fan_outs) - fan_outs, fan_outs)
+            symbols = np.column_stack((symbols[parent], np.arange(len(parent)) - first))
+            owner = owner[parent]
+            level = list(chain.from_iterable(kids))
+            depth += 1
+        blocks = [b for b in blocks if len(b[0])]
+        sizes = [len(b[0]) for b in blocks]
+        depths = np.repeat([b[1] for b in blocks], sizes).astype(np.int64)
+        width = int(depths.max(initial=0))
+        groups, symbols = (np.zeros((len(depths), width), dtype=np.int64) for _ in range(2))
+        for (_, d, group, symbol, _), lo in zip(blocks, np.cumsum(sizes) - sizes):
+            groups[lo:lo + len(group), :d], symbols[lo:lo + len(group), :d] = group, symbol
+        outputs, values = (
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [b[k] for b in blocks]) for k in (0, 4)
+        )
+        order = np.lexsort((*symbols.T[::-1], outputs))
+        found.sort(key=itemgetter(0, 1, 2))
+        return cls(
+            outputs[order], depths[order], groups[order], symbols[order], values[order],
+            tuple((pos, message) for pos, _, _, message in found),
+        )
+
+
 @dataclass(frozen=True)
 class Circuit:
     """m-output circuit over n input symbols of w bits each.
@@ -270,11 +348,7 @@ class Circuit:
         table = self.junta_table
         found = table.violations(self.gates, self.n, self.w, self.t)
         if len(table.positions) < self.m:
-            found += [
-                (i, v)
-                for i, g in enumerate(self.gates) if not isinstance(g, JuntaGate)
-                for v in g.violations(self.n, self.w, self.t)
-            ]
+            found += self.tree_table.violations
             found.sort(key=itemgetter(0))  # stable: a gate's own order stays
         out.extend(f"gate {i}: {v}" for i, v in found)
         object.__setattr__(self, "_violations", tuple(out))
@@ -284,6 +358,12 @@ class Circuit:
     def junta_table(self) -> JuntaTable:
         """The junta gates packed once, for validation and the transform."""
         return JuntaTable.of(self.gates)
+
+    @cached_property
+    def tree_table(self) -> TreeTable:
+        """The tree gates' leaves packed and their nodes checked in one walk,
+        for validation, the layered expansion and the oracle."""
+        return TreeTable.of(self.gates, self.n, self.w, self.t)
 
     def ensure_valid(self) -> "Circuit":
         out = self.violations()
@@ -295,6 +375,8 @@ class Circuit:
         return len(self.junta_table.positions) == self.m
 
     def with_tree_gates(self) -> "Circuit":
+        if not len(self.junta_table.positions):
+            return self  # all trees already, and immutable
         gates = tuple(
             junta_to_tree(g) if isinstance(g, JuntaGate) else g
             for g in self.gates
@@ -464,10 +546,13 @@ def _tree_node_to_obj(node: TreeNode):
     }
 
 
+_LEAVES = (Leaf(sign_of_bit(0)), Leaf(sign_of_bit(1)))  # the loader shares these two
+
+
 def _tree_node_from_obj(obj) -> TreeNode:
     if type(obj) is dict and "leaf" in obj:
         if is_int(obj["leaf"]) and obj["leaf"] in (0, 1):
-            return Leaf(sign_of_bit(obj["leaf"]))
+            return _LEAVES[obj["leaf"]]
     elif type(obj) is dict and is_int(obj.get("query")) and type(obj.get("children")) is list:
         return Node(obj["query"], tuple(_tree_node_from_obj(c) for c in obj["children"]))
     raise ValidationError(["tree node is neither a 0/1 leaf nor a query with a list of children"])
@@ -504,7 +589,11 @@ def _is_junta_obj(g) -> bool:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    data = json.loads(text)
+    # the parsed text is dropped before the gates are checked
+    return _circuit_of(json.loads(text)).ensure_valid()
+
+
+def _circuit_of(data) -> Circuit:
     check_fields(data, "circuit", _CIRCUIT_FIELDS)
     gates: list[Gate] = []
     tables: dict[str, tuple[int, ...]] = {}  # one tuple per distinct table
@@ -523,4 +612,4 @@ def circuit_from_json(text: str) -> Circuit:
     c = Circuit(data["n"], data["w"], data["t"], tuple(gates))
     if c.m != data["m"]:
         raise ValidationError([f"declared m = {data['m']} but {c.m} gates"])
-    return c.ensure_valid()
+    return c

@@ -10,10 +10,13 @@ are read from it. ``expand_junta`` and ``classify_parity`` are the same
 transform and the same classification rule for one gate and for a sparse
 expansion.
 
-A layered tree output is expanded the same way: ``layered_characters``
-gives each character a code per layer (its group and bit mask there) and its
-coefficient as an integer at the one scale 2^-(t*w), by one integer
-recursion; ``expand_layered_output`` is a thin wrapper. The sparse
+Layered tree outputs are expanded as arrays too: ``layered_characters``
+reads a circuit's tree table (``circuits.TreeTable``) and gives every
+character of every output a code per layer (its group and bit mask there)
+and its coefficient as an integer at the one scale 2^-(t*w). Each leaf
+emits one row per character of its path, and one sort and one sum per
+chunk of whole outputs combine them; ``expand_layered_output`` reads one
+output's rows. The sparse
 ``FourierExpansion`` keys characters by sorted index tuples (not bitmasks),
 so its variable count is unbounded, and every coefficient is an exact
 dyadic rational.
@@ -27,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuits import JuntaGate, JuntaTable, Leaf, LayeredCircuit, TreeNode, WordDecisionTree
+from .circuits import JuntaGate, JuntaTable, LayeredCircuit
 from .core import Dyadic, ValidationError
 
 
@@ -180,52 +183,103 @@ def expand_junta(gate: JuntaGate, n_vars: int | None = None) -> FourierExpansion
     return FourierExpansion(n_vars, coeffs)
 
 
-def layered_characters(lc: LayeredCircuit, i: int) -> dict[tuple[int, ...], int]:
-    """Characters of output i of a layered circuit, by one integer recursion.
+EXPANSION_ROWS = 1 << 14  # the stretch of rows whose outputs one expansion chunk holds
 
-    A character is keyed by one code per layer: group * 2^w + gamma where it
-    multiplies the bits gamma (a nonzero mask) of that group of the layer, and
-    0 on a layer it does not touch. Its value is its coefficient in units of
-    2^-(t*w). The q-th query of the tree reads a whole w-bit group of layer q;
-    the indicator of each symbol value v contributes (-1)^|v & gamma| * 2^-w
-    on every sub-pattern gamma of the group, and deeper recursion only
-    touches later layers, so a character's codes concatenate.
+
+def layered_characters(lc: LayeredCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero character of every output of a layered circuit, as
+    ``(outputs, codes, units)`` sorted by output and then by codes, expanded
+    from the circuit's tree table (``Circuit.tree_table``).
+
+    A character has one code per layer in ``codes[:, q]``: group * 2^w +
+    gamma where it multiplies the bits gamma (a nonzero mask) of that group
+    of layer q, and 0 on a layer it does not touch. ``units`` is its
+    coefficient in units of 2^-(t*w). The outputs are expanded in chunks of
+    whole outputs: a chunk holds the outputs whose first row falls in one
+    stretch of ``EXPANSION_ROWS`` rows, so its rows stay bounded however
+    many outputs there are.
+    """
+    table = lc.circuit.tree_table
+    rows = np.left_shift(1, lc.circuit.w * table.depths)
+    before = np.cumsum(rows) - rows
+    heads = np.flatnonzero(np.diff(table.outputs, prepend=-1))  # each output's first leaf
+    cuts = heads[np.flatnonzero(np.diff(before[heads] // EXPANSION_ROWS, prepend=-1))].tolist()
+    cuts = cuts or [0]
+    parts = [_expand_leaves(lc, lo, hi) for lo, hi in zip(cuts, [*cuts[1:], len(rows)])]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _expand_leaves(lc: LayeredCircuit, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The characters of the leaves ``lo:hi`` of the tree table, whole
+    outputs, as :func:`layered_characters` gives them.
+
+    A leaf at depth d with value s emits one row per gamma tuple in
+    [2^w]^d, with sign prod_q (-1)^|v_q & gamma_q|, v_q its symbol on layer
+    q, and s * 2^((t-d)*w) units. One sort by (output, codes) and one
+    ``np.add.reduceat`` sum the rows, and zero sums drop out.
     """
     c = lc.circuit
-    w, t = c.w, c.t
-    gate = c.gates[i]
-    if not isinstance(gate, WordDecisionTree):
-        raise ValidationError([f"output {i} is not a decision tree"])
-    flips = [[(v & gamma).bit_count() & 1 for v in range(1 << w)] for gamma in range(1 << w)]
-
-    def go(node: TreeNode, layer: int) -> dict[tuple[int, ...], int]:
-        if isinstance(node, Leaf):
-            return {(0,) * (t - layer): node.value << ((t - layer) * w)}
-        subs = [go(child, layer + 1) for child in node.children]
-        out: dict[tuple[int, ...], int] = {}
-        for gamma, flip in enumerate(flips):
-            code = ((node.query << w) | gamma if gamma else 0,)
-            for negate, sub in zip(flip, subs):
-                for rest, units in sub.items():
-                    key = code + rest
-                    out[key] = out.get(key, 0) + (-units if negate else units)
-        return {key: units for key, units in out.items() if units}
-
-    return go(gate.root, 0)
+    n, w, t, table = c.n, c.w, c.t, c.tree_table
+    radix, base = n << w, table.outputs[lo] if hi > lo else 0
+    span = int(table.outputs[hi - 1] - base) + 1 if hi > lo else 1
+    # (output, codes) packs into one int64 key, base-radix digits, unless it might not fit
+    packed = span * radix ** t < 1 << 63
+    place = radix ** np.arange(t - 1, -1, -1) if packed else None
+    none = np.zeros(0, dtype=np.int64)
+    keys, outputs, codes, units = [none], [none], [np.zeros((0, t), dtype=np.int64)], [none]
+    depths = table.depths[lo:hi]
+    for d in np.unique(depths).tolist():
+        leaves = lo + np.flatnonzero(depths == d)
+        gammas = np.arange(1 << (w * d))  # gamma_q in bits w*q up
+        digits = (gammas[:, None] >> (w * np.arange(d))) & ((1 << w) - 1)
+        symbols = (table.symbols[leaves, :d] << (w * np.arange(d))).sum(axis=1)
+        flips = np.bitwise_count(symbols[:, None] & gammas) & 1
+        units.append((np.where(flips, -1, 1) * (table.values[leaves, None] << (t - d) * w)).ravel())
+        groups = table.groups[leaves, :d] << w
+        if packed:
+            high = (table.outputs[leaves, None] - base) * radix ** t
+            keys.append((high + (groups * place[:d]) @ (digits != 0).T + digits @ place[:d]).ravel())
+            continue
+        layers = np.zeros((len(leaves), len(gammas), t), dtype=np.int64)
+        layers[:, :, :d] = np.where(digits, groups[:, None] | digits, 0)
+        codes.append(layers.reshape(len(leaves) * len(gammas), t))
+        outputs.append(np.repeat(table.outputs[leaves], len(gammas)))
+    units = np.concatenate(units)
+    if packed:
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+        keys = keys[order]
+        head = np.flatnonzero(np.diff(keys, prepend=-1))
+    else:
+        outputs, codes = np.concatenate(outputs), np.concatenate(codes)
+        order = np.lexsort((*codes.T[::-1], outputs))
+        columns = np.column_stack((outputs, codes))[order]
+        head = np.flatnonzero(np.diff(columns, axis=0, prepend=-1).any(axis=1))
+    sums = np.add.reduceat(units[order], head)
+    nonzero = sums != 0
+    if packed:
+        kept = keys[head[nonzero]]
+        return kept // radix ** t + base, kept[:, None] // place % radix, sums[nonzero]
+    kept = order[head[nonzero]]
+    return outputs[kept], codes[kept], sums[nonzero]
 
 
 def expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:
     """Expansion of output i of a layered circuit over its w*n*t bit inputs,
-    read from :func:`layered_characters`."""
-    w, scale = lc.circuit.w, lc.circuit.t * lc.circuit.w
+    from the rows of its leaves in the tree table."""
+    c = lc.circuit
+    i = range(c.m)[i]
+    lo, hi = np.searchsorted(c.tree_table.outputs, [i, i + 1]).tolist()
+    w, scale = c.w, c.t * c.w
+    _, codes, units = _expand_leaves(lc, lo, hi)
     coeffs = {
         tuple(
             lc.bit_index(layer, code >> w, b)
-            for layer, code in enumerate(codes)
+            for layer, code in enumerate(row)
             for b in range(w)
             if (code >> b) & 1
-        ): Dyadic(units, scale)
-        for codes, units in layered_characters(lc, i).items()
+        ): Dyadic(num, scale)
+        for row, num in zip(codes.tolist(), units.tolist())
     }
     return FourierExpansion(lc.n_bits, coeffs)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, JuntaGate, Leaf, TreeNode, check_input, to_layered
+from .circuits import Circuit, TreeTable, check_input, to_layered
 from .core import ValidationError, XorInstance, validate_instance
 from .fourier import walsh_hadamard
 from .prg import GeneratorSpec, sample_output_bits, seed_count
@@ -61,21 +61,15 @@ def brute_val(inst: XorInstance, max_vars: int = MAX_VAL_VARS) -> Fraction:
     return Fraction(best, m << log_scale)
 
 
-def _eval_tree_vectorized(
-    root: TreeNode, symbols: np.ndarray, out: np.ndarray, idx: np.ndarray
-) -> None:
-    if isinstance(root, Leaf):
-        out[idx] = root.value
-        return
-    sym = symbols[idx, root.query]
-    for v, child in enumerate(root.children):
-        sub = idx[sym == v]
-        if sub.size:
-            _eval_tree_vectorized(child, symbols, out, sub)
+GATHER_STATES = 1 << 14  # (input, gate) pairs the oracle evaluates at once
 
 
 def brute_outputs(c: Circuit, max_input_bits: int = MAX_INPUT_BITS) -> np.ndarray:
-    """All outputs over the full input space as an int8 matrix [inputs, m]."""
+    """All outputs over the full input space as an int8 matrix [inputs, m],
+    read from the circuit's gate tables: every junta gate at once by its
+    table entries, and every tree at once by gathers along the tree table.
+    The inputs are taken a block at a time, so that the gathers stay in
+    cache."""
     c.ensure_valid()
     bits_total = c.w * c.n
     if bits_total > max_input_bits:
@@ -83,25 +77,58 @@ def brute_outputs(c: Circuit, max_input_bits: int = MAX_INPUT_BITS) -> np.ndarra
             [f"input space 2^{bits_total} exceeds cap 2^{max_input_bits}"]
         )
     count = 1 << bits_total
-    indices = np.arange(count, dtype=np.uint32)
-    symbols = np.empty((count, c.n), dtype=np.uint32)
-    mask = (1 << c.w) - 1
-    for j in range(c.n):
-        symbols[:, j] = (indices >> (j * c.w)) & mask
+    shifts = c.w * np.arange(c.n, dtype=np.uint32)
+    x = (np.arange(count, dtype=np.uint32)[:, None] >> shifts) & ((1 << c.w) - 1)
     outputs = np.empty((count, c.m), dtype=np.int8)
-    all_idx = np.arange(count)
-    for g_idx, gate in enumerate(c.gates):
-        if isinstance(gate, JuntaGate):
-            pos = np.zeros(count, dtype=np.uint32)
-            for j, v in enumerate(gate.inputs):
-                pos |= (symbols[:, v] & 1) << j
-            table = np.array(gate.table, dtype=np.int8)
-            outputs[:, g_idx] = 1 - 2 * table[pos]
-        else:
-            col = np.empty(count, dtype=np.int8)
-            _eval_tree_vectorized(gate.root, symbols, col, all_idx)
-            outputs[:, g_idx] = col
+    junta = c.junta_table
+    if len(junta.positions) < c.m:
+        trees = c.tree_table
+        heads = np.flatnonzero(np.diff(trees.outputs, prepend=-1))  # each tree's first leaf
+        moves = _tree_moves(trees, c.w)
+        values = trees.values.astype(np.int8)
+    block = max(1, GATHER_STATES // max(c.m, 1))
+    for lo in range(0, count, block):
+        rows = x[lo:lo + block]
+        if len(junta.positions):
+            entry = np.zeros((len(rows), len(junta.positions)), dtype=np.intp)
+            for j in range(int(junta.fan_ins.max())):
+                reads = np.flatnonzero(junta.fan_ins > j)
+                entry[:, reads] |= (rows[:, junta.inputs[junta.inputs_at[reads] + j]] & 1) << j
+            bits = junta.bits[junta.table_at + entry].astype(np.int8)
+            outputs[lo:lo + block, junta.positions] = 1 - 2 * bits
+        if len(junta.positions) < c.m:
+            at = np.repeat(heads[None], len(rows), axis=0)
+            offsets = np.arange(len(rows))[:, None] * c.n
+            for group, move in moves:
+                at = move[(at << c.w) + rows.ravel()[offsets + group[at]]]
+            outputs[lo:lo + block, trees.outputs[heads]] = values[at]
     return outputs
+
+
+def _tree_moves(trees: TreeTable, w: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, each leaf's queried group and, at leaf * 2^w + symbol,
+    the leaf an (input, tree) at that leaf moves to when it reads the
+    symbol.
+
+    A tree's leaves run in depth-first order, so the leaves below a node on
+    layer q are a run that splits into one run per child, by the symbol on
+    layer q. An (input, tree) keeps the first leaf of the run it is in, and
+    moves to the first leaf of the child run of the symbol it reads; at a
+    leaf that ends its path it stays.
+    """
+    leaves = len(trees.outputs)
+    moves = []
+    for q in range(trees.symbols.shape[1]):
+        prefix = np.column_stack((trees.outputs, trees.symbols[:, :q + 1]))
+        new = np.r_[True, (prefix[1:] != prefix[:-1]).any(axis=1)]
+        ends = np.r_[np.flatnonzero(new)[1:], leaves]  # where each child run ends
+        skip = np.r_[ends[np.cumsum(new) - 1], leaves]  # a leaf's next run, past the last: the end
+        child = [np.arange(leaves)]  # child[s][l]: the first leaf of run s, l that of run 0
+        for _ in range((1 << w) - 1):
+            child.append(skip[child[-1]])
+        move = np.where((trees.depths > q)[:, None], np.stack(child, axis=1), child[0][:, None])
+        moves.append((trees.groups[:, q].copy(), move.ravel()))
+    return moves
 
 
 def brute_range_member(c: Circuit, y: Sequence[int]) -> bool:

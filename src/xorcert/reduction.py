@@ -4,8 +4,8 @@ that buckets characters by their position pattern.
 
 Both are prepared for refutation by ``refuter.prepare_rows`` when they are
 built, with no per-output expansion and no dense buckets: ``group_characters``
-prepares every ensemble key straight from the outputs' integer characters
-(``fourier.layered_characters``), and a ``JuntaSplit`` its buckets straight
+prepares every ensemble key straight from the integer arrays of all outputs'
+characters (``fourier.layered_characters``), and a ``JuntaSplit`` its buckets straight
 from the gates' integer spectra (``fourier.junta_spectra``). A target then
 pays one bincount of its signed sums plus the engines
 (``refuter.PreparedSchemes``). An ensemble's dense
@@ -150,9 +150,10 @@ def group_characters(lc: LayeredCircuit) -> SchemeEnsemble:
     the sum of the per-key instance values. The characters of one output and
     one beta fill slots 1, 2, ... in colex order of their bit indices, which
     for a fixed beta is the order of their groups from the highest used layer
-    down. Every key is prepared from the integer characters
-    (``fourier.layered_characters``): a row per character, in output order,
-    after one row for the key's filler copies, the outputs without a
+    down. Every key is prepared from the characters of all outputs, which
+    ``fourier.layered_characters`` expands at once from the circuit's tree
+    table and gives as integer arrays: a row per character, in output
+    order, after one row for the key's filler copies, the outputs without a
     character there.
     """
     c = lc.circuit
@@ -160,16 +161,10 @@ def group_characters(lc: LayeredCircuit) -> SchemeEnsemble:
     slots = 1 << (t * w)
     keys = list(itertools.product(itertools.product(range(1 << w), repeat=t), range(1, slots + 1)))
 
-    chars = [layered_characters(lc, i) for i in range(m)]
-    sizes = [len(ch) for ch in chars]
-    total = sum(sizes)
-    codes = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(chars)), np.int64, total * t
-    ).reshape(total, t)
     # every |coefficient| is at most 1: a unit is at most 2^(t*w), and the
     # 4^(t*w) keys keep t*w far too small for the units to leave int64
-    units = np.fromiter(itertools.chain.from_iterable(ch.values() for ch in chars), np.int64, total)
-    outputs = np.repeat(np.arange(m), sizes)
+    outputs, codes, units = layered_characters(lc)
+    total = len(units)
     places = w * np.arange(t - 1, -1, -1)  # beta's first layer is its most significant
     beta = ((codes & ((1 << w) - 1)) << places).sum(axis=1)
     # slots count off each (output, beta) run; an output has at most

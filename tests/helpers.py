@@ -9,10 +9,11 @@ from itertools import combinations, product
 from math import comb
 
 import numpy as np
+from hypothesis import strategies as st
 
 from xorcert import refuter
 from xorcert.avoid import AvoidResult, _parity_dependency
-from xorcert.circuits import Circuit, JuntaGate, LayeredCircuit, Leaf, TreeNode, WordDecisionTree
+from xorcert.circuits import Circuit, JuntaGate, LayeredCircuit, Leaf, Node, TreeNode, WordDecisionTree
 from xorcert.core import (
     Dyadic,
     Hypergraph,
@@ -107,6 +108,43 @@ def reference_junta_violations(gate: JuntaGate, n: int, t: int) -> list[str]:
         out.append(f"table length {len(gate.table)} != 2^{len(gate.inputs)}")
     if any(b not in (0, 1) for b in gate.table):
         out.append("table entries must be bits")
+    return out
+
+
+def draw_tree(draw, n: int, w: int, t: int, depth: int = 0) -> TreeNode:
+    """A valid word tree of depth at most t over n symbols, drawn by
+    Hypothesis: it may stop at any depth, the root included, and a path may
+    query a symbol twice."""
+    if depth == t or draw(st.integers(0, 2), label="leaf") == 0:
+        return Leaf(draw(st.sampled_from((1, -1)), label="value"))
+    query = draw(st.integers(0, n - 1), label="query")
+    return Node(query, tuple(draw_tree(draw, n, w, t, depth + 1) for _ in range(1 << w)))
+
+
+def reference_tree_violations(tree: WordDecisionTree, n: int, w: int, t: int) -> list[str]:
+    """A tree gate's violations by one recursive walk over its nodes, in the
+    order of ``Circuit.violations``; a node at depth t is too deep, and
+    nothing below it is walked."""
+    out: list[str] = []
+
+    def go(node: TreeNode, depth: int) -> None:
+        if isinstance(node, Leaf):
+            if node.value not in (1, -1):
+                out.append(f"leaf value {node.value} not a sign")
+            return
+        if depth >= t:
+            out.append(f"query depth exceeds {t}")
+            return
+        if not hasattr(type(node.query), "__index__"):
+            out.append(f"non-integer query index {node.query}")
+        elif not 0 <= node.query < n:
+            out.append(f"query index {node.query} out of range [0, {n})")
+        if len(node.children) != 1 << w:
+            out.append(f"node has {len(node.children)} children, expected {1 << w}")
+        for c in node.children:
+            go(c, depth + 1)
+
+    go(tree.root, 0)
     return out
 
 
@@ -257,6 +295,36 @@ def reference_number_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     row = np.empty(len(keys), dtype=np.intp)
     row[by_key] = number[np.cumsum(head) - 1]
     return row, distinct[order]
+
+
+def reference_layered_characters(lc: LayeredCircuit, i: int) -> dict[tuple[int, ...], int]:
+    """Characters of output i of a layered circuit, by one integer recursion
+    per node: the reference for ``fourier.layered_characters``, keyed by the
+    same per-layer codes, with coefficients in the same units of 2^-(t*w).
+
+    The q-th query of the tree reads a whole w-bit group of layer q; the
+    indicator of each symbol value v contributes (-1)^|v & gamma| * 2^-w on
+    every sub-pattern gamma of the group, and deeper recursion only touches
+    later layers, so a character's codes concatenate.
+    """
+    c = lc.circuit
+    w, t = c.w, c.t
+    flips = [[(v & gamma).bit_count() & 1 for v in range(1 << w)] for gamma in range(1 << w)]
+
+    def go(node: TreeNode, layer: int) -> dict[tuple[int, ...], int]:
+        if isinstance(node, Leaf):
+            return {(0,) * (t - layer): node.value << ((t - layer) * w)}
+        subs = [go(child, layer + 1) for child in node.children]
+        out: dict[tuple[int, ...], int] = {}
+        for gamma, flip in enumerate(flips):
+            code = ((node.query << w) | gamma if gamma else 0,)
+            for negate, sub in zip(flip, subs):
+                for rest, units in sub.items():
+                    key = code + rest
+                    out[key] = out.get(key, 0) + (-units if negate else units)
+        return {key: units for key, units in out.items() if units}
+
+    return go(c.gates[i].root, 0)
 
 
 def reference_expand_layered_output(lc: LayeredCircuit, i: int) -> FourierExpansion:

@@ -23,7 +23,7 @@ from xorcert.circuits import (
 from xorcert.core import Dyadic, ValidationError
 from xorcert.fourier import expand_layered_output
 
-from helpers import l1_mass, reference_junta_violations
+from helpers import draw_tree, l1_mass, reference_junta_violations, reference_tree_violations
 
 
 OR01 = JuntaGate((0, 1), (0, 1, 1, 1))
@@ -139,6 +139,62 @@ class TestValidation:
         assert err.value.violations == messages
 
 
+    @pytest.mark.parametrize("c, messages", [
+        (Circuit(2, 1, 1, (WordDecisionTree(Node(0, (Node(1, (Leaf(1), Leaf(1))), Leaf(-1)))),)),
+         ["gate 0: query depth exceeds 1"]),
+        (Circuit(3, 2, 1, (WordDecisionTree(Node(7, (Leaf(1), Leaf(0), Leaf(1)))),)), [
+            "gate 0: query index 7 out of range [0, 3)",
+            "gate 0: node has 3 children, expected 4",
+            "gate 0: leaf value 0 not a sign",
+        ]),
+        (Circuit(2, 1, 1, (WordDecisionTree(Node(2 ** 70, (Leaf(1), Leaf(-1)))),)),
+         ["gate 0: query index 1180591620717411303424 out of range [0, 2)"]),
+        (Circuit(2, 1, 2, (WordDecisionTree(Node(True, (Leaf(1.0), Leaf(True)))),)), []),
+        (Circuit(2, 1, 0, (WordDecisionTree(Leaf(3)), WordDecisionTree(Node(0, ())))), [
+            "gate 0: leaf value 3 not a sign",
+            "gate 1: query depth exceeds 0",
+        ]),
+        (Circuit(3, 1, 2, (
+            OR01,
+            WordDecisionTree(Node(-1, (
+                Node(3, (Leaf(2), Node(0, (Leaf(1), Leaf(1))))),
+                Leaf(5),
+            ))),
+            JuntaGate((0, 0), (0, 1, 1, 1)),
+            WordDecisionTree(Leaf(-1)),
+            WordDecisionTree(Node(1, (Leaf(1),))),
+            WordDecisionTree(Node(0, (Node(1, (Leaf(0), Leaf(1), Leaf(1))), Node(4, (Leaf(1), Leaf(1)))))),
+        )), [
+            "gate 1: query index -1 out of range [0, 3)",
+            "gate 1: query index 3 out of range [0, 3)",
+            "gate 1: leaf value 2 not a sign",
+            "gate 1: query depth exceeds 2",
+            "gate 1: leaf value 5 not a sign",
+            "gate 2: duplicate input index in (0, 0)",
+            "gate 4: node has 1 children, expected 2",
+            "gate 5: node has 3 children, expected 2",
+            "gate 5: leaf value 0 not a sign",
+            "gate 5: query index 4 out of range [0, 3)",
+        ]),
+        # a query that is not an integer is named, the way junta inputs are
+        (Circuit(2, 1, 1, (WordDecisionTree(Node(0.5, (Leaf(1), Leaf(-1)))),)),
+         ["gate 0: non-integer query index 0.5"]),
+        (Circuit(2, 1, 2, (OR01, WordDecisionTree(Node(0, (Node(0.5, (Leaf(1),)), Leaf(1)))))), [
+            "gate 1: non-integer query index 0.5",
+            "gate 1: node has 1 children, expected 2",
+        ]),
+    ])
+    def test_tree_messages_are_pinned(self, c, messages):
+        """Every violation of tree gates, among junta gates too, as a whole
+        list in gate order, each tree's in the order of a depth-first walk
+        and each node's in the order of its checks."""
+        assert c.violations() == messages
+        if messages:
+            with pytest.raises(ValidationError) as err:
+                c.ensure_valid()
+            assert err.value.violations == messages
+
+
 def _junta_gates(draw, n: int) -> list:
     """Junta gates of fan-in 0 to 4, valid or not, with a tree gate now and
     then: inputs repeated, out of range, past int64 or not integers, tables
@@ -176,7 +232,7 @@ class TestJuntaTable:
         for i, g in enumerate(gates):
             found = (
                 reference_junta_violations(g, n, t) if isinstance(g, JuntaGate)
-                else g.violations(n, 1, t)
+                else reference_tree_violations(g, n, 1, t)
             )
             expected += [f"gate {i}: {v}" for v in found]
         assert c.violations() == expected
@@ -206,6 +262,80 @@ class TestJuntaTable:
         assert loaded == c
         assert len({id(g.table) for g in loaded.gates}) == len({g.table for g in c.gates})
         assert JuntaTable.of(loaded.gates).bits.tolist() == loaded.junta_table.bits.tolist()
+
+
+def _any_tree(draw, n: int, w: int, t: int, depth: int = 0):
+    """A tree node, valid or not, down to depth t + 1: queries out of range,
+    past int64 or not integers, the wrong number of children, and leaf
+    values that are not signs (1.0 and True are)."""
+    if depth > t or draw(st.integers(0, 2), label="leaf") == 0:
+        return Leaf(draw(st.sampled_from([1, -1, 1, -1, 0, 2, 1.0, True, 0.5]), label="value"))
+    query = draw(st.one_of(
+        st.integers(0, n - 1), st.integers(-1, n + 1), st.sampled_from([0.5, True, 2 ** 70, "a"])
+    ), label="query")
+    fan_out = draw(st.one_of(st.just(1 << w), st.integers(0, (1 << w) + 1)), label="fan-out")
+    return Node(query, tuple(_any_tree(draw, n, w, t, depth + 1) for _ in range(fan_out)))
+
+
+def _tree_leaves(node, groups=(), symbols=()):
+    """(depth, groups, symbols, value) of each leaf, depth first."""
+    if isinstance(node, Leaf):
+        yield len(groups), groups, symbols, node.value
+        return
+    for s, child in enumerate(node.children):
+        yield from _tree_leaves(child, groups + (node.query,), symbols + (s,))
+
+
+class TestTreeTable:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_checks_match_the_walk(self, data):
+        """``Circuit.violations`` on the level-by-level walk against one
+        recursive walk per tree, junta gates among the trees when w = 1."""
+        n = data.draw(st.integers(1, 4), label="n")
+        w = data.draw(st.sampled_from((1, 2)), label="w")
+        t = data.draw(st.integers(0, 3), label="t")
+        gates = _junta_gates(data.draw, n) if w == 1 else []
+        for _ in range(data.draw(st.integers(0, 4), label="trees")):
+            at = data.draw(st.integers(0, len(gates)), label="at")
+            gates.insert(at, WordDecisionTree(_any_tree(data.draw, n, w, t)))
+        expected = []
+        for i, g in enumerate(gates):
+            found = (
+                reference_junta_violations(g, n, t) if isinstance(g, JuntaGate)
+                else reference_tree_violations(g, n, w, t)
+            )
+            expected += [f"gate {i}: {v}" for v in found]
+        assert Circuit(n, w, t, tuple(gates)).violations() == expected
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_leaves_are_the_trees_in_walk_order(self, data):
+        """Each leaf of each valid tree is a row, in gate order and depth
+        first, with its depth, groups, symbols and value, padded with zeros
+        to the deepest leaf; junta gates have no rows."""
+        n = data.draw(st.integers(1, 4), label="n")
+        w = data.draw(st.sampled_from((1, 2)), label="w")
+        t = data.draw(st.integers(0, 3), label="t")
+        gates = [
+            WordDecisionTree(draw_tree(data.draw, n, w, t))
+            if w == 2 or data.draw(st.booleans(), label="tree") else JuntaGate((), (1,))
+            for _ in range(data.draw(st.integers(0, 5), label="m"))
+        ]
+        table = Circuit(n, w, t, tuple(gates)).tree_table
+        rows = [
+            (i, *leaf) for i, g in enumerate(gates) if isinstance(g, WordDecisionTree)
+            for leaf in _tree_leaves(g.root)
+        ]
+        width = max((depth for _, depth, *_ in rows), default=0)
+        assert table.groups.shape == table.symbols.shape == (len(rows), width)
+        assert table.outputs.tolist() == [i for i, *_ in rows]
+        assert table.depths.tolist() == [depth for _, depth, *_ in rows]
+        pad = [0] * width
+        assert table.groups.tolist() == [list(g) + pad[len(g):] for _, _, g, _, _ in rows]
+        assert table.symbols.tolist() == [list(s) + pad[len(s):] for _, _, _, s, _ in rows]
+        assert table.values.tolist() == [v for *_, v in rows]
+        assert table.violations == ()
 
 
 class TestLayered:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorcert import fourier
 from xorcert.circuits import (
+    Circuit,
     JuntaGate,
     JuntaTable,
     Leaf,
@@ -24,14 +26,17 @@ from xorcert.fourier import (
     expand_junta,
     expand_layered_output,
     junta_spectra,
+    layered_characters,
 )
 
 from helpers import (
+    draw_tree,
     evaluate,
     expand_decision_tree,
     level_weight,
     random_junta_gate,
     reference_expand_junta,
+    reference_layered_characters,
 )
 
 XOR = JuntaGate((0, 1), (0, 1, 1, 0))
@@ -366,3 +371,81 @@ class TestLayeredExpansion:
                 vals = lc.eval_bits(bits)
                 for i, exp in enumerate(exps):
                     assert evaluate(exp, x) == Dyadic(vals[i])
+
+
+def _characters(lc) -> dict:
+    """``layered_characters`` as {(output, *codes): units}, after checking
+    the arrays' types, shapes and order."""
+    outputs, codes, units = layered_characters(lc)
+    assert outputs.dtype == codes.dtype == units.dtype == np.int64
+    assert codes.shape == (len(outputs), lc.circuit.t) and units.shape == outputs.shape
+    found = {(i, *row): u for i, row, u in zip(outputs.tolist(), codes.tolist(), units.tolist())}
+    assert list(found) == sorted(found) and len(found) == len(units)
+    return found
+
+
+def _reference_characters(lc) -> dict:
+    return {
+        (i, *codes): units
+        for i in range(lc.circuit.m)
+        for codes, units in reference_layered_characters(lc, i).items()
+    }
+
+
+def _one_path_tree(queries, w: int) -> WordDecisionTree:
+    """A tree that queries ``queries`` down its first branch and stops at a
+    leaf on every other branch: leaves at every depth, few rows."""
+    node = Leaf(-1)
+    for depth, q in reversed(list(enumerate(queries))):
+        node = Node(q, (node,) + tuple(Leaf(1 - 2 * ((depth + s) % 2)) for s in range(1, 1 << w)))
+    return WordDecisionTree(node)
+
+
+class TestLayeredCharacters:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_table_expansion_is_the_recursion(self, data):
+        """Every output's characters from the tree table at once equal the
+        per-node recursion's, output by output."""
+        w = data.draw(st.sampled_from((1, 2)), label="w")
+        t = data.draw(st.integers(0, 3), label="t")
+        n = data.draw(st.integers(1, 4), label="n")
+        m = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, 6)), label="m")
+        gates = tuple(WordDecisionTree(draw_tree(data.draw, n, w, t)) for _ in range(m))
+        lc = to_layered(Circuit(n, w, t, gates))
+        assert _characters(lc) == _reference_characters(lc)
+
+    def test_chunks_give_the_unchunked_characters(self, monkeypatch):
+        """Expanded in chunks of whole outputs, of one output each or of a
+        few, the characters are those of one chunk for all outputs."""
+        c = random_tree_circuit(random.Random(5), 4, 2, 3, 30, leaf_prob=0.2)
+        lc = to_layered(c)
+        rows = sum(1 << (c.w * d) for d in c.tree_table.depths.tolist())
+        calls = []
+        expand = fourier._expand_leaves
+        monkeypatch.setattr(fourier, "_expand_leaves", lambda *a: calls.append(a) or expand(*a))
+        monkeypatch.setattr(fourier, "EXPANSION_ROWS", rows)
+        whole = layered_characters(lc)
+        assert len(calls) == 1
+        for size in (1, 500, rows // 3):
+            monkeypatch.setattr(fourier, "EXPANSION_ROWS", size)
+            calls.clear()
+            chunked = layered_characters(lc)
+            assert len(calls) > 1 if size > 1 else len(calls) == c.m
+            for a, b in zip(chunked, whole):
+                assert np.array_equal(a, b)
+        assert _characters(lc) == _reference_characters(lc)
+
+    @pytest.mark.parametrize("n, m", [(2 ** 18, 7), (2 ** 18, 8), (2 ** 19, 1), (2 ** 20 - 1, 5)])
+    def test_wide_circuits_do_not_overflow_the_sort_key(self, n, m):
+        """At t = 3 and w = 2 the codes of one output take radix n * 2^w per
+        layer: 7 outputs of n = 2^18 pack into one int64 key (7 * 2^60), 8
+        do not, nor does one output of n = 2^19 (2^63). Queries near 0 and
+        near n - 1 give the largest and smallest codes."""
+        rng = random.Random(n + m)
+        gates = tuple(
+            _one_path_tree([rng.choice((0, 1, n - 2, n - 1)) for _ in range(3)], 2)
+            for _ in range(m)
+        )
+        lc = to_layered(Circuit(n, 2, 3, gates))
+        assert _characters(lc) == _reference_characters(lc)

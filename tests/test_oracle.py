@@ -1,9 +1,19 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xorcert.circuits import Circuit, JuntaGate, random_junta_circuit, to_layered
+from xorcert.circuits import (
+    Circuit,
+    JuntaGate,
+    WordDecisionTree,
+    eval_circuit,
+    random_junta_circuit,
+    to_layered,
+)
 from xorcert.core import Dyadic, ValidationError, make_instance
 from xorcert.oracle import (
     brute_bias,
@@ -17,7 +27,7 @@ from xorcert.oracle import (
 from xorcert.prg import GeneratorSpec
 from xorcert.reduction import group_characters
 
-from helpers import random_instance, signs
+from helpers import draw_tree, random_instance, signs
 
 IDENT = JuntaGate((0,), (0, 1))
 
@@ -85,6 +95,33 @@ class TestRangeOracles:
         for code in range(4**3):
             x = [(code >> (2 * j)) & 3 for j in range(3)]
             assert tuple(outs[code]) == eval_circuit(c, x)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_outputs_are_the_gates_on_every_input(self, data):
+        """The outputs read from the gate tables, junta gates and trees
+        mixed, against evaluating every gate on every input."""
+        w = data.draw(st.sampled_from((1, 2)), label="w")
+        n = data.draw(st.integers(1, 5 if w == 1 else 3), label="n")
+        t = data.draw(st.integers(0, 3), label="t")
+        m = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, 6)), label="m")
+        gates = []
+        for _ in range(m):
+            if w == 1 and data.draw(st.booleans(), label="junta"):
+                inputs = data.draw(st.lists(
+                    st.integers(0, n - 1), unique=True, max_size=min(n, t)
+                ), label="inputs")
+                size = 1 << len(inputs)
+                table = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+                gates.append(JuntaGate(tuple(inputs), tuple(table)))
+            else:
+                gates.append(WordDecisionTree(draw_tree(data.draw, n, w, t)))
+        c = Circuit(n, w, t, tuple(gates))
+        outs = brute_outputs(c)
+        assert outs.shape == (1 << (w * n), m) and outs.dtype == np.int8
+        for code in range(1 << (w * n)):
+            x = [(code >> (w * j)) & ((1 << w) - 1) for j in range(n)]
+            assert tuple(outs[code].tolist()) == eval_circuit(c, x)
 
 
 class TestGeneratorAudits:
