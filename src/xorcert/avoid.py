@@ -188,14 +188,14 @@ def _prepare(
 def _check_grouped_from(ens: SchemeEnsemble, c: Circuit) -> None:
     """Raise unless ``ens`` was grouped from c with its gates as trees: the
     ensemble of another circuit bounds that circuit's agreement, not c's.
-    Tuple comparison tries identity before equality, so the ensemble of the
-    very same circuit costs one pass of pointer comparisons."""
+    The ensemble of the very same circuit is known by identity, so neither
+    circuit's gates are read, nor built if it was loaded from JSON."""
     src = ens.circuit
     same = (
         src is not None
         and ens.prepared is not None
         and (ens.n, ens.w, ens.t, ens.m) == (src.n, src.w, src.t, src.m) == (c.n, c.w, c.t, c.m)
-        and (src.gates == c.gates or src.gates == c.with_tree_gates().gates)
+        and (src is c or src.gates == c.gates or src.gates == c.with_tree_gates().gates)
     )
     if not same:
         raise ValidationError(["prepared ensemble was not grouped from this circuit"])

@@ -1,28 +1,30 @@
 """Multi-output circuits: bounded-fan-in junta gates and word decision trees,
 plus the layered view that spreads a t-query tree across t layers of groups.
 
-A circuit's gates are read once, into flat arrays kept on the circuit: its
-junta gates into one ``JuntaTable``, on which validation checks every junta
-gate at once and from which ``fourier.junta_spectra`` transforms, and its
-trees into one ``TreeTable`` of leaves, filled by one walk over a level of
-every tree at a time that also checks their nodes. The layered expansion
-(``fourier.layered_characters``) and the oracle's evaluation read the
-leaves.
+A circuit is held as flat arrays: its junta gates as one ``JuntaTable``, on
+which validation checks every junta gate at once and from which
+``fourier.junta_spectra`` transforms, and its trees as one ``TreeTable`` of
+leaves, filled by one walk over a level of every tree at a time that also
+checks their nodes. The layered expansion (``fourier.layered_characters``)
+and the oracle's evaluation read the leaves. A circuit made from gate
+objects packs them when a table is first read. ``circuit_from_json`` fills
+the tables straight from the parsed JSON, through the same packer and the
+same walk, and builds gate objects only if ``Circuit.gates`` is read.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import attrgetter, index, itemgetter, not_
+from operator import attrgetter, contains, index, itemgetter, not_
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ValidationError, bit_of_sign, check_fields, is_int, is_int_list, sign_of_bit
+from .core import ValidationError, bit_of_sign, check_fields, is_int, parse_json, sign_of_bit
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +89,16 @@ def all_junta_gates(gates: Sequence) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class JuntaTable:
-    """The junta gates of a sequence of ``m`` gates as flat arrays, read
-    from the gates once by :meth:`of`.
+    """The junta gates of a sequence of ``m`` gates as flat arrays, packed
+    once, from the gates by :meth:`of` or from circuit JSON by the loader.
 
     Junta gate g sits at ``positions[g]`` of the sequence. It reads the
     ``fan_ins[g]`` inputs that start at ``inputs[inputs_at[g]]``, and its
     ``sizes[g]`` table entries start at ``bits[table_at[g]]``, one byte
-    each: the entry's low bit. ``int_inputs[g]`` is False where an input is
-    not an integer that fits int64 (its row packs as zeros), and
-    ``bit_tables[g]`` where an entry is not 0 or 1; only validation reads
-    them.
+    each: the entry's low bit. ``unpacked[g]`` holds gate g's inputs as
+    given where they are not all ints that fit int64; the row packs as
+    zeros where one is not an integer that fits int64. ``bit_tables[g]`` is
+    False where an entry is not 0 or 1. Only validation reads these two.
     """
 
     m: int
@@ -107,8 +109,8 @@ class JuntaTable:
     sizes: np.ndarray
     bits: np.ndarray
     table_at: np.ndarray
-    int_inputs: np.ndarray
     bit_tables: np.ndarray
+    unpacked: dict[int, tuple]
 
     @classmethod
     def of(cls, gates: Sequence) -> "JuntaTable":
@@ -119,79 +121,105 @@ class JuntaTable:
                 [i for i, g in enumerate(gates) if isinstance(g, JuntaGate)], dtype=np.intp
             )
             junta = [gates[i] for i in positions.tolist()]
-        inputs = list(map(attrgetter("inputs"), junta))
         tables = list(map(attrgetter("table"), junta))
-        fan_ins = np.fromiter(map(len, inputs), np.int64, len(junta))
         sizes = np.fromiter(map(len, tables), np.int64, len(junta))
-        flat_inputs, int_inputs = _packed_inputs(inputs, int(fan_ins.sum()))
-        bits, bit_tables = _packed_bits(tables, sizes)
-        return cls(
-            len(gates), positions, fan_ins, flat_inputs, np.cumsum(fan_ins) - fan_ins,
-            sizes, bits, np.cumsum(sizes) - sizes, int_inputs, bit_tables,
+        return cls.packed(
+            len(gates), positions, list(map(attrgetter("inputs"), junta)), sizes,
+            *_packed_bits(tables, sizes),
         )
 
-    def violations(self, gates: Sequence, n: int, w: int, t: int) -> list[tuple[int, str]]:
+    @classmethod
+    def packed(
+        cls, m: int, positions: np.ndarray, inputs: list[Sequence], sizes: np.ndarray,
+        bits: np.ndarray, bit_tables: np.ndarray,
+    ) -> "JuntaTable":
+        """The table of m gates whose junta gates sit at ``positions``, read
+        ``inputs`` and have tables of ``sizes`` entries, packed as ``bits``."""
+        fan_ins = np.fromiter(map(len, inputs), np.int64, len(inputs))
+        flat, _, unpacked = _packed_inputs(inputs)
+        return cls(
+            m, positions, fan_ins, flat, np.cumsum(fan_ins) - fan_ins,
+            sizes, bits, np.cumsum(sizes) - sizes, bit_tables, unpacked,
+        )
+
+    def gate_inputs(self, g: int) -> tuple:
+        """Junta gate g's inputs as given."""
+        if g in self.unpacked:
+            return self.unpacked[g]
+        at = self.inputs_at[g]
+        return tuple(self.inputs[at:at + self.fan_ins[g]].tolist())
+
+    def violations(self, n: int, w: int, t: int) -> list[tuple[int, str]]:
         """(position, message) for each violation of the junta gates, in
         gate order and each gate's in the order of its checks. The checks
-        run on the arrays at once; a gate is read again only for its
-        messages."""
+        run on the arrays at once; the inputs of a gate that did not pack
+        as ints are checked as given."""
         count = len(self.positions)
         entry_gate = np.repeat(np.arange(count), self.fan_ins)
         outside = np.zeros(count, dtype=bool)
         outside[entry_gate[(self.inputs < 0) | (self.inputs >= n)]] = True
-        # sorted within each gate, a repeated input sits next to its copy
-        by_gate = np.lexsort((self.inputs, entry_gate))
-        ordered, owner = self.inputs[by_gate], entry_gate[by_gate]
+        # a repeated input sits next to its copy among the sorted keys
+        # gate * span + input, where the inputs are moved to start at 0, or
+        # ranked if their span is too wide for the keys to fit int64
+        lo, hi = int(self.inputs.min(initial=0)), int(self.inputs.max(initial=0))
+        if (hi - lo + 1) * count < 1 << 62:
+            span, values = hi - lo + 1, self.inputs - lo
+        else:
+            ranks, values = np.unique(self.inputs, return_inverse=True)
+            span = len(ranks)
+        keys = np.sort(entry_gate * span + values)
         repeated = np.zeros(count, dtype=bool)
-        repeated[owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])]] = True
+        repeated[keys[1:][keys[1:] == keys[:-1]] // span] = True
         untyped = np.zeros(count, dtype=bool)
-        for g in np.flatnonzero(~self.int_inputs).tolist():
-            # inputs that did not pack are read from the gate
-            inputs = gates[self.positions[g]].inputs
+        for g, inputs in self.unpacked.items():
             integers = all(hasattr(type(v), "__index__") for v in inputs)
             untyped[g] = not integers
             repeated[g] = integers and len(set(inputs)) != len(inputs)
             outside[g] = integers and any(not 0 <= v < n for v in inputs)
         fits = self.fan_ins < 63
         size_ok = fits & (self.sizes == 1 << np.where(fits, self.fan_ins, 0))
+        inputs = self.gate_inputs
         checks = [
             (np.full(count, w != 1), lambda g: "junta gate requires w == 1"),
-            (self.fan_ins > t, lambda g: f"{len(g.inputs)} inputs exceed fan-in bound {t}"),
-            (untyped, lambda g: f"non-integer input index in {g.inputs}"),
-            (repeated, lambda g: f"duplicate input index in {g.inputs}"),
-            (outside, lambda g: f"input index out of range in {g.inputs}"),
-            (~size_ok, lambda g: f"table length {len(g.table)} != 2^{len(g.inputs)}"),
+            (self.fan_ins > t, lambda g: f"{self.fan_ins[g]} inputs exceed fan-in bound {t}"),
+            (untyped, lambda g: f"non-integer input index in {inputs(g)}"),
+            (repeated, lambda g: f"duplicate input index in {inputs(g)}"),
+            (outside, lambda g: f"input index out of range in {inputs(g)}"),
+            (~size_ok, lambda g: f"table length {self.sizes[g]} != 2^{self.fan_ins[g]}"),
             (~self.bit_tables, lambda g: "table entries must be bits"),
         ]
         flags = np.stack([flag for flag, _ in checks], axis=1)
-        out = []
-        for g in np.flatnonzero(flags.any(axis=1)).tolist():
-            pos = int(self.positions[g])
-            out.extend(
-                (pos, message(gates[pos]))
-                for hit, (_, message) in zip(flags[g].tolist(), checks) if hit
-            )
-        return out
+        return [
+            (int(self.positions[g]), message(g))
+            for g in np.flatnonzero(flags.any(axis=1)).tolist()
+            for hit, (_, message) in zip(flags[g].tolist(), checks) if hit
+        ]
 
 
-def _packed_inputs(rows: list[tuple], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(the ``count`` entries of all rows in order as one int64 array,
-    whether each row's entries are all integers that fit int64). Where one
-    is not, the rows are packed one at a time, and a row that does not fit
+def _packed_inputs(rows: list[Sequence]) -> tuple[np.ndarray, np.ndarray, dict[int, tuple]]:
+    """(the entries of all rows in order as one int64 array, whether each
+    row's entries are all integers that fit int64, each row that is not all
+    ints that fit int64, as given, by row). Unless every entry is such an
+    int, the rows are packed one at a time, and a row that does not fit
     packs as zeros."""
+    flat = list(chain.from_iterable(rows))
     typed = np.ones(len(rows), dtype=bool)
-    try:
-        return np.fromiter(map(index, chain.from_iterable(rows)), np.int64, count), typed
-    except (TypeError, OverflowError):
-        pass
-    flat = [np.zeros(0, dtype=np.int64)]
+    if set(map(type, flat)) <= {int}:
+        try:
+            return np.array(flat, dtype=np.int64), typed, {}
+        except OverflowError:
+            pass
+    packed, unpacked = [np.zeros(0, dtype=np.int64)], {}
     for g, row in enumerate(rows):
         try:
-            flat.append(np.fromiter(map(index, row), np.int64, len(row)))
+            packed.append(np.fromiter(map(index, row), np.int64, len(row)))
+            ints = set(map(type, row)) <= {int}
         except (TypeError, OverflowError):
-            typed[g] = False
-            flat.append(np.zeros(len(row), dtype=np.int64))
-    return np.concatenate(flat), typed
+            typed[g] = ints = False
+            packed.append(np.zeros(len(row), dtype=np.int64))
+        if not ints:
+            unpacked[g] = tuple(row)
+    return np.concatenate(packed), typed, unpacked
 
 
 def _packed_bits(tables: list[tuple], sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,20 +250,19 @@ def _packed_bits(tables: list[tuple], sizes: np.ndarray) -> tuple[np.ndarray, np
 @dataclass(frozen=True, eq=False)
 class TreeTable:
     """The decision trees of a sequence of gates as flat per-leaf arrays,
-    read by :meth:`of` in one walk that takes a level of every tree at a
-    time and checks each node and leaf it reaches.
+    filled by :meth:`walk`, which takes a level of every tree at a time and
+    checks each node and leaf it reaches.
 
-    Every gate that is not a junta gate is read as a tree. Each leaf is a
-    row; the rows run in gate order and, within a gate, in the order of a
-    depth-first walk. ``outputs`` holds the leaf's gate position,
-    ``depths`` its depth d, ``groups[:, q]`` the group queried on layer q
-    and ``symbols[:, q]`` the symbol read there on the way to the leaf (for
-    q < d, 0 past d), and ``values`` its value (0 where it is not a sign).
-    The columns run to the deepest leaf, at most t.
+    Each leaf is a row; the rows run in gate order and, within a gate, in
+    the order of a depth-first walk. ``outputs`` holds the leaf's gate
+    position, ``depths`` its depth d, ``groups[:, q]`` the group queried on
+    layer q and ``symbols[:, q]`` the symbol read there on the way to the
+    leaf (for q < d, 0 past d), and ``values`` its value (0 where it is not
+    a sign). The columns run to the deepest leaf, at most t.
 
     ``violations`` holds (position, message) for each violation, in gate
     order and each gate's in walk order; a node at depth t is too deep, and
-    nothing below it is walked.
+    nothing below it is packed or named.
     """
 
     outputs: np.ndarray
@@ -247,19 +274,29 @@ class TreeTable:
 
     @classmethod
     def of(cls, gates: Sequence, n: int, w: int, t: int) -> "TreeTable":
-        owner = np.array(
-            [i for i, g in enumerate(gates) if not isinstance(g, JuntaGate)], dtype=np.int64
-        )
-        level = [gates[i].root for i in owner.tolist()]
+        """The table of every gate that is not a junta gate, read as a tree."""
+        owner = [i for i, g in enumerate(gates) if not isinstance(g, JuntaGate)]
+        return cls.walk(owner, [gates[i].root for i in owner], n, w, t, _ObjectNodes)
+
+    @classmethod
+    def walk(
+        cls, owner: list[int], level: list, n: int, w: int, t: int, read: type
+    ) -> "TreeTable":
+        """The table of the trees with these roots at the gate positions
+        ``owner``, each level read by ``read`` (``_ObjectNodes`` or
+        ``_JsonNodes``)."""
+        owner = np.array(owner, dtype=np.int64)
         groups = symbols = np.zeros((len(level), 0), dtype=np.int64)
+        if not level:  # no trees, so nothing to walk or pack
+            return cls(owner, owner, groups, symbols, owner, ())
         fan_out = 1 << w if 0 <= w < 62 else -1  # -1: no node has the right count
+        expected = fan_out if fan_out >= 0 else f"2^{w}"
         blocks, found = [], []
         depth = 0
         while level:
-            leaf = list(map(isinstance, level, repeat(Leaf)))
+            leaf, values, nodes = read.level(level)
             is_leaf = np.fromiter(leaf, bool, len(leaf))
             at = np.flatnonzero(is_leaf)
-            values = list(map(attrgetter("value"), compress(level, leaf)))
             try:
                 signed = np.fromiter(map(index, values), np.int64, len(values))
             except (TypeError, OverflowError):  # a sign that is not an integer, such as 1.0, reads as one
@@ -276,12 +313,11 @@ class TreeTable:
                     (int(owner[j]), symbols[j].tolist(), 0, f"query depth exceeds {t}")
                     for j in inner.tolist()
                 ]
+                read.below(nodes)
                 break
-            nodes = list(compress(level, map(not_, leaf)))
-            queries = list(map(attrgetter("query"), nodes))
-            kids = list(map(attrgetter("children"), nodes))
+            queries, kids = read.nodes(nodes)
             fan_outs = np.fromiter(map(len, kids), np.int64, len(kids))
-            packed, typed = _packed_inputs(list(zip(queries)), len(queries))
+            packed, typed, _ = _packed_inputs(list(zip(queries)))
             # a flagged node's checks read its query itself, also one that did not pack
             for j in np.flatnonzero(~typed | (packed < 0) | (packed >= n) | (fan_outs != fan_out)).tolist():
                 query, path = queries[j], (int(owner[inner[j]]), symbols[inner[j]].tolist())
@@ -290,7 +326,7 @@ class TreeTable:
                 elif not 0 <= query < n:
                     found.append((*path, 0, f"query index {query} out of range [0, {n})"))
                 if fan_outs[j] != fan_out:
-                    found.append((*path, 1, f"node has {fan_outs[j]} children, expected {2 ** w}"))
+                    found.append((*path, 1, f"node has {fan_outs[j]} children, expected {expected}"))
             parent = np.repeat(inner, fan_outs)
             groups = np.column_stack((groups[parent], np.repeat(packed, fan_outs)))
             first = np.repeat(np.cumsum(fan_outs) - fan_outs, fan_outs)
@@ -316,29 +352,124 @@ class TreeTable:
         )
 
 
-@dataclass(frozen=True)
+class _ObjectNodes:
+    """Reads a level of tree objects for :meth:`TreeTable.walk`: whatever
+    is not a Leaf is read as a Node."""
+
+    @staticmethod
+    def level(level: list) -> tuple[list[bool], list, list]:
+        """(whether each node is a leaf, the leaves' values, the other nodes)."""
+        leaf = list(map(isinstance, level, repeat(Leaf)))
+        return (
+            leaf, list(map(attrgetter("value"), compress(level, leaf))),
+            list(compress(level, map(not_, leaf))),
+        )
+
+    @staticmethod
+    def nodes(nodes: list) -> tuple[list, list]:
+        """(the nodes' queries, their children)."""
+        return list(map(attrgetter("query"), nodes)), list(map(attrgetter("children"), nodes))
+
+    @staticmethod
+    def below(nodes: list) -> None:
+        """Nothing below depth t is read."""
+
+
+_BAD_NODE = "tree node is neither a 0/1 leaf nor a query with a list of children"
+
+
+class _JsonNodes:
+    """Reads a level of JSON tree nodes for :meth:`TreeTable.walk`, with
+    the same results as :class:`_ObjectNodes` on the nodes they stand for.
+    A node that is neither a 0/1 leaf nor an integer query with a list of
+    children raises, also below depth t."""
+
+    @staticmethod
+    def level(level: list) -> tuple[list[bool], list, list]:
+        if not set(map(type, level)) <= {dict}:
+            raise ValidationError([_BAD_NODE])
+        leaf = list(map(contains, level, repeat("leaf")))
+        bits = list(map(itemgetter("leaf"), compress(level, leaf)))
+        if not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
+            raise ValidationError([_BAD_NODE])
+        return leaf, list(map(_SIGNS.__getitem__, bits)), list(compress(level, map(not_, leaf)))
+
+    @staticmethod
+    def nodes(nodes: list) -> tuple[list, list]:
+        queries = list(map(dict.get, nodes, repeat("query")))
+        kids = list(map(dict.get, nodes, repeat("children")))
+        if not (set(map(type, queries)) <= {int} and set(map(type, kids)) <= {list}):
+            raise ValidationError([_BAD_NODE])
+        return queries, kids
+
+    @classmethod
+    def below(cls, nodes: list) -> None:
+        """Read on to the leaves, for the nodes' structure only."""
+        while nodes:
+            nodes = cls.level(list(chain.from_iterable(cls.nodes(nodes)[1])))[2]
+
+
+_SIGNS = (sign_of_bit(0), sign_of_bit(1))  # a leaf's sign, by its JSON bit
+
+
 class Circuit:
     """m-output circuit over n input symbols of w bits each.
 
     Junta gates are only meaningful for bit inputs (w == 1); decision trees
-    work for any word width.
+    work for any word width. A circuit is immutable. One made from gates
+    packs them into its tables when a table is first read; one loaded by
+    ``circuit_from_json`` has only its tables, and builds its gates when
+    ``gates`` is first read. Equality and hashing read the gates.
     """
 
     n: int
     w: int
     t: int
-    gates: tuple[Gate, ...]
+    m: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __init__(self, n: int, w: int, t: int, gates: Sequence[Gate]) -> None:
+        gates = tuple(gates)
+        vars(self).update(n=n, w=w, t=t, m=len(gates), gates=gates)
 
-    @property
-    def m(self) -> int:
-        return len(self.gates)
+    @classmethod
+    def of_tables(
+        cls, n: int, w: int, t: int, junta_table: JuntaTable, tree_table: TreeTable
+    ) -> "Circuit":
+        """The circuit of ``junta_table.m`` gates held by these tables."""
+        c = cls.__new__(cls)
+        vars(c).update(
+            n=n, w=w, t=t, m=junta_table.m, junta_table=junta_table, tree_table=tree_table
+        )
+        return c
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.n, self.w, self.t, self.gates
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Circuit(n={self.n!r}, w={self.w!r}, t={self.t!r}, gates={self.gates!r})"
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates of a loaded circuit, built from its tables."""
+        return _gates_of(self.junta_table, self.tree_table)
 
     def violations(self) -> list[str]:
         # a circuit is immutable, so a target certified against it does not
-        # pay for walking every gate again
+        # pay for checking every gate again
         cached = self.__dict__.get("_violations")
         if cached is not None:
             return list(cached)
@@ -346,12 +477,12 @@ class Circuit:
         if self.n < 1 or self.w < 1 or self.t < 0:
             out.append(f"bad shape (n={self.n}, w={self.w}, t={self.t})")
         table = self.junta_table
-        found = table.violations(self.gates, self.n, self.w, self.t)
+        found = table.violations(self.n, self.w, self.t)
         if len(table.positions) < self.m:
             found += self.tree_table.violations
             found.sort(key=itemgetter(0))  # stable: a gate's own order stays
         out.extend(f"gate {i}: {v}" for i, v in found)
-        object.__setattr__(self, "_violations", tuple(out))
+        vars(self)["_violations"] = tuple(out)
         return out
 
     @cached_property
@@ -382,6 +513,42 @@ class Circuit:
             for g in self.gates
         )
         return Circuit(self.n, self.w, self.t, gates)
+
+
+def _gates_of(junta: JuntaTable, trees: TreeTable) -> tuple[Gate, ...]:
+    """The gates held by the tables of a valid circuit: a junta gate per row
+    of the junta table, with one table tuple per distinct table, and a tree
+    per output of the tree table, rebuilt from its leaves' paths."""
+    gates: list = [None] * junta.m
+    bits, tables = junta.bits.tobytes(), {}
+    for g, (pos, start, size) in enumerate(zip(
+        junta.positions.tolist(), junta.table_at.tolist(), junta.sizes.tolist()
+    )):
+        key = bits[start:start + size]
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = tuple(key)
+        gates[pos] = JuntaGate(junta.gate_inputs(g), table)
+    outputs, depths, values = trees.outputs.tolist(), trees.depths.tolist(), trees.values.tolist()
+    groups, symbols = trees.groups.tolist(), trees.symbols.tolist()
+
+    def subtree(lo: int, hi: int, d: int) -> TreeNode:
+        # rows lo to hi share their first d symbols; their symbol d picks the child
+        if depths[lo] == d:
+            return Leaf(values[lo])
+        kids, start = [], lo
+        for j in range(lo + 1, hi + 1):
+            if j == hi or symbols[j][d] != symbols[start][d]:
+                kids.append(subtree(start, j, d + 1))
+                start = j
+        return Node(groups[lo][d], tuple(kids))
+
+    lo = 0
+    for hi in range(1, len(outputs) + 1):
+        if hi == len(outputs) or outputs[hi] != outputs[lo]:
+            gates[outputs[lo]] = WordDecisionTree(subtree(lo, hi, 0))
+            lo = hi
+    return tuple(gates)
 
 
 def eval_circuit(c: Circuit, x: Sequence[int]) -> tuple[int, ...]:
@@ -430,8 +597,7 @@ class LayeredCircuit:
         self.circuit.ensure_valid()
         bad = [
             f"gate {i}: junta gate in layered circuit"
-            for i, g in enumerate(self.circuit.gates)
-            if not isinstance(g, WordDecisionTree)
+            for i in self.circuit.junta_table.positions.tolist()
         ]
         if bad:
             raise ValidationError(bad)
@@ -546,18 +712,6 @@ def _tree_node_to_obj(node: TreeNode):
     }
 
 
-_LEAVES = (Leaf(sign_of_bit(0)), Leaf(sign_of_bit(1)))  # the loader shares these two
-
-
-def _tree_node_from_obj(obj) -> TreeNode:
-    if type(obj) is dict and "leaf" in obj:
-        if is_int(obj["leaf"]) and obj["leaf"] in (0, 1):
-            return _LEAVES[obj["leaf"]]
-    elif type(obj) is dict and is_int(obj.get("query")) and type(obj.get("children")) is list:
-        return Node(obj["query"], tuple(_tree_node_from_obj(c) for c in obj["children"]))
-    raise ValidationError(["tree node is neither a 0/1 leaf nor a query with a list of children"])
-
-
 def circuit_to_json(c: Circuit) -> str:
     gates = []
     for g in c.gates:
@@ -578,38 +732,52 @@ def circuit_to_json(c: Circuit) -> str:
 _CIRCUIT_FIELDS = dict.fromkeys("nwtm", is_int) | {"gates": lambda v: type(v) is list}
 
 
-def _is_junta_obj(g) -> bool:
-    return (
-        type(g) is dict
-        and g.get("kind") == "junta"
-        and is_int_list(g.get("inputs"))
-        and type(g.get("table")) is str
-        and not g["table"].strip("01")
-    )
-
-
 def circuit_from_json(text: str) -> Circuit:
-    # the parsed text is dropped before the gates are checked
-    return _circuit_of(json.loads(text)).ensure_valid()
+    # the parsed text is dropped before the circuit is checked
+    return _circuit_of(parse_json(text, "circuit")).ensure_valid()
 
 
 def _circuit_of(data) -> Circuit:
+    """The circuit of parsed circuit JSON, its tables filled straight from
+    the gates' objects. The first malformed gate raises, a tree gate for a
+    node anywhere in it, and then a wrong ``m``."""
     check_fields(data, "circuit", _CIRCUIT_FIELDS)
-    gates: list[Gate] = []
-    tables: dict[str, tuple[int, ...]] = {}  # one tuple per distinct table
-    for i, g in enumerate(data["gates"]):
-        if _is_junta_obj(g):
-            table = tables.get(g["table"])
-            if table is None:
-                table = tables[g["table"]] = tuple(map(int, g["table"]))
-            gates.append(JuntaGate(tuple(g["inputs"]), table))
-        elif type(g) is dict and g.get("kind") == "tree":
-            gates.append(WordDecisionTree(_tree_node_from_obj(g.get("root"))))
-        else:
-            raise ValidationError(
-                [f"gate {i} is neither a tree nor a junta with integer inputs and a 0/1 table"]
+    n, w, t, gates = data["n"], data["w"], data["t"], data["gates"]
+    kinds = [g.get("kind") if type(g) is dict else None for g in gates]
+    bad = len(gates)  # the first malformed gate
+    if kinds.count("junta") + kinds.count("tree") < bad:
+        bad = next(i for i, kind in enumerate(kinds) if kind not in ("junta", "tree"))
+    if kinds.count("junta") == len(gates):
+        positions, junta = np.arange(len(gates)), gates
+    else:
+        positions = np.array([i for i, kind in enumerate(kinds) if kind == "junta"], dtype=np.intp)
+        junta = [gates[i] for i in positions.tolist()]
+    inputs = list(map(dict.get, junta, repeat("inputs")))
+    tables = list(map(dict.get, junta, repeat("table")))
+    table = None
+    if set(map(type, inputs)) <= {list} and set(map(type, tables)) <= {str}:
+        chars = "".join(tables).encode("ascii", "replace")
+        if not chars.translate(None, b"01"):  # nothing but 0s and 1s
+            table = JuntaTable.packed(
+                len(gates), positions, inputs, np.fromiter(map(len, tables), np.int64, len(tables)),
+                np.frombuffer(chars, np.uint8) & 1, np.ones(len(tables), dtype=bool),
             )
-    c = Circuit(data["n"], data["w"], data["t"], tuple(gates))
-    if c.m != data["m"]:
-        raise ValidationError([f"declared m = {data['m']} but {c.m} gates"])
-    return c
+            # a row of ints past int64 is well formed, and validation names it
+            if not set(map(type, chain.from_iterable(table.unpacked.values()))) <= {int}:
+                table = None
+    if table is None:
+        well_formed = [
+            type(row) is list and set(map(type, row)) <= {int} and type(bits) is str
+            and not bits.strip("01")
+            for row, bits in zip(inputs, tables)
+        ]
+        bad = min(bad, int(positions[well_formed.index(False)]))
+    trees = [i for i, kind in enumerate(kinds[:bad]) if kind == "tree"] if "tree" in kinds else []
+    tree_table = TreeTable.walk(trees, [gates[i].get("root") for i in trees], n, w, t, _JsonNodes)
+    if bad < len(gates):
+        raise ValidationError(
+            [f"gate {bad} is neither a tree nor a junta with integer inputs and a 0/1 table"]
+        )
+    if len(gates) != data["m"]:
+        raise ValidationError([f"declared m = {data['m']} but {len(gates)} gates"])
+    return Circuit.of_tables(n, w, t, table, tree_table)

@@ -75,7 +75,7 @@ def _read(path: str) -> str:
 
 def _refute_params(args) -> refuter.RefuteParams:
     if args.params is not None:
-        return refuter.RefuteParams.from_obj(json.loads(_read(args.params)))
+        return refuter.RefuteParams.from_obj(core.parse_json(_read(args.params), "params"))
     return refuter.RefuteParams(
         r=args.r,
         ell=args.ell,

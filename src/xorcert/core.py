@@ -288,6 +288,15 @@ def is_int_list(value) -> bool:
     return type(value) is list and set(map(type, value)) <= {int}
 
 
+def parse_json(text: str, what: str):
+    """``json.loads`` of a ``what`` file, with JSON nested too deeply for
+    the decoder reported as a ValidationError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError([f"{what} JSON is nested too deeply to decode"]) from None
+
+
 def check_fields(data, what: str, fields: Mapping[str, Callable], optional=()) -> None:
     """Raise ValidationError unless ``data`` is a JSON object whose fields
     pass their checks; fields named in ``optional`` may be absent or null."""
@@ -315,7 +324,7 @@ _INSTANCE_FIELDS = {
 
 
 def instance_from_json(text: str) -> XorInstance:
-    data = json.loads(text)
+    data = parse_json(text, "instance")
     check_fields(data, "instance", _INSTANCE_FIELDS, optional=("k", "weights", "rhs"))
     edges = data["edges"]
     n = data["n"]

@@ -30,7 +30,7 @@ from .core import (
     XorScheme,
     sign_of_bit,
 )
-from .fourier import GateSpectra, junta_spectra, layered_characters
+from .fourier import TRANSFORM_CAP, GateSpectra, junta_spectra, layered_characters
 from .refuter import PreparedSchemes, prepare_rows
 
 # An ensemble key is (beta, slot): beta gives one bit pattern inside [w] per
@@ -250,6 +250,10 @@ class JuntaSplit:
     prepared: PreparedSchemes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.t > TRANSFORM_CAP:  # the buckets are the 2^t - 1 proper subsets of the positions
+            raise ValidationError(
+                [f"junta split over t = {self.t} positions exceeds the transform cap {TRANSFORM_CAP}"]
+            )
         object.__setattr__(self, "prepared", self._prepare())
 
     def patterns(self) -> list[tuple[int, ...]]:

@@ -1,17 +1,23 @@
+import dataclasses
+import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorcert.avoid import CertifyParams, avoid, certify_not_in_range
 from xorcert.circuits import (
     Circuit,
     JuntaGate,
     JuntaTable,
     Leaf,
     Node,
+    TreeTable,
     WordDecisionTree,
+    _circuit_of,
     circuit_from_json,
     circuit_to_json,
     eval_circuit,
@@ -22,8 +28,16 @@ from xorcert.circuits import (
 )
 from xorcert.core import Dyadic, ValidationError
 from xorcert.fourier import expand_layered_output
+from xorcert.prg import parse_spec
+from xorcert.reduction import group_characters
 
-from helpers import draw_tree, l1_mass, reference_junta_violations, reference_tree_violations
+from helpers import (
+    draw_tree,
+    l1_mass,
+    random_pruned_circuit,
+    reference_junta_violations,
+    reference_tree_violations,
+)
 
 
 OR01 = JuntaGate((0, 1), (0, 1, 1, 1))
@@ -108,6 +122,18 @@ class TestValidation:
             "gate 1: table length 3 != 2^3",
             "gate 1: table entries must be bits",
         ]),
+        # inputs too far apart for the (gate, input) sort keys are ranked first
+        (Circuit(3, 1, 3, (
+            OR01,
+            JuntaGate((2 ** 62, -2 ** 62, 2 ** 62), (0,) * 8),
+            JuntaGate((2 ** 62, -2 ** 62, 1), (0,) * 8),
+        )), [
+            "gate 1: duplicate input index in "
+            "(4611686018427387904, -4611686018427387904, 4611686018427387904)",
+            "gate 1: input index out of range in "
+            "(4611686018427387904, -4611686018427387904, 4611686018427387904)",
+            "gate 2: input index out of range in (4611686018427387904, -4611686018427387904, 1)",
+        ]),
         (Circuit(3, 2, 2, (OR01, JuntaGate((0, 1), (0, 1)))), [
             "gate 0: junta gate requires w == 1",
             "gate 1: junta gate requires w == 1",
@@ -179,6 +205,11 @@ class TestValidation:
         # a query that is not an integer is named, the way junta inputs are
         (Circuit(2, 1, 1, (WordDecisionTree(Node(0.5, (Leaf(1), Leaf(-1)))),)),
          ["gate 0: non-integer query index 0.5"]),
+        # 2^w in decimal while it fits an int64, as a power past that
+        (Circuit(1, 61, 1, (WordDecisionTree(Node(0, (Leaf(1),))),)),
+         ["gate 0: node has 1 children, expected 2305843009213693952"]),
+        (Circuit(1, 62, 1, (WordDecisionTree(Node(0, (Leaf(1),))),)),
+         ["gate 0: node has 1 children, expected 2^62"]),
         (Circuit(2, 1, 2, (OR01, WordDecisionTree(Node(0, (Node(0.5, (Leaf(1),)), Leaf(1)))))), [
             "gate 1: non-integer query index 0.5",
             "gate 1: node has 1 children, expected 2",
@@ -246,7 +277,8 @@ class TestJuntaTable:
             assert (table.fan_ins[g], table.sizes[g]) == (f, size)
             at, inputs = table.inputs_at[g], table.inputs[table.inputs_at[g]:][:f].tolist()
             typed = all(isinstance(v, int) and v < 1 << 63 for v in gate.inputs)
-            assert table.int_inputs[g] == typed
+            ints = all(type(v) is int and -1 << 63 <= v < 1 << 63 for v in gate.inputs)
+            assert table.unpacked.get(g) == (None if ints else gate.inputs)
             assert inputs == (list(gate.inputs) if typed else [0] * f)
             bits = table.bits[table.table_at[g]:][:size].tolist()
             assert table.bit_tables[g] == all(v in (0, 1) for v in gate.table)
@@ -446,3 +478,163 @@ class TestJson:
         text = circuit_to_json(c).replace('"m": 3', '"m": 5')
         with pytest.raises(ValidationError):
             circuit_from_json(text)
+
+
+L0, L1 = {"leaf": 0}, {"leaf": 1}
+AND = {"kind": "junta", "inputs": [0, 1], "table": "0001"}
+
+
+def _node(query, *children):
+    return {"query": query, "children": list(children)}
+
+
+def _tree(root):
+    return {"kind": "tree", "root": root}
+
+
+def _circuit(gates, n=3, w=1, t=2, m=None):
+    return {"n": n, "w": w, "t": t, "m": len(gates) if m is None else m, "gates": gates}
+
+
+_MALFORMED_GATE = "gate {} is neither a tree nor a junta with integer inputs and a 0/1 table"
+_MALFORMED_NODE = "tree node is neither a 0/1 leaf nor a query with a list of children"
+
+
+def _fields(table) -> dict:
+    """A table's fields, each array as its entries and its dtype."""
+    return {
+        f.name: (v.tolist(), v.dtype) if isinstance(v, np.ndarray) else v
+        for f in dataclasses.fields(table)
+        for v in [getattr(table, f.name)]
+    }
+
+
+def _json_tree(draw, n: int, w: int, t: int, depth: int = 0):
+    """A tree that circuit JSON can hold, valid or not: queries out of
+    range or past int64, the wrong number of children, nodes past depth t."""
+    if depth > t or draw(st.integers(0, 2), label="leaf") == 0:
+        return Leaf(draw(st.sampled_from((1, -1)), label="value"))
+    query = draw(st.one_of(st.integers(0, n - 1), st.integers(-1, n + 1), st.just(2 ** 70)), label="query")
+    fan_out = draw(st.one_of(st.just(1 << w), st.integers(0, (1 << w) + 1)), label="fan-out")
+    return Node(query, tuple(_json_tree(draw, n, w, t, depth + 1) for _ in range(fan_out)))
+
+
+def _json_junta(draw, n: int, t: int, valid: bool) -> JuntaGate:
+    """A junta gate that circuit JSON can hold; unless valid, its inputs
+    may repeat, fall out of range or pass int64, and its table may have
+    the wrong length."""
+    if valid:
+        fan_in = draw(st.integers(0, min(n, t)), label="fan-in")
+        inputs = draw(st.permutations(range(n)), label="inputs")[:fan_in]
+        size = 1 << fan_in
+    else:
+        fan_in = draw(st.integers(0, 3), label="fan-in")
+        inputs = draw(st.lists(
+            st.one_of(st.integers(-1, n + 1), st.just(2 ** 70)), min_size=fan_in, max_size=fan_in
+        ), label="inputs")
+        size = draw(st.one_of(st.just(1 << fan_in), st.integers(0, 9)), label="size")
+    table = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size), label="table")
+    return JuntaGate(tuple(inputs), tuple(table))
+
+
+class TestLoader:
+    @pytest.mark.parametrize("obj, messages", [
+        (_circuit([AND, {"kind": "junta", "inputs": [True, 1], "table": "0111"}]),
+         [_MALFORMED_GATE.format(1)]),
+        (_circuit([{"kind": "junta", "inputs": [0.0, 1], "table": "0111"}]), [_MALFORMED_GATE.format(0)]),
+        (_circuit([{"kind": "junta", "inputs": "01", "table": "0111"}]), [_MALFORMED_GATE.format(0)]),
+        (_circuit([{"kind": "junta", "inputs": [0, 1], "table": "0121"}]), [_MALFORMED_GATE.format(0)]),
+        (_circuit([{"kind": "junta", "inputs": [0], "table": [0, 1]}]), [_MALFORMED_GATE.format(0)]),
+        (_circuit([AND, {"kind": "junta", "inputs": [0], "table": "0\u00e9"}]), [_MALFORMED_GATE.format(1)]),
+        (_circuit([AND, {"kind": "junta", "inputs": [0], "table": "\ud8001"}]), [_MALFORMED_GATE.format(1)]),
+        (_circuit([_tree(_node(True, L0, L1))]), [_MALFORMED_NODE]),
+        (_circuit([_tree(_node(0, {"leaf": True}, L1))]), [_MALFORMED_NODE]),
+        (_circuit([_tree(_node(0, {"leaf": 2}, L1))]), [_MALFORMED_NODE]),
+        (_circuit([_tree(_node(0, [L0], L1))]), [_MALFORMED_NODE]),
+        (_circuit([AND, _tree(3)]), [_MALFORMED_NODE]),
+        (_circuit([{"kind": "tree"}]), [_MALFORMED_NODE]),
+        (_circuit([_tree({"query": 0})]), [_MALFORMED_NODE]),
+        (_circuit([_tree(_node(0, _node(1, L0, L1), L1))], t=1), ["gate 0: query depth exceeds 1"]),
+        # a node past depth t is still read for its structure
+        (_circuit([_tree(_node(0, _node(1, L0, {"leaf": 5}), L1))], t=1), [_MALFORMED_NODE]),
+        (_circuit([AND, {"inputs": [0], "table": "01"}]), [_MALFORMED_GATE.format(1)]),
+        (_circuit([AND, [0, 1]]), [_MALFORMED_GATE.format(1)]),
+        (_circuit([AND, AND], m=3), ["declared m = 3 but 2 gates"]),
+        ({"n": 3, "w": 1, "t": 2, "m": 0, "gates": {}}, ["circuit: field 'gates' is missing or mistyped"]),
+        ([1, 2], ["circuit is not a JSON object"]),
+        # the first malformed gate in order is named, a tree's nodes all count as the tree's
+        (_circuit([_tree(_node(0, L0, {"leaf": 7})), {"kind": "x"}]), [_MALFORMED_NODE]),
+        (_circuit([AND, {"kind": "junta", "inputs": [0], "table": "2"}, _tree(_node(0, L0, {}))]),
+         [_MALFORMED_GATE.format(1)]),
+        (_circuit([{"kind": "junta"}], m=4), [_MALFORMED_GATE.format(0)]),
+        (_circuit([{"kind": "x"}, {"kind": "junta", "inputs": [0], "table": "2"}]), [_MALFORMED_GATE.format(0)]),
+        (_circuit([_tree({"leaf": None})], m=4), [_MALFORMED_NODE]),
+        (_circuit([{"kind": "junta", "inputs": [0, 2 ** 70], "table": "0111"}]),
+         ["gate 0: input index out of range in (0, 1180591620717411303424)"]),
+        (_circuit([
+            {"kind": "junta", "inputs": [0, 0], "table": "011"},
+            _tree(_node(5, L0, L1, L1)),
+            {"kind": "junta", "inputs": [0, 1, 2], "table": "01110111"},
+        ]), [
+            "gate 0: duplicate input index in (0, 0)",
+            "gate 0: table length 3 != 2^2",
+            "gate 1: query index 5 out of range [0, 3)",
+            "gate 1: node has 3 children, expected 2",
+            "gate 2: 3 inputs exceed fan-in bound 2",
+        ]),
+    ])
+    def test_malformed_json_messages_are_pinned(self, obj, messages):
+        """The whole list of messages of malformed circuit JSON, in order."""
+        with pytest.raises(ValidationError) as err:
+            circuit_from_json(json.dumps(obj))
+        assert err.value.violations == messages
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tables_and_gates_match_the_objects(self, data):
+        """A loaded circuit's tables equal those packed from the gates it was
+        written from, field by field, and so do its violations; a valid
+        one's gates, built on demand, equal those gates."""
+        n = data.draw(st.integers(1, 4), label="n")
+        w = data.draw(st.sampled_from((1, 2)), label="w")
+        t = data.draw(st.integers(0, 3), label="t")
+        kind = data.draw(st.sampled_from(("junta", "tree", "mixed")), label="kind")
+        valid = data.draw(st.booleans(), label="valid")
+        gates = []
+        for _ in range(data.draw(st.integers(0, 6), label="m")):
+            if kind == "junta" or kind == "mixed" and data.draw(st.booleans(), label="junta"):
+                gates.append(_json_junta(data.draw, n, t, valid))
+            elif valid:
+                gates.append(WordDecisionTree(draw_tree(data.draw, n, w, t)))
+            else:
+                gates.append(WordDecisionTree(_json_tree(data.draw, n, w, t)))
+        c = Circuit(n, w, t, tuple(gates))
+        text = circuit_to_json(c)
+        loaded = _circuit_of(json.loads(text))
+        assert _fields(loaded.junta_table) == _fields(JuntaTable.of(gates))
+        assert _fields(loaded.tree_table) == _fields(TreeTable.of(gates, n, w, t))
+        assert loaded.m == len(gates)
+        assert loaded.violations() == c.violations()
+        assert "gates" not in vars(loaded)
+        if c.violations():
+            with pytest.raises(ValidationError) as err:
+                circuit_from_json(text)
+            assert err.value.violations == c.violations()
+        else:
+            assert loaded.gates == tuple(gates)
+            assert loaded == c and hash(loaded) == hash(c)
+
+    def test_loaded_circuits_build_no_gates(self):
+        """Validation, avoid, certification against a prepared ensemble and
+        the grouping read the tables alone."""
+        junta = circuit_from_json(circuit_to_json(random_pruned_circuit(random.Random(4), 8, 3, 24)))
+        tree = circuit_from_json(circuit_to_json(random_tree_circuit(random.Random(4), 5, 2, 2, 12)))
+        assert avoid(junta, parse_spec("biased:m=24,s=6")).seeds_tried >= 0
+        certify_not_in_range(junta, [1] * 24)
+        ens = group_characters(to_layered(tree))
+        for b in ([1] * 12, [-1] * 12):
+            certify_not_in_range(tree, b, CertifyParams(eps=Fraction(2, 5)), prepared=ens)
+        for c in (junta, tree):
+            assert c.violations() == []
+            assert "gates" not in vars(c)
+        assert tree.gates == random_tree_circuit(random.Random(4), 5, 2, 2, 12).gates

@@ -146,6 +146,49 @@ class TestExitCodes:
         assert run("avoid", "--circuit", str(circ), "--gen", "biased:m=1,s=4") == 1
         assert "junta fan-in 17 exceeds the transform cap 16" in caplog.text
 
+    @pytest.mark.parametrize("t", [40, 10 ** 20])
+    def test_declared_t_past_the_transform_cap_exits_one(self, tmp_path, caplog, t):
+        """The junta split has a bucket per proper subset of the t positions,
+        so a t far above the widest gate is named before anything is sized
+        by it."""
+        circ = tmp_path / "and.json"
+        gate = {"kind": "junta", "inputs": [0, 1], "table": "0001"}
+        circ.write_text(json.dumps({"n": 2, "w": 1, "t": t, "m": 1, "gates": [gate]}))
+        assert run("avoid", "--circuit", str(circ), "--gen", "biased:m=1,s=4") == 1
+        assert f"junta split over t = {t} positions exceeds the transform cap 16" in caplog.text
+
+    @pytest.mark.parametrize("w", [20000, 10 ** 20])
+    def test_huge_word_width_exits_one(self, tmp_path, caplog, w):
+        """2^w past the 4,300-digit limit, or past any memory, is named as a
+        power."""
+        circ = tmp_path / "wide.json"
+        root = {"query": 0, "children": [{"leaf": 0}]}
+        circ.write_text(json.dumps(
+            {"n": 1, "w": w, "t": 1, "m": 1, "gates": [{"kind": "tree", "root": root}]}
+        ))
+        assert run("reduce", "--circuit", str(circ), "--out-dir", str(tmp_path / "out")) == 1
+        assert f"gate 0: node has 1 children, expected 2^{w}" in caplog.text
+
+    @pytest.mark.parametrize("depth", [495, 3000, 100_000])
+    def test_deeply_nested_json_exits_one(self, tmp_path, caplog, instance_file, depth):
+        """JSON nested past what the decoder's recursion allows is an error
+        of the file, for a circuit, an instance and the knobs alike."""
+        nested = "[" * (2 * depth) + "]" * (2 * depth)  # as deep as a tree level's dict and list
+        circ = tmp_path / "deep.json"
+        circ.write_text(
+            '{"n": 1, "w": 1, "t": 1, "m": 1, "gates": [{"kind": "tree", "root": '
+            + '{"query": 0, "children": [' * depth + '{"leaf": 0}' + "]}" * depth + "}]}"
+        )
+        assert run("reduce", "--circuit", str(circ), "--out-dir", str(tmp_path / "out")) == 1
+        inst = tmp_path / "deep_instance.json"
+        inst.write_text('{"k": 2, "n": 2, "edges": ' + nested + "}")
+        assert run("refute", "--instance", str(inst)) == 1
+        params = tmp_path / "deep_params.json"
+        params.write_text('{"r": ' + nested + "}")
+        assert run("refute", "--instance", str(instance_file), "--params", str(params)) == 1
+        for what in ("circuit", "instance", "params"):
+            assert f"{what} JSON is nested too deeply to decode" in caplog.text
+
     def test_usage_error_exits_one(self):
         assert run("bogus") == 1
         assert run("avoid", "--circuit", "x.json") == 1  # no --gen

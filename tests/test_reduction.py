@@ -232,6 +232,14 @@ class TestNonadaptiveSplit:
         with pytest.raises(ValidationError, match="parity"):
             nonadaptive_split(c)
 
+    def test_rejects_t_past_the_transform_cap(self):
+        """A bucket per proper subset of the t positions: 2^17 - 1 of them
+        for one AND gate declared with t = 17, named before any is made."""
+        c = Circuit(2, 1, 17, (JuntaGate((0, 1), (0, 0, 0, 1)),))
+        with pytest.raises(ValidationError, match="t = 17 positions exceeds the transform cap 16"):
+            nonadaptive_split(c)
+        assert_split_is(nonadaptive_split(Circuit(2, 1, 3, c.gates)), reference_buckets(Circuit(2, 1, 3, c.gates)))
+
     def test_bucket_count_and_shapes(self):
         rng = random.Random(3)
         c = random_other_circuit(rng, 6, 3, 10)
