@@ -82,9 +82,12 @@ class JuntaGate:
 Gate = Union[JuntaGate, WordDecisionTree]
 
 
-def all_junta_gates(gates: Sequence) -> bool:
-    """Whether every gate is a JuntaGate, by exact type, in one C-level pass."""
-    return set(map(type, gates)) <= {JuntaGate}
+def _junta_positions(gates: Sequence, junta: Sequence[bool]) -> tuple[np.ndarray, Sequence]:
+    """(the positions of the gates that ``junta`` flags, those gates)."""
+    if all(junta):
+        return np.arange(len(gates)), gates
+    positions = np.flatnonzero(np.array(junta, dtype=bool))
+    return positions, [gates[i] for i in positions.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +117,7 @@ class JuntaTable:
 
     @classmethod
     def of(cls, gates: Sequence) -> "JuntaTable":
-        if all_junta_gates(gates):
-            positions, junta = np.arange(len(gates)), gates
-        else:
-            positions = np.array(
-                [i for i, g in enumerate(gates) if isinstance(g, JuntaGate)], dtype=np.intp
-            )
-            junta = [gates[i] for i in positions.tolist()]
+        positions, junta = _junta_positions(gates, list(map(isinstance, gates, repeat(JuntaGate))))
         tables = list(map(attrgetter("table"), junta))
         sizes = np.fromiter(map(len, tables), np.int64, len(junta))
         return cls.packed(
@@ -136,7 +133,7 @@ class JuntaTable:
         """The table of m gates whose junta gates sit at ``positions``, read
         ``inputs`` and have tables of ``sizes`` entries, packed as ``bits``."""
         fan_ins = np.fromiter(map(len, inputs), np.int64, len(inputs))
-        flat, _, unpacked = _packed_inputs(inputs)
+        flat, unpacked = _packed_inputs(inputs)
         return cls(
             m, positions, fan_ins, flat, np.cumsum(fan_ins) - fan_ins,
             sizes, bits, np.cumsum(sizes) - sizes, bit_tables, unpacked,
@@ -158,18 +155,11 @@ class JuntaTable:
         entry_gate = np.repeat(np.arange(count), self.fan_ins)
         outside = np.zeros(count, dtype=bool)
         outside[entry_gate[(self.inputs < 0) | (self.inputs >= n)]] = True
-        # a repeated input sits next to its copy among the sorted keys
-        # gate * span + input, where the inputs are moved to start at 0, or
-        # ranked if their span is too wide for the keys to fit int64
-        lo, hi = int(self.inputs.min(initial=0)), int(self.inputs.max(initial=0))
-        if (hi - lo + 1) * count < 1 << 62:
-            span, values = hi - lo + 1, self.inputs - lo
-        else:
-            ranks, values = np.unique(self.inputs, return_inverse=True)
-            span = len(ranks)
-        keys = np.sort(entry_gate * span + values)
+        # sorted within each gate, a repeated input sits next to its copy
+        by_gate = np.lexsort((self.inputs, entry_gate))
+        ordered, owner = self.inputs[by_gate], entry_gate[by_gate]
         repeated = np.zeros(count, dtype=bool)
-        repeated[keys[1:][keys[1:] == keys[:-1]] // span] = True
+        repeated[owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])]] = True
         untyped = np.zeros(count, dtype=bool)
         for g, inputs in self.unpacked.items():
             integers = all(hasattr(type(v), "__index__") for v in inputs)
@@ -196,17 +186,15 @@ class JuntaTable:
         ]
 
 
-def _packed_inputs(rows: list[Sequence]) -> tuple[np.ndarray, np.ndarray, dict[int, tuple]]:
-    """(the entries of all rows in order as one int64 array, whether each
-    row's entries are all integers that fit int64, each row that is not all
-    ints that fit int64, as given, by row). Unless every entry is such an
-    int, the rows are packed one at a time, and a row that does not fit
-    packs as zeros."""
+def _packed_inputs(rows: list[Sequence]) -> tuple[np.ndarray, dict[int, tuple]]:
+    """(the entries of all rows in order as one int64 array, each row that
+    is not all ints that fit int64, as given, by row). Unless every entry is
+    such an int, the rows are packed one at a time, and a row with an entry
+    that is not an integer that fits int64 packs as zeros."""
     flat = list(chain.from_iterable(rows))
-    typed = np.ones(len(rows), dtype=bool)
     if set(map(type, flat)) <= {int}:
         try:
-            return np.array(flat, dtype=np.int64), typed, {}
+            return np.array(flat, dtype=np.int64), {}
         except OverflowError:
             pass
     packed, unpacked = [np.zeros(0, dtype=np.int64)], {}
@@ -215,11 +203,11 @@ def _packed_inputs(rows: list[Sequence]) -> tuple[np.ndarray, np.ndarray, dict[i
             packed.append(np.fromiter(map(index, row), np.int64, len(row)))
             ints = set(map(type, row)) <= {int}
         except (TypeError, OverflowError):
-            typed[g] = ints = False
+            ints = False
             packed.append(np.zeros(len(row), dtype=np.int64))
         if not ints:
             unpacked[g] = tuple(row)
-    return np.concatenate(packed), typed, unpacked
+    return np.concatenate(packed), unpacked
 
 
 def _packed_bits(tables: list[tuple], sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,9 +305,11 @@ class TreeTable:
                 break
             queries, kids = read.nodes(nodes)
             fan_outs = np.fromiter(map(len, kids), np.int64, len(kids))
-            packed, typed, _ = _packed_inputs(list(zip(queries)))
+            packed, unpacked = _packed_inputs(list(zip(queries)))
+            flagged = (packed < 0) | (packed >= n) | (fan_outs != fan_out)
+            flagged[list(unpacked)] = True
             # a flagged node's checks read its query itself, also one that did not pack
-            for j in np.flatnonzero(~typed | (packed < 0) | (packed >= n) | (fan_outs != fan_out)).tolist():
+            for j in np.flatnonzero(flagged).tolist():
                 query, path = queries[j], (int(owner[inner[j]]), symbols[inner[j]].tolist())
                 if not hasattr(type(query), "__index__"):
                     found.append((*path, 0, f"non-integer query index {query}"))
@@ -747,11 +737,7 @@ def _circuit_of(data) -> Circuit:
     bad = len(gates)  # the first malformed gate
     if kinds.count("junta") + kinds.count("tree") < bad:
         bad = next(i for i, kind in enumerate(kinds) if kind not in ("junta", "tree"))
-    if kinds.count("junta") == len(gates):
-        positions, junta = np.arange(len(gates)), gates
-    else:
-        positions = np.array([i for i, kind in enumerate(kinds) if kind == "junta"], dtype=np.intp)
-        junta = [gates[i] for i in positions.tolist()]
+    positions, junta = _junta_positions(gates, [kind == "junta" for kind in kinds])
     inputs = list(map(dict.get, junta, repeat("inputs")))
     tables = list(map(dict.get, junta, repeat("table")))
     table = None

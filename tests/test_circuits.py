@@ -122,7 +122,7 @@ class TestValidation:
             "gate 1: table length 3 != 2^3",
             "gate 1: table entries must be bits",
         ]),
-        # inputs too far apart for the (gate, input) sort keys are ranked first
+        # a duplicate is found among inputs that span most of int64
         (Circuit(3, 1, 3, (
             OR01,
             JuntaGate((2 ** 62, -2 ** 62, 2 ** 62), (0,) * 8),
