@@ -26,6 +26,13 @@ Then come the lines of ``remote-tree-trace``: the inputs and set-up of
 which no benchmark workload runs on a prepared ensemble. Its later passes
 read the plan that the first pass recorded for those knobs.
 
+Last come the lines of ``refute-wide``, whose weights no benchmark workload
+reaches: four mixed-arity instances (n=8, m=40, edge sizes 0 to 4) with
+weights of 50 bits, whose units sum past 2^53 in int64, of 62 and 70 bits,
+which are Python ints, and of +-1 beside 62-bit ones, which puts units of
++-2^62 among them. Each is certified by ``refute`` and, prepared once, on 3
+more right-hand sides, with the default knobs and with ``split_weights``.
+
 ``bench/workloads.py`` is imported by path and only read.
 """
 
@@ -47,8 +54,9 @@ from types import SimpleNamespace
 
 from xorcert.avoid import CertifyParams, certify_not_in_range
 from xorcert.circuits import random_tree_circuit, to_layered
+from xorcert.core import Dyadic, make_instance
 from xorcert.reduction import group_characters
-from xorcert.refuter import RefuteParams
+from xorcert.refuter import RefuteParams, _prepare_instance, refute
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -112,6 +120,47 @@ def _trace_tree_workload(tree) -> SimpleNamespace:
     )
 
 
+def _wide_weight(rng: random.Random, bits: int | None) -> Dyadic:
+    """A weight of ``bits`` bits at the scale 2^-bits; None gives +-1, or one
+    of 62 bits a third of the time."""
+    if bits is None:
+        if rng.random() < 2 / 3:
+            return Dyadic(rng.choice((1, -1)), 0)
+        bits = 62
+    return Dyadic(rng.randint(-(1 << bits), 1 << bits), bits)
+
+
+def _wide_refute_workload() -> SimpleNamespace:
+    """The ``refute-wide`` lines, in the form of a benchmark workload."""
+    knobs = [RefuteParams(), RefuteParams(split_weights=True)]
+
+    def make_inputs(rng):
+        inputs = []
+        for bits in (50, 62, 70, None):
+            edges = [tuple(sorted(rng.sample(range(8), rng.randint(0, 4)))) for _ in range(40)]
+            weights = [_wide_weight(rng, bits) for _ in edges]
+            rhs = [rng.choice((1, -1)) for _ in edges]
+            inst = make_instance(8, edges, rhs, weights=weights)
+            inputs.append((inst, [[rng.choice((1, -1)) for _ in edges] for _ in range(3)]))
+        return inputs
+
+    def ops(inputs, prepared):
+        calls = []
+        for (inst, targets), schemes in zip(inputs, prepared):
+            for p in knobs:
+                calls.append(lambda inst=inst, p=p: refute(inst, p))
+                calls += [lambda s=schemes, b=b, p=p: s.refute(b, p)[0] for b in targets]
+        return calls
+
+    return SimpleNamespace(
+        name="refute-wide",
+        make_inputs=make_inputs,
+        setup=lambda inputs: [_prepare_instance(inst) for inst, _ in inputs],
+        ops=ops,
+        canonical=lambda cert: cert.to_json(),
+    )
+
+
 def digests(workload, seed: int, passes: int) -> list[str]:
     """The digest of each of ``passes`` passes over one set-up. A workload
     that reads another's inputs names it in ``inputs_of``."""
@@ -141,6 +190,7 @@ def main() -> int:
     workloads = _load_workloads()
     workloads["remote-tree-odd"] = _odd_tree_workload()
     workloads["remote-tree-trace"] = _trace_tree_workload(workloads["remote-tree"])
+    workloads["refute-wide"] = _wide_refute_workload()
     for name, workload in workloads.items():
         for seed in args.seeds:
             first, *later = digests(workload, seed, args.passes)

@@ -12,7 +12,7 @@ generator are certified one seed at a time, as ``certify_not_in_range`` does:
   every ensemble key; the sum must be below 1 and at most 2 eps.
 
 The split or ensemble is prepared once per circuit, so a target pays one
-bincount of its signed sums and the engines, with no per-key instance built
+scatter-add of its signed sums and the engines, with no per-key instance built
 or validated. A prepared ensemble passed in by the caller must have been
 grouped from the circuit being certified.
 

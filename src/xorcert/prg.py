@@ -114,22 +114,17 @@ class GeneratorSpec:
         )
 
 
-# The largest field degree whose elements, and the seed half x, fit in int64
-# with room to spare. The shipped field table stops at degree 32, well inside.
-INT64_DEGREE = 62
-
-
 @functools.lru_cache(maxsize=4096)
 def _power_reps(a: int, m: int, s: int) -> np.ndarray:
-    """Representations of a^0, a^1, ..., a^(m-1) in GF(2^s); 0^0 = 1. An
-    int64 array up to ``INT64_DEGREE``, an object array of Python ints past
-    it; read-only, since the cache shares it."""
+    """Representations of a^0, a^1, ..., a^(m-1) in GF(2^s); 0^0 = 1, as an
+    int64 array, which holds every element up to degree 63; read-only, since
+    the cache shares it."""
     reps = [1]
     acc = 1
     for _ in range(m - 1):
         acc = gf_mul(acc, a, s)
         reps.append(acc)
-    out = np.array(reps, dtype=np.int64 if s <= INT64_DEGREE else object)
+    out = np.array(reps, dtype=np.int64)
     out.flags.writeable = False
     return out
 
@@ -182,11 +177,11 @@ def sample_output_bits(spec: GeneratorSpec, seed: int) -> int:
 def sample_int(spec: GeneratorSpec, seed: int) -> tuple[int, ...]:
     """Sign string for an integer seed in [0, 2^seed_bits).
 
-    An ``eps_biased`` output over a field of degree at most
-    ``INT64_DEGREE`` is taken in int64 arrays: bit i is the parity of
-    a^i & x. Other outputs are read from :func:`sample_output_bits`."""
-    s = spec.field_degree
-    if spec.kind == "eps_biased" and s <= INT64_DEGREE:
+    An ``eps_biased`` output is taken in int64 arrays, which hold a and x
+    for every field degree up to 63: bit i is the parity of a^i & x. Other
+    outputs are read from :func:`sample_output_bits`."""
+    if spec.kind == "eps_biased":
+        s = spec.field_degree
         _check_seed(spec, seed)
         bits = np.bitwise_count(_power_reps(seed & ((1 << s) - 1), spec.m, s) & (seed >> s))
         return tuple((1 - 2 * (bits & 1).astype(np.int64)).tolist())

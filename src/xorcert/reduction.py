@@ -7,7 +7,7 @@ built, with no per-output expansion and no dense buckets: ``group_characters``
 prepares every ensemble key straight from the integer arrays of all outputs'
 characters (``fourier.layered_characters``), and a ``JuntaSplit`` its buckets straight
 from the gates' integer spectra (``fourier.junta_spectra``). A target then
-pays one bincount of its signed sums plus the engines
+pays one scatter-add of its signed sums plus the engines
 (``refuter.PreparedSchemes``). An ensemble's dense
 per-output schemes, with a zero-weight filler edge wherever an output has no
 character at a key, are made only when ``SchemeEnsemble.schemes`` is read.
@@ -37,6 +37,10 @@ from .refuter import PreparedSchemes, prepare_rows
 # layer (as a mask), slot separates the different characters of one output
 # that share a beta pattern. Slots are 1-based.
 EnsembleKey = tuple[tuple[int, ...], int]
+
+# An ensemble has 2^(t*w) beta patterns with as many slots each: 4^(t*w)
+# keys. Past this many no ensemble is grouped.
+KEY_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,14 +159,23 @@ def group_characters(lc: LayeredCircuit) -> SchemeEnsemble:
     table and gives as integer arrays: a row per character, in output
     order, after one row for the key's filler copies, the outputs without a
     character there.
+
+    Raises ``ValidationError`` before anything is sized by t or w where the
+    4^(t*w) keys exceed ``KEY_CAP``, or 4^w does: at t = 0 a huge w still
+    sizes the symbol range.
     """
     c = lc.circuit
     n, w, t, m = c.n, c.w, c.t, c.m
+    cap_bits = KEY_CAP.bit_length() - 1
+    if 2 * w > cap_bits:
+        raise ValidationError([f"ensemble over w = {w}: 4^w keys per layer exceed the cap 2^{cap_bits}"])
+    if 2 * t * w > cap_bits:
+        raise ValidationError([f"ensemble over t*w = {t * w}: 4^(t*w) keys exceed the cap 2^{cap_bits}"])
     slots = 1 << (t * w)
     keys = list(itertools.product(itertools.product(range(1 << w), repeat=t), range(1, slots + 1)))
 
     # every |coefficient| is at most 1: a unit is at most 2^(t*w), and the
-    # 4^(t*w) keys keep t*w far too small for the units to leave int64
+    # key cap keeps t*w too small for the units to leave int64
     outputs, codes, units = layered_characters(lc)
     total = len(units)
     places = w * np.arange(t - 1, -1, -1)  # beta's first layer is its most significant

@@ -6,11 +6,11 @@ it is put at its finest weight scale 2^-L, each edge size gets its
 distinct edges as vertex bitmasks, each with its number of copies and its
 live copies (those of nonzero weight), and every live copy an integer
 incidence (distinct edge, rhs position, w * 2^L): each edge size is a
-``PreparedPart``. For a right-hand side b, one bincount of b * w * 2^L gives
-the exact signed sum of every distinct edge, and each part reads its rows of
-them. ``refute`` validates an instance and prepares it; schemes that serve
-many right-hand sides, such as a circuit's ensemble, are prepared once for
-all of them. Every path reads a part and the signed sums, and sums stay
+``PreparedPart``. For a right-hand side b, one scatter-add of b * w * 2^L
+in the units' own integer type gives the exact signed sum of every distinct
+edge, and each part reads its rows of them. ``refute`` validates an
+instance and prepares it; schemes that serve many right-hand sides, such as
+a circuit's ensemble, are prepared once for all of them. Every path reads a part and the signed sums, and sums stay
 integers at one scale up to the Kikuchi entries:
 
 * arity 0 and 1 are certified directly, by the sum of |signed sum| over m;
@@ -451,9 +451,9 @@ class PreparedPart:
     ``copies[j]`` copies and ``live[j]`` live ones (of nonzero weight, the
     ones the odd split pairs). Its signed sum of b * w, an integer at the
     scale 2^-log_den, is row ``rows.start + j`` of the signed sums that the
-    part is read with: an int64 array, or an object array of Python ints
-    past int64. ``m`` counts copies, so the degrees, d and the trace degree
-    of the Kikuchi matrix are those of the per-copy instance.
+    part is read with: an int64 array, or an object array of Python ints.
+    ``m`` counts copies, so the degrees, d and the trace degree of the
+    Kikuchi matrix are those of the per-copy instance.
 
     A scheme's parts come from ``prepare_rows``, those under
     ``split_weights`` from ``PreparedSchemes.unit_schemes`` and an odd
@@ -534,13 +534,12 @@ class PreparedScheme:
     """What refutation reads of a weighted scheme that does not depend on its
     right-hand side: per edge size, in increasing size, the distinct edges.
 
-    ``m`` is the number of edges of the scheme and ``log_den`` its finest
-    weight scale. Its live copies are the slots ``span`` of the incidence of
-    the ``PreparedSchemes`` that holds it.
+    ``log_den`` is the scheme's finest weight scale. Its live copies are the
+    slots ``span`` of the incidence of the ``PreparedSchemes`` that holds
+    it, whose ``m`` is its number of edges.
     """
 
     n: int
-    m: int
     log_den: int
     parts: tuple[PreparedPart, ...]
     span: tuple[int, int]
@@ -557,14 +556,14 @@ class PreparedSchemes:
 
     Every live copy (one of nonzero weight) of every scheme has an integer
     incidence: the row of its distinct edge, its position in the rhs, and
-    its units w * 2^L at its scheme's scale, in an int64 array or, past
-    int64, an object array of Python ints. For a target b, the signed sum
+    its units w * 2^L at its scheme's scale. For a target b, the signed sum
     of an edge is the sum of b * w * 2^L over its live copies, so one
-    bincount gives the sums of all schemes at once; its unit copies are the
-    same row sum with the sign of w in place of b. ``weights`` holds the
-    units as floats when their absolute sum is below 2^53, which keeps
-    every float partial sum an exact integer; otherwise it is None and the
-    sums are taken in Python integers.
+    scatter-add gives the sums of all schemes at once; its unit copies are
+    the same row sum with the sign of w in place of b. The units' dtype is
+    the one rule for every sum: an int64 array whose absolute values sum
+    below 2^63 (``prepare_rows``'s precondition) keeps every signed sum,
+    and every sum of |signed sum|, exact in int64; an object array of
+    Python ints keeps them exact at any size.
 
     What depends on the schemes alone is kept for every target: each part's
     Kikuchi patterns with their reweighting (``KikuchiPattern.layout``) and
@@ -581,19 +580,16 @@ class PreparedSchemes:
     rows: np.ndarray
     outputs: np.ndarray
     units: np.ndarray
-    weights: np.ndarray | None
     plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _row_sums(self, signs: np.ndarray) -> np.ndarray:
         """Exact sum of signs[i] * units[i] over the live copies i of every
         distinct edge, by row, for an int64 array of one +-1 per live copy:
-        an int64 array, or an object array of Python ints past int64."""
-        if self.weights is None:
-            sums = [0] * self.n_rows
-            for row, sign, units in zip(self.rows.tolist(), signs.tolist(), self.units.tolist()):
-                sums[row] += sign * units
-            return _int_array(sums)
-        return np.bincount(self.rows, signs * self.weights, self.n_rows).astype(np.int64)
+        one scatter-add into an array of the units' dtype, which no sum
+        leaves while ``prepare_rows``'s precondition holds."""
+        sums = np.zeros(self.n_rows, dtype=self.units.dtype)
+        np.add.at(sums, self.rows, signs * self.units)
+        return sums
 
     def signed_sums(self, b: Sequence[int] | np.ndarray) -> np.ndarray:
         """Signed sum of b * w * 2^L of every distinct edge, by row; an int64
@@ -768,7 +764,8 @@ def prepare_rows(
     width, each of weight ``units[i]`` * 2^-L. A row of nonzero weight is one
     copy, at rhs position ``outputs[i]``. Rows come in scheme order. ``units``
     is an int64 array whose absolute values sum below 2^63, or an object
-    array of Python ints.
+    array of Python ints: the dtype of every sum the prepared schemes take,
+    which that bound keeps exact.
 
     Each scheme is put at its finest weight scale in lowest terms: L drops by
     the powers of two that all its units share, but never below 0, so a
@@ -794,7 +791,6 @@ def prepare_rows(
         shift[used] = np.minimum(shift[used], [(s & -s).bit_length() - 1 for s in shared])
         live_units = live_units >> shift[live_scheme].astype(live_units.dtype)
     log_dens -= shift
-    exact = int(np.abs(live_units).sum()) < 1 << 53
     copies = np.bincount(row, counts, n_rows).astype(np.int64).tolist()
     live_copies = np.bincount(live_row, minlength=n_rows).tolist()
 
@@ -817,7 +813,7 @@ def prepare_rows(
         ))
     ends = ends.tolist()
     prepared = tuple(
-        PreparedScheme(n, m, log_den, tuple(scheme_parts), (start, end))
+        PreparedScheme(n, log_den, tuple(scheme_parts), (start, end))
         for (n, _), log_den, scheme_parts, start, end in zip(
             schemes, log_dens, parts, [0] + ends, ends
         )
@@ -829,7 +825,6 @@ def prepare_rows(
         live_row,
         outputs[live].astype(np.intp),
         live_units,
-        live_units.astype(np.float64) if exact else None,
     )
 
 
@@ -1637,7 +1632,6 @@ class _Plan:
     direct: np.ndarray
     direct_starts: np.ndarray
     dens: list[int]
-    exact: bool  # whether every sum of |signed sum| fits int64
     odd: list[PreparedPart]
     odd_rows: list[tuple[int, list[int], list[int]]]  # (copies, bucket copies, bucket places)
     pick: list[int]
@@ -1729,7 +1723,7 @@ class _Plan:
             if len(places) > 1 or params.split_weights:
                 copies = [part.m for part in scheme.parts]
                 # the m' unit copies have the term sums of the scheme's m original copies
-                scale = Fraction(sum(copies), scheme.m) if params.split_weights else None
+                scale = Fraction(sum(copies), prepared.m) if params.split_weights else None
                 mixed.append((at, copies, scale, places))
         lengths = [len(rows) for rows in direct]
         plan = _Plan(
@@ -1742,7 +1736,6 @@ class _Plan:
             np.array([i for rows in direct for i in rows], dtype=np.intp),
             np.cumsum([0] + lengths[:-1], dtype=np.intp),
             dens,
-            prepared.weights is not None,
             odd,
             [(m, copies, list(map(place, leaves))) for m, copies, leaves in odd_rows],
             pick,
@@ -1776,10 +1769,7 @@ class _Plan:
             parts = [_proved("spectral", bound, head[2]) for bound, head in zip(bounds, self.heads)]
         parts += self.constants
         if self.dens:
-            own = sums[self.direct]
-            if not self.exact:  # Python ints: a sum of |signed sum| may pass int64
-                own = own.astype(object)
-            totals = np.add.reduceat(np.abs(own), self.direct_starts).tolist()
+            totals = np.add.reduceat(np.abs(sums[self.direct]), self.direct_starts).tolist()
             parts += [
                 _clamp(Certificate(mode="direct", bound=_ratio_up(total, den), status="certified"))
                 for total, den in zip(totals, self.dens)

@@ -265,8 +265,7 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
                 row_of[edge] = n_rows
                 n_rows += 1
         rows.extend(map(row_of.__getitem__, live_edges))
-        prepared.append(PreparedScheme(n, m, log_den, tuple(parts), (start, len(rows))))
-    exact = sum(map(abs, all_units)) < 1 << 53
+        prepared.append(PreparedScheme(n, log_den, tuple(parts), (start, len(rows))))
     return PreparedSchemes(
         m,
         tuple(prepared),
@@ -274,7 +273,6 @@ def reference_prepare_copies(m: int, schemes) -> PreparedSchemes:
         np.array(rows, dtype=np.intp),
         np.array(outputs, dtype=np.intp),
         np.array(all_units, dtype=object),
-        np.array(all_units, dtype=np.float64) if exact else None,
     )
 
 
@@ -398,10 +396,9 @@ def prepare_buckets(m: int, buckets: Buckets) -> PreparedSchemes:
 def prepared_fields(p: PreparedSchemes) -> tuple:
     """Every field of prepared schemes, arrays as lists with their dtypes,
     so that two of them compare with ==."""
-    weights = None if p.weights is None else (p.weights.tolist(), p.weights.dtype)
     return (
         p.m, p.schemes, p.n_rows, p.rows.tolist(), p.rows.dtype,
-        p.outputs.tolist(), p.outputs.dtype, p.units.tolist(), weights,
+        p.outputs.tolist(), p.outputs.dtype, p.units.tolist(),
     )
 
 
@@ -801,11 +798,13 @@ def reference_prepared_refute(
         sums = sums[rows]
     certs = [refuter._ZERO] * len(prepared.schemes)
     for j in prepared.nonzero:
-        certs[j] = _reference_scheme(schemes[j], sums, params)
+        certs[j] = _reference_scheme(schemes[j], prepared.m, sums, params)
     return certs
 
 
-def _reference_scheme(scheme: PreparedScheme, sums: np.ndarray, params: RefuteParams) -> Certificate:
+def _reference_scheme(
+    scheme: PreparedScheme, m_edges: int, sums: np.ndarray, params: RefuteParams
+) -> Certificate:
     certs = [refuter._clamp(_reference_part(part, sums, params)) for part in scheme.parts]
     if len(certs) == 1:
         cert = certs[0]
@@ -815,7 +814,7 @@ def _reference_scheme(scheme: PreparedScheme, sums: np.ndarray, params: RefutePa
         cert = refuter._combine(certs, refuter._float_up(mean))
     if params.split_weights and cert.certified:
         m = sum(part.m for part in scheme.parts)
-        cert = replace(cert, bound=refuter._float_up(Fraction(cert.bound) * Fraction(m, scheme.m)))
+        cert = replace(cert, bound=refuter._float_up(Fraction(cert.bound) * Fraction(m, m_edges)))
     return refuter._clamp(cert)
 
 

@@ -169,6 +169,39 @@ class TestExitCodes:
         assert run("reduce", "--circuit", str(circ), "--out-dir", str(tmp_path / "out")) == 1
         assert f"gate 0: node has 1 children, expected 2^{w}" in caplog.text
 
+    @pytest.mark.parametrize("cmd", ["reduce", "avoid", "oracle"])
+    @pytest.mark.parametrize(
+        "w, t, message",
+        [
+            (1, 40, "ensemble over t*w = 40: 4^(t*w) keys exceed the cap 2^16"),
+            (10 ** 20, 0, f"ensemble over w = {10 ** 20}: 4^w keys per layer exceed the cap 2^16"),
+        ],
+        ids=["t=40", "w=10^20"],
+    )
+    def test_ensemble_past_the_key_cap_exits_one(self, tmp_path, caplog, cmd, w, t, message):
+        """A circuit of leaf-only trees is valid at any t and w, and its
+        ensemble's 4^(t*w) keys are named before anything is sized by them."""
+        circ = tmp_path / "leaf.json"
+        gate = {"kind": "tree", "root": {"leaf": 0}}
+        circ.write_text(json.dumps({"n": 1, "w": w, "t": t, "m": 1, "gates": [gate]}))
+        argv = {
+            "reduce": ("reduce", "--circuit", str(circ), "--out-dir", str(tmp_path / "out")),
+            "avoid": ("avoid", "--circuit", str(circ), "--gen", "biased:m=1,s=4"),
+            "oracle": ("oracle", "decomp", "--circuit", str(circ), "--x", "0", "--b", "0",
+                       "--out", str(tmp_path / "res.json")),
+        }[cmd]
+        assert run(*argv) == 1
+        assert message in caplog.text
+
+    def test_junta_ensemble_past_the_key_cap_exits_one(self, tmp_path, caplog):
+        """A valid t = 16 junta circuit reaches the ensemble through its
+        gates as trees: 4^16 keys."""
+        circ = tmp_path / "junta.json"
+        gate = {"kind": "junta", "inputs": list(range(16)), "table": "01" * (1 << 15)}
+        circ.write_text(json.dumps({"n": 16, "w": 1, "t": 16, "m": 1, "gates": [gate]}))
+        assert run("reduce", "--circuit", str(circ), "--out-dir", str(tmp_path / "out")) == 1
+        assert "ensemble over t*w = 16: 4^(t*w) keys exceed the cap 2^16" in caplog.text
+
     @pytest.mark.parametrize("depth", [495, 3000, 100_000])
     def test_deeply_nested_json_exits_one(self, tmp_path, caplog, instance_file, depth):
         """JSON nested past what the decoder's recursion allows is an error
@@ -445,6 +478,7 @@ remote-tree\tseed 1\t246aa830d3f29a9489dccfbf14a84cd0dd2f5f0f7f0dac04fc097d7f1dc
 avoid-junta\tseed 1\t9388e12a3896815db65f54beb46e07c35324857d3fa7a9e32910ad32fed29eab
 remote-tree-odd\tseed 1\tcb6e5e68d6353d34481a628e216ca9679eaa374097ea16c81db5d41ff86a1416
 remote-tree-trace\tseed 1\t57b7b8c085100f4e37ef03f03c246af895e91f04fe8819be319d338d27bf7af8
+refute-wide\tseed 1\t1cc4b41fa027be8b808133dfd91eec80a1517a4f341c0c4ac355efeed2cc7b6a
 """
 
 

@@ -162,9 +162,9 @@ _EVERY_KIND = [
 class TestIntegerSampling:
     @pytest.mark.parametrize("s", [1, 10, 62, 63])
     def test_small_bias_matches_the_string_path(self, wide_fields, s):
-        """The int64 path (up to degree 62) and the string path (63) give the
-        string path's signs and each bit's definition, on random seeds and
-        on the degenerate ones: x = 0, and a in {0, 1}."""
+        """The int64 path gives the string path's signs and each bit's
+        definition up to degree 63, on random seeds and on the degenerate
+        ones: x = 0, and a in {0, 1}."""
         spec = GeneratorSpec.eps_biased(40, s)
         q = 1 << s
         rng = random.Random(s)
@@ -177,7 +177,7 @@ class TestIntegerSampling:
                 definition.append(1 - 2 * ((power & x).bit_count() & 1))
                 power = gf_mul(power, a, s)
             assert sample_int(spec, seed) == string_path(spec, seed) == tuple(definition)
-        assert prg._power_reps(2, spec.m, s).dtype == (object if s > prg.INT64_DEGREE else np.int64)
+        assert prg._power_reps(2, spec.m, s).dtype == np.int64
 
     @pytest.mark.parametrize("spec", _EVERY_KIND)
     def test_every_kind_matches_the_string_path(self, spec):

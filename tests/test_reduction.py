@@ -66,6 +66,18 @@ def tree_identity(j):
 
 
 class TestGroupCharacters:
+    @pytest.mark.parametrize("w, t", [(1, 8), (1, 9), (3, 3), (10 ** 20, 0)])
+    def test_key_space_is_capped(self, w, t):
+        """A circuit of leaf trees is valid at any t and w. Its 4^(t*w) keys
+        are grouped up to the cap of 2^16 and refused past it, as is a w
+        whose 4^w passes it, before anything is sized by t or w."""
+        c = Circuit(1, w, t, (WordDecisionTree(Leaf(-1)),))
+        if 2 * max(w, t * w) <= 16:
+            assert len(group_characters(to_layered(c)).schemes) == 4 ** (t * w)
+        else:
+            with pytest.raises(ValidationError, match="keys .*exceed the cap 2\\^16"):
+                group_characters(to_layered(c))
+
     def test_single_output_identity(self):
         c = Circuit(1, 1, 1, (tree_identity(0),))
         ens = group_characters(to_layered(c))

@@ -956,23 +956,25 @@ class TestRefute:
         a, b = Dyadic((1 << 60) - 1, 60), Dyadic((1 << 59) - 1, 59)
         inst = make_instance(2, [(0,), (0,), (0, 1)], [1, -1, 1], weights=[a, b, Dyadic(0)])
         prepared = refuter._prepare_instance(inst)
-        assert prepared.weights is None  # float sums would not be exact
-        # (1 - 2^-60) - (1 - 2^-59) = 2^-60, which rounds to 0 as floats
-        assert prepared.signed_sums(inst.rhs).tolist() == [1, 0]
+        # (1 - 2^-60) - (1 - 2^-59) = 2^-60, which rounds to 0 as floats; the
+        # zero weight's shift of 60 makes the units Python ints, summed exactly
+        sums = prepared.signed_sums(inst.rhs)
+        assert prepared.units.dtype == sums.dtype == object
+        assert sums.tolist() == [1, 0]
         cert = refute(inst)
         assert [c.bound for c in cert.breakdown] == [2.0 ** -61, 0.0]
         best = max(inst.value(x) for x in ((1, 1), (-1, 1)))
         assert Fraction(cert.bound) >= best == Fraction(1, 3 << 60)
 
-    def test_float_sums_match_the_integer_loop(self):
-        # units up to 2^45 on 200 copies: the float sums stay just below 2^53
+    def test_int64_sums_match_the_python_int_sums(self):
+        # units up to 2^45 on 200 copies, in int64, and again as Python ints
         rng = random.Random(21)
         for log_den in (3, 30, 45):
             edges = [tuple(sorted(rng.sample(range(6), rng.choice((1, 2))))) for _ in range(200)]
             weights = [Dyadic(rng.randint(-(1 << log_den), 1 << log_den), log_den) for _ in edges]
             inst = make_instance(6, edges, [rng.choice((1, -1)) for _ in edges], weights=weights)
             prepared = refuter._prepare_instance(inst)
-            assert prepared.weights is not None
+            assert prepared.units.dtype == np.int64
             expected = [0] * prepared.n_rows
             for part in prepared.schemes[0].parts:
                 for row, edge in enumerate(part.edges, part.rows.start):
@@ -982,7 +984,8 @@ class TestRefute:
                         if edge_mask(e) == edge
                     )
             assert prepared.signed_sums(inst.rhs).tolist() == expected
-            assert replace(prepared, weights=None).signed_sums(inst.rhs).tolist() == expected
+            wide = replace(prepared, units=prepared.units.astype(object)).signed_sums(inst.rhs)
+            assert wide.dtype == object and wide.tolist() == expected
 
     def test_k0_direct(self):
         inst = make_instance(2, [(), (), ()], [1, 1, -1], arity=0)
@@ -1490,9 +1493,10 @@ class TestPlan:
     )
     @pytest.mark.parametrize("bits", [62, 70])
     def test_weights_past_int64(self, params, bits):
-        """Weights of 62 bits: each signed sum fits int64, but the sum of
-        the direct part's |signed sum| does not and stays exact. Weights of
-        70 bits: so do the unit copies of an odd part whose groups pair
+        """Weights of 62 bits: each signed sum fits int64, but the units
+        may not sum below 2^63, so they are Python ints, and so is the sum
+        of the direct part's |signed sum|, which passes int64. Weights of 70
+        bits: so are the unit copies of an odd part whose groups pair
         nowhere. At the first target and at later ones."""
         rng = random.Random(238)
         # the 3-edges have three lowest vertices, so no group has a pair
@@ -1500,8 +1504,7 @@ class TestPlan:
         weights = [Dyadic((1 << bits) - 1 - 2 * i, bits) for i in range(len(edges))]
         inst = make_instance(6, edges, signs(rng, len(edges)), weights=weights)
         prepared = refuter._prepare_instance(inst)
-        assert prepared.weights is None
-        assert (prepared.signed_sums(inst.rhs).dtype == np.int64) == (bits == 62)
+        assert prepared.units.dtype == prepared.signed_sums(inst.rhs).dtype == object
         expected = reference_prepared_refute(prepared, inst.rhs, params)
         assert refute(inst, params).to_json() == expected[0].to_json()
         for _ in range(3):
@@ -1538,6 +1541,78 @@ class TestPlan:
             assert first["_kikuchi_pattern"] > 0 and first["_layout"] > 0
             assert ("pairing" in first) == (shape[2] == 3)
         assert per_target[2:] == [{}] * 10
+
+
+# units per regime: (copies, their bits, magnitudes, dtype). The sums stay
+# below 2^53 in the first; 40 copies of 50 bits pass 2^53 in int64; 62 and
+# 70 bits are Python ints; one +-2^62 among small units still sums below 2^63
+# in int64, and many of them only as Python ints.
+_UNIT_REGIMES = {
+    "below 2^53": (12, 20, st.integers(0, 1 << 20), np.int64),
+    "past 2^53": (40, 50, st.integers(1 << 49, 1 << 50), np.int64),
+    "62 bits": (12, 62, st.integers(1 << 61, (1 << 62) - 1), object),
+    "70 bits": (12, 70, st.integers(1 << 69, (1 << 70) - 1), object),
+    "2^62 in int64": (12, 62, st.integers(0, 1 << 20), np.int64),
+    "2^62 as Python ints": (12, 62, st.sampled_from([1 << 62, (1 << 62) - 1, 1]), object),
+}
+
+
+class TestSumsAtTheInt64Edge:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_and_direct_bounds_match_the_per_copy_reference(self, data):
+        """In every regime of units, the signed sums, in the units' dtype,
+        and the unit copies equal per-copy Python-int sums, and every
+        certificate, direct bounds included, equals the reference fold of
+        those sums, with and without ``split_weights``, at the first target
+        and at a later one."""
+        regime = data.draw(st.sampled_from(sorted(_UNIT_REGIMES)), label="regime")
+        m, log_den, magnitudes, dtype = _UNIT_REGIMES[regime]
+        n = 4
+        edges = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), max_size=2, unique=True).map(sorted),
+            min_size=m, max_size=m,
+        ), label="edges")
+        units = [
+            sign * size for sign, size in zip(
+                data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)),
+                data.draw(st.lists(magnitudes, min_size=m, max_size=m), label="magnitudes"),
+            )
+        ]
+        if regime == "2^62 in int64":
+            units[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from((1 << 62, -(1 << 62))))
+        padded = np.full((m, 2), -1, dtype=np.int64)
+        for i, edge in enumerate(edges):
+            padded[i, :len(edge)] = edge
+        prepared = refuter.prepare_rows(
+            m, [(n, log_den)], np.zeros(m, dtype=np.int64), padded, np.arange(m),
+            np.array(units, dtype=dtype), np.ones(m, dtype=np.int64),
+        )
+        (scheme,) = prepared.schemes
+        shift = log_den - scheme.log_den  # the powers of two all units share
+        for step in range(2):
+            b = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m), label="b")
+            signed: dict[int, int] = {}
+            for edge, u, sign in zip(edges, units, b):
+                signed[edge_mask(edge)] = signed.get(edge_mask(edge), 0) + sign * u
+            sums = prepared.signed_sums(b)
+            assert sums.dtype == prepared.units.dtype == dtype
+            assert {
+                edge: total << shift for part in scheme.parts
+                for edge, total in zip(part.edges, sums[part.rows].tolist())
+            } == signed
+            for params in (RefuteParams(), RefuteParams(split_weights=True)):
+                got = [c.to_json() for c in prepared.refute(b, params)]
+                assert got == [c.to_json() for c in reference_prepared_refute(prepared, b, params)]
+        copies: dict[int, int] = {}
+        for edge, u in zip(edges, units):
+            if u:
+                copies[edge_mask(edge)] = copies.get(edge_mask(edge), 0) + abs(u)
+        (unit_scheme,) = prepared.unit_schemes[1]
+        assert {
+            edge: count << shift for part in unit_scheme.parts
+            for edge, count in zip(part.edges, part.copies)
+        } == copies
 
 
 class TestOneEngine:
