@@ -30,8 +30,9 @@ Last come the lines of ``refute-wide``, whose weights no benchmark workload
 reaches: four mixed-arity instances (n=8, m=40, edge sizes 0 to 4) with
 weights of 50 bits, whose units sum past 2^53 in int64, of 62 and 70 bits,
 which are Python ints, and of +-1 beside 62-bit ones, which puts units of
-+-2^62 among them. Each is certified by ``refute`` and, prepared once, on 3
-more right-hand sides, with the default knobs and with ``split_weights``.
++-2^62 among them. Each is written as JSON and loaded again, then certified
+by ``refute`` and, prepared once, on 3 more right-hand sides, with the
+default knobs and with ``split_weights``.
 
 ``bench/workloads.py`` is imported by path and only read.
 """
@@ -54,7 +55,7 @@ from types import SimpleNamespace
 
 from xorcert.avoid import CertifyParams, certify_not_in_range
 from xorcert.circuits import random_tree_circuit, to_layered
-from xorcert.core import Dyadic, make_instance
+from xorcert.core import Dyadic, instance_from_json, instance_to_json, make_instance
 from xorcert.reduction import group_characters
 from xorcert.refuter import RefuteParams, _prepare_instance, refute
 
@@ -140,7 +141,8 @@ def _wide_refute_workload() -> SimpleNamespace:
             edges = [tuple(sorted(rng.sample(range(8), rng.randint(0, 4)))) for _ in range(40)]
             weights = [_wide_weight(rng, bits) for _ in edges]
             rhs = [rng.choice((1, -1)) for _ in edges]
-            inst = make_instance(8, edges, rhs, weights=weights)
+            # through the JSON loader, which then reads weights of 50 to 70 bits
+            inst = instance_from_json(instance_to_json(make_instance(8, edges, rhs, weights=weights)))
             inputs.append((inst, [[rng.choice((1, -1)) for _ in edges] for _ in range(3)]))
         return inputs
 

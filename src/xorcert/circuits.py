@@ -24,7 +24,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ValidationError, bit_of_sign, check_fields, is_int, parse_json, sign_of_bit
+from .core import (
+    ValidationError, bit_of_sign, check_fields, flagged, is_index, is_int, packed_rows, parse_json,
+    sign_of_bit,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +136,7 @@ class JuntaTable:
         """The table of m gates whose junta gates sit at ``positions``, read
         ``inputs`` and have tables of ``sizes`` entries, packed as ``bits``."""
         fan_ins = np.fromiter(map(len, inputs), np.int64, len(inputs))
-        flat, unpacked = _packed_inputs(inputs)
+        flat, unpacked = packed_rows(inputs)
         return cls(
             m, positions, fan_ins, flat, np.cumsum(fan_ins) - fan_ins,
             sizes, bits, np.cumsum(sizes) - sizes, bit_tables, unpacked,
@@ -162,7 +165,7 @@ class JuntaTable:
         repeated[owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])]] = True
         untyped = np.zeros(count, dtype=bool)
         for g, inputs in self.unpacked.items():
-            integers = all(hasattr(type(v), "__index__") for v in inputs)
+            integers = all(map(is_index, inputs))
             untyped[g] = not integers
             repeated[g] = integers and len(set(inputs)) != len(inputs)
             outside[g] = integers and any(not 0 <= v < n for v in inputs)
@@ -178,36 +181,7 @@ class JuntaTable:
             (~size_ok, lambda g: f"table length {self.sizes[g]} != 2^{self.fan_ins[g]}"),
             (~self.bit_tables, lambda g: "table entries must be bits"),
         ]
-        flags = np.stack([flag for flag, _ in checks], axis=1)
-        return [
-            (int(self.positions[g]), message(g))
-            for g in np.flatnonzero(flags.any(axis=1)).tolist()
-            for hit, (_, message) in zip(flags[g].tolist(), checks) if hit
-        ]
-
-
-def _packed_inputs(rows: list[Sequence]) -> tuple[np.ndarray, dict[int, tuple]]:
-    """(the entries of all rows in order as one int64 array, each row that
-    is not all ints that fit int64, as given, by row). Unless every entry is
-    such an int, the rows are packed one at a time, and a row with an entry
-    that is not an integer that fits int64 packs as zeros."""
-    flat = list(chain.from_iterable(rows))
-    if set(map(type, flat)) <= {int}:
-        try:
-            return np.array(flat, dtype=np.int64), {}
-        except OverflowError:
-            pass
-    packed, unpacked = [np.zeros(0, dtype=np.int64)], {}
-    for g, row in enumerate(rows):
-        try:
-            packed.append(np.fromiter(map(index, row), np.int64, len(row)))
-            ints = set(map(type, row)) <= {int}
-        except (TypeError, OverflowError):
-            ints = False
-            packed.append(np.zeros(len(row), dtype=np.int64))
-        if not ints:
-            unpacked[g] = tuple(row)
-    return np.concatenate(packed), unpacked
+        return [(int(self.positions[g]), message) for g, message in flagged(checks)]
 
 
 def _packed_bits(tables: list[tuple], sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +279,13 @@ class TreeTable:
                 break
             queries, kids = read.nodes(nodes)
             fan_outs = np.fromiter(map(len, kids), np.int64, len(kids))
-            packed, unpacked = _packed_inputs(list(zip(queries)))
+            packed, unpacked = packed_rows(list(zip(queries)))
             flagged = (packed < 0) | (packed >= n) | (fan_outs != fan_out)
             flagged[list(unpacked)] = True
             # a flagged node's checks read its query itself, also one that did not pack
             for j in np.flatnonzero(flagged).tolist():
                 query, path = queries[j], (int(owner[inner[j]]), symbols[inner[j]].tolist())
-                if not hasattr(type(query), "__index__"):
+                if not is_index(query):
                     found.append((*path, 0, f"non-integer query index {query}"))
                 elif not 0 <= query < n:
                     found.append((*path, 0, f"query index {query} out of range [0, {n})"))

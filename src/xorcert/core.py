@@ -10,8 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import attrgetter, index
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 def sign_of_bit(a: int) -> int:
@@ -111,6 +115,96 @@ class Dyadic:
         return f"Dyadic({self.num}/2^{self.log_den})"
 
 
+MAX_LOG_DEN = 1 << 16
+"""The largest log_den of a weight: a prepared instance shifts each weight
+to the scale of its finest one, so no shift exceeds this many bits."""
+
+
+def is_index(value) -> bool:
+    """An integer as ``operator.index`` reads it: an int, a bool or a numpy
+    integer."""
+    return hasattr(type(value), "__index__")
+
+
+def packed_rows(rows: Sequence[Sequence]) -> tuple[np.ndarray, dict[int, tuple]]:
+    """(the entries of all rows in order as one int64 array, each row that
+    is not all ints that fit int64, as given, by row). Unless every entry is
+    such an int, the rows are packed one at a time, and a row with an entry
+    that is not an integer that fits int64 packs as zeros."""
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) <= {int}:
+        try:
+            return np.array(flat, dtype=np.int64), {}
+        except OverflowError:
+            pass
+    packed, unpacked = [np.zeros(0, dtype=np.int64)], {}
+    for g, row in enumerate(rows):
+        try:
+            packed.append(np.fromiter(map(index, row), np.int64, len(row)))
+            ints = set(map(type, row)) <= {int}
+        except (TypeError, OverflowError):
+            ints = False
+            packed.append(np.zeros(len(row), dtype=np.int64))
+        if not ints:
+            unpacked[g] = tuple(row)
+    return np.concatenate(packed), unpacked
+
+
+def int_array(values: Sequence[int]) -> np.ndarray:
+    """Integers as an int64 array when every one fits, else as an object
+    array of Python ints; numpy's integer operations then serve both."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def sign_array(values: Sequence) -> np.ndarray | None:
+    """values as an int64 array when every entry is +1 or -1 (True and 1.0
+    are), else None: by one array comparison where the values convert to
+    an integer array, and by one pass over the entries otherwise, since
+    converting alone would read "1" and 1.5 as 1."""
+    try:
+        signs = np.asarray(values)
+    except ValueError:  # rows of unequal lengths
+        signs = None
+    if signs is not None and signs.ndim == 1 and signs.dtype.kind in "biu":
+        if ((signs == 1) | (signs == -1)).all():
+            return signs.astype(np.int64, copy=False)
+    elif all(v in (1, -1) for v in values):
+        return np.array([1 if v == 1 else -1 for v in values], dtype=np.int64)
+    return None
+
+
+def sign_violations(values: Sequence) -> list[str]:
+    """A message for each entry of values other than +1 and -1, by index."""
+    return [f"edge {i}: rhs {v} not in {{+1, -1}}" for i, v in enumerate(values) if v not in (1, -1)]
+
+
+class PackedEdges(NamedTuple):
+    """A hypergraph's edges packed: ``vertices`` holds every edge's vertices
+    in order, one int64 each, and ``sizes`` each edge's size. ``unpacked``
+    holds each edge that is not all ints that fit int64, as given, by edge;
+    such an edge packs as zeros where one of its vertices is not an integer
+    that fits int64."""
+
+    vertices: np.ndarray
+    sizes: np.ndarray
+    unpacked: dict[int, tuple]
+
+
+def flagged(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> list[tuple[int, str]]:
+    """(index, message) for every raised flag of ``checks``, each a boolean
+    array over the indices with the message of an index: by index, and each
+    index's in the order of the checks."""
+    flags = np.stack([flag for flag, _ in checks], axis=1)
+    return [
+        (idx, message(idx))
+        for idx in np.flatnonzero(flags.any(axis=1)).tolist()
+        for hit, (_, message) in zip(flags[idx].tolist(), checks) if hit
+    ]
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Ordered edge list over vertex set range(n); parallel edges allowed.
@@ -122,26 +216,54 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def packed(self) -> PackedEdges:
+        """The edges packed once, for validation and preparation."""
+        vertices, unpacked = packed_rows(self.edges)
+        sizes = np.fromiter(map(len, self.edges), np.int64, len(self.edges))
+        return PackedEdges(vertices, sizes, unpacked)
+
     def violations(self) -> list[str]:
-        cached = self.__dict__.get("_violations")
-        if cached is not None:
-            return list(cached)
-        out = []
-        if self.n < 0:
-            out.append(f"negative vertex count {self.n}")
-        for idx, e in enumerate(self.edges):
-            if any(not 0 <= v < self.n for v in e):
-                out.append(f"edge {idx}: vertex out of range in {e}")
-            if any(e[i - 1] >= e[i] for i in range(1, len(e))):
-                out.append(f"edge {idx}: vertices not strictly increasing in {e}")
-        object.__setattr__(self, "_violations", tuple(out))
-        return out
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """Each violated invariant, an edge's in the order of its checks: one
+        array pass over the packed edges, and an edge that did not pack as
+        ints checked as given; an edge with a vertex that is not an integer
+        gets no range or order check."""
+        n, edges, (vertices, sizes, unpacked) = self.n, self.edges, self.packed
+        owner = np.repeat(np.arange(len(edges)), sizes)
+        outside = np.zeros(len(edges), dtype=bool)
+        outside[owner[(vertices < 0) | (vertices >= n)]] = True
+        unsorted = np.zeros(len(edges), dtype=bool)
+        unsorted[owner[1:][(vertices[1:] <= vertices[:-1]) & (owner[1:] == owner[:-1])]] = True
+        untyped = np.zeros(len(edges), dtype=bool)
+        for idx, e in unpacked.items():
+            integers = all(map(is_index, e))
+            untyped[idx] = not integers
+            outside[idx] = integers and any(not 0 <= v < n for v in e)
+            unsorted[idx] = integers and any(a >= b for a, b in zip(e, e[1:]))
+        found = flagged([
+            (untyped, lambda idx: f"edge {idx}: non-integer vertex in {edges[idx]}"),
+            (outside, lambda idx: f"edge {idx}: vertex out of range in {edges[idx]}"),
+            (unsorted, lambda idx: f"edge {idx}: vertices not strictly increasing in {edges[idx]}"),
+        ])
+        out = [f"negative vertex count {n}"] if n < 0 else []
+        return tuple(out + [message for _, message in found])
+
+
+def _above_one(num: int, log_den: int) -> bool:
+    """|num * 2^-log_den| > 1, by bit lengths first: no shift is longer than
+    num itself."""
+    size = abs(num)
+    return size.bit_length() > log_den and size > 1 << log_den
 
 
 @dataclass(frozen=True)
@@ -167,27 +289,57 @@ class XorScheme:
     def m(self) -> int:
         return self.hypergraph.m
 
+    @cached_property
+    def weight_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(numerators, log_dens) of the weights, each by ``int_array``."""
+        return (
+            int_array(list(map(attrgetter("num"), self.weights))),
+            int_array(list(map(attrgetter("log_den"), self.weights))),
+        )
+
     def violations(self) -> list[str]:
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """The hypergraph's violations, then the weights' and the edge
+        sizes', each edge's in the order of its checks. A weight's bound
+        compares bit lengths before it shifts, so no shift is longer than
+        the numerator."""
         out = self.hypergraph.violations()
-        if len(self.weights) != self.hypergraph.m:
-            out.append(
-                f"{len(self.weights)} weights for {self.hypergraph.m} edges"
-            )
-        for idx, w in enumerate(self.weights):
-            # |num / 2^log_den| <= 1 as a pure integer comparison
-            if abs(w.num) > 1 << w.log_den:
-                out.append(f"edge {idx}: weight {w} outside [-1, 1]")
+        m, weights = self.hypergraph.m, self.weights
+        if len(weights) != m:
+            out.append(f"{len(weights)} weights for {m} edges")
+        nums, log_dens = self.weight_arrays
+        if nums.dtype == object or log_dens.dtype == object:
+            outside = np.fromiter(map(_above_one, nums.tolist(), log_dens.tolist()), bool, len(weights))
+        else:
+            # an int64 numerator is at most 2^63 in size, within 2^log_den past 62
+            limit = np.left_shift(1, np.minimum(log_dens, 62))
+            outside = (log_dens < 63) & ((nums > limit) | (nums < -limit))
+        found = flagged([
+            (outside, lambda idx: f"edge {idx}: weight {weights[idx]} outside [-1, 1]"),
+            (
+                log_dens > MAX_LOG_DEN,
+                lambda idx: f"edge {idx}: weight {weights[idx]} log_den above {MAX_LOG_DEN}",
+            ),
+        ])
+        out += [message for _, message in found]
         if self.arity is not None:
-            for idx, e in enumerate(self.hypergraph.edges):
-                if len(e) != self.arity:
-                    out.append(
-                        f"edge {idx}: arity {len(e)} != declared {self.arity}"
-                    )
-        return out
+            sizes = self.hypergraph.packed.sizes
+            out += [
+                f"edge {idx}: arity {sizes[idx]} != declared {self.arity}"
+                for idx in np.flatnonzero(sizes != self.arity).tolist()
+            ]
+        return tuple(out)
+
+
+_ONE = Dyadic(1)
 
 
 def unit_weights(m: int) -> tuple[Dyadic, ...]:
-    return tuple(Dyadic(1) for _ in range(m))
+    """m unit weights, one shared object: a Dyadic is immutable."""
+    return (_ONE,) * m
 
 
 @dataclass(frozen=True)
@@ -212,14 +364,23 @@ class XorInstance:
     def arity(self) -> int | None:
         return self.scheme.arity
 
+    @cached_property
+    def signs(self) -> np.ndarray | None:
+        """The right-hand side by ``sign_array``: None unless every entry is
+        a sign."""
+        return sign_array(self.rhs)
+
     def violations(self) -> list[str]:
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         out = self.scheme.violations()
         if len(self.rhs) != self.scheme.m:
             out.append(f"{len(self.rhs)} rhs signs for {self.scheme.m} edges")
-        for idx, b in enumerate(self.rhs):
-            if b not in (1, -1):
-                out.append(f"edge {idx}: rhs {b} not in {{+1, -1}}")
-        return out
+        if self.signs is None:
+            out += sign_violations(self.rhs)
+        return tuple(out)
 
     def term_sum(self, x: Sequence[int]) -> Dyadic:
         """Unnormalized sum of w_C * b_C * prod_{v in e_C} x_v, exactly."""
@@ -255,12 +416,16 @@ def make_instance(
     arity: int | None = ...,  # type: ignore[assignment]
 ) -> XorInstance:
     """Convenience constructor; infers a uniform arity unless told otherwise."""
-    edge_tuple = tuple(tuple(e) for e in edges)
+    hypergraph = Hypergraph(n, edges)
     if arity is ...:
-        sizes = {len(e) for e in edge_tuple}
+        sizes = set(map(len, hypergraph.edges))
         arity = sizes.pop() if len(sizes) == 1 else None
-    w = tuple(weights) if weights is not None else unit_weights(len(edge_tuple))
-    scheme = XorScheme(Hypergraph(n, edge_tuple), w, arity)
+    if weights is not None:
+        return XorInstance(XorScheme(hypergraph, tuple(weights), arity), tuple(rhs))
+    m = hypergraph.m
+    scheme = XorScheme(hypergraph, unit_weights(m), arity)
+    # the shared unit weight's arrays, known without reading m weights
+    vars(scheme)["weight_arrays"] = (np.ones(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
     return XorInstance(scheme, tuple(rhs))
 
 
@@ -328,11 +493,16 @@ def instance_from_json(text: str) -> XorInstance:
     check_fields(data, "instance", _INSTANCE_FIELDS, optional=("k", "weights", "rhs"))
     edges = data["edges"]
     n = data["n"]
-    weights = None
-    if data.get("weights") is not None:
-        weights = tuple(
-            Dyadic(w["num"], w["log_den"]) for w in data["weights"]
-        )
+    weights = data.get("weights")
+    if weights is not None:
+        # checked before any weight is built: a negative log_den shifts num by its size
+        bad = [
+            f"edge {idx}: weight log_den {w['log_den']} outside [-{MAX_LOG_DEN}, {MAX_LOG_DEN}]"
+            for idx, w in enumerate(weights) if not -MAX_LOG_DEN <= w["log_den"] <= MAX_LOG_DEN
+        ]
+        if bad:
+            raise ValidationError(bad)
+        weights = tuple(Dyadic(w["num"], w["log_den"]) for w in weights)
     rhs = data.get("rhs")
     if rhs is None:
         rhs = [1] * len(edges)

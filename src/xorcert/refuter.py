@@ -69,14 +69,16 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from operator import attrgetter, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ValidationError, XorInstance, is_int, validate_instance
+from .core import (
+    ValidationError, XorInstance, int_array, is_int, sign_array, sign_violations, validate_instance,
+)
 
 _EPS = 2.0 ** -53
 _MIN_NORMAL = 2.0 ** -1022
@@ -298,23 +300,13 @@ class KikuchiOperator:
         return a
 
 
-def _int_array(values: Sequence[int]) -> np.ndarray:
-    """Integers as an int64 array when every one fits, else as an object
-    array of Python ints; numpy's integer operations then serve both."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _rhs_signs(b: Sequence[int]) -> np.ndarray:
-    """b as one int64 array, after one pass that names every entry other
-    than +1 and -1 by its index; converting first would read "1" and 1.5
-    as 1."""
-    bad = [i for i, v in enumerate(b) if v not in (1, -1)]
-    if bad:
-        raise ValidationError([f"edge {i}: rhs {b[i]} not in {{+1, -1}}" for i in bad])
-    return np.asarray(b, dtype=np.int64)
+    """b as one int64 array by ``sign_array``, or a ValidationError that
+    names every entry other than +1 and -1 by its index."""
+    signs = sign_array(b)
+    if signs is None:
+        raise ValidationError(sign_violations(b))
+    return signs
 
 
 def _top_bits(nums: np.ndarray) -> int:
@@ -490,7 +482,7 @@ class PreparedPart:
         are int64 up to 63 vertices, Python ints past them; live copies are
         multiplied in int64 while twice their largest square times the
         number of pairs stays below 2^63."""
-        live = _int_array(self.live)
+        live = int_array(self.live)
         kept = np.flatnonzero(live)
         masks = np.array(self.edges, dtype=np.int64 if self.n <= 63 else object)[kept]
         low = masks & -masks
@@ -829,26 +821,22 @@ def prepare_rows(
 
 
 def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
-    """The scheme of a validated instance, prepared: a row per edge, at its
-    rhs position, with units at the scale of its finest weight. Units are
-    shifted in int64 while the largest numerator, shift and edge count
-    leave every unit and their sum below 2^63, and as Python ints past
-    that."""
-    edges, weights = inst.scheme.hypergraph.edges, inst.scheme.weights
+    """The scheme of a validated instance, prepared from its packed edges
+    and weight arrays: a row per edge, at its rhs position, with units at
+    the scale of its finest weight. Units are shifted in int64 while the
+    largest numerator, shift and edge count leave every unit and their sum
+    below 2^63, and as Python ints past that; no shift exceeds
+    ``MAX_LOG_DEN``."""
+    vertices, sizes, _ = inst.scheme.hypergraph.packed
+    nums, log_dens = inst.scheme.weight_arrays
     m = inst.m
-    nums = _int_array([w.num for w in weights])
-    shifts = np.fromiter((w.log_den for w in weights), np.int64, m)
-    log_den = int(shifts.max(initial=0))
-    shifts = log_den - shifts
-    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0))).bit_length()
-    if nums.dtype == object or top + int(shifts.max(initial=0)) + m.bit_length() > 63:
+    log_den = int(log_dens.max(initial=0))
+    shifts = log_den - log_dens
+    if nums.dtype == object or _top_bits(nums) + int(shifts.max(initial=0)) + m.bit_length() > 63:
         nums = nums.astype(object)
     units = nums << shifts.astype(nums.dtype)
-    sizes = np.fromiter(map(len, edges), np.intp, m)
     padded = np.full((m, int(sizes.max(initial=0))), -1, dtype=np.int64)
-    padded[np.arange(padded.shape[1]) < sizes[:, None]] = np.fromiter(
-        chain.from_iterable(edges), np.int64, int(sizes.sum())
-    )
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = vertices
     return prepare_rows(
         m,
         [(inst.n, log_den)],
@@ -1808,4 +1796,4 @@ def refute(inst: XorInstance, params: RefuteParams | None = None) -> Certificate
     """
     params = params or RefuteParams()
     validate_instance(inst)
-    return _prepare_instance(inst)._refute(inst.rhs, params)[0]
+    return _prepare_instance(inst)._refute(inst.signs, params)[0]

@@ -15,6 +15,7 @@ from xorcert import refuter
 from xorcert.avoid import AvoidResult, _parity_dependency
 from xorcert.circuits import Circuit, JuntaGate, LayeredCircuit, Leaf, Node, TreeNode, WordDecisionTree
 from xorcert.core import (
+    MAX_LOG_DEN,
     Dyadic,
     Hypergraph,
     ValidationError,
@@ -505,6 +506,41 @@ def reference_odd_split(
     }
     return len(groups), diag, buckets
 
+
+
+def reference_instance_violations(inst: XorInstance) -> list[str]:
+    """An instance's violations by one walk per edge, weight and sign, in
+    the order of ``XorInstance.violations``: an edge with a vertex that is
+    not an integer gets no range or order check, and a weight whose log_den
+    exceeds the bit length of its numerator is within [-1, 1]."""
+    hypergraph, weights, arity = inst.scheme.hypergraph, inst.scheme.weights, inst.arity
+    n = hypergraph.n
+    out = [f"negative vertex count {n}"] if n < 0 else []
+    for idx, e in enumerate(hypergraph.edges):
+        if not all(hasattr(type(v), "__index__") for v in e):
+            out.append(f"edge {idx}: non-integer vertex in {e}")
+            continue
+        if any(not 0 <= v < n for v in e):
+            out.append(f"edge {idx}: vertex out of range in {e}")
+        if any(e[i - 1] >= e[i] for i in range(1, len(e))):
+            out.append(f"edge {idx}: vertices not strictly increasing in {e}")
+    if len(weights) != hypergraph.m:
+        out.append(f"{len(weights)} weights for {hypergraph.m} edges")
+    for idx, w in enumerate(weights):
+        if w.log_den <= abs(w.num).bit_length() and abs(w.as_fraction()) > 1:
+            out.append(f"edge {idx}: weight {w} outside [-1, 1]")
+        if w.log_den > MAX_LOG_DEN:
+            out.append(f"edge {idx}: weight {w} log_den above {MAX_LOG_DEN}")
+    if arity is not None:
+        for idx, e in enumerate(hypergraph.edges):
+            if len(e) != arity:
+                out.append(f"edge {idx}: arity {len(e)} != declared {arity}")
+    if len(inst.rhs) != hypergraph.m:
+        out.append(f"{len(inst.rhs)} rhs signs for {hypergraph.m} edges")
+    for idx, b in enumerate(inst.rhs):
+        if b not in (1, -1):
+            out.append(f"edge {idx}: rhs {b} not in {{+1, -1}}")
+    return out
 
 
 def split_to_unit_weights(inst: XorInstance) -> tuple[XorInstance, Fraction]:

@@ -311,6 +311,15 @@ class TestExitCodes:
         value = max(abs(parsed.value(x)) for x in product((1, -1), repeat=4))
         assert Fraction(cert["bound"]) >= value > 0
 
+    @pytest.mark.parametrize("log_den", [10 ** 20, -(10 ** 20)], ids=["huge", "huge-negative"])
+    def test_huge_weight_exponent_exits_one(self, tmp_path, caplog, log_den):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "k": 2, "n": 4, "edges": [[0, 1]], "weights": [{"num": 1, "log_den": log_den}], "rhs": [1],
+        }))
+        assert run("refute", "--instance", str(inst)) == 1
+        assert f"edge 0: weight log_den {log_den} outside [-65536, 65536]" in caplog.text
+
     def test_negative_enumerate_exits_one(self, tmp_path, caplog):
         out = tmp_path / "prg.txt"
         assert run("gen-prg", "--spec", "biased:m=4,s=3", "--enumerate", "-1",

@@ -1,21 +1,32 @@
+import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorcert.core import (
+    MAX_LOG_DEN,
     Dyadic,
     ValidationError,
     instance_from_json,
     instance_to_json,
     make_instance,
+    sign_array,
+    unit_weights,
     validate_instance,
 )
 
-from helpers import dyadic_div, dyadic_from_fraction, subset_rank, subset_unrank
+from helpers import (
+    dyadic_div,
+    dyadic_from_fraction,
+    reference_instance_violations,
+    subset_rank,
+    subset_unrank,
+)
 
 dyadics = st.builds(
     Dyadic,
@@ -162,3 +173,152 @@ class TestInstance:
         inst = instance_from_json('{"k": 2, "n": 3, "edges": [[0, 1], [1, 2]]}')
         assert all(w == Dyadic(1) for w in inst.scheme.weights)
         assert inst.rhs == (1, 1)
+
+
+# vertices that are not ints of int64, or not integers at all
+ODD_VERTICES = [2 ** 63, 2 ** 70, -(2 ** 64), 1.5, "0", None, True, False, np.int64(3)]
+# rhs entries of every type; 1.0, True and np.int64(1) are signs
+ODD_SIGNS = [
+    1.0, -1.0, True, False, np.int64(1), np.int64(-1), 0, 2, 2 ** 70, 1.5, "1", None, Fraction(1), (1,),
+]
+
+
+@st.composite
+def any_instance(draw):
+    """An instance, valid or not: mixed arity and empty edges, vertices out
+    of range, past int64 or not integers, a negative n, weights outside
+    [-1, 1] or with a log_den far past the cap, rhs entries of every type,
+    and counts of weights or signs that do not match the edges."""
+    n = draw(st.integers(-2, 6), label="n")
+    vertex = st.one_of(st.integers(-1, 7), st.sampled_from(ODD_VERTICES))
+    edge = st.one_of(
+        st.lists(st.integers(0, 5), max_size=4, unique=True).map(lambda e: tuple(sorted(e))),
+        st.lists(vertex, max_size=4).map(tuple),
+    )
+    edges = draw(st.lists(edge, max_size=8), label="edges")
+    m = len(edges)
+    weight = st.builds(
+        Dyadic,
+        st.one_of(st.integers(-4, 4), st.integers(-(2 ** 70), 2 ** 70)),
+        st.one_of(st.integers(0, 70), st.sampled_from([MAX_LOG_DEN, MAX_LOG_DEN + 1, 10 ** 20])),
+    )
+    count = st.sampled_from([m, m, m, max(m - 1, 0), m + 1])
+    weights = draw(st.one_of(st.none(), count.flatmap(lambda c: st.lists(weight, min_size=c, max_size=c))),
+                   label="weights")
+    sign = st.one_of(st.sampled_from([1, -1]), st.sampled_from(ODD_SIGNS))
+    rhs = draw(count.flatmap(lambda c: st.lists(sign, min_size=c, max_size=c)), label="rhs")
+    arity = draw(st.one_of(st.just(...), st.none(), st.integers(0, 4)), label="arity")
+    return make_instance(n, edges, rhs, weights=weights, arity=arity)
+
+
+class TestInstanceChecks:
+    @given(inst=any_instance())
+    @settings(max_examples=300, deadline=None)
+    def test_array_checks_match_the_walk(self, inst):
+        """``XorInstance.violations`` over the packed edges and the weight
+        and sign arrays against one walk per edge, weight and sign."""
+        expected = reference_instance_violations(inst)
+        assert inst.violations() == expected
+        assert inst.violations() == expected  # from the cache, as a new list
+        vertices, sizes, unpacked = inst.scheme.hypergraph.packed
+        edges = inst.scheme.hypergraph.edges
+        assert sizes.tolist() == [len(e) for e in edges]
+        typed = [all(type(v) is int and -(1 << 63) <= v < 1 << 63 for v in e) for e in edges]
+        assert unpacked == {idx: e for idx, e in enumerate(edges) if not typed[idx]}
+        if all(typed):
+            assert vertices.tolist() == list(chain.from_iterable(edges))
+        signs = inst.signs
+        assert (signs is None) == any(b not in (1, -1) for b in inst.rhs)
+        if signs is not None:
+            assert signs.dtype == np.int64 and signs.tolist() == [1 if b == 1 else -1 for b in inst.rhs]
+
+    @pytest.mark.parametrize("args, kwargs, messages", [
+        ((4, [(0, 1.5)], [1]), {}, ["edge 0: non-integer vertex in (0, 1.5)"]),
+        ((4, [("0", 1)], [1]), {}, ["edge 0: non-integer vertex in ('0', 1)"]),
+        ((4, [(0, 2 ** 70)], [1]), {}, [f"edge 0: vertex out of range in (0, {2 ** 70})"]),
+        ((4, [(False, True), (np.int64(2), 3)], [1, 1]), {}, []),
+        ((-1, [(0, 1), ()], [1, 1]), {}, [
+            "negative vertex count -1", "edge 0: vertex out of range in (0, 1)",
+        ]),
+        ((4, [(1, 1), (3, 5, 2), (0, 1)], [1, 1, 1]), {"arity": 2}, [
+            "edge 0: vertices not strictly increasing in (1, 1)",
+            "edge 1: vertex out of range in (3, 5, 2)",
+            "edge 1: vertices not strictly increasing in (3, 5, 2)",
+            "edge 1: arity 3 != declared 2",
+        ]),
+        ((2, [(0, 1)] * 3, [1] * 3), {
+            "weights": [Dyadic(3, 1), Dyadic(1, 10 ** 20), Dyadic(-(2 ** 70) - 1, 70)],
+        }, [
+            "edge 0: weight Dyadic(3/2^1) outside [-1, 1]",
+            f"edge 1: weight Dyadic(1/2^{10 ** 20}) log_den above {MAX_LOG_DEN}",
+            f"edge 2: weight Dyadic({-(2 ** 70) - 1}/2^70) outside [-1, 1]",
+        ]),
+        ((2, [(0, 1)] * 2, [1] * 2), {"weights": [Dyadic(1, MAX_LOG_DEN), Dyadic(-(2 ** 70), 70)]}, []),
+        ((2, [(0, 1)], [1]), {"weights": []}, ["0 weights for 1 edges"]),
+        ((2, [(0, 1)] * 8, ["1", 1.5, 0, None, 1.0, True, np.int64(-1), -1]), {}, [
+            "edge 0: rhs 1 not in {+1, -1}",
+            "edge 1: rhs 1.5 not in {+1, -1}",
+            "edge 2: rhs 0 not in {+1, -1}",
+            "edge 3: rhs None not in {+1, -1}",
+        ]),
+        ((2, [(0, 1)] * 2, [1]), {}, ["1 rhs signs for 2 edges"]),
+    ], ids=[
+        "float-vertex", "str-vertex", "past-int64", "bool-and-numpy-vertices", "negative-n",
+        "order-range-arity", "weights", "weights-at-the-bounds", "weight-count", "rhs-types", "rhs-count",
+    ])
+    def test_pinned_messages(self, args, kwargs, messages):
+        inst = make_instance(*args, **kwargs)
+        assert inst.violations() == messages
+        if messages:
+            with pytest.raises(ValidationError) as info:
+                validate_instance(inst)
+            assert info.value.violations == messages
+        else:
+            validate_instance(inst)
+
+    @pytest.mark.parametrize("log_den", [10 ** 20, -(10 ** 20), MAX_LOG_DEN + 1, -MAX_LOG_DEN - 1])
+    def test_loader_names_a_log_den_past_the_cap(self, log_den):
+        text = json.dumps({"k": 2, "n": 4, "edges": [[0, 1], [1, 2]], "rhs": [1, 1], "weights": [
+            {"num": 1, "log_den": 0}, {"num": 1, "log_den": log_den},
+        ]})
+        with pytest.raises(ValidationError) as info:
+            instance_from_json(text)
+        assert info.value.violations == [
+            f"edge 1: weight log_den {log_den} outside [-{MAX_LOG_DEN}, {MAX_LOG_DEN}]"
+        ]
+
+    def test_loader_accepts_the_cap(self):
+        text = json.dumps({"k": 2, "n": 4, "edges": [[0, 1], [1, 2]], "rhs": [1, 1], "weights": [
+            {"num": 0, "log_den": -MAX_LOG_DEN}, {"num": 1, "log_den": MAX_LOG_DEN},
+        ]})
+        assert instance_from_json(text).scheme.weights == (Dyadic(0), Dyadic(1, MAX_LOG_DEN))
+
+    def test_unit_weights_share_one_object(self):
+        weights = unit_weights(5)
+        assert weights == (Dyadic(1),) * 5 and len(set(map(id, weights))) == 1
+        inst = make_instance(3, [(0, 1), (1, 2)], [1, -1])
+        nums, log_dens = inst.scheme.weight_arrays
+        assert nums.tolist() == [1, 1] and log_dens.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("values, signs", [
+        ([1, -1, 1], [1, -1, 1]),
+        ((True, -1), [1, -1]),
+        ([1.0, -1.0], [1, -1]),
+        (np.array([1, -1], dtype=np.int8), [1, -1]),
+        ([Fraction(1), -1], [1, -1]),
+        ([], []),
+        ([1, "1"], None),
+        ([1, 1.5], None),
+        ([1, 0], None),
+        ([None], None),
+        ([False], None),
+        ([1, 2 ** 70], None),
+        ([[1], [1]], None),
+        ([1, [1]], None),
+    ])
+    def test_sign_array(self, values, signs):
+        got = sign_array(values)
+        if signs is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == signs

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xorcert.circuits import random_tree_circuit, to_layered
-from xorcert.core import Dyadic, ValidationError, make_instance
+from xorcert.core import MAX_LOG_DEN, Dyadic, ValidationError, int_array, make_instance
 from xorcert.oracle import brute_val
 from xorcert.reduction import attach_rhs, group_characters, nonadaptive_split
 from xorcert import refuter
@@ -707,7 +707,7 @@ class TestExactConversions:
             rows=rows,
             cols=np.array([j for _, j in entries], dtype=np.intp),
             edge=np.arange(len(rows)),
-            degrees=refuter._int_array(data.draw(
+            degrees=int_array(data.draw(
                 st.lists(st.integers(0, 1 << 60), min_size=dim, max_size=dim), label="degrees"
             )),
         )
@@ -717,7 +717,7 @@ class TestExactConversions:
             r=r,
             m=data.draw(st.integers(1, 1 << 40), label="m"),
             pattern=pattern,
-            values=refuter._int_array(list(entries.values())),
+            values=int_array(list(entries.values())),
             log_den=data.draw(st.integers(0, 60), label="log_den"),
             edge_multiplier=data.draw(st.integers(1, 1 << 20), label="multiplier"),
         )
@@ -930,6 +930,34 @@ class TestRefute:
         with pytest.raises(ValidationError) as err:
             prepared.refute([1, -1, value, 1])
         assert err.value.violations == [f"edge 2: rhs {value} not in {{+1, -1}}"]
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+        [(0, 1, 2), (1, 2, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2)],
+        [(), (0,), (0, 1), (1, 2, 3), (0, 1, 2, 3)],
+    ], ids=["even", "odd", "mixed"])
+    def test_a_weight_at_the_log_den_cap_refutes(self, edges):
+        weights = [Dyadic(1, MAX_LOG_DEN), Dyadic(1), Dyadic(-3, 2), Dyadic((1 << 70) - 1, 70), Dyadic(1)]
+        inst = make_instance(4, edges, [1, -1, 1, 1, -1], weights=weights)
+        cert = refute(inst)
+        assert cert.certified
+        # the oracle's int64 totals do not reach this scale; Fractions do
+        assert Fraction(cert.bound) >= max(inst.value(x) for x in product((1, -1), repeat=4))
+
+    @pytest.mark.parametrize("vertex", [1.5, "1", None])
+    def test_a_non_integer_vertex_is_rejected(self, vertex):
+        inst = make_instance(4, [(0, vertex), (1, 2)], [1, 1])
+        with pytest.raises(ValidationError) as err:
+            refute(inst)
+        assert err.value.violations == [f"edge 0: non-integer vertex in {(0, vertex)}"]
+
+    def test_an_instance_is_checked_and_packed_once(self, monkeypatch):
+        inst = random_instance(random.Random(3), 6, 3, 40)
+        first = refute(inst)
+        packed, signs = inst.scheme.hypergraph.packed, inst.signs
+        monkeypatch.setattr(refuter, "sign_array", None)  # a second check would fail
+        assert refute(inst) == first
+        assert inst.scheme.hypergraph.packed is packed and inst.signs is signs
 
     def test_dense_cap_checked_before_build(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
