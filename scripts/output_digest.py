@@ -26,13 +26,21 @@ Then come the lines of ``remote-tree-trace``: the inputs and set-up of
 which no benchmark workload runs on a prepared ensemble. Its later passes
 read the plan that the first pass recorded for those knobs.
 
-Last come the lines of ``refute-wide``, whose weights no benchmark workload
+Then come the lines of ``refute-wide``, whose weights no benchmark workload
 reaches: four mixed-arity instances (n=8, m=40, edge sizes 0 to 4) with
 weights of 50 bits, whose units sum past 2^53 in int64, of 62 and 70 bits,
 which are Python ints, and of +-1 beside 62-bit ones, which puts units of
 +-2^62 among them. Each is written as JSON and loaded again, then certified
 by ``refute`` and, prepared once, on 3 more right-hand sides, with the
 default knobs and with ``split_weights``.
+
+Last come the lines of ``shared-stack``, whose batches no benchmark workload
+makes: six 2-XOR schemes (n = 8, 6, 8, 8, 6, 8, ten edges each but the
+third's) prepared over one right-hand side of 64 positions, so that the
+operators of each side length share a stack. The third scheme is two
+copies of one edge at positions 0 and 1, and its 8 targets alternate
+between leaving that operator without entries and not, each certified with
+the default knobs and with ``split_weights``.
 
 ``bench/workloads.py`` is imported by path and only read.
 """
@@ -53,11 +61,13 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from xorcert.avoid import CertifyParams, certify_not_in_range
 from xorcert.circuits import random_tree_circuit, to_layered
 from xorcert.core import Dyadic, instance_from_json, instance_to_json, make_instance
 from xorcert.reduction import group_characters
-from xorcert.refuter import RefuteParams, _prepare_instance, refute
+from xorcert.refuter import RefuteParams, _prepare_instance, prepare_rows, refute
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -163,6 +173,44 @@ def _wide_refute_workload() -> SimpleNamespace:
     )
 
 
+def _shared_stack_workload() -> SimpleNamespace:
+    """The ``shared-stack`` lines, in the form of a benchmark workload."""
+    knobs = [RefuteParams(), RefuteParams(split_weights=True)]
+    sides = (8, 6, 8, 8, 6, 8)  # each scheme's vertex count, its side at level 1
+    m = 64
+
+    def make_inputs(rng):
+        rows = []  # (scheme, edge, rhs position, units at the scale 2^-3)
+        for j, n in enumerate(sides):
+            if j == 2:
+                rows += [(j, (0, 1), 0, 1), (j, (0, 1), 1, 1)]
+                continue
+            for _ in range(10):
+                edge = tuple(sorted(rng.sample(range(n), 2)))
+                rows.append((j, edge, rng.randrange(2, m), rng.randint(-8, 8)))
+        targets = []
+        for i in range(8):
+            b = [rng.choice((1, -1)) for _ in range(m)]
+            b[1] = -b[0] if i % 2 == 0 else b[0]  # the third scheme's sum is zero, then not
+            targets.append(b)
+        return rows, targets
+
+    def setup(inputs):
+        scheme, edges, outputs, units = (np.array(column) for column in zip(*inputs[0]))
+        counts = np.ones(len(scheme), dtype=np.int64)
+        return prepare_rows(m, [(n, 3) for n in sides], scheme, edges, outputs, units, counts)
+
+    return SimpleNamespace(
+        name="shared-stack",
+        make_inputs=make_inputs,
+        setup=setup,
+        ops=lambda inputs, prepared: [
+            lambda b=b, p=p: prepared.refute(b, p) for b in inputs[1] for p in knobs
+        ],
+        canonical=lambda certs: json.dumps([cert.to_obj() for cert in certs]),
+    )
+
+
 def digests(workload, seed: int, passes: int) -> list[str]:
     """The digest of each of ``passes`` passes over one set-up. A workload
     that reads another's inputs names it in ``inputs_of``."""
@@ -193,6 +241,7 @@ def main() -> int:
     workloads["remote-tree-odd"] = _odd_tree_workload()
     workloads["remote-tree-trace"] = _trace_tree_workload(workloads["remote-tree"])
     workloads["refute-wide"] = _wide_refute_workload()
+    workloads["shared-stack"] = _shared_stack_workload()
     for name, workload in workloads.items():
         for seed in args.seeds:
             first, *later = digests(workload, seed, args.passes)

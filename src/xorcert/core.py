@@ -192,6 +192,11 @@ class PackedEdges(NamedTuple):
     sizes: np.ndarray
     unpacked: dict[int, tuple]
 
+    @staticmethod
+    def of(edges: Sequence[Sequence]) -> "PackedEdges":
+        vertices, unpacked = packed_rows(edges)
+        return PackedEdges(vertices, np.fromiter(map(len, edges), np.int64, len(edges)), unpacked)
+
 
 def flagged(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> list[tuple[int, str]]:
     """(index, message) for every raised flag of ``checks``, each a boolean
@@ -225,9 +230,7 @@ class Hypergraph:
     @cached_property
     def packed(self) -> PackedEdges:
         """The edges packed once, for validation and preparation."""
-        vertices, unpacked = packed_rows(self.edges)
-        sizes = np.fromiter(map(len, self.edges), np.int64, len(self.edges))
-        return PackedEdges(vertices, sizes, unpacked)
+        return PackedEdges.of(self.edges)
 
     def violations(self) -> list[str]:
         return list(self._violations)
@@ -476,21 +479,29 @@ def check_fields(data, what: str, fields: Mapping[str, Callable], optional=()) -
         raise ValidationError(bad)
 
 
-_INSTANCE_FIELDS = {
-    "n": is_int,
-    "edges": lambda v: type(v) is list
-    and set(map(type, v)) <= {list}
-    and is_int_list(list(chain.from_iterable(v))),
-    "k": is_int,
-    "weights": lambda v: isinstance(v, list)
-    and all(isinstance(w, dict) and is_int_list([w.get("num"), w.get("log_den")]) for w in v),
-    "rhs": is_int_list,
-}
+def _int_edges(edges) -> PackedEdges | None:
+    """JSON edges packed if they are lists of ints, else None: the field
+    check and the hypergraph read one flatten and type scan. Only an edge
+    that did not pack as ints of int64 can hold another type."""
+    if type(edges) is list and set(map(type, edges)) <= {list}:
+        packed = PackedEdges.of(edges)
+        if all(set(map(type, edge)) <= {int} for edge in packed.unpacked.values()):
+            return packed
+    return None
 
 
 def instance_from_json(text: str) -> XorInstance:
     data = parse_json(text, "instance")
-    check_fields(data, "instance", _INSTANCE_FIELDS, optional=("k", "weights", "rhs"))
+    packed = _int_edges(data.get("edges")) if isinstance(data, dict) else None
+    fields = {
+        "n": is_int,
+        "edges": lambda v: packed is not None,
+        "k": is_int,
+        "weights": lambda v: isinstance(v, list)
+        and all(isinstance(w, dict) and is_int_list([w.get("num"), w.get("log_den")]) for w in v),
+        "rhs": is_int_list,
+    }
+    check_fields(data, "instance", fields, optional=("k", "weights", "rhs"))
     edges = data["edges"]
     n = data["n"]
     weights = data.get("weights")
@@ -507,5 +518,6 @@ def instance_from_json(text: str) -> XorInstance:
     if rhs is None:
         rhs = [1] * len(edges)
     inst = make_instance(n, edges, rhs, weights=weights, arity=data.get("k"))
+    vars(inst.scheme.hypergraph)["packed"] = packed  # the edges as packed above
     validate_instance(inst)
     return inst

@@ -20,10 +20,9 @@ integers at one scale up to the Kikuchi entries:
   S, and the instance value is bounded by twice the spectral norm of the
   degree-reweighted matrix. Where the entries sit, which edge each reads
   and the degrees depend on the edges and the level alone: this pattern is
-  computed by index arithmetic over all pairs at once, kept by the prepared
-  part for every later right-hand side together with the reweighting that
-  the spectral proof reads of the degrees, and each target only gathers
-  its signed sums into it;
+  computed by index arithmetic over all pairs at once and kept by the
+  prepared part for every later right-hand side, and each target only
+  gathers its signed sums into it;
 * odd arity is reduced to even buckets by grouping edges on their lowest
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
   distinct group-mates, all of them formed at once by index arithmetic,
@@ -47,9 +46,11 @@ Two certificate engines bound the reweighted norm:
               every operator of a right-hand side is proved in one call,
               stacked by side length below 180, and the bounds are folded
               into the certificates by the plan that ``PreparedSchemes``
-              keeps for each set of knobs. Every target takes one path:
-              signed sums, odd splits, one gather of every operator's
-              values, one proof and the fold;
+              keeps for each set of knobs. The batch's shape, which the
+              plan keeps, lays out each of its stacks once: what the proof
+              reads of the degrees. Every target takes one path: signed
+              sums, odd splits, one gather of every operator's values, one
+              proof and the fold;
 * trace    -- trace((Gamma^-1 A)^ell)^(1/ell) for even ell, rigorous because
               trace(B^ell) dominates the top eigenvalue power; looser, and run
               only when mode ``trace`` asks for it.
@@ -317,21 +318,21 @@ def _top_bits(nums: np.ndarray) -> int:
     return max(int(nums.max()), -int(nums.min())).bit_length()
 
 
-def _entries_at(nums: np.ndarray, log_scale: int, top: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, errors) of integer numerators: each value is
-    num * 2^-log_scale correctly rounded, and errors bounds each value's
-    rounding error, or is None when every value is exact. ``top`` is
-    ``_top_bits(nums)``.
+def _entries_at(nums: np.ndarray, log_scales, top: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, errors) of integer numerators, each at its own scale: value
+    i is nums[i] * 2^-log_scales[i] correctly rounded (an int scales them
+    all), and errors bounds each value's rounding error, or is None when
+    every value is exact. ``top`` is ``_top_bits(nums)``.
 
-    Numerators below 2^53 at the scale 2^-1074 or coarser convert exactly
+    Numerators below 2^53 at scales of 2^-1074 or coarser convert exactly
     through one float and ``ldexp``; otherwise every value is an int / int
     division, which Python rounds correctly at any size.
     """
-    if top <= 53 and log_scale <= 1074:
-        return np.ldexp(nums.astype(np.float64), -log_scale), None
-    den = 1 << log_scale
+    if top <= 53 and np.max(log_scales) <= 1074:
+        return np.ldexp(nums.astype(np.float64), np.negative(log_scales)), None
     nums = nums.tolist()
-    rounded = [num / den for num in nums]
+    scales = np.broadcast_to(log_scales, len(nums)).tolist()
+    rounded = [num / (1 << scale) for num, scale in zip(nums, scales)]
     # below 2^53 a normal value, and zero, is exact; anything else is off by < 1 ulp
     errors = [
         0.0 if num == 0 or (-(1 << 53) < num < 1 << 53 and abs(v) >= _MIN_NORMAL) else math.ulp(v)
@@ -379,11 +380,10 @@ class _Layout(NamedTuple):
     """What the spectral proof reads of the patterns of a stack of operators
     of one side length, whatever the signed sums (its steps 1-2). G is
     Gamma rounded down, and D the powers of two that put D^-2 G in
-    [1/2, 2). A pattern keeps the layout of a stack of itself alone, with
-    read-only arrays; a longer stack's is joined from those."""
+    [1/2, 2). A batch's shape lays out each of its stacks once."""
 
-    starts: np.ndarray  # where each operator's positions start
-    which: np.ndarray | int  # the operator of each position; 0 for a stack of one
+    starts: np.ndarray  # where each operator's positions start, then where the last ends
+    which: np.ndarray  # the operator of each position
     pair: np.ndarray  # D^-1_S D^-1_T at each position (S, T)
     at: np.ndarray  # each position's place in the flattened stack; its mirror's below
     scale: np.ndarray  # (D^-2 G)^-1/2, the estimate's scale, a row per operator
@@ -402,36 +402,13 @@ class KikuchiPattern:
     ``degrees`` are those of ``KikuchiOperator``; they sum to the trace
     degree, d times the side. Only the edges, their copies and the level fix
     a pattern, not the signed sums. Its arrays are read-only: every later
-    target reads them. ``layout`` is what the spectral proof reads of the
-    pattern, its reweighting among it, computed at the pattern's first
-    proof and kept for every later target.
+    target reads them.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     edge: np.ndarray
     degrees: np.ndarray
-
-    @cached_property
-    def layout(self) -> _Layout:
-        """The ``_Layout`` of a stack of this pattern alone."""
-        gamma = np.nextafter(_gamma_of(self.degrees, int(self.degrees.sum())), 0.0)
-        inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
-        diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
-        places = np.array((self.rows, self.cols))
-        layout = _Layout(
-            np.zeros(1, dtype=np.intp),
-            0,
-            inv[self.rows] * inv[self.cols],
-            places * len(diag) + places[::-1],
-            (1.0 / np.sqrt(diag))[None],
-            diag[None],
-            np.array([_up(math.fsum(diag.tolist()))]),
-        )
-        for array in layout:
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-        return layout
 
 
 @dataclass(frozen=True)
@@ -558,12 +535,12 @@ class PreparedSchemes:
     Python ints keeps them exact at any size.
 
     What depends on the schemes alone is kept for every target: each part's
-    Kikuchi patterns with their reweighting (``KikuchiPattern.layout``) and
-    an odd part's pairing, built at the part's first target, the parts under
-    ``split_weights`` (``unit_schemes``), and in ``plans`` one ``_Plan`` per
-    set of knobs. Every target computes its signed sums, splits its odd
-    parts, gathers the values of every operator at once, proves them in one
-    call and folds the bounds by the plan of its knobs.
+    Kikuchi patterns and an odd part's pairing, built at the part's first
+    target, the parts under ``split_weights`` (``unit_schemes``), and in
+    ``plans`` one ``_Plan`` per set of knobs, whose batch shape lays out
+    each stack of the proof once. Every target computes its signed sums,
+    splits its odd parts, gathers the values of every operator at once,
+    proves them in one call and folds the bounds by the plan of its knobs.
     """
 
     m: int
@@ -935,8 +912,9 @@ def build_kikuchi(
     there by ``_kikuchi_pattern`` if it is the first for these edges. The
     operator then gathers each position's signed sum, zeros included: exact
     integers at the part's scale, of the dtype of ``sums``. A level that
-    does not exist, or whose side exceeds ``dense_cap``, raises ResourceCap
-    before anything is built.
+    does not exist, whose side exceeds ``dense_cap``, or whose trace degree
+    reaches 2^1022, which would put Gamma past the float range, raises
+    ResourceCap before anything is built.
     """
     if part.m == 0:
         # d = 0 would make the reweighting singular; the caller certifies 0
@@ -945,12 +923,15 @@ def build_kikuchi(
     if k % 2 != 0 or k < 2:
         raise ValidationError([f"kikuchi build needs an even arity >= 2, got {k}"])
     _kikuchi_dim(n, k, r, dense_cap)
+    multiplier = comb(k, k // 2) * comb(n - k, r - k // 2)
+    trace_degree = part.m * multiplier
+    if trace_degree >= 1 << 1022:
+        raise ResourceCap(f"trace degree of {trace_degree.bit_length()} bits past the float range")
     pattern = part.patterns.get(r)
     if pattern is None:
         pattern = part.patterns[r] = _kikuchi_pattern(n, k, r, part.edges, part.copies)
     return KikuchiOperator(
-        n, k, r, part.m, pattern, sums[part.rows][pattern.edge], part.log_den,
-        comb(k, k // 2) * comb(n - k, r - k // 2),
+        n, k, r, part.m, pattern, sums[part.rows][pattern.edge], part.log_den, multiplier
     )
 
 
@@ -1211,53 +1192,70 @@ def _cholesky_proves(
 
 
 def _layout(patterns: Sequence[KikuchiPattern]) -> _Layout:
-    """The layout of a stack of operators with these patterns: each
-    pattern's own, joined, with every position placed in its operator's
+    """The layout of a stack of operators with these patterns, of one side
+    length, from their degrees: every position placed in its operator's
     matrix of the stack."""
-    if len(patterns) == 1:
-        return patterns[0].layout
-    layouts = [pattern.layout for pattern in patterns]
-    count, dim = len(layouts), layouts[0].diag.shape[1]
-    sizes = [len(layout.pair) for layout in layouts]
-    which = np.repeat(np.arange(count), sizes)
+    dim = len(patterns[0].degrees)
+    gamma = np.nextafter([_gamma_of(p.degrees, int(p.degrees.sum())) for p in patterns], 0.0)
+    inv = np.ldexp(1.0, -(np.frexp(gamma)[1] >> 1))  # D^-1
+    diag = gamma * inv * inv  # D^-2 G, in [1/2, 2), exact
+    sizes = [len(p.rows) for p in patterns]
+    which = np.repeat(np.arange(len(patterns)), sizes)
+    rows, cols = _joined([p.rows for p in patterns]), _joined([p.cols for p in patterns])
+    places = np.array((rows, cols))
     return _Layout(
-        np.cumsum(sizes) - sizes,
+        np.cumsum([0] + sizes),
         which,
-        _joined([layout.pair for layout in layouts]),
-        _joined([layout.at for layout in layouts]) + which * (dim * dim),
-        np.concatenate([layout.scale for layout in layouts]),
-        np.concatenate([layout.diag for layout in layouts]),
-        np.concatenate([layout.diag_sum for layout in layouts]),
+        inv[which, rows] * inv[which, cols],
+        places * dim + places[::-1] + which * (dim * dim),
+        1.0 / np.sqrt(diag),
+        diag,
+        np.array([_up(math.fsum(row)) for row in diag.tolist()]),
     )
 
 
-@dataclass(eq=False)
+# Most entries of one stack of small matrices: a copy of the stack takes
+# 2 MB whatever the side, so memory stays bounded on any batch.
+_STACK_ENTRIES = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
 class _BatchShape:
     """What ``spectral_certificate`` reads of a batch of operators whatever
-    their values: each operator's pattern, scale 2^-log_den and side length,
-    where its values start among the batch's (``offsets``, with their end
-    last; ``starts`` without it), and in ``layouts``, for each stack of the
-    proof, keyed by side length and the place of its first operator among
-    those of that side, its operators and their joined ``_Layout``. A plan
-    keeps one for all its targets, so that a stack with the same operators
-    as before is not laid out again."""
+    their values: each operator's pattern and scale 2^-log_den, where its
+    values start among the batch's (``offsets``, with their end last;
+    ``starts`` without it), and the stacks of the proof, each as (its
+    operators, where their values are among the batch's, its ``_Layout``).
+    The operators of each side length form stacks in batch order, of at
+    most ``_STACK_ENTRIES`` entries below ``_LANCZOS_FROM`` and of one
+    from there up, each laid out once, when the shape is made. A plan keeps
+    one shape for all its targets."""
 
     patterns: tuple[KikuchiPattern, ...]
     log_dens: list[int]
-    dims: list[int]
     offsets: list[int]
     starts: np.ndarray
-    layouts: dict = field(default_factory=dict)
+    stacks: list[tuple[list[int], np.ndarray, _Layout]]
 
     @staticmethod
     def of(ops: Sequence[KikuchiOperator]) -> "_BatchShape":
         offsets = np.cumsum([0] + [len(op.values) for op in ops]).tolist()
+        by_side: dict[int, list[int]] = {}
+        for i, op in enumerate(ops):
+            by_side.setdefault(op.dim, []).append(i)
+        stacks = []
+        for dim, members in by_side.items():
+            size = max(1, _STACK_ENTRIES // (dim * dim)) if dim < _LANCZOS_FROM else 1
+            for lo in range(0, len(members), size):
+                stack = members[lo : lo + size]
+                take = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in stack])
+                stacks.append((stack, take, _layout([ops[i].pattern for i in stack])))
         return _BatchShape(
             tuple(op.pattern for op in ops),
             [op.log_den for op in ops],
-            [op.dim for op in ops],
             offsets,
             np.array(offsets[:-1], dtype=np.intp),
+            stacks,
         )
 
 
@@ -1280,43 +1278,31 @@ class _Batch:
 
 
 def _scaled_stack(
-    nums: np.ndarray, tops: list[int], layout: _Layout, pattern: KikuchiPattern
+    nums: np.ndarray, tops: list[int], layout: _Layout
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 1 and 2 of ``spectral_certificate`` over a stack of nonempty
     operators of one side length, laid out by ``layout``, given the values
     of their positions one after the other, zeros included, and the top
     bits of each: (the matrices D^-1 A' D^-1 as one new (count, dim, dim)
-    array, the tails, the estimates). ``pattern`` is that of the first
-    operator, the only one from ``_LANCZOS_FROM`` up.
+    array, the tails, the estimates).
 
     Everything that depends on the degrees alone comes from the layout. One
-    ``ldexp`` with an exponent per entry scales the values while every
-    numerator is an int64 below 2^53 (else each operator goes through
-    ``_entries_at``), and one scatter writes the stack. A zero writes the
-    zero that is already there and adds nothing to the tails, so the stack
-    is that of the nonzero entries alone. Every array the size of the
-    entries is dropped on return, before any Cholesky."""
+    ``_entries_at`` call, with each operator's top bits as the scale of its
+    entries, converts the values, and one scatter writes the stack. A zero
+    writes the zero that is already there and adds nothing to the tails, so
+    the stack is that of the nonzero entries alone. Only an operator with
+    a numerator past 2^53 has a tail. Every array the size of the entries
+    is dropped on return, before any Cholesky."""
     count, dim = layout.diag.shape
-    errors = None
-    if nums.dtype != object and max(tops) <= 53:
-        values = np.ldexp(nums.astype(np.float64), np.negative(tops)[layout.which])
-    else:
-        starts = layout.starts.tolist()
-        converted = [
-            _entries_at(nums[lo:hi], top, top)
-            for lo, hi, top in zip(starts, starts[1:] + [len(nums)], tops)
-        ]
-        values = _joined([v for v, _ in converted])
-        inexact = [i for i, (_, e) in enumerate(converted) if e is not None]
-        if inexact:
-            errors = _joined([np.zeros(len(v)) if e is None else e for v, e in converted])
+    top_bits = np.array(tops)
+    values, errors = _entries_at(nums, top_bits[layout.which], max(tops))
     upper = values * layout.pair
     buf = np.zeros((count, dim, dim))  # D^-1 A' D^-1, owned
     buf.reshape(-1)[layout.at] = upper
     triangle = None
     if dim >= _LANCZOS_FROM:  # a stack of one; Lanczos reads its nonzero entries
         nonzero = np.flatnonzero(nums)
-        triangle = (pattern.rows[nonzero], pattern.cols[nonzero], upper[nonzero])
+        triangle = (*np.divmod(layout.at[0, nonzero], dim), upper[nonzero])
     lam_hat = _estimate_top(buf, triangle, layout.scale)
 
     tail = np.zeros(count)  # ||D^-1 F D^-1||_2, bounded by its largest row sum, upward
@@ -1326,26 +1312,24 @@ def _scaled_stack(
         # at // dim is the row of each position, and of its mirror, in the stack
         rows, cols = layout.at // dim
         row_sums = np.bincount(rows, scaled, size) + np.bincount(cols, scaled, size)
-        largest = row_sums.reshape(count, dim).max(axis=1)[inexact]
-        tail[inexact] = _up_each(largest * (1.0 + 2.0 * dim * _EPS))
+        largest = row_sums.reshape(count, dim).max(axis=1)
+        tail = np.where(top_bits > 53, _up_each(largest * (1.0 + 2.0 * dim * _EPS)), 0.0)
     return buf, tail, lam_hat
 
 
 def _prove_stack(
-    nums: np.ndarray,
-    tops: list[int],
-    log_dens: list[int],
-    patterns: Sequence[KikuchiPattern],
-    layout: _Layout,
+    nums: np.ndarray, tops: list[int], log_dens: list[int], layout: _Layout
 ) -> list[float | None]:
-    """``spectral_certificate`` of nonempty operators of one side length,
-    all below ``_LANCZOS_FROM`` or a single one, given as for
-    ``_scaled_stack`` with each one's scale and pattern: one estimate and
-    one Cholesky of both sides of every matrix at the first rung. If that
-    Cholesky fails, each operator is proved again alone, as a stack of one,
-    which climbs the ladder."""
+    """``spectral_certificate`` of operators of one side length, all below
+    ``_LANCZOS_FROM`` or a single one, given as for ``_scaled_stack`` with
+    each one's scale: one estimate and one Cholesky of both sides of every
+    matrix at the first rung. A stack with an operator without entries, or
+    whose first Cholesky fails, proves its operators alone
+    (``_prove_each``); a stack of one climbs the ladder."""
     count, dim = layout.diag.shape
-    buf, tail, lam_hat = _scaled_stack(nums, tops, layout, patterns[0])
+    if not all(tops):
+        return _prove_each(nums, tops, log_dens, layout)
+    buf, tail, lam_hat = _scaled_stack(nums, tops, layout)
     diag, diag_sum = layout.diag, layout.diag_sum
 
     # With an exact estimate this leaves H a smallest eigenvalue of at least
@@ -1359,15 +1343,7 @@ def _prove_stack(
     for stack in _sides(buf, stacked=dim < _LANCZOS_FROM):
         while not _cholesky_proves(stack, diag, lam, shift):
             if count > 1:  # some matrix needs a higher rung than the others
-                starts = layout.starts.tolist() + [len(nums)]
-                return [
-                    bound
-                    for i, pattern in enumerate(patterns)
-                    for bound in _prove_stack(
-                        nums[starts[i] : starts[i + 1]], tops[i : i + 1], log_dens[i : i + 1],
-                        [pattern], pattern.layout,
-                    )
-                ]
+                return _prove_each(nums, tops, log_dens, layout)
             rung += 1
             if rung == len(_LADDER):
                 return [None]
@@ -1377,9 +1353,21 @@ def _prove_stack(
     return [bound if bound >= _MIN_NORMAL else _up(bound) for bound in bounds]
 
 
-# Most entries of one stack of small matrices: a copy of the stack takes
-# 2 MB whatever the side, so memory stays bounded on any batch.
-_STACK_ENTRIES = 1 << 18
+def _prove_each(
+    nums: np.ndarray, tops: list[int], log_dens: list[int], layout: _Layout
+) -> list[float | None]:
+    """``_prove_stack`` of each operator of a stack as a stack of its own,
+    laid out by its part of the stack's layout: 0 for one without entries."""
+    at, dim = layout.starts.tolist(), layout.diag.shape[1]
+    bounds: list[float | None] = []
+    for i, (top, log_den) in enumerate(zip(tops, log_dens)):
+        lo, hi, one = at[i], at[i + 1], slice(i, i + 1)
+        own = _Layout(
+            np.array([0, hi - lo]), np.zeros(hi - lo, dtype=np.intp), layout.pair[lo:hi],
+            layout.at[:, lo:hi] - i * dim * dim, layout.scale[one], layout.diag[one], layout.diag_sum[one],
+        )
+        bounds += _prove_stack(nums[lo:hi], [top], [log_den], own) if top else [0.0]
+    return bounds
 
 
 def spectral_certificate(ops: Sequence[KikuchiOperator] | _Batch) -> list[float | None]:
@@ -1387,7 +1375,7 @@ def spectral_certificate(ops: Sequence[KikuchiOperator] | _Batch) -> list[float 
     each operator, in order: 0 for an operator without entries, None where
     no rung of the ladder proves one, which makes its certificate uncertain.
     The operators come as a list, or as a ``_Batch``, whose shape a plan
-    keeps with the layout of each stack for the next target.
+    keeps, with its stacks laid out, for every target.
 
     The norm is at most lam exactly when lam Gamma - A and lam Gamma + A are
     both positive semidefinite. lam is an estimate of B's largest
@@ -1416,11 +1404,11 @@ def spectral_certificate(ops: Sequence[KikuchiOperator] | _Batch) -> list[float 
        ``_gamma_of`` rounds correctly, so one nextafter toward 0 gives
        G <= Gamma. D is the diagonal of powers of two with D^-2 G in
        [1/2, 2); scaling by D^-1 is exact and keeps semidefiniteness. G, D,
-       D^-2 G and its trace depend on the degrees alone: the operator's
-       pattern computes them once (``KikuchiPattern.layout``), and a
-       target computes only t and A'.
+       D^-2 G and its trace depend on the degrees alone: the batch's shape
+       computes them once for each stack (``_layout``), and a target
+       computes only t and A'.
     2. The matrix. M has off-diagonal s D^-1 A' D^-1, in floats: each
-       entry A'_ij times D^-1_i D^-1_j, a product the pattern keeps for
+       entry A'_ij times D^-1_i D^-1_j, a product the layout keeps for
        every position. Its diagonal is m_i = lam (D^-2 G)_i rounded down. Then
        D^-1 (lam Gamma + s A') D^-1 = M + N - s D^-1 F D^-1, with N a
        diagonal >= 0.
@@ -1438,21 +1426,22 @@ def spectral_certificate(ops: Sequence[KikuchiOperator] | _Batch) -> list[float 
        and to the scaling of A' by D^-1.
     5. If a Cholesky fails, delta climbs the rungs of ``_LADDER``, for that
        matrix alone: a stack that fails at the first rung is proved again
-       one operator at a time, and only an operator whose own Cholesky
-       fails climbs. A side proved at one lam stays proved at any larger
+       one operator at a time, each laid out as its part of the stack's
+       layout, and only an operator whose own Cholesky fails climbs. A side proved at one lam stays proved at any larger
        lam, since Gamma > 0. If the last rung fails, the bound is None.
        The bound for A is lam 2^-t, rounded up.
 
-    Operators below ``_LANCZOS_FROM`` are proved in stacks of one side
-    length, at most ``_STACK_ENTRIES`` entries each: one stacked eigvalsh
-    for the estimates, and one stacked Cholesky for both sides of every
-    matrix. numpy hands each matrix of a stack to the same LAPACK routine
-    with the same inputs as a stack of one, and every array step is taken
-    entry by entry, so each bound is bit-identical to the operator's own
-    proof. From ``_LANCZOS_FROM`` up each operator is proved alone, its
-    two sides one after the other in one buffer. One reduceat of max and
-    one of min over the batch's values give every operator's top bits, and
-    an operator whose values are all zero is no stack's.
+    The batch's shape stacks the operators of each side length in batch
+    order, at most ``_STACK_ENTRIES`` entries a stack below
+    ``_LANCZOS_FROM``: one stacked eigvalsh for the estimates, and one
+    stacked Cholesky for both sides of every matrix. numpy hands each
+    matrix of a stack to the same LAPACK routine with the same inputs as a
+    stack of one, and every array step is taken entry by entry, so each
+    bound is bit-identical to the operator's own proof. From
+    ``_LANCZOS_FROM`` up each operator is proved alone, its two sides one
+    after the other in one buffer. One reduceat of max and one of min over
+    the batch's values give every operator's top bits; a stack with an
+    operator without entries proves its other operators alone.
     """
     batch = ops if isinstance(ops, _Batch) else _Batch.of(ops)
     shape, values = batch.shape, batch.values
@@ -1462,34 +1451,11 @@ def spectral_certificate(ops: Sequence[KikuchiOperator] | _Batch) -> list[float 
     highs = np.maximum.reduceat(values, shape.starts).tolist()
     lows = np.minimum.reduceat(values, shape.starts).tolist()
     tops = [max(high, -low).bit_length() for high, low in zip(highs, lows)]
-    by_side: dict[int, list[int]] = {}
-    for i, (top, dim) in enumerate(zip(tops, shape.dims)):
-        if top:
-            by_side.setdefault(dim, []).append(i)
-    at = shape.offsets
-    for dim, members in by_side.items():
-        size = max(1, _STACK_ENTRIES // (dim * dim)) if dim < _LANCZOS_FROM else 1
-        for lo in range(0, len(members), size):
-            stack = tuple(members[lo : lo + size])
-            last = shape.layouts.get((dim, lo))
-            if last is None or last[0] != stack:
-                last = shape.layouts[(dim, lo)] = (
-                    stack, _layout([shape.patterns[i] for i in stack])
-                )
-            first, end = stack[0], stack[-1]
-            if end - first == len(stack) - 1:  # a run of the batch: a view
-                nums = values[at[first] : at[end + 1]]
-            else:
-                nums = np.concatenate([values[at[i] : at[i + 1]] for i in stack])
-            proved = _prove_stack(
-                nums,
-                [tops[i] for i in stack],
-                [shape.log_dens[i] for i in stack],
-                [shape.patterns[i] for i in stack],
-                last[1],
-            )
-            for i, bound in zip(stack, proved):
-                bounds[i] = bound
+    for members, take, layout in shape.stacks:
+        log_dens = [shape.log_dens[i] for i in members]
+        proved = _prove_stack(values[take], [tops[i] for i in members], log_dens, layout)
+        for i, bound in zip(members, proved):
+            bounds[i] = bound
     return bounds
 
 
@@ -1535,9 +1501,13 @@ def odd_to_even(part: PreparedPart, sums: np.ndarray) -> OddSplit:
     squares the signed sums of the live edges into the constant part and
     sums the pair products of each bucket edge in one ``reduceat``: in int64
     while twice their largest square times the number of terms stays below
-    2^63, else as Python ints, so every sum is exact."""
+    2^63, else as Python ints, so every sum is exact. A part of 2^511
+    copies or more raises ResourceCap: its bound squares them, which would
+    pass the float range."""
     if part.k % 2 == 0 or part.k < 3:
         raise ValidationError([f"odd-arity split needs odd arity >= 3, got {part.k}"])
+    if part.m >= 1 << 511:
+        raise ResourceCap(f"{part.m.bit_length()}-bit copies square past the float range")
     kept, a, b, heads, by_size, n_groups, buckets = part.pairing
     own = _for_products(sums[part.rows][kept], len(a) + len(kept))
     diag = Fraction(int(np.dot(own, own)), 1 << (2 * part.log_den))
@@ -1648,7 +1618,12 @@ class _Plan:
         source = len(sums)  # where the next odd part's bucket sums start
 
         # until every kind is counted, a part is (kind, its index among its
-        # kind): an even part or a bucket is ("slot", i) or ("constant", c)
+        # kind): an even part or a bucket is ("slot", i) or ("constant", c),
+        # and a part past a cap an uncertain constant
+        def capped(r: int | None = None, ell: int | None = None) -> tuple[str, int]:
+            constants.append(_uncertain(mode, r=r, ell=ell))
+            return "constant", len(constants) - 1
+
         def leaf(part: PreparedPart, part_sums: np.ndarray, r: int, at: int) -> tuple[str, int]:
             ell = None
             if mode == "trace":
@@ -1657,8 +1632,7 @@ class _Plan:
             try:
                 op = build_kikuchi(part, part_sums, r, params.dense_cap)
             except ResourceCap:
-                constants.append(_uncertain(mode, r=r, ell=ell))
-                return "constant", len(constants) - 1
+                return capped(r, ell)
             ops.append(op)
             ells.append(ell)
             gather.append(at + part.rows.start + op.pattern.edge)
@@ -1681,7 +1655,11 @@ class _Plan:
                     r = max(params.r if params.r is not None else k // 2, k // 2)
                     refs.append(leaf(part, sums, r, 0))
                 else:
-                    split = odd_to_even(part, sums)
+                    try:
+                        split = odd_to_even(part, sums)
+                    except ResourceCap:
+                        refs.append(capped())
+                        continue
                     leaves = []
                     for size, bucket in split.buckets.items():
                         r = params.r
@@ -1765,7 +1743,8 @@ class _Plan:
         for split, (m, copies, places) in zip(splits, self.odd_rows):
             subs = [parts[at] for at in places]
             inner = split.diag_term + _exact_sum([sub.bound for sub in subs], copies)
-            bound = _sqrt_up(_float_up(split.n_groups * max(inner, Fraction(0)))) / m
+            # from m^2 up the bound is at least 1, which the clamp gives
+            bound = _sqrt_up(_float_up(min(split.n_groups * max(inner, Fraction(0)), m * m))) / m
             # division rounds to nearest; one ulp up restores the upper bound
             parts.append(_clamp(_combine(subs, _up(bound))))
 
@@ -1779,7 +1758,8 @@ class _Plan:
                 mean = _exact_sum([c.bound for c in subs], copies) / sum(copies)
                 cert = _combine(subs, _float_up(mean))
             if scale is not None and cert.certified:
-                cert = replace(cert, bound=_float_up(Fraction(cert.bound) * scale))
+                # from 1 up the clamp gives 1, and the product may pass the float range
+                cert = replace(cert, bound=_float_up(min(Fraction(cert.bound) * scale, Fraction(1))))
             certs[at] = _clamp(cert)
         return certs
 

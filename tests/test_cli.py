@@ -311,6 +311,20 @@ class TestExitCodes:
         value = max(abs(parsed.value(x)) for x in product((1, -1), repeat=4))
         assert Fraction(cert["bound"]) >= value > 0
 
+    def test_unit_copies_past_the_float_range_exit_two(self, tmp_path):
+        inst = tmp_path / "fine.json"
+        inst.write_text(json.dumps({
+            "k": 2, "n": 4, "edges": [[0, 1], [1, 2]], "rhs": [1, -1],
+            "weights": [{"num": 1, "log_den": 1100}, {"num": 1, "log_den": 0}],
+        }))
+        params = tmp_path / "params.json"
+        params.write_text('{"split_weights": true}')
+        out = tmp_path / "cert.json"
+        assert run("refute", "--instance", str(inst), "--params", str(params), "--out", str(out)) == 2
+        cert = json.loads(out.read_text())
+        assert cert["status"] == "uncertain" and cert["bound"] == 1.0
+        assert run("refute", "--instance", str(inst), "--out", str(out)) == 0
+
     @pytest.mark.parametrize("log_den", [10 ** 20, -(10 ** 20)], ids=["huge", "huge-negative"])
     def test_huge_weight_exponent_exits_one(self, tmp_path, caplog, log_den):
         inst = tmp_path / "inst.json"
@@ -488,6 +502,7 @@ avoid-junta\tseed 1\t9388e12a3896815db65f54beb46e07c35324857d3fa7a9e32910ad32fed
 remote-tree-odd\tseed 1\tcb6e5e68d6353d34481a628e216ca9679eaa374097ea16c81db5d41ff86a1416
 remote-tree-trace\tseed 1\t57b7b8c085100f4e37ef03f03c246af895e91f04fe8819be319d338d27bf7af8
 refute-wide\tseed 1\t1cc4b41fa027be8b808133dfd91eec80a1517a4f341c0c4ac355efeed2cc7b6a
+shared-stack\tseed 1\t5d57314dd8c6bd33de9f695b15cccb9657f7cafc7e51bb0da88230f23967724d
 """
 
 

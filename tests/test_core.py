@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorcert import core
 from xorcert.core import (
     MAX_LOG_DEN,
     Dyadic,
@@ -292,6 +293,43 @@ class TestInstanceChecks:
             {"num": 0, "log_den": -MAX_LOG_DEN}, {"num": 1, "log_den": MAX_LOG_DEN},
         ]})
         assert instance_from_json(text).scheme.weights == (Dyadic(0), Dyadic(1, MAX_LOG_DEN))
+
+    def test_one_load_scans_the_edges_once(self, monkeypatch):
+        """The field check and the hypergraph read one packing of the
+        edges: one flatten and one type scan per load."""
+        rng = random.Random(5)
+        edges = [sorted(rng.sample(range(20), 4)) for _ in range(50)]
+        text = json.dumps({"k": 4, "n": 20, "edges": edges, "rhs": [1] * 50})
+        flattened = []
+        monkeypatch.setattr(core, "chain", type("Counted", (), {
+            "from_iterable": staticmethod(lambda rows: flattened.append(rows) or chain.from_iterable(rows))
+        }))
+        inst = instance_from_json(text)
+        assert len(flattened) == 1
+        vertices, sizes, unpacked = inst.scheme.hypergraph.packed
+        assert vertices.tolist() == list(chain.from_iterable(edges))
+        assert sizes.tolist() == [4] * 50 and unpacked == {}
+
+    @pytest.mark.parametrize("edges, messages", [
+        ([[0, 1], [1, True]], ["instance: field 'edges' is missing or mistyped"]),
+        ([[0, "1"]], ["instance: field 'edges' is missing or mistyped"]),
+        ([[0, 1.0]], ["instance: field 'edges' is missing or mistyped"]),
+        ([[0, [1]]], ["instance: field 'edges' is missing or mistyped"]),
+        ([[0, 1], 2], ["instance: field 'edges' is missing or mistyped"]),
+        ([[0, 2 ** 70], [1, 2]], [f"edge 0: vertex out of range in (0, {2 ** 70})"]),
+        ([[0, 2 ** 63 - 1]], [f"edge 0: vertex out of range in (0, {2 ** 63 - 1})"]),
+    ], ids=["bool", "string", "float", "nested", "not-a-list", "past-int64", "int64-max"])
+    def test_loader_names_mistyped_edges(self, edges, messages):
+        text = json.dumps({"n": 4, "edges": edges})
+        with pytest.raises(ValidationError) as info:
+            instance_from_json(text)
+        assert info.value.violations == messages
+        # with another field wrong, both are named in field order
+        bad_rhs = json.dumps({"n": 4, "edges": edges, "rhs": [1.5]})
+        if messages[0].startswith("instance:"):
+            with pytest.raises(ValidationError) as info:
+                instance_from_json(bad_rhs)
+            assert info.value.violations == messages + ["instance: field 'rhs' is missing or mistyped"]
 
     def test_unit_weights_share_one_object(self):
         weights = unit_weights(5)

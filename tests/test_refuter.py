@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -579,11 +580,11 @@ class TestBatchedProof:
             if op.dim < 10:
                 assert spectral_bound_holds(op, bound)
 
-    def test_a_mixed_batch_equals_its_operators_alone(self):
+    def test_a_mixed_batch_equals_its_operators_alone(self, monkeypatch):
         """A Lanczos operator, small operators of two side lengths, one whose
         sums are all zero and one with entries past int64, in one batch:
         each bound is bit-identical to the operator's proof alone, and a
-        batch that reuses its layouts proves the same."""
+        batch proved again lays out none of its stacks."""
         rng = random.Random(234)
         small = [
             _graph_op(n, [tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)], rng)
@@ -599,10 +600,13 @@ class TestBatchedProof:
         assert zero.empty and wide.values.dtype == object and big.dim >= refuter._LANCZOS_FROM
         batch = [small[0], big, small[1], zero, wide, small[2], small[3]]
         alone = [spectral_certificate([op])[0] for op in batch]
-        joined = refuter._Batch.of(batch)  # its shape keeps the layouts of its stacks
+        joined = refuter._Batch.of(batch)  # its shape lays out its stacks
+        layouts = []
+        layout = refuter._layout
+        monkeypatch.setattr(refuter, "_layout", lambda *a: layouts.append(a) or layout(*a))
         for _ in range(2):
             assert _hexed(spectral_certificate(joined)) == _hexed(alone)
-            assert joined.shape.layouts
+        assert not layouts
         assert alone[3] == 0.0 and None not in alone
         for op, bound in zip(batch, alone):
             if op.dim < 10:
@@ -688,6 +692,34 @@ class TestBatchedProof:
 class TestExactConversions:
     """Gamma and the dense matrix are bit-identical to the former per-entry
     conversions through Fraction and Dyadic."""
+
+    @pytest.mark.parametrize("bits, dtype, scales", [
+        (20, np.int64, 60), (62, np.int64, 90), (80, object, 90), (20, object, 60),
+        (40, np.int64, 1200), (70, object, 1200),
+    ], ids=["int64", "int64-past-2^53", "past-int64", "small-as-objects",
+            "int64-past-scale-1074", "past-int64-and-scale-1074"])
+    def test_a_scale_per_entry_matches_one_call_per_operator(self, bits, dtype, scales):
+        """One ``_entries_at`` call with a scale per entry gives the values
+        of one call per operator at its own scale, and their errors, 0 for
+        an operator converted exactly; every error bounds its value's."""
+        rng = random.Random(bits * scales)
+        groups = []
+        for _ in range(6):
+            nums = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 8))]
+            groups.append((np.array(nums + [0], dtype=dtype), rng.randint(0, scales)))
+        groups.append((np.array([3, -1 << bits], dtype=dtype), scales))
+        nums = np.concatenate([g for g, _ in groups])
+        log_scales = np.repeat([s for _, s in groups], [len(g) for g, _ in groups])
+        values, errors = refuter._entries_at(nums, log_scales, refuter._top_bits(nums))
+        alone = [refuter._entries_at(g, s, refuter._top_bits(g)) for g, s in groups]
+        assert values.tobytes() == np.concatenate([v for v, _ in alone]).tobytes()
+        assert (errors is None) == all(e is None for _, e in alone) == (bits <= 53 and scales <= 1074)
+        if errors is None:
+            errors = np.zeros(len(nums))
+        expected = [np.zeros(len(v)) if e is None else e for v, e in alone]
+        assert errors.tobytes() == np.concatenate(expected).tobytes()
+        for num, scale, value, error in zip(nums.tolist(), log_scales.tolist(), values, errors):
+            assert abs(Fraction(float(value)) - Fraction(num, 1 << scale)) <= Fraction(float(error))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -1262,7 +1294,47 @@ class TestNumbering:
         assert got_distinct.tolist() == distinct.tolist()
 
 
+# Instances whose unit copies under split_weights leave the float range:
+# a weight at the scale 2^-1100 beside weights of size 1
+_FINE_SPLITS = {
+    "even": (4, [(0, 1), (1, 2)], [1, -1], [Dyadic(1, 1100), Dyadic(1, 0)]),
+    "odd": (6, [(0, 1, 2), (0, 1, 3), (1, 2, 4), (0, 2, 5)], [1, -1, 1, 1],
+            [Dyadic(1, 1100), Dyadic(1, 0), Dyadic(1, 0), Dyadic(3, 2)]),
+    "mixed": (4, [(0,), (1,), (2, 3)], [1, -1, 1], [Dyadic(1, 1100), Dyadic(1, 0), Dyadic(1, 0)]),
+}
+
+
 class TestWeightSplitting:
+    @pytest.mark.parametrize("mode", ["auto", "trace"])
+    @pytest.mark.parametrize("case", sorted(_FINE_SPLITS))
+    def test_unit_copies_past_the_float_range_are_uncertain(self, case, mode):
+        """A part whose unit copies would put its degrees, or the square of
+        its copies, past the float range is uncertain at bound 1 under
+        split_weights; the default knobs certify the instance."""
+        n, edges, rhs, weights = _FINE_SPLITS[case]
+        inst = make_instance(n, edges, rhs, weights=weights)
+        assert refute(inst, RefuteParams(mode=mode)).certified
+        cert = refute(inst, RefuteParams(mode=mode, split_weights=True))
+        assert cert.status == "uncertain" and cert.bound == 1.0
+
+    @pytest.mark.parametrize("mode", ["auto", "trace"])
+    def test_an_odd_fold_past_the_float_range_is_at_the_trivial_bound(self, mode):
+        """Odd unit copies below 2^511 whose fold passes the float range:
+        33 groups times the 2^1019 copies of the one bucket edge. Whether
+        the bucket is proved (trace) or not (spectral), the bound is 1."""
+        edges = [(0, 1, 2), (0, 3, 4)] + [(v, 38, 39) for v in range(5, 37)]
+        weights = [Dyadic(1, 1)] * 2 + [Dyadic(1, 510)] * 32
+        inst = make_instance(40, edges, [1] * len(edges), weights=weights)
+        assert refute(inst, RefuteParams(mode=mode)).bound < 1.0
+        assert refute(inst, RefuteParams(mode=mode, split_weights=True)).bound == 1.0
+
+    def test_a_rescale_past_the_float_range_clamps_at_one(self):
+        """Arity 1 with unit copies past the float range: the rescale by
+        m'/m passes it too, and the bound is clamped at 1."""
+        inst = make_instance(4, [(0,), (1,)], [1, -1], weights=[Dyadic(1, 3000), Dyadic(1, 0)])
+        cert = refute(inst, RefuteParams(split_weights=True))
+        assert cert.certified and cert.bound == 1.0
+
     def test_term_sums_agree(self):
         rng = random.Random(8)
         for _ in range(50):
@@ -1307,6 +1379,32 @@ class TestWeightSplitting:
             cert = refute(inst, RefuteParams(split_weights=True))
             if cert.certified:
                 assert Fraction(cert.bound) >= brute_val(inst)
+
+
+def _shared_stack_set(rng: random.Random) -> refuter.PreparedSchemes:
+    """Six 2-XOR schemes over one right-hand side of 40 positions, so that
+    the operators of each side length (8, 6, 8, 8, 6, 8 at level 1) share
+    a stack: ten random edges each, but the third scheme, two copies of one
+    edge at positions 0 and 1."""
+    sides = (8, 6, 8, 8, 6, 8)
+    rows = []  # (scheme, edge, rhs position, units at the scale 2^-3)
+    for j, n in enumerate(sides):
+        if j == 2:
+            rows += [(j, (0, 1), 0, 1), (j, (0, 1), 1, 1)]
+            continue
+        for _ in range(10):
+            rows.append((j, tuple(sorted(rng.sample(range(n), 2))), rng.randrange(2, 40), rng.randint(1, 8)))
+    scheme, edges, outputs, units = (np.array(column) for column in zip(*rows))
+    counts = np.ones(len(rows), dtype=np.int64)
+    return refuter.prepare_rows(40, [(n, 3) for n in sides], scheme, edges, outputs, units, counts)
+
+
+def _emptying(rng: random.Random, m: int, empty: bool) -> list[int]:
+    """A random target of ``_shared_stack_set``, whose third scheme's
+    operator it leaves without entries if ``empty``."""
+    b = [rng.choice((1, -1)) for _ in range(m)]
+    b[1] = -b[0] if empty else b[0]
+    return b
 
 
 class TestPatternReuse:
@@ -1373,7 +1471,7 @@ class TestPatternReuse:
     def test_later_targets_compute_no_reweighting(self, monkeypatch):
         """The reweighting of every pattern, and the layout of every stack,
         come from the first target: later ones compute neither, nor a
-        pattern."""
+        pattern, also where one of their operators has no entries."""
         rng = random.Random(232)
         ens = group_characters(to_layered(random_tree_circuit(rng, 6, 2, 2, 120, leaf_prob=0.4)))
         counts = Counter()
@@ -1393,11 +1491,37 @@ class TestPatternReuse:
         assert per_target[0]["_gamma_of"] == per_target[0]["_kikuchi_pattern"] > 0
         assert per_target[0]["_layout"] > 0
         assert per_target[1:] == [{}] * 4
-        # a stack laid out anew still reads each pattern's kept reweighting
-        ens.prepared.plans[RefuteParams()].shape.layouts.clear()
+        prepared = _shared_stack_set(rng)
+        prepared.refute(_emptying(rng, prepared.m, False))
         counts.clear()
-        ens.prepared.refute(b)
-        assert dict(counts) == {"_layout": per_target[0]["_layout"]}
+        certs = prepared.refute(_emptying(rng, prepared.m, True))
+        assert certs[2].bound == 0.0 and not counts
+
+    @pytest.mark.parametrize("params", [RefuteParams(), RefuteParams(split_weights=True)],
+                             ids=["default", "split_weights"])
+    def test_targets_that_empty_an_operator_in_turn_lay_out_nothing(self, monkeypatch, params):
+        """On a prepared set whose operators of each side length share a
+        stack, targets that alternate between leaving one of them without
+        entries and not lay out every stack at the first target alone, and
+        match the walk over the schemes."""
+        rng = random.Random(238)
+        prepared = _shared_stack_set(rng)
+        counts = Counter()
+        for name in ("_gamma_of", "_layout"):
+            real = getattr(refuter, name)
+            monkeypatch.setattr(
+                refuter, name, lambda *a, name=name, real=real: counts.update([name]) or real(*a)
+            )
+        per_target = []
+        for i in range(6):
+            b = _emptying(rng, prepared.m, i % 2 == 0)
+            counts.clear()
+            got = [c.to_json() for c in prepared.refute(b, params)]
+            per_target.append(dict(counts))
+            assert got == [c.to_json() for c in reference_prepared_refute(prepared, b, params)]
+            assert (json.loads(got[2])["bound"] == 0.0) == (i % 2 == 0)
+        assert per_target[0]["_layout"] > 0
+        assert per_target[1:] == [{}] * 5
 
     def test_a_reused_ensemble_matches_a_fresh_one(self):
         """Certificates from an ensemble that keeps its patterns and layouts
