@@ -34,13 +34,22 @@ which are Python ints, and of +-1 beside 62-bit ones, which puts units of
 by ``refute`` and, prepared once, on 3 more right-hand sides, with the
 default knobs and with ``split_weights``.
 
-Last come the lines of ``shared-stack``, whose batches no benchmark workload
+Then come the lines of ``shared-stack``, whose batches no benchmark workload
 makes: six 2-XOR schemes (n = 8, 6, 8, 8, 6, 8, ten edges each but the
 third's) prepared over one right-hand side of 64 positions, so that the
 operators of each side length share a stack. The third scheme is two
 copies of one edge at positions 0 and 1, and its 8 targets alternate
 between leaving that operator without entries and not, each certified with
 the default knobs and with ``split_weights``.
+
+Last come the lines of ``kikuchi-shapes``, whose Kikuchi patterns no
+benchmark workload builds: a 6-XOR instance on 10 vertices refuted at the
+levels r = 3 and r = 5 (sides 120 and 252, the second above the Lanczos
+threshold), and a 2-XOR instance on 70 vertices, whose edge bitmasks are
+Python ints, with the default knobs and with ``split_weights``. Each has 40
+edges, 10 of them parallel copies of others, with weights in [-1, 1] at the
+scale 2^-2, and is certified by ``refute`` and, prepared once, on 2 more
+right-hand sides.
 
 ``bench/workloads.py`` is imported by path and only read.
 """
@@ -141,6 +150,17 @@ def _wide_weight(rng: random.Random, bits: int | None) -> Dyadic:
     return Dyadic(rng.randint(-(1 << bits), 1 << bits), bits)
 
 
+def _refute_ops(cases, prepared) -> list:
+    """For each (instance, targets, knobs) and its prepared scheme: under each
+    knob, ``refute`` on the instance, then the prepared scheme on each target."""
+    calls = []
+    for (inst, targets, knobs), schemes in zip(cases, prepared):
+        for p in knobs:
+            calls.append(lambda inst=inst, p=p: refute(inst, p))
+            calls += [lambda s=schemes, b=b, p=p: s.refute(b, p)[0] for b in targets]
+    return calls
+
+
 def _wide_refute_workload() -> SimpleNamespace:
     """The ``refute-wide`` lines, in the form of a benchmark workload."""
     knobs = [RefuteParams(), RefuteParams(split_weights=True)]
@@ -156,19 +176,13 @@ def _wide_refute_workload() -> SimpleNamespace:
             inputs.append((inst, [[rng.choice((1, -1)) for _ in edges] for _ in range(3)]))
         return inputs
 
-    def ops(inputs, prepared):
-        calls = []
-        for (inst, targets), schemes in zip(inputs, prepared):
-            for p in knobs:
-                calls.append(lambda inst=inst, p=p: refute(inst, p))
-                calls += [lambda s=schemes, b=b, p=p: s.refute(b, p)[0] for b in targets]
-        return calls
-
     return SimpleNamespace(
         name="refute-wide",
         make_inputs=make_inputs,
         setup=lambda inputs: [_prepare_instance(inst) for inst, _ in inputs],
-        ops=ops,
+        ops=lambda inputs, prepared: _refute_ops(
+            [(inst, targets, knobs) for inst, targets in inputs], prepared
+        ),
         canonical=lambda cert: cert.to_json(),
     )
 
@@ -211,6 +225,33 @@ def _shared_stack_workload() -> SimpleNamespace:
     )
 
 
+def _kikuchi_shapes_workload() -> SimpleNamespace:
+    """The ``kikuchi-shapes`` lines, in the form of a benchmark workload."""
+    shapes = [
+        (10, 6, [RefuteParams(r=3), RefuteParams(r=5)]),
+        (70, 2, [RefuteParams(), RefuteParams(split_weights=True)]),
+    ]
+
+    def make_inputs(rng):
+        cases = []
+        for n, k, knobs in shapes:
+            edges = [tuple(sorted(rng.sample(range(n), k))) for _ in range(30)]
+            edges += [rng.choice(edges) for _ in range(10)]  # parallel copies
+            weights = [Dyadic(rng.randint(-4, 4), 2) for _ in edges]
+            rhs = [rng.choice((1, -1)) for _ in edges]
+            targets = [[rng.choice((1, -1)) for _ in edges] for _ in range(2)]
+            cases.append((make_instance(n, edges, rhs, weights=weights), targets, knobs))
+        return cases
+
+    return SimpleNamespace(
+        name="kikuchi-shapes",
+        make_inputs=make_inputs,
+        setup=lambda cases: [_prepare_instance(inst) for inst, _, _ in cases],
+        ops=_refute_ops,
+        canonical=lambda cert: cert.to_json(),
+    )
+
+
 def digests(workload, seed: int, passes: int) -> list[str]:
     """The digest of each of ``passes`` passes over one set-up. A workload
     that reads another's inputs names it in ``inputs_of``."""
@@ -242,6 +283,7 @@ def main() -> int:
     workloads["remote-tree-trace"] = _trace_tree_workload(workloads["remote-tree"])
     workloads["refute-wide"] = _wide_refute_workload()
     workloads["shared-stack"] = _shared_stack_workload()
+    workloads["kikuchi-shapes"] = _kikuchi_shapes_workload()
     for name, workload in workloads.items():
         for seed in args.seeds:
             first, *later = digests(workload, seed, args.passes)

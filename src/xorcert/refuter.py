@@ -20,9 +20,10 @@ integers at one scale up to the Kikuchi entries:
   S, and the instance value is bounded by twice the spectral norm of the
   degree-reweighted matrix. Where the entries sit, which edge each reads
   and the degrees depend on the edges and the level alone: this pattern is
-  computed by index arithmetic over all pairs at once and kept by the
-  prepared part for every later right-hand side, and each target only
-  gathers its signed sums into it;
+  computed by index arithmetic over all pairs at once, from arrays sized by
+  each edge's own k vertices (and, above r = k/2, the vertices outside it),
+  and kept by the prepared part for every later right-hand side, and each
+  target only gathers its signed sums into it;
 * odd arity is reduced to even buckets by grouping edges on their lowest
   vertex and applying Cauchy-Schwarz to the group sums: each pair of
   distinct group-mates, all of them formed at once by index arithmetic,
@@ -825,22 +826,12 @@ def _prepare_instance(inst: XorInstance) -> PreparedSchemes:
     )
 
 
-def _vertices(edges: Sequence[int], n: int, k: int) -> np.ndarray:
-    """The vertices of each edge bitmask over range(n), in increasing order,
-    one row of k per edge. Past 63 vertices the masks are Python ints."""
-    masks = np.array(edges, dtype=np.int64 if n <= 63 else object)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    return np.nonzero(bits)[1].reshape(len(edges), k)
-
-
 def _colex_table(n: int, r: int) -> np.ndarray:
-    """C(v, p + 1) at [v, p] wherever vertex v can sit at position p of an
-    r-subset of range(n), else 0; every value is below C(n, r), so int64
+    """C(v, p + 1) at v * r + p wherever vertex v can sit at position p of
+    an r-subset of range(n), else 0; every value is below C(n, r), so int64
     holds it. A subset's colex rank is the sum of its vertices' values."""
-    return np.array(
-        [[comb(v, p + 1) if p <= v <= n - r + p else 0 for p in range(r)] for v in range(n)],
-        dtype=np.int64,
-    ).reshape(n, r)
+    values = [comb(v, p + 1) if p <= v <= n - r + p else 0 for v in range(n) for p in range(r)]
+    return np.array(values, dtype=np.int64)
 
 
 def _colex_ranks(chosen: np.ndarray, added: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -849,9 +840,10 @@ def _colex_ranks(chosen: np.ndarray, added: np.ndarray, table: np.ndarray) -> np
     the other axes broadcast. A vertex's position counts the vertices of
     the other part below it."""
     below = added[..., None, :] < chosen[..., :, None]
-    at_chosen = np.arange(chosen.shape[-1]) + below.sum(axis=-1)
-    at_added = np.arange(added.shape[-1]) + (~below).sum(axis=-2)
-    return table[chosen, at_chosen].sum(axis=-1) + table[added, at_added].sum(axis=-1)
+    half, r = chosen.shape[-1], chosen.shape[-1] + added.shape[-1]
+    at_chosen = chosen * r + np.arange(half) + below.sum(axis=-1)
+    at_added = added * r + np.arange(half, r) - below.sum(axis=-2)
+    return table[at_chosen].sum(axis=-1) + table[at_added].sum(axis=-1)
 
 
 def _kikuchi_pattern(
@@ -865,36 +857,44 @@ def _kikuchi_pattern(
     outside the edge to both. Each unordered pair is made once, with S's
     half holding the edge's lowest vertex; it gives the entry at
     (min, max) of the two ranks, and the edge's copies to the degree of
-    both rows. Degrees are summed in int64 when the trace degree fits, else
-    in Python ints.
-    """
-    half = k // 2
-    dim = comb(n, r)
-    count = len(edges)
-    verts = _vertices(edges, n, k)
-    member = np.zeros((count, n), dtype=bool)
-    member[np.arange(count)[:, None], verts] = True
-    outside = np.nonzero(~member)[1].reshape(count, n - k)
-    picks = np.array(list(combinations(range(n - k), r - half)), dtype=np.intp)
-    added = outside[:, picks][:, None]  # edge, 1, pick, vertex
+    both rows. Arrays are sized by each edge's k vertices, taken off its mask
+    lowest bit first, and above r = k/2 by the vertices outside it. Degrees
+    are float sums, exact below a trace degree of 2^53, then int64 sums, and
+    Python ints past 2^63."""
+    half, dim = k // 2, comb(n, r)
+    masks = np.array(edges, dtype=np.int64 if n <= 63 else object)
+    verts = np.empty((len(edges), k), dtype=np.intp)
+    for p in range(k):
+        low = masks & -masks
+        verts[:, p] = np.bitwise_count(low - 1) if n <= 63 else [x.bit_length() - 1 for x in low]
+        masks ^= low
     firsts = [c for c in combinations(range(k), half) if c[0] == 0]
     seconds = [[p for p in range(k) if p not in c] for c in firsts]
     table = _colex_table(n, r)
-    s = _colex_ranks(verts[:, firsts][:, :, None], added, table)  # edge, half, pick
-    t = _colex_ranks(verts[:, seconds][:, :, None], added, table)
-    edge = np.broadcast_to(np.arange(count)[:, None, None], s.shape).ravel()
-    s, t = s.ravel(), t.ravel()
+    if r == half:
+        s, t = (table[verts[:, h] * r + np.arange(half)].sum(axis=-1).ravel() for h in (firsts, seconds))
+    else:
+        member = np.zeros((len(edges), n), dtype=bool)
+        member[np.arange(len(edges))[:, None], verts] = True
+        outside = np.nonzero(~member)[1].reshape(-1, n - k)
+        picks = np.array(list(combinations(range(n - k), r - half)), dtype=np.intp)
+        added = outside[:, picks][:, None]  # edge, 1, pick, vertex
+        s, t = (_colex_ranks(verts[:, h][:, :, None], added, table).ravel() for h in (firsts, seconds))
+    per_edge = len(firsts) * comb(n - k, r - half)  # the pairs of each edge, one run of s and t
     rows, cols = np.minimum(s, t), np.maximum(s, t)
     order = np.argsort(rows * dim + cols)
 
-    total = sum(copies) * comb(k, half) * comb(n - k, r - half)
-    dtype = np.int64 if total < 1 << 63 else object
-    weight = np.array(copies, dtype=dtype)[edge]
-    degrees = np.zeros(dim, dtype=dtype)
-    np.add.at(degrees, s, weight)
-    np.add.at(degrees, t, weight)
+    total = 2 * per_edge * sum(copies)
+    dtype = float if total < 1 << 53 else np.int64 if total < 1 << 63 else object
+    weight = np.repeat(np.array(copies, dtype=dtype), per_edge)
+    if dtype is float:
+        degrees = (np.bincount(s, weight, dim) + np.bincount(t, weight, dim)).astype(np.int64)
+    else:
+        degrees = np.zeros(dim, dtype=dtype)
+        np.add.at(degrees, s, weight)
+        np.add.at(degrees, t, weight)
     assert degrees.sum() == total
-    pattern = KikuchiPattern(rows[order], cols[order], edge[order], degrees)
+    pattern = KikuchiPattern(rows[order], cols[order], order // per_edge, degrees)
     # every later target's operator shares these, its degrees as they are
     for array in (pattern.rows, pattern.cols, pattern.edge, pattern.degrees):
         array.flags.writeable = False

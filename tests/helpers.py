@@ -433,6 +433,61 @@ def reference_kikuchi(
     return entries, tuple(degrees)
 
 
+def reference_kikuchi_pattern(n: int, k: int, r: int, edges, copies) -> refuter.KikuchiPattern:
+    """The level-r pattern by the former build: each edge's vertices from a
+    row of n bits per edge, the vertices outside it listed at every level
+    and merged into both halves, and degrees summed by ``np.add.at``."""
+    masks = np.array(edges, dtype=np.int64 if n <= 63 else object)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    verts = np.nonzero(bits)[1].reshape(len(edges), k)
+
+    def ranks(chosen, added, table):
+        below = added[..., None, :] < chosen[..., :, None]
+        at_chosen = np.arange(chosen.shape[-1]) + below.sum(axis=-1)
+        at_added = np.arange(added.shape[-1]) + (~below).sum(axis=-2)
+        return table[chosen, at_chosen].sum(axis=-1) + table[added, at_added].sum(axis=-1)
+
+    half = k // 2
+    dim = comb(n, r)
+    count = len(edges)
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count)[:, None], verts] = True
+    outside = np.nonzero(~member)[1].reshape(count, n - k)
+    picks = np.array(list(combinations(range(n - k), r - half)), dtype=np.intp)
+    added = outside[:, picks][:, None]  # edge, 1, pick, vertex
+    firsts = [c for c in combinations(range(k), half) if c[0] == 0]
+    seconds = [[p for p in range(k) if p not in c] for c in firsts]
+    table = np.array(
+        [[comb(v, p + 1) if p <= v <= n - r + p else 0 for p in range(r)] for v in range(n)],
+        dtype=np.int64,
+    ).reshape(n, r)
+    s = ranks(verts[:, firsts][:, :, None], added, table)  # edge, half, pick
+    t = ranks(verts[:, seconds][:, :, None], added, table)
+    edge = np.broadcast_to(np.arange(count)[:, None, None], s.shape).ravel()
+    s, t = s.ravel(), t.ravel()
+    rows, cols = np.minimum(s, t), np.maximum(s, t)
+    order = np.argsort(rows * dim + cols)
+
+    total = sum(copies) * comb(k, half) * comb(n - k, r - half)
+    dtype = np.int64 if total < 1 << 63 else object
+    weight = np.array(copies, dtype=dtype)[edge]
+    degrees = np.zeros(dim, dtype=dtype)
+    np.add.at(degrees, s, weight)
+    np.add.at(degrees, t, weight)
+    pattern = refuter.KikuchiPattern(rows[order], cols[order], edge[order], degrees)
+    for array in (pattern.rows, pattern.cols, pattern.edge, pattern.degrees):
+        array.flags.writeable = False
+    return pattern
+
+
+def pattern_fields(pattern: refuter.KikuchiPattern) -> list:
+    """Each array of a pattern as (values, dtype, shape, writeable)."""
+    return [
+        (array.tolist(), array.dtype, array.shape, array.flags.writeable)
+        for array in (pattern.rows, pattern.cols, pattern.edge, pattern.degrees)
+    ]
+
+
 def entry_dict(op: KikuchiOperator) -> dict[tuple[int, int], int]:
     """The stored entries of an operator as {(row, column): numerator}."""
     return dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.entries.tolist()))

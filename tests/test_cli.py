@@ -503,6 +503,7 @@ remote-tree-odd\tseed 1\tcb6e5e68d6353d34481a628e216ca9679eaa374097ea16c81db5d41
 remote-tree-trace\tseed 1\t57b7b8c085100f4e37ef03f03c246af895e91f04fe8819be319d338d27bf7af8
 refute-wide\tseed 1\t1cc4b41fa027be8b808133dfd91eec80a1517a4f341c0c4ac355efeed2cc7b6a
 shared-stack\tseed 1\t5d57314dd8c6bd33de9f695b15cccb9657f7cafc7e51bb0da88230f23967724d
+kikuchi-shapes\tseed 1\t164b97ed07b6862b8f425392264cd4d026727c8e551a9f93c6067d49f7554d8c
 """
 
 

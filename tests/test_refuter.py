@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -38,6 +39,7 @@ from helpers import (
     edge_mask,
     edge_table,
     entry_dict,
+    pattern_fields,
     prepared_fields,
     quadratic_form,
     random_instance,
@@ -45,6 +47,7 @@ from helpers import (
     reference_dense_matrix,
     reference_gamma,
     reference_kikuchi,
+    reference_kikuchi_pattern,
     reference_number_distinct,
     reference_odd_split,
     reference_prepare_copies,
@@ -243,6 +246,81 @@ class TestBuild:
             build_kikuchi(*coalesce(even), 3)  # r - k/2 > n - k
         with pytest.raises(ResourceCap):
             build_kikuchi(*coalesce(make_instance(12, [(0, 1)], [1])), 5, dense_cap=100)
+
+
+def _check_former_build(n: int, k: int, r: int, edges, copies) -> None:
+    got = refuter._kikuchi_pattern(n, k, r, edges, copies)
+    assert pattern_fields(got) == pattern_fields(reference_kikuchi_pattern(n, k, r, edges, copies))
+
+
+class TestPatternBuild:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_former_build(self, data):
+        """Positions, edges and degrees equal the former build's array for
+        array: values, dtype, order and read-only flags, on up to 70
+        vertices and at every level whose side stays small."""
+        k = data.draw(st.sampled_from((2, 4, 6)), label="k")
+        n = data.draw(st.integers(min_value=k, max_value=70), label="n")
+        half = k // 2
+        levels = [
+            r for r in range(half, n - half + 1)
+            if comb(n, r) <= 60_000 and comb(n - k, r - half) <= 300
+        ]
+        r = data.draw(st.sampled_from(levels), label="r")
+        subsets = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+        edges = sorted(data.draw(
+            st.lists(subsets.map(edge_mask), min_size=1, max_size=8, unique=True), label="edges"
+        ))
+        # copies that keep the trace degree below 2^53, in int64, or past 2^63
+        top = data.draw(st.sampled_from((3, 1 << 50, 1 << 62, 1 << 70)), label="top")
+        copies = data.draw(
+            st.lists(st.integers(1, top), min_size=len(edges), max_size=len(edges)), label="copies"
+        )
+        _check_former_build(n, k, r, edges, copies)
+
+    @pytest.mark.parametrize("n, k, r", [(63, 4, 2), (64, 4, 3), (70, 2, 69), (70, 6, 3), (70, 6, 67)])
+    def test_wide_shapes_equal_the_former_build(self, n, k, r):
+        # random edges beside the lowest one
+        rng = random.Random(n * k + r)
+        edges = sorted({edge_mask(rng.sample(range(n), k)) for _ in range(6)} | {(1 << k) - 1})
+        _check_former_build(n, k, r, edges, [rng.randint(1, 3) for _ in edges])
+
+    @pytest.mark.parametrize("n, masks, copies, trace", [
+        # the triangle on 3 vertices: the trace degree is twice the copies,
+        # so always even, and it sits at 2^53 - 2, 2^53 and 2^53 + 2
+        (3, (3, 5, 6), ((1 << 51) - 1, (1 << 50) + 1, (1 << 50) - 1), (1 << 53) - 2),
+        (3, (3, 5, 6), ((1 << 51) - 1, (1 << 50) + 1, 1 << 50), 1 << 53),
+        (3, (3, 5, 6), ((1 << 51) - 1, (1 << 50) + 1, (1 << 50) + 1), (1 << 53) + 2),
+        # one edge whose odd degree 2^53 + 1 no float holds
+        (2, (3,), ((1 << 53) + 1,), (1 << 54) + 2),
+        # past 2^63 the degrees are Python ints
+        (2, (3,), ((1 << 63) + 1,), (1 << 64) + 2),
+    ])
+    def test_degrees_at_the_float_and_int64_edges(self, n, masks, copies, trace):
+        got = refuter._kikuchi_pattern(n, 2, 1, masks, copies)
+        assert sum(got.degrees.tolist()) == trace
+        assert got.degrees.dtype == (np.int64 if trace < 1 << 63 else object)
+        assert pattern_fields(got) == pattern_fields(reference_kikuchi_pattern(n, 2, 1, masks, copies))
+        if n == 2:
+            assert got.degrees.tolist() == [copies[0]] * 2
+
+    def test_wide_masks_take_memory_per_edge_vertex(self):
+        # 800 edges on 4000 vertices, a shape the default dense cap allows at
+        # r = 1: nothing may be sized by the 4000 vertices per edge
+        rng = random.Random(0)
+        edges = set()
+        while len(edges) < 800:
+            edges.add(edge_mask(rng.sample(range(4000), 2)))
+        edges = sorted(edges)
+        tracemalloc.start()
+        try:
+            pattern = refuter._kikuchi_pattern(4000, 2, 1, edges, (1,) * len(edges))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pattern.rows) == len(edges) and sum(pattern.degrees.tolist()) == 2 * len(edges)
+        assert peak < 10 << 20
 
 
 class TestTrace:
